@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-quick binaries verify clean
+.PHONY: all build vet lint test race fuzz bench bench-quick bench-real bench-compare binaries verify clean
 
 all: verify
 
@@ -31,21 +31,40 @@ test:
 race:
 	$(GO) test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace .
 
+## fuzz: 10 s of native fuzzing over the segment decoder (seed corpus in
+## internal/store/testdata/fuzz) — no panic, allocation bounded by the
+## input, decode(encode(x)) == x
+fuzz:
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s
+
 ## bench: run the paper-figure benchmark suite with -benchmem, refresh the
-## machine-readable perf-trajectory artifact (BENCH_PR5.json; its baseline
-## froze the PR 4 numbers) — including the diagnosis-throughput, bursty
-## calendar, and snapshot-bootstrap sweeps — and print the before/after
-## delta
+## machine-readable perf-trajectory artifact (the BENCH_PR<N>.json that
+## scripts/bench.sh names; its baseline seeds from the previous artifact's
+## "current") and print the before/after delta. These are the virtual-time
+## drift gate; real cost is bench-real's business
 bench:
 	scripts/bench.sh
 
 ## bench-quick: the inner perf loop — Fig 8 + simulator event rate (incl.
 ## the scheduler ablation) + the bursty calendar sweep + the state-sync
-## snapshot bootstrap + the indexed cold query + the pointer-backend
-## ablation + the metrics scrape and deterministic alert storm, one
-## iteration, no artifact refresh
+## snapshot bootstrap + the indexed cold query + the segment codec + the
+## pointer-backend ablation + the metrics scrape and deterministic alert
+## storm, one iteration, no artifact refresh
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Fig8LoadImbalance|SimulatorEventRate|AblationEventQueue|CalendarBursty|SnapshotBootstrap|ColdQueryIndexed|PointerBackends|MetricsScrape|AlertStorm|TraceOverhead' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Fig8LoadImbalance|SimulatorEventRate|AblationEventQueue|CalendarBursty|SnapshotBootstrap|ColdQueryIndexed|SegmentCodec|PointerBackends|MetricsScrape|AlertStorm|TraceOverhead' -benchmem -benchtime 1x .
+
+## bench-real: the real-cost benchmark (benchmark/README.md) — four
+## workloads, end to end and layer by layer, ~3.5 min; every number lands
+## in $(OUT)
+OUT ?= .bench_build/bench.json
+bench-real:
+	@mkdir -p $(dir $(OUT))
+	$(GO) run ./benchmark -out $(OUT)
+
+## bench-compare: judge bench-real run B against run A (exit 1 on any
+## "worse"): make bench-compare A=before.json B=after.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 ## binaries: every cmd/ tool and examples/ program must compile
 binaries:
@@ -57,8 +76,8 @@ binaries:
 	done
 
 ## verify: the tier-1 gate — build, lint (gofmt + vet + splint), test,
-## race, and binary compile checks
-verify: build lint test race binaries
+## race, the fuzz leg, and binary compile checks
+verify: build lint test race fuzz binaries
 
 clean:
 	rm -rf bin

@@ -481,6 +481,42 @@ func BenchmarkColdQueryIndexed(b *testing.B) {
 	b.ReportMetric(float64(scanned)/float64(b.N), "records_scanned/op")
 }
 
+// BenchmarkSegmentCodec measures one encode plus one decode of a 256-record
+// segment (five-switch paths, one exact epoch each — diag-heavy's cold
+// segment shape): what an eviction sweep pays to write a segment and a cold
+// read pays to get it back. B/op and allocs/op are the figures to watch;
+// bytes/segment is exact.
+func BenchmarkSegmentCodec(b *testing.B) {
+	recs := make([]*flowrec.Record, 256)
+	for i := range recs {
+		r := flowrec.New(netsim.FlowKey{Src: netsim.IP(10, 0, byte(i>>8), byte(i)), Dst: netsim.IP(10, 1, 0, 2),
+			SrcPort: uint16(1024 + i), DstPort: 80, Proto: 6})
+		r.Path = []netsim.NodeID{3, 17, 40, 18, 5}
+		for j := range r.Path {
+			r.Epochs = append(r.Epochs, simtime.EpochRange{Lo: simtime.Epoch(1000 + i + j), Hi: simtime.Epoch(1001 + i + j)})
+		}
+		r.TagIdx = 2
+		r.Bytes, r.Pkts = uint64(1500*(i+1)), uint64(i+1)
+		r.EpochBytes[r.Epochs[2].Lo] = r.Bytes
+		r.FirstSeen, r.LastSeen = simtime.Time(i)*simtime.Millisecond, simtime.Time(i+1)*simtime.Millisecond
+		recs[i] = r
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := store.EncodeSegment(&buf, recs); err != nil {
+			b.Fatal(err)
+		}
+		got, err := store.DecodeSegmentBytes(buf.Bytes())
+		if err != nil || len(got) != len(recs) {
+			b.Fatalf("decoded %d records, %v", len(got), err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "bytes/segment")
+}
+
 // BenchmarkMetricsScrape measures one Prometheus text render of a host
 // daemon's full metric registry over the redlights testbed — the scrape
 // cost every monitoring interval pays. The reported family/sample/byte

@@ -29,7 +29,7 @@
 // state "live" — the readiness gate scripts use.
 //
 // State sync: every daemon serves the statesync plane — hosts expose GET
-// /hosts/<ip>/snapshot (epoch-range-addressable gob segments) and POST
+// /hosts/<ip>/snapshot (epoch-range-addressable record segments) and POST
 // /hosts/<ip>/ingest (live record feed), switches GET
 // /switches/<id>/snapshot (pointer + control store + MPH) — and a fresh
 // daemon started with -bootstrap-from <peer-url> absorbs a live peer's

@@ -22,7 +22,7 @@ import (
 
 // TestBootstrapEquivalenceAllKinds is the state-sync acceptance gate: for
 // every query kind, a testbed that never replayed the scenario — its host
-// stores pulled as gob segments and its switch pointer structures restored
+// stores pulled as snapshot segments and its switch pointer structures restored
 // from snapshots, all over HTTP — must serve a wire-form report
 // byte-identical to the in-memory run on the source testbed.
 func TestBootstrapEquivalenceAllKinds(t *testing.T) {

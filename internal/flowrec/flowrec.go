@@ -5,11 +5,37 @@
 // corresponding to each switch, byte/packet counts (including per-epoch byte
 // counts at the tagging switch), and the flow's DSCP priority. Records are
 // what the analyzer's distributed queries run against.
+//
+// # Segment format
+//
+// Wherever records are persisted or streamed (Flush, eviction sinks, cold
+// segments, compaction, /snapshot frames) they travel as segments (codec.go):
+// a 20-byte header, then the records back to back. Fixed-width integers are
+// little-endian; uvarint and varint (zigzag) are encoding/binary's.
+//
+//	header  0x89 'S' 'P'   magic — no gob stream starts with 0x89
+//	        u8             version (1)
+//	        u32 ×3         records, Σ len(Path), Σ len(Epochs)
+//	        u32            body length: a segment is self-delimiting
+//	record  u32 u32        Flow.Src, Flow.Dst
+//	        u16 u16 u8 u8  Flow.SrcPort, Flow.DstPort, Flow.Proto, Priority
+//	        varint         TagIdx (−1 = untagged)
+//	        uvarint ×3     TagLink, Bytes, Pkts
+//	        varint ×2      FirstSeen, LastSeen
+//	        uvarint        len(Path), then a uvarint per switch
+//	        uvarint        len(Epochs), then varint Lo, varint Hi per switch
+//	        uvarint        0 = nil EpochBytes, else entries+1, then (varint
+//	                       epoch, uvarint bytes) pairs in ascending epoch order
+//
+// Equal records encode to equal bytes. A decoder checks the counts against
+// the body length before sizing anything from them, and a body must consume
+// exactly those counts. An empty Path or Epochs decodes as nil and a nil
+// EpochBytes stays nil, so a record's JSON survives the round trip.
 package flowrec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"switchpointer/internal/header"
 	"switchpointer/internal/netsim"
@@ -148,7 +174,7 @@ func (r *Record) SortedEpochs() []simtime.Epoch {
 	for e := range r.EpochBytes {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

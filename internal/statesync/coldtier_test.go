@@ -300,7 +300,7 @@ func TestReopenReconcilesOrphansAndAvoidsCollision(t *testing.T) {
 func TestManifestCompatAndUpgrade(t *testing.T) {
 	dir := t.TempDir()
 	// Write two legacy segments exactly as the pre-index code did: payload
-	// under the positional name, manifest line without "v" or "file".
+	// under the positional (.gob) name, manifest line without "v" or "file".
 	var lines []string
 	for i := 0; i < 2; i++ {
 		rec := coldRecord(uint16(20+i), simtime.Time(i), simtime.Epoch(i), simtime.Epoch(i+2))
@@ -308,7 +308,7 @@ func TestManifestCompatAndUpgrade(t *testing.T) {
 		if err := store.EncodeSegment(&buf, []*flowrec.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, segFileName(i)), []byte(buf.String()), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seg-%06d.gob", i)), []byte(buf.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		lines = append(lines, fmt.Sprintf(`{"epochs":{"Lo":%d,"Hi":%d},"flows":1,"bytes":%d}`, i, i+2, buf.Len()))

@@ -2,7 +2,7 @@
 // scenario-replay servers into live state machines. It has three legs:
 //
 //   - Snapshot/serve: host agents expose their sharded record stores as
-//     self-contained gob segments over HTTP (GET .../snapshot, epoch-range
+//     self-contained record segments over HTTP (GET .../snapshot, epoch-range
 //     addressable, streamed shard by shard so absorption never stalls), and
 //     switch agents expose pointer + MPH snapshots.
 //   - Bootstrap/ingest: a fresh daemon pulls a peer's segments, loads them,

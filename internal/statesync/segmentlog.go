@@ -25,7 +25,8 @@ import (
 //
 //   - In-memory (dir == ""): segments live in process memory. The mode
 //     tests and short-lived daemons use.
-//   - Directory-backed: each segment persists as seg-NNNNNN.gob next to
+//   - Directory-backed: each segment persists as seg-NNNNNN.seg (or, in a
+//     log an older build wrote, as a gob seg-NNNNNN.gob) next to
 //     manifest.jsonl, one JSON line per segment in log order — the tiny
 //     index that lets read-back skip irrelevant segments without decoding
 //     them, and that survives a daemon restart (reopening the same
@@ -154,8 +155,8 @@ func NewSegmentLog(dir string) (*SegmentLog, error) {
 		seg := logSegment{Manifest: ln.SegmentManifest, file: ln.File}
 		if !seg.Manifest.Tiered {
 			if seg.file == "" {
-				// Pre-index manifest line: files were named by position.
-				seg.file = segFileName(len(l.segs))
+				// Pre-index manifest line: files named by position, as .gob.
+				seg.file = fmt.Sprintf("seg-%06d.gob", len(l.segs))
 			}
 			if _, err := os.Stat(filepath.Join(dir, seg.file)); err != nil {
 				return nil, fmt.Errorf("statesync: segment log: manifest names missing segment %d: %w", len(l.segs), err)
@@ -177,7 +178,7 @@ func NewSegmentLog(dir string) (*SegmentLog, error) {
 	return l, nil
 }
 
-// removeOrphans deletes every seg-*.gob not referenced by the loaded
+// removeOrphans deletes every seg-* payload not referenced by the loaded
 // manifest, plus any *.tmp leftovers — the crash debris of an interrupted
 // WriteSegment or compaction. Without this, a reopened log would leak the
 // files forever and a future writer could collide with them.
@@ -197,9 +198,7 @@ func (l *SegmentLog) removeOrphans() error {
 		if e.IsDir() || name == "manifest.jsonl" || referenced[name] {
 			continue
 		}
-		stray := strings.HasSuffix(name, ".tmp") ||
-			(strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".gob"))
-		if !stray {
+		if _, seg := segFileID(name); !seg && !strings.HasSuffix(name, ".tmp") {
 			continue
 		}
 		if err := os.Remove(filepath.Join(l.dir, name)); err != nil {
@@ -214,15 +213,16 @@ func (l *SegmentLog) Dir() string { return l.dir }
 
 func (l *SegmentLog) manifestPath() string { return filepath.Join(l.dir, "manifest.jsonl") }
 
-func segFileName(id int) string { return fmt.Sprintf("seg-%06d.gob", id) }
+func segFileName(id int) string { return fmt.Sprintf("seg-%06d.seg", id) }
 
-// segFileID parses the id out of a seg-NNNNNN.gob name.
+// segFileID parses the id out of a seg-NNNNNN.seg name, or out of the
+// seg-NNNNNN.gob name logs written by builds up to PR 11 use.
 func segFileID(name string) (int, bool) {
-	s := strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".gob")
-	if s == name || len(s) == 0 {
+	ext := filepath.Ext(name)
+	if !strings.HasPrefix(name, "seg-") || (ext != ".seg" && ext != ".gob") {
 		return 0, false
 	}
-	id, err := strconv.Atoi(s)
+	id, err := strconv.Atoi(name[len("seg-") : len(name)-len(ext)])
 	if err != nil || id < 0 {
 		return 0, false
 	}
@@ -392,7 +392,7 @@ func (l *SegmentLog) readSegment(seg *logSegment, i int, fn func(*flowrec.Record
 		}
 		payload = raw
 	}
-	recs, err := store.DecodeSegment(bytes.NewReader(payload))
+	recs, err := store.DecodeSegmentBytes(payload)
 	if err != nil {
 		return fmt.Errorf("statesync: segment %d: %w", i, err)
 	}

@@ -17,15 +17,17 @@ import (
 
 // SegmentsContentType marks a host snapshot body: a sequence of
 // length-prefixed frames (4-byte big-endian length, then that many bytes),
-// each holding one self-contained gob segment (store.EncodeSegment form),
-// one per non-empty store shard. The explicit framing matters: a gob
-// decoder buffers reads ahead of the message it decodes, so self-contained
-// segments concatenated on one stream cannot be peeled off with fresh
-// decoders — the frame boundary hands each decoder exactly its own bytes.
+// each holding one self-contained segment (store.EncodeSegment form), one
+// per non-empty store shard. The frame length lets a puller bound and read
+// a whole segment before decoding any of it.
 const SegmentsContentType = "application/x-switchpointer-segments"
 
+// maxFrameBytes is the largest frame ReadSegments accepts: the length is the
+// peer's word, and sizes a buffer before a byte of the frame is read.
+const maxFrameBytes = 64 << 20
+
 // HostSnapshotHandler serves GET /snapshot on a host agent: the agent's
-// resident record set as a stream of self-contained gob segments, one per
+// resident record set as a stream of self-contained segments, one per
 // non-empty store shard. Optional ?lo=E&hi=E query parameters restrict the
 // snapshot to records whose telemetry epochs overlap [lo,hi] (epoch-range
 // addressing); without them the full store is streamed.
@@ -97,10 +99,10 @@ func epochWindow(r *http.Request) (simtime.EpochRange, error) {
 	return simtime.EpochRange{Lo: simtime.Epoch(l), Hi: simtime.Epoch(h)}, nil
 }
 
-// ReadSegments decodes a stream of length-prefixed gob segments (a host
-// snapshot body) until EOF, handing each segment's record slice to fn. It
-// returns how many segments and records were decoded. A stream truncated
-// mid-frame is an error, never a silent short read.
+// ReadSegments decodes a stream of length-prefixed segments (a host snapshot
+// body) until EOF, handing each segment's record slice to fn. It returns how
+// many segments and records were decoded. A stream truncated mid-frame, or a
+// frame longer than maxFrameBytes, is an error, never a silent short read.
 func ReadSegments(r io.Reader, fn func(recs []*flowrec.Record) error) (segments, records int, err error) {
 	for {
 		var hdr [4]byte
@@ -110,13 +112,17 @@ func ReadSegments(r io.Reader, fn func(recs []*flowrec.Record) error) (segments,
 			}
 			return segments, records, fmt.Errorf("statesync: segment frame: %w", err)
 		}
-		payload := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		size := binary.BigEndian.Uint32(hdr[:])
+		if size > maxFrameBytes {
+			return segments, records, fmt.Errorf("statesync: segment frame %d declares %d bytes, limit %d", segments, size, maxFrameBytes)
+		}
+		payload := make([]byte, size)
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return segments, records, fmt.Errorf("statesync: truncated segment %d: %w", segments, err)
 		}
-		recs, err := store.DecodeSegment(bytes.NewReader(payload))
+		recs, err := store.DecodeSegmentBytes(payload)
 		if err != nil {
-			return segments, records, err
+			return segments, records, fmt.Errorf("statesync: segment frame %d: %w", segments, err)
 		}
 		segments++
 		records += len(recs)

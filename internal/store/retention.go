@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
@@ -22,9 +21,9 @@ import (
 //   - Size: when the store still exceeds MaxRecords, the coldest surplus
 //     (oldest LastSeen first) is evicted regardless of age.
 //
-// Evicted records leave through the store's gob Flush path: they are
-// appended to Sink as a stream of Flush-compatible snapshots (nil Sink
-// drops them). Zero triggers disable the respective bound; the zero
+// Evicted records leave through the store's Flush path: they are appended
+// to Sink as a stream of Flush-compatible segments (nil Sink drops them).
+// Zero triggers disable the respective bound; the zero
 // Retention disables eviction entirely.
 type Retention struct {
 	// HotEpochs is the age bound in epochs (0 = no age-based eviction).
@@ -33,9 +32,9 @@ type Retention struct {
 	Alpha simtime.Time
 	// MaxRecords caps the resident set (0 = unbounded).
 	MaxRecords int
-	// Sink receives evicted records as gob snapshot segments (one segment
-	// per Maintain call that evicted anything; a segment decodes with the
-	// same schema Flush writes and Load reads). Nil drops evictions.
+	// Sink receives evicted records as segments (one per Maintain call that
+	// evicted anything, in the form Flush writes and Load reads; successive
+	// Loads walk the stream). Nil drops evictions.
 	Sink io.Writer
 	// Cold, when set, receives the same segments together with a
 	// SegmentManifest each — the indexed flush path that makes cold
@@ -187,26 +186,26 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 	if cfg.Sink == nil && cfg.Cold == nil {
 		return len(victims), nil
 	}
-	// Flush through the gob path in deterministic cold-first order. The
-	// victims are no longer reachable from the store, so encoding the live
-	// pointers is race-free. Each sweep writes one self-contained segment
-	// (fresh encoder), so any segment decodes independently with Load.
+	// Flush in deterministic cold-first order. The victims are no longer
+	// reachable from the store, so encoding the live pointers is race-free.
+	// Each sweep writes one self-delimiting segment — the same bytes to
+	// either sink — so any segment decodes independently with Load.
 	sort.Slice(victims, func(i, j int) bool {
 		if victims[i].LastSeen != victims[j].LastSeen {
 			return victims[i].LastSeen < victims[j].LastSeen
 		}
 		return flowLess(victims[i].Flow, victims[j].Flow)
 	})
+	var buf bytes.Buffer
+	if err := EncodeSegment(&buf, victims); err != nil {
+		return len(victims), err
+	}
 	if cfg.Sink != nil {
-		if err := gob.NewEncoder(cfg.Sink).Encode(&snapshot{Records: victims}); err != nil {
+		if _, err := cfg.Sink.Write(buf.Bytes()); err != nil {
 			return len(victims), fmt.Errorf("store: eviction flush: %w", err)
 		}
 	}
 	if cfg.Cold != nil {
-		var buf bytes.Buffer
-		if err := EncodeSegment(&buf, victims); err != nil {
-			return len(victims), err
-		}
 		m := NewSegmentManifest(victims)
 		m.Bytes = buf.Len()
 		if err := cfg.Cold.WriteSegment(m, buf.Bytes()); err != nil {

@@ -25,7 +25,7 @@ func seedRecord(st *RecordStore, port uint16, last simtime.Time, path ...netsim.
 }
 
 // TestRetentionAgeEviction pins the age bound: records idle past the hot
-// window leave memory through the gob sink, recent ones stay, and evicted
+// window leave memory through the sink, recent ones stay, and evicted
 // flows stop answering by-switch queries.
 func TestRetentionAgeEviction(t *testing.T) {
 	st := New()

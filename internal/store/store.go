@@ -3,12 +3,12 @@
 // deployment flushes records to (§6).
 //
 // It keeps records in memory sharded by flow-key hash, behind two indexes
-// (by flow and by traversed switch), and supports snapshot/restore through
-// encoding/gob for the "flushed to local storage" behaviour.
+// (by flow and by traversed switch), and writes what leaves memory (Flush,
+// evictions, cold segments, snapshot frames) as flowrec segments (segment.go)
+// for the "flushed to local storage" behaviour.
 package store
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"slices"
@@ -104,18 +104,28 @@ type mergedEntry struct {
 
 // New returns an empty store.
 func New() *RecordStore {
-	st := &RecordStore{
-		merged: make(map[netsim.NodeID]mergedEntry),
-		gens:   make(map[netsim.NodeID]uint64),
-	}
+	st := &RecordStore{}
+	st.reset()
+	return st
+}
+
+// reset empties every shard, index and memo.
+func (st *RecordStore) reset() {
 	for i := range st.shards {
 		sh := &st.shards[i]
+		sh.mu.Lock()
 		sh.recs = make(map[netsim.FlowKey]*flowrec.Record)
 		sh.bySwitch = make(map[netsim.NodeID]map[netsim.FlowKey]struct{})
 		sh.indexed = make(map[netsim.FlowKey][]netsim.NodeID)
+		sh.memoMu.Lock()
 		sh.sorted = make(map[netsim.NodeID][]*flowrec.Record)
+		sh.memoMu.Unlock()
+		sh.mu.Unlock()
 	}
-	return st
+	st.mergeMu.Lock()
+	st.merged = make(map[netsim.NodeID]mergedEntry)
+	st.gens = make(map[netsim.NodeID]uint64)
+	st.mergeMu.Unlock()
 }
 
 // shardOf hashes a flow key to its shard. The mix only spreads flows across
@@ -450,32 +460,6 @@ func sortRecords(rs []*flowrec.Record) {
 	sort.Slice(rs, func(i, j int) bool { return flowLess(rs[i].Flow, rs[j].Flow) })
 }
 
-// snapshot is the gob wire form.
-type snapshot struct {
-	Records []*flowrec.Record
-}
-
-// EncodeSegment writes one self-contained gob segment holding the given
-// records — the schema Flush writes, Load reads, and DecodeSegment decodes.
-// Every segment carries its own type information (fresh encoder), so
-// segments are independently decodable in any order.
-func EncodeSegment(w io.Writer, recs []*flowrec.Record) error {
-	if err := gob.NewEncoder(w).Encode(&snapshot{Records: recs}); err != nil {
-		return fmt.Errorf("store: encode segment: %w", err)
-	}
-	return nil
-}
-
-// DecodeSegment decodes one segment written by EncodeSegment (or Flush, or a
-// retention eviction) back into records.
-func DecodeSegment(r io.Reader) ([]*flowrec.Record, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: decode segment: %w", err)
-	}
-	return snap.Records, nil
-}
-
 // MatchesEpochs reports whether a record is addressed by the given epoch
 // window: any of its per-switch epoch ranges overlaps it. The full range
 // (EverySegment) matches records with no telemetry epochs too.
@@ -531,51 +515,26 @@ func (st *RecordStore) SnapshotShards(epochs simtime.EpochRange, fn func(recs []
 // run concurrently with queries and with absorption — the encoder never
 // touches a record that is still being mutated.
 func (st *RecordStore) Flush(w io.Writer) error {
-	var snap snapshot
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, r := range sh.recs {
-			snap.Records = append(snap.Records, r.Clone())
-		}
-		sh.mu.RUnlock()
-	}
-	sortRecords(snap.Records)
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	return nil
+	var recs []*flowrec.Record
+	_ = st.SnapshotShards(EveryEpoch, func(shard []*flowrec.Record) error {
+		recs = append(recs, shard...)
+		return nil // so SnapshotShards cannot fail either
+	})
+	sortRecords(recs)
+	return EncodeSegment(w, recs)
 }
 
-// Load restores a store serialized with Flush, replacing current contents.
-// Load requires exclusive access: no queries or mutations may run
-// concurrently.
+// Load restores a store serialized with Flush (reading exactly that one
+// segment from r), replacing current contents. Load requires exclusive
+// access: no queries or mutations may run concurrently.
 func (st *RecordStore) Load(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	recs, err := DecodeSegment(r)
+	if err != nil {
 		return fmt.Errorf("store: load: %w", err)
 	}
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.recs = make(map[netsim.FlowKey]*flowrec.Record)
-		sh.bySwitch = make(map[netsim.NodeID]map[netsim.FlowKey]struct{})
-		sh.indexed = make(map[netsim.FlowKey][]netsim.NodeID)
-		sh.memoMu.Lock()
-		sh.sorted = make(map[netsim.NodeID][]*flowrec.Record)
-		sh.memoMu.Unlock()
-		sh.mu.Unlock()
-	}
-	st.mergeMu.Lock()
-	st.merged = make(map[netsim.NodeID]mergedEntry)
-	st.gens = make(map[netsim.NodeID]uint64)
-	st.mergeMu.Unlock()
-	for _, rec := range snap.Records {
-		sh := st.shardOf(rec.Flow)
-		sh.mu.Lock()
-		sh.recs[rec.Flow] = rec
-		st.reindexLocked(sh, rec)
-		sh.mu.Unlock()
+	st.reset()
+	for _, rec := range recs {
+		st.Put(rec)
 	}
 	return nil
 }

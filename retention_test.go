@@ -40,7 +40,7 @@ func runFlowChurn(t *testing.T, retain *store.Retention, sink *bytes.Buffer) (*T
 // TestStoreRetentionBoundsLongSimulation is the eviction satellite's gate:
 // without a policy a long simulation's store grows with every flow ever
 // seen; with WithRetention-style config the resident set stays within the
-// hot window, and everything evicted is recoverable from the gob sink.
+// hot window, and everything evicted is recoverable from the sink.
 func TestStoreRetentionBoundsLongSimulation(t *testing.T) {
 	_, unbounded := runFlowChurn(t, nil, nil)
 	if unbounded != 64 {
@@ -66,7 +66,7 @@ func TestStoreRetentionBoundsLongSimulation(t *testing.T) {
 	}
 
 	// Every evicted record is recoverable from the flush stream: the sink
-	// holds a sequence of Flush-shaped gob segments.
+	// holds a sequence of Flush-shaped segments.
 	archive := store.New()
 	total := 0
 	for sink.Len() > 0 {

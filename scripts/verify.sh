@@ -29,6 +29,12 @@ go test ./...
 # Scoped to these packages so the full gate stays fast.
 go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace .
 
+# Fuzz leg: 10 s of native fuzzing over the segment decoder, from the
+# committed seed corpus (internal/store/testdata/fuzz): arbitrary bytes must
+# give records or an error — no panic, no allocation out of proportion to the
+# input — and whatever decodes must survive an encode/decode round trip.
+go test ./internal/store -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s
+
 mkdir -p bin
 go build -o bin/ ./cmd/...
 for d in examples/*/; do
