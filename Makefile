@@ -45,13 +45,12 @@ fuzz:
 bench:
 	scripts/bench.sh
 
-## bench-quick: the inner perf loop — Fig 8 + simulator event rate (incl.
-## the scheduler ablation) + the bursty calendar sweep + the state-sync
-## snapshot bootstrap + the indexed cold query + the segment codec + the
-## pointer-backend ablation + the metrics scrape and deterministic alert
-## storm, one iteration, no artifact refresh
+## bench-quick: the inner perf loop — Fig 8 + simulator event rate + the
+## state-sync snapshot bootstrap + the indexed cold query + the segment
+## codec + the pointer-backend ablation + the metrics scrape and
+## deterministic alert storm, one iteration, no artifact refresh
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Fig8LoadImbalance|SimulatorEventRate|AblationEventQueue|CalendarBursty|SnapshotBootstrap|ColdQueryIndexed|SegmentCodec|PointerBackends|MetricsScrape|AlertStorm|TraceOverhead' -benchmem -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Fig8LoadImbalance|SimulatorEventRate|SnapshotBootstrap|ColdQueryIndexed|SegmentCodec|PointerBackends|MetricsScrape|AlertStorm|TraceOverhead' -benchmem -benchtime 1x .
 
 ## bench-real: the real-cost benchmark (benchmark/README.md) — four
 ## workloads, end to end and layer by layer, ~3.5 min; every number lands

@@ -8,7 +8,6 @@ package switchpointer
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -17,7 +16,6 @@ import (
 
 	"switchpointer/internal/analyzer"
 	"switchpointer/internal/cluster"
-	"switchpointer/internal/eventq"
 	"switchpointer/internal/experiments"
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
@@ -247,56 +245,6 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	b.ReportMetric(float64(tb.Net.Engine.Processed())/float64(b.N), "events/iter")
 }
 
-// BenchmarkAblationEventQueue is the scheduler ablation: the same
-// simulator event-rate loop under the default calendar queue and the 4-ary
-// heap it replaced. Virtual-time results are byte-identical; only the
-// wall-clock cost of Engine.Step differs. Two load points: "idle" is the
-// single-flow dumbbell (a handful of standing events — the heap's best
-// case), "loaded" is a 16×16 dumbbell with 32 concurrent flows (the
-// standing population paper-scale experiments produce — where the
-// calendar's O(1) pop pays).
-func BenchmarkAblationEventQueue(b *testing.B) {
-	for _, load := range []struct {
-		name  string
-		eps   int
-		flows int
-	}{
-		{"idle", 2, 1},
-		{"loaded", 16, 32},
-	} {
-		for _, q := range []struct {
-			name string
-			opts []Option
-		}{
-			{"calendar", nil},
-			{"heap", []Option{WithHeapEventQueue()}},
-		} {
-			b.Run(load.name+"/"+q.name, func(b *testing.B) {
-				tb, err := New(Dumbbell(load.eps, load.eps), q.opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for f := 0; f < load.flows; f++ {
-					src := tb.Host(fmt.Sprintf("L%d", f%load.eps+1))
-					dst := tb.Host(fmt.Sprintf("R%d", (f+f/load.eps)%load.eps+1))
-					StartUDP(tb.Net, src, UDPConfig{
-						Flow: FlowKey{Src: src.IP(), Dst: dst.IP(),
-							SrcPort: uint16(f + 1), DstPort: 2, Proto: 17},
-						RateBps: 1_000_000_000, Duration: simtime.Second * 3600,
-					})
-				}
-				b.ResetTimer()
-				horizon := tb.Net.Now()
-				for i := 0; i < b.N; i++ {
-					horizon += Millisecond
-					tb.Net.RunUntil(horizon)
-				}
-				b.ReportMetric(float64(tb.Net.Engine.Processed())/float64(b.N), "events/iter")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationPacketMix quantifies the §6.1 acceptability argument:
 // sustained throughput under realistic datacenter packet mixes.
 func BenchmarkAblationPacketMix(b *testing.B) {
@@ -315,64 +263,6 @@ func BenchmarkDiagnosisThroughput(b *testing.B) {
 	b.ReportMetric(cell(b, res, 0, 0, 3), "reports_per_sec_limit1")
 	b.ReportMetric(cell(b, res, 0, 1, 3), "reports_per_sec_limit4")
 	b.ReportMetric(cell(b, res, 0, 2, 3), "reports_per_sec_limit16")
-}
-
-// BenchmarkCalendarBursty is the calendar-queue width-autotune review
-// (ROADMAP): the event engine under *bursty* schedules — runs of
-// simultaneous events separated by gaps whose scale shifts between regimes
-// — which is exactly the shape that exercises the feedback controller
-// (calScanThreshold reviews, measured-gap width re-derivation, tie-run
-// extraction). Sweeps burst size × gap regime on the calendar queue with
-// the 4-ary heap as the reference. Pure wall clock; no virtual-time
-// metrics, so nothing here is drift-gated.
-func BenchmarkCalendarBursty(b *testing.B) {
-	gapRegimes := []struct {
-		name string
-		gaps []simtime.Time // cycled between bursts
-	}{
-		{"tight1us", []simtime.Time{simtime.Microsecond}},
-		{"sparse1ms", []simtime.Time{simtime.Millisecond}},
-		// The adversarial mix for a width controller: dense packet-scale
-		// trains, then an idle jump three orders of magnitude larger.
-		{"mixed", []simtime.Time{simtime.Microsecond, simtime.Microsecond, simtime.Microsecond, 2 * simtime.Millisecond}},
-	}
-	for _, q := range []struct {
-		name string
-		opts []eventq.Option
-	}{
-		{"calendar", []eventq.Option{eventq.WithCalendarQueue()}},
-		{"heap", []eventq.Option{eventq.WithHeapQueue()}},
-	} {
-		for _, burst := range []int{1, 16, 256} {
-			for _, regime := range gapRegimes {
-				b.Run(fmt.Sprintf("%s/burst%d/%s", q.name, burst, regime.name), func(b *testing.B) {
-					eng := eventq.New(q.opts...)
-					var horizon simtime.Time
-					gi := 0
-					nop := func() {}
-					scheduleBurst := func() {
-						horizon += regime.gaps[gi%len(regime.gaps)]
-						gi++
-						for j := 0; j < burst; j++ {
-							eng.At(horizon, nop)
-						}
-					}
-					// Standing population: keep ~32 bursts outstanding so
-					// the queue works at a realistic depth.
-					for k := 0; k < 32; k++ {
-						scheduleBurst()
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if eng.Pending() < 32*burst {
-							scheduleBurst()
-						}
-						eng.Step()
-					}
-				})
-			}
-		}
-	}
 }
 
 // BenchmarkSnapshotBootstrap measures the state-sync snapshot leg end to

@@ -2,6 +2,8 @@ package eventq
 
 import (
 	"testing"
+
+	"switchpointer/internal/simtime"
 )
 
 // TestStepZeroAlloc gates the engine's steady-state allocation contract:
@@ -26,6 +28,36 @@ func TestStepZeroAlloc(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("events did not run")
+	}
+}
+
+// TestFreshEngineAllocBudget gates what TestStepZeroAlloc cannot: the cost
+// of getting to the steady state. A never-warmed engine that schedules and
+// drains 100 000 events at the standing population the largest replay in
+// the tree reaches (eventq.pending_peak = 300) allocates only for the
+// Engine itself and the doublings of its two arrays — the event arena and
+// the heap — however many events pass through.
+func TestFreshEngineAllocBudget(t *testing.T) {
+	const standing, events, budget = 300, 100_000, 32
+	n := 0
+	fn := func() { n++ }
+	allocs := testing.AllocsPerRun(3, func() {
+		e := New()
+		for i := 0; i < events; i++ {
+			// Near-monotonic gaps with ties, the simulator's shape.
+			e.At(e.Now()+simtime.Time(i%7)*100, fn)
+			if e.Pending() > standing {
+				e.Step()
+			}
+		}
+		for e.Step() {
+		}
+	})
+	if n != 4*events { // AllocsPerRun: one warm-up call, then the three it measures
+		t.Fatalf("ran %d events, want %d", n, 4*events)
+	}
+	if allocs > budget {
+		t.Fatalf("fresh engine, %d events at a standing population of %d: %v allocs, want <= %d", events, standing, allocs, budget)
 	}
 }
 

@@ -16,17 +16,14 @@
 // fired and been recycled is a safe no-op. At steady state (free list warm,
 // queue at capacity) neither scheduling nor Step allocates.
 //
-// Three scheduling-queue implementations sit behind the same entry
-// contract. The default (hybrid.go) is calendar-backed: a bucketed calendar
-// queue (calendar.go) whose pop is O(1) for the near-monotonic schedules
-// the simulator produces, with a small-population heap regime below the
-// measured crossover (~64 pending events) where a heap's couple of inline
-// comparisons win. The pure 4-ary heap (heapq.go) the calendar replaced is
-// retained behind WithHeapQueue as the O(log n) reference for the property
-// tests and the `make bench` scheduler ablation, and WithCalendarQueue
-// selects the pure calendar. All three pop in identical order — globally
-// smallest (at, seq) — so the choice never changes simulation results,
-// only wall-clock speed.
+// There is one scheduling queue, the 4-ary heap in heapq.go. A bucketed
+// calendar queue with a small-population heap regime sat in front of it
+// until PR 20: the largest replay in the tree never holds more than 300
+// pending events, and there paired sim-replay runs (CHANGES.md PR 20) found
+// even a calendar patched to reuse its bucket arrays not resolvably faster
+// than the heap, while the shipped one spent ≈ 45 K allocations / 11 MB per
+// replay re-growing buckets — so its 934 lines, the queue interface and
+// five option surfaces were deleted.
 package eventq
 
 import (
@@ -96,71 +93,21 @@ func (a entry) before(b entry) bool {
 	return a.seq < b.seq
 }
 
-// pq is the scheduling-queue contract: a min-queue over (at, seq). pop and
-// peek must return the globally smallest entry under before(), so every
-// implementation yields byte-identical simulations. pop and peek may only
-// be called while length() > 0. The engine itself always schedules on a
-// concrete *hybridQueue (pinned to a regime or adaptive) so the per-event
-// calls devirtualize; the interface exists for the property tests that
-// compare implementations.
-type pq interface {
-	push(entry)
-	pop() entry
-	peek() entry
-	length() int
-}
-
-var (
-	_ pq = (*heapQueue)(nil)
-	_ pq = (*calendarQueue)(nil)
-	_ pq = (*hybridQueue)(nil)
-)
-
 // Engine is a deterministic discrete-event scheduler over virtual time.
 // The zero value is not usable; construct with New.
 type Engine struct {
 	now       simtime.Time
 	seq       uint64
-	q         *hybridQueue
+	q         heapQueue
 	events    []event // arena of event bodies
 	free      int32   // head of the recycled-slot list
 	processed uint64
 	strong    int // pending non-weak events
 }
 
-// Option configures an Engine at construction.
-type Option func(*Engine)
-
-// WithHeapQueue selects the pure 4-ary-heap scheduling queue: O(log n) pop,
-// but insensitive to the shape of the schedule. Kept for the scheduler
-// ablation and as the reference implementation the calendar queue is
-// property-tested against.
-func WithHeapQueue() Option {
-	return func(e *Engine) { e.q = newPinnedQueue(modeHeapOnly) }
-}
-
-// WithCalendarQueue selects the pure bucketed calendar queue: O(1) push and
-// pop for the near-monotonic schedules the simulator produces, without the
-// default's small-population heap regime. Used by tests and ablations; most
-// callers want the default.
-func WithCalendarQueue() Option {
-	return func(e *Engine) { e.q = newPinnedQueue(modeCalendarOnly) }
-}
-
-// WithHybridQueue selects the calendar-backed hybrid queue explicitly (the
-// default: calendar at scale, heap regime below the crossover).
-func WithHybridQueue() Option {
-	return func(e *Engine) { e.q = newHybridQueue() }
-}
-
-// New returns an empty engine positioned at virtual time zero, scheduling on
-// the calendar-backed hybrid queue unless an Option overrides it.
-func New(opts ...Option) *Engine {
-	e := &Engine{free: noEvent, q: newHybridQueue()}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
+// New returns an empty engine positioned at virtual time zero.
+func New() *Engine {
+	return &Engine{free: noEvent}
 }
 
 // Now returns the current virtual time. During an event callback this is the

@@ -6,9 +6,10 @@ package eventq
 // comparison keys live inline in the pointer-free entries, as the four
 // children share cache lines.
 //
-// It was the engine's only queue before the calendar queue landed; it is
-// kept behind the WithHeapQueue option as the O(log n)-pop reference for
-// correctness tests and for the `make bench` scheduler ablation.
+// It is the engine's only queue (see the package comment for why the
+// calendar queue that once sat in front of it was deleted). pop and peek
+// may only be called while length() > 0; both return the globally smallest
+// entry under before(), which is what makes every simulation deterministic.
 type heapQueue struct {
 	h []entry
 }

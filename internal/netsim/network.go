@@ -37,11 +37,10 @@ const (
 	DefaultHostBufBytes   = 8 << 20
 )
 
-// New returns an empty network with a fresh event engine. Engine options
-// (e.g. eventq.WithHeapQueue for the scheduler ablation) pass through.
-func New(engineOpts ...eventq.Option) *Network {
+// New returns an empty network with a fresh event engine.
+func New() *Network {
 	n := &Network{
-		Engine: eventq.New(engineOpts...),
+		Engine: eventq.New(),
 		byID:   make(map[NodeID]Node),
 		byIP:   make(map[IPv4]*Host),
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -209,8 +210,6 @@ func recordChild(fr *trace.FlightRecorder, role, label string, r *http.Request, 
 	})
 }
 
-func itoa(n int) string { return fmt.Sprintf("%d", n) }
-
 // NewHostHandler exposes a host agent's query executors over HTTP.
 func NewHostHandler(a *hostagent.Agent) http.Handler {
 	return NewTracedHostHandler(a, "", nil)
@@ -232,9 +231,9 @@ func NewTracedHostHandler(a *hostagent.Agent, label string, fr *trace.FlightReco
 			Flows:  req.Flows,
 		})
 		recordChild(fr, "host", label, r, "headers",
-			trace.Attr{Key: "records", Value: itoa(len(ans.Records))},
-			trace.Attr{Key: "cold_segments", Value: itoa(ans.ColdSegments)},
-			trace.Attr{Key: "cold_returned", Value: itoa(ans.ColdReturned)})
+			trace.Attr{Key: "records", Value: strconv.Itoa(len(ans.Records))},
+			trace.Attr{Key: "cold_segments", Value: strconv.Itoa(ans.ColdSegments)},
+			trace.Attr{Key: "cold_returned", Value: strconv.Itoa(ans.ColdReturned)})
 		writeJSON(w, headersToWire(ans))
 	})
 	mux.HandleFunc("/headers-batch", func(w http.ResponseWriter, r *http.Request) {
@@ -260,9 +259,9 @@ func NewTracedHostHandler(a *hostagent.Agent, label string, fr *trace.FlightReco
 			coldReturned += ans.ColdReturned
 		}
 		recordChild(fr, "host", label, r, "headers-batch",
-			trace.Attr{Key: "records", Value: itoa(records)},
-			trace.Attr{Key: "cold_segments", Value: itoa(coldSegments)},
-			trace.Attr{Key: "cold_returned", Value: itoa(coldReturned)})
+			trace.Attr{Key: "records", Value: strconv.Itoa(records)},
+			trace.Attr{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
+			trace.Attr{Key: "cold_returned", Value: strconv.Itoa(coldReturned)})
 		writeJSON(w, resp)
 	})
 	mux.HandleFunc("/topk", func(w http.ResponseWriter, r *http.Request) {
@@ -272,7 +271,7 @@ func NewTracedHostHandler(a *hostagent.Agent, label string, fr *trace.FlightReco
 		}
 		flows := a.QueryTopK(r.Context(), req.Switch, req.K)
 		recordChild(fr, "host", label, r, "topk",
-			trace.Attr{Key: "flows", Value: itoa(len(flows))})
+			trace.Attr{Key: "flows", Value: strconv.Itoa(len(flows))})
 		writeJSON(w, flows)
 	})
 	mux.HandleFunc("/flowsizes", func(w http.ResponseWriter, r *http.Request) {
@@ -282,7 +281,7 @@ func NewTracedHostHandler(a *hostagent.Agent, label string, fr *trace.FlightReco
 		}
 		sizes := a.QueryFlowSizes(r.Context(), req.Switch)
 		recordChild(fr, "host", label, r, "flowsizes",
-			trace.Attr{Key: "flows", Value: itoa(len(sizes))})
+			trace.Attr{Key: "flows", Value: strconv.Itoa(len(sizes))})
 		writeJSON(w, sizes)
 	})
 	mux.HandleFunc("/priority", func(w http.ResponseWriter, r *http.Request) {
@@ -339,8 +338,8 @@ func NewTracedSwitchHandler(a *switchagent.Agent, label string, fr *trace.Flight
 			return
 		}
 		recordChild(fr, "switch", label, r, "pointers",
-			trace.Attr{Key: "level", Value: itoa(res.Info.Level)},
-			trace.Attr{Key: "slots", Value: itoa(res.Info.Slots)},
+			trace.Attr{Key: "level", Value: strconv.Itoa(res.Info.Level)},
+			trace.Attr{Key: "slots", Value: strconv.Itoa(res.Info.Slots)},
 			trace.Attr{Key: "covered", Value: fmt.Sprintf("%v", res.Info.Covered)},
 			trace.Attr{Key: "source", Value: res.Source},
 			trace.Attr{Key: "approx", Value: fmt.Sprintf("%v", !res.Exact)})

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"switchpointer/internal/analyzer"
-	"switchpointer/internal/eventq"
 	"switchpointer/internal/header"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
@@ -48,12 +47,6 @@ type Options struct {
 	PointerBackend     pointer.Backend
 	PointerBloomBits   int
 	PointerBloomHashes int
-
-	// HeapEventQueue schedules the simulation on the engine's 4-ary heap
-	// instead of the default calendar queue — the `make bench` scheduler
-	// ablation. Simulation results are byte-identical either way; only
-	// wall-clock speed differs.
-	HeapEventQueue bool
 }
 
 func (o Options) withDefaults() Options {
@@ -108,11 +101,7 @@ type BuildFunc func(net *netsim.Network, cfg topo.Config) *topo.Topology
 // the cluster MPH directory, and the analyzer.
 func NewTestbed(build BuildFunc, opt Options) (*Testbed, error) {
 	opt = opt.withDefaults()
-	var engineOpts []eventq.Option
-	if opt.HeapEventQueue {
-		engineOpts = append(engineOpts, eventq.WithHeapQueue())
-	}
-	net := netsim.New(engineOpts...)
+	net := netsim.New()
 	net.NewSwitchQueue = func() netsim.Queue { return netsim.NewQueue(opt.Queue, opt.SwitchBufBytes) }
 	tp := build(net, topo.Config{Eps: opt.Eps, Seed: opt.ClockSeed})
 

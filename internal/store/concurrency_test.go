@@ -17,7 +17,10 @@ import (
 // index/memo invalidation paths) while query goroutines hammer every read
 // API concurrently. Run under `go test -race ./internal/store` (part of
 // `make verify`); without -race it still checks liveness and that queries
-// only ever observe fully-absorbed records.
+// only ever observe fully-absorbed records. The store starts fresh and the
+// writer holds back until every querier has made a pass over it, so each
+// shard's first-write initialisation races readers that are already on its
+// nil maps.
 func TestConcurrentQueriesDuringAbsorption(t *testing.T) {
 	st := New()
 	const (
@@ -29,7 +32,8 @@ func TestConcurrentQueriesDuringAbsorption(t *testing.T) {
 	pathB := []netsim.NodeID{10, 13, 12} // reroute target
 	epochs := []simtime.EpochRange{{Lo: 1, Hi: 2}, {Lo: 1, Hi: 2}, {Lo: 1, Hi: 2}}
 
-	var wg sync.WaitGroup
+	var wg, warm sync.WaitGroup
+	warm.Add(queriers)
 	stop := make(chan struct{})
 
 	// Writer: the simulated host's absorption loop.
@@ -37,6 +41,7 @@ func TestConcurrentQueriesDuringAbsorption(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(stop)
+		warm.Wait()
 		for pkt := 0; pkt < packets; pkt++ {
 			for f := 0; f < flows; f++ {
 				flow := netsim.FlowKey{
@@ -84,7 +89,10 @@ func TestConcurrentQueriesDuringAbsorption(t *testing.T) {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			for {
+			for pass := 0; ; pass++ {
+				if pass == 1 {
+					warm.Done()
+				}
 				select {
 				case <-stop:
 					return

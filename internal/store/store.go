@@ -6,6 +6,12 @@
 // (by flow and by traversed switch), and writes what leaves memory (Flush,
 // evictions, cold segments, snapshot frames) as flowrec segments (segment.go)
 // for the "flushed to local storage" behaviour.
+//
+// Shards are lazy: New is one allocation, and a shard's maps (like the
+// store's merge cache) are created under the lock that first writes them.
+// Most of a testbed's stores never hold a record — only receivers absorb —
+// and a host with one flow touches one shard of sixteen; every read path
+// answers from nil maps without building anything.
 package store
 
 import (
@@ -27,7 +33,8 @@ import (
 // per store.
 const numShards = 16
 
-// shard owns one slice of the flow-key space.
+// shard owns one slice of the flow-key space. Its maps stay nil until the
+// first write (ensure, shardBySwitch).
 type shard struct {
 	// mu guards recs, bySwitch, and indexed: write-locked by mutations
 	// (Acquire/Release, Get-create, Reindex, Load), read-locked by queries.
@@ -102,30 +109,36 @@ type mergedEntry struct {
 	gen  uint64
 }
 
-// New returns an empty store.
+// New returns an empty store: one allocation, no shard built yet.
 func New() *RecordStore {
-	st := &RecordStore{}
-	st.reset()
-	return st
+	return &RecordStore{}
 }
 
-// reset empties every shard, index and memo.
+// reset empties every shard, index and memo, back to the never-written
+// state.
 func (st *RecordStore) reset() {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		sh.recs = make(map[netsim.FlowKey]*flowrec.Record)
-		sh.bySwitch = make(map[netsim.NodeID]map[netsim.FlowKey]struct{})
-		sh.indexed = make(map[netsim.FlowKey][]netsim.NodeID)
+		sh.recs, sh.bySwitch, sh.indexed = nil, nil, nil
 		sh.memoMu.Lock()
-		sh.sorted = make(map[netsim.NodeID][]*flowrec.Record)
+		sh.sorted = nil
 		sh.memoMu.Unlock()
 		sh.mu.Unlock()
 	}
 	st.mergeMu.Lock()
-	st.merged = make(map[netsim.NodeID]mergedEntry)
-	st.gens = make(map[netsim.NodeID]uint64)
+	st.merged, st.gens = nil, nil
 	st.mergeMu.Unlock()
+}
+
+// ensure builds the shard's record map and indexes ahead of its first
+// write. Called with sh.mu write-locked.
+func (sh *shard) ensure() {
+	if sh.recs == nil {
+		sh.recs = make(map[netsim.FlowKey]*flowrec.Record)
+		sh.bySwitch = make(map[netsim.NodeID]map[netsim.FlowKey]struct{})
+		sh.indexed = make(map[netsim.FlowKey][]netsim.NodeID)
+	}
 }
 
 // shardOf hashes a flow key to its shard. The mix only spreads flows across
@@ -168,6 +181,7 @@ func (st *RecordStore) Get(flow netsim.FlowKey) *flowrec.Record {
 func getLocked(sh *shard, flow netsim.FlowKey) *flowrec.Record {
 	r, ok := sh.recs[flow]
 	if !ok {
+		sh.ensure()
 		r = flowrec.New(flow)
 		sh.recs[flow] = r
 	}
@@ -274,6 +288,7 @@ func (st *RecordStore) Put(rec *flowrec.Record) bool {
 			st.invalidate(sh, sw)
 		}
 	}
+	sh.ensure()
 	sh.recs[rec.Flow] = rec
 	st.reindexLocked(sh, rec)
 	if replaced {
@@ -291,8 +306,9 @@ func (st *RecordStore) Put(rec *flowrec.Record) bool {
 // its old path), newly traversed switches are added, and only the affected
 // switches' memoized answers are invalidated. When the path is unchanged —
 // the steady-state per-packet case — Reindex returns without touching the
-// index or the caches. Callers that mutate records concurrently with
-// queries should use Acquire/Release, which folds this in.
+// index or the caches. r must be resident (obtained from Get). Callers that
+// mutate records concurrently with queries should use Acquire/Release,
+// which folds this in.
 func (st *RecordStore) Reindex(r *flowrec.Record) {
 	sh := st.shardOf(r.Flow)
 	sh.mu.Lock()
@@ -336,6 +352,10 @@ func (st *RecordStore) invalidate(sh *shard, sw netsim.NodeID) {
 	delete(sh.sorted, sw)
 	sh.memoMu.Unlock()
 	st.mergeMu.Lock()
+	if st.gens == nil {
+		st.gens = make(map[netsim.NodeID]uint64)
+		st.merged = make(map[netsim.NodeID]mergedEntry)
+	}
 	st.gens[sw]++
 	delete(st.merged, sw)
 	st.mergeMu.Unlock()
@@ -358,6 +378,9 @@ func (sh *shard) shardBySwitch(sw netsim.NodeID) []*flowrec.Record {
 		out = append(out, sh.recs[k])
 	}
 	sortRecords(out)
+	if sh.sorted == nil {
+		sh.sorted = make(map[netsim.NodeID][]*flowrec.Record)
+	}
 	sh.sorted[sw] = out
 	return out
 }
@@ -393,7 +416,9 @@ func (st *RecordStore) BySwitch(sw netsim.NodeID) []*flowrec.Record {
 		out = mergeSorted(parts[:], total)
 	}
 	st.mergeMu.Lock()
-	if st.gens[sw] == gen {
+	// merged is nil until the first invalidate: nothing has been indexed
+	// yet, so there is no answer worth caching.
+	if st.merged != nil && st.gens[sw] == gen {
 		st.merged[sw] = mergedEntry{recs: out, gen: gen}
 	}
 	st.mergeMu.Unlock()

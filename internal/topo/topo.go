@@ -61,6 +61,12 @@ type Topology struct {
 	portByID  map[LinkID]int // egress port index at the from-switch
 	nextLink  LinkID
 
+	// linkRules is the linkID flow-rule table the datapath reads (§4.1, one
+	// rule per switch-facing egress port): [switch NodeID][egress port] →
+	// LinkID, 0 for a host-facing port. The graph above is for routing and
+	// reconstruction; nothing on the packet path searches it.
+	linkRules [][]LinkID
+
 	// tagScope decides whether a given egress link is a key (tagging) link
 	// for a packet to dst. Set by builders.
 	tagScope func(t *Topology, sw *netsim.Switch, dst netsim.IPv4, outPort int) bool
@@ -140,6 +146,15 @@ func (t *Topology) registerLink(from, to netsim.NodeID, port int) LinkID {
 	}
 	t.portTo[from][to] = append(t.portTo[from][to], port)
 	t.portByID[id] = port
+	for int(from) >= len(t.linkRules) {
+		t.linkRules = append(t.linkRules, nil)
+	}
+	rules := t.linkRules[from]
+	for port >= len(rules) {
+		rules = append(rules, 0)
+	}
+	rules[port] = id
+	t.linkRules[from] = rules
 	return id
 }
 
@@ -161,14 +176,15 @@ func (t *Topology) LinkEndpoints(id LinkID) (from, to netsim.NodeID, ok bool) {
 // LinkIDForPort returns the LinkID of switch sw's egress port, if that port
 // is a switch-switch link.
 func (t *Topology) LinkIDForPort(sw netsim.NodeID, port int) (LinkID, bool) {
-	for to, ports := range t.portTo[sw] {
-		for i, p := range ports {
-			if p == port {
-				return t.linkIDs[linkKey{sw, to}][i], true
-			}
-		}
+	if uint(sw) >= uint(len(t.linkRules)) {
+		return 0, false
 	}
-	return 0, false
+	rules := t.linkRules[sw]
+	if uint(port) >= uint(len(rules)) {
+		return 0, false
+	}
+	id := rules[port]
+	return id, id != 0
 }
 
 // NumLinkRules returns the number of flow rules switch sw needs for linkID

@@ -475,6 +475,57 @@ func TestHostSwitchLookupMisses(t *testing.T) {
 	}
 }
 
+// TestLinkIDForPortMatchesGraph pins the port-indexed linkID rule table to
+// the graph it is filled from: for every builder and every (switch, port) —
+// host-facing, negative and out-of-range ports included, and node IDs that
+// are hosts or do not exist — LinkIDForPort agrees with the search over
+// (portTo, linkIDs) it replaced.
+func TestLinkIDForPortMatchesGraph(t *testing.T) {
+	fromGraph := func(tp *Topology, sw netsim.NodeID, port int) (LinkID, bool) {
+		for to, ports := range tp.portTo[sw] {
+			for i, p := range ports {
+				if p == port {
+					return tp.linkIDs[linkKey{sw, to}][i], true
+				}
+			}
+		}
+		return 0, false
+	}
+	builders := map[string]func(*netsim.Network) *Topology{
+		"star":      func(n *netsim.Network) *Topology { return Star(n, 4, Config{}) },
+		"dumbbell":  func(n *netsim.Network) *Topology { return Dumbbell(n, 3, 2, Config{}) },
+		"parallel":  func(n *netsim.Network) *Topology { return ParallelLinks(n, 2, 2, 3, Config{}) },
+		"chain":     func(n *netsim.Network) *Topology { return Chain(n, []int{2, 0, 1, 3}, Config{}) },
+		"leafspine": func(n *netsim.Network) *Topology { return LeafSpine(n, 4, 2, 3, Config{}) },
+		"fattree":   func(n *netsim.Network) *Topology { return FatTree(n, 4, Config{}) },
+	}
+	for name, build := range builders {
+		tp := build(netsim.New())
+		links, nodes := 0, netsim.NodeID(len(tp.Hosts())+len(tp.Switches()))
+		for id := netsim.NodeID(-2); id < nodes+2; id++ {
+			maxPort := 2
+			if nd, ok := tp.Net.NodeByID(id); ok {
+				if sw, isSwitch := nd.(*netsim.Switch); isSwitch {
+					maxPort += len(sw.Ports())
+				}
+			}
+			for port := -2; port < maxPort; port++ {
+				want, wantOK := fromGraph(tp, id, port)
+				got, ok := tp.LinkIDForPort(id, port)
+				if got != want || ok != wantOK {
+					t.Fatalf("%s: LinkIDForPort(%d, %d) = %d, %v; graph says %d, %v", name, id, port, got, ok, want, wantOK)
+				}
+				if ok {
+					links++
+				}
+			}
+		}
+		if want := int(tp.nextLink) - 1; links != want {
+			t.Fatalf("%s: table resolves %d directed links, %d registered", name, links, want)
+		}
+	}
+}
+
 func ExampleECMPIndex() {
 	flow := netsim.FlowKey{Src: netsim.IP(10, 0, 0, 1), Dst: netsim.IP(10, 0, 1, 1), SrcPort: 12345, DstPort: 80, Proto: netsim.ProtoTCP}
 	fmt.Println(ECMPIndex(flow, 4) == ECMPIndex(flow, 4))

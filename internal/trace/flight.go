@@ -20,8 +20,16 @@ type FlightRecorder struct {
 	limit int
 	role  string
 	order []string // trace IDs, oldest first
-	byID  map[string][]Span
+	byID  map[string]*recorded
 	peers map[string]string
+}
+
+// recorded is one trace in the ring: its spans in arrival order and the set
+// of their IDs, kept so a Record call costs its own spans and not a pass
+// over everything the trace already holds.
+type recorded struct {
+	spans []Span
+	ids   map[string]struct{}
 }
 
 // NewFlightRecorder creates a flight recorder for the given daemon role.
@@ -30,7 +38,7 @@ func NewFlightRecorder(role string, limit int) *FlightRecorder {
 	if limit <= 0 {
 		limit = DefaultFlightCap
 	}
-	return &FlightRecorder{limit: limit, role: role, byID: make(map[string][]Span)}
+	return &FlightRecorder{limit: limit, role: role, byID: make(map[string]*recorded)}
 }
 
 // SetPeers records the base URLs of the other roles' daemons; the index
@@ -53,26 +61,23 @@ func (f *FlightRecorder) Record(traceID string, spans ...Span) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	existing, known := f.byID[traceID]
+	tr, known := f.byID[traceID]
 	if !known {
 		f.order = append(f.order, traceID)
 		for len(f.order) > f.limit {
 			delete(f.byID, f.order[0])
 			f.order = f.order[1:]
 		}
-	}
-	seen := make(map[string]bool, len(existing))
-	for _, s := range existing {
-		seen[s.ID] = true
+		tr = &recorded{ids: make(map[string]struct{}, len(spans))}
+		f.byID[traceID] = tr
 	}
 	for _, s := range spans {
-		if seen[s.ID] {
+		if _, dup := tr.ids[s.ID]; dup {
 			continue
 		}
-		seen[s.ID] = true
-		existing = append(existing, s)
+		tr.ids[s.ID] = struct{}{}
+		tr.spans = append(tr.spans, s)
 	}
-	f.byID[traceID] = existing
 }
 
 // Add records a whole trace.
@@ -81,13 +86,14 @@ func (f *FlightRecorder) Add(t Trace) { f.Record(t.ID, t.Spans...) }
 // Get returns the trace with the given ID in canonical span order.
 func (f *FlightRecorder) Get(id string) (Trace, bool) {
 	f.mu.Lock()
-	spans, ok := f.byID[id]
-	cp := make([]Span, len(spans))
-	copy(cp, spans)
-	f.mu.Unlock()
+	tr, ok := f.byID[id]
 	if !ok {
+		f.mu.Unlock()
 		return Trace{}, false
 	}
+	cp := make([]Span, len(tr.spans))
+	copy(cp, tr.spans)
+	f.mu.Unlock()
 	return Trace{ID: id, Spans: canonical(cp)}, true
 }
 

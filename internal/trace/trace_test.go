@@ -3,6 +3,7 @@ package trace
 import (
 	"io"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"switchpointer/internal/simtime"
@@ -130,6 +131,23 @@ func TestFlightRecorderMergeAndEvict(t *testing.T) {
 	tr, ok := fr.Get("t1")
 	if !ok || len(tr.Spans) != 1 || tr.Spans[0].Name != "again" {
 		t.Fatalf("re-admitted t1: %+v ok=%v", tr, ok)
+	}
+}
+
+// TestFlightRecordDoesNotRescanTrace: merging into a trace costs the spans
+// being merged, not the ones it holds — a query-derived trace ID lands every
+// child span of a 96-host fan-out in one trace, one Record call each.
+func TestFlightRecordDoesNotRescanTrace(t *testing.T) {
+	fr := NewFlightRecorder("host", 2)
+	for i := 0; i < 1000; i++ {
+		fr.Record("t1", Span{ID: strconv.Itoa(i)})
+	}
+	dup := Span{ID: "500", Name: "dup"}
+	if allocs := testing.AllocsPerRun(100, func() { fr.Record("t1", dup) }); allocs != 0 {
+		t.Fatalf("Record of a known span into a 1000-span trace: %v allocs, want 0", allocs)
+	}
+	if tr, _ := fr.Get("t1"); len(tr.Spans) != 1000 {
+		t.Fatalf("trace holds %d spans, want 1000", len(tr.Spans))
 	}
 }
 

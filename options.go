@@ -78,11 +78,3 @@ func WithPointerBloom(bits, hashes int) Option {
 func WithClockSeed(seed int64) Option {
 	return func(o *Options) { o.ClockSeed = seed }
 }
-
-// WithHeapEventQueue schedules the simulation on the event engine's 4-ary
-// heap instead of the default calendar queue. Results are byte-identical
-// either way; the option exists so `make bench` can report the scheduler
-// ablation.
-func WithHeapEventQueue() Option {
-	return func(o *Options) { o.HeapEventQueue = true }
-}
