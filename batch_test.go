@@ -104,7 +104,7 @@ func TestRemoteDirectory(t *testing.T) {
 
 	urls := make(map[netsim.NodeID]string, len(tb.SwitchAgents))
 	for id, ag := range tb.SwitchAgents {
-		srv := httptest.NewServer(rpc.NewSwitchHandler(ag))
+		srv := httptest.NewServer(rpc.NewSwitchHandler(ag, "", nil))
 		defer srv.Close()
 		urls[id] = srv.URL
 	}

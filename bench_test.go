@@ -21,6 +21,7 @@ import (
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/metrics"
 	"switchpointer/internal/netsim"
+	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/statesync"
 	"switchpointer/internal/store"
@@ -218,7 +219,7 @@ func BenchmarkEndToEndRedLightsDiagnosis(b *testing.B) {
 			Start: 5 * Millisecond, Duration: 400 * Microsecond})
 		tb.Run(30 * Millisecond)
 		if alert, ok := tb.AlertFor(victim); ok {
-			tb.Analyzer.DiagnoseContention(alert)
+			tb.Analyzer.Run(context.Background(), ContentionQuery{Alert: alert}) //nolint:errcheck
 		}
 	}
 }
@@ -275,7 +276,7 @@ func BenchmarkDiagnosisThroughput(b *testing.B) {
 // are deterministic scenario properties: a drift means segments were lost
 // on the wire.
 func BenchmarkSnapshotBootstrap(b *testing.B) {
-	s, err := cluster.BuildScenario("redlights", 0, 0)
+	s, err := cluster.BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func BenchmarkSegmentCodec(b *testing.B) {
 // counts are frozen virtual-time quantities (the registry carries no
 // wall-clock families), so the drift gate pins them exactly.
 func BenchmarkMetricsScrape(b *testing.B) {
-	s, err := cluster.BuildScenario("redlights", 0, 0)
+	s, err := cluster.BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -495,7 +496,7 @@ func BenchmarkAlertStorm(b *testing.B) {
 // the virtual clock, never a participant). Tracing overhead lands within
 // noise of the untraced arm on the pinned 1-CPU runner (≤5% ns/op).
 func BenchmarkTraceOverhead(b *testing.B) {
-	s, err := cluster.BuildScenario("redlights", 0, 0)
+	s, err := cluster.BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

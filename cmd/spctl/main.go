@@ -53,6 +53,7 @@ import (
 	"switchpointer/internal/buildinfo"
 	"switchpointer/internal/cluster"
 	"switchpointer/internal/metrics"
+	"switchpointer/internal/scenario"
 	"switchpointer/internal/trace"
 )
 
@@ -98,9 +99,9 @@ func main() {
 	}
 
 	// Local mode uses the same scenario/query derivation as --remote and
-	// the spd daemons (cluster.BuildScenario), so the two modes can never
+	// the spd daemons (cluster.BuildScenarioOpt), so the two modes can never
 	// diverge on horizons, windows, or parameters.
-	s, err := cluster.BuildScenario(*problem, *m, *n)
+	s, err := cluster.BuildScenarioOpt(*problem, *m, *n, scenario.Options{})
 	check(err)
 	defer s.Testbed.Close()
 	q, err := s.Query()
@@ -281,7 +282,7 @@ func printTraceTree(t trace.Trace) {
 // runRemote derives the problem's query from the locally rebuilt scenario
 // and submits it to a running `spd analyzer` service.
 func runRemote(ctx context.Context, url, problem string, m, n int) {
-	s, err := cluster.BuildScenario(problem, m, n)
+	s, err := cluster.BuildScenarioOpt(problem, m, n, scenario.Options{})
 	check(err)
 	q, err := s.Query()
 	check(err)

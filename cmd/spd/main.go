@@ -15,13 +15,21 @@
 //
 // The host daemon serves every host agent under /hosts/<ip>/ (the
 // rpc.NewHostHandler routes below it) and the switch daemon every switch
-// agent under /switches/<id>/. The analyzer daemon reaches both only over
-// HTTP (analyzer.RemoteDirectory + analyzer.RemoteHosts) and exposes the
-// service plane: POST /diagnose (a cluster.QueryEnvelope, answered with the
-// wire-form report), GET /stats (admission counters), GET /healthz.
+// agent under /switches/<id>/ (rpc.NewSwitchHandler). The analyzer daemon
+// reaches both only over HTTP (analyzer.RemoteDirectory +
+// analyzer.RemoteHosts) and exposes the service plane: POST /diagnose (a
+// cluster.QueryEnvelope, answered with the wire-form report), GET /stats
+// (admission counters), GET /healthz. Every JSON route of every role is an
+// rpc.Endpoint: wrong method 405, malformed or oversized body 400.
 // Concurrent queries are bounded by the admission controller
 // (-max-inflight/-max-queue/-queue-wait); overflow queues FIFO with
 // per-alert-kind priority, and rejected/expired queries map to HTTP 429/503.
+//
+// Each role is mounted by one constructor (cluster.HostMux, SwitchMux,
+// NewAnalyzerHandler) returning a *cluster.Service: the handler, the metric
+// registry behind GET /metrics — spd adds spd_process_uptime_seconds and
+// spd_build_info to it after mounting — and the flight recorder behind GET
+// /traces, which the bootstrap records its one-span trace into.
 //
 // Point spctl at a running analyzer with `spctl -problem redlights -remote
 // http://127.0.0.1:7643`. All daemons shut down gracefully on
@@ -47,6 +55,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -154,7 +163,7 @@ func serveCmd(role string, args []string) error {
 	if err != nil {
 		return err
 	}
-	s, err := cluster.BuildScenarioBackend(*scenarioName, *m, *n, backend)
+	s, err := cluster.BuildScenarioOpt(*scenarioName, *m, *n, scenario.Options{PointerBackend: backend})
 	if err != nil {
 		return err
 	}
@@ -274,23 +283,16 @@ func serveCmd(role string, args []string) error {
 		fmt.Fprintf(os.Stderr, "spd %s: scenario %q played to %v\n", role, *scenarioName, end)
 	}
 
-	// Every role keeps a bounded flight recorder of the traces it touched,
-	// served at GET /traces (+ /traces/<id>).
-	fr := trace.NewFlightRecorder(role, 0)
-
-	var handler http.Handler
+	// Every role's mux builds its own metric registry and bounded flight
+	// recorder (served at GET /metrics and GET /traces) and returns them; the
+	// process-level families are added to the registry after mounting.
+	var svc *cluster.Service
 	switch role {
 	case "host":
-		reg := cluster.HostRegistry(s.Testbed, rd)
-		reg.Uptime("spd_process_uptime_seconds", "Seconds since the daemon process started.")
-		registerBuildInfo(reg)
-		handler = cluster.HostMuxWith(s.Testbed, rd, reg, fr)
+		svc = cluster.HostMux(s.Testbed, rd)
 		fmt.Fprintf(os.Stderr, "spd host: serving %d host agents under /hosts/<ip>/\n", len(s.Testbed.HostAgents))
 	case "switch":
-		reg := cluster.SwitchRegistry(s.Testbed, rd)
-		reg.Uptime("spd_process_uptime_seconds", "Seconds since the daemon process started.")
-		registerBuildInfo(reg)
-		handler = cluster.SwitchMuxWith(s.Testbed, rd, reg, fr)
+		svc = cluster.SwitchMux(s.Testbed, rd)
 		fmt.Fprintf(os.Stderr, "spd switch: serving %d switch agents under /switches/<id>/\n", len(s.Testbed.SwitchAgents))
 	case "analyzer":
 		if *hostsURL == "" || *switchesURL == "" {
@@ -307,11 +309,9 @@ func serveCmd(role string, args []string) error {
 			MaxQueued:   *maxQueue,
 			QueueWait:   *queueWait,
 		})
-		ad.Flight = fr
-		fr.SetPeers(map[string]string{"hosts": *hostsURL, "switches": *switchesURL})
-		reg := cluster.AnalyzerRegistry(ad)
-		reg.Uptime("spd_process_uptime_seconds", "Seconds since the daemon process started.")
-		registerBuildInfo(reg)
+		ad.Flight = trace.NewFlightRecorder(role, 0)
+		ad.Flight.SetPeers(map[string]string{"hosts": *hostsURL, "switches": *switchesURL})
+		svc = cluster.NewAnalyzerHandler(ad)
 		if alerts != nil {
 			pipe := cluster.NewAlertPipeline(s.Testbed.Topo, cluster.PipelineConfig{
 				DedupWindow: simtime.Time(*alertDedup),
@@ -324,31 +324,27 @@ func serveCmd(role string, args []string) error {
 					}
 				}()
 			})
-			pipe.Flight = fr
-			pipe.Register(reg)
+			pipe.Flight = ad.Flight
+			pipe.Register(svc.Registry)
 			go pipe.Run(context.Background(), alerts)
 			fmt.Fprintf(os.Stderr, "spd analyzer: alert pipeline armed (dedup %v, rate %g/s, burst %d)\n",
 				*alertDedup, *alertRate, *alertBurst)
 		}
-		handler = cluster.NewAnalyzerHandlerWith(ad, reg, fr)
 		cfg := ad.Config()
 		fmt.Fprintf(os.Stderr, "spd analyzer: /diagnose ready (max %d in flight, %d queued, wait %v)\n",
 			cfg.MaxInFlight, cfg.MaxQueued, cfg.QueueWait)
 	}
-	if rd != nil {
-		go runBootstrap(role, *bootstrap, s.Testbed, rd, fr)
-	}
-	return serve(*listen, handler, role)
-}
-
-// registerBuildInfo adds the constant spd_build_info gauge every role serves:
-// value 1, labeled with the binary's version identity, so dashboards can
-// detect version skew across a trio without parsing /healthz.
-func registerBuildInfo(reg *metrics.Registry) {
-	reg.GaugeFunc("spd_build_info", "Always 1, labeled with the binary's version and toolchain.",
+	svc.Registry.Uptime("spd_process_uptime_seconds", "Seconds since the daemon process started.")
+	// spd_build_info: constant 1 labeled with the binary's version identity, so
+	// dashboards detect version skew across a trio without parsing /healthz.
+	svc.Registry.GaugeFunc("spd_build_info", "Always 1, labeled with the binary's version and toolchain.",
 		[]string{"version", "goversion"}, func(emit metrics.Emit) {
 			emit(1, buildinfo.Version, buildinfo.Go())
 		})
+	if rd != nil {
+		go runBootstrap(role, *bootstrap, s.Testbed, rd, svc.Flight)
+	}
+	return serve(*listen, svc, role)
 }
 
 // runBootstrap absorbs the peer daemon's snapshots in the background while
@@ -369,16 +365,13 @@ func runBootstrap(role, peer string, tb *scenario.Testbed, rd *statesync.Readine
 	// wall-clock work (no virtual clock runs here), so the duration rides the
 	// exempt wall annotation and the span's virtual times stay zero.
 	recordBootstrap := func(segs, recs int64) {
-		if fr == nil {
-			return
-		}
 		//splint:wallclock daemon progress log: real elapsed bootstrap time, never a metric
 		wall := time.Since(start)
 		fr.Record(trace.NewID("bootstrap", role, peer), trace.Span{
 			ID: "0", Name: "bootstrap", Role: role, Wall: wall.Nanoseconds(),
 			Attrs: []trace.Attr{
-				{Key: "segments", Value: fmt.Sprintf("%d", segs)},
-				{Key: "records", Value: fmt.Sprintf("%d", recs)},
+				{Key: "segments", Value: strconv.FormatInt(segs, 10)},
+				{Key: "records", Value: strconv.FormatInt(recs, 10)},
 			},
 		})
 	}
@@ -419,7 +412,7 @@ func serve(addr string, handler http.Handler, role string) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: cluster.ReadHeaderTimeout}
 	errc := make(chan error, 1)
 	fmt.Fprintf(os.Stderr, "spd %s: listening on %s\n", role, ln.Addr())
 	go func() {

@@ -59,7 +59,10 @@ func TestIntegrationFatTreeContention(t *testing.T) {
 	if len(alert.Tuples) != 5 {
 		t.Fatalf("alert tuples = %d, want 5 (inter-pod path)", len(alert.Tuples))
 	}
-	d := tb.Analyzer.DiagnoseContention(alert)
+	d, err := tb.Analyzer.Run(context.Background(), ContentionQuery{Alert: alert})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.Kind == analyzer.KindInconclusive {
 		t.Fatalf("diagnosis inconclusive: %s", d.Conclusion)
 	}
@@ -107,7 +110,10 @@ func TestIntegrationOfflineDiagnosis(t *testing.T) {
 	})
 	tb.Run(3500 * Millisecond)
 
-	d := tb.Analyzer.DiagnoseContention(alert)
+	d, err := tb.Analyzer.Run(context.Background(), ContentionQuery{Alert: alert})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.Kind != KindPriorityContention {
 		t.Fatalf("offline diagnosis kind = %v (%s)", d.Kind, d.Conclusion)
 	}
@@ -210,7 +216,10 @@ func TestIntegrationDeterminism(t *testing.T) {
 		if !ok {
 			t.Fatal("no alert")
 		}
-		diag := tb.Analyzer.DiagnoseContention(alert)
+		diag, err := tb.Analyzer.Run(context.Background(), ContentionQuery{Alert: alert})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return alert.DetectedAt, len(diag.Culprits), tb.Net.Engine.Processed()
 	}
 	at1, nc1, ev1 := run()

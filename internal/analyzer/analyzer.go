@@ -89,13 +89,6 @@ func New(tp *topo.Topology, dir Directory, hosts map[netsim.IPv4]*hostagent.Agen
 	}
 }
 
-// DistributeMPH installs the directory's hash table on every switch (§4.3).
-//
-// Deprecated: call Dir.Distribute directly.
-//
-//splint:noctx deprecated PR 1 shim; Dir.Distribute(ctx) is the ctx-aware path
-func (a *Analyzer) DistributeMPH() { _ = a.Dir.Distribute(context.Background()) }
-
 // Culprit is one flow found to have contended with the victim.
 type Culprit struct {
 	Flow     netsim.FlowKey

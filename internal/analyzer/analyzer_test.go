@@ -1,6 +1,7 @@
 package analyzer_test
 
 import (
+	"context"
 	"testing"
 
 	"switchpointer/internal/analyzer"
@@ -10,9 +11,19 @@ import (
 	"switchpointer/internal/simtime"
 )
 
+// run executes q through the one entry point and fails the test on error.
+func run(t *testing.T, a *analyzer.Analyzer, q analyzer.Query) *analyzer.Report {
+	t.Helper()
+	rep, err := a.Run(context.Background(), q)
+	if err != nil {
+		t.Fatalf("Run(%s): %v", q.Name(), err)
+	}
+	return rep
+}
+
 func TestDirectory(t *testing.T) {
 	ips := []netsim.IPv4{netsim.IP(10, 0, 0, 1), netsim.IP(10, 0, 0, 2), netsim.IP(10, 0, 0, 3)}
-	dir, err := analyzer.BuildDirectory(ips)
+	dir, err := analyzer.NewMemoryDirectory(ips, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +41,7 @@ func TestDirectory(t *testing.T) {
 			t.Fatalf("inverse broken for %s", ip)
 		}
 	}
-	if _, err := analyzer.BuildDirectory(nil); err == nil {
+	if _, err := analyzer.NewMemoryDirectory(nil, nil); err == nil {
 		t.Fatalf("empty directory accepted")
 	}
 }
@@ -49,7 +60,7 @@ func TestDiagnosePriorityContention(t *testing.T) {
 	if !ok {
 		t.Fatalf("victim never triggered (alerts: %d)", len(tb.Alerts))
 	}
-	d := tb.Analyzer.DiagnoseContention(alert)
+	d := run(t, tb.Analyzer, analyzer.ContentionQuery{Alert: alert})
 	if d.Kind != analyzer.KindPriorityContention {
 		t.Fatalf("kind = %v (%s)", d.Kind, d.Conclusion)
 	}
@@ -92,7 +103,7 @@ func TestDiagnoseMicroburst(t *testing.T) {
 	if !ok {
 		t.Skipf("FIFO burst did not trip the 50%% trigger in this configuration")
 	}
-	d := tb.Analyzer.DiagnoseContention(alert)
+	d := run(t, tb.Analyzer, analyzer.ContentionQuery{Alert: alert})
 	if d.Kind != analyzer.KindMicroburst {
 		t.Fatalf("kind = %v (%s)", d.Kind, d.Conclusion)
 	}
@@ -112,7 +123,7 @@ func TestDiagnoseRedLights(t *testing.T) {
 	if !ok {
 		t.Fatalf("victim never triggered")
 	}
-	d := tb.Analyzer.DiagnoseContention(alert)
+	d := run(t, tb.Analyzer, analyzer.ContentionQuery{Alert: alert})
 	if d.Kind != analyzer.KindRedLights {
 		t.Fatalf("kind = %v (%s)", d.Kind, d.Conclusion)
 	}
@@ -154,7 +165,7 @@ func TestDiagnoseCascade(t *testing.T) {
 	if !ok {
 		t.Fatalf("C-E never triggered")
 	}
-	d := tb.Analyzer.DiagnoseCascade(alert)
+	d := run(t, tb.Analyzer, analyzer.CascadeQuery{Alert: alert})
 	if d.Kind != analyzer.KindCascade {
 		t.Fatalf("kind = %v (%s)", d.Kind, d.Conclusion)
 	}
@@ -180,7 +191,7 @@ func TestNoCascadeBaseline(t *testing.T) {
 	// Without the S1 contention the C-E flow should not suffer a drop, or
 	// at worst produce an inconclusive diagnosis with no cascade chain.
 	if alert, ok := tb.AlertFor(s.FlowCE); ok {
-		d := tb.Analyzer.DiagnoseCascade(alert)
+		d := run(t, tb.Analyzer, analyzer.CascadeQuery{Alert: alert})
 		if d.Kind == analyzer.KindCascade {
 			t.Fatalf("cascade diagnosed in the no-cascade baseline: %v", d.Cascade)
 		}
@@ -200,7 +211,7 @@ func TestDiagnoseLoadImbalance(t *testing.T) {
 	// Query the most recent second of epochs.
 	nowEpoch := tb.SwitchAgents[s.Suspect.NodeID()].LocalEpochAt(tb.Net.Now())
 	window := simtime.EpochRange{Lo: nowEpoch - 99, Hi: nowEpoch}
-	rep := tb.Analyzer.DiagnoseLoadImbalance(s.Suspect.NodeID(), window, tb.Net.Now())
+	rep := run(t, tb.Analyzer, analyzer.ImbalanceQuery{Switch: s.Suspect.NodeID(), Window: window, At: tb.Net.Now()})
 	if !rep.Separated {
 		t.Fatalf("separation not detected: %s (links=%v)", rep.Conclusion, rep.Links)
 	}
@@ -226,8 +237,10 @@ func TestTopKModes(t *testing.T) {
 	tb.Run(50 * simtime.Millisecond)
 
 	window := simtime.EpochRange{Lo: 0, Hi: 10}
-	sp := tb.Analyzer.TopK(s.Queried.NodeID(), 100, window, analyzer.ModeSwitchPointer, tb.Net.Now())
-	pd := tb.Analyzer.TopK(s.Queried.NodeID(), 100, window, analyzer.ModePathDump, tb.Net.Now())
+	q := analyzer.TopKQuery{Switch: s.Queried.NodeID(), K: 100, Window: window, Mode: analyzer.ModeSwitchPointer, At: tb.Net.Now()}
+	sp := run(t, tb.Analyzer, q)
+	q.Mode = analyzer.ModePathDump
+	pd := run(t, tb.Analyzer, q)
 
 	// SwitchPointer contacts only hosts with relevant telemetry; PathDump
 	// contacts everyone.
@@ -267,9 +280,9 @@ func TestPruningReducesContacts(t *testing.T) {
 	if !ok {
 		t.Fatalf("no alert")
 	}
-	pruned := tb.Analyzer.DiagnoseContention(alert)
+	pruned := run(t, tb.Analyzer, analyzer.ContentionQuery{Alert: alert})
 	tb.Analyzer.DisablePruning = true
-	unpruned := tb.Analyzer.DiagnoseContention(alert)
+	unpruned := run(t, tb.Analyzer, analyzer.ContentionQuery{Alert: alert})
 	tb.Analyzer.DisablePruning = false
 	if pruned.HostsContacted >= unpruned.HostsContacted {
 		t.Fatalf("pruning did not reduce contacts: %d vs %d",
@@ -285,7 +298,7 @@ func TestEmptyAlertInconclusive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := s.Testbed.Analyzer.DiagnoseContention(hostagent.Alert{})
+	d := run(t, s.Testbed.Analyzer, analyzer.ContentionQuery{Alert: hostagent.Alert{}})
 	if d.Kind != analyzer.KindInconclusive {
 		t.Fatalf("kind = %v", d.Kind)
 	}

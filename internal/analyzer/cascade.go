@@ -13,17 +13,6 @@ import (
 // maxCascadeDepth bounds how far back the analyzer chases causality.
 const maxCascadeDepth = 4
 
-// DiagnoseCascade debugs a traffic-cascade suspicion without cancellation
-// support.
-//
-// Deprecated: use Run with a CascadeQuery.
-//
-//splint:noctx deprecated PR 1 shim; Run(ctx, CascadeQuery{...}) is the ctx-aware path
-func (a *Analyzer) DiagnoseCascade(alert hostagent.Alert) *Report {
-	rep, _ := a.Run(context.Background(), CascadeQuery{Alert: alert})
-	return rep
-}
-
 // diagnoseCascade is the §5.3 procedure: after finding the victim's direct
 // aggressor, it recursively examines the aggressor's own path and epochs —
 // "whether or not the flow was affected by some other flows" — building the

@@ -11,17 +11,6 @@ import (
 	"switchpointer/internal/trace"
 )
 
-// DiagnoseContention debugs a throughput-drop or timeout alert without
-// cancellation support.
-//
-// Deprecated: use Run with a ContentionQuery.
-//
-//splint:noctx deprecated PR 1 shim; Run(ctx, ContentionQuery{...}) is the ctx-aware path
-func (a *Analyzer) DiagnoseContention(alert hostagent.Alert) *Report {
-	rep, _ := a.Run(context.Background(), ContentionQuery{Alert: alert})
-	return rep
-}
-
 // diagnoseContention is the §5.1 "too much traffic" procedure, which also
 // covers §5.2 "too many red lights" (the same machinery, with culprits
 // grouped per switch).

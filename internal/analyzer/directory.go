@@ -190,14 +190,6 @@ func NewMemoryDirectory(ips []netsim.IPv4, switches map[netsim.NodeID]*switchage
 	return d, nil
 }
 
-// BuildDirectory constructs an index-only in-memory directory.
-//
-// Deprecated: use NewMemoryDirectory, which also binds the switch agents so
-// Hosts and Distribute work.
-func BuildDirectory(ips []netsim.IPv4) (*MemoryDirectory, error) {
-	return NewMemoryDirectory(ips, nil)
-}
-
 // Hosts pulls switch sw's pointers for the epoch range and decodes them.
 func (d *MemoryDirectory) Hosts(ctx context.Context, sw netsim.NodeID, epochs simtime.EpochRange) ([]netsim.IPv4, error) {
 	if err := ctx.Err(); err != nil {

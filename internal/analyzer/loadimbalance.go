@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"sort"
 
-	"switchpointer/internal/netsim"
 	"switchpointer/internal/rpc"
-	"switchpointer/internal/simtime"
 	"switchpointer/internal/topo"
 	"switchpointer/internal/trace"
 )
@@ -35,22 +33,6 @@ func (l LinkDistribution) Max() uint64 {
 		return 0
 	}
 	return l.Sizes[len(l.Sizes)-1]
-}
-
-// DiagnoseLoadImbalance investigates uneven egress utilization at a switch
-// without cancellation support. Unlike Run, it never returns nil: invalid
-// parameters yield an inconclusive report instead of an error.
-//
-// Deprecated: use Run with an ImbalanceQuery.
-//
-//splint:noctx deprecated PR 1 shim; Run(ctx, ImbalanceQuery{...}) is the ctx-aware path
-func (a *Analyzer) DiagnoseLoadImbalance(sw netsim.NodeID, window simtime.EpochRange, at simtime.Time) *Report {
-	rep, err := a.Run(context.Background(), ImbalanceQuery{Switch: sw, Window: window, At: at})
-	if rep == nil {
-		rep = &Report{Switch: sw, Kind: KindInconclusive, Clock: rpc.NewClock(a.Cost, at),
-			Conclusion: fmt.Sprintf("invalid query: %v", err)}
-	}
-	return rep
 }
 
 // diagnoseImbalance is the §5.4 procedure: it pulls the pointers covering

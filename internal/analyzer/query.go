@@ -170,16 +170,6 @@ type Report struct {
 // Total returns the end-to-end debugging time.
 func (r *Report) Total() simtime.Time { return r.Clock.Total() }
 
-// Compatibility aliases from the pre-Query API: all three result types are
-// now the one Report envelope.
-//
-// Deprecated: use Report.
-type (
-	Diagnosis       = Report
-	ImbalanceReport = Report
-	TopKReport      = Report
-)
-
 // TraceID derives the deterministic trace ID of a query purely from its
 // parameters, so the same query yields the same ID whether it runs
 // in-memory, over loopback HTTP, or against a real spd trio — which is what

@@ -67,56 +67,47 @@ func (r *RemoteHosts) workers(callerWorkers int) int {
 	return r.Workers
 }
 
+// round is one per-host query round over HTTP: hosts in parallel, one
+// answer per host in host order, a host without a URL answering nothing.
+func round[T any](ctx context.Context, r *RemoteHosts, workers int, hosts []netsim.IPv4, query func(ctx context.Context, url string) (T, error)) ([]T, int, error) {
+	results, err := rpc.QueryHosts(ctx, r.client, r.workers(workers), r.urlsFor(hosts),
+		func(ctx context.Context, _ *rpc.HTTPClient, url string) (T, error) {
+			if url == "" {
+				var none T
+				return none, nil
+			}
+			return query(ctx, url)
+		})
+	answers := make([]T, len(hosts))
+	for i := range results {
+		answers[i] = results[i].Val
+	}
+	return answers, len(results), err
+}
+
 // HeadersRound implements HostBackend over HTTP: one /headers-batch POST
 // per host carrying every query of the round (matching the one-round
 // virtual-time charge), hosts in parallel, answers per host in query
 // order. The hosts' cold read-back accounting rides the wire form, so a
 // remote diagnosis charges the extra round exactly like the in-memory one.
 func (r *RemoteHosts) HeadersRound(ctx context.Context, workers int, hosts []netsim.IPv4, queries []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, int, error) {
-	results, err := rpc.QueryHosts(ctx, r.client, r.workers(workers), r.urlsFor(hosts),
-		func(ctx context.Context, c *rpc.HTTPClient, url string) ([]hostagent.HeadersAnswer, error) {
-			if url == "" {
-				return nil, nil
-			}
-			return c.QueryHeadersBatch(ctx, url, queries)
-		})
-	answers := make([][]hostagent.HeadersAnswer, len(hosts))
-	for i := range results {
-		answers[i] = results[i].Val
-	}
-	return answers, len(results), err
+	return round(ctx, r, workers, hosts, func(ctx context.Context, url string) ([]hostagent.HeadersAnswer, error) {
+		return r.client.QueryHeadersBatch(ctx, url, queries)
+	})
 }
 
 // TopKRound implements HostBackend over HTTP.
 func (r *RemoteHosts) TopKRound(ctx context.Context, workers int, hosts []netsim.IPv4, sw netsim.NodeID, k int) ([][]hostagent.FlowBytes, int, error) {
-	results, err := rpc.QueryHosts(ctx, r.client, r.workers(workers), r.urlsFor(hosts),
-		func(ctx context.Context, c *rpc.HTTPClient, url string) ([]hostagent.FlowBytes, error) {
-			if url == "" {
-				return nil, nil
-			}
-			return c.QueryTopK(ctx, url, sw, k)
-		})
-	answers := make([][]hostagent.FlowBytes, len(hosts))
-	for i := range results {
-		answers[i] = results[i].Val
-	}
-	return answers, len(results), err
+	return round(ctx, r, workers, hosts, func(ctx context.Context, url string) ([]hostagent.FlowBytes, error) {
+		return r.client.QueryTopK(ctx, url, sw, k)
+	})
 }
 
 // FlowSizesRound implements HostBackend over HTTP.
 func (r *RemoteHosts) FlowSizesRound(ctx context.Context, workers int, hosts []netsim.IPv4, sw netsim.NodeID) ([][]hostagent.FlowSize, int, error) {
-	results, err := rpc.QueryHosts(ctx, r.client, r.workers(workers), r.urlsFor(hosts),
-		func(ctx context.Context, c *rpc.HTTPClient, url string) ([]hostagent.FlowSize, error) {
-			if url == "" {
-				return nil, nil
-			}
-			return c.QueryFlowSizes(ctx, url, sw)
-		})
-	answers := make([][]hostagent.FlowSize, len(hosts))
-	for i := range results {
-		answers[i] = results[i].Val
-	}
-	return answers, len(results), err
+	return round(ctx, r, workers, hosts, func(ctx context.Context, url string) ([]hostagent.FlowSize, error) {
+		return r.client.QueryFlowSizes(ctx, url, sw)
+	})
 }
 
 // Priority implements HostBackend over HTTP; an unreachable host answers

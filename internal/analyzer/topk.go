@@ -9,7 +9,6 @@ import (
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/rpc"
-	"switchpointer/internal/simtime"
 	"switchpointer/internal/trace"
 )
 
@@ -25,26 +24,6 @@ const (
 	// the query from all the servers in the network").
 	ModePathDump
 )
-
-// TopK runs the "top-k flows at a switch" query without cancellation
-// support. Unlike Run, it never returns nil: pre-Query semantics treated
-// any non-positive k as "all flows", and invalid parameters yield an
-// inconclusive report instead of an error.
-//
-// Deprecated: use Run with a TopKQuery.
-//
-//splint:noctx deprecated PR 1 shim; Run(ctx, TopKQuery{...}) is the ctx-aware path
-func (a *Analyzer) TopK(sw netsim.NodeID, k int, window simtime.EpochRange, mode TopKMode, at simtime.Time) *Report {
-	if k < 0 {
-		k = 0
-	}
-	rep, err := a.Run(context.Background(), TopKQuery{Switch: sw, K: k, Window: window, Mode: mode, At: at})
-	if rep == nil {
-		rep = &Report{Switch: sw, Kind: KindInconclusive, Clock: rpc.NewClock(a.Cost, at),
-			Conclusion: fmt.Sprintf("invalid query: %v", err)}
-	}
-	return rep
-}
 
 // topK runs the distributed top-k query (§6.2, Fig 12) over the hosts'
 // telemetry, locating the relevant hosts per the query mode.

@@ -10,6 +10,7 @@ import (
 
 	"switchpointer/internal/analyzer"
 	"switchpointer/internal/hostagent"
+	"switchpointer/internal/scenario"
 )
 
 // stubRunner executes queries under caller control: each Run blocks until
@@ -215,7 +216,7 @@ func TestAdmissionTypedErrors(t *testing.T) {
 // sharded stores and per-switch pull locks carry the load) and produce
 // identical reports.
 func TestAdmissionOverlappingAlertsRace(t *testing.T) {
-	s, err := BuildScenario("redlights", 0, 0)
+	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

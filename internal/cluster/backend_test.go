@@ -55,7 +55,7 @@ func verdictJSON(t *testing.T, rep *analyzer.Report) string {
 func TestBootstrapCrossBackendEquivalence(t *testing.T) {
 	for _, tc := range backendCases {
 		t.Run(tc.scenario, func(t *testing.T) {
-			src, err := BuildScenarioBackend(tc.scenario, tc.m, tc.n, pointer.BackendDense)
+			src, err := BuildScenarioOpt(tc.scenario, tc.m, tc.n, scenario.Options{PointerBackend: pointer.BackendDense})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestBootstrapCrossBackendEquivalence(t *testing.T) {
 			switchSrv := httptest.NewServer(SwitchMux(src.Testbed, nil))
 			defer switchSrv.Close()
 
-			dst, err := BuildScenarioBackend(tc.scenario, tc.m, tc.n, pointer.BackendAdaptive)
+			dst, err := BuildScenarioOpt(tc.scenario, tc.m, tc.n, scenario.Options{PointerBackend: pointer.BackendAdaptive})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestBloomDiagnosisCulpritEquivalence(t *testing.T) {
 	extraHosts, extraClock := 0, int64(0)
 	for _, tc := range backendCases {
 		t.Run(tc.scenario, func(t *testing.T) {
-			base, err := BuildScenario(tc.scenario, tc.m, tc.n)
+			base, err := BuildScenarioOpt(tc.scenario, tc.m, tc.n, scenario.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

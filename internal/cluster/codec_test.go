@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"switchpointer/internal/scenario"
 	"switchpointer/internal/store"
 )
 
@@ -26,7 +27,7 @@ func TestSegmentCodecEquivalenceAllKinds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.scenario, func(t *testing.T) {
-			s, err := BuildScenario(tc.scenario, tc.m, tc.n)
+			s, err := BuildScenarioOpt(tc.scenario, tc.m, tc.n, scenario.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
+	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/statesync"
 	"switchpointer/internal/store"
@@ -47,7 +48,7 @@ func hostColdAnswers(t *testing.T, ag *hostagent.Agent, switches []netsim.NodeID
 // virtual-time metrics) and all five host-level query kinds — while
 // decoding fewer segments and charging no more cold-read-back time.
 func TestCompactionEquivalenceAllKinds(t *testing.T) {
-	src, err := BuildScenario("priority", 8, 0)
+	src, err := BuildScenarioOpt("priority", 8, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

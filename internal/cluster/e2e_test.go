@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"switchpointer/internal/analyzer"
+	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 )
 
@@ -43,7 +44,7 @@ func TestLoopbackEquivalenceAllKinds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.scenario, func(t *testing.T) {
-			s, err := BuildScenario(tc.scenario, tc.m, tc.n)
+			s, err := BuildScenarioOpt(tc.scenario, tc.m, tc.n, scenario.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +106,7 @@ func TestLoopbackEquivalenceAllKinds(t *testing.T) {
 
 // TestEnvelopeRoundTrip pins Query ⇄ QueryEnvelope for every kind.
 func TestEnvelopeRoundTrip(t *testing.T) {
-	s, err := BuildScenario("redlights", 0, 0)
+	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"switchpointer/internal/analyzer"
-	"switchpointer/internal/metrics"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
@@ -23,32 +22,21 @@ import (
 // reports permanently live — the non-bootstrap daemon. This is what `spd
 // host` serves; HostURLs derives the matching per-host base URLs. The
 // daemon's self-observability rides along: GET /metrics (Prometheus text
-// over a HostRegistry) and GET /stats (the HostStatsDoc JSON).
-func HostMux(tb *scenario.Testbed, rd *statesync.Readiness) http.Handler {
-	return HostMuxWith(tb, rd, HostRegistry(tb, rd), trace.NewFlightRecorder("host", 0))
-}
-
-// HostMuxWith is HostMux with a caller-supplied metric registry — the spd
-// daemon passes one so it can add process-level families (uptime) before
-// mounting — and flight recorder. Each host agent's query handler records
-// child spans for traced requests into fr, served back at GET /traces; a nil
-// fr disables both.
-func HostMuxWith(tb *scenario.Testbed, rd *statesync.Readiness, reg *metrics.Registry, fr *trace.FlightRecorder) http.Handler {
+// over a HostRegistry, returned as Service.Registry), GET /stats (the
+// HostStatsDoc JSON) and GET /traces (Service.Flight, which every agent's
+// query handler records traced requests' child spans into).
+func HostMux(tb *scenario.Testbed, rd *statesync.Readiness) *Service {
+	fr := trace.NewFlightRecorder("host", 0)
 	mux := http.NewServeMux()
 	for ip, ag := range tb.HostAgents {
 		prefix := "/hosts/" + ip.String()
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, rpc.NewTracedHostHandler(ag, ip.String(), fr)))
+		mux.Handle(prefix+"/", http.StripPrefix(prefix, rpc.NewHostHandler(ag, ip.String(), fr)))
 		mux.Handle(prefix+"/snapshot", statesync.HostSnapshotHandler(ag))
 		mux.Handle(prefix+"/ingest", statesync.IngestHandler(ag, rd))
 	}
 	mux.Handle("/healthz", statesync.HealthzHandler(rd, hostStats(tb)))
-	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/stats", HostStatsHandler(tb, rd))
-	if fr != nil {
-		mux.Handle("/traces", http.StripPrefix("/traces", fr.Handler()))
-		mux.Handle("/traces/", http.StripPrefix("/traces", fr.Handler()))
-	}
-	return mux
+	return newService(mux, HostRegistry(tb, rd), fr)
 }
 
 // hostStats sums a host daemon's /healthz accounting: records resident
@@ -73,18 +61,13 @@ func hostStats(tb *scenario.Testbed) func() (resident, evictedSegments int) {
 // routes below it, including the state-sync GET /switches/<id>/snapshot).
 // /healthz reports readiness against rd plus the daemon's pushed
 // control-store slot count as its resident-record figure — what `spd
-// switch` serves. GET /metrics and GET /stats ride along as on HostMux.
-func SwitchMux(tb *scenario.Testbed, rd *statesync.Readiness) http.Handler {
-	return SwitchMuxWith(tb, rd, SwitchRegistry(tb, rd), trace.NewFlightRecorder("switch", 0))
-}
-
-// SwitchMuxWith is SwitchMux with a caller-supplied metric registry and
-// flight recorder (nil disables span recording and the /traces endpoints).
-func SwitchMuxWith(tb *scenario.Testbed, rd *statesync.Readiness, reg *metrics.Registry, fr *trace.FlightRecorder) http.Handler {
+// switch` serves. GET /metrics, /stats and /traces ride along as on HostMux.
+func SwitchMux(tb *scenario.Testbed, rd *statesync.Readiness) *Service {
+	fr := trace.NewFlightRecorder("switch", 0)
 	mux := http.NewServeMux()
 	for id, ag := range tb.SwitchAgents {
 		prefix := "/switches/" + strconv.Itoa(int(id))
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, rpc.NewTracedSwitchHandler(ag, strconv.Itoa(int(id)), fr)))
+		mux.Handle(prefix+"/", http.StripPrefix(prefix, rpc.NewSwitchHandler(ag, strconv.Itoa(int(id)), fr)))
 	}
 	mux.Handle("/healthz", statesync.HealthzHandler(rd, func() (int, int) {
 		resident := 0
@@ -93,13 +76,8 @@ func SwitchMuxWith(tb *scenario.Testbed, rd *statesync.Readiness, reg *metrics.R
 		}
 		return resident, 0
 	}))
-	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/stats", SwitchStatsHandler(tb, rd))
-	if fr != nil {
-		mux.Handle("/traces", http.StripPrefix("/traces", fr.Handler()))
-		mux.Handle("/traces/", http.StripPrefix("/traces", fr.Handler()))
-	}
-	return mux
+	return newService(mux, SwitchRegistry(tb, rd), fr)
 }
 
 // HostURLs maps every host IP to its base URL under a HostMux server root.
@@ -184,40 +162,37 @@ type Loopback struct {
 // NewLoopback serves tb's full service plane on three fresh loopback
 // listeners. The testbed must be idle (run to its horizon) — the simulated
 // agents are served in place. Close releases everything.
-func NewLoopback(tb *scenario.Testbed, cfg AdmissionConfig) (*Loopback, error) {
-	lb := &Loopback{
+func NewLoopback(tb *scenario.Testbed, cfg AdmissionConfig) (lb *Loopback, err error) {
+	hosts, switches := HostMux(tb, nil), SwitchMux(tb, nil)
+	lb = &Loopback{
 		httpClient:     rpc.NewPooledHTTPClient(),
-		HostFlight:     trace.NewFlightRecorder("host", 0),
-		SwitchFlight:   trace.NewFlightRecorder("switch", 0),
+		HostFlight:     hosts.Flight,
+		SwitchFlight:   switches.Flight,
 		AnalyzerFlight: trace.NewFlightRecorder("analyzer", 0),
 	}
-
-	hostURL, err := lb.serve(HostMuxWith(tb, nil, HostRegistry(tb, nil), lb.HostFlight))
-	if err != nil {
-		lb.Close()
-		return nil, err
+	defer func() {
+		if err != nil {
+			lb.Close()
+			lb = nil
+		}
+	}()
+	if lb.HostURL, err = lb.serve(hosts); err != nil {
+		return
 	}
-	switchURL, err := lb.serve(SwitchMuxWith(tb, nil, SwitchRegistry(tb, nil), lb.SwitchFlight))
-	if err != nil {
-		lb.Close()
-		return nil, err
+	if lb.SwitchURL, err = lb.serve(switches); err != nil {
+		return
 	}
-	lb.HostURL, lb.SwitchURL = hostURL, switchURL
-	lb.HostURLs = HostURLs(hostURL, tb)
-	lb.SwitchURLs = SwitchURLs(switchURL, tb)
-	lb.AnalyzerFlight.SetPeers(map[string]string{"hosts": hostURL, "switches": switchURL})
+	lb.HostURLs = HostURLs(lb.HostURL, tb)
+	lb.SwitchURLs = SwitchURLs(lb.SwitchURL, tb)
+	lb.AnalyzerFlight.SetPeers(map[string]string{"hosts": lb.HostURL, "switches": lb.SwitchURL})
 
-	lb.Analyzer, err = NewRemoteAnalyzer(tb, lb.HostURLs, lb.SwitchURLs, lb.httpClient)
-	if err != nil {
-		lb.Close()
-		return nil, err
+	if lb.Analyzer, err = NewRemoteAnalyzer(tb, lb.HostURLs, lb.SwitchURLs, lb.httpClient); err != nil {
+		return
 	}
 	lb.Admission = NewAdmission(lb.Analyzer, cfg)
 	lb.Admission.Flight = lb.AnalyzerFlight
-	lb.AnalyzerURL, err = lb.serve(NewAnalyzerHandler(lb.Admission))
-	if err != nil {
-		lb.Close()
-		return nil, err
+	if lb.AnalyzerURL, err = lb.serve(NewAnalyzerHandler(lb.Admission)); err != nil {
+		return
 	}
 	lb.Client = &Client{BaseURL: lb.AnalyzerURL}
 	return lb, nil
@@ -230,7 +205,7 @@ func (lb *Loopback) serve(h http.Handler) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("cluster: loopback listen: %w", err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
 	lb.servers = append(lb.servers, srv)
 	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return "http://" + ln.Addr().String(), nil
@@ -241,7 +216,5 @@ func (lb *Loopback) Close() {
 	for _, srv := range lb.servers {
 		srv.Close() //nolint:errcheck
 	}
-	if lb.httpClient != nil {
-		lb.httpClient.CloseIdleConnections()
-	}
+	lb.httpClient.CloseIdleConnections()
 }

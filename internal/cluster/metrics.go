@@ -8,6 +8,7 @@
 package cluster
 
 import (
+	"context"
 	"net/http"
 	"sort"
 	"strconv"
@@ -17,9 +18,11 @@ import (
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/metrics"
 	"switchpointer/internal/netsim"
+	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/statesync"
 	"switchpointer/internal/switchagent"
+	"switchpointer/internal/trace"
 )
 
 // sortedHostAgents fixes the scrape iteration order once: host agents by IP.
@@ -329,7 +332,7 @@ type HostStatsDoc struct {
 // daemon's bootstrap/ingest progress, agents sorted by IP.
 func HostStatsHandler(tb *scenario.Testbed, rd *statesync.Readiness) http.Handler {
 	labels, agents := sortedHostAgents(tb)
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return rpc.Endpoint(nil, "stats", 0, func(context.Context, *rpc.Empty) (HostStatsDoc, []trace.Attr, error) {
 		doc := HostStatsDoc{State: statesync.StateLive.String(), Agents: make([]HostAgentStats, 0, len(agents))}
 		if rd != nil {
 			doc.State = rd.State().String()
@@ -352,7 +355,7 @@ func HostStatsHandler(tb *scenario.Testbed, rd *statesync.Readiness) http.Handle
 				ColdSegmentsSkipped: cold.SkippedByIndex,
 			})
 		}
-		writeJSON(w, doc)
+		return doc, nil, nil
 	})
 }
 
@@ -380,7 +383,7 @@ type SwitchStatsDoc struct {
 // depth), agents sorted by switch ID.
 func SwitchStatsHandler(tb *scenario.Testbed, rd *statesync.Readiness) http.Handler {
 	labels, agents := sortedSwitchAgents(tb)
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return rpc.Endpoint(nil, "stats", 0, func(context.Context, *rpc.Empty) (SwitchStatsDoc, []trace.Attr, error) {
 		doc := SwitchStatsDoc{State: statesync.StateLive.String(), Agents: make([]SwitchAgentStats, 0, len(agents))}
 		if rd != nil {
 			doc.State = rd.State().String()
@@ -400,6 +403,6 @@ func SwitchStatsHandler(tb *scenario.Testbed, rd *statesync.Readiness) http.Hand
 				ControlStoreSlots: ag.ControlStoreLen(),
 			})
 		}
-		writeJSON(w, doc)
+		return doc, nil, nil
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"switchpointer/internal/metrics"
+	"switchpointer/internal/scenario"
 )
 
 // scrapeMetrics GETs url/metrics and returns the parsed families plus the
@@ -74,7 +75,7 @@ func requireFamilies(t *testing.T, role string, idx map[string]metrics.Family, n
 // host scrape — all frozen virtual-time metrics — renders byte-identically
 // across repeated scrapes.
 func TestMetricsEndpoints(t *testing.T) {
-	s, err := BuildScenario("redlights", 0, 0)
+	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestMetricsEndpoints(t *testing.T) {
 // TestStatsEndpoints pins the host and switch daemons' GET /stats JSON
 // documents: per-agent rows, sorted, with values consistent with the replay.
 func TestStatsEndpoints(t *testing.T) {
-	s, err := BuildScenario("redlights", 0, 0)
+	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"switchpointer/internal/analyzer"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
+	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 )
 
@@ -92,7 +93,7 @@ func TestPipelineRateLimit(t *testing.T) {
 // the tuple switch set comes out sorted and deduplicated, the victim flow's
 // topology path is attached, and the alert kind maps to the right query.
 func TestPipelineEnrichment(t *testing.T) {
-	s, err := BuildScenario("redlights", 0, 0)
+	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"switchpointer/internal/analyzer"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
-	"switchpointer/internal/pointer"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 )
@@ -20,7 +19,7 @@ import (
 // spctl --remote (which derives the query locally and submits it over the
 // wire).
 type Scenario struct {
-	// Name is the scenario identifier (see BuildScenario).
+	// Name is the scenario identifier (see BuildScenarioOpt).
 	Name string
 	// Testbed is the fully wired deployment; run to Horizon before serving
 	// or querying.
@@ -43,24 +42,15 @@ func ScenarioNames() []string {
 	return []string{"priority", "microburst", "redlights", "cascade", "loadimbalance", "topk"}
 }
 
-// BuildScenario assembles a named scenario. m parameterizes burst width for
-// priority/microburst (≤0 selects 8); n parameterizes server count for
-// loadimbalance/topk (≤0 selects 16). The same (name, m, n) always yields
-// the same testbed state at the horizon.
-func BuildScenario(name string, m, n int) (*Scenario, error) {
-	return BuildScenarioBackend(name, m, n, pointer.BackendAdaptive)
-}
-
-// BuildScenarioBackend is BuildScenario with an explicit pointer-slot
-// backend on every switch. Exact backends (adaptive, dense) reproduce
-// identical diagnosis reports; the bloom backend reproduces identical
-// culprit sets with the extra false-positive fan-out charged on the clock.
-func BuildScenarioBackend(name string, m, n int, be pointer.Backend) (*Scenario, error) {
-	return BuildScenarioOpt(name, m, n, scenario.Options{PointerBackend: be})
-}
-
-// BuildScenarioOpt is the general form: testbed options are threaded into
-// the named scenario's builder (its own workload knobs still win).
+// BuildScenarioOpt assembles a named scenario. m parameterizes burst width
+// for priority/microburst (≤0 selects 8); n parameterizes server count for
+// loadimbalance/topk (≤0 selects 16). opt is threaded into the named
+// scenario's testbed (its own workload knobs still win); the zero value is
+// the default deployment. The same (name, m, n, opt) always yields the same
+// testbed state at the horizon. Exact pointer backends (adaptive, dense)
+// reproduce identical diagnosis reports; the bloom backend reproduces
+// identical culprit sets with the extra false-positive fan-out charged on
+// the clock.
 func BuildScenarioOpt(name string, m, n int, opt scenario.Options) (*Scenario, error) {
 	if m <= 0 {
 		m = 8

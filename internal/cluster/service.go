@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"switchpointer/internal/metrics"
+	"switchpointer/internal/rpc"
 	"switchpointer/internal/statesync"
 	"switchpointer/internal/trace"
 )
@@ -24,6 +24,34 @@ type DiagnoseResponse struct {
 	Error  string      `json:"error,omitempty"`
 }
 
+// ReadHeaderTimeout is how long every server of the service plane (the spd
+// daemons and Loopback's three) waits for a peer to finish its request
+// headers — without a bound, a peer that opens a connection and stalls
+// holds a goroutine forever.
+const ReadHeaderTimeout = 10 * time.Second
+
+// Service is one role's mounted HTTP plane — what HostMux, SwitchMux and
+// NewAnalyzerHandler return: the handler to serve plus the two things a
+// daemon keeps using after mounting it. Registry is what /metrics renders
+// (families resolve at scrape time, so a daemon adds its process-level ones
+// after the call); Flight is what /traces serves and what the role's
+// handlers record into.
+type Service struct {
+	http.Handler
+	Registry *metrics.Registry
+	Flight   *trace.FlightRecorder
+}
+
+// newService mounts the surfaces every role shares — GET /metrics, /traces
+// and /traces/<id> — and wraps the result.
+func newService(mux *http.ServeMux, reg *metrics.Registry, fr *trace.FlightRecorder) *Service {
+	mux.Handle("/metrics", reg.Handler())
+	traces := http.StripPrefix("/traces", fr.Handler())
+	mux.Handle("/traces", traces)
+	mux.Handle("/traces/", traces)
+	return &Service{Handler: mux, Registry: reg, Flight: fr}
+}
+
 // NewAnalyzerHandler exposes the analyzer service plane over HTTP:
 //
 //	POST /diagnose — QueryEnvelope in, DiagnoseResponse out. Admission
@@ -35,84 +63,48 @@ type DiagnoseResponse struct {
 //	GET  /healthz  — statesync.Health JSON. The analyzer holds no telemetry
 //	and needs no bootstrap, so it reports state "live" with
 //	zero resident/evicted counts.
-//	GET  /traces   — the flight recorder's trace index; /traces/<id> one
-//	                 merged trace (only when a recorder is attached).
+//	GET  /traces   — ad.Flight's trace index; /traces/<id> one merged trace
+//	                 (an empty index when ad.Flight is nil: tracing unarmed).
 //
 // Handlers are safe for concurrent requests; concurrency across diagnoses
 // is exactly what the admission controller bounds.
-func NewAnalyzerHandler(ad *Admission) http.Handler {
-	return NewAnalyzerHandlerWith(ad, AnalyzerRegistry(ad), ad.Flight)
-}
-
-// NewAnalyzerHandlerWith is NewAnalyzerHandler with a caller-supplied metric
-// registry (built by AnalyzerRegistry, possibly extended with process-level
-// families) and flight recorder (nil disables the /traces endpoints; when
-// non-nil it should be the same recorder as ad.Flight so served traces
-// include the admission spans).
-func NewAnalyzerHandlerWith(ad *Admission, reg *metrics.Registry, fr *trace.FlightRecorder) http.Handler {
+func NewAnalyzerHandler(ad *Admission) *Service {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/diagnose", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var env QueryEnvelope
-		if err := json.Unmarshal(body, &env); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		q, err := env.Query()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		ctx := r.Context()
-		if env.TraceID != "" {
-			// The client pinned a trace ID: install a recorder under that ID
-			// so the admission controller adopts it instead of deriving one.
-			ctx = trace.NewContext(ctx, trace.NewRecorder(env.TraceID, "analyzer", q.Name()))
-		}
-		rep, err := ad.Run(ctx, q)
-		switch {
-		case errors.Is(err, ErrRejected):
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		case errors.Is(err, ErrExpired):
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		case err != nil && rep == nil:
-			// Validation or queue-side cancellation: no report to return.
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp := DiagnoseResponse{Report: WireFromReport(rep)}
-		if err != nil {
-			resp.Error = err.Error() // partial report: cost incurred so far
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, ad.Stats())
-	})
-	mux.Handle("/metrics", reg.Handler())
+	mux.Handle("/diagnose", rpc.Endpoint(nil, "diagnose", rpc.LimitRequest,
+		func(ctx context.Context, env *QueryEnvelope) (DiagnoseResponse, []trace.Attr, error) {
+			q, err := env.Query()
+			if err != nil {
+				return DiagnoseResponse{}, nil, rpc.BadRequest(err)
+			}
+			if env.TraceID != "" {
+				// The client pinned a trace ID: install a recorder under that ID
+				// so the admission controller adopts it instead of deriving one.
+				ctx = trace.NewContext(ctx, trace.NewRecorder(env.TraceID, "analyzer", q.Name()))
+			}
+			rep, err := ad.Run(ctx, q)
+			switch {
+			case errors.Is(err, ErrRejected):
+				return DiagnoseResponse{}, nil, &rpc.StatusError{Code: http.StatusTooManyRequests, Body: err.Error()}
+			case errors.Is(err, ErrExpired):
+				return DiagnoseResponse{}, nil, &rpc.StatusError{Code: http.StatusServiceUnavailable, Body: err.Error()}
+			case err != nil && rep == nil:
+				// Validation or queue-side cancellation: no report to return.
+				return DiagnoseResponse{}, nil, rpc.BadRequest(err)
+			}
+			resp := DiagnoseResponse{Report: WireFromReport(rep)}
+			if err != nil {
+				resp.Error = err.Error() // partial report: cost incurred so far
+			}
+			return resp, nil, nil
+		}))
+	mux.Handle("/stats", rpc.Endpoint(nil, "stats", 0,
+		func(context.Context, *rpc.Empty) (AdmissionStats, []trace.Attr, error) { return ad.Stats(), nil, nil }))
 	mux.Handle("/healthz", statesync.HealthzHandler(nil, nil))
-	if fr != nil {
-		mux.Handle("/traces", http.StripPrefix("/traces", fr.Handler()))
-		mux.Handle("/traces/", http.StripPrefix("/traces", fr.Handler()))
+	fr := ad.Flight
+	if fr == nil {
+		fr = trace.NewFlightRecorder("analyzer", 0)
 	}
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	return newService(mux, AnalyzerRegistry(ad), fr)
 }
 
 // Client submits queries to a running spd analyzer service.
@@ -123,42 +115,15 @@ type Client struct {
 	HTTP *http.Client
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 // Diagnose submits an envelope and returns the wire report. A partial
 // report (server-side cancellation) is returned together with an error
-// describing the cut; admission failures return nil and a typed-ish error
-// carrying the server's explanation.
+// describing the cut; admission failures return nil and an error wrapping
+// the *rpc.StatusError (429 queue full, 503 queue wait expired, 400
+// malformed query).
 func (c *Client) Diagnose(ctx context.Context, env QueryEnvelope) (*WireReport, error) {
-	body, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: marshal envelope: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/diagnose", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.http().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: post /diagnose: %w", err)
-	}
-	defer httpResp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, 8<<20))
-	if err != nil {
-		return nil, err
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: /diagnose status %d: %s", httpResp.StatusCode, bytes.TrimSpace(raw))
-	}
 	var resp DiagnoseResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return nil, err
+	if err := rpc.NewHTTPClient(c.HTTP).Call(ctx, c.BaseURL+"/diagnose", env, &resp, rpc.LimitReport); err != nil {
+		return nil, fmt.Errorf("cluster: /diagnose: %w", err)
 	}
 	if resp.Error != "" {
 		return resp.Report, fmt.Errorf("cluster: remote query cut short: %s", resp.Error)
@@ -169,19 +134,8 @@ func (c *Client) Diagnose(ctx context.Context, env QueryEnvelope) (*WireReport, 
 // Stats fetches the admission counters.
 func (c *Client) Stats(ctx context.Context) (AdmissionStats, error) {
 	var stats AdmissionStats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/stats", nil)
-	if err != nil {
-		return stats, err
-	}
-	httpResp, err := c.http().Do(req)
-	if err != nil {
-		return stats, err
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		return stats, fmt.Errorf("cluster: /stats status %d", httpResp.StatusCode)
-	}
-	return stats, json.NewDecoder(httpResp.Body).Decode(&stats)
+	err := rpc.NewHTTPClient(c.HTTP).Call(ctx, c.BaseURL+"/stats", nil, &stats, rpc.LimitRequest)
+	return stats, err
 }
 
 // WaitReady polls url (a /healthz endpoint) until the daemon behind it is

@@ -3,10 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strconv"
 
-	"switchpointer/internal/netsim"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/statesync"
 )
@@ -17,17 +14,13 @@ import (
 // It returns total segments and records absorbed. The testbed may already
 // be serving queries — that is exactly the syncing state.
 func BootstrapHosts(ctx context.Context, b *statesync.Bootstrapper, peerRoot string, tb *scenario.Testbed) (segments, records int, err error) {
-	ips := make([]netsim.IPv4, 0, len(tb.HostAgents))
-	for ip := range tb.HostAgents {
-		ips = append(ips, ip)
-	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	for _, ip := range ips {
-		segs, recs, err := b.BootstrapHost(ctx, peerRoot+"/hosts/"+ip.String(), tb.HostAgents[ip])
+	ips, agents := sortedHostAgents(tb)
+	for i, ag := range agents {
+		segs, recs, err := b.BootstrapHost(ctx, peerRoot+"/hosts/"+ips[i], ag)
 		segments += segs
 		records += recs
 		if err != nil {
-			return segments, records, fmt.Errorf("cluster: bootstrap host %s: %w", ip, err)
+			return segments, records, fmt.Errorf("cluster: bootstrap host %s: %w", ips[i], err)
 		}
 	}
 	return segments, records, nil
@@ -37,15 +30,10 @@ func BootstrapHosts(ctx context.Context, b *statesync.Bootstrapper, peerRoot str
 // control store, MPH) from a live peer switch daemon at peerRoot into tb's
 // agents, in sorted-ID order.
 func BootstrapSwitches(ctx context.Context, b *statesync.Bootstrapper, peerRoot string, tb *scenario.Testbed) error {
-	ids := make([]netsim.NodeID, 0, len(tb.SwitchAgents))
-	for id := range tb.SwitchAgents {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		url := peerRoot + "/switches/" + strconv.Itoa(int(id))
-		if err := b.BootstrapSwitch(ctx, url, tb.SwitchAgents[id]); err != nil {
-			return fmt.Errorf("cluster: bootstrap switch %d: %w", id, err)
+	ids, agents := sortedSwitchAgents(tb)
+	for i, ag := range agents {
+		if err := b.BootstrapSwitch(ctx, peerRoot+"/switches/"+ids[i], ag); err != nil {
+			return fmt.Errorf("cluster: bootstrap switch %s: %w", ids[i], err)
 		}
 	}
 	return nil

@@ -39,7 +39,7 @@ func TestBootstrapEquivalenceAllKinds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.scenario, func(t *testing.T) {
-			src, err := BuildScenario(tc.scenario, tc.m, tc.n)
+			src, err := BuildScenarioOpt(tc.scenario, tc.m, tc.n, scenario.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestBootstrapEquivalenceAllKinds(t *testing.T) {
 			switchSrv := httptest.NewServer(SwitchMux(src.Testbed, nil))
 			defer switchSrv.Close()
 
-			dst, err := BuildScenario(tc.scenario, tc.m, tc.n)
+			dst, err := BuildScenarioOpt(tc.scenario, tc.m, tc.n, scenario.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +227,7 @@ func TestWaitReadyGatesOnLive(t *testing.T) {
 // logs, and the contention procedure must still find the same culprits —
 // with the extra cold-read-back round visible on the report clock.
 func TestColdReadBackDiagnosis(t *testing.T) {
-	src, err := BuildScenario("redlights", 0, 0)
+	src, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestColdReadBackDiagnosis(t *testing.T) {
 	}
 
 	// Second identical testbed: evict EVERY record into segment logs.
-	cold, err := BuildScenario("redlights", 0, 0)
+	cold, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestColdReadBackDiagnosis(t *testing.T) {
 // switch -bootstrap-from` does. After the bootstrap lands, pulls must
 // answer identically to the source's.
 func TestSwitchBootstrapConcurrentWithPulls(t *testing.T) {
-	src, err := BuildScenario("redlights", 0, 0)
+	src, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestSwitchBootstrapConcurrentWithPulls(t *testing.T) {
 	srcSrv := httptest.NewServer(SwitchMux(src.Testbed, nil))
 	defer srcSrv.Close()
 
-	dst, err := BuildScenario("redlights", 0, 0)
+	dst, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

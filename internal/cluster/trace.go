@@ -2,11 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
 
+	"switchpointer/internal/rpc"
 	"switchpointer/internal/trace"
 )
 
@@ -15,23 +14,8 @@ import (
 // roots for walking the rest of the trio.
 func FetchTraceIndex(ctx context.Context, hc *http.Client, baseURL string) (trace.Index, error) {
 	var idx trace.Index
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/traces", nil)
-	if err != nil {
-		return idx, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return idx, fmt.Errorf("cluster: fetch trace index: %w", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return idx, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return idx, fmt.Errorf("cluster: /traces status %d", resp.StatusCode)
-	}
-	return idx, json.Unmarshal(body, &idx)
+	err := rpc.NewHTTPClient(hc).Call(ctx, baseURL+"/traces", nil, &idx, rpc.LimitReport)
+	return idx, err
 }
 
 // FetchTrace pulls one trace by ID from a daemon's flight recorder. A 404
@@ -39,30 +23,12 @@ func FetchTraceIndex(ctx context.Context, hc *http.Client, baseURL string) (trac
 // no error, so callers can probe every daemon and merge what answers.
 func FetchTrace(ctx context.Context, hc *http.Client, baseURL, id string) (trace.Trace, bool, error) {
 	var t trace.Trace
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/traces/"+id, nil)
-	if err != nil {
-		return t, false, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return t, false, fmt.Errorf("cluster: fetch trace %s: %w", id, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return t, false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if err := json.Unmarshal(body, &t); err != nil {
-			return t, false, err
-		}
-		return t, true, nil
-	case http.StatusNotFound:
+	err := rpc.NewHTTPClient(hc).Call(ctx, baseURL+"/traces/"+id, nil, &t, rpc.LimitReport)
+	var se *rpc.StatusError
+	if errors.As(err, &se) && se.Code == http.StatusNotFound {
 		return t, false, nil
-	default:
-		return t, false, fmt.Errorf("cluster: /traces/%s status %d", id, resp.StatusCode)
 	}
+	return t, err == nil, err
 }
 
 // MergeTraces folds per-daemon views of the same trace into one canonical

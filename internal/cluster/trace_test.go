@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"switchpointer/internal/analyzer"
+	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/trace"
 )
@@ -44,7 +45,7 @@ func mergedFlightTrace(lb *Loopback, id string) trace.Trace {
 // merged trace byte-identical to the committed golden — and byte-identical
 // again when the whole diagnosis is repeated.
 func TestRedLightsTraceGolden(t *testing.T) {
-	s, err := BuildScenario("redlights", 0, 0)
+	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRedLightsTraceGolden(t *testing.T) {
 // a participant. Byte-equality is checked on the wire form with the trace ID
 // cleared (the only field tracing itself owns).
 func TestTracingOffLeavesReportIdentical(t *testing.T) {
-	s, err := BuildScenario("redlights", 0, 0)
+	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,10 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // by label tuple.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.Method != http.MethodGet {
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
 		w.Header().Set("Content-Type", ContentType)
 		w.Write(r.Render()) //nolint:errcheck
 	})

@@ -174,7 +174,7 @@ func TestQueryHostsConcurrent(t *testing.T) {
 	results, err := QueryHosts(context.Background(), client, 4, urls,
 		func(ctx context.Context, c *HTTPClient, url string) (answer, error) {
 			var out answer
-			err := c.post(ctx, url, struct{}{}, &out)
+			err := c.Call(ctx, url, struct{}{}, &out, LimitRequest)
 			return out, err
 		})
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/switchagent"
-	"switchpointer/internal/topo"
 	"switchpointer/internal/trace"
 )
 
@@ -28,6 +27,26 @@ import (
 // Handlers must only be served while the simulation engine is idle (the
 // simulated testbed is single-threaded); in deployments the agents would own
 // their state behind these handlers directly.
+//
+// Every JSON exchange of the service plane — the agent routes below, and
+// cluster's /diagnose and /stats, statesync's /ingest and /healthz, the
+// /traces clients — goes through one of two shapes, so there is exactly one
+// place to change the codec, batch a round, type a failure or observe a
+// request:
+//
+//   - Endpoint[Req, Resp] is the server: method check, bounded body read,
+//     decode, the route's body, the traced child span, error → status,
+//     encode. A route is its body and nothing else.
+//   - (*HTTPClient).Call is the client: POST (GET without a request value),
+//     per-host timeout, X-SP-Trace, non-200 → *StatusError, bounded decode,
+//     drain for keep-alive. A client method is its URL and its two types.
+//
+// Deliberately not on them, because they are not JSON exchanges: the binary
+// streams (statesync's host /snapshot segments and BootstrapStore, which
+// read frame by frame), cluster.WaitReady's poll (any 200 counts, JSON or
+// not), the Prometheus text at /metrics and its spctl scrape, and /traces'
+// server side (trace.FlightRecorder.Handler — rpc imports trace, so it
+// cannot call back). They share AllowMethod where they check a method.
 
 // HeadersRequest asks a host for records matching (switch, epoch range).
 // Flows, when non-empty, restricts the answer to those flow keys and lets
@@ -46,7 +65,8 @@ type HeadersRequest struct {
 // from the resident set). ColdSkippedByIndex counts epoch-overlapping
 // segments the manifest index excluded without decoding; TieredSegments
 // counts matching segments whose payloads were tiered out of cold storage
-// (data the answer honestly does not include).
+// (data the answer honestly does not include). It is
+// hostagent.HeadersAnswer field for field, so the two convert directly.
 type HeadersResponse struct {
 	Records            []*flowrec.Record `json:"records"`
 	ColdSegments       int               `json:"cold_segments,omitempty"`
@@ -186,235 +206,133 @@ func (pr *PointersResponse) Decode() (*bitset.Set, error) {
 	return &s, nil
 }
 
-// recordChild emits a virtual-instant child span into the daemon's flight
-// recorder when the request carries trace context: the span sits at the
-// analyzer's virtual send time, parents under the phase ordinal the round
-// will charge, and derives its ID from (parent, role, label, endpoint) so
-// the same diagnosis yields the same tree on every execution path.
-func recordChild(fr *trace.FlightRecorder, role, label string, r *http.Request, name string, attrs ...trace.Attr) {
-	if fr == nil {
+// Request and answer size limits. Every Endpoint bounds the body it reads
+// and every Call the answer it decodes by one of these.
+const (
+	// LimitRequest bounds query bodies, /diagnose envelopes and the small
+	// operator documents (/stats, /healthz).
+	LimitRequest = 1 << 20
+	// LimitReport bounds /diagnose and /traces answers.
+	LimitReport = 8 << 20
+	// LimitRecords bounds everything that carries flow records or agent
+	// state: host query answers, /ingest batches, switch /snapshot.
+	LimitRecords = 64 << 20
+)
+
+// Empty is the request type of a GET route (and the answer of a route with
+// nothing to say): an Endpoint whose Req is Empty requires GET and reads no
+// body, every other Endpoint requires POST — the server mirror of Call's
+// "POST when req != nil".
+type Empty struct{}
+
+// StatusError is a non-200 exchange. Call returns one (URL set) for every
+// answer that is not 200, so callers tell 404 from 429 from 503 with
+// errors.As instead of parsing messages; an Endpoint body returns one (no
+// URL; see BadRequest) to pick the status its failure answers with.
+type StatusError struct {
+	URL  string
+	Code int
+	Body string
+}
+
+func (e *StatusError) Error() string {
+	if e.URL == "" {
+		return e.Body
+	}
+	return fmt.Sprintf("rpc: %s: status %d: %s", e.URL, e.Code, e.Body)
+}
+
+// BadRequest marks err as the caller's fault: the Endpoint answers 400.
+func BadRequest(err error) error {
+	return &StatusError{Code: http.StatusBadRequest, Body: err.Error()}
+}
+
+// Spans is where one agent handler's Endpoints leave their child spans: the
+// daemon's flight recorder plus the (role, label) that name the agent. One
+// value is shared by all of a handler's routes; a nil *Spans (or a nil
+// recorder) records nothing.
+type Spans struct {
+	Flight      *trace.FlightRecorder
+	Role, Label string
+}
+
+// record emits a virtual-instant child span when the request carries trace
+// context: the span sits at the analyzer's virtual send time, parents under
+// the phase ordinal the round will charge, and derives its ID from (parent,
+// role, label, endpoint) so the same diagnosis yields the same tree on
+// every execution path.
+func (sp *Spans) record(r *http.Request, name string, attrs []trace.Attr) {
+	if sp == nil || sp.Flight == nil {
 		return
 	}
 	rc, ok := trace.ParseRemote(r.Header.Get(trace.Header))
 	if !ok {
 		return
 	}
-	fr.Record(rc.TraceID, trace.Span{
-		ID:     rc.Parent + "." + role + ":" + label + ":" + name,
+	sp.Flight.Record(rc.TraceID, trace.Span{
+		ID:     rc.Parent + "." + sp.Role + ":" + sp.Label + ":" + name,
 		Parent: rc.Parent,
 		Name:   name,
-		Role:   role,
+		Role:   sp.Role,
 		Start:  rc.At,
 		End:    rc.At,
 		Attrs:  attrs,
 	})
 }
 
-// NewHostHandler exposes a host agent's query executors over HTTP.
-func NewHostHandler(a *hostagent.Agent) http.Handler {
-	return NewTracedHostHandler(a, "", nil)
-}
-
-// NewTracedHostHandler is NewHostHandler with a flight recorder: requests
-// carrying an X-SP-Trace header additionally emit child spans (records
-// returned, cold decode counts) under the daemon's label (its host IP).
-func NewTracedHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/headers", func(w http.ResponseWriter, r *http.Request) {
-		var req HeadersRequest
-		if !decodeJSON(w, r, &req) {
+// Endpoint is the one server shape: it checks the method (GET when Req is
+// Empty, else POST), reads at most limit body bytes, decodes them into a
+// Req, runs body, records the traced child span named name under sp with
+// the attributes body returned, and encodes the answer. A body picks its
+// failure's status by returning a *StatusError bare (BadRequest); any other
+// error — a wrapped *StatusError from a downstream Call included — is this
+// server's failure, 500. Nothing is recorded for a failed request.
+func Endpoint[Req, Resp any](sp *Spans, name string, limit int64, body func(ctx context.Context, req *Req) (Resp, []trace.Attr, error)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !readRequest(w, r, limit, &req) {
 			return
 		}
-		ans := a.QueryHeaders(r.Context(), hostagent.HeadersQuery{
-			Switch: req.Switch,
-			Epochs: simtime.EpochRange{Lo: req.EpochLo, Hi: req.EpochHi},
-			Flows:  req.Flows,
-		})
-		recordChild(fr, "host", label, r, "headers",
-			trace.Attr{Key: "records", Value: strconv.Itoa(len(ans.Records))},
-			trace.Attr{Key: "cold_segments", Value: strconv.Itoa(ans.ColdSegments)},
-			trace.Attr{Key: "cold_returned", Value: strconv.Itoa(ans.ColdReturned)})
-		writeJSON(w, headersToWire(ans))
-	})
-	mux.HandleFunc("/headers-batch", func(w http.ResponseWriter, r *http.Request) {
-		var req HeadersBatchRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		qs := make([]hostagent.HeadersQuery, len(req.Queries))
-		for i, q := range req.Queries {
-			qs[i] = hostagent.HeadersQuery{
-				Switch: q.Switch,
-				Epochs: simtime.EpochRange{Lo: q.EpochLo, Hi: q.EpochHi},
-				Flows:  q.Flows,
+		resp, attrs, err := body(r.Context(), &req)
+		if err != nil {
+			code := http.StatusInternalServerError
+			if se, ok := err.(*StatusError); ok {
+				code = se.Code
 			}
+			http.Error(w, err.Error(), code)
+			return
 		}
-		answers := a.QueryHeadersMulti(r.Context(), qs)
-		resp := HeadersBatchResponse{Answers: make([]HeadersResponse, len(answers))}
-		records, coldSegments, coldReturned := 0, 0, 0
-		for i, ans := range answers {
-			resp.Answers[i] = headersToWire(ans)
-			records += len(ans.Records)
-			coldSegments += ans.ColdSegments
-			coldReturned += ans.ColdReturned
-		}
-		recordChild(fr, "host", label, r, "headers-batch",
-			trace.Attr{Key: "records", Value: strconv.Itoa(records)},
-			trace.Attr{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
-			trace.Attr{Key: "cold_returned", Value: strconv.Itoa(coldReturned)})
+		sp.record(r, name, attrs)
 		writeJSON(w, resp)
 	})
-	mux.HandleFunc("/topk", func(w http.ResponseWriter, r *http.Request) {
-		var req TopKRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		flows := a.QueryTopK(r.Context(), req.Switch, req.K)
-		recordChild(fr, "host", label, r, "topk",
-			trace.Attr{Key: "flows", Value: strconv.Itoa(len(flows))})
-		writeJSON(w, flows)
-	})
-	mux.HandleFunc("/flowsizes", func(w http.ResponseWriter, r *http.Request) {
-		var req FlowSizesRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		sizes := a.QueryFlowSizes(r.Context(), req.Switch)
-		recordChild(fr, "host", label, r, "flowsizes",
-			trace.Attr{Key: "flows", Value: strconv.Itoa(len(sizes))})
-		writeJSON(w, sizes)
-	})
-	mux.HandleFunc("/priority", func(w http.ResponseWriter, r *http.Request) {
-		var req PriorityRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		prio, known := a.QueryPriority(r.Context(), req.Flow)
-		recordChild(fr, "host", label, r, "priority",
-			trace.Attr{Key: "known", Value: fmt.Sprintf("%v", known)})
-		writeJSON(w, PriorityResponse{Priority: prio, Known: known})
-	})
-	mux.HandleFunc("/record", func(w http.ResponseWriter, r *http.Request) {
-		var req RecordRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		rec, known := a.LookupRecord(r.Context(), req.Flow)
-		recordChild(fr, "host", label, r, "record",
-			trace.Attr{Key: "known", Value: fmt.Sprintf("%v", known)})
-		writeJSON(w, RecordResponse{Record: rec, Known: known})
-	})
-	return mux
 }
 
-// NewSwitchHandler exposes a switch agent's pointer pulls over HTTP.
-// net/http serves requests concurrently but switchagent.Agent is not
-// concurrency-safe (pulls rotate epochs and mutate accounting), so the
-// handler serializes agent access — the server-side twin of the per-switch
-// pull mutexes in analyzer.MemoryDirectory. Pulls against DIFFERENT
-// switches (separate handlers) still proceed in parallel, which is what
-// the batched round relies on.
-func NewSwitchHandler(a *switchagent.Agent) http.Handler {
-	return NewTracedSwitchHandler(a, "", nil)
-}
-
-// NewTracedSwitchHandler is NewSwitchHandler with a flight recorder:
-// pointer pulls carrying an X-SP-Trace header additionally emit child spans
-// (level, slot count, approx flag) under the daemon's label (its switch ID).
-func NewTracedSwitchHandler(a *switchagent.Agent, label string, fr *trace.FlightRecorder) http.Handler {
-	var mu sync.Mutex
-	mux := http.NewServeMux()
-	mux.HandleFunc("/pointers", func(w http.ResponseWriter, r *http.Request) {
-		var req PointersRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		mu.Lock()
-		res := a.PullPointers(simtime.EpochRange{Lo: req.EpochLo, Hi: req.EpochHi})
-		mu.Unlock()
-		raw, err := res.Hosts.MarshalBinary()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		recordChild(fr, "switch", label, r, "pointers",
-			trace.Attr{Key: "level", Value: strconv.Itoa(res.Info.Level)},
-			trace.Attr{Key: "slots", Value: strconv.Itoa(res.Info.Slots)},
-			trace.Attr{Key: "covered", Value: fmt.Sprintf("%v", res.Info.Covered)},
-			trace.Attr{Key: "source", Value: res.Source},
-			trace.Attr{Key: "approx", Value: fmt.Sprintf("%v", !res.Exact)})
-		writeJSON(w, PointersResponse{
-			HostsB64: base64.StdEncoding.EncodeToString(raw),
-			Level:    res.Info.Level,
-			Slots:    res.Info.Slots,
-			Covered:  res.Info.Covered,
-			Source:   res.Source,
-			Approx:   !res.Exact,
-		})
-	})
-	mux.HandleFunc("/mph", func(w http.ResponseWriter, r *http.Request) {
-		var req MPHRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		raw, err := base64.StdEncoding.DecodeString(req.TableB64)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var table mph.Table
-		if err := table.UnmarshalBinary(raw); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		mu.Lock()
-		a.InstallMPH(&table)
-		mu.Unlock()
-		writeJSON(w, struct{}{})
-	})
-	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
-		}
-		mu.Lock()
-		ptr, err := a.PointerSnapshot()
-		var ctrl []byte
-		if err == nil {
-			ctrl, err = a.ControlStoreSnapshot()
-		}
-		var mphRaw []byte
-		if err == nil && a.MPH() != nil {
-			mphRaw, err = a.MPH().MarshalBinary()
-		}
-		mu.Unlock()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		resp := SwitchSnapshotResponse{
-			PointerB64: base64.StdEncoding.EncodeToString(ptr),
-			ControlB64: base64.StdEncoding.EncodeToString(ctrl),
-		}
-		if mphRaw != nil {
-			resp.MPHB64 = base64.StdEncoding.EncodeToString(mphRaw)
-		}
-		writeJSON(w, resp)
-	})
-	return mux
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+// AllowMethod answers 405 and reports false unless r uses method — the one
+// method check, shared with the binary routes that are not Endpoints.
+func AllowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method != method {
+		http.Error(w, method+" required", http.StatusMethodNotAllowed)
 		return false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	return true
+}
+
+// readRequest and writeJSON are the codec: the only places a request body
+// becomes a value and a value an answer. They are deliberately not generic —
+// an encoder built inside Endpoint's instantiated closure escapes, one
+// allocation per request.
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if _, get := v.(*Empty); get {
+		return AllowMethod(w, r, http.MethodGet)
+	}
+	if !AllowMethod(w, r, http.MethodPost) {
+		return false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	if err := json.Unmarshal(body, v); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return false
 	}
@@ -426,6 +344,157 @@ func writeJSON(w http.ResponseWriter, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+func toQuery(q HeadersRequest) hostagent.HeadersQuery {
+	return hostagent.HeadersQuery{
+		Switch: q.Switch,
+		Epochs: simtime.EpochRange{Lo: q.EpochLo, Hi: q.EpochHi},
+		Flows:  q.Flows,
+	}
+}
+
+// headersAttrs is the child-span summary of a headers answer.
+func headersAttrs(records, coldSegments, coldReturned int) []trace.Attr {
+	return []trace.Attr{
+		{Key: "records", Value: strconv.Itoa(records)},
+		{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
+		{Key: "cold_returned", Value: strconv.Itoa(coldReturned)},
+	}
+}
+
+// NewHostHandler exposes a host agent's query executors over HTTP. Requests
+// carrying an X-SP-Trace header leave child spans (records returned, cold
+// decode counts) in fr under the daemon's label (its host IP); a nil fr
+// records nothing.
+func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) http.Handler {
+	sp := &Spans{Flight: fr, Role: "host", Label: label}
+	mux := http.NewServeMux()
+	mux.Handle("/headers", Endpoint(sp, "headers", LimitRequest,
+		func(ctx context.Context, req *HeadersRequest) (HeadersResponse, []trace.Attr, error) {
+			ans := a.QueryHeaders(ctx, toQuery(*req))
+			return HeadersResponse(ans), headersAttrs(len(ans.Records), ans.ColdSegments, ans.ColdReturned), nil
+		}))
+	mux.Handle("/headers-batch", Endpoint(sp, "headers-batch", LimitRequest,
+		func(ctx context.Context, req *HeadersBatchRequest) (HeadersBatchResponse, []trace.Attr, error) {
+			qs := make([]hostagent.HeadersQuery, len(req.Queries))
+			for i, q := range req.Queries {
+				qs[i] = toQuery(q)
+			}
+			answers := a.QueryHeadersMulti(ctx, qs)
+			resp := HeadersBatchResponse{Answers: make([]HeadersResponse, len(answers))}
+			records, coldSegments, coldReturned := 0, 0, 0
+			for i, ans := range answers {
+				resp.Answers[i] = HeadersResponse(ans)
+				records += len(ans.Records)
+				coldSegments += ans.ColdSegments
+				coldReturned += ans.ColdReturned
+			}
+			return resp, headersAttrs(records, coldSegments, coldReturned), nil
+		}))
+	mux.Handle("/topk", Endpoint(sp, "topk", LimitRequest,
+		func(ctx context.Context, req *TopKRequest) ([]hostagent.FlowBytes, []trace.Attr, error) {
+			flows := a.QueryTopK(ctx, req.Switch, req.K)
+			return flows, []trace.Attr{{Key: "flows", Value: strconv.Itoa(len(flows))}}, nil
+		}))
+	mux.Handle("/flowsizes", Endpoint(sp, "flowsizes", LimitRequest,
+		func(ctx context.Context, req *FlowSizesRequest) ([]hostagent.FlowSize, []trace.Attr, error) {
+			sizes := a.QueryFlowSizes(ctx, req.Switch)
+			return sizes, []trace.Attr{{Key: "flows", Value: strconv.Itoa(len(sizes))}}, nil
+		}))
+	mux.Handle("/priority", Endpoint(sp, "priority", LimitRequest,
+		func(ctx context.Context, req *PriorityRequest) (PriorityResponse, []trace.Attr, error) {
+			prio, known := a.QueryPriority(ctx, req.Flow)
+			return PriorityResponse{Priority: prio, Known: known},
+				[]trace.Attr{{Key: "known", Value: strconv.FormatBool(known)}}, nil
+		}))
+	mux.Handle("/record", Endpoint(sp, "record", LimitRequest,
+		func(ctx context.Context, req *RecordRequest) (RecordResponse, []trace.Attr, error) {
+			rec, known := a.LookupRecord(ctx, req.Flow)
+			return RecordResponse{Record: rec, Known: known},
+				[]trace.Attr{{Key: "known", Value: strconv.FormatBool(known)}}, nil
+		}))
+	return mux
+}
+
+// NewSwitchHandler exposes a switch agent's pointer pulls over HTTP, traced
+// like NewHostHandler under the daemon's label (its switch ID): a pull's
+// child span carries level, slot count and the approx flag.
+// net/http serves requests concurrently but switchagent.Agent is not
+// concurrency-safe (pulls rotate epochs and mutate accounting), so the
+// handler serializes agent access — the server-side twin of the per-switch
+// pull mutexes in analyzer.MemoryDirectory. Pulls against DIFFERENT
+// switches (separate handlers) still proceed in parallel, which is what
+// the batched round relies on.
+func NewSwitchHandler(a *switchagent.Agent, label string, fr *trace.FlightRecorder) http.Handler {
+	sp := &Spans{Flight: fr, Role: "switch", Label: label}
+	var mu sync.Mutex
+	mux := http.NewServeMux()
+	mux.Handle("/pointers", Endpoint(sp, "pointers", LimitRequest,
+		func(_ context.Context, req *PointersRequest) (PointersResponse, []trace.Attr, error) {
+			mu.Lock()
+			res := a.PullPointers(simtime.EpochRange{Lo: req.EpochLo, Hi: req.EpochHi})
+			mu.Unlock()
+			raw, err := res.Hosts.MarshalBinary()
+			if err != nil {
+				return PointersResponse{}, nil, err
+			}
+			return PointersResponse{
+					HostsB64: base64.StdEncoding.EncodeToString(raw),
+					Level:    res.Info.Level,
+					Slots:    res.Info.Slots,
+					Covered:  res.Info.Covered,
+					Source:   res.Source,
+					Approx:   !res.Exact,
+				}, []trace.Attr{
+					{Key: "level", Value: strconv.Itoa(res.Info.Level)},
+					{Key: "slots", Value: strconv.Itoa(res.Info.Slots)},
+					{Key: "covered", Value: strconv.FormatBool(res.Info.Covered)},
+					{Key: "source", Value: res.Source},
+					{Key: "approx", Value: strconv.FormatBool(!res.Exact)},
+				}, nil
+		}))
+	mux.Handle("/mph", Endpoint(sp, "mph", LimitRequest,
+		func(_ context.Context, req *MPHRequest) (Empty, []trace.Attr, error) {
+			raw, err := base64.StdEncoding.DecodeString(req.TableB64)
+			if err != nil {
+				return Empty{}, nil, BadRequest(err)
+			}
+			var table mph.Table
+			if err := table.UnmarshalBinary(raw); err != nil {
+				return Empty{}, nil, BadRequest(err)
+			}
+			mu.Lock()
+			a.InstallMPH(&table)
+			mu.Unlock()
+			return Empty{}, nil, nil
+		}))
+	mux.Handle("/snapshot", Endpoint(sp, "snapshot", 0,
+		func(context.Context, *Empty) (SwitchSnapshotResponse, []trace.Attr, error) {
+			mu.Lock()
+			ptr, err := a.PointerSnapshot()
+			var ctrl []byte
+			if err == nil {
+				ctrl, err = a.ControlStoreSnapshot()
+			}
+			var mphRaw []byte
+			if err == nil && a.MPH() != nil {
+				mphRaw, err = a.MPH().MarshalBinary()
+			}
+			mu.Unlock()
+			if err != nil {
+				return SwitchSnapshotResponse{}, nil, err
+			}
+			resp := SwitchSnapshotResponse{
+				PointerB64: base64.StdEncoding.EncodeToString(ptr),
+				ControlB64: base64.StdEncoding.EncodeToString(ctrl),
+			}
+			if mphRaw != nil {
+				resp.MPHB64 = base64.StdEncoding.EncodeToString(mphRaw)
+			}
+			return resp, nil, nil
+		}))
+	return mux
 }
 
 // HTTPClient is the analyzer-side client for the HTTP binding.
@@ -486,7 +555,11 @@ func NewPooledHTTPClient() *HTTPClient {
 // CloseIdleConnections drops pooled keep-alive connections.
 func (c *HTTPClient) CloseIdleConnections() { c.HTTP.CloseIdleConnections() }
 
-func (c *HTTPClient) post(ctx context.Context, url string, req, resp any) error {
+// Call is the one client shape: it POSTs req as JSON (GETs when req is nil)
+// under the per-host timeout, forwards ctx's outbound trace context as
+// X-SP-Trace, turns every non-200 answer into a *StatusError, and decodes at
+// most limit answer bytes into resp (nil discards the answer).
+func (c *HTTPClient) Call(ctx context.Context, url string, req, resp any, limit int64) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -495,75 +568,46 @@ func (c *HTTPClient) post(ctx context.Context, url string, req, resp any) error 
 		ctx, cancel = context.WithTimeout(ctx, c.PerHostTimeout)
 		defer cancel()
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fmt.Errorf("rpc: marshal: %w", err)
+	method, body := http.MethodGet, io.Reader(nil)
+	if req != nil {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			return fmt.Errorf("rpc: marshal: %w", err)
+		}
+		method, body = http.MethodPost, bytes.NewReader(raw)
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	httpReq, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return fmt.Errorf("rpc: request %s: %w", url, err)
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	if req != nil {
+		httpReq.Header.Set("Content-Type", "application/json")
+	}
 	if rc, ok := trace.RemoteFromContext(ctx); ok {
 		httpReq.Header.Set(trace.Header, rc.Encode())
 	}
 	httpResp, err := c.HTTP.Do(httpReq)
 	if err != nil {
-		return fmt.Errorf("rpc: post %s: %w", url, err)
+		return fmt.Errorf("rpc: %s %s: %w", method, url, err)
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
-		return fmt.Errorf("rpc: %s: status %d: %s", url, httpResp.StatusCode, msg)
+		return &StatusError{URL: url, Code: httpResp.StatusCode, Body: string(bytes.TrimSpace(msg))}
 	}
-	if resp == nil {
-		io.Copy(io.Discard, io.LimitReader(httpResp.Body, 1<<20)) //nolint:errcheck
-		return nil
-	}
-	if err := json.NewDecoder(httpResp.Body).Decode(resp); err != nil {
-		return err
+	answer := &io.LimitedReader{R: httpResp.Body, N: limit}
+	if resp != nil {
+		if err := json.NewDecoder(answer).Decode(resp); err != nil {
+			if answer.N <= 0 {
+				err = fmt.Errorf("answer over %d bytes", limit)
+			}
+			return fmt.Errorf("rpc: decode %s: %w", url, err)
+		}
 	}
 	// Drain to EOF so the transport sees the response end and returns the
 	// connection to the idle pool — otherwise every chunked response kills
 	// its keep-alive connection and fan-out rounds re-pay connection setup.
-	io.Copy(io.Discard, io.LimitReader(httpResp.Body, 1<<20)) //nolint:errcheck
-	return nil
-}
-
-// get issues a GET and decodes the JSON answer, under the same per-host
-// timeout discipline as post.
-func (c *HTTPClient) get(ctx context.Context, url string, resp any) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if c.PerHostTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.PerHostTimeout)
-		defer cancel()
-	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return fmt.Errorf("rpc: request %s: %w", url, err)
-	}
-	if rc, ok := trace.RemoteFromContext(ctx); ok {
-		httpReq.Header.Set(trace.Header, rc.Encode())
-	}
-	httpResp, err := c.HTTP.Do(httpReq)
-	if err != nil {
-		return fmt.Errorf("rpc: get %s: %w", url, err)
-	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
-		return fmt.Errorf("rpc: %s: status %d: %s", url, httpResp.StatusCode, msg)
-	}
-	raw, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
-	if err != nil {
-		return fmt.Errorf("rpc: read %s: %w", url, err)
-	}
-	if err := json.Unmarshal(raw, resp); err != nil {
-		return fmt.Errorf("rpc: decode %s: %w", url, err)
-	}
+	io.Copy(io.Discard, answer) //nolint:errcheck
 	return nil
 }
 
@@ -571,40 +615,16 @@ func (c *HTTPClient) get(ctx context.Context, url string, resp any) error {
 // baseURL (GET /snapshot). Apply it to a local agent with Apply.
 func (c *HTTPClient) SwitchSnapshot(ctx context.Context, baseURL string) (SwitchSnapshotResponse, error) {
 	var out SwitchSnapshotResponse
-	err := c.get(ctx, baseURL+"/snapshot", &out)
+	err := c.Call(ctx, baseURL+"/snapshot", nil, &out, LimitRecords)
 	return out, err
-}
-
-// headersToWire/headersFromWire map between the in-process HeadersAnswer
-// and its wire form, field for field.
-func headersToWire(ans hostagent.HeadersAnswer) HeadersResponse {
-	return HeadersResponse{
-		Records:            ans.Records,
-		ColdSegments:       ans.ColdSegments,
-		ColdRecords:        ans.ColdRecords,
-		ColdReturned:       ans.ColdReturned,
-		ColdSkippedByIndex: ans.ColdSkippedByIndex,
-		TieredSegments:     ans.TieredSegments,
-	}
-}
-
-func headersFromWire(resp HeadersResponse) hostagent.HeadersAnswer {
-	return hostagent.HeadersAnswer{
-		Records:            resp.Records,
-		ColdSegments:       resp.ColdSegments,
-		ColdRecords:        resp.ColdRecords,
-		ColdReturned:       resp.ColdReturned,
-		ColdSkippedByIndex: resp.ColdSkippedByIndex,
-		TieredSegments:     resp.TieredSegments,
-	}
 }
 
 // QueryHeaders fetches matching records (and the host's cold read-back
 // accounting) from a host agent at baseURL.
 func (c *HTTPClient) QueryHeaders(ctx context.Context, baseURL string, sw netsim.NodeID, epochs simtime.EpochRange) (hostagent.HeadersAnswer, error) {
 	var out HeadersResponse
-	err := c.post(ctx, baseURL+"/headers", HeadersRequest{Switch: sw, EpochLo: epochs.Lo, EpochHi: epochs.Hi}, &out)
-	return headersFromWire(out), err
+	err := c.Call(ctx, baseURL+"/headers", HeadersRequest{Switch: sw, EpochLo: epochs.Lo, EpochHi: epochs.Hi}, &out, LimitRecords)
+	return hostagent.HeadersAnswer(out), err
 }
 
 // QueryHeadersBatch answers several header queries against one host in a
@@ -615,7 +635,7 @@ func (c *HTTPClient) QueryHeadersBatch(ctx context.Context, baseURL string, qs [
 		req.Queries[i] = HeadersRequest{Switch: q.Switch, EpochLo: q.Epochs.Lo, EpochHi: q.Epochs.Hi, Flows: q.Flows}
 	}
 	var out HeadersBatchResponse
-	if err := c.post(ctx, baseURL+"/headers-batch", req, &out); err != nil {
+	if err := c.Call(ctx, baseURL+"/headers-batch", req, &out, LimitRecords); err != nil {
 		return nil, err
 	}
 	if len(out.Answers) != len(qs) {
@@ -623,7 +643,7 @@ func (c *HTTPClient) QueryHeadersBatch(ctx context.Context, baseURL string, qs [
 	}
 	answers := make([]hostagent.HeadersAnswer, len(out.Answers))
 	for i, ans := range out.Answers {
-		answers[i] = headersFromWire(ans)
+		answers[i] = hostagent.HeadersAnswer(ans)
 	}
 	return answers, nil
 }
@@ -631,28 +651,28 @@ func (c *HTTPClient) QueryHeadersBatch(ctx context.Context, baseURL string, qs [
 // QueryTopK fetches a host's top-k flows through a switch.
 func (c *HTTPClient) QueryTopK(ctx context.Context, baseURL string, sw netsim.NodeID, k int) ([]hostagent.FlowBytes, error) {
 	var out []hostagent.FlowBytes
-	err := c.post(ctx, baseURL+"/topk", TopKRequest{Switch: sw, K: k}, &out)
+	err := c.Call(ctx, baseURL+"/topk", TopKRequest{Switch: sw, K: k}, &out, LimitRecords)
 	return out, err
 }
 
 // QueryFlowSizes fetches flow sizes + egress links at a switch from a host.
 func (c *HTTPClient) QueryFlowSizes(ctx context.Context, baseURL string, sw netsim.NodeID) ([]hostagent.FlowSize, error) {
 	var out []hostagent.FlowSize
-	err := c.post(ctx, baseURL+"/flowsizes", FlowSizesRequest{Switch: sw}, &out)
+	err := c.Call(ctx, baseURL+"/flowsizes", FlowSizesRequest{Switch: sw}, &out, LimitRecords)
 	return out, err
 }
 
 // QueryPriority fetches a flow's priority from a host.
 func (c *HTTPClient) QueryPriority(ctx context.Context, baseURL string, flow netsim.FlowKey) (uint8, bool, error) {
 	var out PriorityResponse
-	err := c.post(ctx, baseURL+"/priority", PriorityRequest{Flow: flow}, &out)
+	err := c.Call(ctx, baseURL+"/priority", PriorityRequest{Flow: flow}, &out, LimitRecords)
 	return out.Priority, out.Known, err
 }
 
 // QueryRecord fetches one flow's full record from its destination host.
 func (c *HTTPClient) QueryRecord(ctx context.Context, baseURL string, flow netsim.FlowKey) (*flowrec.Record, bool, error) {
 	var out RecordResponse
-	err := c.post(ctx, baseURL+"/record", RecordRequest{Flow: flow}, &out)
+	err := c.Call(ctx, baseURL+"/record", RecordRequest{Flow: flow}, &out, LimitRecords)
 	return out.Record, out.Known && err == nil, err
 }
 
@@ -663,13 +683,13 @@ func (c *HTTPClient) InstallMPH(ctx context.Context, baseURL string, t *mph.Tabl
 	if err != nil {
 		return fmt.Errorf("rpc: marshal mph: %w", err)
 	}
-	return c.post(ctx, baseURL+"/mph", MPHRequest{TableB64: base64.StdEncoding.EncodeToString(raw)}, nil)
+	return c.Call(ctx, baseURL+"/mph", MPHRequest{TableB64: base64.StdEncoding.EncodeToString(raw)}, nil, LimitRequest)
 }
 
 // PullPointers fetches a switch's pointer union for an epoch range.
 func (c *HTTPClient) PullPointers(ctx context.Context, baseURL string, epochs simtime.EpochRange) (*bitset.Set, PointersResponse, error) {
 	var out PointersResponse
-	if err := c.post(ctx, baseURL+"/pointers", PointersRequest{EpochLo: epochs.Lo, EpochHi: epochs.Hi}, &out); err != nil {
+	if err := c.Call(ctx, baseURL+"/pointers", PointersRequest{EpochLo: epochs.Lo, EpochHi: epochs.Hi}, &out, LimitRecords); err != nil {
 		return nil, out, err
 	}
 	bits, err := out.Decode()
@@ -698,6 +718,3 @@ func QueryHosts[T any](ctx context.Context, c *HTTPClient, workers int, urls []s
 	})
 	return results[:dispatched], err
 }
-
-// Ensure topo.LinkID marshals as a plain number in FlowSize responses.
-var _ = topo.LinkID(0)

@@ -1,16 +1,16 @@
 package statesync
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
+	"switchpointer/internal/rpc"
 	"switchpointer/internal/store"
+	"switchpointer/internal/trace"
 )
 
 // IngestBatch is the live-feed wire form: a batch of full wire-form flow
@@ -36,72 +36,35 @@ type IngestResponse struct {
 // concurrently with bootstrap and with query serving) absorbing a peer
 // snapshot. rd, when non-nil, accumulates ingest accounting for /healthz.
 func IngestHandler(ag *hostagent.Agent, rd *Readiness) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var batch IngestBatch
-		if err := json.Unmarshal(body, &batch); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		for _, rec := range batch.Records {
-			if rec == nil {
-				http.Error(w, "statesync: nil record in ingest batch", http.StatusBadRequest)
-				return
+	return rpc.Endpoint(nil, "ingest", rpc.LimitRecords,
+		func(_ context.Context, batch *IngestBatch) (IngestResponse, []trace.Attr, error) {
+			for _, rec := range batch.Records {
+				if rec == nil {
+					return IngestResponse{}, nil, rpc.BadRequest(errors.New("statesync: nil record in ingest batch"))
+				}
+				ag.Store.Put(rec)
 			}
-			ag.Store.Put(rec)
-		}
-		if rd != nil {
-			rd.AddIngest(len(batch.Records))
-		}
-		state := StateLive.String()
-		if rd != nil {
-			state = rd.State().String()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(IngestResponse{Accepted: len(batch.Records), State: state}) //nolint:errcheck
-	})
+			state := StateLive
+			if rd != nil {
+				rd.AddIngest(len(batch.Records))
+				state = rd.State()
+			}
+			return IngestResponse{Accepted: len(batch.Records), State: state.String()}, nil, nil
+		})
 }
 
 // Feed posts records to a host ingest endpoint in batches of batchSize
 // (≤ 0 selects 256). It returns how many batches were sent. Records are
 // shipped as-is; callers keeping the records afterwards should pass clones.
 func Feed(ctx context.Context, client *http.Client, ingestURL string, recs []*flowrec.Record, batchSize int) (batches int, err error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
+	c := rpc.NewHTTPClient(client)
 	if batchSize <= 0 {
 		batchSize = 256
 	}
 	for len(recs) > 0 {
-		n := batchSize
-		if n > len(recs) {
-			n = len(recs)
-		}
-		body, err := json.Marshal(IngestBatch{Records: recs[:n]})
-		if err != nil {
+		n := min(batchSize, len(recs))
+		if err := c.Call(ctx, ingestURL, IngestBatch{Records: recs[:n]}, nil, rpc.LimitRequest); err != nil {
 			return batches, fmt.Errorf("statesync: feed: %w", err)
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ingestURL, bytes.NewReader(body))
-		if err != nil {
-			return batches, fmt.Errorf("statesync: feed: %w", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(req)
-		if err != nil {
-			return batches, fmt.Errorf("statesync: feed %s: %w", ingestURL, err)
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return batches, fmt.Errorf("statesync: feed %s: status %d", ingestURL, resp.StatusCode)
 		}
 		batches++
 		recs = recs[n:]

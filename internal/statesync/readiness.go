@@ -16,11 +16,13 @@
 package statesync
 
 import (
-	"encoding/json"
+	"context"
 	"net/http"
 	"sync/atomic"
 
 	"switchpointer/internal/buildinfo"
+	"switchpointer/internal/rpc"
+	"switchpointer/internal/trace"
 )
 
 // State is a daemon's readiness.
@@ -121,22 +123,18 @@ type BuildInfo struct {
 // both zero — the analyzer role, which holds no telemetry). A nil rd reports
 // permanently live.
 func HealthzHandler(rd *Readiness, stats func() (resident, evictedSegments int)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return rpc.Endpoint(nil, "healthz", 0, func(context.Context, *rpc.Empty) (Health, []trace.Attr, error) {
 		h := Health{
 			State: StateLive.String(),
 			Build: BuildInfo{Version: buildinfo.Version, GoVersion: buildinfo.Go()},
 		}
 		if rd != nil {
 			h.State = rd.State().String()
-			h.BootstrapSegments = rd.bootSegments.Load()
-			h.BootstrapRecords = rd.bootRecords.Load()
-			h.IngestBatches = rd.ingestBatches.Load()
-			h.IngestRecords = rd.ingestRecords.Load()
+			h.BootstrapSegments, h.BootstrapRecords, h.IngestBatches, h.IngestRecords = rd.Progress()
 		}
 		if stats != nil {
 			h.ResidentRecords, h.EvictedSegments = stats()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(h) //nolint:errcheck
+		return h, nil, nil
 	})
 }

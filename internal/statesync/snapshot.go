@@ -11,6 +11,7 @@ import (
 
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
+	"switchpointer/internal/rpc"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/store"
 )
@@ -39,8 +40,7 @@ const maxFrameBytes = 64 << 20
 // can start loading while later shards are still being encoded.
 func HostSnapshotHandler(ag *hostagent.Agent) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		if !rpc.AllowMethod(w, r, http.MethodGet) {
 			return
 		}
 		epochs, err := epochWindow(r)

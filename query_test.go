@@ -128,6 +128,31 @@ func TestAnalyzerRunAllQueryKinds(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidQueries pins what replaced the deleted PR 1 shims'
+// "never nil" fallback (TopK clamped a negative k, TopK and
+// DiagnoseLoadImbalance turned a validation failure into an inconclusive
+// report): Run answers a malformed query with an error and no report,
+// before any cost is charged.
+func TestRunRejectsInvalidQueries(t *testing.T) {
+	tb, err := New(Dumbbell(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	inverted := EpochRange{Lo: 5, Hi: 1}
+	for _, q := range []Query{
+		TopKQuery{K: -1, Window: EpochRange{Lo: 0, Hi: 1}},
+		TopKQuery{K: 10, Window: inverted},
+		ImbalanceQuery{Window: inverted},
+		nil,
+	} {
+		rep, err := tb.Analyzer.Run(context.Background(), q)
+		if err == nil || rep != nil {
+			t.Fatalf("Run(%#v) = %v, %v; want no report and a validation error", q, rep, err)
+		}
+	}
+}
+
 // countdownCtx is a deterministic cancellation source: Err returns nil for
 // the first `remaining` checks, then context.Canceled forever. It lets the
 // test cancel exactly at the N-th checkpoint of a diagnosis without any

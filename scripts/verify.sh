@@ -125,7 +125,9 @@ echo "trace smoke: OK"
 # spctl scrapes and parses each endpoint (exit non-zero on malformed
 # exposition text) and the required metric families must be present per
 # role. The analyzer runs with -alert-pipeline, so its pipeline families
-# must be present too.
+# must be present too. spd adds spd_process_uptime_seconds/spd_build_info to
+# the registry each role's mux returned, after mounting it — asking every
+# role for them is the only check on that wiring (no go test runs cmd/spd).
 scrape_expect() {
 	SCRAPE_URL="$1"
 	shift
@@ -149,11 +151,11 @@ scrape_expect "http://$HOST_ADDR" \
 scrape_expect "http://$SWITCH_ADDR" \
 	spd_pointer_pulls_total spd_pointer_approx_pulls_total \
 	spd_pointer_resident_bytes spd_switch_memory_bytes \
-	spd_control_store_slots spd_ready spd_build_info
+	spd_control_store_slots spd_ready spd_process_uptime_seconds spd_build_info
 scrape_expect "http://$ANALYZER_ADDR" \
 	spd_admission_in_flight spd_admission_admitted_total \
 	spd_diagnosis_total spd_admission_queue_depth \
-	spd_diagnosis_cold_rounds_total spd_build_info \
+	spd_diagnosis_cold_rounds_total spd_process_uptime_seconds spd_build_info \
 	spd_alerts_received_total spd_alerts_forwarded_total spd_ready
 echo "metrics smoke: OK"
 
@@ -162,7 +164,9 @@ echo "metrics smoke: OK"
 # "syncing" state, absorbs A's snapshots, and goes "live" (spd wait gates on
 # exactly that). Host A is then killed and a fresh analyzer daemon diagnoses
 # against B alone: the report must find the same culprits, proving the
-# bootstrapped state is the live state.
+# bootstrapped state is the live state. Going live, B must also hold the
+# one-span bootstrap trace at /traces — the proof that runBootstrap records
+# into the flight recorder the host mux serves.
 ./bin/spd host -scenario redlights -bootstrap-from "http://$HOST_ADDR" \
 	-listen 127.0.0.1:0 2>"$SMOKE_DIR/host_b.log" &
 SPD_HOST_B_PID=$!
@@ -170,6 +174,11 @@ trap 'kill $SPD_HOST_PID $SPD_SWITCH_PID $SPD_ANALYZER_PID $SPD_HOST_B_PID $SPD_
 SPD_ANALYZER_B_PID=
 HOST_B_ADDR="$(spd_addr "$SMOKE_DIR/host_b.log")"
 ./bin/spd wait -url "http://$HOST_B_ADDR/healthz" -timeout 60s
+BOOT_TRACE="$(./bin/spctl -trace "http://$HOST_B_ADDR")"
+case "$BOOT_TRACE" in
+*"[host] bootstrap"*) ;;
+*) echo "bootstrap smoke: host B's /traces lacks the bootstrap trace:" >&2; echo "$BOOT_TRACE" >&2; exit 1 ;;
+esac
 kill "$SPD_HOST_PID" 2>/dev/null || true
 ./bin/spd analyzer -scenario redlights -listen 127.0.0.1:0 \
 	-hosts "http://$HOST_B_ADDR" -switches "http://$SWITCH_ADDR" 2>"$SMOKE_DIR/analyzer_b.log" &

@@ -152,14 +152,6 @@ type (
 	// Culprit is one contending flow in a report.
 	Culprit = analyzer.Culprit
 
-	// Diagnosis, ImbalanceReport and TopKReport are the pre-Query result
-	// types, all subsumed by Report.
-	//
-	// Deprecated: use Report.
-	Diagnosis       = analyzer.Report
-	ImbalanceReport = analyzer.Report
-	TopKReport      = analyzer.Report
-
 	// TCPConfig and UDPConfig describe workload flows.
 	TCPConfig = transport.TCPConfig
 	UDPConfig = transport.UDPConfig

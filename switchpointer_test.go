@@ -59,9 +59,13 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if len(rep.Consulted) != rep.HostsContacted {
 		t.Fatalf("Consulted = %v, HostsContacted = %d", rep.Consulted, rep.HostsContacted)
 	}
-	// The deprecated poll-style entry point returns the same classification.
-	if diag := tb.Analyzer.DiagnoseContention(alert); diag.Kind != rep.Kind {
-		t.Fatalf("shim kind %v != %v", diag.Kind, rep.Kind)
+	// Asking again returns the same classification.
+	again, err := tb.Analyzer.Run(context.Background(), ContentionQuery{Alert: alert})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Kind != rep.Kind {
+		t.Fatalf("second run kind %v != %v", again.Kind, rep.Kind)
 	}
 }
 
