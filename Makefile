@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz bench bench-quick bench-real bench-compare binaries verify clean
+.PHONY: all build vet lint test race fuzz bench bench-quick bench-real bench-compare bench-pairs binaries verify clean
 
 all: verify
 
@@ -64,6 +64,15 @@ bench-real:
 ## "worse"): make bench-compare A=before.json B=after.json
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
+
+## bench-pairs: N alternating runs of one workload from two checkouts, every
+## pair, medians, quartiles and wins/losses per end-to-end metric:
+## make bench-pairs PARENT=/root/scratch/parent WORKLOAD=diag-heavy [N=10 SECONDS=10 CHANGE=.]
+CHANGE ?= .
+N ?= 10
+SECONDS ?= 10
+bench-pairs:
+	scripts/bench-pairs.sh $(PARENT) $(CHANGE) $(WORKLOAD) $(N) $(SECONDS)
 
 ## binaries: every cmd/ tool and examples/ program must compile
 binaries:

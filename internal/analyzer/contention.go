@@ -1,8 +1,10 @@
 package analyzer
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
@@ -236,18 +238,15 @@ func appendCulprit(list []Culprit, c Culprit) []Culprit {
 	return append(list, c)
 }
 
+// sortCulprits orders by bytes descending, flow key as the tie-break; stable,
+// so equal culprits (one flow at two switches) keep their order.
 func sortCulprits(cs []Culprit) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := cs[j-1], cs[j]
-			worse := a.Bytes < b.Bytes ||
-				(a.Bytes == b.Bytes && a.Flow.String() > b.Flow.String())
-			if !worse {
-				break
-			}
-			cs[j-1], cs[j] = b, a
+	slices.SortStableFunc(cs, func(a, b Culprit) int {
+		if a.Bytes != b.Bytes {
+			return cmp.Compare(b.Bytes, a.Bytes)
 		}
-	}
+		return a.Flow.CompareString(b.Flow)
+	})
 }
 
 func firstSwitch(m map[netsim.NodeID][]Culprit) netsim.NodeID {

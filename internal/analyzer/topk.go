@@ -97,7 +97,7 @@ func sortedFlows(merged map[netsim.FlowKey]uint64, k int) []hostagent.FlowBytes 
 		if flows[i].Bytes != flows[j].Bytes {
 			return flows[i].Bytes > flows[j].Bytes
 		}
-		return flows[i].Flow.String() < flows[j].Flow.String()
+		return flows[i].Flow.CompareString(flows[j].Flow) < 0
 	})
 	if k > 0 && len(flows) > k {
 		flows = flows[:k]

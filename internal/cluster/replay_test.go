@@ -45,14 +45,15 @@ func TestReplayAllocBudget(t *testing.T) {
 // TestRoundTripAllocBudget is the in-tree gate on the service plane's
 // per-request cost: one traced /topk round trip — rpc.HTTPClient.Call on a
 // pooled client, net/http both ways, rpc.Endpoint, the child span — stays
-// within 118 allocations, what the hand-written handler and client it
-// replaced took. diag-fanout makes 96 of these per diagnosis, so one
-// allocation here is 96 there: an encoder built inside Endpoint's generic
-// closure (it escapes) or a third closure per route shows up as 119. The
+// within 116 allocations (118 for the hand-written handler and client it
+// replaced; Call decoding from a pooled buffer instead of a json.Decoder took
+// two more). diag-fanout makes 96 of these per diagnosis, so one allocation
+// here is 96 there: an encoder built inside Endpoint's generic closure (it
+// escapes) or a third closure per route shows up as 117. The
 // queried switch holds no flows, so the answer is empty and the count is the
 // exchange's own.
 func TestRoundTripAllocBudget(t *testing.T) {
-	const budget = 118
+	const budget = 116
 	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -34,6 +34,7 @@
 package flowrec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -47,6 +48,9 @@ import (
 type Record struct {
 	Flow     netsim.FlowKey
 	Priority uint8
+	// steady: the last Absorb moved nothing a store indexes (see Absorb).
+	// It sits in Priority's padding.
+	steady bool
 
 	// Path is the switch trajectory; Epochs[i] is the (unioned) epoch range
 	// observed at Path[i] across all packets of the flow.
@@ -84,15 +88,28 @@ func New(flow netsim.FlowKey) *Record {
 // already seen); only the first packet and path changes copy the decoded
 // trajectory. dec may alias decoder-owned scratch buffers — everything kept
 // is copied here.
+//
+// Absorb also vouches for what it did NOT change. A store files a record by
+// its Path and caches its Epochs beside the index, so it must re-file after
+// any mutation unless told otherwise. Absorb marks the record steady when
+// the path is unchanged and no union actually widened a range; store.Release
+// reads the mark through TakeSteady and skips its reindex only then. The
+// default is the safe one: a record mutated any other way — by hand, through
+// Put or Reindex — carries no mark and is always reindexed.
 func (r *Record) Absorb(p *netsim.Packet, dec header.Decoded, now simtime.Time) {
+	r.steady = false
 	if r.Pkts == 0 {
 		r.FirstSeen = now
 		r.Path = append([]netsim.NodeID(nil), dec.Path...)
 		r.Epochs = append([]simtime.EpochRange(nil), dec.Epochs...)
 		r.TagIdx = dec.TagIdx
 	} else if pathsEqual(r.Path, dec.Path) {
+		r.steady = true
 		for i := range r.Epochs {
-			r.Epochs[i] = r.Epochs[i].Union(dec.Epochs[i])
+			if u := r.Epochs[i].Union(dec.Epochs[i]); u != r.Epochs[i] {
+				r.Epochs[i] = u
+				r.steady = false
+			}
 		}
 	} else {
 		// Path changed mid-flow (rerouting). Keep the latest path but widen
@@ -139,13 +156,21 @@ func pathsEqual(a, b []netsim.NodeID) bool {
 	return true
 }
 
+// TakeSteady reports whether the record's last Absorb vouched that neither
+// path nor epochs changed, and withdraws the mark: one Absorb vouches for one
+// Release. Stores also call it wherever a stale mark must not survive.
+func (r *Record) TakeSteady() bool {
+	s := r.steady
+	r.steady = false
+	return s
+}
+
 // EpochsAt returns the epoch range the flow was seen at switch sw, if the
-// switch is on the recorded path.
+// switch is on the recorded path (and, for a malformed record off the wire,
+// the epoch series reaches it).
 func (r *Record) EpochsAt(sw netsim.NodeID) (simtime.EpochRange, bool) {
-	for i, id := range r.Path {
-		if id == sw {
-			return r.Epochs[i], true
-		}
+	if i := slices.Index(r.Path, sw); i >= 0 && i < len(r.Epochs) {
+		return r.Epochs[i], true
 	}
 	return simtime.EpochRange{}, false
 }
@@ -178,28 +203,37 @@ func (r *Record) SortedEpochs() []simtime.Epoch {
 	return out
 }
 
-// Less orders flow keys lexicographically (src, dst, src port, dst port,
+// Compare orders flow keys lexicographically (src, dst, src port, dst port,
 // proto) — the deterministic order every store query answer is merged in.
-func Less(a, b netsim.FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
+func Compare(a, b netsim.FlowKey) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
 	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
 	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
+	if c := cmp.Compare(a.SrcPort, b.SrcPort); c != 0 {
+		return c
 	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
+	if c := cmp.Compare(a.DstPort, b.DstPort); c != 0 {
+		return c
 	}
-	return a.Proto < b.Proto
+	return cmp.Compare(a.Proto, b.Proto)
+}
+
+// Less reports whether a sorts before b under Compare.
+func Less(a, b netsim.FlowKey) bool { return Compare(a, b) < 0 }
+
+// SortRecords puts recs in the Compare order of their flows.
+func SortRecords(recs []*Record) {
+	slices.SortFunc(recs, func(a, b *Record) int { return Compare(a.Flow, b.Flow) })
 }
 
 // Clone returns a deep copy (used when shipping records across the RPC
 // boundary so callers can't mutate host state).
 func (r *Record) Clone() *Record {
 	c := *r
+	c.steady = false
 	c.Path = append([]netsim.NodeID(nil), r.Path...)
 	c.Epochs = append([]simtime.EpochRange(nil), r.Epochs...)
 	c.EpochBytes = make(map[simtime.Epoch]uint64, len(r.EpochBytes))

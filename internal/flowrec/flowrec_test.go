@@ -161,3 +161,46 @@ func TestStringForm(t *testing.T) {
 		t.Fatalf("empty String()")
 	}
 }
+
+// TestAbsorbVouchesOnlyForWhatItSaw pins the steady mark's contract: set by
+// an Absorb that changed neither the path nor any epoch range, by nothing
+// else, and good for exactly one TakeSteady.
+func TestAbsorbVouchesOnlyForWhatItSaw(t *testing.T) {
+	r := New(samplePacket(0, 0).Flow)
+	if r.TakeSteady() {
+		t.Fatal("a new record is marked steady")
+	}
+	r.Absorb(samplePacket(100, 1), sampleDecoded(), 1)
+	if r.TakeSteady() {
+		t.Fatal("the first packet (it sets the path) left the record steady")
+	}
+	r.Absorb(samplePacket(100, 1), sampleDecoded(), 2)
+	if !r.TakeSteady() {
+		t.Fatal("same path, same epochs: not marked steady")
+	}
+	if r.TakeSteady() {
+		t.Fatal("one Absorb vouched twice")
+	}
+	inside := sampleDecoded()
+	inside.Epochs[0] = simtime.EpochRange{Lo: 5, Hi: 5} // within [4,6]: widens nothing
+	r.Absorb(samplePacket(100, 1), inside, 3)
+	if !r.TakeSteady() {
+		t.Fatal("a range inside the recorded one withdrew the mark")
+	}
+	wider := sampleDecoded()
+	wider.Epochs[2].Hi = 8
+	r.Absorb(samplePacket(100, 1), wider, 4)
+	if r.TakeSteady() {
+		t.Fatal("a widened range left the record steady")
+	}
+	r.Absorb(samplePacket(100, 1), sampleDecoded(), 5)
+	if c := r.Clone(); c.TakeSteady() {
+		t.Fatal("a clone inherited the mark")
+	}
+	rerouted := sampleDecoded()
+	rerouted.Path = []netsim.NodeID{1, 9, 3}
+	r.Absorb(samplePacket(100, 1), rerouted, 6)
+	if r.TakeSteady() {
+		t.Fatal("a path change left the record steady")
+	}
+}

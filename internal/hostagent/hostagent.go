@@ -412,13 +412,14 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 	}
 	for qi := range qs {
 		q := qs[qi]
-		a.Store.QueryBySwitch(q.Switch, func(rec *flowrec.Record) bool {
-			er, ok := rec.EpochsAt(q.Switch)
-			if ok && er.Overlaps(q.Epochs) && q.wantsFlow(rec.Flow) {
+		// The store filters on (switch, window) and hands matches over shard
+		// by shard; the answer goes out in flow-key order.
+		a.Store.QueryWindow(q.Switch, q.Epochs, func(rec *flowrec.Record) {
+			if q.wantsFlow(rec.Flow) {
 				out[qi].Records = append(out[qi].Records, rec.Clone())
 			}
-			return true
 		})
+		flowrec.SortRecords(out[qi].Records)
 	}
 	if a.cold == nil {
 		return out
@@ -502,9 +503,7 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 		// Keep each merged answer in the store's deterministic flow-key
 		// order so reports are byte-identical to a run whose window was
 		// never evicted.
-		sort.Slice(out[qi].Records, func(i, j int) bool {
-			return flowrec.Less(out[qi].Records[i].Flow, out[qi].Records[j].Flow)
-		})
+		flowrec.SortRecords(out[qi].Records)
 	}
 	for qi := range out {
 		a.coldSegments.Add(uint64(out[qi].ColdSegments))
@@ -537,7 +536,7 @@ func (a *Agent) QueryTopK(ctx context.Context, sw netsim.NodeID, k int) []FlowBy
 		if out[i].Bytes != out[j].Bytes {
 			return out[i].Bytes > out[j].Bytes
 		}
-		return out[i].Flow.String() < out[j].Flow.String()
+		return out[i].Flow.CompareString(out[j].Flow) < 0
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]

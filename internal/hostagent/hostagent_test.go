@@ -187,6 +187,48 @@ func TestQueryHeaders(t *testing.T) {
 	}
 }
 
+// TestQueryHeadersOrderAndFreshness: the store hands window matches over
+// shard by shard; the answer must still be in global flow-key order, honour
+// the flow restriction, and follow records that widen after an earlier query
+// left memos behind.
+func TestQueryHeadersOrderAndFreshness(t *testing.T) {
+	net, tp, agents := testbed(t)
+	src, _ := tp.HostByName("h1-1")
+	dst, _ := tp.HostByName("h3-1")
+	const flows = 40 // enough to land in every shard
+	var keys []netsim.FlowKey
+	for i := 0; i < flows; i++ {
+		flow := netsim.FlowKey{Src: src.IP(), Dst: dst.IP(), SrcPort: uint16(100 + i), DstPort: 9, Proto: netsim.ProtoUDP}
+		keys = append(keys, flow)
+		transport.StartUDP(net, src, transport.UDPConfig{
+			Flow: flow, RateBps: 2_000_000, Start: 0, Duration: 95 * simtime.Millisecond})
+	}
+	ag := agents[dst.IP()]
+	s2, _ := tp.SwitchByName("S2")
+	ctx := context.Background()
+
+	net.RunUntil(30 * simtime.Millisecond)
+	late := simtime.EpochRange{Lo: 7, Hi: 8} // no packet has seen these epochs yet
+	if recs := ag.QueryHeaders(ctx, HeadersQuery{Switch: s2.NodeID(), Epochs: late}).Records; len(recs) != 0 {
+		t.Fatalf("epochs 7-8 answered %d records at t=30ms", len(recs))
+	}
+	net.Run()
+	recs := ag.QueryHeaders(ctx, HeadersQuery{Switch: s2.NodeID(), Epochs: late}).Records
+	if len(recs) != flows {
+		t.Fatalf("after the flows ran through epochs 7-8 the query answers %d of %d", len(recs), flows)
+	}
+	for i, r := range recs {
+		if r.Flow != keys[i] {
+			t.Fatalf("answer[%d] = %v, want %v (flow-key order)", i, r.Flow, keys[i])
+		}
+	}
+	only := []netsim.FlowKey{keys[31], keys[2]}
+	recs = ag.QueryHeaders(ctx, HeadersQuery{Switch: s2.NodeID(), Epochs: late, Flows: only}).Records
+	if len(recs) != 2 || recs[0].Flow != keys[2] || recs[1].Flow != keys[31] {
+		t.Fatalf("restricted answer = %v", recs)
+	}
+}
+
 func TestQueryTopK(t *testing.T) {
 	net, tp, agents := testbed(t)
 	src, _ := tp.HostByName("h1-1")

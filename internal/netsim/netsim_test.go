@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"switchpointer/internal/simtime"
@@ -27,6 +30,76 @@ func TestFlowKeyReverse(t *testing.T) {
 	}
 	if k.String() != "TCP 1.1.1.1:10->2.2.2.2:20" {
 		t.Fatalf("String = %q", k.String())
+	}
+}
+
+// TestFlowKeyStringForm pins the append-style formatter to the fmt form it
+// replaced — reports, traces and sort orders are built from this string.
+func TestFlowKeyStringForm(t *testing.T) {
+	keys := []FlowKey{
+		{},
+		{Src: IP(1, 1, 1, 1), Dst: IP(2, 2, 2, 2), SrcPort: 10, DstPort: 20, Proto: ProtoTCP},
+		{Src: IP(10, 0, 1, 200), Dst: IP(10, 3, 0, 2), SrcPort: 1024, DstPort: 9000, Proto: ProtoUDP},
+		{Src: IP(255, 255, 255, 255), Dst: IP(255, 255, 255, 255), SrcPort: 65535, DstPort: 65535, Proto: 255},
+		{Src: IP(0, 0, 0, 9), Dst: IP(9, 0, 0, 0), SrcPort: 0, DstPort: 1, Proto: 1},
+	}
+	for _, k := range keys {
+		proto := fmt.Sprintf("proto(%d)", uint8(k.Proto))
+		switch k.Proto {
+		case ProtoTCP:
+			proto = "TCP"
+		case ProtoUDP:
+			proto = "UDP"
+		}
+		want := fmt.Sprintf("%s %s:%d->%s:%d", proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
+		if got := k.String(); got != want {
+			t.Errorf("String = %q, want %q", got, want)
+		}
+		if k.Proto.String() != proto {
+			t.Errorf("Proto.String = %q, want %q", k.Proto.String(), proto)
+		}
+		if len(want) > flowKeyStringMax {
+			t.Errorf("%q outgrows the %d-byte stack buffer", want, flowKeyStringMax)
+		}
+	}
+}
+
+// TestCompareStringMatchesStringOrder: CompareString is the string order by
+// construction; check it anyway over the whole key space — every port, both
+// protocols and unknown ones, addresses of every printed width — and that it
+// allocates nothing.
+func TestCompareStringMatchesStringOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	octets := []byte{0, 1, 9, 10, 19, 99, 100, 199, 255}
+	protos := []Protocol{ProtoTCP, ProtoUDP, 0, 1, 47, 200}
+	randKey := func() FlowKey {
+		ip := func() IPv4 {
+			return IP(octets[rng.Intn(len(octets))], octets[rng.Intn(len(octets))], octets[rng.Intn(len(octets))], octets[rng.Intn(len(octets))])
+		}
+		return FlowKey{Src: ip(), Dst: ip(), SrcPort: uint16(rng.Intn(65536)), DstPort: uint16(rng.Intn(65536)), Proto: protos[rng.Intn(len(protos))]}
+	}
+	sign := func(c int) int {
+		switch {
+		case c < 0:
+			return -1
+		case c > 0:
+			return 1
+		}
+		return 0
+	}
+	for i := 0; i < 10_000; i++ {
+		a, b := randKey(), randKey()
+		if i%4 == 0 { // near-ties: the tie-break's whole job
+			b = a
+			b.DstPort = uint16(rng.Intn(65536))
+		}
+		if got, want := sign(a.CompareString(b)), strings.Compare(a.String(), b.String()); got != want {
+			t.Fatalf("CompareString(%v, %v) = %d, strings.Compare = %d", a, b, got, want)
+		}
+	}
+	a, b := randKey(), randKey()
+	if allocs := testing.AllocsPerRun(1000, func() { _ = a.CompareString(b) }); allocs != 0 {
+		t.Fatalf("CompareString: %v allocs, want 0", allocs)
 	}
 }
 

@@ -12,7 +12,7 @@
 package netsim
 
 import (
-	"fmt"
+	"bytes"
 	"strconv"
 	"sync"
 
@@ -34,14 +34,17 @@ func IP(a, b, c, d byte) IPv4 {
 // string directly instead of going through fmt.
 func (ip IPv4) String() string {
 	var buf [15]byte
-	b := strconv.AppendUint(buf[:0], uint64(byte(ip>>24)), 10)
+	return string(ip.appendTo(buf[:0]))
+}
+
+func (ip IPv4) appendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(byte(ip>>24)), 10)
 	b = append(b, '.')
 	b = strconv.AppendUint(b, uint64(byte(ip>>16)), 10)
 	b = append(b, '.')
 	b = strconv.AppendUint(b, uint64(byte(ip>>8)), 10)
 	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(byte(ip)), 10)
-	return string(b)
+	return strconv.AppendUint(b, uint64(byte(ip)), 10)
 }
 
 // Protocol is an IP protocol number.
@@ -54,13 +57,20 @@ const (
 )
 
 func (p Protocol) String() string {
+	var buf [10]byte
+	return string(p.appendTo(buf[:0]))
+}
+
+func (p Protocol) appendTo(b []byte) []byte {
 	switch p {
 	case ProtoTCP:
-		return "TCP"
+		return append(b, "TCP"...)
 	case ProtoUDP:
-		return "UDP"
+		return append(b, "UDP"...)
 	default:
-		return fmt.Sprintf("proto(%d)", uint8(p))
+		b = append(b, "proto("...)
+		b = strconv.AppendUint(b, uint64(p), 10)
+		return append(b, ')')
 	}
 }
 
@@ -72,9 +82,33 @@ type FlowKey struct {
 	Proto            Protocol
 }
 
+// flowKeyStringMax bounds String's output: "proto(255) " plus two
+// "255.255.255.255:65535" and "->" is 55 bytes.
+const flowKeyStringMax = 64
+
 // String formats the flow as "proto src:sport->dst:dport".
 func (k FlowKey) String() string {
-	return fmt.Sprintf("%s %s:%d->%s:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
+	var buf [flowKeyStringMax]byte
+	return string(k.appendTo(buf[:0]))
+}
+
+func (k FlowKey) appendTo(b []byte) []byte {
+	b = k.Proto.appendTo(b)
+	b = append(b, ' ')
+	b = k.Src.appendTo(b)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(k.SrcPort), 10)
+	b = append(b, "->"...)
+	b = k.Dst.appendTo(b)
+	b = append(b, ':')
+	return strconv.AppendUint(b, uint64(k.DstPort), 10)
+}
+
+// CompareString orders two keys as their String forms order — the tie-break
+// every report sorts by — without building either string.
+func (k FlowKey) CompareString(o FlowKey) int {
+	var a, b [flowKeyStringMax]byte
+	return bytes.Compare(k.appendTo(a[:0]), o.appendTo(b[:0]))
 }
 
 // Reverse returns the 5-tuple of the opposite direction (used for ACKs).

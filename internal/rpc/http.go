@@ -595,21 +595,40 @@ func (c *HTTPClient) Call(ctx context.Context, url string, req, resp any, limit 
 		msg, _ := io.ReadAll(io.LimitReader(httpResp.Body, 4096))
 		return &StatusError{URL: url, Code: httpResp.StatusCode, Body: string(bytes.TrimSpace(msg))}
 	}
-	answer := &io.LimitedReader{R: httpResp.Body, N: limit}
-	if resp != nil {
-		if err := json.NewDecoder(answer).Decode(resp); err != nil {
-			if answer.N <= 0 {
-				err = fmt.Errorf("answer over %d bytes", limit)
-			}
-			return fmt.Errorf("rpc: decode %s: %w", url, err)
-		}
+	// Reading the bounded answer to EOF is also what lets the transport see
+	// the response end and return the connection to the idle pool — otherwise
+	// every chunked response kills its keep-alive connection and fan-out
+	// rounds re-pay connection setup.
+	if resp == nil {
+		io.Copy(io.Discard, io.LimitReader(httpResp.Body, limit)) //nolint:errcheck
+		return nil
 	}
-	// Drain to EOF so the transport sees the response end and returns the
-	// connection to the idle pool — otherwise every chunked response kills
-	// its keep-alive connection and fan-out rounds re-pay connection setup.
-	io.Copy(io.Discard, answer) //nolint:errcheck
+	// Decode from memory, not through a json.Decoder on the socket: its
+	// buffer doubles to wherever the reads of a large answer happen to break,
+	// so the bytes allocated per call would depend on timing.
+	buf := answerPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 1<<20 { // keep no /snapshot-sized buffer alive
+			buf.Reset()
+			answerPool.Put(buf)
+		}
+	}()
+	_, err = buf.ReadFrom(io.LimitReader(httpResp.Body, limit+1))
+	switch {
+	case int64(buf.Len()) > limit:
+		err = fmt.Errorf("answer over %d bytes", limit)
+	case err == nil:
+		err = json.Unmarshal(buf.Bytes(), resp)
+	}
+	if err != nil {
+		return fmt.Errorf("rpc: decode %s: %w", url, err)
+	}
 	return nil
 }
+
+// answerPool holds Call's answer buffers; one that grew past 1 MiB is dropped
+// instead of returned, so a single /snapshot cannot pin LimitRecords bytes.
+var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // SwitchSnapshot pulls the state-sync snapshot of the switch agent at
 // baseURL (GET /snapshot). Apply it to a local agent with Apply.

@@ -10,12 +10,15 @@ import (
 )
 
 // built counts the shards whose maps exist and reports whether the store's
-// merge cache does.
+// merge cache does. -1 shards: a shard's built flag disagrees with its map.
 func built(st *RecordStore) (shards int, mergeCache bool) {
 	for i := range st.shards {
 		sh := &st.shards[i]
-		if sh.recs != nil || sh.bySwitch != nil || sh.indexed != nil || sh.sorted != nil {
+		if sh.recs != nil || sh.paths != nil || sh.memos != nil {
 			shards++
+		}
+		if (sh.recs != nil) != sh.built.Load() {
+			return -1, false
 		}
 	}
 	return shards, st.merged != nil || st.gens != nil

@@ -124,9 +124,9 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 			sh := &st.shards[i]
 			sh.mu.Lock()
 			var cold []*flowrec.Record
-			for _, r := range sh.recs {
-				if r.LastSeen < cutoff {
-					cold = append(cold, r)
+			for _, s := range sh.recs {
+				if s.rec.LastSeen < cutoff {
+					cold = append(cold, s.rec)
 				}
 			}
 			// Remove after collection so the map is not mutated mid-range.
@@ -149,8 +149,8 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 			for i := range st.shards {
 				sh := &st.shards[i]
 				sh.mu.RLock()
-				for k, r := range sh.recs {
-					all = append(all, coldKey{flow: k, last: r.LastSeen})
+				for k, s := range sh.recs {
+					all = append(all, coldKey{flow: k, last: s.rec.LastSeen})
 				}
 				sh.mu.RUnlock()
 			}
@@ -169,9 +169,9 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 				// Re-check LastSeen under the write lock: a record that
 				// absorbed traffic since the snapshot is no longer the
 				// coldest and must survive this sweep.
-				if r, live := sh.recs[c.flow]; live && r.LastSeen == c.last {
-					st.removeLocked(sh, r)
-					victims = append(victims, r)
+				if s, live := sh.recs[c.flow]; live && s.rec.LastSeen == c.last {
+					st.removeLocked(sh, s.rec)
+					victims = append(victims, s.rec)
 				}
 				sh.mu.Unlock()
 			}
@@ -216,15 +216,10 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 }
 
 // removeLocked evicts one record from its (write-locked) shard: the record
-// map, the by-switch index, the path memo, and every affected memoized
-// answer.
+// map and the memoized answer of every switch on its indexed path.
 func (st *RecordStore) removeLocked(sh *shard, r *flowrec.Record) {
-	delete(sh.recs, r.Flow)
-	for _, sw := range sh.indexed[r.Flow] {
-		if m, ok := sh.bySwitch[sw]; ok {
-			delete(m, r.Flow)
-		}
+	for _, sw := range sh.pathOf(sh.recs[r.Flow]) {
 		st.invalidate(sh, sw)
 	}
-	delete(sh.indexed, r.Flow)
+	delete(sh.recs, r.Flow)
 }

@@ -2,10 +2,15 @@
 // reproduction's substitute for the MongoDB instance the paper's PathDump
 // deployment flushes records to (§6).
 //
-// It keeps records in memory sharded by flow-key hash, behind two indexes
-// (by flow and by traversed switch), and writes what leaves memory (Flush,
-// evictions, cold segments, snapshot frames) as flowrec segments (segment.go)
-// for the "flushed to local storage" behaviour.
+// It keeps records in memory sharded by flow-key hash behind one index: a
+// shard's record map, whose entries name the record and the (interned) path
+// it was last filed under. Which records traverse a switch is not stored per
+// record; it is a memo built by walking the shard the first time somebody
+// asks, kept until a record joins or leaves that switch, and carrying each
+// record's epoch range there so a (switch, epoch window) query reads ranges
+// sequentially and touches only what it returns. What leaves memory (Flush,
+// evictions, cold segments, snapshot frames) is written as flowrec segments
+// (segment.go) for the "flushed to local storage" behaviour.
 //
 // Shards are lazy: New is one allocation, and a shard's maps (like the
 // store's merge cache) are created under the lock that first writes them.
@@ -17,8 +22,8 @@ package store
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -33,38 +38,61 @@ import (
 // per store.
 const numShards = 16
 
-// shard owns one slice of the flow-key space. Its maps stay nil until the
-// first write (ensure, shardBySwitch).
-type shard struct {
-	// mu guards recs, bySwitch, and indexed: write-locked by mutations
-	// (Acquire/Release, Get-create, Reindex, Load), read-locked by queries.
-	mu       sync.RWMutex
-	recs     map[netsim.FlowKey]*flowrec.Record
-	bySwitch map[netsim.NodeID]map[netsim.FlowKey]struct{}
-	indexed  map[netsim.FlowKey][]netsim.NodeID // path as last indexed
-
-	// memoMu guards sorted, the shard's memoized per-switch record slices.
-	// It is a leaf lock: taken under mu (either mode), never the reverse.
-	memoMu sync.Mutex
-	sorted map[netsim.NodeID][]*flowrec.Record
+// slot is a shard's whole per-record state: the record, and the path it was
+// last indexed under as 1 + its position in shard.paths (0: none, or empty).
+type slot struct {
+	rec  *flowrec.Record
+	path int32
 }
 
-// RecordStore indexes flow records by flow key and by traversed switch.
+// memo is one shard's answer for one switch: the records whose indexed path
+// visits it, flow-key-sorted, and at[i] = recs[i]'s epoch range there. recs
+// is immutable once built (BySwitch merges it outside the shard lock); at is
+// rewritten in place under mu write-locked (refresh) and read under mu.
+type memo struct {
+	recs []*flowrec.Record
+	at   []simtime.EpochRange
+}
+
+// shard owns one slice of the flow-key space. Its maps stay nil until the
+// first write (ensure, memo).
+type shard struct {
+	// mu guards recs, paths and every memo's at: write-locked by mutations
+	// (Acquire/Release, Get-create, Reindex, Put, eviction), read-locked by
+	// queries. paths interns the distinct indexed paths; it only grows, to
+	// the few dozen routes the topology has to this host.
+	mu    sync.RWMutex
+	recs  map[netsim.FlowKey]slot
+	paths [][]netsim.NodeID
+	// built is set once recs exists, so a scan can pass over a never-written
+	// shard without locking it.
+	built atomic.Bool
+
+	// memoMu serializes the readers of one shard building memos into
+	// memos. It is a leaf lock, taken under mu; a writer, holding mu
+	// write-locked, excludes every reader and touches memos without it.
+	memoMu sync.Mutex
+	memos  map[netsim.NodeID]memo
+}
+
+// RecordStore indexes flow records by flow key and answers by traversed
+// switch.
 //
 // Records are sharded by flow-key hash with per-shard locks, so one store
-// serves many concurrent queries: BySwitch answers are memoized per shard
-// and merged in deterministic flow-key-sorted order, with the merged answer
-// cached until any shard's membership for that switch changes.
+// serves many concurrent queries. BySwitch merges the shards' memos in
+// deterministic flow-key-sorted order and caches the merged answer until any
+// shard's membership for that switch changes; QueryWindow scans the memos'
+// inline epoch ranges shard by shard.
 //
 // # Concurrency contract
 //
-// Queries (BySwitch, QueryBySwitch, View, Lookup, All, Len) are safe to
-// call concurrently with each other AND with mutations: each takes the
-// affected shards' read locks. Flush is also mutation-safe — it encodes
-// record clones snapshotted under shard read locks, never the live records.
-// There is no longer a single-owner-per-round restriction — the analyzer
-// may fan any number of concurrent queries at one store and the HTTP
-// binding may serve requests while the owning host is still absorbing
+// Queries (BySwitch, QueryBySwitch, QueryWindow, View, Lookup, All, Len)
+// are safe to call concurrently with each other AND with mutations: each
+// takes the affected shards' read locks. Flush is also mutation-safe — it
+// encodes record clones snapshotted under shard read locks, never the live
+// records. There is no longer a single-owner-per-round restriction — the
+// analyzer may fan any number of concurrent queries at one store and the
+// HTTP binding may serve requests while the owning host is still absorbing
 // packets.
 //
 // Mutators take one shard's write lock. The packet hot path uses the
@@ -74,9 +102,15 @@ type shard struct {
 // a record obtained from Get may only be mutated while no concurrent
 // queries run, or via Acquire/Release.
 //
-// Records handed out by query APIs are read-only: QueryBySwitch and View
-// hold the record's shard read-locked during the callback, which is the
-// only race-free way to read fields of a record that is still absorbing
+// Whoever changes a resident record's Path or Epochs owes the store a
+// Release, Reindex or Put: that re-files the record and refreshes the epoch
+// ranges the memos carry. Release skips it only when Record.Absorb vouches
+// that nothing indexable changed. Lock order: shard mu, then the shard's
+// memoMu or the store's mergeMu (both leaves).
+//
+// Records handed out by query APIs are read-only: QueryBySwitch, QueryWindow
+// and View hold the record's shard read-locked during the callback, which is
+// the only race-free way to read fields of a record that is still absorbing
 // packets. BySwitch/All return the shared record pointers for
 // sim-thread/serialization use; callers reading them concurrently with
 // absorption must go through the callback APIs instead.
@@ -114,16 +148,14 @@ func New() *RecordStore {
 	return &RecordStore{}
 }
 
-// reset empties every shard, index and memo, back to the never-written
+// reset empties every shard, path table and memo, back to the never-written
 // state.
 func (st *RecordStore) reset() {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
-		sh.recs, sh.bySwitch, sh.indexed = nil, nil, nil
-		sh.memoMu.Lock()
-		sh.sorted = nil
-		sh.memoMu.Unlock()
+		sh.recs, sh.paths, sh.memos = nil, nil, nil
+		sh.built.Store(false)
 		sh.mu.Unlock()
 	}
 	st.mergeMu.Lock()
@@ -131,13 +163,12 @@ func (st *RecordStore) reset() {
 	st.mergeMu.Unlock()
 }
 
-// ensure builds the shard's record map and indexes ahead of its first
-// write. Called with sh.mu write-locked.
+// ensure builds the shard's record map ahead of its first write. Called
+// with sh.mu write-locked.
 func (sh *shard) ensure() {
 	if sh.recs == nil {
-		sh.recs = make(map[netsim.FlowKey]*flowrec.Record)
-		sh.bySwitch = make(map[netsim.NodeID]map[netsim.FlowKey]struct{})
-		sh.indexed = make(map[netsim.FlowKey][]netsim.NodeID)
+		sh.recs = make(map[netsim.FlowKey]slot)
+		sh.built.Store(true)
 	}
 }
 
@@ -178,23 +209,25 @@ func (st *RecordStore) Get(flow netsim.FlowKey) *flowrec.Record {
 	return r
 }
 
+// getLocked must stay small enough to inline: hashing a copy of flow freshly
+// spilled for a call stalls on store forwarding, ≈ 20 ns per packet.
 func getLocked(sh *shard, flow netsim.FlowKey) *flowrec.Record {
-	r, ok := sh.recs[flow]
+	s, ok := sh.recs[flow]
 	if !ok {
 		sh.ensure()
-		r = flowrec.New(flow)
-		sh.recs[flow] = r
+		s.rec = flowrec.New(flow)
+		sh.recs[flow] = s
 	}
-	return r
+	return s.rec
 }
 
 // Lookup returns the record for a flow without creating it.
 func (st *RecordStore) Lookup(flow netsim.FlowKey) (*flowrec.Record, bool) {
 	sh := st.shardOf(flow)
 	sh.mu.RLock()
-	r, ok := sh.recs[flow]
+	s, ok := sh.recs[flow]
 	sh.mu.RUnlock()
-	return r, ok
+	return s.rec, ok
 }
 
 // View runs fn on the record for flow (if present) with the record's shard
@@ -205,11 +238,11 @@ func (st *RecordStore) View(flow netsim.FlowKey, fn func(*flowrec.Record)) bool 
 	sh := st.shardOf(flow)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	r, ok := sh.recs[flow]
+	s, ok := sh.recs[flow]
 	if !ok {
 		return false
 	}
-	fn(r)
+	fn(s.rec)
 	return true
 }
 
@@ -226,7 +259,9 @@ func (st *RecordStore) Acquire(flow netsim.FlowKey) *flowrec.Record {
 		st.contended.Add(1)
 		sh.mu.Lock()
 	}
-	return getLocked(sh, flow)
+	r := getLocked(sh, flow)
+	r.TakeSteady() // only an Absorb inside this Acquire/Release may vouch
+	return r
 }
 
 // LockStats returns how many Acquire calls have run and how many of them
@@ -249,10 +284,14 @@ func (st *RecordStore) Generations() uint64 {
 	return total
 }
 
-// Release reindexes a record obtained from Acquire and unlocks its shard.
+// Release unlocks the shard of a record obtained from Acquire, reindexing it
+// first unless its Absorb vouched that neither path nor epochs moved — the
+// per-packet steady state, which then costs no map lookup.
 func (st *RecordStore) Release(r *flowrec.Record) {
 	sh := st.shardOf(r.Flow)
-	st.reindexLocked(sh, r)
+	if !r.TakeSteady() {
+		st.reindexLocked(sh, r)
+	}
 	sh.mu.Unlock()
 }
 
@@ -273,8 +312,8 @@ func (st *RecordStore) Put(rec *flowrec.Record) bool {
 	sh := st.shardOf(rec.Flow)
 	sh.mu.Lock()
 	prev, replaced := sh.recs[rec.Flow]
-	if replaced && (prev.LastSeen > rec.LastSeen ||
-		(prev.LastSeen == rec.LastSeen && prev.Pkts > rec.Pkts)) {
+	if replaced && (prev.rec.LastSeen > rec.LastSeen ||
+		(prev.rec.LastSeen == rec.LastSeen && prev.rec.Pkts > rec.Pkts)) {
 		sh.mu.Unlock()
 		return false
 	}
@@ -282,14 +321,15 @@ func (st *RecordStore) Put(rec *flowrec.Record) bool {
 		// Wholesale replacement: the memoized per-switch answers hold the
 		// OLD record pointer, so every switch the flow touches — old path
 		// and new — must be invalidated even when the path is unchanged
-		// (reindexLocked early-returns in that case and would leave stale
-		// memos serving the superseded record).
-		for _, sw := range sh.indexed[rec.Flow] {
+		// (reindexLocked invalidates nothing in that case and would leave
+		// stale memos serving the superseded record).
+		for _, sw := range sh.pathOf(prev) {
 			st.invalidate(sh, sw)
 		}
 	}
 	sh.ensure()
-	sh.recs[rec.Flow] = rec
+	rec.TakeSteady()
+	sh.recs[rec.Flow] = slot{rec: rec, path: prev.path}
 	st.reindexLocked(sh, rec)
 	if replaced {
 		for _, sw := range rec.Path {
@@ -300,57 +340,99 @@ func (st *RecordStore) Put(rec *flowrec.Record) bool {
 	return true
 }
 
-// Reindex must be called after a record's path may have changed so the
-// switch index stays consistent. Switches the record no longer traverses are
-// removed from the index (a rerouted flow must stop answering queries for
-// its old path), newly traversed switches are added, and only the affected
-// switches' memoized answers are invalidated. When the path is unchanged —
-// the steady-state per-packet case — Reindex returns without touching the
-// index or the caches. r must be resident (obtained from Get). Callers that
-// mutate records concurrently with queries should use Acquire/Release,
-// which folds this in.
+// Reindex must be called after a record's path or epoch ranges may have
+// changed so the switch index stays consistent. Switches the record no
+// longer traverses stop listing it (a rerouted flow must stop answering
+// queries for its old path), newly traversed switches start, and only the
+// affected switches' memoized answers are invalidated; with the path
+// unchanged only the record's epoch ranges in the memos are refreshed. r must
+// be resident (obtained from Get). Callers that mutate records concurrently
+// with queries should use Acquire/Release, which folds this in.
 func (st *RecordStore) Reindex(r *flowrec.Record) {
 	sh := st.shardOf(r.Flow)
 	sh.mu.Lock()
+	r.TakeSteady()
 	st.reindexLocked(sh, r)
 	sh.mu.Unlock()
 }
 
-func (st *RecordStore) reindexLocked(sh *shard, r *flowrec.Record) {
-	prev := sh.indexed[r.Flow]
-	if slices.Equal(prev, r.Path) {
-		return
+// pathOf returns the path s was last indexed under (nil before the first).
+func (sh *shard) pathOf(s slot) []netsim.NodeID {
+	if s.path == 0 {
+		return nil
 	}
-	// Drop stale entries: switches on the old path but not the new one.
-	for _, sw := range prev {
-		if !slices.Contains(r.Path, sw) {
-			if m, ok := sh.bySwitch[sw]; ok {
-				delete(m, r.Flow)
-			}
-			st.invalidate(sh, sw)
-		}
-	}
-	for _, sw := range r.Path {
-		m, ok := sh.bySwitch[sw]
-		if !ok {
-			m = make(map[netsim.FlowKey]struct{})
-			sh.bySwitch[sw] = m
-		}
-		if _, had := m[r.Flow]; !had {
-			m[r.Flow] = struct{}{}
-			st.invalidate(sh, sw)
-		}
-	}
-	sh.indexed[r.Flow] = append(prev[:0], r.Path...)
+	return sh.paths[s.path-1]
 }
 
-// invalidate drops the shard's memoized slice for sw and bumps the switch's
+// intern returns path's slot value, adding it to the table when new.
+func (sh *shard) intern(path []netsim.NodeID) int32 {
+	if len(path) == 0 {
+		return 0
+	}
+	for i, p := range sh.paths {
+		if slices.Equal(p, path) {
+			return int32(i + 1)
+		}
+	}
+	sh.paths = append(sh.paths, slices.Clone(path))
+	return int32(len(sh.paths))
+}
+
+// reindexLocked re-files resident record r under its current path,
+// invalidating (shard, sw) for every switch that left or joined it, and
+// refreshes r's ranges in the surviving memos. sh.mu is write-locked.
+func (st *RecordStore) reindexLocked(sh *shard, r *flowrec.Record) {
+	s := sh.recs[r.Flow]
+	if prev := sh.pathOf(s); !slices.Equal(prev, r.Path) {
+		for _, sw := range prev {
+			if !slices.Contains(r.Path, sw) {
+				st.invalidate(sh, sw)
+			}
+		}
+		for i, sw := range r.Path {
+			if !slices.Contains(prev, sw) && !slices.Contains(r.Path[:i], sw) {
+				st.invalidate(sh, sw)
+			}
+		}
+		s.path = sh.intern(r.Path)
+		sh.recs[r.Flow] = s
+	}
+	sh.refresh(r)
+}
+
+// refresh rewrites r's epoch range in every memo that lists it: widening is
+// not a membership change, so nothing is invalidated. sh.mu is write-locked.
+func (sh *shard) refresh(r *flowrec.Record) {
+	if len(sh.memos) == 0 {
+		return
+	}
+	for _, sw := range r.Path {
+		m, ok := sh.memos[sw]
+		if !ok {
+			continue
+		}
+		i, found := slices.BinarySearchFunc(m.recs, r.Flow, func(e *flowrec.Record, k netsim.FlowKey) int {
+			return flowrec.Compare(e.Flow, k)
+		})
+		if found {
+			m.at[i] = epochsAt(r, sw)
+		}
+	}
+}
+
+// epochsAt is r.EpochsAt(sw), or a range no window overlaps when r has none.
+func epochsAt(r *flowrec.Record, sw netsim.NodeID) simtime.EpochRange {
+	if at, ok := r.EpochsAt(sw); ok {
+		return at
+	}
+	return simtime.EpochRange{Lo: math.MaxInt64, Hi: math.MinInt64}
+}
+
+// invalidate drops the shard's memo for sw and bumps the switch's
 // generation so an in-flight BySwitch merge cannot cache a stale answer.
-// Called with sh.mu write-locked; takes only leaf locks.
+// Called with sh.mu write-locked; takes only the leaf lock mergeMu.
 func (st *RecordStore) invalidate(sh *shard, sw netsim.NodeID) {
-	sh.memoMu.Lock()
-	delete(sh.sorted, sw)
-	sh.memoMu.Unlock()
+	delete(sh.memos, sw)
 	st.mergeMu.Lock()
 	if st.gens == nil {
 		st.gens = make(map[netsim.NodeID]uint64)
@@ -361,28 +443,44 @@ func (st *RecordStore) invalidate(sh *shard, sw netsim.NodeID) {
 	st.mergeMu.Unlock()
 }
 
-// shardBySwitch returns the shard's memoized sorted record slice for sw,
-// building it on first use. Called with sh.mu read- or write-locked.
-func (sh *shard) shardBySwitch(sw netsim.NodeID) []*flowrec.Record {
+// memo returns the shard's memo for sw, building it on first use from the
+// records whose indexed path visits sw (none: the zero memo, uncached).
+// Called with sh.mu read- or write-locked.
+func (sh *shard) memo(sw netsim.NodeID) memo {
 	sh.memoMu.Lock()
 	defer sh.memoMu.Unlock()
-	if out, ok := sh.sorted[sw]; ok {
-		return out
+	if m, ok := sh.memos[sw]; ok {
+		return m
 	}
-	keys, ok := sh.bySwitch[sw]
-	if !ok {
-		return nil
+	visits := make([]bool, len(sh.paths)+1) // by slot.path
+	for i, p := range sh.paths {
+		visits[i+1] = slices.Contains(p, sw)
 	}
-	out := make([]*flowrec.Record, 0, len(keys))
-	for k := range keys {
-		out = append(out, sh.recs[k])
+	if !slices.Contains(visits, true) {
+		return memo{}
 	}
-	sortRecords(out)
-	if sh.sorted == nil {
-		sh.sorted = make(map[netsim.NodeID][]*flowrec.Record)
+	// Count first: growing from nil leaves discarded copies of the slice.
+	n := 0
+	for _, s := range sh.recs {
+		if visits[s.path] {
+			n++
+		}
 	}
-	sh.sorted[sw] = out
-	return out
+	m := memo{recs: make([]*flowrec.Record, 0, n), at: make([]simtime.EpochRange, n)}
+	for _, s := range sh.recs {
+		if visits[s.path] {
+			m.recs = append(m.recs, s.rec)
+		}
+	}
+	sortRecords(m.recs)
+	for i, r := range m.recs {
+		m.at[i] = epochsAt(r, sw)
+	}
+	if sh.memos == nil {
+		sh.memos = make(map[netsim.NodeID]memo)
+	}
+	sh.memos[sw] = m
+	return m
 }
 
 // BySwitch returns all records whose path visits sw, in deterministic
@@ -407,7 +505,7 @@ func (st *RecordStore) BySwitch(sw netsim.NodeID) []*flowrec.Record {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		parts[i] = sh.shardBySwitch(sw)
+		parts[i] = sh.memo(sw).recs
 		sh.mu.RUnlock()
 		total += len(parts[i])
 	}
@@ -448,10 +546,10 @@ func mergeSorted(parts [][]*flowrec.Record, total int) []*flowrec.Record {
 
 // QueryBySwitch calls fn for every record whose path visits sw, in
 // flow-key-sorted order, holding each record's shard read-locked during its
-// callback. This is the query executors' iteration primitive: it is safe to
-// run concurrently with packet absorption (Acquire/Release) into the same
-// store. fn must not call back into the store; returning false stops the
-// iteration.
+// callback. This is the iteration primitive of the executors that want every
+// record of a switch (top-k, flow sizes): it is safe to run concurrently
+// with packet absorption (Acquire/Release) into the same store. fn must not
+// call back into the store; returning false stops the iteration.
 func (st *RecordStore) QueryBySwitch(sw netsim.NodeID, fn func(*flowrec.Record) bool) {
 	for _, r := range st.BySwitch(sw) {
 		sh := st.shardOf(r.Flow)
@@ -464,14 +562,39 @@ func (st *RecordStore) QueryBySwitch(sw netsim.NodeID, fn func(*flowrec.Record) 
 	}
 }
 
+// QueryWindow calls fn for every record whose path visits sw and whose
+// epoch range at sw overlaps window — the "(switchID, epochID) pair" filter
+// every diagnosis starts from. Per written shard (a never-written one is not
+// even locked) it takes the read lock once, reads the memo's ranges
+// sequentially and touches only the records it hands to fn. Safe concurrently
+// with absorption; fn runs under the shard read lock and must not call back
+// into the store. Records arrive shard by shard, flow-key-sorted within one:
+// a caller that wants the global order sorts its (answer-sized) result.
+func (st *RecordStore) QueryWindow(sw netsim.NodeID, window simtime.EpochRange, fn func(*flowrec.Record)) {
+	for i := range st.shards {
+		sh := &st.shards[i]
+		if !sh.built.Load() {
+			continue
+		}
+		sh.mu.RLock()
+		m := sh.memo(sw)
+		for j, at := range m.at {
+			if at.Overlaps(window) {
+				fn(m.recs[j])
+			}
+		}
+		sh.mu.RUnlock()
+	}
+}
+
 // All returns every record in deterministic order.
 func (st *RecordStore) All() []*flowrec.Record {
 	var out []*flowrec.Record
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
-		for _, r := range sh.recs {
-			out = append(out, r)
+		for _, s := range sh.recs {
+			out = append(out, s.rec)
 		}
 		sh.mu.RUnlock()
 	}
@@ -481,9 +604,7 @@ func (st *RecordStore) All() []*flowrec.Record {
 
 func flowLess(a, b netsim.FlowKey) bool { return flowrec.Less(a, b) }
 
-func sortRecords(rs []*flowrec.Record) {
-	sort.Slice(rs, func(i, j int) bool { return flowLess(rs[i].Flow, rs[j].Flow) })
-}
+func sortRecords(rs []*flowrec.Record) { flowrec.SortRecords(rs) }
 
 // MatchesEpochs reports whether a record is addressed by the given epoch
 // window: any of its per-switch epoch ranges overlaps it. The full range
@@ -518,9 +639,9 @@ func (st *RecordStore) SnapshotShards(epochs simtime.EpochRange, fn func(recs []
 		sh := &st.shards[i]
 		var recs []*flowrec.Record
 		sh.mu.RLock()
-		for _, r := range sh.recs {
-			if MatchesEpochs(r, epochs) {
-				recs = append(recs, r.Clone())
+		for _, s := range sh.recs {
+			if MatchesEpochs(s.rec, epochs) {
+				recs = append(recs, s.rec.Clone())
 			}
 		}
 		sh.mu.RUnlock()

@@ -17,6 +17,7 @@ if [ -n "$FMT_OUT" ]; then
 fi
 go vet ./...
 go run ./cmd/splint ./...
+sh -n scripts/bench-pairs.sh # syntax only: running it is a measurement, not a gate
 
 go test ./...
 
