@@ -26,10 +26,11 @@ test:
 
 ## race: race detector over the concurrent surface (analyzer fan-out, RPC,
 ## host-agent query executors, sharded record store, event engine, cluster
-## service plane, switch agents, the packet simulator, and the root-package
-## integration tests) — scoped so the gate stays fast
+## service plane, switch agents, the packet simulator, the record codec, the
+## routing table, and the root-package integration tests) — scoped so the
+## gate stays fast
 race:
-	$(GO) test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace .
+	$(GO) test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace ./internal/flowrec ./internal/topo .
 
 ## fuzz: 10 s of native fuzzing over the segment decoder (seed corpus in
 ## internal/store/testdata/fuzz) — no panic, allocation bounded by the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"switchpointer/internal/hostagent"
@@ -171,27 +172,15 @@ func (a *Analyzer) pullCandidates(ctx context.Context, clock *rpc.Clock, tuples 
 // destination.
 func (a *Analyzer) pruneForVictim(sw netsim.NodeID, victim netsim.FlowKey, cands []netsim.IPv4) (kept, pruned []netsim.IPv4) {
 	node, _ := a.Topo.Net.NodeByID(sw)
-	swNode, ok := node.(*netsim.Switch)
-	if !ok {
+	if _, ok := node.(*netsim.Switch); !ok {
 		return cands, nil
 	}
-	victimPorts := portSet(a.Topo.EgressPortsToward(swNode, victim.Dst))
+	victimPorts := a.Topo.EgressPortsToward(sw, victim.Dst)
 	for _, ip := range cands {
 		if ip == victim.Dst {
 			continue // the victim's own telemetry, already in hand
 		}
-		if a.DisablePruning {
-			kept = append(kept, ip)
-			continue
-		}
-		shared := false
-		for _, p := range a.Topo.EgressPortsToward(swNode, ip) {
-			if victimPorts[p] {
-				shared = true
-				break
-			}
-		}
-		if shared {
+		if a.DisablePruning || sharePort(a.Topo.EgressPortsToward(sw, ip), victimPorts) {
 			kept = append(kept, ip)
 		} else {
 			pruned = append(pruned, ip)
@@ -204,26 +193,18 @@ func (a *Analyzer) pruneForVictim(sw netsim.NodeID, victim netsim.FlowKey, cands
 // switch sw through a common output port — the precondition for the two
 // flows to have contended in the same queue there.
 func (a *Analyzer) sharesEgress(sw netsim.NodeID, dstA, dstB netsim.IPv4) bool {
-	node, _ := a.Topo.Net.NodeByID(sw)
-	swNode, ok := node.(*netsim.Switch)
-	if !ok {
-		return false
-	}
-	pa := portSet(a.Topo.EgressPortsToward(swNode, dstA))
-	for _, p := range a.Topo.EgressPortsToward(swNode, dstB) {
-		if pa[p] {
+	return sharePort(a.Topo.EgressPortsToward(sw, dstA), a.Topo.EgressPortsToward(sw, dstB))
+}
+
+// sharePort reports whether two port lists have a port in common. Both are
+// one switch's few equal-cost choices, so a nested scan beats any set.
+func sharePort(a, b []int) bool {
+	for _, p := range a {
+		if slices.Contains(b, p) {
 			return true
 		}
 	}
 	return false
-}
-
-func portSet(ports []int) map[int]bool {
-	m := make(map[int]bool, len(ports))
-	for _, p := range ports {
-		m[p] = true
-	}
-	return m
 }
 
 // dedupIPs merges per-switch candidate lists into one sorted unique list.

@@ -34,8 +34,7 @@ func (a *Analyzer) diagnoseCascade(ctx context.Context, alert hostagent.Alert) (
 	result := &Report{
 		Alert:              alert,
 		Clock:              clock,
-		PerSwitch:          first.PerSwitch,
-		Culprits:           first.Culprits,
+		PerSwitch:          make(map[netsim.NodeID][]Culprit, len(first.PerSwitch)),
 		PointerHosts:       first.PointerHosts,
 		PrunedHosts:        first.PrunedHosts,
 		HostsContacted:     first.HostsContacted,
@@ -45,6 +44,12 @@ func (a *Analyzer) diagnoseCascade(ctx context.Context, alert hostagent.Alert) (
 		TieredSegments:     first.TieredSegments,
 		Cascade:            chain,
 		Kind:               KindInconclusive,
+	}
+	// Refiling the first round's culprits in order rebuilds its PerSwitch
+	// too: each switch's list is the same stable sort of the same inserts.
+	culprits := &culpritIndex{}
+	for _, c := range first.Culprits {
+		culprits.add(result, c)
 	}
 	if err != nil {
 		return aborted(result, ctx, err, "first contention round")
@@ -83,10 +88,9 @@ func (a *Analyzer) diagnoseCascade(ctx context.Context, alert hostagent.Alert) (
 		result.ColdSkippedByIndex += next.ColdSkippedByIndex
 		result.TieredSegments += next.TieredSegments
 		result.Consulted = dedupIPs(result.Consulted, next.Consulted)
-		for sw, cs := range next.PerSwitch {
+		for _, cs := range next.PerSwitch {
 			for _, c := range filterAbovePriority(cs, top.Priority) {
-				result.PerSwitch[sw] = appendCulprit(result.PerSwitch[sw], c)
-				result.Culprits = appendCulprit(result.Culprits, c)
+				culprits.add(result, c)
 			}
 		}
 		if err != nil {

@@ -85,6 +85,7 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 	}
 	answers, dispatched, cerr := a.hostBackend().HeadersRound(qctx, a.workers(), contact, queries)
 	recCounts := make([]int, dispatched)
+	culprits := &culpritIndex{}
 	var coldHosts []string
 	var coldRecs []int
 	sawHigher := false
@@ -126,8 +127,7 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 				if c.Bytes == 0 {
 					c.Bytes = rec.Bytes
 				}
-				d.PerSwitch[c.Switch] = appendCulprit(d.PerSwitch[c.Switch], c)
-				d.Culprits = appendCulprit(d.Culprits, c)
+				culprits.add(d, c)
 				switch {
 				case c.Priority > victimPrio:
 					sawHigher = true
@@ -224,18 +224,63 @@ func intersect(a, b simtime.EpochRange) simtime.EpochRange {
 	return simtime.EpochRange{Lo: lo, Hi: hi}
 }
 
-// appendCulprit adds c unless an entry for the same flow at the same switch
-// exists (it keeps the one with more bytes).
-func appendCulprit(list []Culprit, c Culprit) []Culprit {
-	for i := range list {
-		if list[i].Flow == c.Flow && list[i].Switch == c.Switch {
-			if c.Bytes > list[i].Bytes {
-				list[i] = c
-			}
-			return list
+// culpritIndex dedups a report's culprits by (flow, switch). slots is an
+// open-addressing hash table, at most half full, of 1 + a culprit's position
+// in Report.Culprits (0 = empty); perSwitch holds, by that same position, the
+// culprit's position in Report.PerSwitch[its switch]. At the ~800 culprits of
+// a large diagnosis it allocates a third of what a Go map would.
+type culpritIndex struct {
+	slots     []int32
+	perSwitch []int32
+}
+
+// add appends c to d.Culprits and d.PerSwitch[c.Switch] unless the flow is
+// already a culprit at that switch; then the entry with more bytes stays in
+// both.
+func (ix *culpritIndex) add(d *Report, c Culprit) {
+	if 2*(len(d.Culprits)+1) > len(ix.slots) {
+		ix.rehash(d.Culprits)
+	}
+	slot, p := ix.find(d.Culprits, c.Flow, c.Switch)
+	if p >= 0 {
+		if c.Bytes > d.Culprits[p].Bytes {
+			d.Culprits[p] = c
+			d.PerSwitch[c.Switch][ix.perSwitch[p]] = c
+		}
+		return
+	}
+	ix.slots[slot] = int32(len(d.Culprits)) + 1
+	ix.perSwitch = append(ix.perSwitch, int32(len(d.PerSwitch[c.Switch])))
+	d.Culprits = append(d.Culprits, c)
+	d.PerSwitch[c.Switch] = append(d.PerSwitch[c.Switch], c)
+}
+
+// find returns the slot holding (flow, sw) and its position in cs, or the
+// empty slot it would take and −1.
+func (ix *culpritIndex) find(cs []Culprit, flow netsim.FlowKey, sw netsim.NodeID) (slot, pos int) {
+	h := uint64(flow.Src)<<32 | uint64(flow.Dst)
+	h = (h^h>>30)*0xbf58476d1ce4e5b9 ^ uint64(flow.SrcPort)<<48 ^ uint64(flow.DstPort)<<32 ^ uint64(flow.Proto)<<24 ^ uint64(uint32(sw))
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	mask := len(ix.slots) - 1
+	for slot = int(h^h>>31) & mask; ; slot = (slot + 1) & mask {
+		pos = int(ix.slots[slot]) - 1
+		if pos < 0 || (cs[pos].Flow == flow && cs[pos].Switch == sw) {
+			return slot, pos
 		}
 	}
-	return append(list, c)
+}
+
+// rehash rebuilds the table with room for twice the culprits cs holds.
+func (ix *culpritIndex) rehash(cs []Culprit) {
+	n := 64
+	for n < 4*len(cs) {
+		n *= 2
+	}
+	ix.slots = make([]int32, n)
+	for i, c := range cs {
+		slot, _ := ix.find(cs, c.Flow, c.Switch)
+		ix.slots[slot] = int32(i) + 1
+	}
 }
 
 // sortCulprits orders by bytes descending, flow key as the tie-break; stable,

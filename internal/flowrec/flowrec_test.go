@@ -154,6 +154,19 @@ func TestUntaggedEpochAccounting(t *testing.T) {
 	}
 }
 
+func TestAddEpochBytes(t *testing.T) {
+	r := New(samplePacket(0, 0).Flow)
+	r.AddEpochBytes(5, 100)
+	r.AddEpochBytes(-1, 1)
+	r.AddEpochBytes(5, 50)
+	if len(r.EpochBytes) != 2 || r.EpochBytes[5] != 150 || r.EpochBytes[-1] != 1 {
+		t.Fatalf("EpochBytes = %v", r.EpochBytes)
+	}
+	if r.Bytes != 0 || r.TakeSteady() {
+		t.Fatalf("AddEpochBytes touched more than EpochBytes: %+v", r)
+	}
+}
+
 func TestStringForm(t *testing.T) {
 	r := New(samplePacket(0, 0).Flow)
 	r.Absorb(samplePacket(100, 2), sampleDecoded(), 0)

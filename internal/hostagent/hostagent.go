@@ -8,6 +8,7 @@ package hostagent
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -346,15 +347,14 @@ type HeadersQuery struct {
 
 // wantsFlow reports whether the query's flow restriction (if any) admits f.
 func (q HeadersQuery) wantsFlow(f netsim.FlowKey) bool {
-	if len(q.Flows) == 0 {
-		return true
-	}
-	for _, w := range q.Flows {
-		if w == f {
-			return true
-		}
-	}
-	return false
+	return len(q.Flows) == 0 || slices.Contains(q.Flows, f)
+}
+
+// matches reports whether rec answers the query: the flow is wanted and was
+// seen at the query's switch during its window.
+func (q HeadersQuery) matches(rec *flowrec.Record) bool {
+	er, ok := rec.EpochsAt(q.Switch)
+	return ok && er.Overlaps(q.Epochs) && q.wantsFlow(rec.Flow)
 }
 
 // HeadersAnswer is one host's reply to a HeadersQuery: the matching records
@@ -431,22 +431,27 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 	// query out — index exclusions are counted per query as
 	// ColdSkippedByIndex. Tiered-out segments are never decoded (the data
 	// is gone); they are reported as TieredSegments so the answer's gap is
-	// honest. Kept records must match the query's (switch, epochs) and not
-	// already be answered hot. Later segments win for a flow evicted more
-	// than once (eviction order is write order).
-	hot := make([]map[netsim.FlowKey]bool, len(qs))
-	recovered := make([]map[netsim.FlowKey]*flowrec.Record, len(qs))
-	for qi := range qs {
-		hot[qi] = make(map[netsim.FlowKey]bool, len(out[qi].Records))
-		for _, r := range out[qi].Records {
-			hot[qi][r.Flow] = true
+	// honest. The decoder materialises only records some interested query
+	// matches; each query then keeps its own matches in segment order.
+	cold := make([][]*flowrec.Record, len(qs))
+	var interested []int
+	keep := func(rec *flowrec.Record) bool {
+		for _, qi := range interested {
+			if qs[qi].matches(rec) {
+				return true
+			}
 		}
-		recovered[qi] = make(map[netsim.FlowKey]*flowrec.Record)
+		return false
+	}
+	collect := func(rec *flowrec.Record) {
+		for _, qi := range interested {
+			if qs[qi].matches(rec) {
+				cold[qi] = append(cold[qi], rec)
+			}
+		}
 	}
 	view := a.cold.View()
 	defer view.Close()
-	var interested []int
-	var recs []*flowrec.Record
 	for i := 0; i < view.Len(); i++ {
 		m := view.Manifest(i)
 		interested = interested[:0]
@@ -469,8 +474,7 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 		if len(interested) == 0 {
 			continue
 		}
-		recs = recs[:0]
-		err := view.ReadSegment(i, func(rec *flowrec.Record) { recs = append(recs, rec) })
+		n, err := view.ReadSegment(i, keep, collect)
 		if err != nil {
 			if a.OnEvictError != nil {
 				a.OnEvictError(fmt.Errorf("hostagent: cold read-back: %w", err))
@@ -478,34 +482,12 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 			continue
 		}
 		for _, qi := range interested {
-			q := qs[qi]
 			out[qi].ColdSegments++
-			out[qi].ColdRecords += len(recs)
-			for _, rec := range recs {
-				if hot[qi][rec.Flow] || !q.wantsFlow(rec.Flow) {
-					continue
-				}
-				er, ok := rec.EpochsAt(q.Switch)
-				if ok && er.Overlaps(q.Epochs) {
-					recovered[qi][rec.Flow] = rec
-				}
-			}
+			out[qi].ColdRecords += n
 		}
-	}
-	for qi := range qs {
-		if len(recovered[qi]) == 0 {
-			continue
-		}
-		out[qi].ColdReturned = len(recovered[qi])
-		for _, rec := range recovered[qi] {
-			out[qi].Records = append(out[qi].Records, rec)
-		}
-		// Keep each merged answer in the store's deterministic flow-key
-		// order so reports are byte-identical to a run whose window was
-		// never evicted.
-		flowrec.SortRecords(out[qi].Records)
 	}
 	for qi := range out {
+		out[qi].Records, out[qi].ColdReturned = mergeCold(out[qi].Records, cold[qi])
 		a.coldSegments.Add(uint64(out[qi].ColdSegments))
 		a.coldRecords.Add(uint64(out[qi].ColdRecords))
 		a.coldReturned.Add(uint64(out[qi].ColdReturned))
@@ -513,6 +495,36 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 		a.coldTiered.Add(uint64(out[qi].TieredSegments))
 	}
 	return out
+}
+
+// mergeCold merges one query's cold matches, in segment order, into its hot
+// answer, in flow-key order, and says how many it took: a flow answered hot
+// stays hot, and the last segment's version of a flow evicted twice wins.
+func mergeCold(hot, cold []*flowrec.Record) ([]*flowrec.Record, int) {
+	if len(cold) == 0 {
+		return hot, 0
+	}
+	slices.SortStableFunc(cold, func(a, b *flowrec.Record) int { return flowrec.Compare(a.Flow, b.Flow) })
+	merged := make([]*flowrec.Record, 0, len(hot)+len(cold))
+	taken, h := 0, 0
+	for i, rec := range cold {
+		if i+1 < len(cold) && cold[i+1].Flow == rec.Flow {
+			continue // a later version follows
+		}
+		for h < len(hot) && flowrec.Less(hot[h].Flow, rec.Flow) {
+			merged = append(merged, hot[h])
+			h++
+		}
+		if h < len(hot) && hot[h].Flow == rec.Flow {
+			continue
+		}
+		merged = append(merged, rec)
+		taken++
+	}
+	if taken == 0 {
+		return hot, 0
+	}
+	return append(merged, hot[h:]...), taken
 }
 
 // FlowBytes pairs a flow with a byte count for top-k style answers.

@@ -458,8 +458,8 @@ func TestViewSurvivesRewrites(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		n := 0
-		if err := v.ReadSegment(i, func(*flowrec.Record) { n++ }); err != nil || n != 1 {
-			t.Fatalf("view segment %d: %d records, err %v", i, n, err)
+		if recs, err := v.ReadSegment(i, nil, func(*flowrec.Record) { n++ }); err != nil || n != 1 || recs != 1 {
+			t.Fatalf("view segment %d: %d of %d records, err %v", i, n, recs, err)
 		}
 	}
 	v.Close()
@@ -573,9 +573,20 @@ func TestColdTierConcurrency(t *testing.T) {
 						v.Close()
 						return
 					}
-					err := v.ReadSegment(s, func(*flowrec.Record) {})
+					// Alternate whole and filtered reads through the pooled
+					// read buffers.
+					var keep func(*flowrec.Record) bool
+					if i%2 == 1 {
+						keep = func(r *flowrec.Record) bool { return r.Flow.SrcPort%2 == 0 }
+					}
+					recs, err := v.ReadSegment(s, keep, func(*flowrec.Record) {})
 					if err != nil && !errors.Is(err, store.ErrTiered) {
 						fail <- fmt.Errorf("view read %d: %w", s, err)
+						v.Close()
+						return
+					}
+					if err == nil && recs != m.Flows {
+						fail <- fmt.Errorf("view read %d: %d records, manifest says %d", s, recs, m.Flows)
 						v.Close()
 						return
 					}

@@ -327,14 +327,15 @@ func (v *logView) Len() int { return len(v.segs) }
 // valid until Close.
 func (v *logView) Manifest(i int) *store.SegmentManifest { return &v.segs[i].Manifest }
 
-// ReadSegment decodes segment i of the view and hands each record to fn.
+// ReadSegment decodes segment i of the view and hands each record keep
+// admits to fn, returning the segment's record count (see store.ColdView).
 // The records are fresh decodes owned by the caller. A tiered-out segment
 // returns an error wrapping store.ErrTiered.
-func (v *logView) ReadSegment(i int, fn func(*flowrec.Record)) error {
+func (v *logView) ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record)) (int, error) {
 	if i < 0 || i >= len(v.segs) {
-		return fmt.Errorf("statesync: segment %d out of range", i)
+		return 0, fmt.Errorf("statesync: segment %d out of range", i)
 	}
-	return v.l.readSegment(&v.segs[i], i, fn)
+	return v.l.readSegment(&v.segs[i], i, keep, fn)
 }
 
 // Close releases the view back to the pool and, when it was the last open
@@ -380,28 +381,43 @@ func (l *SegmentLog) retire(files []string) {
 	l.reclaim()
 }
 
-func (l *SegmentLog) readSegment(seg *logSegment, i int, fn func(*flowrec.Record)) error {
+func (l *SegmentLog) readSegment(seg *logSegment, i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record)) (int, error) {
 	if seg.Manifest.Tiered {
-		return fmt.Errorf("statesync: segment %d: %w", i, store.ErrTiered)
+		return 0, fmt.Errorf("statesync: segment %d: %w", i, store.ErrTiered)
 	}
 	payload := seg.payload
 	if payload == nil {
-		raw, err := os.ReadFile(filepath.Join(l.dir, seg.file))
-		if err != nil {
-			return fmt.Errorf("statesync: read segment %d: %w", i, err)
+		// Decoded records never alias the payload: its buffer is pooled.
+		buf := readBufs.Get().(*bytes.Buffer)
+		defer func() {
+			if buf.Cap() <= 1<<20 { // keep no compaction-sized buffer alive
+				buf.Reset()
+				readBufs.Put(buf)
+			}
+		}()
+		f, err := os.Open(filepath.Join(l.dir, seg.file))
+		if err == nil {
+			_, err = buf.ReadFrom(f)
+			f.Close() // read-only: nothing to flush
 		}
-		payload = raw
+		if err != nil {
+			return 0, fmt.Errorf("statesync: read segment %d: %w", i, err)
+		}
+		payload = buf.Bytes()
 	}
-	recs, err := store.DecodeSegmentBytes(payload)
+	recs, n, err := store.FilterSegment(payload, keep)
 	if err != nil {
-		return fmt.Errorf("statesync: segment %d: %w", i, err)
+		return 0, fmt.Errorf("statesync: segment %d: %w", i, err)
 	}
 	l.segDecodes.Add(1)
 	for _, r := range recs {
 		fn(r)
 	}
-	return nil
+	return n, nil
 }
+
+// readBufs holds segment-file read buffers.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Manifests returns a copy of every segment's manifest in log order — a
 // convenience for tests and health accounting. Query paths should use View
@@ -423,10 +439,11 @@ func (l *SegmentLog) Len() int {
 	return len(l.segs)
 }
 
-// ReadSegment decodes segment i of the current log state and hands each
-// record to fn — the one-shot convenience form of View().ReadSegment.
+// ReadSegment decodes segment i of the current log state and hands every
+// record to fn — the one-shot, unfiltered form of View().ReadSegment.
 func (l *SegmentLog) ReadSegment(i int, fn func(*flowrec.Record)) error {
 	v := l.View()
 	defer v.Close()
-	return v.ReadSegment(i, fn)
+	_, err := v.ReadSegment(i, nil, fn)
+	return err
 }

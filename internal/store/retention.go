@@ -63,15 +63,16 @@ type ColdReader interface {
 
 // ColdView is one consistent snapshot of a cold store's segments. Indexes
 // are positions within THIS view (they survive concurrent rewrites of the
-// underlying log). Manifest returns a read-only pointer; ReadSegment
-// decodes segment i and calls fn for each of its records (the records are
-// owned by the caller), returning an error wrapping ErrTiered when the
-// segment's payload was tiered out. Close releases the view — the view and
-// any manifest pointers obtained from it must not be used afterwards.
+// underlying log). Manifest returns a read-only pointer. ReadSegment decodes
+// segment i, calls fn for each record keep admits (nil: all; see package
+// flowrec), in order and owned by the caller, and returns the segment's full
+// record count, admitted or not; on an error, wrapping ErrTiered when the
+// payload was tiered out, fn is never called. Close releases the view — the
+// view and any manifest pointers obtained from it must not be used afterwards.
 type ColdView interface {
 	Len() int
 	Manifest(i int) *SegmentManifest
-	ReadSegment(i int, fn func(*flowrec.Record)) error
+	ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record)) (records int, err error)
 	Close()
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"switchpointer/internal/flowrec"
 )
@@ -48,14 +49,28 @@ func DecodeSegment(r io.Reader) ([]*flowrec.Record, error) {
 // DecodeSegmentBytes is DecodeSegment for a segment already in memory;
 // payload holds exactly one segment and is not retained.
 func DecodeSegmentBytes(payload []byte) ([]*flowrec.Record, error) {
+	recs, _, err := FilterSegment(payload, nil)
+	return recs, err
+}
+
+// FilterSegment decodes the one segment in payload and returns the records
+// keep admits (nil keep admits all; package flowrec states keep's contract)
+// with the segment's full record count. payload is not retained. A legacy
+// gob segment is decoded whole, then filtered.
+func FilterSegment(payload []byte, keep func(*flowrec.Record) bool) ([]*flowrec.Record, int, error) {
 	if !flowrec.HasSegmentMagic(payload) {
-		return decodeLegacyGob(bytes.NewReader(payload))
+		recs, err := decodeLegacyGob(bytes.NewReader(payload))
+		n := len(recs)
+		if keep != nil {
+			recs = slices.DeleteFunc(recs, func(r *flowrec.Record) bool { return !keep(r) })
+		}
+		return recs, n, err
 	}
-	recs, err := flowrec.DecodeSegment(payload)
+	recs, n, err := flowrec.DecodeSegment(payload, keep)
 	if err != nil {
-		return nil, fmt.Errorf("store: decode segment: %w", err)
+		return nil, 0, fmt.Errorf("store: decode segment: %w", err)
 	}
-	return recs, nil
+	return recs, n, nil
 }
 
 // decodeLegacyGob is the read-only path for logs written before the segment

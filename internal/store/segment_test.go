@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/iotest"
 
@@ -164,6 +165,8 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 // FuzzDecodeSegment feeds DecodeSegment arbitrary bytes: it must return
 // records or an error — never panic, never allocate out of proportion to the
 // input — and whatever it accepts must survive an encode/decode round trip.
+// FilterSegment, with a keep drawn from the input, must agree with the
+// whole decode filtered.
 // The committed corpus (testdata/fuzz) holds a valid segment, forged counts
 // and the legacy gob fixture; every truncation of a segment is seeded here.
 func FuzzDecodeSegment(f *testing.F) {
@@ -190,6 +193,31 @@ func FuzzDecodeSegment(f *testing.F) {
 		// race detector doubles it).
 		if grew := after.TotalAlloc - before.TotalAlloc; flowrec.HasSegmentMagic(data) && grew > 1<<18+64*uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+
+		// The predicate form: bit i of the input admits record i. It fails
+		// exactly when the whole decode fails, and otherwise returns the whole
+		// decode filtered, with the same record count.
+		admits := func(i int) bool {
+			return len(data) > 0 && data[i%len(data)]>>(i/len(data)%8)&1 == 1
+		}
+		calls := 0
+		kept, n, keptErr := FilterSegment(data, func(*flowrec.Record) bool { calls++; return admits(calls - 1) })
+		full, fullN, fullErr := FilterSegment(data, nil)
+		if (keptErr == nil) != (fullErr == nil) {
+			t.Fatalf("with a keep: %v; without: %v", keptErr, fullErr)
+		}
+		if fullErr == nil {
+			var want []*flowrec.Record
+			for i, r := range full {
+				if admits(i) {
+					want = append(want, r)
+				}
+			}
+			same := slices.EqualFunc(kept, want, func(a, b *flowrec.Record) bool { return reflect.DeepEqual(a, b) })
+			if !same || n != len(full) || fullN != len(full) || calls != len(full) {
+				t.Fatalf("kept %d of %d records (keep called %d times), want %d of %d", len(kept), n, calls, len(want), fullN)
+			}
 		}
 		if err != nil {
 			return

@@ -67,6 +67,11 @@ type Topology struct {
 	// reconstruction; nothing on the packet path searches it.
 	linkRules [][]LinkID
 
+	// egress is the routing table ComputeRoutes computed: [switch NodeID]
+	// → host IP → the switch's equal-cost egress ports toward that host,
+	// ascending. Hosts under one ToR share one slice at every other switch.
+	egress []map[netsim.IPv4][]int
+
 	// tagScope decides whether a given egress link is a key (tagging) link
 	// for a packet to dst. Set by builders.
 	tagScope func(t *Topology, sw *netsim.Switch, dst netsim.IPv4, outPort int) bool
@@ -221,21 +226,44 @@ func (t *Topology) ReconstructPath(src, dst netsim.IPv4, link LinkID) ([]netsim.
 
 // ComputeRoutes installs shortest-path routes for every host destination on
 // every switch, breaking equal-cost ties with a deterministic per-flow ECMP
-// hash (installed as a RouteOverride on switches with path diversity).
+// hash (installed as a RouteOverride on switches with path diversity), and
+// keeps the port lists as the table EgressPortsToward reads. It runs one BFS
+// per destination ToR: every host under a ToR shares one port list at each
+// other switch.
 func (t *Topology) ComputeRoutes() {
+	t.egress = nil
 	for _, sw := range t.switches {
-		sw := sw
-		candidates := make(map[netsim.IPv4][]int)
-		for _, h := range t.hosts {
-			ports := t.candidatePorts(sw, h.IP())
-			if len(ports) == 0 {
-				continue
-			}
-			candidates[h.IP()] = ports
-			sw.SetRoute(h.IP(), ports[0])
+		for int(sw.NodeID()) >= len(t.egress) {
+			t.egress = append(t.egress, nil)
 		}
+		t.egress[sw.NodeID()] = make(map[netsim.IPv4][]int, len(t.hosts))
+	}
+	toward := make(map[*netsim.Switch][][]int) // a ToR → its port list at each switch
+	for _, h := range t.hosts {
+		ip, tor := h.IP(), t.attach[h.IP()]
+		lists, ok := toward[tor]
+		if !ok {
+			dist := t.bfsDistances(tor.NodeID())
+			for _, sw := range t.switches {
+				lists = append(lists, t.portsToward(sw.NodeID(), dist))
+			}
+			toward[tor] = lists
+		}
+		for i, sw := range t.switches {
+			ports := lists[i]
+			if sw == tor {
+				ports = []int{t.hostPort[ip]}
+			}
+			if len(ports) > 0 {
+				t.egress[sw.NodeID()][ip] = ports
+				sw.SetRoute(ip, ports[0])
+			}
+		}
+	}
+	for _, sw := range t.switches {
+		table := t.egress[sw.NodeID()]
 		multi := false
-		for _, ports := range candidates {
+		for _, ports := range table {
 			if len(ports) > 1 {
 				multi = true
 				break
@@ -243,7 +271,7 @@ func (t *Topology) ComputeRoutes() {
 		}
 		if multi {
 			sw.RouteOverride = func(s *netsim.Switch, p *netsim.Packet) (int, bool) {
-				ports := candidates[p.Flow.Dst]
+				ports := table[p.Flow.Dst]
 				if len(ports) <= 1 {
 					return 0, false
 				}
@@ -254,15 +282,20 @@ func (t *Topology) ComputeRoutes() {
 }
 
 // EgressPortsToward returns the egress ports switch sw may use for traffic
-// to dst (all equal-cost choices). The analyzer's pruning uses it to decide
-// whether a candidate host's traffic could have shared the victim's output
-// queue.
-func (t *Topology) EgressPortsToward(sw *netsim.Switch, dst netsim.IPv4) []int {
-	return t.candidatePorts(sw, dst)
+// to dst (all equal-cost choices, ascending; nil when sw is not a switch or
+// has no route). The analyzer's pruning uses it to decide whether a
+// candidate host's traffic could have shared the victim's output queue. The
+// slice is the routing table ComputeRoutes keeps, shared by every caller and
+// every host under dst's ToR: callers must not modify it.
+func (t *Topology) EgressPortsToward(sw netsim.NodeID, dst netsim.IPv4) []int {
+	if sw >= 0 && int(sw) < len(t.egress) {
+		return t.egress[sw][dst]
+	}
+	return nil
 }
 
 // candidatePorts returns the egress ports of sw on shortest paths to dst, in
-// deterministic order.
+// deterministic order, by a BFS of its own — the route oracle PathOf walks.
 func (t *Topology) candidatePorts(sw *netsim.Switch, dst netsim.IPv4) []int {
 	tor := t.attach[dst]
 	if tor == nil {
@@ -271,15 +304,20 @@ func (t *Topology) candidatePorts(sw *netsim.Switch, dst netsim.IPv4) []int {
 	if sw == tor {
 		return []int{t.hostPort[dst]}
 	}
-	dist := t.bfsDistances(tor.NodeID())
-	d, ok := dist[sw.NodeID()]
+	return t.portsToward(sw.NodeID(), t.bfsDistances(tor.NodeID()))
+}
+
+// portsToward returns the egress ports of sw one hop closer to the root of
+// dist, sorted; nil at the root or off its component.
+func (t *Topology) portsToward(sw netsim.NodeID, dist map[netsim.NodeID]int) []int {
+	d, ok := dist[sw]
 	if !ok {
 		return nil
 	}
 	var ports []int
-	for _, nb := range t.neighbors[sw.NodeID()] {
+	for _, nb := range t.neighbors[sw] {
 		if nd, ok := dist[nb]; ok && nd == d-1 {
-			ports = append(ports, t.portTo[sw.NodeID()][nb]...)
+			ports = append(ports, t.portTo[sw][nb]...)
 		}
 	}
 	sort.Ints(ports)
@@ -351,34 +389,6 @@ func (t *Topology) switchAtPort(sw *netsim.Switch, port int) (*netsim.Switch, bo
 		}
 	}
 	return nil, false
-}
-
-// SharesSegment reports whether two switch paths share at least one directed
-// switch-to-switch link. The analyzer's search-radius pruning (§4.3) keeps a
-// candidate host only if traffic to it could have shared a path segment with
-// the victim flow.
-func SharesSegment(a, b []netsim.NodeID) bool {
-	type seg struct{ x, y netsim.NodeID }
-	segs := make(map[seg]bool, len(a))
-	for i := 0; i+1 < len(a); i++ {
-		segs[seg{a[i], a[i+1]}] = true
-	}
-	for i := 0; i+1 < len(b); i++ {
-		if segs[seg{b[i], b[i+1]}] {
-			return true
-		}
-	}
-	return false
-}
-
-// ContainsSwitch reports whether the path visits switch id.
-func ContainsSwitch(path []netsim.NodeID, id netsim.NodeID) bool {
-	for _, n := range path {
-		if n == id {
-			return true
-		}
-	}
-	return false
 }
 
 // ECMPIndex deterministically picks one of n equal-cost paths for a flow by

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"switchpointer/internal/netsim"
@@ -377,24 +378,6 @@ func TestFatTreeLiveDelivery(t *testing.T) {
 	}
 }
 
-func TestSharesSegment(t *testing.T) {
-	a := []netsim.NodeID{1, 2, 3}
-	b := []netsim.NodeID{4, 2, 3}
-	c := []netsim.NodeID{3, 2, 1}
-	if !SharesSegment(a, b) {
-		t.Fatalf("a and b share 2→3")
-	}
-	if SharesSegment(a, c) {
-		t.Fatalf("a and c share no directed segment")
-	}
-	if SharesSegment(a, []netsim.NodeID{9}) {
-		t.Fatalf("single-switch path has no segments")
-	}
-	if !ContainsSwitch(a, 2) || ContainsSwitch(a, 9) {
-		t.Fatalf("ContainsSwitch wrong")
-	}
-}
-
 func TestECMPIndexDeterministic(t *testing.T) {
 	f := netsim.FlowKey{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: netsim.ProtoTCP}
 	if ECMPIndex(f, 4) != ECMPIndex(f, 4) {
@@ -522,6 +505,46 @@ func TestLinkIDForPortMatchesGraph(t *testing.T) {
 		}
 		if want := int(tp.nextLink) - 1; links != want {
 			t.Fatalf("%s: table resolves %d directed links, %d registered", name, links, want)
+		}
+	}
+}
+
+// TestEgressTableMatchesBFS: the table ComputeRoutes keeps answers every
+// (switch, host) pair, and an unknown address, exactly as the per-call BFS
+// it replaced, and every installed route is the first port of its entry.
+func TestEgressTableMatchesBFS(t *testing.T) {
+	builders := map[string]func(*netsim.Network) *Topology{
+		"star":      func(n *netsim.Network) *Topology { return Star(n, 4, Config{}) },
+		"dumbbell":  func(n *netsim.Network) *Topology { return Dumbbell(n, 3, 2, Config{}) },
+		"parallel":  func(n *netsim.Network) *Topology { return ParallelLinks(n, 2, 2, 3, Config{}) },
+		"chain":     func(n *netsim.Network) *Topology { return Chain(n, []int{2, 0, 1, 3}, Config{}) },
+		"leafspine": func(n *netsim.Network) *Topology { return LeafSpine(n, 4, 2, 3, Config{}) },
+		"fattree":   func(n *netsim.Network) *Topology { return FatTree(n, 4, Config{}) },
+	}
+	for name, build := range builders {
+		tp := build(netsim.New())
+		dsts := []netsim.IPv4{netsim.IP(192, 168, 0, 1)} // attached nowhere
+		for _, h := range tp.Hosts() {
+			dsts = append(dsts, h.IP())
+		}
+		routes := 0
+		for _, sw := range tp.Switches() {
+			for _, dst := range dsts {
+				got, want := tp.EgressPortsToward(sw.NodeID(), dst), tp.candidatePorts(sw, dst)
+				if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+					t.Fatalf("%s: EgressPortsToward(%s, %s) = %v, BFS says %v", name, sw.NodeName(), dst, got, want)
+				}
+				port, ok := sw.RouteTo(dst)
+				if ok != (len(want) > 0) || (ok && port != want[0]) {
+					t.Fatalf("%s: %s routes %s to port %d (%v), table says %v", name, sw.NodeName(), dst, port, ok, want)
+				}
+				if ok {
+					routes++
+				}
+			}
+		}
+		if routes == 0 {
+			t.Fatalf("%s: no routes installed", name)
 		}
 	}
 }

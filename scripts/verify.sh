@@ -26,9 +26,10 @@ go test ./...
 # concurrent query+absorption, the event engine, the cluster service plane —
 # admission controller + loopback HTTP trio — and the state-sync plane:
 # snapshot streaming, bootstrap, ingest, segment log — plus the switch
-# agents, the packet simulator, and the root-package integration tests).
+# agents, the packet simulator, the record codec, the routing table, and the
+# root-package integration tests).
 # Scoped to these packages so the full gate stays fast.
-go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace .
+go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace ./internal/flowrec ./internal/topo .
 
 # Fuzz leg: 10 s of native fuzzing over the segment decoder, from the
 # committed seed corpus (internal/store/testdata/fuzz): arbitrary bytes must
