@@ -17,7 +17,7 @@ import (
 // alert whose tuple list spans the whole path.
 func redLightsTestbed(t *testing.T) (*Testbed, Alert) {
 	t.Helper()
-	tb, err := NewTestbed(Chain(2, 2, 2), Options{Queue: QueuePriority})
+	tb, err := New(Chain(2, 2, 2), WithQueueDiscipline(QueuePriority))
 	if err != nil {
 		t.Fatal(err)
 	}

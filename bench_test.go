@@ -203,7 +203,7 @@ func BenchmarkAblationHeaderModes(b *testing.B) {
 // simulate, trigger, diagnose.
 func BenchmarkEndToEndRedLightsDiagnosis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tb, err := NewTestbed(Chain(2, 2, 2), Options{Queue: QueuePriority})
+		tb, err := New(Chain(2, 2, 2), WithQueueDiscipline(QueuePriority))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func BenchmarkEndToEndRedLightsDiagnosis(b *testing.B) {
 // BenchmarkSimulatorEventRate measures raw simulator throughput (events/s)
 // to document the substrate's capacity.
 func BenchmarkSimulatorEventRate(b *testing.B) {
-	tb, err := NewTestbed(Dumbbell(2, 2), Options{})
+	tb, err := New(Dumbbell(2, 2))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // path — exercising CherryPick reconstruction, epoch extrapolation across 5
 // switches, pointer pulls at every layer, and pruning, all in one run.
 func TestIntegrationFatTreeContention(t *testing.T) {
-	tb, err := NewTestbed(FatTree(4), Options{Queue: QueuePriority})
+	tb, err := New(FatTree(4), WithQueueDiscipline(QueuePriority))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestIntegrationFatTreeContention(t *testing.T) {
 // history pushed to the switch control plane (§4.1.1's offline path).
 func TestIntegrationOfflineDiagnosis(t *testing.T) {
 	// k=2 with α=10ms: top level covers 100 ms and pushes at that cadence.
-	tb, err := NewTestbed(Dumbbell(3, 3), Options{Queue: QueuePriority, K: 2})
+	tb, err := New(Dumbbell(3, 3), WithQueueDiscipline(QueuePriority), WithLevels(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestIntegrationOfflineDiagnosis(t *testing.T) {
 // going silent leaves only harmless stale bits, and an analyzer-driven MPH
 // rebuild (membership change) keeps the system consistent.
 func TestIntegrationHostChurn(t *testing.T) {
-	tb, err := NewTestbed(Dumbbell(3, 3), Options{})
+	tb, err := New(Dumbbell(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestIntegrationHostChurn(t *testing.T) {
 // on.
 func TestIntegrationDeterminism(t *testing.T) {
 	run := func() (simtime.Time, int, uint64) {
-		tb, err := NewTestbed(Chain(2, 2, 2), Options{Queue: QueuePriority, ClockSeed: 42})
+		tb, err := New(Chain(2, 2, 2), WithQueueDiscipline(QueuePriority), WithClockSeed(42))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
@@ -119,15 +118,6 @@ const (
 	KindInconclusive       Kind = "inconclusive"
 )
 
-// hostNames returns stable server identifiers for cost accounting.
-func hostNames(ips []netsim.IPv4) []string {
-	out := make([]string, len(ips))
-	for i, ip := range ips {
-		out[i] = ip.String()
-	}
-	return out
-}
-
 // pullCandidates retrieves and decodes pointers for every (switch, epochs)
 // tuple in ONE batched round through the directory backend
 // (Directory.HostsBatch, which fans the per-switch pulls out over
@@ -219,7 +209,7 @@ func dedupIPs(lists ...[]netsim.IPv4) []netsim.IPv4 {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -128,7 +128,7 @@ func (a *Analyzer) syntheticAlert(ctx context.Context, clock *rpc.Clock, flow ne
 	if !ok {
 		return hostagent.Alert{}, false
 	}
-	clock.HostsQueried("diagnosis", []string{flow.Dst.String()}, []int{1})
+	clock.HostsQueried("diagnosis", []netsim.IPv4{flow.Dst}, []int{1})
 	al := hostagent.Alert{Flow: flow, Host: flow.Dst}
 	for i, sw := range rec.Path {
 		al.Tuples = append(al.Tuples, hostagent.AlertTuple{Switch: sw, Epochs: rec.Epochs[i]})

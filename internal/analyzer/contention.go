@@ -86,7 +86,7 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 	answers, dispatched, cerr := a.hostBackend().HeadersRound(qctx, a.workers(), contact, queries)
 	recCounts := make([]int, dispatched)
 	culprits := &culpritIndex{}
-	var coldHosts []string
+	var coldHosts []netsim.IPv4
 	var coldRecs []int
 	sawHigher := false
 	sawEqual := false
@@ -144,7 +144,7 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 		// decode work (ans.ColdRecords), so compacting segments can never
 		// raise the charged cost of an unchanged answer.
 		if coldSegs > 0 {
-			coldHosts = append(coldHosts, ip.String())
+			coldHosts = append(coldHosts, ip)
 			coldRecs = append(coldRecs, coldReturned)
 		}
 	}
@@ -158,7 +158,7 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 		}
 		return cancelled(d, ctx, "host queries")
 	}
-	clock.HostsQueried("diagnosis", hostNames(contact), recCounts)
+	clock.HostsQueried("diagnosis", contact, recCounts)
 	// Cold read-back: hosts whose epoch window had aged out of the hot set
 	// consulted flushed segments; that telemetry is a second request round
 	// trip to those hosts, charged explicitly so virtual-time accounting

@@ -9,7 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"switchpointer/internal/bitset"
@@ -151,7 +151,7 @@ func (x hostIndex) Decode(bits *bitset.Set) []netsim.IPv4 {
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"switchpointer/internal/rpc"
 	"switchpointer/internal/topo"
@@ -76,16 +76,16 @@ func (a *Analyzer) diagnoseImbalance(ctx context.Context, q ImbalanceQuery) (*Re
 		chargePartial(rep, "diagnosis", hosts, recCounts)
 		return cancelled(rep, ctx, "host queries")
 	}
-	clock.HostsQueried("diagnosis", hostNames(hosts), recCounts)
+	clock.HostsQueried("diagnosis", hosts, recCounts)
 
 	links := make([]topo.LinkID, 0, len(byLink))
 	for l := range byLink {
 		links = append(links, l)
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
+	slices.Sort(links)
 	for _, l := range links {
 		sizes := byLink[l]
-		sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
+		slices.Sort(sizes)
 		rep.Links = append(rep.Links, LinkDistribution{Link: l, Sizes: sizes, Flows: len(sizes)})
 	}
 

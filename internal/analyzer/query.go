@@ -175,30 +175,38 @@ func (r *Report) Total() simtime.Time { return r.Clock.Total() }
 // in-memory, over loopback HTTP, or against a real spd trio — which is what
 // lets cluster merge the per-role flight-recorder trees.
 func TraceID(q Query) string {
-	switch q := q.(type) {
+	switch q := deref(q).(type) {
 	case ContentionQuery:
-		return alertTraceID(q.Name(), q.Alert)
-	case *ContentionQuery:
 		return alertTraceID(q.Name(), q.Alert)
 	case RedLightsQuery:
 		return alertTraceID(q.Name(), q.Alert)
-	case *RedLightsQuery:
-		return alertTraceID(q.Name(), q.Alert)
 	case CascadeQuery:
-		return alertTraceID(q.Name(), q.Alert)
-	case *CascadeQuery:
 		return alertTraceID(q.Name(), q.Alert)
 	case ImbalanceQuery:
 		return imbalanceTraceID(q)
-	case *ImbalanceQuery:
-		return imbalanceTraceID(*q)
 	case TopKQuery:
 		return topkTraceID(q)
-	case *TopKQuery:
-		return topkTraceID(*q)
 	default:
 		return ""
 	}
+}
+
+// deref returns the value a pointer query points to, and any other query
+// unchanged, so dispatch lists each of the five kinds once.
+func deref(q Query) Query {
+	switch q := q.(type) {
+	case *ContentionQuery:
+		return *q
+	case *RedLightsQuery:
+		return *q
+	case *CascadeQuery:
+		return *q
+	case *ImbalanceQuery:
+		return *q
+	case *TopKQuery:
+		return *q
+	}
+	return q
 }
 
 func alertTraceID(kind string, a hostagent.Alert) string {
@@ -222,26 +230,16 @@ func topkTraceID(q TopKQuery) string {
 // the alert's detection time for alert-driven kinds, the query's At for
 // switch-driven ones.
 func QueryStart(q Query) simtime.Time {
-	switch q := q.(type) {
+	switch q := deref(q).(type) {
 	case ContentionQuery:
-		return q.Alert.DetectedAt
-	case *ContentionQuery:
 		return q.Alert.DetectedAt
 	case RedLightsQuery:
 		return q.Alert.DetectedAt
-	case *RedLightsQuery:
-		return q.Alert.DetectedAt
 	case CascadeQuery:
-		return q.Alert.DetectedAt
-	case *CascadeQuery:
 		return q.Alert.DetectedAt
 	case ImbalanceQuery:
 		return q.At
-	case *ImbalanceQuery:
-		return q.At
 	case TopKQuery:
-		return q.At
-	case *TopKQuery:
 		return q.At
 	default:
 		return 0
@@ -280,27 +278,17 @@ func (a *Analyzer) Run(ctx context.Context, q Query) (*Report, error) {
 		rep *Report
 		err error
 	)
-	switch q := q.(type) {
+	switch q := deref(q).(type) {
 	case ContentionQuery:
-		rep, err = a.diagnoseContention(ctx, q.Alert)
-	case *ContentionQuery:
 		rep, err = a.diagnoseContention(ctx, q.Alert)
 	case RedLightsQuery:
 		rep, err = a.diagnoseContention(ctx, q.Alert)
-	case *RedLightsQuery:
-		rep, err = a.diagnoseContention(ctx, q.Alert)
 	case CascadeQuery:
-		rep, err = a.diagnoseCascade(ctx, q.Alert)
-	case *CascadeQuery:
 		rep, err = a.diagnoseCascade(ctx, q.Alert)
 	case ImbalanceQuery:
 		rep, err = a.diagnoseImbalance(ctx, q)
-	case *ImbalanceQuery:
-		rep, err = a.diagnoseImbalance(ctx, *q)
 	case TopKQuery:
 		rep, err = a.topK(ctx, q)
-	case *TopKQuery:
-		rep, err = a.topK(ctx, *q)
 	default:
 		return nil, fmt.Errorf("analyzer: unknown query type %T", q)
 	}
@@ -328,7 +316,7 @@ func cancelled(rep *Report, ctx context.Context, during string) (*Report, error)
 func chargePartial(rep *Report, phase string, hosts []netsim.IPv4, recCounts []int) {
 	rep.Consulted = hosts[:len(recCounts)]
 	rep.HostsContacted = len(recCounts)
-	rep.Clock.HostsQueried(phase, hostNames(rep.Consulted), recCounts)
+	rep.Clock.HostsQueried(phase, rep.Consulted, recCounts)
 }
 
 // aborted marks a report as cut short by either ctx or a backend failure,

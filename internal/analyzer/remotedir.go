@@ -3,7 +3,7 @@ package analyzer
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/rpc"
@@ -98,7 +98,7 @@ func (d *RemoteDirectory) Distribute(ctx context.Context) error {
 	for sw := range d.urls {
 		sws = append(sws, sw)
 	}
-	sort.Slice(sws, func(i, j int) bool { return sws[i] < sws[j] })
+	slices.Sort(sws)
 	errs := fanOutSlots(ctx, d.Workers, len(sws), func(ctx context.Context, i int) error {
 		if err := d.client.InstallMPH(ctx, d.urls[sws[i]], d.table); err != nil {
 			return fmt.Errorf("analyzer: distribute to %d: %w", sws[i], err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"switchpointer/internal/hostagent"
@@ -38,7 +39,7 @@ func (a *Analyzer) topK(ctx context.Context, q TopKQuery) (*Report, error) {
 		for _, h := range a.Topo.Hosts() {
 			hosts = append(hosts, h.IP())
 		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+		slices.Sort(hosts)
 	default:
 		var err error
 		// The pointer pull parents under the pointer-retrieval span
@@ -79,7 +80,7 @@ func (a *Analyzer) topK(ctx context.Context, q TopKQuery) (*Report, error) {
 		rep.Flows = sortedFlows(merged, q.K)
 		return cancelled(rep, ctx, "query execution")
 	}
-	clock.HostsQueried("query-execution", hostNames(hosts), recCounts)
+	clock.HostsQueried("query-execution", hosts, recCounts)
 
 	rep.Flows = sortedFlows(merged, q.K)
 	rep.Conclusion = fmt.Sprintf("top-%d flows at switch %d via %d host(s)", q.K, q.Switch, rep.HostsContacted)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"switchpointer/internal/analyzer"
+	"switchpointer/internal/netsim"
 	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
@@ -226,9 +227,9 @@ func AblationRPCPooling() (*Result, error) {
 		cost := rpc.DefaultCostModel()
 		cost.Pooled = m.pooled
 		cost.Parallel = m.parallel
-		servers := make([]string, 96)
+		servers := make([]netsim.IPv4, 96)
 		for i := range servers {
-			servers[i] = fmt.Sprintf("h%d", i)
+			servers[i] = netsim.IP(10, 0, 0, byte(i+1))
 		}
 		clock := rpc.NewClock(cost, 0)
 		clock.HostsQueried("q", servers, nil)

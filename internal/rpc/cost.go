@@ -19,7 +19,9 @@ package rpc
 import (
 	"context"
 	"fmt"
+	"strconv"
 
+	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/trace"
 )
@@ -97,10 +99,16 @@ func (c CostModel) Validate() error {
 // proceeds, together with a per-phase breakdown ledger and round counters
 // that let tests assert *how* a cost was incurred (batched vs sequential)
 // independently of the virtual-time total.
+//
+// Servers are keyed by address. The set of servers holding a pooled
+// connection exists only when the cost model is Pooled, the one mode that
+// reads it; otherwise a query round allocates nothing for its ledger. The
+// phase ledger has inline room for a typical diagnosis, so NewClock is one
+// allocation.
 type Clock struct {
 	cost      CostModel
 	now       simtime.Time
-	connected map[string]bool // servers with pooled connections
+	connected map[netsim.IPv4]bool // servers with pooled connections; nil unless cost.Pooled
 	phases    []Phase
 
 	pullRounds   int // batched pointer-pull rounds (PointersPulled calls)
@@ -109,6 +117,8 @@ type Clock struct {
 	coldRounds   int // cold read-back rounds (PhaseColdReadBack charges)
 
 	rec *trace.Recorder // when set, every charge also emits a span
+
+	phaseBuf [8]Phase // phases' initial backing array
 }
 
 // Phase is one named span of a diagnosis timeline.
@@ -119,7 +129,12 @@ type Phase struct {
 
 // NewClock starts an analyzer clock at the given virtual time.
 func NewClock(cost CostModel, start simtime.Time) *Clock {
-	return &Clock{cost: cost, now: start, connected: make(map[string]bool)}
+	c := &Clock{cost: cost, now: start}
+	c.phases = c.phaseBuf[:0]
+	if cost.Pooled {
+		c.connected = make(map[netsim.IPv4]bool)
+	}
+	return c
 }
 
 // Now returns the analyzer's current virtual time.
@@ -215,7 +230,7 @@ func (c *Clock) PointersPulled(n int) {
 	d := c.cost.PointerPull + simtime.Time(n-1)*c.cost.PointerPullExtra
 	c.spend("pointer-retrieval", d)
 	if c.rec != nil {
-		c.rec.AnnotateLast(trace.Attr{Key: "switches", Value: fmt.Sprintf("%d", n)})
+		c.rec.AnnotateLast(trace.Attr{Key: "switches", Value: strconv.Itoa(n)})
 	}
 }
 
@@ -232,33 +247,37 @@ func (c *Clock) PointersCharged() int { return c.pullsCharged }
 // QueryRounds returns how many host query rounds have been charged.
 func (c *Clock) QueryRounds() int { return c.queryRounds }
 
-// HostsQueried accounts one query round to the named servers, where server i
-// scans recs[i] records. Connection initiation is sequential per server (or
-// pooled); execution and responses overlap across servers. When the cost
-// model's Parallel flag is set it dispatches to HostsQueriedParallel.
-func (c *Clock) HostsQueried(phase string, servers []string, recs []int) {
-	if c.cost.Parallel {
-		c.HostsQueriedParallel(phase, servers, recs)
-		return
-	}
+// HostsQueried accounts one query round to the given servers, where server i
+// scans recs[i] records. Execution and responses overlap across servers.
+// Connection initiation is sequential per server, the paper's §6.2 model;
+// under the cost model's Parallel flag all first-contact connections
+// initiate concurrently, so ConnInit is paid once per round instead. When
+// pooled, only servers not yet connected pay it at all.
+func (c *Clock) HostsQueried(phase string, servers []netsim.IPv4, recs []int) {
 	if len(servers) == 0 {
 		return
 	}
 	c.queryRounds++
 	var init simtime.Time
 	for _, s := range servers {
-		if c.cost.Pooled && c.connected[s] {
-			continue
+		if c.cost.Pooled {
+			if c.connected[s] {
+				continue
+			}
+			c.connected[s] = true
 		}
-		c.connected[s] = true
-		init += c.cost.ConnInit
+		if c.cost.Parallel {
+			init = c.cost.ConnInit // overlapped: one initiation covers the round
+		} else {
+			init += c.cost.ConnInit
+		}
 	}
 	c.spend(phase, init+c.cost.RTT+c.maxExec(servers, recs))
 	c.annotateRound(servers, recs)
 }
 
 // annotateRound labels the just-charged query-round span with its fan-out.
-func (c *Clock) annotateRound(servers []string, recs []int) {
+func (c *Clock) annotateRound(servers []netsim.IPv4, recs []int) {
 	if c.rec == nil {
 		return
 	}
@@ -267,35 +286,13 @@ func (c *Clock) annotateRound(servers []string, recs []int) {
 		total += n
 	}
 	c.rec.AnnotateLast(
-		trace.Attr{Key: "servers", Value: fmt.Sprintf("%d", len(servers))},
-		trace.Attr{Key: "records", Value: fmt.Sprintf("%d", total)},
+		trace.Attr{Key: "servers", Value: strconv.Itoa(len(servers))},
+		trace.Attr{Key: "records", Value: strconv.Itoa(total)},
 	)
 }
 
-// HostsQueriedParallel accounts one query round under the concurrent
-// fan-out model: all first-contact connections initiate concurrently, so
-// ConnInit is paid once per round (and, when pooled, only on rounds that
-// touch a not-yet-connected server) instead of once per server. The round
-// costs ConnInit(first-contact) + RTT + max(exec).
-func (c *Clock) HostsQueriedParallel(phase string, servers []string, recs []int) {
-	if len(servers) == 0 {
-		return
-	}
-	c.queryRounds++
-	var init simtime.Time
-	for _, s := range servers {
-		if c.cost.Pooled && c.connected[s] {
-			continue
-		}
-		c.connected[s] = true
-		init = c.cost.ConnInit // overlapped: one initiation covers the round
-	}
-	c.spend(phase, init+c.cost.RTT+c.maxExec(servers, recs))
-	c.annotateRound(servers, recs)
-}
-
 // maxExec returns the slowest per-server execution time of a round.
-func (c *Clock) maxExec(servers []string, recs []int) simtime.Time {
+func (c *Clock) maxExec(servers []netsim.IPv4, recs []int) simtime.Time {
 	var max simtime.Time
 	for i := range servers {
 		n := 0

@@ -70,14 +70,15 @@ func FanOut(ctx context.Context, workers, n int, fn func(ctx context.Context, i 
 	defer cancel()
 	var wg sync.WaitGroup
 	idx := make(chan int)
+	worker := func() {
+		defer wg.Done()
+		for i := range idx {
+			fn(runCtx, i)
+		}
+	}
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(runCtx, i)
-			}
-		}()
+		go worker()
 	}
 	for dispatched = 0; dispatched < n; dispatched++ {
 		if err = ctx.Err(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
 )
 
@@ -112,10 +113,10 @@ func TestFanOutWorkerCtxPropagatesRealCancel(t *testing.T) {
 
 func TestHostsQueriedParallelAccounting(t *testing.T) {
 	cost := DefaultCostModel()
-	servers := make([]string, 96)
+	servers := make([]netsim.IPv4, 96)
 	recs := make([]int, 96)
 	for i := range servers {
-		servers[i] = fmt.Sprintf("h%d", i)
+		servers[i] = netsim.IP(10, 0, 0, byte(i+1))
 		recs[i] = i // max exec at the last server
 	}
 	maxExec := cost.QueryExec + 95*cost.QueryPerRecord
@@ -127,16 +128,20 @@ func TestHostsQueriedParallelAccounting(t *testing.T) {
 		t.Fatalf("sequential: %v, want %v", seq.Total(), wantSeq)
 	}
 
+	cost.Parallel = true
 	par := NewClock(cost, 0)
-	par.HostsQueriedParallel("q", servers, recs)
+	par.HostsQueried("q", servers, recs)
 	wantPar := cost.ConnInit + cost.RTT + maxExec
 	if par.Total() != wantPar {
 		t.Fatalf("parallel: %v, want %v", par.Total(), wantPar)
 	}
+	par.HostsQueried("q", servers, recs)
+	if got := par.Total() - wantPar; got != wantPar {
+		t.Fatalf("unpooled parallel repeat round: %v, want %v", got, wantPar)
+	}
 
-	// The Parallel flag reroutes HostsQueried, and with pooling a repeat
-	// round to connected servers skips ConnInit entirely.
-	cost.Parallel = true
+	// With pooling a repeat round to connected servers skips ConnInit
+	// entirely.
 	cost.Pooled = true
 	pp := NewClock(cost, 0)
 	pp.HostsQueried("q", servers, recs)

@@ -35,7 +35,7 @@ func TestClockPhases(t *testing.T) {
 	c.Spend("detection", simtime.Millisecond)
 	c.AlertDelivered()
 	c.PointersPulled(1)
-	c.HostsQueried("diagnosis", []string{"a", "b"}, []int{10, 1000})
+	c.HostsQueried("diagnosis", []netsim.IPv4{1, 2}, []int{10, 1000})
 	if c.Now() != 100*simtime.Millisecond+c.Total() {
 		t.Fatalf("Now drifted from phases: %v vs %v", c.Now(), c.Total())
 	}
@@ -58,10 +58,10 @@ func TestClockPhases(t *testing.T) {
 func TestClockSequentialInitScalesLinearly(t *testing.T) {
 	// The §6.2 bottleneck: contacting n servers costs ≈ n × ConnInit.
 	cost := DefaultCostModel()
-	servers := func(n int) []string {
-		out := make([]string, n)
+	servers := func(n int) []netsim.IPv4 {
+		out := make([]netsim.IPv4, n)
 		for i := range out {
-			out[i] = string(rune('a' + i))
+			out[i] = netsim.IPv4(i + 1)
 		}
 		return out
 	}
@@ -84,7 +84,7 @@ func TestClockPooledAblation(t *testing.T) {
 	cost := DefaultCostModel()
 	cost.Pooled = true
 	c := NewClock(cost, 0)
-	srv := []string{"a", "b", "c"}
+	srv := []netsim.IPv4{1, 2, 3}
 	c.HostsQueried("q1", srv, nil)
 	first := c.Total()
 	c.HostsQueried("q2", srv, nil)

@@ -12,6 +12,15 @@ import (
 // ordinal child span ("1", "2", …) in charge order, which is deterministic
 // because the analyzer charges its clock sequentially within a procedure.
 //
+// A Recorder carries inline room for a typical diagnosis's spans and their
+// attributes, so NewRecorder is one allocation and recording a diagnosis of
+// up to eight annotated phases allocates nothing more. Attributes live in an
+// arena: AnnotateLast carves each span's Attrs out of it with a full slice
+// expression (cap == len), so a later append, to the arena or to a returned
+// span's Attrs, can never overwrite another span's attributes. Traces
+// returned by Trace share those Attrs with the recorder; treat them as
+// read-only.
+//
 // A Recorder is safe for concurrent use: daemon-side handlers in loopback
 // mode may record into the same recorder the analyzer is writing.
 type Recorder struct {
@@ -19,21 +28,28 @@ type Recorder struct {
 	id       string
 	root     Span
 	spans    []Span
+	attrs    []Attr // the arena AnnotateLast carves span attributes from
 	phaseN   int
 	lastIdx  int // index into spans of the last recorded span, -1 if none
 	anchored bool
 	finished bool
+
+	spanBuf [8]Span // spans' and attrs' initial backing arrays
+	attrBuf [8]Attr
 }
 
 // NewRecorder starts a trace with the given deterministic ID. role labels
 // the root span's emitting daemon role and rootName is typically the query
 // kind.
 func NewRecorder(id, role, rootName string) *Recorder {
-	return &Recorder{
+	r := &Recorder{
 		id:      id,
 		root:    Span{ID: "0", Name: rootName, Role: role},
 		lastIdx: -1,
 	}
+	r.spans = r.spanBuf[:0]
+	r.attrs = r.attrBuf[:0]
+	return r
 }
 
 // ID returns the trace ID.
@@ -85,7 +101,10 @@ func (r *Recorder) AnnotateLast(attrs ...Attr) {
 	if r.lastIdx < 0 {
 		return
 	}
-	r.spans[r.lastIdx].Attrs = append(r.spans[r.lastIdx].Attrs, attrs...)
+	s := &r.spans[r.lastIdx]
+	start := len(r.attrs)
+	r.attrs = append(append(r.attrs, s.Attrs...), attrs...)
+	s.Attrs = r.attrs[start:len(r.attrs):len(r.attrs)]
 }
 
 // Record adds an arbitrary span (e.g. the admission controller's queue-wait
@@ -110,7 +129,8 @@ func (r *Recorder) Finish(t simtime.Time) {
 }
 
 // Trace returns a canonical-order snapshot of the accumulated trace
-// (root span included), with Wall annotations preserved.
+// (root span included), with Wall annotations preserved. The snapshot is
+// one copy of the spans, sorted in place.
 func (r *Recorder) Trace() Trace {
 	r.mu.Lock()
 	spans := make([]Span, 0, len(r.spans)+1)

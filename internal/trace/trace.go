@@ -16,10 +16,9 @@
 package trace
 
 import (
+	"cmp"
 	"context"
-	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,30 +71,26 @@ func compareID(a, b string) int {
 }
 
 // canonical dedups spans by ID (first occurrence wins) and sorts them by
-// (Start, ID).
+// (Start, ID), in place; it returns the deduped prefix of spans. A stable
+// sort by ID puts each ID's first occurrence at the head of its run, the
+// compaction keeps only run heads, and IDs are then unique, so (Start, ID)
+// is a total order and the result does not depend on the input's order.
 func canonical(spans []Span) []Span {
-	seen := make(map[string]bool, len(spans))
-	out := make([]Span, 0, len(spans))
-	for _, s := range spans {
-		if seen[s.ID] {
-			continue
+	slices.SortStableFunc(spans, func(a, b Span) int { return compareID(a.ID, b.ID) })
+	spans = slices.CompactFunc(spans, func(a, b Span) bool { return a.ID == b.ID })
+	slices.SortFunc(spans, func(a, b Span) int {
+		if a.Start != b.Start {
+			return cmp.Compare(a.Start, b.Start)
 		}
-		seen[s.ID] = true
-		out = append(out, s)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return compareID(out[i].ID, out[j].ID) < 0
+		return compareID(a.ID, b.ID)
 	})
-	return out
+	return spans
 }
 
 // Sorted returns a copy of the trace with spans deduped (first wins) and in
 // canonical (Start, ID) order. Wall annotations are preserved.
 func (t Trace) Sorted() Trace {
-	return Trace{ID: t.ID, Spans: canonical(t.Spans)}
+	return Trace{ID: t.ID, Spans: canonical(slices.Clone(t.Spans))}
 }
 
 // Canonical returns the Sorted copy with every wall-clock annotation
@@ -109,18 +104,29 @@ func (t Trace) Canonical() Trace {
 	return c
 }
 
-// NewID derives a deterministic trace ID from the given parts (FNV-1a).
-// Identical queries yield identical IDs, which is what lets the loopback
-// and spd-trio executions of the same scenario produce the same trace.
+// NewID derives a deterministic trace ID from the given parts: "sp-" and the
+// 64-bit FNV-1a hash of the parts joined by NUL bytes, as 16 zero-padded hex
+// digits. Identical queries yield identical IDs, which is what lets the
+// loopback and spd-trio executions of the same scenario produce the same
+// trace.
 func NewID(parts ...string) string {
-	h := fnv.New64a()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
 	for i, p := range parts {
 		if i > 0 {
-			h.Write([]byte{0})
+			h *= prime64 // the NUL separator: h ^= 0, then multiply
 		}
-		h.Write([]byte(p))
+		for j := 0; j < len(p); j++ {
+			h ^= uint64(p[j])
+			h *= prime64
+		}
 	}
-	return fmt.Sprintf("sp-%016x", h.Sum64())
+	id := [19]byte{'s', 'p', '-'}
+	for i := len(id) - 1; i >= 3; i-- {
+		id[i] = "0123456789abcdef"[h&0xf]
+		h >>= 4
+	}
+	return string(id[:])
 }
 
 // Header is the HTTP header carrying trace context between daemons.

@@ -1,25 +1,101 @@
 package trace
 
 import (
+	"fmt"
+	"hash/fnv"
 	"io"
+	"math/rand"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 
 	"switchpointer/internal/simtime"
 )
 
+// TestNewIDDeterministic pins NewID's output, leading zero nibbles
+// included, checks it against hash/fnv over the NUL-joined parts, and checks
+// that part boundaries are part of the hash.
 func TestNewIDDeterministic(t *testing.T) {
-	a := NewID("contention", "flow", "42")
-	b := NewID("contention", "flow", "42")
-	if a != b {
-		t.Fatalf("same parts, different IDs: %s vs %s", a, b)
+	for _, c := range []struct {
+		parts []string
+		want  string
+	}{
+		{nil, "sp-cbf29ce484222325"},
+		{[]string{""}, "sp-cbf29ce484222325"},
+		{[]string{"", ""}, "sp-af63bd4c8601b7df"},
+		{[]string{"contention", "flow", "42"}, "sp-84892d3d8708eb66"},
+		{[]string{"contention", "flow42"}, "sp-bd9dd54f00ce8d6e"},
+		{[]string{"top-k", "3", "100", "0", "10", "0", "50000000"}, "sp-9924206fb652fd7c"},
+		{[]string{"top-k", "12100"}, "sp-000abe840ecfdfbe"},
+	} {
+		if got := NewID(c.parts...); got != c.want {
+			t.Errorf("NewID(%q) = %s, want %s", c.parts, got, c.want)
+		}
+		h := fnv.New64a()
+		for i, p := range c.parts {
+			if i > 0 {
+				h.Write([]byte{0})
+			}
+			h.Write([]byte(p))
+		}
+		if ref := fmt.Sprintf("sp-%016x", h.Sum64()); ref != c.want {
+			t.Errorf("hash/fnv over %q = %s, want %s", c.parts, ref, c.want)
+		}
 	}
-	if c := NewID("contention", "flow42"); c == a {
-		t.Fatalf("part boundaries not separated: %s", c)
+}
+
+// canonicalModel is the map-plus-sort.SliceStable form canonical replaced:
+// dedup by ID keeping the first occurrence, then a stable (Start, ID) sort.
+func canonicalModel(spans []Span) []Span {
+	seen := make(map[string]bool, len(spans))
+	out := make([]Span, 0, len(spans))
+	for _, s := range spans {
+		if seen[s.ID] {
+			continue
+		}
+		seen[s.ID] = true
+		out = append(out, s)
 	}
-	if len(a) != len("sp-")+16 {
-		t.Fatalf("unexpected ID shape: %q", a)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return compareID(out[i].ID, out[j].ID) < 0
+	})
+	return out
+}
+
+// TestCanonicalMatchesModel: on random span sets with duplicate IDs (which
+// differ in Start, Name and Wall) and ties in Start, Sorted equals the model
+// and leaves its input untouched.
+func TestCanonicalMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 2000; iter++ {
+		n := rng.Intn(40)
+		spans := make([]Span, n)
+		for i := range spans {
+			spans[i] = Span{
+				ID:    strconv.Itoa(rng.Intn(n/2 + 1)),
+				Name:  strconv.Itoa(i),
+				Start: simtime.Time(rng.Intn(4)),
+				Wall:  int64(i),
+			}
+			if rng.Intn(3) == 0 {
+				spans[i].ID += ".host:" + strconv.Itoa(rng.Intn(3))
+			}
+		}
+		in := slices.Clone(spans)
+		want := canonicalModel(spans)
+		got := Trace{Spans: spans}.Sorted().Spans
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d: canonical\n got %+v\nwant %+v", iter, got, want)
+		}
+		if !reflect.DeepEqual(spans, in) {
+			t.Fatalf("iteration %d: Sorted mutated its input", iter)
+		}
 	}
 }
 
@@ -93,6 +169,38 @@ func TestRecorderPhasesAndFinish(t *testing.T) {
 	for _, s := range tr.Spans {
 		if s.End < s.Start {
 			t.Fatalf("span %s ends before it starts", s.ID)
+		}
+	}
+}
+
+// TestRecorderAttrsDoNotAlias: spans' attributes share the recorder's arena,
+// yet a second annotation of a span, an append to a returned span's Attrs
+// and a later span's annotation never overwrite one another.
+func TestRecorderAttrsDoNotAlias(t *testing.T) {
+	rec := NewRecorder("sp-1", "analyzer", "contention")
+	rec.Phase("a", 0, 1)
+	rec.AnnotateLast(Attr{Key: "a1", Value: "1"})
+	rec.Phase("b", 1, 2)
+	rec.AnnotateLast(Attr{Key: "b1", Value: "1"})
+	tr := rec.Trace()
+	_ = append(tr.Spans[1].Attrs, Attr{Key: "x"})
+	rec.AnnotateLast(Attr{Key: "b2", Value: "2"})
+	rec.Phase("c", 2, 3)
+	for i := 0; i < 20; i++ {
+		rec.AnnotateLast(Attr{Key: "c" + strconv.Itoa(i)})
+	}
+	tr = rec.Trace()
+	want := map[string][]string{"1": {"a1"}, "2": {"b1", "b2"}}
+	for _, s := range tr.Spans {
+		var keys []string
+		for _, a := range s.Attrs {
+			keys = append(keys, a.Key)
+		}
+		if w, ok := want[s.ID]; ok && !reflect.DeepEqual(keys, w) {
+			t.Fatalf("span %s attrs %v, want %v", s.ID, keys, w)
+		}
+		if s.ID == "3" && (len(keys) != 20 || keys[19] != "c19") {
+			t.Fatalf("span 3 attrs %v", keys)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // record behind. Returns the receiving host's agent store size at the end.
 func runFlowChurn(t *testing.T, retain *store.Retention, sink *bytes.Buffer) (*Testbed, int) {
 	t.Helper()
-	tb, err := NewTestbed(Dumbbell(2, 2), Options{})
+	tb, err := New(Dumbbell(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,9 @@
 //	fmt.Println(rep.Kind, rep.Conclusion)
 //	tb.Close()
 //
-// Construction takes functional options (WithEpoch, WithLevels,
-// WithQueueDiscipline, WithCostModel, ...); the plain Options struct and
-// NewTestbed keep working for callers that prefer it.
+// New is the one constructor; it takes functional options (WithEpoch,
+// WithLevels, WithQueueDiscipline, WithCostModel, ...) over the Options
+// struct they configure.
 //
 // Underneath the facade:
 //
@@ -115,8 +115,8 @@ type (
 	Topology = topo.Topology
 
 	// Options configures a testbed (epoch size α, levels k, drift bound ε,
-	// queue discipline, RPC cost model, ...). Prefer the functional options
-	// accepted by New; Options remains for struct-literal construction.
+	// queue discipline, RPC cost model, ...); the functional options
+	// accepted by New set its fields.
 	Options = scenario.Options
 	// Testbed is a fully wired SwitchPointer deployment.
 	Testbed = scenario.Testbed
@@ -279,12 +279,6 @@ func New(build BuildFunc, opts ...Option) (*Testbed, error) {
 		opt(&o)
 	}
 	return scenario.NewTestbed(build, o)
-}
-
-// NewTestbed assembles a deployment from an explicit Options struct. New is
-// the functional-options equivalent.
-func NewTestbed(build BuildFunc, opt Options) (*Testbed, error) {
-	return scenario.NewTestbed(build, opt)
 }
 
 // StartTCP starts a Reno-style TCP flow between two hosts.

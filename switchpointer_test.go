@@ -99,7 +99,7 @@ func TestPublicAPITopologies(t *testing.T) {
 		"fattree":   FatTree(4),
 		"parallel":  ParallelLinks(2, 2, 2),
 	} {
-		tb, err := NewTestbed(build, Options{})
+		tb, err := New(build)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -111,7 +111,7 @@ func TestPublicAPITopologies(t *testing.T) {
 
 func TestPublicAPIINTMode(t *testing.T) {
 	// Eps of 1 ns ≈ perfectly synchronized clocks (0 selects the default α).
-	tb, err := NewTestbed(FatTree(4), Options{Mode: ModeINT, Eps: Nanosecond})
+	tb, err := New(FatTree(4), WithHeaderMode(ModeINT), WithDriftBound(Nanosecond))
 	if err != nil {
 		t.Fatal(err)
 	}
