@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz bench bench-quick bench-real bench-compare bench-pairs binaries verify clean
+.PHONY: all build vet lint test race fuzz bench-real bench-compare bench-pairs binaries verify clean
 
 all: verify
 
@@ -20,7 +20,8 @@ lint: vet
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/splint ./...
 
-## test: full test suite
+## test: full test suite, including the paper-figure goldens
+## (internal/experiments/testdata; UPDATE_GOLDEN=1 rewrites them)
 test:
 	$(GO) test ./...
 
@@ -37,21 +38,6 @@ race:
 ## input, decode(encode(x)) == x
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s
-
-## bench: run the paper-figure benchmark suite with -benchmem, refresh the
-## machine-readable perf-trajectory artifact (the BENCH_PR<N>.json that
-## scripts/bench.sh names; its baseline seeds from the previous artifact's
-## "current") and print the before/after delta. These are the virtual-time
-## drift gate; real cost is bench-real's business
-bench:
-	scripts/bench.sh
-
-## bench-quick: the inner perf loop — Fig 8 + simulator event rate + the
-## state-sync snapshot bootstrap + the indexed cold query + the segment
-## codec + the pointer-backend ablation + the metrics scrape and
-## deterministic alert storm, one iteration, no artifact refresh
-bench-quick:
-	$(GO) test -run '^$$' -bench 'Fig8LoadImbalance|SimulatorEventRate|SnapshotBootstrap|ColdQueryIndexed|SegmentCodec|PointerBackends|MetricsScrape|AlertStorm|TraceOverhead' -benchmem -benchtime 1x .
 
 ## bench-real: the real-cost benchmark (benchmark/README.md) — four
 ## workloads, end to end and layer by layer, ~3.5 min; every number lands

@@ -5,8 +5,7 @@
 //
 //	spbench -list                 # enumerate experiments
 //	spbench -fig fig7             # run one experiment
-//	spbench -all                  # run everything (includes heavy sweeps)
-//	spbench -all -quick           # skip the heavy sweeps
+//	spbench -all                  # run everything
 //	spbench -fig fig12 -o out.txt # write to a file
 package main
 
@@ -21,11 +20,10 @@ import (
 
 func main() {
 	var (
-		list  = flag.Bool("list", false, "list available experiments")
-		fig   = flag.String("fig", "", "run a single experiment by ID (e.g. fig7)")
-		all   = flag.Bool("all", false, "run every experiment")
-		quick = flag.Bool("quick", false, "with -all: skip heavy experiments")
-		out   = flag.String("o", "", "write output to a file instead of stdout")
+		list = flag.Bool("list", false, "list available experiments")
+		fig  = flag.String("fig", "", "run a single experiment by ID (e.g. fig7)")
+		all  = flag.Bool("all", false, "run every experiment")
+		out  = flag.String("o", "", "write output to a file instead of stdout")
 	)
 	flag.Parse()
 
@@ -42,11 +40,7 @@ func main() {
 	switch {
 	case *list:
 		for _, e := range experiments.Registry() {
-			heavy := ""
-			if e.Heavy {
-				heavy = " (heavy)"
-			}
-			fmt.Fprintf(w, "%-20s %s%s\n", e.ID, e.Desc, heavy)
+			fmt.Fprintf(w, "%-20s %s\n", e.ID, e.Desc)
 		}
 	case *fig != "":
 		entry, err := experiments.Find(*fig)
@@ -56,10 +50,6 @@ func main() {
 		runOne(w, entry)
 	case *all:
 		for _, e := range experiments.Registry() {
-			if *quick && e.Heavy {
-				fmt.Fprintf(w, "== %s: skipped (heavy; run without -quick) ==\n\n", e.ID)
-				continue
-			}
 			runOne(w, e)
 		}
 	default:

@@ -58,8 +58,8 @@ type Analyzer struct {
 	Workers int
 
 	// DisableTracing turns off the per-query span recorder (the untraced
-	// arm of BenchmarkTraceOverhead). Tracing never alters clock charges,
-	// so every virtual-time metric is byte-identical either way.
+	// arm of ./benchmark's trace overhead). Tracing never alters clock
+	// charges, so every virtual-time metric is byte-identical either way.
 	DisableTracing bool
 }
 

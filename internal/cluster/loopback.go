@@ -22,7 +22,7 @@ import (
 // reports permanently live — the non-bootstrap daemon. This is what `spd
 // host` serves; HostURLs derives the matching per-host base URLs. The
 // daemon's self-observability rides along: GET /metrics (Prometheus text
-// over a HostRegistry, returned as Service.Registry), GET /stats (the
+// over a hostRegistry, returned as Service.Registry), GET /stats (the
 // HostStatsDoc JSON) and GET /traces (Service.Flight, which every agent's
 // query handler records traced requests' child spans into).
 func HostMux(tb *scenario.Testbed, rd *statesync.Readiness) *Service {
@@ -36,7 +36,7 @@ func HostMux(tb *scenario.Testbed, rd *statesync.Readiness) *Service {
 	}
 	mux.Handle("/healthz", statesync.HealthzHandler(rd, hostStats(tb)))
 	mux.Handle("/stats", HostStatsHandler(tb, rd))
-	return newService(mux, HostRegistry(tb, rd), fr)
+	return newService(mux, hostRegistry(tb, rd), fr)
 }
 
 // hostStats sums a host daemon's /healthz accounting: records resident

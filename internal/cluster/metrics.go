@@ -88,12 +88,12 @@ func registerReadiness(reg *metrics.Registry, rd *statesync.Readiness) {
 		progress(func(_, _, _, ir int64) int64 { return ir }))
 }
 
-// HostRegistry builds the host daemon's metric registry: per-agent store
+// hostRegistry builds the host daemon's metric registry: per-agent store
 // occupancy and shard-lock contention, telemetry absorption, cold read-back
 // work, the cold segment log's maintenance counters, and bootstrap/ingest
 // progress. Everything is collected at scrape time from synchronized
 // accessors, so the registry is safe while the daemon serves.
-func HostRegistry(tb *scenario.Testbed, rd *statesync.Readiness) *metrics.Registry {
+func hostRegistry(tb *scenario.Testbed, rd *statesync.Readiness) *metrics.Registry {
 	reg := metrics.NewRegistry()
 	labels, agents := sortedHostAgents(tb)
 	perHost := []string{"host"}

@@ -84,6 +84,23 @@ func TestMetricsEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// The replayed host registry holds only frozen virtual-time state, so
+	// its rendered shape is exact.
+	raw := hostRegistry(s.Testbed, nil).Render()
+	fams, err := metrics.ParseText(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	for _, f := range fams {
+		samples += len(f.Samples)
+	}
+	if len(fams) != 22 || samples != 107 || len(raw) != 8225 {
+		t.Errorf("replayed host registry: %d families, %d samples, %d bytes; want 22, 107, 8225",
+			len(fams), samples, len(raw))
+	}
+
 	lb, err := NewLoopback(s.Testbed, AdmissionConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -138,8 +138,7 @@ func TestPipelineEnrichment(t *testing.T) {
 
 // stormCounts replays the canonical deterministic alert storm — 10 waves ×
 // 20 flows, 100 ms apart, dedup window 1 s, rate 1/s with burst 8 — and
-// returns the pipeline stats. Shared with BenchmarkAlertStorm, whose
-// reported counts are drift-gated.
+// returns the pipeline stats.
 func stormCounts(forward func(EnrichedAlert)) PipelineStats {
 	p := NewAlertPipeline(nil, PipelineConfig{
 		DedupWindow: simtime.Second,

@@ -27,15 +27,16 @@ import (
 // byte-identical to the in-memory run on the source testbed.
 func TestBootstrapEquivalenceAllKinds(t *testing.T) {
 	cases := []struct {
-		scenario string
-		m, n     int
+		scenario      string
+		m, n          int
+		segs, records int // absorbed over the wire: exact scenario properties
 	}{
-		{"priority", 4, 0},      // ContentionQuery → priority-contention
-		{"microburst", 4, 0},    // ContentionQuery → microburst-contention
-		{"redlights", 0, 0},     // RedLightsQuery
-		{"cascade", 0, 0},       // CascadeQuery
-		{"loadimbalance", 0, 8}, // ImbalanceQuery
-		{"topk", 0, 8},          // TopKQuery
+		{"priority", 4, 0, 20, 22},    // ContentionQuery → priority-contention
+		{"microburst", 4, 0, 20, 22},  // ContentionQuery → microburst-contention
+		{"redlights", 0, 0, 4, 4},     // RedLightsQuery
+		{"cascade", 0, 0, 4, 4},       // CascadeQuery
+		{"loadimbalance", 0, 8, 8, 8}, // ImbalanceQuery
+		{"topk", 0, 8, 8, 8},          // TopKQuery
 	}
 	for _, tc := range cases {
 		t.Run(tc.scenario, func(t *testing.T) {
@@ -70,8 +71,8 @@ func TestBootstrapEquivalenceAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if recs == 0 || segs == 0 {
-				t.Fatalf("bootstrap absorbed %d segments / %d records", segs, recs)
+			if segs != tc.segs || recs != tc.records {
+				t.Fatalf("bootstrap absorbed %d segments / %d records, want %d / %d", segs, recs, tc.segs, tc.records)
 			}
 			if err := BootstrapSwitches(context.Background(), b, switchSrv.URL, dst.Testbed); err != nil {
 				t.Fatal(err)

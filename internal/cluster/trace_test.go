@@ -104,18 +104,14 @@ func TestRedLightsTraceGolden(t *testing.T) {
 
 	got := goldenTraceJSON(t, merged)
 	golden := filepath.Join("testdata", "redlights_trace.golden.json")
-	want, err := os.ReadFile(golden)
-	if os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
+	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote golden %s (%d spans)", golden, len(merged.Spans))
-		want = got
-	} else if err != nil {
-		t.Fatal(err)
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden: %v (UPDATE_GOLDEN=1 writes it)", err)
 	}
 	if string(got) != string(want) {
 		t.Fatalf("merged trace diverged from golden %s\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
@@ -153,6 +149,10 @@ func TestTracingOffLeavesReportIdentical(t *testing.T) {
 	}
 	if traced.TraceID == "" || traced.Trace == nil {
 		t.Fatal("traced run carries no trace")
+	}
+	// Root plus one span per charged phase, the same every run.
+	if n := len(traced.Trace.Spans); n != 5 {
+		t.Fatalf("traced run has %d spans, want 5", n)
 	}
 
 	s.Testbed.Analyzer.DisableTracing = true

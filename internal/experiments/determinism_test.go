@@ -6,39 +6,23 @@ import (
 	"switchpointer/internal/analyzer"
 )
 
-// TestParallelFanOutDeterminism is the PR 2 merge-determinism gate: the
-// rendered experiment artifacts (tables and notes, byte for byte) must be
-// identical across repeated runs and across analyzer fan-out widths 1, 4
-// and 16. The per-host query rounds run on a worker pool, but answers are
-// merged in sorted host order, so worker scheduling must never leak into
-// results or cost accounting.
+// TestParallelFanOutDeterminism is the merge-determinism gate: the full
+// Fig 8 and Fig 12 artifacts (tables and notes, byte for byte) must match
+// their committed goldens at analyzer fan-out widths 1, 4 and 16. The
+// per-host query rounds run on a worker pool, but answers are merged in
+// sorted host order, so worker scheduling must never leak into results or
+// cost accounting.
 func TestParallelFanOutDeterminism(t *testing.T) {
-	experiments := map[string]Runner{
-		"fig8":  Fig8Quick,
-		"fig12": Fig12Quick,
-	}
-	golden := make(map[string]string)
-	for name, run := range experiments {
-		res, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		golden[name] = res.Render()
-	}
-
 	defer func() { analyzer.DefaultWorkers = 0 }()
 	for _, workers := range []int{1, 4, 16} {
 		analyzer.DefaultWorkers = workers
-		for rep := 0; rep < 2; rep++ {
-			for name, run := range experiments {
-				res, err := run()
-				if err != nil {
-					t.Fatalf("workers=%d rep=%d %s: %v", workers, rep, name, err)
-				}
-				if got := res.Render(); got != golden[name] {
-					t.Fatalf("workers=%d rep=%d: %s diverged\n--- golden ---\n%s\n--- got ---\n%s",
-						workers, rep, name, golden[name], got)
-				}
+		for _, run := range []Runner{Fig8, Fig12} {
+			res, err := run()
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if got := res.Render(); got != golden(t, res.ID) {
+				t.Errorf("workers=%d: %s diverged from %s\n--- got ---\n%s", workers, res.ID, goldenPath(res.ID), got)
 			}
 		}
 	}

@@ -1,10 +1,28 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// wallClock names the experiments whose tables measure real elapsed time —
+// they are the package's only time.Now users — so no golden can pin them.
+var wallClock = map[string]bool{"fig9": true, "ablation-packetmix": true, "diagnosis-throughput": true}
+
+func goldenPath(id string) string { return filepath.Join("testdata", id+".golden.txt") }
+
+// golden returns the committed Render() of experiment id.
+func golden(t *testing.T, id string) string {
+	t.Helper()
+	want, err := os.ReadFile(goldenPath(id))
+	if err != nil {
+		t.Fatalf("%s: %v (UPDATE_GOLDEN=1 go test ./internal/experiments writes it)", id, err)
+	}
+	return string(want)
+}
 
 func TestRenderAligned(t *testing.T) {
 	r := &Result{ID: "x", Title: "demo"}
@@ -49,8 +67,8 @@ func TestRegistryIntegrity(t *testing.T) {
 	}
 }
 
-// Per-figure smoke+shape tests. The heavyweight sweeps use reduced variants
-// where available; the full sweeps run in the benchmark harness.
+// Per-figure shape tests: the paper's qualitative claims, which the goldens
+// pin only as numbers.
 
 func TestFig3Runs(t *testing.T) {
 	r, err := Fig3()
@@ -102,7 +120,7 @@ func TestFig7Runs(t *testing.T) {
 }
 
 func TestFig8QuickShape(t *testing.T) {
-	r, err := Fig8Quick()
+	r, err := Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +170,7 @@ func TestFig11Anchors(t *testing.T) {
 }
 
 func TestFig12QuickShape(t *testing.T) {
-	r, err := Fig12Quick()
+	r, err := Fig12()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,12 +220,12 @@ func TestAblationHeaderModesNumbers(t *testing.T) {
 	}
 }
 
-// TestFullRegistryArtifacts runs every registered experiment end to end and
-// sanity-checks its artifact. Heavy sweeps included; skipped under -short.
+// TestFullRegistryArtifacts runs every registered experiment end to end,
+// sanity-checks its artifact and, unless it is wall-clock, compares its
+// rendering byte for byte with testdata/<id>.golden.txt — the paper-figure
+// drift gate. UPDATE_GOLDEN=1 rewrites the goldens.
 func TestFullRegistryArtifacts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy sweeps skipped in short mode")
-	}
+	update := os.Getenv("UPDATE_GOLDEN") != ""
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -232,8 +250,21 @@ func TestFullRegistryArtifacts(t *testing.T) {
 					}
 				}
 			}
-			if out := res.Render(); len(out) < 100 {
+			out := res.Render()
+			if len(out) < 100 {
 				t.Fatalf("%s: suspiciously small artifact", e.ID)
+			}
+			if wallClock[e.ID] {
+				return
+			}
+			if update {
+				if err := os.WriteFile(goldenPath(e.ID), []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want := golden(t, e.ID); out != want {
+				t.Errorf("%s diverged from %s (UPDATE_GOLDEN=1 rewrites it)\n--- got ---\n%s--- want ---\n%s",
+					e.ID, goldenPath(e.ID), out, want)
 			}
 		})
 	}

@@ -177,6 +177,6 @@ func Sec61Memory() (*Result, error) {
 	}
 	r.AddTable(tab)
 	r.AddNote("paper (FCH): 70 KB / 700 KB MPH, 12.5 KB / 125 KB pointer, 82.5 KB / 825 KB total")
-	r.AddNote("our BDZ construction trades ≈2× MPH size for orders-of-magnitude faster builds; see EXPERIMENTS.md")
+	r.AddNote("our BDZ construction trades ≈2× MPH size for orders-of-magnitude faster builds: compare the MPH column with the paper line above")
 	return r, nil
 }

@@ -88,21 +88,12 @@ var fig8Sweep = []int{4, 8, 16, 32, 64, 96}
 // Fig8 regenerates Figure 8: load-imbalance diagnosis latency as a function
 // of the number of servers with relevant flows.
 func Fig8() (*Result, error) {
-	return fig8WithSweep(fig8Sweep)
-}
-
-// Fig8Quick is a reduced sweep for fast benchmark runs.
-func Fig8Quick() (*Result, error) {
-	return fig8WithSweep([]int{4, 16, 48})
-}
-
-func fig8WithSweep(sweep []int) (*Result, error) {
 	r := &Result{ID: "fig8", Title: "load-imbalance diagnosis latency (Fig 8)"}
 	tab := Table{
 		Title: "diagnosis time vs servers with relevant flows",
 		Cols:  []string{"servers", "diagnosis (ms)", "separated", "boundary (KB)", "parallel (ms)"},
 	}
-	for _, n := range sweep {
+	for _, n := range fig8Sweep {
 		s, err := scenario.NewLoadImbalance(n, scenario.Options{})
 		if err != nil {
 			return nil, err
@@ -138,30 +129,23 @@ func fig8WithSweep(sweep []int) (*Result, error) {
 	return r, nil
 }
 
-// fig12Sweep is the Fig 12 x-axis.
+// fig12Sweep is the Fig 12 x-axis, out of fig12Servers.
 var fig12Sweep = []int{1, 8, 16, 32, 64, 96}
+
+const fig12Servers = 96
 
 // Fig12 regenerates Figure 12: top-100 query response time, SwitchPointer vs
 // the PathDump baseline, versus the number of servers holding relevant
 // telemetry (out of 96).
 func Fig12() (*Result, error) {
-	return fig12WithSweep(fig12Sweep, 96)
-}
-
-// Fig12Quick is a reduced sweep for fast benchmark runs.
-func Fig12Quick() (*Result, error) {
-	return fig12WithSweep([]int{1, 8, 24}, 24)
-}
-
-func fig12WithSweep(sweep []int, total int) (*Result, error) {
 	r := &Result{ID: "fig12", Title: "top-100 query response time (Fig 12)"}
 	tab := Table{
-		Title: fmt.Sprintf("response time (ms), %d servers total", total),
+		Title: fmt.Sprintf("response time (ms), %d servers total", fig12Servers),
 		Cols: []string{"relevant servers", "SwitchPointer", "  PathDump",
 			"SP hosts", "PD hosts", "SP conn-init share", "SP parallel"},
 	}
-	for _, n := range sweep {
-		s, err := scenario.NewTopKWorkload(n, total, scenario.Options{})
+	for _, n := range fig12Sweep {
+		s, err := scenario.NewTopKWorkload(n, fig12Servers, scenario.Options{})
 		if err != nil {
 			return nil, err
 		}

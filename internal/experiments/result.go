@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§2, §5, §6) from the reproduction, rendering aligned-text
-// artifacts whose rows/series mirror the paper's plots. EXPERIMENTS.md
-// records the paper-vs-measured comparison for each.
+// artifacts whose rows/series mirror the paper's plots. Each deterministic
+// artifact is committed as testdata/<id>.golden.txt, where its "note:
+// paper: …" lines sit next to the measured cells they compare against.
 package experiments
 
 import (

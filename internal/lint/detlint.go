@@ -6,7 +6,7 @@ import (
 
 // Detlint forbids wall-clock time and unseeded math/rand. The repo's
 // correctness story is deterministic virtual time: every reported metric
-// is drift-gated byte-identical (BENCH_*.json), which only holds if the
+// is pinned byte-identical by a committed golden, which only holds if the
 // simulation packages never consult the wall clock or a global random
 // source. Outside the deterministic core (daemons, bench harnesses) wall
 // clock is legitimate but must be justified with a //splint:wallclock

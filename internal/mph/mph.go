@@ -15,7 +15,8 @@
 //     levels in the pointer hierarchy (the paper's key requirement);
 //   - a few bits of storage per key (BDZ ≈ 3.7 bits/key here; the paper's
 //     FCH reaches 2.1 bits/key at much higher construction cost — the
-//     constant factor difference is documented in EXPERIMENTS.md).
+//     constant factor difference is pinned, next to the paper's numbers, in
+//     internal/experiments/testdata/sec6.1.golden.txt).
 //
 // Construction is randomized: if peeling fails the builder retries with a new
 // seed. For load factors around 0.81 (γ = 1.23) failures are rare.

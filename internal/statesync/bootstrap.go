@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
@@ -20,11 +19,6 @@ import (
 type Bootstrapper struct {
 	// HTTP is the client to pull with (http.DefaultClient when nil).
 	HTTP *http.Client
-	// RTT, when non-zero, is slept before every pull round — the emulated
-	// per-round network latency seam (this repo benches on a 1-CPU
-	// container, so deployment latency is emulated here rather than
-	// measured; see BenchmarkSnapshotBootstrap). Zero in production.
-	RTT time.Duration
 	// Readiness, when set, accumulates bootstrap accounting as segments
 	// land, so /healthz shows a bootstrap progressing.
 	Readiness *Readiness
@@ -35,14 +29,6 @@ func (b *Bootstrapper) http() *http.Client {
 		return b.HTTP
 	}
 	return http.DefaultClient
-}
-
-// round emulates one network round trip when an RTT is configured.
-func (b *Bootstrapper) round() {
-	if b.RTT > 0 {
-		//splint:wallclock emulated per-round RTT on a real network pull (1-CPU container seam)
-		time.Sleep(b.RTT)
-	}
 }
 
 // BootstrapStore pulls the peer host agent's snapshot (GET
@@ -59,7 +45,6 @@ func (b *Bootstrapper) BootstrapStore(ctx context.Context, peerBase string, epoc
 	if err != nil {
 		return 0, 0, fmt.Errorf("statesync: bootstrap: %w", err)
 	}
-	b.round()
 	resp, err := b.http().Do(req)
 	if err != nil {
 		return 0, 0, fmt.Errorf("statesync: bootstrap %s: %w", url, err)
@@ -90,7 +75,6 @@ func (b *Bootstrapper) BootstrapHost(ctx context.Context, peerBase string, ag *h
 // geometry, so subsequent pointer pulls answer byte-identically to the
 // source's.
 func (b *Bootstrapper) BootstrapSwitch(ctx context.Context, peerBase string, ag *switchagent.Agent) error {
-	b.round()
 	snap, err := rpc.NewHTTPClient(b.HTTP).SwitchSnapshot(ctx, peerBase)
 	if err != nil {
 		return fmt.Errorf("statesync: bootstrap switch: %w", err)

@@ -685,6 +685,11 @@ func TestColdIndexEffectiveness(t *testing.T) {
 		t.Fatalf("skip accounting: decoded %d + skipped %d != %d segments",
 			fast.ColdSegments, fast.ColdSkippedByIndex, segs)
 	}
+	// The fixture and the index's hash seeds are fixed, so the counts are too.
+	if fast.ColdSegments != 3 || fast.ColdSkippedByIndex != 77 || fast.ColdRecords != 12 {
+		t.Fatalf("indexed query decoded %d, skipped %d, scanned %d records; want 3, 77, 12",
+			fast.ColdSegments, fast.ColdSkippedByIndex, fast.ColdRecords)
+	}
 
 	// Exhaustive baseline: identical records, every segment decoded.
 	ag.SetColdReader(unindexed)
