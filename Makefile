@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz bench-real bench-compare bench-pairs binaries verify clean
+.PHONY: all build vet lint test fuzz bench-real bench-compare bench-pairs binaries verify clean
 
 all: verify
 
@@ -24,14 +24,6 @@ lint: vet
 ## (internal/experiments/testdata; UPDATE_GOLDEN=1 rewrites them)
 test:
 	$(GO) test ./...
-
-## race: race detector over the concurrent surface (analyzer fan-out, RPC,
-## host-agent query executors, sharded record store, event engine, cluster
-## service plane, switch agents, the packet simulator, the record codec, the
-## routing table, and the root-package integration tests) — scoped so the
-## gate stays fast
-race:
-	$(GO) test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace ./internal/flowrec ./internal/topo .
 
 ## fuzz: 10 s of native fuzzing over the segment decoder (seed corpus in
 ## internal/store/testdata/fuzz) — no panic, allocation bounded by the
@@ -70,9 +62,11 @@ binaries:
 		$(GO) build -o /dev/null "./$$d"; \
 	done
 
-## verify: the tier-1 gate — build, lint (gofmt + vet + splint), test,
-## race, the fuzz leg, and binary compile checks
-verify: build lint test race fuzz binaries
+## verify: the tier-1 gate, scripts/verify.sh — build, lint (gofmt + vet +
+## splint), test, race, the fuzz leg, binary compile checks and the spd
+## trio / trace / metrics / bootstrap smokes
+verify:
+	sh scripts/verify.sh
 
 clean:
 	rm -rf bin

@@ -109,7 +109,7 @@ func hostRegistry(tb *scenario.Testbed, rd *statesync.Readiness) *metrics.Regist
 		each(func(ag *hostagent.Agent) float64 { return float64(ag.Store.Len()) }))
 	reg.CounterFunc("spd_store_evicted_records_total", "Records evicted to cold storage by retention.", perHost,
 		each(func(ag *hostagent.Agent) float64 { return float64(ag.Store.Evicted()) }))
-	reg.GaugeFunc("spd_store_shard_generations", "Sum of per-shard merge generations (secondary-index rebuild pressure).", perHost,
+	reg.GaugeFunc("spd_store_shard_generations", "Per-switch memo invalidations (a record joined or left a switch in some shard).", perHost,
 		each(func(ag *hostagent.Agent) float64 { return float64(ag.Store.Generations()) }))
 	reg.CounterFunc("spd_store_lock_acquires_total", "Shard lock acquisitions on the record write path.", perHost,
 		each(func(ag *hostagent.Agent) float64 { acq, _ := ag.Store.LockStats(); return float64(acq) }))

@@ -96,8 +96,8 @@ func TestMetricsEndpoints(t *testing.T) {
 	for _, f := range fams {
 		samples += len(f.Samples)
 	}
-	if len(fams) != 22 || samples != 107 || len(raw) != 8225 {
-		t.Errorf("replayed host registry: %d families, %d samples, %d bytes; want 22, 107, 8225",
+	if len(fams) != 22 || samples != 107 || len(raw) != 8234 {
+		t.Errorf("replayed host registry: %d families, %d samples, %d bytes; want 22, 107, 8234",
 			len(fams), samples, len(raw))
 	}
 

@@ -6,10 +6,10 @@
 package hostagent
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"switchpointer/internal/flowrec"
@@ -533,22 +533,24 @@ type FlowBytes struct {
 	Bytes uint64
 }
 
-// QueryTopK returns this host's top-k flows by bytes through switch sw.
-// The analyzer merges per-host answers into the global top-k (Fig 12).
+// QueryTopK returns this host's top-k flows by bytes through switch sw
+// (every flow with an epoch range there; k ≤ 0: all of them), largest first,
+// equal byte counts in flow-key string order. It sorts the whole per-host
+// answer rather than keeping a k-heap: a host's answer is small. The
+// analyzer merges per-host answers into the global top-k (Fig 12).
 func (a *Agent) QueryTopK(ctx context.Context, sw netsim.NodeID, k int) []FlowBytes {
 	if ctx.Err() != nil {
 		return nil
 	}
-	out := make([]FlowBytes, 0, len(a.Store.BySwitch(sw))) // memoized; sizes the answer
-	a.Store.QueryBySwitch(sw, func(r *flowrec.Record) bool {
+	out := []FlowBytes{} // an empty answer is [] on the wire, not null
+	a.Store.QueryWindow(sw, store.EveryEpoch, func(r *flowrec.Record) {
 		out = append(out, FlowBytes{Flow: r.Flow, Bytes: r.Bytes})
-		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
+	slices.SortFunc(out, func(x, y FlowBytes) int {
+		if c := cmp.Compare(y.Bytes, x.Bytes); c != 0 {
+			return c
 		}
-		return out[i].Flow.CompareString(out[j].Flow) < 0
+		return x.Flow.CompareString(y.Flow)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
@@ -565,16 +567,16 @@ type FlowSize struct {
 }
 
 // QueryFlowSizes returns sizes and egress links of this host's flows through
-// switch sw.
+// switch sw (every flow with an epoch range there), in flow-key order.
 func (a *Agent) QueryFlowSizes(ctx context.Context, sw netsim.NodeID) []FlowSize {
 	if ctx.Err() != nil {
 		return nil
 	}
-	out := make([]FlowSize, 0, len(a.Store.BySwitch(sw))) // memoized; sizes the answer
-	a.Store.QueryBySwitch(sw, func(r *flowrec.Record) bool {
+	out := []FlowSize{} // an empty answer is [] on the wire, not null
+	a.Store.QueryWindow(sw, store.EveryEpoch, func(r *flowrec.Record) {
 		out = append(out, FlowSize{Flow: r.Flow, Bytes: r.Bytes, Link: r.TagLink})
-		return true
 	})
+	slices.SortFunc(out, func(x, y FlowSize) int { return flowrec.Compare(x.Flow, y.Flow) })
 	return out
 }
 

@@ -9,19 +9,19 @@ import (
 	"switchpointer/internal/simtime"
 )
 
-// built counts the shards whose maps exist and reports whether the store's
-// merge cache does. -1 shards: a shard's built flag disagrees with its map.
-func built(st *RecordStore) (shards int, mergeCache bool) {
+// built counts the shards whose maps exist; -1: a shard's built flag
+// disagrees with its map.
+func built(st *RecordStore) (shards int) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		if sh.recs != nil || sh.paths != nil || sh.memos != nil {
 			shards++
 		}
 		if (sh.recs != nil) != sh.built.Load() {
-			return -1, false
+			return -1
 		}
 	}
-	return shards, st.merged != nil || st.gens != nil
+	return shards
 }
 
 var newSink *RecordStore
@@ -32,8 +32,8 @@ func TestNewIsOneAllocation(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { newSink = New() }); allocs > 1 {
 		t.Fatalf("New: %v allocs, want <= 1", allocs)
 	}
-	if shards, cache := built(newSink); shards != 0 || cache {
-		t.Fatalf("New built %d shards (merge cache: %v)", shards, cache)
+	if shards := built(newSink); shards != 0 {
+		t.Fatalf("New built %d shards", shards)
 	}
 }
 
@@ -42,8 +42,8 @@ func TestNewIsOneAllocation(t *testing.T) {
 func TestFirstWriteBuildsOneShard(t *testing.T) {
 	st := New()
 	flow := seedRecord(st, 7, 100, 10, 11)
-	if shards, cache := built(st); shards != 1 || !cache {
-		t.Fatalf("one absorbed flow built %d shards (merge cache: %v), want 1 (true)", shards, cache)
+	if shards := built(st); shards != 1 {
+		t.Fatalf("one absorbed flow built %d shards, want 1", shards)
 	}
 	if got := st.BySwitch(11); len(got) != 1 || got[0].Flow != flow {
 		t.Fatalf("BySwitch(11) = %+v", got)
@@ -51,14 +51,14 @@ func TestFirstWriteBuildsOneShard(t *testing.T) {
 	if st.Len() != 1 || len(st.All()) != 1 {
 		t.Fatalf("Len = %d, All = %d, want 1", st.Len(), len(st.All()))
 	}
-	if shards, _ := built(st); shards != 1 {
+	if shards := built(st); shards != 1 {
 		t.Fatalf("reading built %d more shards", shards-1)
 	}
 }
 
 // TestNeverWrittenStoreAnswersEmpty runs every read-side and maintenance
 // API over a store nothing was written to: each answers empty from nil
-// maps and none builds a shard or the merge cache.
+// maps and none builds a shard.
 func TestNeverWrittenStoreAnswersEmpty(t *testing.T) {
 	st := New()
 	st.SetRetention(Retention{Alpha: 10, HotEpochs: 2, MaxRecords: 4})
@@ -70,7 +70,7 @@ func TestNeverWrittenStoreAnswersEmpty(t *testing.T) {
 	if got := st.BySwitch(10); got != nil {
 		t.Fatalf("BySwitch = %+v", got)
 	}
-	st.QueryBySwitch(10, func(*flowrec.Record) bool { t.Fatal("QueryBySwitch visited a record"); return false })
+	st.QueryWindow(10, EveryEpoch, func(*flowrec.Record) { t.Fatal("QueryWindow visited a record") })
 	if st.View(flow, func(*flowrec.Record) { t.Fatal("View visited a record") }) {
 		t.Fatal("View reported a record")
 	}
@@ -86,22 +86,15 @@ func TestNeverWrittenStoreAnswersEmpty(t *testing.T) {
 	if st.Generations() != 0 {
 		t.Fatalf("Generations = %d", st.Generations())
 	}
-	var buf bytes.Buffer
-	if err := st.Flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if recs, err := DecodeSegment(&buf); err != nil || len(recs) != 0 {
-		t.Fatalf("flushed segment decodes to %d records, %v", len(recs), err)
-	}
-	if shards, cache := built(st); shards != 0 || cache {
-		t.Fatalf("reading a never-written store built %d shards (merge cache: %v)", shards, cache)
+	if shards := built(st); shards != 0 {
+		t.Fatalf("reading a never-written store built %d shards", shards)
 	}
 }
 
-// TestPutAndLoadIntoFreshStore covers the two writers that do not go
-// through Acquire: Put installs into an unbuilt shard, and Load both fills
-// a fresh store and returns a populated one to the never-written state
-// before refilling it.
+// TestPutAndLoadIntoFreshStore covers the writer that does not go through
+// Acquire: Put installs into an unbuilt shard, and a snapshot of that store,
+// encoded, decoded and Put into a fresh one (what bootstrap does), builds
+// only the one shard it fills.
 func TestPutAndLoadIntoFreshStore(t *testing.T) {
 	rec := flowrec.New(netsim.FlowKey{Src: 1, Dst: 2, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoTCP})
 	rec.Path = []netsim.NodeID{10, 12}
@@ -112,29 +105,30 @@ func TestPutAndLoadIntoFreshStore(t *testing.T) {
 	if !src.Put(rec) {
 		t.Fatal("Put into a fresh store rejected")
 	}
-	if shards, _ := built(src); shards != 1 {
+	if shards := built(src); shards != 1 {
 		t.Fatalf("one Put built %d shards", shards)
 	}
 	if got := src.BySwitch(12); len(got) != 1 || got[0].Bytes != 400 {
 		t.Fatalf("fresh Put not indexed: %+v", got)
 	}
 	var seg bytes.Buffer
-	if err := src.Flush(&seg); err != nil {
+	if err := src.SnapshotShards(EveryEpoch, func(recs []*flowrec.Record) error { return EncodeSegment(&seg, recs) }); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := DecodeSegment(&seg)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	dst := New()
-	for i := 1; i <= 4*numShards; i++ { // contents Load must replace
-		addRecord(dst, netsim.IPv4(i), 7, []netsim.NodeID{42}, i)
+	for _, r := range recs {
+		dst.Put(r)
 	}
-	if err := dst.Load(&seg); err != nil {
-		t.Fatal(err)
+	if shards := built(dst); shards != 1 {
+		t.Fatalf("bootstrapping one record left %d shards built", shards)
 	}
-	if shards, _ := built(dst); shards != 1 {
-		t.Fatalf("Load of one record left %d shards built", shards)
-	}
-	if dst.Len() != 1 || len(dst.BySwitch(42)) != 0 {
-		t.Fatalf("Load kept old contents: Len = %d, BySwitch(42) = %d", dst.Len(), len(dst.BySwitch(42)))
+	if dst.Len() != 1 {
+		t.Fatalf("bootstrapped Len = %d, want 1", dst.Len())
 	}
 	if got := dst.BySwitch(10); len(got) != 1 || got[0].Bytes != 400 {
 		t.Fatalf("loaded record not indexed: %+v", got)

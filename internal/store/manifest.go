@@ -127,11 +127,11 @@ func NewSegmentManifest(recs []*flowrec.Record) SegmentManifest {
 			swset[sw] = struct{}{}
 		}
 		bloom.Add(r.Flow)
-		if i == 0 || flowLess(r.Flow, *m.FlowLo) {
+		if i == 0 || flowrec.Less(r.Flow, *m.FlowLo) {
 			f := r.Flow
 			m.FlowLo = &f
 		}
-		if i == 0 || flowLess(*m.FlowHi, r.Flow) {
+		if i == 0 || flowrec.Less(*m.FlowHi, r.Flow) {
 			f := r.Flow
 			m.FlowHi = &f
 		}

@@ -69,7 +69,7 @@ func modelScript(t *testing.T, st *RecordStore, seed int64, steps int, check fun
 			}
 			rec.Absorb(&netsim.Packet{Flow: flow, Size: 100}, header.Decoded{Path: path, Epochs: epochs, TagIdx: 0}, now)
 			st.Release(rec)
-		case 4: // mutated by hand between Acquire and Release: no Absorb vouches
+		case 4, 5: // mutated by hand between Acquire and Release: no Absorb vouches
 			rec := st.Acquire(flow)
 			if rng.Intn(2) == 0 || len(rec.Path) == 0 {
 				rec.Path = slices.Clone(modelPaths[rng.Intn(len(modelPaths))])
@@ -78,15 +78,6 @@ func modelScript(t *testing.T, st *RecordStore, seed int64, steps int, check fun
 			rec.Pkts++
 			rec.LastSeen = now
 			st.Release(rec)
-		case 5: // the single-writer form
-			rec := st.Get(flow)
-			if rng.Intn(2) == 0 || len(rec.Path) == 0 {
-				rec.Path = slices.Clone(modelPaths[rng.Intn(len(modelPaths))])
-			}
-			rec.Epochs = epochsFor(rec.Path, lo)
-			rec.Pkts++
-			rec.LastSeen = now
-			st.Reindex(rec)
 		case 6, 7: // Put: new, replace on the same path, replace on a new one, stale
 			rec := flowrec.New(flow)
 			rec.Pkts, rec.Bytes, rec.LastSeen = 1, 100, now
@@ -111,7 +102,7 @@ func modelScript(t *testing.T, st *RecordStore, seed int64, steps int, check fun
 				t.Fatal(err)
 			}
 		case 9: // a flow that stays pathless (created, never indexed)
-			st.Get(flow)
+			st.Release(st.Acquire(flow))
 		}
 		check(step)
 	}
@@ -120,8 +111,8 @@ func modelScript(t *testing.T, st *RecordStore, seed int64, steps int, check fun
 // TestStoreMatchesModel is the oracle for the one-index store: after every
 // step of a random script, with memos left behind by the previous steps'
 // queries, the windowed scan equals the brute-force (EpochsAt + Overlaps)
-// filter over All() and BySwitch equals the brute-force membership, both in
-// flow-key order.
+// filter over All(), and both the EveryEpoch scan and BySwitch equal the
+// brute-force membership (Record.Traverses), all in flow-key order.
 func TestStoreMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		st := New()
@@ -144,9 +135,15 @@ func TestStoreMatchesModel(t *testing.T) {
 				}
 				var got []*flowrec.Record
 				st.QueryWindow(sw, window, func(r *flowrec.Record) { got = append(got, r) })
-				sortRecords(got)
+				flowrec.SortRecords(got)
 				if !slices.Equal(got, wantWindow) {
 					t.Fatalf("seed %d step %d: QueryWindow(%d, %v) = %v, want %v", seed, step, sw, window, got, wantWindow)
+				}
+				got = got[:0]
+				st.QueryWindow(sw, EveryEpoch, func(r *flowrec.Record) { got = append(got, r) })
+				flowrec.SortRecords(got)
+				if !slices.Equal(got, wantMembers) {
+					t.Fatalf("seed %d step %d: QueryWindow(%d, EveryEpoch) = %v, want %v", seed, step, sw, got, wantMembers)
 				}
 				if got := st.BySwitch(sw); !slices.Equal(got, wantMembers) {
 					t.Fatalf("seed %d step %d: BySwitch(%d) = %v, want %v", seed, step, sw, got, wantMembers)

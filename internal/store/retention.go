@@ -21,8 +21,8 @@ import (
 //   - Size: when the store still exceeds MaxRecords, the coldest surplus
 //     (oldest LastSeen first) is evicted regardless of age.
 //
-// Evicted records leave through the store's Flush path: they are appended
-// to Sink as a stream of Flush-compatible segments (nil Sink drops them).
+// Evicted records leave as flowrec segments: they are appended to Sink as a
+// stream of self-delimiting segments (nil Sink drops them).
 // Zero triggers disable the respective bound; the zero
 // Retention disables eviction entirely.
 type Retention struct {
@@ -33,8 +33,8 @@ type Retention struct {
 	// MaxRecords caps the resident set (0 = unbounded).
 	MaxRecords int
 	// Sink receives evicted records as segments (one per Maintain call that
-	// evicted anything, in the form Flush writes and Load reads; successive
-	// Loads walk the stream). Nil drops evictions.
+	// evicted anything, as EncodeSegment writes it; successive DecodeSegment
+	// calls walk the stream). Nil drops evictions.
 	Sink io.Writer
 	// Cold, when set, receives the same segments together with a
 	// SegmentManifest each — the indexed flush path that makes cold
@@ -159,7 +159,7 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 				if all[i].last != all[j].last {
 					return all[i].last < all[j].last
 				}
-				return flowLess(all[i].flow, all[j].flow)
+				return flowrec.Less(all[i].flow, all[j].flow)
 			})
 			if surplus > len(all) {
 				surplus = len(all)
@@ -187,15 +187,15 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 	if cfg.Sink == nil && cfg.Cold == nil {
 		return len(victims), nil
 	}
-	// Flush in deterministic cold-first order. The victims are no longer
+	// Write out in deterministic cold-first order. The victims are no longer
 	// reachable from the store, so encoding the live pointers is race-free.
 	// Each sweep writes one self-delimiting segment — the same bytes to
-	// either sink — so any segment decodes independently with Load.
+	// either sink — so any segment decodes independently with DecodeSegment.
 	sort.Slice(victims, func(i, j int) bool {
 		if victims[i].LastSeen != victims[j].LastSeen {
 			return victims[i].LastSeen < victims[j].LastSeen
 		}
-		return flowLess(victims[i].Flow, victims[j].Flow)
+		return flowrec.Less(victims[i].Flow, victims[j].Flow)
 	})
 	var buf bytes.Buffer
 	if err := EncodeSegment(&buf, victims); err != nil {

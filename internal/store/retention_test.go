@@ -57,15 +57,15 @@ func TestRetentionAgeEviction(t *testing.T) {
 		t.Fatalf("BySwitch after eviction: %d records, want 1", got)
 	}
 
-	// The sink segment is Flush-shaped: a fresh store Loads it.
-	archived := New()
-	if err := archived.Load(&sink); err != nil {
+	// The sink holds one segment of the evicted records, oldest first.
+	archived, err := DecodeSegment(&sink)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if archived.Len() != 2 {
-		t.Fatalf("archive holds %d records, want 2", archived.Len())
+	if len(archived) != 2 {
+		t.Fatalf("archive holds %d records, want 2", len(archived))
 	}
-	if _, ok := archived.Lookup(old1); !ok {
+	if archived[0].Flow != old1 {
 		t.Fatal("archive missing cold record 1")
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // EncodeSegment writes one self-delimiting segment (package flowrec documents
-// the format) — what Flush and every eviction sink write and Load reads.
+// the format) — what every eviction sink and snapshot frame carries.
 // Segments decode independently, and equal records give equal bytes.
 func EncodeSegment(w io.Writer, recs []*flowrec.Record) error {
 	buf, err := flowrec.AppendSegment(nil, recs)

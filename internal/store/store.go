@@ -8,20 +8,18 @@
 // record; it is a memo built by walking the shard the first time somebody
 // asks, kept until a record joins or leaves that switch, and carrying each
 // record's epoch range there so a (switch, epoch window) query reads ranges
-// sequentially and touches only what it returns. What leaves memory (Flush,
-// evictions, cold segments, snapshot frames) is written as flowrec segments
-// (segment.go) for the "flushed to local storage" behaviour.
+// sequentially and touches only what it returns. What leaves memory
+// (evictions to cold segments, snapshot frames) is written as flowrec
+// segments (segment.go) for the "flushed to local storage" behaviour.
 //
-// Shards are lazy: New is one allocation, and a shard's maps (like the
-// store's merge cache) are created under the lock that first writes them.
+// Shards are lazy: New is one allocation, and a shard's maps are created
+// under the lock that first writes them.
 // Most of a testbed's stores never hold a record — only receivers absorb —
 // and a host with one flow touches one shard of sixteen; every read path
 // answers from nil maps without building anything.
 package store
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sync"
@@ -47,8 +45,9 @@ type slot struct {
 
 // memo is one shard's answer for one switch: the records whose indexed path
 // visits it, flow-key-sorted, and at[i] = recs[i]'s epoch range there. recs
-// is immutable once built (BySwitch merges it outside the shard lock); at is
-// rewritten in place under mu write-locked (refresh) and read under mu.
+// never changes once built (a membership change drops the whole memo, so
+// refresh can binary-search it); at is rewritten in place under mu
+// write-locked (refresh). Both are read under mu.
 type memo struct {
 	recs []*flowrec.Record
 	at   []simtime.EpochRange
@@ -58,9 +57,9 @@ type memo struct {
 // first write (ensure, memo).
 type shard struct {
 	// mu guards recs, paths and every memo's at: write-locked by mutations
-	// (Acquire/Release, Get-create, Reindex, Put, eviction), read-locked by
-	// queries. paths interns the distinct indexed paths; it only grows, to
-	// the few dozen routes the topology has to this host.
+	// (Acquire/Release, Put, eviction), read-locked by queries. paths
+	// interns the distinct indexed paths; it only grows, to the few dozen
+	// routes the topology has to this host.
 	mu    sync.RWMutex
 	recs  map[netsim.FlowKey]slot
 	paths [][]netsim.NodeID
@@ -79,50 +78,41 @@ type shard struct {
 // switch.
 //
 // Records are sharded by flow-key hash with per-shard locks, so one store
-// serves many concurrent queries. BySwitch merges the shards' memos in
-// deterministic flow-key-sorted order and caches the merged answer until any
-// shard's membership for that switch changes; QueryWindow scans the memos'
-// inline epoch ranges shard by shard.
+// serves many concurrent queries. Its one read primitive by switch is
+// QueryWindow, which scans the shards' memos and their inline epoch ranges
+// shard by shard.
 //
 // # Concurrency contract
 //
-// Queries (BySwitch, QueryBySwitch, QueryWindow, View, Lookup, All, Len)
-// are safe to call concurrently with each other AND with mutations: each
-// takes the affected shards' read locks. Flush is also mutation-safe — it
-// encodes record clones snapshotted under shard read locks, never the live
-// records. There is no longer a single-owner-per-round restriction — the
-// analyzer may fan any number of concurrent queries at one store and the
-// HTTP binding may serve requests while the owning host is still absorbing
-// packets.
+// Queries (QueryWindow, View, Lookup, All, Len, SnapshotShards) are safe to
+// call concurrently with each other AND with mutations: each takes the
+// affected shards' read locks. The analyzer may fan any number of concurrent
+// queries at one store and the HTTP binding may serve requests while the
+// owning host is still absorbing packets.
 //
 // Mutators take one shard's write lock. The packet hot path uses the
 // Acquire/Release pair, which holds the flow's shard write-locked across
 // the record mutation so concurrent queries never observe a half-absorbed
-// record. Get and Reindex remain for single-writer callers (tests, tools);
-// a record obtained from Get may only be mutated while no concurrent
-// queries run, or via Acquire/Release.
+// record; Put installs a record absorbed elsewhere.
 //
 // Whoever changes a resident record's Path or Epochs owes the store a
-// Release, Reindex or Put: that re-files the record and refreshes the epoch
-// ranges the memos carry. Release skips it only when Record.Absorb vouches
-// that nothing indexable changed. Lock order: shard mu, then the shard's
-// memoMu or the store's mergeMu (both leaves).
+// Release or Put: that re-files the record and refreshes the epoch ranges
+// the memos carry. Release skips it only when Record.Absorb vouches that
+// nothing indexable changed. Lock order: shard mu, then the shard's memoMu
+// (a leaf).
 //
-// Records handed out by query APIs are read-only: QueryBySwitch, QueryWindow
-// and View hold the record's shard read-locked during the callback, which is
-// the only race-free way to read fields of a record that is still absorbing
-// packets. BySwitch/All return the shared record pointers for
-// sim-thread/serialization use; callers reading them concurrently with
-// absorption must go through the callback APIs instead.
+// Records handed out by query APIs are read-only: QueryWindow and View hold
+// the record's shard read-locked during the callback, which is the only
+// race-free way to read fields of a record that is still absorbing packets.
+// All returns the shared record pointers for sim-thread/serialization use;
+// callers reading them concurrently with absorption must go through the
+// callback APIs instead.
 type RecordStore struct {
 	shards [numShards]shard
 
-	// mergeMu guards merged and gens. It is never held while acquiring a
-	// shard lock (BySwitch releases it before touching shards), so shard
-	// write paths may take it freely.
-	mergeMu sync.Mutex
-	merged  map[netsim.NodeID]mergedEntry
-	gens    map[netsim.NodeID]uint64
+	// invalidations counts invalidate calls: memos dropped because a record
+	// joined or left a switch in some shard.
+	invalidations atomic.Uint64
 
 	// ret holds the optional eviction policy (see SetRetention/Maintain in
 	// retention.go). Zero value = no eviction.
@@ -136,31 +126,9 @@ type RecordStore struct {
 	contended atomic.Uint64
 }
 
-// mergedEntry is a cached cross-shard BySwitch answer, valid while the
-// switch's generation is unchanged.
-type mergedEntry struct {
-	recs []*flowrec.Record
-	gen  uint64
-}
-
 // New returns an empty store: one allocation, no shard built yet.
 func New() *RecordStore {
 	return &RecordStore{}
-}
-
-// reset empties every shard, path table and memo, back to the never-written
-// state.
-func (st *RecordStore) reset() {
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		sh.recs, sh.paths, sh.memos = nil, nil, nil
-		sh.built.Store(false)
-		sh.mu.Unlock()
-	}
-	st.mergeMu.Lock()
-	st.merged, st.gens = nil, nil
-	st.mergeMu.Unlock()
 }
 
 // ensure builds the shard's record map ahead of its first write. Called
@@ -173,8 +141,8 @@ func (sh *shard) ensure() {
 }
 
 // shardOf hashes a flow key to its shard. The mix only spreads flows across
-// shards — it never influences any query answer, which are all merged in
-// flow-key-sorted order.
+// shards: every caller that needs an order sorts by flow key, so it never
+// influences an answer.
 func (st *RecordStore) shardOf(flow netsim.FlowKey) *shard {
 	h := uint64(flow.Src)<<32 | uint64(flow.Dst)
 	h ^= uint64(flow.SrcPort)<<24 ^ uint64(flow.DstPort)<<8 ^ uint64(flow.Proto)
@@ -197,16 +165,6 @@ func (st *RecordStore) Len() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// Get returns the record for a flow, creating it if absent. See the
-// concurrency contract for when the returned record may be mutated.
-func (st *RecordStore) Get(flow netsim.FlowKey) *flowrec.Record {
-	sh := st.shardOf(flow)
-	sh.mu.Lock()
-	r := getLocked(sh, flow)
-	sh.mu.Unlock()
-	return r
 }
 
 // getLocked must stay small enough to inline: hashing a copy of flow freshly
@@ -271,17 +229,11 @@ func (st *RecordStore) LockStats() (acquires, contended uint64) {
 	return st.acquires.Load(), st.contended.Load()
 }
 
-// Generations returns the sum of every switch's merge-generation counter —
-// it advances once per shard invalidation, so its rate tracks how often
-// absorption churns the memoized BySwitch merges.
+// Generations returns how many memos have been invalidated: each count is a
+// record joining or leaving a switch in some shard (never a mere epoch
+// widening), so its rate tracks how often absorption churns membership.
 func (st *RecordStore) Generations() uint64 {
-	st.mergeMu.Lock()
-	defer st.mergeMu.Unlock()
-	var total uint64
-	for _, g := range st.gens {
-		total += g
-	}
-	return total
+	return st.invalidations.Load()
 }
 
 // Release unlocks the shard of a record obtained from Acquire, reindexing it
@@ -340,22 +292,6 @@ func (st *RecordStore) Put(rec *flowrec.Record) bool {
 	return true
 }
 
-// Reindex must be called after a record's path or epoch ranges may have
-// changed so the switch index stays consistent. Switches the record no
-// longer traverses stop listing it (a rerouted flow must stop answering
-// queries for its old path), newly traversed switches start, and only the
-// affected switches' memoized answers are invalidated; with the path
-// unchanged only the record's epoch ranges in the memos are refreshed. r must
-// be resident (obtained from Get). Callers that mutate records concurrently
-// with queries should use Acquire/Release, which folds this in.
-func (st *RecordStore) Reindex(r *flowrec.Record) {
-	sh := st.shardOf(r.Flow)
-	sh.mu.Lock()
-	r.TakeSteady()
-	st.reindexLocked(sh, r)
-	sh.mu.Unlock()
-}
-
 // pathOf returns the path s was last indexed under (nil before the first).
 func (sh *shard) pathOf(s slot) []netsim.NodeID {
 	if s.path == 0 {
@@ -379,8 +315,9 @@ func (sh *shard) intern(path []netsim.NodeID) int32 {
 }
 
 // reindexLocked re-files resident record r under its current path,
-// invalidating (shard, sw) for every switch that left or joined it, and
-// refreshes r's ranges in the surviving memos. sh.mu is write-locked.
+// invalidating (shard, sw) for every switch that left or joined it (a
+// rerouted flow stops answering for its old path), and refreshes r's ranges
+// in the surviving memos. sh.mu is write-locked.
 func (st *RecordStore) reindexLocked(sh *shard, r *flowrec.Record) {
 	s := sh.recs[r.Flow]
 	if prev := sh.pathOf(s); !slices.Equal(prev, r.Path) {
@@ -428,19 +365,11 @@ func epochsAt(r *flowrec.Record, sw netsim.NodeID) simtime.EpochRange {
 	return simtime.EpochRange{Lo: math.MaxInt64, Hi: math.MinInt64}
 }
 
-// invalidate drops the shard's memo for sw and bumps the switch's
-// generation so an in-flight BySwitch merge cannot cache a stale answer.
-// Called with sh.mu write-locked; takes only the leaf lock mergeMu.
+// invalidate drops the shard's memo for sw and counts the event (see
+// Generations). Called with sh.mu write-locked.
 func (st *RecordStore) invalidate(sh *shard, sw netsim.NodeID) {
 	delete(sh.memos, sw)
-	st.mergeMu.Lock()
-	if st.gens == nil {
-		st.gens = make(map[netsim.NodeID]uint64)
-		st.merged = make(map[netsim.NodeID]mergedEntry)
-	}
-	st.gens[sw]++
-	delete(st.merged, sw)
-	st.mergeMu.Unlock()
+	st.invalidations.Add(1)
 }
 
 // memo returns the shard's memo for sw, building it on first use from the
@@ -472,7 +401,7 @@ func (sh *shard) memo(sw netsim.NodeID) memo {
 			m.recs = append(m.recs, s.rec)
 		}
 	}
-	sortRecords(m.recs)
+	flowrec.SortRecords(m.recs)
 	for i, r := range m.recs {
 		m.at[i] = epochsAt(r, sw)
 	}
@@ -483,73 +412,22 @@ func (sh *shard) memo(sw netsim.NodeID) memo {
 	return m
 }
 
-// BySwitch returns all records whose path visits sw, in deterministic
-// (flow-key-sorted) order: the per-shard memoized slices merged across
-// shards. The merged result is itself memoized until any shard's membership
-// for sw changes; callers must treat it as read-only. To read fields of the
-// returned records concurrently with absorption, use QueryBySwitch instead.
+// BySwitch returns every record with an epoch range at sw (Record.Traverses),
+// in flow-key order: QueryWindow over EveryEpoch, sorted, uncached. No
+// production path calls it; it stays for tests and for the benchmark's
+// per-layer rungs until those read QueryWindow. The records are shared:
+// callers must treat them as read-only.
 func (st *RecordStore) BySwitch(sw netsim.NodeID) []*flowrec.Record {
-	st.mergeMu.Lock()
-	if e, ok := st.merged[sw]; ok && e.gen == st.gens[sw] {
-		st.mergeMu.Unlock()
-		return e.recs
-	}
-	gen := st.gens[sw]
-	st.mergeMu.Unlock()
-
-	// Collect the per-shard sorted slices under read locks, then k-way
-	// merge. Shards are snapshotted one at a time; the generation check at
-	// caching time rejects the merge if any membership changed meanwhile.
-	var parts [numShards][]*flowrec.Record
-	total := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		parts[i] = sh.memo(sw).recs
-		sh.mu.RUnlock()
-		total += len(parts[i])
-	}
-	var out []*flowrec.Record // nil for an unknown/empty switch — cached too
-	if total > 0 {
-		out = mergeSorted(parts[:], total)
-	}
-	st.mergeMu.Lock()
-	// merged is nil until the first invalidate: nothing has been indexed
-	// yet, so there is no answer worth caching.
-	if st.merged != nil && st.gens[sw] == gen {
-		st.merged[sw] = mergedEntry{recs: out, gen: gen}
-	}
-	st.mergeMu.Unlock()
+	var out []*flowrec.Record
+	st.QueryWindow(sw, EveryEpoch, func(r *flowrec.Record) { out = append(out, r) })
+	flowrec.SortRecords(out)
 	return out
 }
 
-// mergeSorted k-way merges per-shard slices that are each flow-key-sorted
-// into one sorted slice.
-func mergeSorted(parts [][]*flowrec.Record, total int) []*flowrec.Record {
-	out := make([]*flowrec.Record, 0, total)
-	var heads [numShards]int
-	for len(out) < total {
-		best := -1
-		for i, p := range parts {
-			if heads[i] >= len(p) {
-				continue
-			}
-			if best < 0 || flowLess(p[heads[i]].Flow, parts[best][heads[best]].Flow) {
-				best = i
-			}
-		}
-		out = append(out, parts[best][heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
-// QueryBySwitch calls fn for every record whose path visits sw, in
-// flow-key-sorted order, holding each record's shard read-locked during its
-// callback. This is the iteration primitive of the executors that want every
-// record of a switch (top-k, flow sizes): it is safe to run concurrently
-// with packet absorption (Acquire/Release) into the same store. fn must not
-// call back into the store; returning false stops the iteration.
+// QueryBySwitch calls fn for every record of BySwitch(sw), in its order,
+// holding each record's shard read-locked during its callback; returning
+// false stops the iteration. Like BySwitch it is kept only for tests and the
+// benchmark's rungs. fn must not call back into the store.
 func (st *RecordStore) QueryBySwitch(sw netsim.NodeID, fn func(*flowrec.Record) bool) {
 	for _, r := range st.BySwitch(sw) {
 		sh := st.shardOf(r.Flow)
@@ -598,13 +476,9 @@ func (st *RecordStore) All() []*flowrec.Record {
 		}
 		sh.mu.RUnlock()
 	}
-	sortRecords(out)
+	flowrec.SortRecords(out)
 	return out
 }
-
-func flowLess(a, b netsim.FlowKey) bool { return flowrec.Less(a, b) }
-
-func sortRecords(rs []*flowrec.Record) { flowrec.SortRecords(rs) }
 
 // MatchesEpochs reports whether a record is addressed by the given epoch
 // window: any of its per-switch epoch ranges overlaps it. The full range
@@ -648,39 +522,10 @@ func (st *RecordStore) SnapshotShards(epochs simtime.EpochRange, fn func(recs []
 		if len(recs) == 0 {
 			continue
 		}
-		sortRecords(recs)
+		flowrec.SortRecords(recs)
 		if err := fn(recs); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Flush serializes the store (the periodic "flush to local storage"). It
-// snapshots record clones shard by shard under read locks, so it is safe to
-// run concurrently with queries and with absorption — the encoder never
-// touches a record that is still being mutated.
-func (st *RecordStore) Flush(w io.Writer) error {
-	var recs []*flowrec.Record
-	_ = st.SnapshotShards(EveryEpoch, func(shard []*flowrec.Record) error {
-		recs = append(recs, shard...)
-		return nil // so SnapshotShards cannot fail either
-	})
-	sortRecords(recs)
-	return EncodeSegment(w, recs)
-}
-
-// Load restores a store serialized with Flush (reading exactly that one
-// segment from r), replacing current contents. Load requires exclusive
-// access: no queries or mutations may run concurrently.
-func (st *RecordStore) Load(r io.Reader) error {
-	recs, err := DecodeSegment(r)
-	if err != nil {
-		return fmt.Errorf("store: load: %w", err)
-	}
-	st.reset()
-	for _, rec := range recs {
-		st.Put(rec)
 	}
 	return nil
 }

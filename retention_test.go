@@ -66,16 +66,16 @@ func TestStoreRetentionBoundsLongSimulation(t *testing.T) {
 	}
 
 	// Every evicted record is recoverable from the flush stream: the sink
-	// holds a sequence of Flush-shaped segments.
+	// holds a sequence of self-delimiting segments.
 	archive := store.New()
 	total := 0
 	for sink.Len() > 0 {
-		segment := store.New()
-		if err := segment.Load(&sink); err != nil {
+		segment, err := store.DecodeSegment(&sink)
+		if err != nil {
 			t.Fatalf("decoding eviction segment: %v", err)
 		}
-		for _, r := range segment.All() {
-			archive.Get(r.Flow).Bytes = r.Bytes
+		for _, r := range segment {
+			archive.Put(r)
 			total++
 		}
 	}

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 verification: build + lint + test + cmd/examples compile checks.
-# Equivalent to `make verify`; kept as a script for environments without make.
+# Tier-1 verification: build + lint + test + race + fuzz + cmd/examples
+# compile checks + the spd trio, trace, metrics and bootstrap smokes.
+# `make verify` runs this script; it needs no make.
 set -eu
 cd "$(dirname "$0")/.."
 
