@@ -25,11 +25,14 @@ lint: vet
 test:
 	$(GO) test ./...
 
-## fuzz: 10 s of native fuzzing over the segment decoder (seed corpus in
-## internal/store/testdata/fuzz) — no panic, allocation bounded by the
-## input, decode(encode(x)) == x
+## fuzz: native fuzzing from the committed seed corpora (testdata/fuzz) —
+## 10 s over the segment decoder, 5 s each over the pointer snapshot and
+## slot-list decoders: no panic, allocation bounded by the input,
+## decode(encode(x)) == x
 fuzz:
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s
+	$(GO) test ./internal/pointer -run '^$$' -fuzz FuzzRestore -fuzztime 5s
+	$(GO) test ./internal/pointer -run '^$$' -fuzz FuzzDecodeSlots -fuzztime 5s
 
 ## bench-real: the real-cost benchmark (benchmark/README.md) — four
 ## workloads, end to end and layer by layer, ~3.5 min; every number lands

@@ -91,7 +91,7 @@ func BenchmarkSegmentCodec(b *testing.B) {
 		if err := store.EncodeSegment(&buf, recs); err != nil {
 			b.Fatal(err)
 		}
-		got, err := store.DecodeSegmentBytes(buf.Bytes())
+		got, _, err := flowrec.DecodeSegment(buf.Bytes(), nil)
 		if err != nil || len(got) != len(recs) {
 			b.Fatalf("decoded %d records, %v", len(got), err)
 		}

@@ -171,20 +171,23 @@ func (s *Set) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes a set previously encoded with MarshalBinary.
+// UnmarshalBinary decodes a set previously encoded with MarshalBinary,
+// rejecting a size the payload does not match and bits set past the size.
 func (s *Set) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("bitset: truncated header (%d bytes)", len(data))
 	}
-	n := int(binary.LittleEndian.Uint64(data))
-	nw := (n + wordBits - 1) / wordBits
-	if len(data) != 8+nw*8 {
-		return fmt.Errorf("bitset: size %d needs %d payload bytes, have %d", n, nw*8, len(data)-8)
+	n, nw := binary.LittleEndian.Uint64(data), uint64(len(data)-8)/8
+	if n > nw*wordBits || (n+wordBits-1)/wordBits != nw || len(data)%8 != 0 {
+		return fmt.Errorf("bitset: size %d does not fit %d payload bytes", n, len(data)-8)
 	}
-	s.n = n
-	s.words = make([]uint64, nw)
-	for i := range s.words {
-		s.words[i] = binary.LittleEndian.Uint64(data[8+i*8:])
+	words := make([]uint64, nw)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(data[8+i*8:])
 	}
+	if r := n % wordBits; r != 0 && words[nw-1]>>r != 0 {
+		return fmt.Errorf("bitset: bits set past size %d", n)
+	}
+	s.n, s.words = int(n), words
 	return nil
 }

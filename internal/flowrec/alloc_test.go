@@ -61,8 +61,7 @@ func TestDecodeSegmentBoundsAllocation(t *testing.T) {
 }
 
 // TestDecodeSegmentAllocs pins the decode cost the cold-read path pays: four
-// slabs per segment plus the per-record map, at most 3 allocations a record
-// (gob spent about 15).
+// slabs per segment plus the per-record map, at most 3 allocations a record.
 func TestDecodeSegmentAllocs(t *testing.T) {
 	recs := segment256()
 	enc := mustEncode(t, recs)

@@ -21,19 +21,13 @@ const (
 	minRecordLen     = fixedRecordLen + 9 // ... + nine varints of a byte or more
 )
 
-// segMagic opens every segment; gob lengths start below 0x80 or above 0xF7,
-// so the first byte tells a legacy gob segment from this format.
+// segMagic opens every segment.
 var segMagic = [3]byte{0x89, 'S', 'P'}
-
-// HasSegmentMagic reports whether b starts like a segment, of any version.
-func HasSegmentMagic(b []byte) bool {
-	return len(b) >= len(segMagic) && [3]byte(b) == segMagic
-}
 
 // SegmentLen returns the total encoded length, header included, that a
 // segment header declares.
 func SegmentLen(hdr []byte) (int, error) {
-	if len(hdr) < SegmentHeaderLen || !HasSegmentMagic(hdr) {
+	if len(hdr) < SegmentHeaderLen || [3]byte(hdr) != segMagic {
 		return 0, errors.New("flowrec: corrupt segment: short or foreign header")
 	}
 	if hdr[3] != SegmentVersion {

@@ -13,7 +13,7 @@
 // a 20-byte header, then the records back to back. Fixed-width integers are
 // little-endian; uvarint and varint (zigzag) are encoding/binary's.
 //
-//	header  0x89 'S' 'P'   magic — no gob stream starts with 0x89
+//	header  0x89 'S' 'P'   magic — a pointer snapshot opens 0x8A 'P' 'T'
 //	        u8             version (1)
 //	        u32 ×3         records, Σ len(Path), Σ len(Epochs)
 //	        u32            body length: a segment is self-delimiting

@@ -3,7 +3,6 @@ package hostagent_test
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -106,7 +105,7 @@ func modelQueryHeadersMulti(st *store.RecordStore, rd store.ColdReader, qs []hos
 
 // TestQueryHeadersMultiMatchesModel: random hot stores over random segment
 // logs — flows evicted twice or more, flows both hot and cold, a flow twice
-// in one segment, unindexed, tiered and legacy gob segments — queried with
+// in one segment, unindexed and tiered segments — queried with
 // random windows, switches and flow restrictions. Every answer, records and
 // all five counters, must deep-equal the model's.
 func TestQueryHeadersMultiMatchesModel(t *testing.T) {
@@ -148,11 +147,7 @@ func TestQueryHeadersMultiMatchesModel(t *testing.T) {
 				recs = append(recs, record(recs[0].Flow))
 			}
 			var payload bytes.Buffer
-			if rng.Intn(5) == 0 { // a segment written before the codec existed
-				if err := gob.NewEncoder(&payload).Encode(struct{ Records []*flowrec.Record }{recs}); err != nil {
-					t.Fatal(err)
-				}
-			} else if err := store.EncodeSegment(&payload, recs); err != nil {
+			if err := store.EncodeSegment(&payload, recs); err != nil {
 				t.Fatal(err)
 			}
 			m := store.NewSegmentManifest(recs)

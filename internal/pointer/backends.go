@@ -63,9 +63,7 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// Slot-payload kinds on the snapshot wire. Kind 0 is the dense bitset
-// encoding legacy (pre-versioned) snapshots used for every slot, so a
-// missing Kind field gob-decodes to the correct interpretation.
+// Slot-payload kinds on the snapshot wire (see the package comment).
 const (
 	slotKindDense  byte = 0
 	slotKindSparse byte = 1

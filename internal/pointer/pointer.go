@@ -24,11 +24,36 @@
 // The data plane performs ONE minimal-perfect-hash operation per packet
 // (done by the caller) and then sets the same bit index in the current slot
 // of every level — k parallel bit sets, independent of k in hash work.
+//
+// # Snapshot format
+//
+// Structure.Snapshot and EncodeSlots (a switch's pushed control-store
+// history) write one binary format (codec.go): a header, then slot records.
+// uvarint and varint (zigzag) are encoding/binary's.
+//
+//	header     0x8A 'P' 'T'   magic — a flowrec segment opens 0x89 'S' 'P'
+//	           u8             version (1)
+//	           varint         Alpha in ns (0 in a slot list)
+//	           uvarint ×2     K (0 in a slot list), NumHosts
+//	structure  varint         current epoch
+//	           u8             1 once started, else 0
+//	           uvarint ×3     touches, pushes, pushed bytes
+//	           uvarint ×K     ring position per level
+//	           slot ×(α·(K−1)+1), level by level in ring order
+//	slot list  uvarint        count, then that many slots
+//	slot       u8             level
+//	           varint ×2      Epochs.Lo, Epochs.Hi
+//	           u8             flags: 1 sealed, 2 used, 4 approx
+//	           u8             payload kind: 0 dense, 1 sparse, 2 bloom
+//	           uvarint        payload length (0 = an untouched slot), then
+//	                          the payload: slotSet.encode()'s in a structure,
+//	                          the dense bitmap in a slot list
+//
+// Decoders bound every count and length by the bytes left before sizing
+// anything and reject trailing bytes; Restore decodes before it changes.
 package pointer
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"switchpointer/internal/bitset"
@@ -515,183 +540,6 @@ func (s *Structure) RecyclingPeriod(h int) simtime.Time {
 	}
 	// (α−1) slots of α^(h−1) epochs each elapse before reuse.
 	return simtime.Time(int64(s.alpha-1)*s.spanEpochs[h-1]) * s.cfg.Alpha
-}
-
-// snapVersionTagged marks snapshots whose slots carry kind-tagged payloads.
-// Version 0 is the legacy wire form: every payload a dense bitset — which
-// kind 0 (slotKindDense) also names, so legacy slotSnaps (no Kind field)
-// gob-decode to the correct interpretation.
-const snapVersionTagged = 2
-
-// slotSnap is one slot's gob wire form: a kind-tagged payload (nil for an
-// untouched, unallocated slot).
-type slotSnap struct {
-	Epochs simtime.EpochRange
-	Bits   []byte
-	Sealed bool
-	Used   bool
-	Kind   byte
-}
-
-// structSnap is the Structure's gob wire form — the state-sync snapshot a
-// replica switch agent restores so its pointer pulls answer byte-identically
-// to the source's.
-type structSnap struct {
-	Version  int
-	Alpha    simtime.Time
-	K        int
-	NumHosts int
-
-	Epoch       simtime.Epoch
-	Started     bool
-	Touches     uint64
-	Pushes      uint64
-	PushedBytes uint64
-	Cur         []int
-	Levels      [][]slotSnap
-}
-
-// Snapshot serializes the structure's complete live state: every slot of
-// every level (window, kind-tagged set payload, sealed/used flags), the
-// ring positions, the current epoch, and the touch/push accounting.
-func (s *Structure) Snapshot() ([]byte, error) {
-	snap := structSnap{
-		Version:     snapVersionTagged,
-		Alpha:       s.cfg.Alpha,
-		K:           s.cfg.K,
-		NumHosts:    s.cfg.NumHosts,
-		Epoch:       s.epoch,
-		Started:     s.started,
-		Touches:     s.touches,
-		Pushes:      s.pushes,
-		PushedBytes: s.pushedBytes,
-		Cur:         append([]int(nil), s.cur...),
-	}
-	snap.Levels = make([][]slotSnap, len(s.levels))
-	for h, ring := range s.levels {
-		snap.Levels[h] = make([]slotSnap, len(ring))
-		for i, slot := range ring {
-			ss := slotSnap{Epochs: slot.epochs, Sealed: slot.sealed, Used: slot.used, Kind: slotKindDense}
-			if slot.set != nil {
-				ss.Kind, ss.Bits = slot.set.encode()
-			}
-			snap.Levels[h][i] = ss
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		return nil, fmt.Errorf("pointer: snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Restore replaces the structure's live state with a Snapshot taken from a
-// structure of identical geometry (same Alpha, K, NumHosts); a geometry
-// mismatch is rejected, since slot windows and universe widths would not
-// line up. The BACKEND need not match: exact slot payloads (dense or
-// sparse) restore into any backend by re-inserting their members — a legacy
-// all-dense snapshot restores everywhere — while a bloom payload restores
-// only into a bloom structure with identical filter parameters (the member
-// list cannot be recovered from a sketch). Epoch monotonicity continues
-// from the restored epoch.
-func (s *Structure) Restore(b []byte) error {
-	var snap structSnap
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&snap); err != nil {
-		return fmt.Errorf("pointer: restore: %w", err)
-	}
-	if snap.Alpha != s.cfg.Alpha || snap.K != s.cfg.K || snap.NumHosts != s.cfg.NumHosts {
-		return fmt.Errorf("pointer: restore: geometry mismatch (snapshot α=%v k=%d n=%d, structure α=%v k=%d n=%d)",
-			snap.Alpha, snap.K, snap.NumHosts, s.cfg.Alpha, s.cfg.K, s.cfg.NumHosts)
-	}
-	if len(snap.Levels) != len(s.levels) || len(snap.Cur) != len(s.cur) {
-		return fmt.Errorf("pointer: restore: malformed snapshot (%d levels)", len(snap.Levels))
-	}
-	for h, ring := range s.levels {
-		if len(snap.Levels[h]) != len(ring) {
-			return fmt.Errorf("pointer: restore: level %d has %d slots, want %d", h+1, len(snap.Levels[h]), len(ring))
-		}
-		if snap.Cur[h] < 0 || snap.Cur[h] >= len(ring) {
-			return fmt.Errorf("pointer: restore: level %d ring position %d out of range", h+1, snap.Cur[h])
-		}
-	}
-	// Decode every payload before mutating any slot, so a bad snapshot
-	// leaves the structure untouched.
-	sets := make([][]slotSet, len(s.levels))
-	for h, ring := range s.levels {
-		sets[h] = make([]slotSet, len(ring))
-		for i := range ring {
-			ss := snap.Levels[h][i]
-			set, err := s.restorePayload(ss.Kind, ss.Bits)
-			if err != nil {
-				return fmt.Errorf("pointer: restore: level %d slot %d: %w", h+1, i, err)
-			}
-			sets[h][i] = set
-		}
-	}
-	for h, ring := range s.levels {
-		for i, slot := range ring {
-			ss := snap.Levels[h][i]
-			slot.set = sets[h][i]
-			slot.epochs = ss.Epochs
-			slot.sealed = ss.Sealed
-			slot.used = ss.Used
-		}
-	}
-	copy(s.cur, snap.Cur)
-	s.epoch = snap.Epoch
-	s.started = snap.Started
-	s.touches = snap.Touches
-	s.pushes = snap.Pushes
-	s.pushedBytes = snap.PushedBytes
-	return nil
-}
-
-// slotWire is one exported Slot's gob wire form (EncodeSlots/DecodeSlots):
-// the control-store history a state-sync snapshot carries next to the live
-// structure. Slots are materialized bitmaps here regardless of backend;
-// Approx rides along so candidate semantics survive the wire (absent in
-// legacy encodings, decoding as exact — which legacy slots were).
-type slotWire struct {
-	Level  int
-	Epochs simtime.EpochRange
-	Bits   []byte
-	Sealed bool
-	Approx bool
-}
-
-// EncodeSlots serializes a slot list (typically a switch agent's control
-// store — the pushed top-level history) for the state-sync wire.
-func EncodeSlots(slots []Slot) ([]byte, error) {
-	wire := make([]slotWire, len(slots))
-	for i, s := range slots {
-		bits, err := s.Bits.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("pointer: encode slots: %w", err)
-		}
-		wire[i] = slotWire{Level: s.Level, Epochs: s.Epochs, Bits: bits, Sealed: s.Sealed, Approx: s.Approx}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		return nil, fmt.Errorf("pointer: encode slots: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSlots restores a slot list written by EncodeSlots.
-func DecodeSlots(b []byte) ([]Slot, error) {
-	var wire []slotWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("pointer: decode slots: %w", err)
-	}
-	slots := make([]Slot, len(wire))
-	for i, w := range wire {
-		var bits bitset.Set
-		if err := bits.UnmarshalBinary(w.Bits); err != nil {
-			return nil, fmt.Errorf("pointer: decode slots: %w", err)
-		}
-		slots[i] = Slot{Level: w.Level, Epochs: w.Epochs, Bits: &bits, Sealed: w.Sealed, Approx: w.Approx}
-	}
-	return slots, nil
 }
 
 // TheoreticalMemoryBits returns the paper's closed-form memory formula

@@ -1,8 +1,7 @@
 package pointer
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -337,8 +336,9 @@ func TestBloomFalsePositivesAreVisible(t *testing.T) {
 }
 
 // TestSnapshotCrossBackendRestore: an exact snapshot restores into any
-// backend (the V2 wire carries kind-tagged payloads, and exact payloads
-// re-insert member-by-member), answering pulls identically afterward.
+// backend (slots carry kind-tagged payloads, and exact payloads re-insert
+// member-by-member), answering pulls identically afterward — into a bloom
+// backend as a superset that never misses a host.
 func TestSnapshotCrossBackendRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const hosts = 200
@@ -347,7 +347,7 @@ func TestSnapshotCrossBackendRestore(t *testing.T) {
 		return mustNew(t, cfg, nil)
 	}
 	for _, src := range []Backend{BackendDense, BackendAdaptive} {
-		for _, dst := range []Backend{BackendDense, BackendAdaptive} {
+		for _, dst := range []Backend{BackendDense, BackendAdaptive, BackendBloom} {
 			s := mk(src)
 			s.Advance(0)
 			epoch := simtime.Epoch(0)
@@ -370,7 +370,14 @@ func TestSnapshotCrossBackendRestore(t *testing.T) {
 			r := simtime.EpochRange{Lo: 0, Hi: epoch}
 			b1, r1 := s.Query(r)
 			b2, r2 := twin.Query(r)
-			if !b1.Equal(b2) || r1 != r2 {
+			if dst == BackendBloom {
+				b1.ForEach(func(i int) bool {
+					if !b2.Get(i) {
+						t.Fatalf("%s→bloom restore dropped host %d", src, i)
+					}
+					return true
+				})
+			} else if !b1.Equal(b2) || r1 != r2 {
 				t.Fatalf("%s→%s restore diverged: %+v vs %+v", src, dst, r1, r2)
 			}
 			if twin.Touches() != s.Touches() || twin.CurrentEpoch() != s.CurrentEpoch() {
@@ -408,37 +415,14 @@ func TestSnapshotCrossBackendRestore(t *testing.T) {
 	}
 }
 
-// legacySlotSnap/legacyStructSnap replicate the PR 5 snapshot wire form
-// (pre-Version, pre-Kind): every payload a dense bitmap. Gob matches struct
-// fields by name, so encoding these decodes through the V2 structSnap with
-// Version=0 and Kind=0 — which is exactly the dense interpretation.
-type legacySlotSnap struct {
-	Epochs simtime.EpochRange
-	Bits   []byte
-	Sealed bool
-	Used   bool
-}
-
-type legacyStructSnap struct {
-	Alpha    simtime.Time
-	K        int
-	NumHosts int
-
-	Epoch       simtime.Epoch
-	Started     bool
-	Touches     uint64
-	Pushes      uint64
-	PushedBytes uint64
-	Cur         []int
-	Levels      [][]legacySlotSnap
-}
-
-// TestLegacyDenseSnapshotRestoresIntoEveryBackend synthesizes a V1 (all-
-// dense, untagged) snapshot stream and restores it into each backend.
+// TestLegacyDenseSnapshotRestoresIntoEveryBackend hand-builds the oldest
+// snapshot layout — every touched slot a full dense bitmap, whatever set the
+// writer held — from an adaptive structure (whose own snapshot would carry
+// sparse payloads) and restores it into each backend.
 func TestLegacyDenseSnapshotRestoresIntoEveryBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const hosts = 300
-	src := mustNew(t, Config{Alpha: 10 * simtime.Millisecond, K: 3, NumHosts: hosts, Backend: BackendDense}, nil)
+	src := mustNew(t, Config{Alpha: 10 * simtime.Millisecond, K: 3, NumHosts: hosts, Backend: BackendAdaptive}, nil)
 	src.Advance(0)
 	epoch := simtime.Epoch(0)
 	for op := 0; op < 250; op++ {
@@ -449,60 +433,57 @@ func TestLegacyDenseSnapshotRestoresIntoEveryBackend(t *testing.T) {
 			src.Touch(rng.Intn(hosts))
 		}
 	}
-	// Hand-build the legacy stream the way the PR 5 encoder did: every slot
-	// marshaled as a full dense bitmap, no Version, no Kind.
-	legacy := legacyStructSnap{
-		Alpha:       src.cfg.Alpha,
-		K:           src.cfg.K,
-		NumHosts:    src.cfg.NumHosts,
-		Epoch:       src.epoch,
-		Started:     src.started,
-		Touches:     src.touches,
-		Pushes:      src.pushes,
-		PushedBytes: src.pushedBytes,
-		Cur:         append([]int(nil), src.cur...),
+	b := appendHeader(nil, src.cfg.Alpha, src.cfg.K, src.cfg.NumHosts)
+	b = append(binary.AppendVarint(b, int64(src.epoch)), bit(src.started))
+	for _, v := range []uint64{src.touches, src.pushes, src.pushedBytes} {
+		b = binary.AppendUvarint(b, v)
 	}
-	legacy.Levels = make([][]legacySlotSnap, len(src.levels))
+	for _, c := range src.cur {
+		b = binary.AppendUvarint(b, uint64(c))
+	}
+	dense := 0
 	for h, ring := range src.levels {
-		legacy.Levels[h] = make([]legacySlotSnap, len(ring))
-		for i, slot := range ring {
-			bits, err := src.materialize(slot).MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
+		for _, slot := range ring {
+			var payload []byte
+			if slot.set != nil {
+				bits, err := src.materialize(slot).MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload = bits
+				dense++
 			}
-			legacy.Levels[h][i] = legacySlotSnap{Epochs: slot.epochs, Bits: bits, Sealed: slot.sealed, Used: slot.used}
+			flags := bit(slot.sealed)*flagSealed | bit(slot.used)*flagUsed
+			b = appendSlot(b, h+1, slot.epochs, flags, slotKindDense, payload)
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&legacy); err != nil {
-		t.Fatal(err)
+	if dense == 0 {
+		t.Fatalf("no touched slot to encode — test is vacuous")
 	}
 
 	r := simtime.EpochRange{Lo: 0, Hi: epoch}
 	want, wantRes := src.Query(r)
 	for _, be := range []Backend{BackendDense, BackendAdaptive, BackendBloom} {
 		twin := mustNew(t, Config{Alpha: 10 * simtime.Millisecond, K: 3, NumHosts: hosts, Backend: be}, nil)
-		if err := twin.Restore(buf.Bytes()); err != nil {
+		if err := twin.Restore(b); err != nil {
 			t.Fatalf("legacy snapshot into %s: %v", be, err)
+		}
+		if twin.Touches() != src.Touches() || twin.CurrentEpoch() != src.CurrentEpoch() {
+			t.Fatalf("legacy→%s counters diverged", be)
 		}
 		got, gotRes := twin.Query(r)
 		if be == BackendBloom {
 			// Sketch restore re-inserts members: superset, never a miss.
-			miss := false
 			want.ForEach(func(i int) bool {
 				if !got.Get(i) {
-					miss = true
-					return false
+					t.Fatalf("legacy→bloom restore dropped host %d", i)
 				}
 				return true
 			})
-			if miss {
-				t.Fatalf("legacy→bloom restore dropped a host")
-			}
 			continue
 		}
 		if !got.Equal(want) || gotRes != wantRes {
-			t.Fatalf("legacy→%s restore diverged", be)
+			t.Fatalf("legacy→%s restore diverged: %+v vs %+v", be, gotRes, wantRes)
 		}
 	}
 }

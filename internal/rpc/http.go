@@ -42,11 +42,12 @@ import (
 //     drain for keep-alive. A client method is its URL and its two types.
 //
 // Deliberately not on them, because they are not JSON exchanges: the binary
-// streams (statesync's host /snapshot segments and BootstrapStore, which
-// read frame by frame), cluster.WaitReady's poll (any 200 counts, JSON or
-// not), the Prometheus text at /metrics and its spctl scrape, and /traces'
-// server side (trace.FlightRecorder.Handler — rpc imports trace, so it
-// cannot call back). They share AllowMethod where they check a method.
+// snapshots (host /snapshot segments, read frame by frame by BootstrapStore;
+// the switch /snapshot, for BootstrapSwitch), cluster.WaitReady's poll (any
+// 200 counts, JSON or not), the Prometheus text at /metrics and its spctl
+// scrape, and /traces' server side (trace.FlightRecorder.Handler — rpc
+// imports trace, so it cannot call back). They share AllowMethod where they
+// check a method.
 
 // HeadersRequest asks a host for records matching (switch, epoch range).
 // Flows, when non-empty, restricts the answer to those flow keys and lets
@@ -137,48 +138,9 @@ type MPHRequest struct {
 	TableB64 string `json:"table_b64"`
 }
 
-// SwitchSnapshotResponse is the switch half of a state-sync snapshot
-// (GET /snapshot on a switch handler): the live pointer structure, the
-// pushed control-store history, and the installed MPH, each in its own
-// binary encoding. A bootstrapping daemon pulls one from its peer and
-// applies it to a local agent of identical geometry so subsequent pointer
-// pulls answer byte-identically to the source's.
-type SwitchSnapshotResponse struct {
-	PointerB64 string `json:"pointer_b64"`
-	ControlB64 string `json:"control_b64"`
-	MPHB64     string `json:"mph_b64,omitempty"`
-}
-
-// Apply restores the snapshot into a local switch agent: pointer structure,
-// control store, and (when the snapshot carries one) the MPH.
-func (sr *SwitchSnapshotResponse) Apply(a *switchagent.Agent) error {
-	ptr, err := base64.StdEncoding.DecodeString(sr.PointerB64)
-	if err != nil {
-		return fmt.Errorf("rpc: switch snapshot: %w", err)
-	}
-	if err := a.RestorePointerSnapshot(ptr); err != nil {
-		return err
-	}
-	ctrl, err := base64.StdEncoding.DecodeString(sr.ControlB64)
-	if err != nil {
-		return fmt.Errorf("rpc: switch snapshot: %w", err)
-	}
-	if err := a.RestoreControlStoreSnapshot(ctrl); err != nil {
-		return err
-	}
-	if sr.MPHB64 != "" {
-		raw, err := base64.StdEncoding.DecodeString(sr.MPHB64)
-		if err != nil {
-			return fmt.Errorf("rpc: switch snapshot: %w", err)
-		}
-		var table mph.Table
-		if err := table.UnmarshalBinary(raw); err != nil {
-			return err
-		}
-		a.InstallMPH(&table)
-	}
-	return nil
-}
+// SwitchSnapshotContentType marks a switch /snapshot body: the bytes of
+// switchagent.Agent.Snapshot, which a replica hands to Agent.Restore.
+const SwitchSnapshotContentType = "application/x-switchpointer-switch-snapshot"
 
 // PointersResponse carries the pointer bitmap and how it was satisfied.
 type PointersResponse struct {
@@ -469,31 +431,17 @@ func NewSwitchHandler(a *switchagent.Agent, label string, fr *trace.FlightRecord
 			mu.Unlock()
 			return Empty{}, nil, nil
 		}))
-	mux.Handle("/snapshot", Endpoint(sp, "snapshot", 0,
-		func(context.Context, *Empty) (SwitchSnapshotResponse, []trace.Attr, error) {
-			mu.Lock()
-			ptr, err := a.PointerSnapshot()
-			var ctrl []byte
-			if err == nil {
-				ctrl, err = a.ControlStoreSnapshot()
-			}
-			var mphRaw []byte
-			if err == nil && a.MPH() != nil {
-				mphRaw, err = a.MPH().MarshalBinary()
-			}
-			mu.Unlock()
-			if err != nil {
-				return SwitchSnapshotResponse{}, nil, err
-			}
-			resp := SwitchSnapshotResponse{
-				PointerB64: base64.StdEncoding.EncodeToString(ptr),
-				ControlB64: base64.StdEncoding.EncodeToString(ctrl),
-			}
-			if mphRaw != nil {
-				resp.MPHB64 = base64.StdEncoding.EncodeToString(mphRaw)
-			}
-			return resp, nil, nil
-		}))
+	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		if !AllowMethod(w, r, http.MethodGet) {
+			return
+		}
+		mu.Lock()
+		body := a.Snapshot()
+		mu.Unlock()
+		sp.record(r, "snapshot", nil)
+		w.Header().Set("Content-Type", SwitchSnapshotContentType)
+		w.Write(body) //nolint:errcheck // a cut body fails the puller's decode
+	})
 	return mux
 }
 
@@ -629,14 +577,6 @@ func (c *HTTPClient) Call(ctx context.Context, url string, req, resp any, limit 
 // answerPool holds Call's answer buffers; one that grew past 1 MiB is dropped
 // instead of returned, so a single /snapshot cannot pin LimitRecords bytes.
 var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// SwitchSnapshot pulls the state-sync snapshot of the switch agent at
-// baseURL (GET /snapshot). Apply it to a local agent with Apply.
-func (c *HTTPClient) SwitchSnapshot(ctx context.Context, baseURL string) (SwitchSnapshotResponse, error) {
-	var out SwitchSnapshotResponse
-	err := c.Call(ctx, baseURL+"/snapshot", nil, &out, LimitRecords)
-	return out, err
-}
 
 // QueryHeaders fetches matching records (and the host's cold read-back
 // accounting) from a host agent at baseURL.

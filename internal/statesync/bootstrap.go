@@ -3,6 +3,7 @@ package statesync
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 
 	"switchpointer/internal/flowrec"
@@ -24,11 +25,25 @@ type Bootstrapper struct {
 	Readiness *Readiness
 }
 
-func (b *Bootstrapper) http() *http.Client {
-	if b.HTTP != nil {
-		return b.HTTP
+// get issues GET url and returns the body of its 200 answer.
+func (b *Bootstrapper) get(ctx context.Context, url string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
 	}
-	return http.DefaultClient
+	client := b.HTTP
+	if client == nil {
+		client = http.DefaultClient
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return resp.Body, nil
 }
 
 // BootstrapStore pulls the peer host agent's snapshot (GET
@@ -41,19 +56,12 @@ func (b *Bootstrapper) BootstrapStore(ctx context.Context, peerBase string, epoc
 	if epochs != store.EveryEpoch {
 		url = fmt.Sprintf("%s?lo=%d&hi=%d", url, epochs.Lo, epochs.Hi)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, 0, fmt.Errorf("statesync: bootstrap: %w", err)
-	}
-	resp, err := b.http().Do(req)
+	body, err := b.get(ctx, url)
 	if err != nil {
 		return 0, 0, fmt.Errorf("statesync: bootstrap %s: %w", url, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("statesync: bootstrap %s: status %d", url, resp.StatusCode)
-	}
-	return ReadSegments(resp.Body, func(recs []*flowrec.Record) error {
+	defer body.Close()
+	return ReadSegments(body, func(recs []*flowrec.Record) error {
 		for _, rec := range recs {
 			st.Put(rec)
 		}
@@ -70,17 +78,26 @@ func (b *Bootstrapper) BootstrapHost(ctx context.Context, peerBase string, ag *h
 	return b.BootstrapStore(ctx, peerBase, store.EveryEpoch, ag.Store)
 }
 
-// BootstrapSwitch pulls the peer switch agent's snapshot (pointer structure
-// + control store + MPH) and restores it into a local agent of identical
-// geometry, so subsequent pointer pulls answer byte-identically to the
-// source's.
+// BootstrapSwitch pulls the peer switch agent's snapshot (GET
+// peerBase/snapshot, at most rpc.LimitRecords bytes) into a local agent of
+// identical geometry with Agent.Restore: pointer pulls then answer as the
+// source's do, and a snapshot that fails to restore changes nothing.
 func (b *Bootstrapper) BootstrapSwitch(ctx context.Context, peerBase string, ag *switchagent.Agent) error {
-	snap, err := rpc.NewHTTPClient(b.HTTP).SwitchSnapshot(ctx, peerBase)
+	url := peerBase + "/snapshot"
+	body, err := b.get(ctx, url)
 	if err != nil {
-		return fmt.Errorf("statesync: bootstrap switch: %w", err)
+		return fmt.Errorf("statesync: bootstrap switch %s: %w", url, err)
 	}
-	if err := snap.Apply(ag); err != nil {
-		return fmt.Errorf("statesync: bootstrap switch: %w", err)
+	defer body.Close()
+	snap, err := io.ReadAll(io.LimitReader(body, rpc.LimitRecords+1))
+	if err == nil && len(snap) > rpc.LimitRecords {
+		err = fmt.Errorf("snapshot over %d bytes", rpc.LimitRecords)
+	}
+	if err == nil {
+		err = ag.Restore(snap)
+	}
+	if err != nil {
+		return fmt.Errorf("statesync: bootstrap switch %s: %w", url, err)
 	}
 	if b.Readiness != nil {
 		b.Readiness.AddBootstrap(1, 0)

@@ -293,14 +293,13 @@ func TestReopenReconcilesOrphansAndAvoidsCollision(t *testing.T) {
 	}
 }
 
-// TestManifestCompatAndUpgrade pins forward/backward compatibility: a
-// pre-index manifest.jsonl (bare manifest lines, positionally-named files)
-// loads, its unindexed manifests never skip anything, and the first
-// compaction upgrades every surviving line to the explicit-file format.
+// TestManifestCompatAndUpgrade pins what still loads from a manifest that
+// predates the index: V 0 lines that name their file load, their
+// unindexed manifests never skip anything, and the first compaction
+// upgrades every surviving line. A line that names no file fails the open.
 func TestManifestCompatAndUpgrade(t *testing.T) {
 	dir := t.TempDir()
-	// Write two legacy segments exactly as the pre-index code did: payload
-	// under the positional (.gob) name, manifest line without "v" or "file".
+	// Two segments with manifest lines carrying neither "v" nor the index.
 	var lines []string
 	for i := 0; i < 2; i++ {
 		rec := coldRecord(uint16(20+i), simtime.Time(i), simtime.Epoch(i), simtime.Epoch(i+2))
@@ -308,18 +307,25 @@ func TestManifestCompatAndUpgrade(t *testing.T) {
 		if err := store.EncodeSegment(&buf, []*flowrec.Record{rec}); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seg-%06d.gob", i)), []byte(buf.String()), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, segFileName(i)), []byte(buf.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		lines = append(lines, fmt.Sprintf(`{"epochs":{"Lo":%d,"Hi":%d},"flows":1,"bytes":%d}`, i, i+2, buf.Len()))
+		lines = append(lines, fmt.Sprintf(`{"epochs":{"Lo":%d,"Hi":%d},"flows":1,"bytes":%d,"file":%q}`, i, i+2, buf.Len(), segFileName(i)))
 	}
 	if err := os.WriteFile(filepath.Join(dir, "manifest.jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A gob payload an old build left is not the log's to delete.
+	if err := os.WriteFile(filepath.Join(dir, "seg-000000.gob"), []byte("gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	l, err := NewSegmentLog(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "seg-000000.gob")); err != nil {
+		t.Fatalf("reopen removed a .gob file as an orphan: %v", err)
 	}
 	if l.Len() != 2 {
 		t.Fatalf("legacy log loaded %d segments, want 2", l.Len())
@@ -334,7 +340,6 @@ func TestManifestCompatAndUpgrade(t *testing.T) {
 			t.Fatal("legacy manifest excluded a query")
 		}
 	}
-	// Payloads resolve positionally.
 	if got := readAll(t, l, 1); len(got) != 1 {
 		t.Fatalf("legacy segment 1 decoded %d records", len(got))
 	}
@@ -368,6 +373,26 @@ func TestManifestCompatAndUpgrade(t *testing.T) {
 	}
 	if got := readAll(t, re, 0); len(got) != 2 {
 		t.Fatalf("merged legacy segment decoded %d records, want 2", len(got))
+	}
+
+	// A line of a segment that is not tiered out must name its file.
+	bare := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bare, "manifest.jsonl"), []byte(`{"epochs":{"Lo":0,"Hi":2},"flows":1,"bytes":9}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSegmentLog(bare); err == nil || !strings.Contains(err.Error(), "line 1") {
+		t.Fatalf("a manifest line without a file opened: %v", err)
+	}
+	// A payload that is not a codec segment (a gob one, say) fails its read.
+	mem, err := NewSegmentLog("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.WriteSegment(store.SegmentManifest{}, []byte{0x0c, 0xff, 0x81}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.ReadSegment(0, func(*flowrec.Record) {}); err == nil || !strings.Contains(err.Error(), "segment 0") {
+		t.Fatalf("a foreign payload read back: %v", err)
 	}
 }
 

@@ -25,8 +25,7 @@ import (
 //
 //   - In-memory (dir == ""): segments live in process memory. The mode
 //     tests and short-lived daemons use.
-//   - Directory-backed: each segment persists as seg-NNNNNN.seg (or, in a
-//     log an older build wrote, as a gob seg-NNNNNN.gob) next to
+//   - Directory-backed: each segment persists as seg-NNNNNN.seg next to
 //     manifest.jsonl, one JSON line per segment in log order — the tiny
 //     index that lets read-back skip irrelevant segments without decoding
 //     them, and that survives a daemon restart (reopening the same
@@ -34,12 +33,12 @@ import (
 //     (O(1) index I/O per eviction sweep); only compaction and tiering
 //     rewrite it, atomically (temp file + rename).
 //
-// Manifest line format: version 1 lines carry an explicit "file" field
-// naming the segment payload, so compaction can retire and merge files
-// without renumbering survivors. Pre-index logs (bare SegmentManifest
-// lines) still load — their files are addressed positionally, exactly as
-// they were written — and are upgraded to the explicit format by the first
-// rewrite. File ids are monotonic and never reused.
+// Manifest line format: every line of a segment that is not tiered out
+// carries an explicit "file" field naming its payload, so compaction can
+// retire and merge files without renumbering survivors; a line without one
+// fails the open. A line's manifest may predate the index (V 0, matching
+// every query); the first rewrite upgrades it. File ids are monotonic and
+// never reused.
 //
 // All methods are safe for concurrent use: eviction sweeps append and the
 // compactor rewrites while queries read through views (see View).
@@ -111,8 +110,7 @@ type logSegment struct {
 }
 
 // manifestLine is one persisted manifest.jsonl line: the manifest plus the
-// explicit payload file name. Pre-index lines (no "file" key) address their
-// payload positionally.
+// payload file name (empty for a tiered-out segment).
 type manifestLine struct {
 	store.SegmentManifest
 	File string `json:"file,omitempty"`
@@ -155,8 +153,7 @@ func NewSegmentLog(dir string) (*SegmentLog, error) {
 		seg := logSegment{Manifest: ln.SegmentManifest, file: ln.File}
 		if !seg.Manifest.Tiered {
 			if seg.file == "" {
-				// Pre-index manifest line: files named by position, as .gob.
-				seg.file = fmt.Sprintf("seg-%06d.gob", len(l.segs))
+				return nil, fmt.Errorf("statesync: segment log manifest line %d names no segment file", i+1)
 			}
 			if _, err := os.Stat(filepath.Join(dir, seg.file)); err != nil {
 				return nil, fmt.Errorf("statesync: segment log: manifest names missing segment %d: %w", len(l.segs), err)
@@ -215,18 +212,12 @@ func (l *SegmentLog) manifestPath() string { return filepath.Join(l.dir, "manife
 
 func segFileName(id int) string { return fmt.Sprintf("seg-%06d.seg", id) }
 
-// segFileID parses the id out of a seg-NNNNNN.seg name, or out of the
-// seg-NNNNNN.gob name logs written by builds up to PR 11 use.
+// segFileID parses the id out of a seg-NNNNNN.seg name.
 func segFileID(name string) (int, bool) {
-	ext := filepath.Ext(name)
-	if !strings.HasPrefix(name, "seg-") || (ext != ".seg" && ext != ".gob") {
-		return 0, false
-	}
-	id, err := strconv.Atoi(name[len("seg-") : len(name)-len(ext)])
-	if err != nil || id < 0 {
-		return 0, false
-	}
-	return id, true
+	digits, prefixed := strings.CutPrefix(name, "seg-")
+	digits, suffixed := strings.CutSuffix(digits, ".seg")
+	id, err := strconv.Atoi(digits)
+	return id, prefixed && suffixed && err == nil && id >= 0
 }
 
 // WriteSegment implements store.ColdStore: it appends one encoded segment
@@ -405,7 +396,7 @@ func (l *SegmentLog) readSegment(seg *logSegment, i int, keep func(*flowrec.Reco
 		}
 		payload = buf.Bytes()
 	}
-	recs, n, err := store.FilterSegment(payload, keep)
+	recs, n, err := flowrec.DecodeSegment(payload, keep)
 	if err != nil {
 		return 0, fmt.Errorf("statesync: segment %d: %w", i, err)
 	}

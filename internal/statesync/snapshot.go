@@ -120,7 +120,7 @@ func ReadSegments(r io.Reader, fn func(recs []*flowrec.Record) error) (segments,
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return segments, records, fmt.Errorf("statesync: truncated segment %d: %w", segments, err)
 		}
-		recs, err := store.DecodeSegmentBytes(payload)
+		recs, _, err := flowrec.DecodeSegment(payload, nil)
 		if err != nil {
 			return segments, records, fmt.Errorf("statesync: segment frame %d: %w", segments, err)
 		}

@@ -3,8 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"os"
 	"reflect"
 	"runtime"
 	"slices"
@@ -16,12 +14,10 @@ import (
 	"switchpointer/internal/simtime"
 )
 
-// legacyFixture is a segment written by the parent commit's gob
-// EncodeSegment (PR 11) from exactly legacyFixtureRecords — the one shape of
-// input the gob fallback exists for.
-const legacyFixture = "testdata/segment_pr11.gob"
-
-func legacyFixtureRecords() []*flowrec.Record {
+// fixtureRecords covers the record shapes a segment must round-trip:
+// tagged and untagged, paths of three, one and no switches, and
+// EpochBytes filled, empty and nil.
+func fixtureRecords() []*flowrec.Record {
 	a := flowrec.New(netsim.FlowKey{Src: 0x0a000001, Dst: 0x0a000102, SrcPort: 40000, DstPort: 80, Proto: 6})
 	a.Priority = 3
 	a.Path = []netsim.NodeID{4, 9, 5}
@@ -54,46 +50,11 @@ func encodeSegment(t testing.TB, recs []*flowrec.Record) []byte {
 	return buf.Bytes()
 }
 
-// TestLegacyGobSegmentDecodes: a segment written before the codec existed
-// decodes, through either entry point, to the records the codec's own round
-// trip gives — same values, same JSON.
-func TestLegacyGobSegmentDecodes(t *testing.T) {
-	raw, err := os.ReadFile(legacyFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flowrec.HasSegmentMagic(raw) {
-		t.Fatal("the fixture is not a legacy gob segment")
-	}
-	want := legacyFixtureRecords()
-	wantJSON, _ := json.Marshal(want)
-	viaCodec, err := DecodeSegmentBytes(encodeSegment(t, want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaReader, err := DecodeSegment(iotest.OneByteReader(bytes.NewReader(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBytes, err := DecodeSegmentBytes(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string][]*flowrec.Record{"codec": viaCodec, "gob reader": viaReader, "gob bytes": viaBytes} {
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: decoded %v, want %v", name, got, want)
-		}
-		if gotJSON, _ := json.Marshal(got); !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("%s: JSON %s, want %s", name, gotJSON, wantJSON)
-		}
-	}
-}
-
 // TestDecodeSegmentIsSelfDelimiting: segments concatenated on one stream (an
 // eviction Sink) come off it one DecodeSegment at a time, whether or not the
 // reader can hand out single bytes, and a cut anywhere is an error.
 func TestDecodeSegmentIsSelfDelimiting(t *testing.T) {
-	recs := legacyFixtureRecords()
+	recs := fixtureRecords()
 	one, two := encodeSegment(t, recs[:1]), encodeSegment(t, recs[1:])
 	stream := append(bytes.Clone(one), two...)
 	for name, r := range map[string]interface {
@@ -154,7 +115,7 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 		return sink.Bytes(), cold.payloads[0]
 	}
 	sink, cold := sweep()
-	if !flowrec.HasSegmentMagic(sink) || !bytes.Equal(sink, cold) {
+	if _, err := flowrec.SegmentLen(sink); err != nil || !bytes.Equal(sink, cold) {
 		t.Fatal("Sink and Cold received different bytes for one eviction")
 	}
 	if again, _ := sweep(); !bytes.Equal(again, sink) {
@@ -165,12 +126,13 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 // FuzzDecodeSegment feeds DecodeSegment arbitrary bytes: it must return
 // records or an error — never panic, never allocate out of proportion to the
 // input — and whatever it accepts must survive an encode/decode round trip.
-// FilterSegment, with a keep drawn from the input, must agree with the
-// whole decode filtered.
-// The committed corpus (testdata/fuzz) holds a valid segment, forged counts
-// and the legacy gob fixture; every truncation of a segment is seeded here.
+// flowrec.DecodeSegment, with a keep drawn from the input, must agree with
+// the whole decode filtered.
+// The committed corpus (testdata/fuzz) holds a valid segment and forged
+// counts; every truncation of a segment, a future version and a foreign
+// magic are seeded here.
 func FuzzDecodeSegment(f *testing.F) {
-	valid := encodeSegment(f, legacyFixtureRecords())
+	valid := encodeSegment(f, fixtureRecords())
 	for n := 0; n <= len(valid); n++ {
 		f.Add(valid[:n])
 	}
@@ -179,10 +141,10 @@ func FuzzDecodeSegment(f *testing.F) {
 		binary.LittleEndian.PutUint32(forged[off:], 1<<32-1)
 		f.Add(forged)
 	}
-	if legacy, err := os.ReadFile(legacyFixture); err == nil {
-		f.Add(legacy)
-		f.Add(legacy[:len(legacy)/2])
-	}
+	future := bytes.Clone(valid)
+	future[3]++
+	f.Add(future)
+	f.Add(append([]byte{0x0c, 0xff}, valid[2:]...)) // a gob stream opens with a small length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -191,7 +153,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		// A record is ~130 B in memory for ≥ 23 B on disk, and its map about
 		// as much again; the constant covers the eagerly sized read buffer (the
 		// race detector doubles it).
-		if grew := after.TotalAlloc - before.TotalAlloc; flowrec.HasSegmentMagic(data) && grew > 1<<18+64*uint64(len(data)) {
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<18+64*uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
 
@@ -202,8 +164,8 @@ func FuzzDecodeSegment(f *testing.F) {
 			return len(data) > 0 && data[i%len(data)]>>(i/len(data)%8)&1 == 1
 		}
 		calls := 0
-		kept, n, keptErr := FilterSegment(data, func(*flowrec.Record) bool { calls++; return admits(calls - 1) })
-		full, fullN, fullErr := FilterSegment(data, nil)
+		kept, n, keptErr := flowrec.DecodeSegment(data, func(*flowrec.Record) bool { calls++; return admits(calls - 1) })
+		full, fullN, fullErr := flowrec.DecodeSegment(data, nil)
 		if (keptErr == nil) != (fullErr == nil) {
 			t.Fatalf("with a keep: %v; without: %v", keptErr, fullErr)
 		}
@@ -225,12 +187,11 @@ func FuzzDecodeSegment(f *testing.F) {
 		if len(recs) > len(data) {
 			t.Fatalf("%d records out of %d bytes", len(recs), len(data))
 		}
-		again, err := DecodeSegmentBytes(encodeSegment(t, recs))
+		again, _, err := flowrec.DecodeSegment(encodeSegment(t, recs), nil)
 		if err != nil {
 			t.Fatalf("re-decoding an accepted segment: %v", err)
 		}
-		// (A gob stream may carry an empty slice where the codec gives nil.)
-		if flowrec.HasSegmentMagic(data) && !reflect.DeepEqual(again, recs) {
+		if !reflect.DeepEqual(again, recs) {
 			t.Fatalf("decode(encode(x)) != x:\n got %v\nwant %v", again, recs)
 		}
 	})

@@ -6,6 +6,7 @@
 package switchagent
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -49,8 +50,8 @@ type Agent struct {
 
 	// ControlStore accumulates pushed top-level slots — the persistent,
 	// off-chip history for offline diagnosis. Access it through
-	// ControlStoreLen/ControlStoreSnapshot (or under the simulation
-	// thread's exclusivity) when the agent may be serving.
+	// ControlStoreLen/Snapshot (or under the simulation thread's
+	// exclusivity) when the agent may be serving.
 	ControlStore []pointer.Slot
 
 	// PointerPulls counts analyzer pull requests served.
@@ -213,35 +214,6 @@ func (a *Agent) SlotsAt(level int, r simtime.EpochRange) []pointer.Slot {
 	return a.ptr.SlotsAt(level, r)
 }
 
-// PointerSnapshot serializes the live pointer structure (every slot of
-// every level plus ring positions and accounting) — the switch half of a
-// state-sync snapshot. The control store and MPH are carried separately by
-// the statesync wire form.
-func (a *Agent) PointerSnapshot() ([]byte, error) {
-	a.ctlMu.Lock()
-	defer a.ctlMu.Unlock()
-	return a.ptr.Snapshot()
-}
-
-// RestorePointerSnapshot replaces the live pointer structure with a snapshot
-// taken from an agent of identical geometry, so subsequent pointer pulls
-// answer byte-identically to the source's. The epoch backstop continues
-// from the restored epoch. Safe while the agent is serving pulls — that is
-// exactly the bootstrapping daemon's syncing state.
-func (a *Agent) RestorePointerSnapshot(b []byte) error {
-	a.ctlMu.Lock()
-	defer a.ctlMu.Unlock()
-	return a.ptr.Restore(b)
-}
-
-// RestoreControlStore replaces the pushed top-level history (bootstrap from
-// a peer snapshot).
-func (a *Agent) RestoreControlStore(slots []pointer.Slot) {
-	a.ctlMu.Lock()
-	defer a.ctlMu.Unlock()
-	a.ControlStore = slots
-}
-
 // ControlStoreLen returns the pushed-slot count — the switch daemon's
 // /healthz resident figure, safe while a bootstrap is restoring.
 func (a *Agent) ControlStoreLen() int {
@@ -250,22 +222,66 @@ func (a *Agent) ControlStoreLen() int {
 	return len(a.ControlStore)
 }
 
-// ControlStoreSnapshot serializes the pushed top-level history for the
-// state-sync wire (pointer.EncodeSlots form).
-func (a *Agent) ControlStoreSnapshot() ([]byte, error) {
+// Snapshot serializes the switch half of state sync under one control-plane
+// hold: three sections, each a kind byte (1, 2, 3), a little-endian u32 body
+// length and the body — the pointer structure, the control store
+// (pointer.EncodeSlots) and the MPH (empty before InstallMPH), in order.
+func (a *Agent) Snapshot() []byte {
 	a.ctlMu.Lock()
 	defer a.ctlMu.Unlock()
-	return pointer.EncodeSlots(a.ControlStore)
+	ptr, _ := a.ptr.Snapshot() // never errors
+	var table []byte
+	if a.mphTable != nil {
+		table, _ = a.mphTable.MarshalBinary() // never errors
+	}
+	var b []byte
+	for i, body := range [][]byte{ptr, pointer.EncodeSlots(a.ControlStore), table} {
+		b = binary.LittleEndian.AppendUint32(append(b, byte(i+1)), uint32(len(body)))
+		b = append(b, body...)
+	}
+	return b
 }
 
-// RestoreControlStoreSnapshot replaces the pushed history with one encoded
-// by ControlStoreSnapshot.
-func (a *Agent) RestoreControlStoreSnapshot(b []byte) error {
-	slots, err := pointer.DecodeSlots(b)
+// Restore replaces the agent's pointer structure, control store and (when
+// the snapshot carries one) MPH with a Snapshot of an agent of identical
+// geometry, so pointer pulls answer byte-identically to the source's. All
+// three sections decode before any changes, so a failed Restore leaves the
+// agent as it was. Safe while the agent serves pulls (the syncing state).
+func (a *Agent) Restore(b []byte) error {
+	var sections [3][]byte
+	for i := range sections {
+		if len(b) < 5 || b[0] != byte(i+1) || uint64(binary.LittleEndian.Uint32(b[1:])) > uint64(len(b)-5) {
+			return fmt.Errorf("switchagent: restore: section %d: foreign kind or short body", i+1)
+		}
+		n := 5 + binary.LittleEndian.Uint32(b[1:])
+		sections[i], b = b[5:n], b[n:]
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("switchagent: restore: %d bytes past the last section", len(b))
+	}
+	slots, err := pointer.DecodeSlots(sections[1])
+	if err == nil && len(slots) > 0 && slots[0].Bits.Len() != a.cfg.Pointer.NumHosts {
+		err = fmt.Errorf("control store is %d hosts wide, want %d", slots[0].Bits.Len(), a.cfg.Pointer.NumHosts)
+	}
+	var table *mph.Table
+	if err == nil && len(sections[2]) > 0 {
+		table = new(mph.Table)
+		err = table.UnmarshalBinary(sections[2])
+	}
 	if err != nil {
+		return fmt.Errorf("switchagent: restore: %w", err)
+	}
+	a.ctlMu.Lock()
+	defer a.ctlMu.Unlock()
+	// The structure restores last: it is all-or-nothing, and nothing after
+	// it can fail.
+	if err := a.ptr.Restore(sections[0]); err != nil {
 		return err
 	}
-	a.RestoreControlStore(slots)
+	a.ControlStore = slots
+	if table != nil {
+		a.mphTable = table
+	}
 	return nil
 }
 

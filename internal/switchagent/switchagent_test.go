@@ -1,6 +1,8 @@
 package switchagent
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"switchpointer/internal/header"
@@ -131,6 +133,75 @@ func TestPullFallsBackToControlStore(t *testing.T) {
 	}
 	if !res.Hosts.Get(ag.MPH().Lookup(uint32(dst.IP()))) {
 		t.Fatalf("offline history lost the destination")
+	}
+}
+
+// TestRestoreIsAllOrNothing: a snapshot corrupt in any one section — cut
+// short, its kind byte flipped, or declaring one byte more than it holds —
+// fails to restore and leaves the agent as it was: the same Snapshot bytes
+// and the same pull answers. The intact snapshot then restores whole.
+func TestRestoreIsAllOrNothing(t *testing.T) {
+	agent := func(from, to string) *Agent {
+		net, tp, agents := build(t, 0)
+		src, _ := tp.HostByName(from)
+		dst, _ := tp.HostByName(to)
+		transport.StartUDP(net, src, transport.UDPConfig{
+			Flow:    netsim.FlowKey{Src: src.IP(), Dst: dst.IP(), SrcPort: 1, DstPort: 2},
+			RateBps: 50_000_000, Start: 0, Duration: 20 * simtime.Millisecond})
+		net.RunUntil(1100 * simtime.Millisecond) // past one top window: one pushed slot
+		sl, _ := tp.SwitchByName("SL")
+		return agents[sl.NodeID()]
+	}
+	src, dst := agent("L1", "R1"), agent("L2", "R2")
+	snap := src.Snapshot()
+	// Epochs 0–200 need the live levels and the control store.
+	all := simtime.EpochRange{Lo: 0, Hi: 200}
+	samePull := func(a, b PullResult) bool {
+		return a.Hosts.Equal(b.Hosts) && a.Info == b.Info && a.Source == b.Source && a.Exact == b.Exact
+	}
+	wantPull := dst.PullPointers(all)
+	if wantPull.Source != "control-store" || samePull(wantPull, src.PullPointers(all)) {
+		t.Fatalf("the two agents must differ, in the live levels and the control store: %+v", wantPull)
+	}
+	before := dst.Snapshot()
+
+	withLen := func(b []byte, off int, n uint32) []byte {
+		b = bytes.Clone(b)
+		binary.LittleEndian.PutUint32(b[off+1:], n)
+		return b
+	}
+	off := 0
+	for _, section := range []string{"structure", "control store", "mph"} {
+		n := binary.LittleEndian.Uint32(snap[off+1:])
+		end := off + 5 + int(n)
+		flipped := bytes.Clone(snap)
+		flipped[off] ^= 0xff
+		for how, b := range map[string][]byte{
+			"truncated":         withLen(append(bytes.Clone(snap[:end-1]), snap[end:]...), off, n-1),
+			"kind flipped":      flipped,
+			"length overstated": withLen(snap, off, n+1),
+		} {
+			if err := dst.Restore(b); err == nil {
+				t.Fatalf("%s %s: restored", section, how)
+			}
+			if !bytes.Equal(dst.Snapshot(), before) {
+				t.Fatalf("%s %s: a failed restore changed the agent", section, how)
+			}
+			if !samePull(dst.PullPointers(all), wantPull) {
+				t.Fatalf("%s %s: a failed restore changed the pull answer", section, how)
+			}
+		}
+		off = end
+	}
+	if off != len(snap) {
+		t.Fatalf("three sections end at %d of %d bytes", off, len(snap))
+	}
+
+	if err := dst.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if !samePull(dst.PullPointers(all), src.PullPointers(all)) || len(dst.ControlStore) != len(src.ControlStore) {
+		t.Fatal("the intact snapshot did not restore the source's answers")
 	}
 }
 

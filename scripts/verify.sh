@@ -32,11 +32,15 @@ go test ./...
 # Scoped to these packages so the full gate stays fast.
 go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace ./internal/flowrec ./internal/topo .
 
-# Fuzz leg: 10 s of native fuzzing over the segment decoder, from the
-# committed seed corpus (internal/store/testdata/fuzz): arbitrary bytes must
-# give records or an error — no panic, no allocation out of proportion to the
-# input — and whatever decodes must survive an encode/decode round trip.
+# Fuzz leg: native fuzzing from the committed seed corpora (testdata/fuzz
+# beside each target): 10 s over the segment decoder, 5 s each over the
+# pointer snapshot and slot-list decoders. Arbitrary bytes must give a value
+# or an error — no panic, no allocation out of proportion to the input, a
+# failed restore changes nothing — and whatever decodes must survive an
+# encode/decode round trip.
 go test ./internal/store -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s
+go test ./internal/pointer -run '^$' -fuzz FuzzRestore -fuzztime 5s
+go test ./internal/pointer -run '^$' -fuzz FuzzDecodeSlots -fuzztime 5s
 
 mkdir -p bin
 go build -o bin/ ./cmd/...
@@ -162,29 +166,35 @@ scrape_expect "http://$ANALYZER_ADDR" \
 	spd_alerts_received_total spd_alerts_forwarded_total spd_ready
 echo "metrics smoke: OK"
 
-# Bootstrap smoke: the state-sync failover path. Host B starts with
-# -bootstrap-from host A — it never replays the scenario, serves in the
-# "syncing" state, absorbs A's snapshots, and goes "live" (spd wait gates on
-# exactly that). Host A is then killed and a fresh analyzer daemon diagnoses
-# against B alone: the report must find the same culprits, proving the
-# bootstrapped state is the live state. Going live, B must also hold the
-# one-span bootstrap trace at /traces — the proof that runBootstrap records
-# into the flight recorder the host mux serves.
+# Bootstrap smoke: the state-sync failover path. Host B and switch B start
+# with -bootstrap-from host A and switch A — they never replay the scenario,
+# serve in the "syncing" state, absorb A's snapshots (segment frames from the
+# host, the binary switch snapshot from the switch), and go "live" (spd wait
+# gates on exactly that). Host A and switch A are then killed and a fresh
+# analyzer daemon diagnoses against B alone: the report must find the same
+# culprits, proving the bootstrapped state is the live state. Going live,
+# host B must also hold the one-span bootstrap trace at /traces — the proof
+# that runBootstrap records into the flight recorder the host mux serves.
 ./bin/spd host -scenario redlights -bootstrap-from "http://$HOST_ADDR" \
 	-listen 127.0.0.1:0 2>"$SMOKE_DIR/host_b.log" &
 SPD_HOST_B_PID=$!
-trap 'kill $SPD_HOST_PID $SPD_SWITCH_PID $SPD_ANALYZER_PID $SPD_HOST_B_PID $SPD_ANALYZER_B_PID 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
+./bin/spd switch -scenario redlights -bootstrap-from "http://$SWITCH_ADDR" \
+	-listen 127.0.0.1:0 2>"$SMOKE_DIR/switch_b.log" &
+SPD_SWITCH_B_PID=$!
+trap 'kill $SPD_HOST_PID $SPD_SWITCH_PID $SPD_ANALYZER_PID $SPD_HOST_B_PID $SPD_SWITCH_B_PID $SPD_ANALYZER_B_PID 2>/dev/null || true; rm -rf "$SMOKE_DIR"' EXIT
 SPD_ANALYZER_B_PID=
 HOST_B_ADDR="$(spd_addr "$SMOKE_DIR/host_b.log")"
+SWITCH_B_ADDR="$(spd_addr "$SMOKE_DIR/switch_b.log")"
 ./bin/spd wait -url "http://$HOST_B_ADDR/healthz" -timeout 60s
+./bin/spd wait -url "http://$SWITCH_B_ADDR/healthz" -timeout 60s
 BOOT_TRACE="$(./bin/spctl -trace "http://$HOST_B_ADDR")"
 case "$BOOT_TRACE" in
 *"[host] bootstrap"*) ;;
 *) echo "bootstrap smoke: host B's /traces lacks the bootstrap trace:" >&2; echo "$BOOT_TRACE" >&2; exit 1 ;;
 esac
-kill "$SPD_HOST_PID" 2>/dev/null || true
+kill "$SPD_HOST_PID" "$SPD_SWITCH_PID" 2>/dev/null || true
 ./bin/spd analyzer -scenario redlights -listen 127.0.0.1:0 \
-	-hosts "http://$HOST_B_ADDR" -switches "http://$SWITCH_ADDR" 2>"$SMOKE_DIR/analyzer_b.log" &
+	-hosts "http://$HOST_B_ADDR" -switches "http://$SWITCH_B_ADDR" 2>"$SMOKE_DIR/analyzer_b.log" &
 SPD_ANALYZER_B_PID=$!
 ANALYZER_B_ADDR="$(spd_addr "$SMOKE_DIR/analyzer_b.log")"
 ./bin/spd wait -url "http://$ANALYZER_B_ADDR/healthz" -timeout 60s
