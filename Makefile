@@ -26,13 +26,10 @@ test:
 	$(GO) test ./...
 
 ## fuzz: native fuzzing from the committed seed corpora (testdata/fuzz) —
-## 10 s over the segment decoder, 5 s each over the pointer snapshot and
-## slot-list decoders: no panic, allocation bounded by the input,
-## decode(encode(x)) == x
+## scripts/fuzz.sh, the one list of targets and times (verify runs it too):
+## no panic, allocation bounded by the input, decode(encode(x)) == x
 fuzz:
-	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeSegment -fuzztime 10s
-	$(GO) test ./internal/pointer -run '^$$' -fuzz FuzzRestore -fuzztime 5s
-	$(GO) test ./internal/pointer -run '^$$' -fuzz FuzzDecodeSlots -fuzztime 5s
+	sh scripts/fuzz.sh
 
 ## bench-real: the real-cost benchmark (benchmark/README.md) — four
 ## workloads, end to end and layer by layer, ~3.5 min; every number lands

@@ -1,8 +1,10 @@
-// Three wall-clock micro-benchmarks: the per-packet datapath stages Figure 9
-// is derived from, the simulator's raw event rate, and one 256-record
-// segment encode + decode. The deterministic paper figures are not timed
-// here; the goldens under internal/experiments/testdata pin them. End-to-end
-// real cost is ./benchmark's job.
+// Three wall-clock micro-benchmarks: Figure 9's per-packet costs (the
+// baseline stand-in, and the switch agent's real pipeline stage at k = 1 and
+// k = 5, through the same measurement the figure reads), the simulator's raw
+// event rate, and one 256-record segment encode + decode. The deterministic
+// paper figures are not timed here; the goldens under
+// internal/experiments/testdata pin them. End-to-end real cost is
+// ./benchmark's job.
 package switchpointer
 
 import (
@@ -16,29 +18,23 @@ import (
 	"switchpointer/internal/store"
 )
 
-// BenchmarkFig9PerPacket measures the raw per-packet pipeline costs that
-// Figure 9 is derived from.
+// BenchmarkFig9PerPacket reports Figure 9's per-packet costs, in ns/packet:
+// experiments.MeasurePerPacket's interleaved medians for the baseline
+// stand-in and for the baseline followed by the switch agent's installed
+// pipeline stage at k = 1 and k = 5. One iteration is one whole
+// measurement, so ns/op is suppressed.
 func BenchmarkFig9PerPacket(b *testing.B) {
-	d, err := experiments.NewDatapathBench()
-	if err != nil {
-		b.Fatal(err)
+	var c experiments.PacketCosts
+	for i := 0; i < b.N; i++ {
+		var err error
+		if c, err = experiments.MeasurePerPacket(); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d.StepBaseline(i)
-		}
-	})
-	b.Run("switchpointer-k1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d.StepSwitchPointer(i, 1)
-		}
-	})
-	b.Run("switchpointer-k5", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d.StepSwitchPointer(i, 5)
-		}
-	})
-	_ = d.Sink()
+	b.ReportMetric(0, "ns/op")
+	b.ReportMetric(c.Baseline, "baseline-ns/pkt")
+	b.ReportMetric(c.K1, "k1-ns/pkt")
+	b.ReportMetric(c.K5, "k5-ns/pkt")
 }
 
 // BenchmarkSimulatorEventRate measures raw simulator throughput (events/s)

@@ -65,7 +65,6 @@ func TestEndpointContract(t *testing.T) {
 	}
 	var routes []route
 	for _, q := range [][2]string{
-		{"headers", `{"switch":1,"epoch_lo":0,"epoch_hi":2}`},
 		{"headers-batch", `{"queries":[{"switch":1,"epoch_lo":0,"epoch_hi":2}]}`},
 		{"topk", `{"switch":1,"k":3}`},
 		{"flowsizes", `{"switch":1}`},

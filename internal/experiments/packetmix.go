@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"switchpointer/internal/workload"
@@ -16,31 +17,19 @@ import (
 // For each sampled packet the pipeline takes max(cpu cost, wire time at
 // 10GE); throughput is total bits over total time.
 func AblationPacketMix() (*Result, error) {
-	d, err := NewDatapathBench()
+	c, err := MeasurePerPacket()
 	if err != nil {
 		return nil, err
 	}
-	base := measure(d.StepBaseline)
-	k1 := measure(func(i int) { d.StepSwitchPointer(i, 1) })
-	k5 := measure(func(i int) { d.StepSwitchPointer(i, 5) })
-
 	r := &Result{ID: "ablation-packetmix", Title: "ablation — throughput under realistic packet mixes (§6.1 argument)"}
 	tab := Table{
 		Title: "sustained throughput (Gbps) at 10GE, measured pipeline costs",
 		Cols:  []string{"packet mix", "mean size (B)", "OVS baseline", "SwitchPointer k=1", "SwitchPointer k=5", "SP k=5 vs line rate"},
 	}
 	for _, mix := range workload.Mixes() {
-		gBase := mixGbps(mix, base)
-		gK1 := mixGbps(mix, k1)
-		gK5 := mixGbps(mix, k5)
-		tab.Rows = append(tab.Rows, []string{
-			mix.Name(),
-			f(mix.Mean()),
-			f(gBase),
-			f(gK1),
-			f(gK5),
-			fmt.Sprintf("%.0f%%", 100*gK5/lineRateGbps),
-		})
+		gK5 := mixGbps(mix, c.K5)
+		tab.Rows = append(tab.Rows, []string{mix.Name(), f(mix.Mean()), f(mixGbps(mix, c.Baseline)),
+			f(mixGbps(mix, c.K1)), f(gK5), fmt.Sprintf("%.0f%%", 100*gK5/lineRateGbps)})
 	}
 	r.AddTable(tab)
 	r.AddNote("the paper's §6.1 claim: since datacenter packet sizes average ≥256 B (850 B enterprise, 250 B hadoop median), the sub-256 B degradation is acceptable in practice")
@@ -56,12 +45,8 @@ func mixGbps(mix *workload.SizeDist, nsPerPkt float64) float64 {
 	for i := 0; i < samples; i++ {
 		size := mix.Sample(rng)
 		wire := float64(size*8) / lineRateGbps // ns on a 10G wire
-		cost := nsPerPkt
-		if wire > cost {
-			cost = wire
-		}
 		bits += float64(size * 8)
-		ns += cost
+		ns += math.Max(wire, nsPerPkt)
 	}
 	return bits / ns
 }

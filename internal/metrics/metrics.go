@@ -277,9 +277,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.ch.count.Load() }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.ch.sumBits.Load()) }
-
 // addFloat CAS-adds v to a float64 stored as bits.
 func addFloat(bits *atomic.Uint64, v float64) {
 	for {

@@ -36,13 +36,12 @@ import (
 // must verify externally (SwitchPointer does not: the analyzer guarantees the
 // key universe equals the current end-host set).
 type Table struct {
-	seed      uint64
-	m         uint32 // number of keys
-	partLen   uint32 // vertices per hypergraph part (3 parts)
-	g         []byte // 2-bit values per vertex, packed 4 per byte
-	chosen    []uint64
-	rank      []uint32 // cumulative popcount per rank block of chosen
-	buildIter int
+	seed    uint64
+	m       uint32 // number of keys
+	partLen uint32 // vertices per hypergraph part (3 parts)
+	g       []byte // 2-bit values per vertex, packed 4 per byte
+	chosen  []uint64
+	rank    []uint32 // cumulative popcount per rank block of chosen
 }
 
 const (
@@ -166,12 +165,11 @@ func buildSeeded(keys []uint32, seed0 uint64) (*Table, error) {
 		}
 
 		t := &Table{
-			seed:      seed,
-			m:         uint32(m),
-			partLen:   partLen,
-			g:         g,
-			chosen:    chosen,
-			buildIter: attempt + 1,
+			seed:    seed,
+			m:       uint32(m),
+			partLen: partLen,
+			g:       g,
+			chosen:  chosen,
 		}
 		t.buildRank()
 		return t, nil
@@ -237,10 +235,6 @@ func vertices(key uint32, seed uint64, partLen uint32) (uint32, uint32, uint32) 
 
 // Len returns the number of keys in the table (the size of the index range).
 func (t *Table) Len() int { return int(t.m) }
-
-// BuildIterations reports how many seeds were tried before a peelable
-// hypergraph was found (1 means first try).
-func (t *Table) BuildIterations() int { return t.buildIter }
 
 // Lookup returns the index in [0, Len()) assigned to key. Keys not in the
 // build set yield an arbitrary in-range value.
@@ -321,7 +315,6 @@ func (t *Table) UnmarshalBinary(data []byte) error {
 	for i := range t.chosen {
 		t.chosen[i] = binary.LittleEndian.Uint64(data[24+gLen+i*8:])
 	}
-	t.buildIter = 0
 	t.buildRank()
 	return nil
 }

@@ -60,9 +60,6 @@ func (pt *Port) Peer() *Port { return pt.peer }
 // RateBps returns the link rate in bits per second.
 func (pt *Port) RateBps() int64 { return pt.rateBps }
 
-// QueueLen returns the instantaneous egress queue length in packets.
-func (pt *Port) QueueLen() int { return pt.queue.Len() }
-
 // QueueBytes returns the instantaneous egress queue depth in bytes.
 func (pt *Port) QueueBytes() int { return pt.queue.Bytes() }
 

@@ -308,23 +308,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-func toQuery(q HeadersRequest) hostagent.HeadersQuery {
-	return hostagent.HeadersQuery{
-		Switch: q.Switch,
-		Epochs: simtime.EpochRange{Lo: q.EpochLo, Hi: q.EpochHi},
-		Flows:  q.Flows,
-	}
-}
-
-// headersAttrs is the child-span summary of a headers answer.
-func headersAttrs(records, coldSegments, coldReturned int) []trace.Attr {
-	return []trace.Attr{
-		{Key: "records", Value: strconv.Itoa(records)},
-		{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
-		{Key: "cold_returned", Value: strconv.Itoa(coldReturned)},
-	}
-}
-
 // NewHostHandler exposes a host agent's query executors over HTTP. Requests
 // carrying an X-SP-Trace header leave child spans (records returned, cold
 // decode counts) in fr under the daemon's label (its host IP); a nil fr
@@ -332,16 +315,11 @@ func headersAttrs(records, coldSegments, coldReturned int) []trace.Attr {
 func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) http.Handler {
 	sp := &Spans{Flight: fr, Role: "host", Label: label}
 	mux := http.NewServeMux()
-	mux.Handle("/headers", Endpoint(sp, "headers", LimitRequest,
-		func(ctx context.Context, req *HeadersRequest) (HeadersResponse, []trace.Attr, error) {
-			ans := a.QueryHeaders(ctx, toQuery(*req))
-			return HeadersResponse(ans), headersAttrs(len(ans.Records), ans.ColdSegments, ans.ColdReturned), nil
-		}))
 	mux.Handle("/headers-batch", Endpoint(sp, "headers-batch", LimitRequest,
 		func(ctx context.Context, req *HeadersBatchRequest) (HeadersBatchResponse, []trace.Attr, error) {
 			qs := make([]hostagent.HeadersQuery, len(req.Queries))
 			for i, q := range req.Queries {
-				qs[i] = toQuery(q)
+				qs[i] = hostagent.HeadersQuery{Switch: q.Switch, Epochs: simtime.EpochRange{Lo: q.EpochLo, Hi: q.EpochHi}, Flows: q.Flows}
 			}
 			answers := a.QueryHeadersMulti(ctx, qs)
 			resp := HeadersBatchResponse{Answers: make([]HeadersResponse, len(answers))}
@@ -352,7 +330,11 @@ func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) 
 				coldSegments += ans.ColdSegments
 				coldReturned += ans.ColdReturned
 			}
-			return resp, headersAttrs(records, coldSegments, coldReturned), nil
+			return resp, []trace.Attr{
+				{Key: "records", Value: strconv.Itoa(records)},
+				{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
+				{Key: "cold_returned", Value: strconv.Itoa(coldReturned)},
+			}, nil
 		}))
 	mux.Handle("/topk", Endpoint(sp, "topk", LimitRequest,
 		func(ctx context.Context, req *TopKRequest) ([]hostagent.FlowBytes, []trace.Attr, error) {
@@ -577,14 +559,6 @@ func (c *HTTPClient) Call(ctx context.Context, url string, req, resp any, limit 
 // answerPool holds Call's answer buffers; one that grew past 1 MiB is dropped
 // instead of returned, so a single /snapshot cannot pin LimitRecords bytes.
 var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// QueryHeaders fetches matching records (and the host's cold read-back
-// accounting) from a host agent at baseURL.
-func (c *HTTPClient) QueryHeaders(ctx context.Context, baseURL string, sw netsim.NodeID, epochs simtime.EpochRange) (hostagent.HeadersAnswer, error) {
-	var out HeadersResponse
-	err := c.Call(ctx, baseURL+"/headers", HeadersRequest{Switch: sw, EpochLo: epochs.Lo, EpochHi: epochs.Hi}, &out, LimitRecords)
-	return hostagent.HeadersAnswer(out), err
-}
 
 // QueryHeadersBatch answers several header queries against one host in a
 // single request (POST /headers-batch), one answer per query in order.

@@ -168,11 +168,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("pointer pull: covered=%v bits=%v", resp.Covered, bits.Indices())
 	}
 	// Headers query over the wire.
-	ans, err := client.QueryHeaders(context.Background(), hostSrv.URL, s1.NodeID(), simtime.EpochRange{Lo: 0, Hi: 2})
+	answers, err := client.QueryHeadersBatch(context.Background(), hostSrv.URL,
+		[]hostagent.HeadersQuery{{Switch: s1.NodeID(), Epochs: simtime.EpochRange{Lo: 0, Hi: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := ans.Records
+	recs := answers[0].Records
 	if len(recs) != 1 || recs[0].Flow != flow || recs[0].Priority != 2 {
 		t.Fatalf("headers = %+v", recs)
 	}

@@ -34,9 +34,6 @@ func NewMeter(interval simtime.Time) *Meter {
 	return &Meter{interval: interval}
 }
 
-// Interval returns the bucket width.
-func (m *Meter) Interval() simtime.Time { return m.interval }
-
 // Record accounts bytes arriving at time now. Extending into a new bucket
 // is amortized allocation-free: the series grow geometrically and start with
 // enough room that short-lived meters never regrow.

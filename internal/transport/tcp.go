@@ -161,9 +161,6 @@ func StartTCP(net *netsim.Network, src, dst *netsim.Host, cfg TCPConfig) (*TCPSe
 	return s, r
 }
 
-// Cwnd returns the current congestion window in segments.
-func (s *TCPSender) Cwnd() float64 { return s.cwnd }
-
 // Done reports whether a bounded transfer has been fully acknowledged.
 func (s *TCPSender) Done() bool { return s.finished }
 

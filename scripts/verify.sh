@@ -32,15 +32,8 @@ go test ./...
 # Scoped to these packages so the full gate stays fast.
 go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace ./internal/flowrec ./internal/topo .
 
-# Fuzz leg: native fuzzing from the committed seed corpora (testdata/fuzz
-# beside each target): 10 s over the segment decoder, 5 s each over the
-# pointer snapshot and slot-list decoders. Arbitrary bytes must give a value
-# or an error — no panic, no allocation out of proportion to the input, a
-# failed restore changes nothing — and whatever decodes must survive an
-# encode/decode round trip.
-go test ./internal/store -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s
-go test ./internal/pointer -run '^$' -fuzz FuzzRestore -fuzztime 5s
-go test ./internal/pointer -run '^$' -fuzz FuzzDecodeSlots -fuzztime 5s
+# Fuzz leg: the targets and their times live only in scripts/fuzz.sh.
+sh scripts/fuzz.sh
 
 mkdir -p bin
 go build -o bin/ ./cmd/...
