@@ -113,8 +113,9 @@ func usage() {
                [-alert-pipeline -alert-dedup W -alert-rate R -alert-burst B]
   spd wait     -url URL [-timeout D]
 
-Every role serves GET /metrics (Prometheus text) and GET /stats (JSON)
-alongside its query plane. With -alert-pipeline, the analyzer enriches,
+Every role serves GET /metrics (Prometheus text) and GET /traces alongside
+its query plane; the analyzer also serves GET /stats (admission counters,
+JSON). With -alert-pipeline, the analyzer enriches,
 deduplicates, and rate-limits the scenario's raised alerts before admitting
 the surviving diagnoses.
 

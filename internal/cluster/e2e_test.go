@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 
@@ -22,86 +21,6 @@ func wireJSON(t *testing.T, w *WireReport) string {
 		t.Fatal(err)
 	}
 	return string(raw)
-}
-
-// TestLoopbackEquivalenceAllKinds is the tentpole acceptance gate: for every
-// query kind, a diagnosis run entirely over loopback HTTP — pointer pulls
-// and MPH distribution through RemoteDirectory, every per-host round through
-// RemoteHosts, submitted through the admission-controlled /diagnose service
-// — must produce a Report byte-identical (in wire form) to the in-memory
-// run on the same testbed.
-func TestLoopbackEquivalenceAllKinds(t *testing.T) {
-	cases := []struct {
-		scenario string
-		m, n     int
-	}{
-		{"priority", 4, 0},      // ContentionQuery → priority-contention
-		{"microburst", 4, 0},    // ContentionQuery → microburst-contention
-		{"redlights", 0, 0},     // RedLightsQuery
-		{"cascade", 0, 0},       // CascadeQuery
-		{"loadimbalance", 0, 8}, // ImbalanceQuery
-		{"topk", 0, 8},          // TopKQuery
-	}
-	for _, tc := range cases {
-		t.Run(tc.scenario, func(t *testing.T) {
-			s, err := BuildScenarioOpt(tc.scenario, tc.m, tc.n, scenario.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Testbed.Close()
-			q, err := s.Query()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			local, err := s.Testbed.Analyzer.Run(context.Background(), q)
-			if err != nil {
-				t.Fatalf("in-memory run: %v", err)
-			}
-			if local.Kind == analyzer.KindInconclusive && tc.scenario != "topk" {
-				t.Fatalf("in-memory run inconclusive: %s", local.Conclusion)
-			}
-			localWire := wireJSON(t, WireFromReport(local))
-
-			lb, err := NewLoopback(s.Testbed, AdmissionConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer lb.Close()
-
-			// (1) The remote-backend analyzer in-process: every backend call
-			// travels HTTP.
-			remote, err := lb.Analyzer.Run(context.Background(), q)
-			if err != nil {
-				t.Fatalf("remote-backend run: %v", err)
-			}
-			if got := wireJSON(t, WireFromReport(remote)); got != localWire {
-				t.Fatalf("remote-backend report diverged\n--- in-memory ---\n%s\n--- remote ---\n%s", localWire, got)
-			}
-
-			// (2) The full service path: envelope → POST /diagnose →
-			// admission → remote analyzer → wire report.
-			env, err := Envelope(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			served, err := lb.Client.Diagnose(context.Background(), env)
-			if err != nil {
-				t.Fatalf("/diagnose: %v", err)
-			}
-			if got := wireJSON(t, served); got != localWire {
-				t.Fatalf("/diagnose report diverged\n--- in-memory ---\n%s\n--- served ---\n%s", localWire, got)
-			}
-
-			stats, err := lb.Client.Stats(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Admitted != 1 || stats.InFlight != 0 {
-				t.Fatalf("admission stats after one query: %+v", stats)
-			}
-		})
-	}
 }
 
 // TestEnvelopeRoundTrip pins Query ⇄ QueryEnvelope for every kind.

@@ -83,10 +83,11 @@ func TestEndpointContract(t *testing.T) {
 		route{method: http.MethodPost, url: lb.AnalyzerURL + "/diagnose"},
 	)
 	for _, root := range []string{lb.HostURL, lb.SwitchURL, lb.AnalyzerURL} {
-		for _, path := range []string{"/healthz", "/stats", "/metrics", "/traces"} {
+		for _, path := range []string{"/healthz", "/metrics", "/traces"} {
 			routes = append(routes, route{method: http.MethodGet, url: root + path})
 		}
 	}
+	routes = append(routes, route{method: http.MethodGet, url: lb.AnalyzerURL + "/stats"})
 
 	// A row with a span is sent traced and must leave exactly that child span.
 	type row struct {

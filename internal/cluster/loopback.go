@@ -22,9 +22,9 @@ import (
 // reports permanently live — the non-bootstrap daemon. This is what `spd
 // host` serves; HostURLs derives the matching per-host base URLs. The
 // daemon's self-observability rides along: GET /metrics (Prometheus text
-// over a hostRegistry, returned as Service.Registry), GET /stats (the
-// HostStatsDoc JSON) and GET /traces (Service.Flight, which every agent's
-// query handler records traced requests' child spans into).
+// over a hostRegistry, returned as Service.Registry) and GET /traces
+// (Service.Flight, which every agent's query handler records traced
+// requests' child spans into).
 func HostMux(tb *scenario.Testbed, rd *statesync.Readiness) *Service {
 	fr := trace.NewFlightRecorder("host", 0)
 	mux := http.NewServeMux()
@@ -35,7 +35,6 @@ func HostMux(tb *scenario.Testbed, rd *statesync.Readiness) *Service {
 		mux.Handle(prefix+"/ingest", statesync.IngestHandler(ag, rd))
 	}
 	mux.Handle("/healthz", statesync.HealthzHandler(rd, hostStats(tb)))
-	mux.Handle("/stats", HostStatsHandler(tb, rd))
 	return newService(mux, hostRegistry(tb, rd), fr)
 }
 
@@ -61,7 +60,7 @@ func hostStats(tb *scenario.Testbed) func() (resident, evictedSegments int) {
 // routes below it, including the state-sync GET /switches/<id>/snapshot).
 // /healthz reports readiness against rd plus the daemon's pushed
 // control-store slot count as its resident-record figure — what `spd
-// switch` serves. GET /metrics, /stats and /traces ride along as on HostMux.
+// switch` serves. GET /metrics and /traces ride along as on HostMux.
 func SwitchMux(tb *scenario.Testbed, rd *statesync.Readiness) *Service {
 	fr := trace.NewFlightRecorder("switch", 0)
 	mux := http.NewServeMux()
@@ -76,7 +75,6 @@ func SwitchMux(tb *scenario.Testbed, rd *statesync.Readiness) *Service {
 		}
 		return resident, 0
 	}))
-	mux.Handle("/stats", SwitchStatsHandler(tb, rd))
 	return newService(mux, SwitchRegistry(tb, rd), fr)
 }
 

@@ -8,8 +8,6 @@
 package cluster
 
 import (
-	"context"
-	"net/http"
 	"sort"
 	"strconv"
 	"time"
@@ -18,11 +16,9 @@ import (
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/metrics"
 	"switchpointer/internal/netsim"
-	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/statesync"
 	"switchpointer/internal/switchagent"
-	"switchpointer/internal/trace"
 )
 
 // sortedHostAgents fixes the scrape iteration order once: host agents by IP.
@@ -298,111 +294,4 @@ func (o *admissionObs) recordDiagnosis(q analyzer.Query, rep *analyzer.Report, e
 		o.queryRounds.With(kind).Add(float64(rep.Clock.QueryRounds()))
 		o.coldRounds.With(kind).Add(float64(rep.Clock.ColdRounds()))
 	}
-}
-
-// HostAgentStats is one host agent's row in the host daemon's GET /stats
-// document.
-type HostAgentStats struct {
-	Host             string `json:"host"`
-	AbsorbedPackets  uint64 `json:"absorbed_packets"`
-	DecodeErrors     uint64 `json:"decode_errors"`
-	ResidentRecords  int    `json:"resident_records"`
-	EvictedRecords   uint64 `json:"evicted_records"`
-	ShardGenerations uint64 `json:"shard_generations"`
-	LockAcquires     uint64 `json:"lock_acquires"`
-	LockContended    uint64 `json:"lock_contended"`
-
-	ColdSegmentsDecoded uint64 `json:"cold_segments_decoded"`
-	ColdRecordsReturned uint64 `json:"cold_records_returned"`
-	ColdSegmentsSkipped uint64 `json:"cold_segments_skipped"`
-}
-
-// HostStatsDoc is the host daemon's GET /stats body.
-type HostStatsDoc struct {
-	State             string           `json:"state"`
-	BootstrapSegments int64            `json:"bootstrap_segments"`
-	BootstrapRecords  int64            `json:"bootstrap_records"`
-	IngestBatches     int64            `json:"ingest_batches"`
-	IngestRecords     int64            `json:"ingest_records"`
-	Agents            []HostAgentStats `json:"agents"`
-}
-
-// HostStatsHandler serves the host daemon's GET /stats: one row per agent
-// (absorption, store occupancy, lock contention, cold read-back) plus the
-// daemon's bootstrap/ingest progress, agents sorted by IP.
-func HostStatsHandler(tb *scenario.Testbed, rd *statesync.Readiness) http.Handler {
-	labels, agents := sortedHostAgents(tb)
-	return rpc.Endpoint(nil, "stats", 0, func(context.Context, *rpc.Empty) (HostStatsDoc, []trace.Attr, error) {
-		doc := HostStatsDoc{State: statesync.StateLive.String(), Agents: make([]HostAgentStats, 0, len(agents))}
-		if rd != nil {
-			doc.State = rd.State().String()
-			doc.BootstrapSegments, doc.BootstrapRecords, doc.IngestBatches, doc.IngestRecords = rd.Progress()
-		}
-		for i, ag := range agents {
-			acq, cont := ag.Store.LockStats()
-			cold := ag.ColdStats()
-			doc.Agents = append(doc.Agents, HostAgentStats{
-				Host:                labels[i],
-				AbsorbedPackets:     ag.Received,
-				DecodeErrors:        ag.DecodeErrors,
-				ResidentRecords:     ag.Store.Len(),
-				EvictedRecords:      ag.Store.Evicted(),
-				ShardGenerations:    ag.Store.Generations(),
-				LockAcquires:        acq,
-				LockContended:       cont,
-				ColdSegmentsDecoded: cold.Segments,
-				ColdRecordsReturned: cold.Returned,
-				ColdSegmentsSkipped: cold.SkippedByIndex,
-			})
-		}
-		return doc, nil, nil
-	})
-}
-
-// SwitchAgentStats is one switch agent's row in the switch daemon's GET
-// /stats document.
-type SwitchAgentStats struct {
-	Switch            string `json:"switch"`
-	PointerPulls      uint64 `json:"pointer_pulls"`
-	ApproxPulls       uint64 `json:"approx_pulls"`
-	ResidentBytes     int    `json:"resident_bytes"`
-	MemoryBytes       int    `json:"memory_bytes"`
-	PushedSlots       uint64 `json:"pushed_slots"`
-	PushedBytes       uint64 `json:"pushed_bytes"`
-	ControlStoreSlots int    `json:"control_store_slots"`
-}
-
-// SwitchStatsDoc is the switch daemon's GET /stats body.
-type SwitchStatsDoc struct {
-	State  string             `json:"state"`
-	Agents []SwitchAgentStats `json:"agents"`
-}
-
-// SwitchStatsHandler serves the switch daemon's GET /stats: one row per
-// agent (pull service, pointer footprint, push accounting, control-store
-// depth), agents sorted by switch ID.
-func SwitchStatsHandler(tb *scenario.Testbed, rd *statesync.Readiness) http.Handler {
-	labels, agents := sortedSwitchAgents(tb)
-	return rpc.Endpoint(nil, "stats", 0, func(context.Context, *rpc.Empty) (SwitchStatsDoc, []trace.Attr, error) {
-		doc := SwitchStatsDoc{State: statesync.StateLive.String(), Agents: make([]SwitchAgentStats, 0, len(agents))}
-		if rd != nil {
-			doc.State = rd.State().String()
-		}
-		for i, ag := range agents {
-			pulls, approx := ag.PullCounts()
-			res, mem := ag.PointerFootprint()
-			slots, bytes := ag.PushStats()
-			doc.Agents = append(doc.Agents, SwitchAgentStats{
-				Switch:            labels[i],
-				PointerPulls:      pulls,
-				ApproxPulls:       approx,
-				ResidentBytes:     res,
-				MemoryBytes:       mem,
-				PushedSlots:       slots,
-				PushedBytes:       bytes,
-				ControlStoreSlots: ag.ControlStoreLen(),
-			})
-		}
-		return doc, nil, nil
-	})
 }

@@ -3,10 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
-	"sort"
 	"testing"
 
 	"switchpointer/internal/metrics"
@@ -186,70 +184,5 @@ func TestMetricsEndpoints(t *testing.T) {
 	}
 	if virtCount != 1 {
 		t.Errorf("spd_diagnosis_virtual_seconds count = %v, want 1", virtCount)
-	}
-}
-
-// TestStatsEndpoints pins the host and switch daemons' GET /stats JSON
-// documents: per-agent rows, sorted, with values consistent with the replay.
-func TestStatsEndpoints(t *testing.T) {
-	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Testbed.Close()
-	s.Run()
-	lb, err := NewLoopback(s.Testbed, AdmissionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lb.Close()
-
-	var hostDoc HostStatsDoc
-	getJSON(t, lb.HostURL+"/stats", &hostDoc)
-	if len(hostDoc.Agents) != len(s.Testbed.HostAgents) {
-		t.Fatalf("host /stats rows %d, want %d", len(hostDoc.Agents), len(s.Testbed.HostAgents))
-	}
-	if !sort.SliceIsSorted(hostDoc.Agents, func(i, j int) bool {
-		return hostDoc.Agents[i].Host < hostDoc.Agents[j].Host
-	}) {
-		t.Error("host /stats rows not sorted by host")
-	}
-	var absorbed uint64
-	for _, row := range hostDoc.Agents {
-		absorbed += row.AbsorbedPackets
-	}
-	if absorbed == 0 {
-		t.Error("host /stats absorbed_packets all zero after replay")
-	}
-	if hostDoc.State != "live" {
-		t.Errorf("host /stats state %q, want live", hostDoc.State)
-	}
-
-	var swDoc SwitchStatsDoc
-	getJSON(t, lb.SwitchURL+"/stats", &swDoc)
-	if len(swDoc.Agents) != len(s.Testbed.SwitchAgents) {
-		t.Fatalf("switch /stats rows %d, want %d", len(swDoc.Agents), len(s.Testbed.SwitchAgents))
-	}
-	var mem int
-	for _, row := range swDoc.Agents {
-		mem += row.MemoryBytes
-	}
-	if mem == 0 {
-		t.Error("switch /stats memory_bytes all zero")
-	}
-}
-
-func getJSON(t *testing.T, url string, v any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatalf("decode %s: %v", url, err)
 	}
 }

@@ -285,8 +285,8 @@ func (a *Agent) EnableRetention(ret store.Retention, every simtime.Time) {
 	})
 }
 
-// SetColdReader installs (nil removes) the cold read-back seam QueryHeaders
-// consults for epoch windows that have aged out of the resident set. Set it
+// SetColdReader installs (nil removes) the cold read-back seam every host
+// query consults for records that have aged out of the resident set. Set it
 // before serving queries.
 func (a *Agent) SetColdReader(rd store.ColdReader) { a.cold = rd }
 
@@ -343,6 +343,10 @@ type HeadersQuery struct {
 	Switch netsim.NodeID
 	Epochs simtime.EpochRange
 	Flows  []netsim.FlowKey
+
+	// anySwitch drops the switch restriction: the cold-tier record lookup
+	// behind LookupRecord and QueryPriority. The wire cannot set it.
+	anySwitch bool
 }
 
 // wantsFlow reports whether the query's flow restriction (if any) admits f.
@@ -353,6 +357,9 @@ func (q HeadersQuery) wantsFlow(f netsim.FlowKey) bool {
 // matches reports whether rec answers the query: the flow is wanted and was
 // seen at the query's switch during its window.
 func (q HeadersQuery) matches(rec *flowrec.Record) bool {
+	if q.anySwitch {
+		return q.wantsFlow(rec.Flow)
+	}
 	er, ok := rec.EpochsAt(q.Switch)
 	return ok && er.Overlaps(q.Epochs) && q.wantsFlow(rec.Flow)
 }
@@ -381,30 +388,25 @@ type HeadersAnswer struct {
 	TieredSegments     int
 }
 
-// QueryHeaders returns (clones of) records matching the query: the
-// "filter headers for packets that match a (switchID, epochID) pair"
-// primitive that SwitchPointer's whole debugging flow builds on.
+// QueryHeadersMulti returns, per query, (clones of) the records matching
+// it: the "filter headers for packets that match a (switchID, epochID)
+// pair" primitive that SwitchPointer's whole debugging flow builds on. It
+// answers several queries in one pass — the per-round primitive: a
+// contention alert carries one HeadersQuery per alert tuple, and answering
+// them together decodes each overlapping cold segment ONCE instead of once
+// per tuple. Every answer — records, order, and cold accounting (each
+// query is charged as if it had scanned the segments itself: the
+// virtual-time cost contract is per query even though the physical decode
+// is shared) — is byte-identical to asking each query alone.
 //
 // When a ColdReader is installed (retention with an indexed flush path —
-// see EnableRetention), the query transparently consults flushed segments
-// whose manifests overlap the requested epoch window, so a diagnosis
+// see EnableRetention), the queries transparently consult flushed segments
+// whose manifests overlap the requested epoch windows, so a diagnosis
 // reaching past the hot window still succeeds; segments whose manifests
-// don't overlap are skipped without decoding. The answer's cold counters
+// don't overlap are skipped without decoding. The answers' cold counters
 // report what that cost, and the analyzer charges one extra virtual-time
 // round for it. With no cold reader — or a window answered entirely hot —
 // the answer is byte-identical to the pre-read-back behaviour.
-func (a *Agent) QueryHeaders(ctx context.Context, q HeadersQuery) HeadersAnswer {
-	return a.QueryHeadersMulti(ctx, []HeadersQuery{q})[0]
-}
-
-// QueryHeadersMulti answers several header queries in one pass — the
-// per-round primitive: a contention alert carries one HeadersQuery per
-// alert tuple, and answering them together decodes each overlapping cold
-// segment ONCE instead of once per tuple. Every answer — records, order,
-// and cold accounting (each query is charged as if it had scanned the
-// segments itself: the virtual-time cost contract is per query even though
-// the physical decode is shared) — is byte-identical to calling
-// QueryHeaders per query.
 func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []HeadersAnswer {
 	out := make([]HeadersAnswer, len(qs))
 	if ctx.Err() != nil || len(qs) == 0 {
@@ -421,8 +423,16 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 		})
 		flowrec.SortRecords(out[qi].Records)
 	}
+	a.readCold(qs, out)
+	return out
+}
+
+// readCold merges the cold tier's matches for qs into their hot answers in
+// out and charges each answer's cold counters; with no cold reader it does
+// nothing. Every host query kind reads the cold tier through it.
+func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer) {
 	if a.cold == nil {
-		return out
+		return
 	}
 
 	// Cold read-back over a point-in-time view of the segment log: decode
@@ -460,7 +470,7 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 			if !m.Epochs.Overlaps(q.Epochs) {
 				continue
 			}
-			if !m.MayContainSwitch(q.Switch) ||
+			if (!q.anySwitch && !m.MayContainSwitch(q.Switch)) ||
 				(len(q.Flows) > 0 && !m.MayContainAnyFlow(q.Flows)) {
 				out[qi].ColdSkippedByIndex++
 				continue
@@ -494,7 +504,6 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 		a.coldSkipped.Add(uint64(out[qi].ColdSkippedByIndex))
 		a.coldTiered.Add(uint64(out[qi].TieredSegments))
 	}
-	return out
 }
 
 // mergeCold merges one query's cold matches, in segment order, into its hot
@@ -527,6 +536,20 @@ func mergeCold(hot, cold []*flowrec.Record) ([]*flowrec.Record, int) {
 	return append(merged, hot[h:]...), taken
 }
 
+// switchRecords calls fn for every record of a flow seen at switch sw: the
+// hot store's records or, with a cold reader installed, QueryHeadersMulti's
+// hot + cold answer over every epoch (a flow answered hot stays hot; for a
+// flow evicted twice the last segment wins).
+func (a *Agent) switchRecords(ctx context.Context, sw netsim.NodeID, fn func(*flowrec.Record)) {
+	if a.cold == nil {
+		a.Store.QueryWindow(sw, store.EveryEpoch, fn)
+		return
+	}
+	for _, r := range a.QueryHeadersMulti(ctx, []HeadersQuery{{Switch: sw, Epochs: store.EveryEpoch}})[0].Records {
+		fn(r)
+	}
+}
+
 // FlowBytes pairs a flow with a byte count for top-k style answers.
 type FlowBytes struct {
 	Flow  netsim.FlowKey
@@ -543,7 +566,7 @@ func (a *Agent) QueryTopK(ctx context.Context, sw netsim.NodeID, k int) []FlowBy
 		return nil
 	}
 	out := []FlowBytes{} // an empty answer is [] on the wire, not null
-	a.Store.QueryWindow(sw, store.EveryEpoch, func(r *flowrec.Record) {
+	a.switchRecords(ctx, sw, func(r *flowrec.Record) {
 		out = append(out, FlowBytes{Flow: r.Flow, Bytes: r.Bytes})
 	})
 	slices.SortFunc(out, func(x, y FlowBytes) int {
@@ -573,7 +596,7 @@ func (a *Agent) QueryFlowSizes(ctx context.Context, sw netsim.NodeID) []FlowSize
 		return nil
 	}
 	out := []FlowSize{} // an empty answer is [] on the wire, not null
-	a.Store.QueryWindow(sw, store.EveryEpoch, func(r *flowrec.Record) {
+	a.switchRecords(ctx, sw, func(r *flowrec.Record) {
 		out = append(out, FlowSize{Flow: r.Flow, Bytes: r.Bytes, Link: r.TagLink})
 	})
 	slices.SortFunc(out, func(x, y FlowSize) int { return flowrec.Compare(x.Flow, y.Flow) })
@@ -583,22 +606,45 @@ func (a *Agent) QueryFlowSizes(ctx context.Context, sw netsim.NodeID) []FlowSize
 // LookupRecord returns a clone of one flow's full record, if the host holds
 // one — the cascade procedure's synthetic-alert source. The clone is taken
 // under the record's shard read lock, so it is safe concurrently with
-// absorption; the HTTP binding serves it at /record.
+// absorption; the HTTP binding serves it at /record. A flow the hot store
+// misses is looked up in the cold tier.
 func (a *Agent) LookupRecord(ctx context.Context, flow netsim.FlowKey) (*flowrec.Record, bool) {
 	if ctx.Err() != nil {
 		return nil, false
 	}
 	var rec *flowrec.Record
-	ok := a.Store.View(flow, func(r *flowrec.Record) { rec = r.Clone() })
-	return rec, ok
+	if a.Store.View(flow, func(r *flowrec.Record) { rec = r.Clone() }) {
+		return rec, true
+	}
+	return a.coldRecord(flow)
 }
 
-// QueryPriority returns the recorded DSCP priority of a flow, if known.
+// QueryPriority returns the recorded DSCP priority of a flow, if known —
+// from the hot store, or else from the cold tier.
 func (a *Agent) QueryPriority(ctx context.Context, flow netsim.FlowKey) (uint8, bool) {
 	if ctx.Err() != nil {
 		return 0, false
 	}
 	var prio uint8
-	known := a.Store.View(flow, func(rec *flowrec.Record) { prio = rec.Priority })
-	return prio, known
+	if a.Store.View(flow, func(rec *flowrec.Record) { prio = rec.Priority }) {
+		return prio, true
+	}
+	if rec, ok := a.coldRecord(flow); ok {
+		return rec.Priority, true
+	}
+	return 0, false
+}
+
+// coldRecord returns the cold tier's last version of flow's record, if the
+// host has a cold reader and any segment holds one.
+func (a *Agent) coldRecord(flow netsim.FlowKey) (*flowrec.Record, bool) {
+	if a.cold == nil {
+		return nil, false
+	}
+	out := make([]HeadersAnswer, 1)
+	a.readCold([]HeadersQuery{{Epochs: store.EveryEpoch, Flows: []netsim.FlowKey{flow}, anySwitch: true}}, out)
+	if len(out[0].Records) == 0 {
+		return nil, false
+	}
+	return out[0].Records[0], true
 }

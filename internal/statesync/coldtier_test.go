@@ -696,7 +696,7 @@ func TestColdIndexEffectiveness(t *testing.T) {
 	q := hostagent.HeadersQuery{Switch: 1, Epochs: simtime.EpochRange{Lo: 0, Hi: 10}, Flows: queryFlows}
 
 	ag.SetColdReader(indexed)
-	fast := ag.QueryHeaders(context.Background(), q)
+	fast := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{q})[0]
 	if len(fast.Records) != k {
 		t.Fatalf("indexed query returned %d records, want %d", len(fast.Records), k)
 	}
@@ -718,7 +718,7 @@ func TestColdIndexEffectiveness(t *testing.T) {
 
 	// Exhaustive baseline: identical records, every segment decoded.
 	ag.SetColdReader(unindexed)
-	slow := ag.QueryHeaders(context.Background(), q)
+	slow := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{q})[0]
 	if slow.ColdSegments != segs || slow.ColdSkippedByIndex != 0 {
 		t.Fatalf("unindexed scan decoded %d, skipped %d; want %d, 0",
 			slow.ColdSegments, slow.ColdSkippedByIndex, segs)
@@ -732,7 +732,7 @@ func TestColdIndexEffectiveness(t *testing.T) {
 	// Switch gating: a query for a switch no record traversed decodes
 	// nothing under the index and everything without it.
 	ag.SetColdReader(indexed)
-	foreign := ag.QueryHeaders(context.Background(), hostagent.HeadersQuery{Switch: 999, Epochs: simtime.EpochRange{Lo: 0, Hi: 10}})
+	foreign := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: 999, Epochs: simtime.EpochRange{Lo: 0, Hi: 10}}})[0]
 	if foreign.ColdSegments != 0 || foreign.ColdSkippedByIndex != segs || len(foreign.Records) != 0 {
 		t.Fatalf("foreign-switch query: decoded %d, skipped %d, %d records",
 			foreign.ColdSegments, foreign.ColdSkippedByIndex, len(foreign.Records))

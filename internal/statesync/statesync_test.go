@@ -289,7 +289,7 @@ func TestIngestFeed(t *testing.T) {
 }
 
 // TestColdReadBackHostQuery evicts a live store wholesale into a SegmentLog
-// and asserts QueryHeaders transparently recovers the evicted records —
+// and asserts QueryHeadersMulti transparently recovers the evicted records —
 // byte-identical to the pre-eviction answer — while reporting the cold
 // accounting, and that non-overlapping segments are skipped undecoded.
 func TestColdReadBackHostQuery(t *testing.T) {
@@ -306,7 +306,7 @@ func TestColdReadBackHostQuery(t *testing.T) {
 	}
 	window := simtime.EpochRange{Lo: 0, Hi: 1000}
 
-	hot := ag.QueryHeaders(context.Background(), hostagent.HeadersQuery{Switch: subject, Epochs: window})
+	hot := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: subject, Epochs: window}})[0]
 	if len(hot.Records) == 0 {
 		t.Fatal("no hot records to evict")
 	}
@@ -330,7 +330,7 @@ func TestColdReadBackHostQuery(t *testing.T) {
 	}
 	ag.SetColdReader(seglog)
 
-	cold := ag.QueryHeaders(context.Background(), hostagent.HeadersQuery{Switch: subject, Epochs: window})
+	cold := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: subject, Epochs: window}})[0]
 	coldJSON, _ := json.Marshal(cold.Records)
 	if string(coldJSON) != string(hotJSON) {
 		t.Fatalf("cold read-back diverged\n--- hot ---\n%s\n--- cold ---\n%s", hotJSON, coldJSON)
@@ -340,7 +340,7 @@ func TestColdReadBackHostQuery(t *testing.T) {
 	}
 
 	// A window no manifest overlaps is answered without decoding anything.
-	miss := ag.QueryHeaders(context.Background(), hostagent.HeadersQuery{Switch: subject, Epochs: simtime.EpochRange{Lo: 500000, Hi: 500001}})
+	miss := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: subject, Epochs: simtime.EpochRange{Lo: 500000, Hi: 500001}}})[0]
 	if len(miss.Records) != 0 || miss.ColdSegments != 0 {
 		t.Fatalf("manifest skip failed: %+v", miss)
 	}
