@@ -8,14 +8,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"switchpointer/internal/analyzer"
+	"switchpointer/internal/flowrec"
+	"switchpointer/internal/hostagent"
 	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
+	"switchpointer/internal/statesync"
 	"switchpointer/internal/trace"
 )
 
@@ -55,6 +59,13 @@ func TestEndpointContract(t *testing.T) {
 	mphBody := func(raw []byte) string {
 		return `{"table_b64":"` + base64.StdEncoding.EncodeToString(raw) + `"}`
 	}
+	emptySegment, err := flowrec.AppendSegment(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestBody := func(seg []byte) string {
+		return `{"segment":"` + base64.StdEncoding.EncodeToString(seg) + `"}`
+	}
 
 	// Every route: its method, a well-formed body, and — for the agent
 	// routes — the flight recorder and span ID a traced request must leave.
@@ -79,7 +90,7 @@ func TestEndpointContract(t *testing.T) {
 		route{http.MethodPost, swURL + "/mph", mphBody(table), lb.SwitchFlight, "switch:" + swLabel + ":mph"},
 		route{http.MethodGet, swURL + "/snapshot", "", lb.SwitchFlight, "switch:" + swLabel + ":snapshot"},
 		route{method: http.MethodGet, url: host + "/snapshot"},
-		route{method: http.MethodPost, url: host + "/ingest", body: `{"records":[]}`},
+		route{method: http.MethodPost, url: host + "/ingest", body: ingestBody(emptySegment)},
 		route{method: http.MethodPost, url: lb.AnalyzerURL + "/diagnose"},
 	)
 	for _, root := range []string{lb.HostURL, lb.SwitchURL, lb.AnalyzerURL} {
@@ -126,7 +137,8 @@ func TestEndpointContract(t *testing.T) {
 		row{name: "unknown route", method: http.MethodPost, url: host + "/nope", body: `{}`, want: http.StatusNotFound},
 		row{name: "mph bad base64", method: http.MethodPost, url: swURL + "/mph", body: `{"table_b64":"!!!"}`, want: http.StatusBadRequest},
 		row{name: "mph truncated table", method: http.MethodPost, url: swURL + "/mph", body: mphBody(table[:len(table)/2]), want: http.StatusBadRequest},
-		row{name: "ingest null record", method: http.MethodPost, url: host + "/ingest", body: `{"records":[null]}`, want: http.StatusBadRequest},
+		row{name: "ingest empty segment", method: http.MethodPost, url: host + "/ingest", body: ingestBody(emptySegment), want: http.StatusOK},
+		row{name: "ingest corrupt segment", method: http.MethodPost, url: host + "/ingest", body: ingestBody(emptySegment[:flowrec.SegmentHeaderLen-1]), want: http.StatusBadRequest},
 		row{name: "diagnose unknown kind", method: http.MethodPost, url: lb.AnalyzerURL + "/diagnose", body: `{"kind":"nope"}`, want: http.StatusBadRequest},
 	)
 
@@ -234,4 +246,54 @@ func TestEndpointContract(t *testing.T) {
 			t.Fatalf("QueryTopK on an unknown route = %v, want a 404 *rpc.StatusError", err)
 		}
 	})
+}
+
+// TestNoRecordObjectOnTheWire: flow records travel the service plane only as
+// flowrec segments. No request or answer type of a route carries a
+// flowrec.Record — bare, by pointer, or in a slice, array or map — as a
+// JSON value.
+func TestNoRecordObjectOnTheWire(t *testing.T) {
+	recordType := reflect.TypeFor[flowrec.Record]()
+	// carries returns the path to the first Record inside typ, or "".
+	var carries func(typ reflect.Type, path string, seen map[reflect.Type]bool) string
+	carries = func(typ reflect.Type, path string, seen map[reflect.Type]bool) string {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			return carries(typ.Elem(), path+"[]", seen)
+		case reflect.Map:
+			return carries(typ.Elem(), path+"[key]", seen)
+		case reflect.Struct:
+			if typ == recordType {
+				return path
+			}
+			if seen[typ] {
+				return ""
+			}
+			seen[typ] = true
+			for i := range typ.NumField() {
+				if f := typ.Field(i); f.IsExported() && f.Tag.Get("json") != "-" {
+					if p := carries(f.Type, path+"."+f.Name, seen); p != "" {
+						return p
+					}
+				}
+			}
+		}
+		return ""
+	}
+	if p := carries(reflect.TypeFor[struct{ Recs []*flowrec.Record }](), "canary", map[reflect.Type]bool{}); p != "canary.Recs[][]" {
+		t.Fatalf("the walk misses a []*flowrec.Record field: %q", p)
+	}
+	for _, v := range []any{
+		rpc.HeadersRequest{}, rpc.HeadersResponse{}, rpc.HeadersBatchRequest{}, rpc.HeadersBatchResponse{},
+		rpc.TopKRequest{}, []hostagent.FlowBytes{}, rpc.FlowSizesRequest{}, []hostagent.FlowSize{},
+		rpc.PriorityRequest{}, rpc.PriorityResponse{}, rpc.RecordRequest{}, rpc.RecordResponse{},
+		rpc.PointersRequest{}, rpc.PointersResponse{}, rpc.MPHRequest{},
+		statesync.IngestBatch{}, statesync.IngestResponse{}, statesync.Health{},
+		QueryEnvelope{}, DiagnoseResponse{}, AdmissionStats{},
+	} {
+		typ := reflect.TypeOf(v)
+		if p := carries(typ, typ.String(), map[reflect.Type]bool{}); p != "" {
+			t.Errorf("%s carries a flowrec.Record as JSON at %s; ship a flowrec segment instead", typ, p)
+		}
+	}
 }

@@ -7,8 +7,13 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"switchpointer/internal/flowrec"
+	"switchpointer/internal/hostagent"
+	"switchpointer/internal/netsim"
 	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
+	"switchpointer/internal/simtime"
+	"switchpointer/internal/store"
 	"switchpointer/internal/trace"
 )
 
@@ -81,4 +86,52 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		t.Fatalf("traced /topk round trip: %v allocs, want <= %d", allocs, budget)
 	}
 	t.Logf("traced /topk round trip: %v allocs (budget %d)", allocs, budget)
+}
+
+// TestHeadersBatchAllocBudget is the in-tree gate on the record path's
+// per-record cost: one traced /headers-batch round trip answering 1 024 hot
+// 5-hop records costs at most 8 allocations a record over the same round
+// trip with an empty answer. The host clones each record (5 allocations)
+// and the client's decode builds its EpochBytes map (2); the segment, its
+// base64 and the decode's slabs are a handful per answer. Records decoded
+// from JSON objects cost 20 a record here.
+func TestHeadersBatchAllocBudget(t *testing.T) {
+	const perRecord, hot = 8, 1024
+	st := store.New()
+	for i := range hot {
+		r := flowrec.New(netsim.FlowKey{Src: netsim.IPv4(0x0a000000 + i), Dst: 0x0a010001, SrcPort: uint16(1024 + i), DstPort: 80, Proto: netsim.ProtoTCP})
+		r.Path = []netsim.NodeID{3, 17, 40, 18, 5}
+		for j := range r.Path {
+			r.Epochs = append(r.Epochs, simtime.EpochRange{Lo: simtime.Epoch(10 + j), Hi: simtime.Epoch(11 + j)})
+		}
+		r.TagIdx, r.TagLink = 2, 7
+		r.Bytes, r.Pkts = uint64(1500*(i+1)), uint64(i+1)
+		r.AddEpochBytes(r.Epochs[2].Lo, r.Bytes)
+		r.FirstSeen, r.LastSeen = simtime.Time(i)*simtime.Millisecond, simtime.Time(i+1)*simtime.Millisecond
+		st.Put(r)
+	}
+	fr := trace.NewFlightRecorder("host", 0)
+	srv := httptest.NewServer(rpc.NewHostHandler(&hostagent.Agent{Store: st}, "h", fr))
+	defer srv.Close()
+	client := rpc.NewPooledHTTPClient()
+	defer client.CloseIdleConnections()
+
+	ctx := trace.ContextWithRemote(context.Background(), trace.RemoteContext{TraceID: "t", Parent: "0.1", At: 5})
+	roundTrip := func(sw netsim.NodeID, want int) float64 {
+		qs := []hostagent.HeadersQuery{{Switch: sw, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}}}
+		return testing.AllocsPerRun(20, func() {
+			if answers, err := client.QueryHeadersBatch(ctx, srv.URL, qs); err != nil || len(answers) != 1 || len(answers[0].Records) != want {
+				t.Fatalf("headers-batch at switch %d = %v, %v; want %d records", sw, answers, err, want)
+			}
+		})
+	}
+	empty, full := roundTrip(1<<20, 0), roundTrip(17, hot)
+	if tr, ok := fr.Get("t"); !ok || len(tr.Spans) != 1 || tr.Spans[0].ID != "0.1.host:h:headers-batch" {
+		t.Fatalf("traced round trip left %+v, want the one headers-batch child span", tr.Spans)
+	}
+	per := (full - empty) / hot
+	if per > perRecord {
+		t.Fatalf("traced /headers-batch round trip: %.2f allocs a record (%v, %v empty), want <= %d", per, full, empty, perRecord)
+	}
+	t.Logf("traced /headers-batch round trip: %.2f allocs a record (%v, %v empty; budget %d)", per, full, empty, perRecord)
 }

@@ -73,8 +73,29 @@ func TestDecodeSegmentAllocs(t *testing.T) {
 	if per := allocs / float64(len(recs)); per > 3 {
 		t.Fatalf("decode costs %.2f allocations per record (%.0f per segment), want ≤ 3", per, allocs)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { mustEncode(t, recs) }); allocs > float64(len(recs))+1 {
-		t.Fatalf("encode costs %.0f allocations per segment, want the buffer and a sorted epoch list per record", allocs)
+}
+
+// TestAppendSegmentAllocs pins the encoder every record path shares (disk,
+// /snapshot, the host answers, /ingest): appending into a buffer with room
+// allocates nothing, and appending to nil grows once, by the segment's
+// length — at most 1.15× the encoded bytes of 5-hop records, where a
+// per-record estimate reserved 88 B for ≈ 62.
+func TestAppendSegmentAllocs(t *testing.T) {
+	recs := segment256()
+	enc := mustEncode(t, recs)
+	buf := make([]byte, 0, len(enc))
+	if allocs := testing.AllocsPerRun(20, func() { mustEncodeInto(t, buf, recs) }); allocs != 0 {
+		t.Fatalf("an append into a buffer with room costs %.0f allocations, want 0", allocs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { mustEncode(t, recs) })
+	runtime.ReadMemStats(&after)
+	grown := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	if allocs != 1 || grown > 1.15*float64(len(enc)) {
+		t.Fatalf("encoding %d 5-hop records costs %.0f allocations and %.0f B (%.1f B a record), want 1 of ≤ 1.15 × %d B",
+			len(recs), allocs, grown, grown/float64(len(recs)), len(enc))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"switchpointer/internal/netsim"
@@ -62,22 +63,54 @@ func AppendRecord(dst []byte, r *Record) []byte {
 		return append(dst, 0)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(r.EpochBytes))+1)
-	for _, e := range r.SortedEpochs() {
+	var buf [16]simtime.Epoch // on the stack: a record sees few exact epochs
+	epochs := buf[:0]
+	for e := range r.EpochBytes {
+		epochs = append(epochs, e)
+	}
+	slices.Sort(epochs)
+	for _, e := range epochs {
 		dst = binary.AppendVarint(dst, int64(e))
 		dst = binary.AppendUvarint(dst, r.EpochBytes[e])
 	}
 	return dst
 }
 
-// AppendSegment appends one self-delimiting segment holding recs to dst.
+// recordLen is len(AppendRecord(nil, r)).
+func recordLen(r *Record) int {
+	n := fixedRecordLen + varintLen(int64(r.TagIdx)) + uvarintLen(uint64(r.TagLink)) +
+		uvarintLen(r.Bytes) + uvarintLen(r.Pkts) + varintLen(int64(r.FirstSeen)) + varintLen(int64(r.LastSeen)) +
+		uvarintLen(uint64(len(r.Path))) + uvarintLen(uint64(len(r.Epochs))) + 1
+	for _, sw := range r.Path {
+		n += uvarintLen(uint64(uint32(sw)))
+	}
+	for _, er := range r.Epochs {
+		n += varintLen(int64(er.Lo)) + varintLen(int64(er.Hi))
+	}
+	if r.EpochBytes != nil {
+		n += uvarintLen(uint64(len(r.EpochBytes))+1) - 1
+		for e, v := range r.EpochBytes {
+			n += varintLen(int64(e)) + uvarintLen(v)
+		}
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// AppendSegment appends one self-delimiting segment holding recs to dst,
+// growing it at most once, by exactly the segment's length.
 func AppendSegment(dst []byte, recs []*Record) ([]byte, error) {
-	var paths, epochs int
+	paths, epochs, size := 0, 0, SegmentHeaderLen
 	for _, r := range recs {
 		paths += len(r.Path)
 		epochs += len(r.Epochs)
+		size += recordLen(r)
 	}
 	start := len(dst)
-	dst = slices.Grow(dst, SegmentHeaderLen+48*len(recs)+2*paths+6*epochs)
+	dst = slices.Grow(dst, size)
 	dst = append(dst, segMagic[0], segMagic[1], segMagic[2], SegmentVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(recs)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(paths))

@@ -41,7 +41,12 @@ func decodeAll(b []byte) ([]*Record, error) {
 
 func mustEncode(t testing.TB, recs []*Record) []byte {
 	t.Helper()
-	b, err := AppendSegment(nil, recs)
+	return mustEncodeInto(t, nil, recs)
+}
+
+func mustEncodeInto(t testing.TB, dst []byte, recs []*Record) []byte {
+	t.Helper()
+	b, err := AppendSegment(dst, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +71,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	if total, err := SegmentLen(enc); err != nil || total != len(enc) {
 		t.Fatalf("SegmentLen = %d, %v; the segment is %d bytes", total, err, len(enc))
+	}
+	for _, r := range append(recs, segment256()...) {
+		if n, want := recordLen(r), len(AppendRecord(nil, r)); n != want {
+			t.Fatalf("recordLen(%v) = %d, AppendRecord wrote %d bytes", r, n, want)
+		}
 	}
 
 	// An empty segment decodes to no records; an empty Path/Epochs to nil.

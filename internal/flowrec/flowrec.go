@@ -9,7 +9,8 @@
 // # Segment format
 //
 // Wherever records are persisted or streamed (Flush, eviction sinks, cold
-// segments, compaction, /snapshot frames) they travel as segments (codec.go):
+// segments, compaction, /snapshot frames, the host's /headers-batch and
+// /record answers, /ingest batches) they travel as segments (codec.go):
 // a 20-byte header, then the records back to back. Fixed-width integers are
 // little-endian; uvarint and varint (zigzag) are encoding/binary's.
 //
@@ -30,7 +31,8 @@
 // Equal records encode to equal bytes. A decoder checks the counts against
 // the body length before sizing anything from them, and a body must consume
 // exactly those counts. An empty Path or Epochs decodes as nil and a nil
-// EpochBytes stays nil, so a record's JSON survives the round trip.
+// EpochBytes stays nil (an empty one stays empty), so a record's JSON
+// survives the round trip.
 //
 // DecodeSegment materialises only the records its keep predicate admits (nil
 // admits all: loads, snapshots, bootstrap, compaction). keep runs once per
@@ -203,16 +205,6 @@ func (r *Record) BytesIn(er simtime.EpochRange) uint64 {
 		}
 	}
 	return total
-}
-
-// SortedEpochs returns the exact epochs with traffic, ascending.
-func (r *Record) SortedEpochs() []simtime.Epoch {
-	out := make([]simtime.Epoch, 0, len(r.EpochBytes))
-	for e := range r.EpochBytes {
-		out = append(out, e)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // Compare orders flow keys lexicographically (src, dst, src port, dst port,

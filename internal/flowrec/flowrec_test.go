@@ -1,6 +1,8 @@
 package flowrec
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"switchpointer/internal/header"
@@ -109,16 +111,44 @@ func TestTagLinkRecorded(t *testing.T) {
 	}
 }
 
+// TestSortedEpochs: AppendRecord writes the EpochBytes pairs in ascending
+// epoch order, whatever order the map was filled in — within the stack
+// buffer it sorts in and past it.
 func TestSortedEpochs(t *testing.T) {
-	r := New(samplePacket(0, 0).Flow)
-	d := sampleDecoded()
-	for _, e := range []simtime.Epoch{9, 3, 7} {
-		d.Epochs[1] = simtime.EpochRange{Lo: e, Hi: e}
-		r.Absorb(samplePacket(10, 0), d, 0)
-	}
-	got := r.SortedEpochs()
-	if len(got) != 3 || got[0] != 3 || got[1] != 7 || got[2] != 9 {
-		t.Fatalf("SortedEpochs = %v", got)
+	for _, epochs := range [][]simtime.Epoch{
+		{9, 3, 7},
+		{40, -2, 17, 3, 99, 5, 61, 8, 0, 12, 33, 70, 21, 1, 50, 4, 88, 6, 2, 30},
+	} {
+		r := New(samplePacket(0, 0).Flow)
+		d := sampleDecoded()
+		for _, e := range epochs {
+			d.Epochs[1] = simtime.EpochRange{Lo: e, Hi: e}
+			r.Absorb(samplePacket(10, 0), d, 0)
+		}
+		bare := *r
+		bare.EpochBytes = nil
+		enc := AppendRecord(nil, r)
+		pairs := enc[len(AppendRecord(nil, &bare))-1:] // the record up to its EpochBytes
+		n, k := binary.Uvarint(pairs)
+		if n != uint64(len(epochs))+1 {
+			t.Fatalf("%d epochs encoded as %d entries", len(epochs), n-1)
+		}
+		pairs = pairs[k:]
+		var got []simtime.Epoch
+		for len(pairs) > 0 {
+			e, k := binary.Varint(pairs)
+			pairs = pairs[k:]
+			if v, k := binary.Uvarint(pairs); v != 10 || k <= 0 {
+				t.Fatalf("epoch %d encoded %d bytes, want 10", e, v)
+			} else {
+				pairs = pairs[k:]
+			}
+			got = append(got, simtime.Epoch(e))
+		}
+		want := slices.Sorted(slices.Values(epochs))
+		if !slices.Equal(got, want) {
+			t.Fatalf("encoded epochs %v, want %v", got, want)
+		}
 	}
 }
 

@@ -47,7 +47,12 @@ import (
 // 200 counts, JSON or not), the Prometheus text at /metrics and its spctl
 // scrape, and /traces' server side (trace.FlightRecorder.Handler — rpc
 // imports trace, so it cannot call back). They share AllowMethod where they
-// check a method.
+// check a method. Records cross both kinds in one codec: the snapshots'
+// frames, the /headers-batch and /record answers and statesync's /ingest
+// batches all carry flowrec segments — inside the JSON routes as a []byte
+// field, which encoding/json writes as base64 — never records as JSON
+// objects, so one fuzzed, bounded decoder (flowrec.DecodeSegment) reads every
+// record that arrives.
 
 // HeadersRequest asks a host for records matching (switch, epoch range).
 // Flows, when non-empty, restricts the answer to those flow keys and lets
@@ -66,15 +71,16 @@ type HeadersRequest struct {
 // from the resident set). ColdSkippedByIndex counts epoch-overlapping
 // segments the manifest index excluded without decoding; TieredSegments
 // counts matching segments whose payloads were tiered out of cold storage
-// (data the answer honestly does not include). It is
-// hostagent.HeadersAnswer field for field, so the two convert directly.
+// (data the answer honestly does not include). It is hostagent.HeadersAnswer
+// with Records carried as Segment: one flowrec segment of the records in
+// answer order (base64 in the JSON), the codec disk and /snapshot use.
 type HeadersResponse struct {
-	Records            []*flowrec.Record `json:"records"`
-	ColdSegments       int               `json:"cold_segments,omitempty"`
-	ColdRecords        int               `json:"cold_records,omitempty"`
-	ColdReturned       int               `json:"cold_returned,omitempty"`
-	ColdSkippedByIndex int               `json:"cold_skipped_by_index,omitempty"`
-	TieredSegments     int               `json:"tiered_segments,omitempty"`
+	Segment            []byte `json:"segment"`
+	ColdSegments       int    `json:"cold_segments,omitempty"`
+	ColdRecords        int    `json:"cold_records,omitempty"`
+	ColdReturned       int    `json:"cold_returned,omitempty"`
+	ColdSkippedByIndex int    `json:"cold_skipped_by_index,omitempty"`
+	TieredSegments     int    `json:"tiered_segments,omitempty"`
 }
 
 // HeadersBatchRequest asks a host to answer several header queries in one
@@ -90,6 +96,52 @@ type HeadersBatchRequest struct {
 // in order.
 type HeadersBatchResponse struct {
 	Answers []HeadersResponse `json:"answers"`
+}
+
+// newHeadersBatchResponse is the host half of the answers' codec: each
+// answer's records become one segment.
+func newHeadersBatchResponse(answers []hostagent.HeadersAnswer) (HeadersBatchResponse, error) {
+	resp := HeadersBatchResponse{Answers: make([]HeadersResponse, len(answers))}
+	for i, ans := range answers {
+		seg, err := flowrec.AppendSegment(nil, ans.Records)
+		if err != nil {
+			return HeadersBatchResponse{}, err
+		}
+		resp.Answers[i] = HeadersResponse{
+			Segment:            seg,
+			ColdSegments:       ans.ColdSegments,
+			ColdRecords:        ans.ColdRecords,
+			ColdReturned:       ans.ColdReturned,
+			ColdSkippedByIndex: ans.ColdSkippedByIndex,
+			TieredSegments:     ans.TieredSegments,
+		}
+	}
+	return resp, nil
+}
+
+// answers is the client half: it decodes every answer's segment, naming the
+// first that does not decode. An answer without records comes back nil, as
+// the agent gives it.
+func (br *HeadersBatchResponse) answers() ([]hostagent.HeadersAnswer, error) {
+	out := make([]hostagent.HeadersAnswer, len(br.Answers))
+	for i, hr := range br.Answers {
+		recs, _, err := flowrec.DecodeSegment(hr.Segment, nil)
+		if err != nil {
+			return nil, fmt.Errorf("rpc: headers batch answer %d: %w", i, err)
+		}
+		if len(recs) == 0 {
+			recs = nil
+		}
+		out[i] = hostagent.HeadersAnswer{
+			Records:            recs,
+			ColdSegments:       hr.ColdSegments,
+			ColdRecords:        hr.ColdRecords,
+			ColdReturned:       hr.ColdReturned,
+			ColdSkippedByIndex: hr.ColdSkippedByIndex,
+			TieredSegments:     hr.TieredSegments,
+		}
+	}
+	return out, nil
 }
 
 // TopKRequest asks a host for its top-k flows through a switch.
@@ -120,10 +172,11 @@ type RecordRequest struct {
 	Flow netsim.FlowKey `json:"flow"`
 }
 
-// RecordResponse is the answer to a RecordRequest.
+// RecordResponse is the answer to a RecordRequest: when Known, Segment is a
+// flowrec segment holding the one record.
 type RecordResponse struct {
-	Record *flowrec.Record `json:"record,omitempty"`
-	Known  bool            `json:"known"`
+	Segment []byte `json:"segment,omitempty"`
+	Known   bool   `json:"known"`
 }
 
 // PointersRequest asks a switch for its pointer union over an epoch range.
@@ -322,10 +375,12 @@ func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) 
 				qs[i] = hostagent.HeadersQuery{Switch: q.Switch, Epochs: simtime.EpochRange{Lo: q.EpochLo, Hi: q.EpochHi}, Flows: q.Flows}
 			}
 			answers := a.QueryHeadersMulti(ctx, qs)
-			resp := HeadersBatchResponse{Answers: make([]HeadersResponse, len(answers))}
+			resp, err := newHeadersBatchResponse(answers)
+			if err != nil {
+				return HeadersBatchResponse{}, nil, err
+			}
 			records, coldSegments, coldReturned := 0, 0, 0
-			for i, ans := range answers {
-				resp.Answers[i] = HeadersResponse(ans)
+			for _, ans := range answers {
 				records += len(ans.Records)
 				coldSegments += ans.ColdSegments
 				coldReturned += ans.ColdReturned
@@ -355,8 +410,14 @@ func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) 
 	mux.Handle("/record", Endpoint(sp, "record", LimitRequest,
 		func(ctx context.Context, req *RecordRequest) (RecordResponse, []trace.Attr, error) {
 			rec, known := a.LookupRecord(ctx, req.Flow)
-			return RecordResponse{Record: rec, Known: known},
-				[]trace.Attr{{Key: "known", Value: strconv.FormatBool(known)}}, nil
+			resp := RecordResponse{Known: known}
+			if known {
+				var err error
+				if resp.Segment, err = flowrec.AppendSegment(nil, []*flowrec.Record{rec}); err != nil {
+					return RecordResponse{}, nil, err
+				}
+			}
+			return resp, []trace.Attr{{Key: "known", Value: strconv.FormatBool(known)}}, nil
 		}))
 	return mux
 }
@@ -574,11 +635,7 @@ func (c *HTTPClient) QueryHeadersBatch(ctx context.Context, baseURL string, qs [
 	if len(out.Answers) != len(qs) {
 		return nil, fmt.Errorf("rpc: headers batch answered %d of %d queries", len(out.Answers), len(qs))
 	}
-	answers := make([]hostagent.HeadersAnswer, len(out.Answers))
-	for i, ans := range out.Answers {
-		answers[i] = hostagent.HeadersAnswer(ans)
-	}
-	return answers, nil
+	return out.answers()
 }
 
 // QueryTopK fetches a host's top-k flows through a switch.
@@ -605,8 +662,17 @@ func (c *HTTPClient) QueryPriority(ctx context.Context, baseURL string, flow net
 // QueryRecord fetches one flow's full record from its destination host.
 func (c *HTTPClient) QueryRecord(ctx context.Context, baseURL string, flow netsim.FlowKey) (*flowrec.Record, bool, error) {
 	var out RecordResponse
-	err := c.Call(ctx, baseURL+"/record", RecordRequest{Flow: flow}, &out, LimitRecords)
-	return out.Record, out.Known && err == nil, err
+	if err := c.Call(ctx, baseURL+"/record", RecordRequest{Flow: flow}, &out, LimitRecords); err != nil || !out.Known {
+		return nil, false, err
+	}
+	recs, _, err := flowrec.DecodeSegment(out.Segment, nil)
+	if err == nil && len(recs) != 1 {
+		err = fmt.Errorf("%d records, want 1", len(recs))
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("rpc: record answer: %w", err)
+	}
+	return recs[0], true, nil
 }
 
 // InstallMPH distributes a minimal perfect hash table to the switch at

@@ -2,7 +2,6 @@ package statesync
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -13,16 +12,17 @@ import (
 	"switchpointer/internal/trace"
 )
 
-// IngestBatch is the live-feed wire form: a batch of full wire-form flow
-// records (the same JSON schema the query endpoints ship) emitted by the
-// simulator or by another daemon. Each record wholesale-replaces the
-// receiver's record for its flow under store.Put's recency guard
-// (LastSeen, then Pkts): re-sending a record is idempotent, the freshest
-// version wins regardless of arrival order, and a stale delivery — a
-// snapshot segment racing the feed, a retried batch — can never clobber
-// newer state.
+// IngestBatch is the live-feed wire form: a batch of full flow records as
+// one flowrec segment (base64 in the JSON; the codec of the query answers,
+// disk and /snapshot) emitted by the simulator or by another daemon. Each
+// record wholesale-replaces the receiver's record for its flow under
+// store.Put's recency guard (LastSeen, then Pkts): re-sending a record is
+// idempotent, the freshest version wins regardless of arrival order, and a
+// stale delivery — a snapshot segment racing the feed, a retried batch —
+// can never clobber newer state. A segment that does not decode is the
+// sender's fault (400), and nothing of it is applied.
 type IngestBatch struct {
-	Records []*flowrec.Record `json:"records"`
+	Segment []byte `json:"segment"`
 }
 
 // IngestResponse acknowledges one ingest batch.
@@ -38,32 +38,36 @@ type IngestResponse struct {
 func IngestHandler(ag *hostagent.Agent, rd *Readiness) http.Handler {
 	return rpc.Endpoint(nil, "ingest", rpc.LimitRecords,
 		func(_ context.Context, batch *IngestBatch) (IngestResponse, []trace.Attr, error) {
-			for _, rec := range batch.Records {
-				if rec == nil {
-					return IngestResponse{}, nil, rpc.BadRequest(errors.New("statesync: nil record in ingest batch"))
-				}
+			recs, _, err := flowrec.DecodeSegment(batch.Segment, nil)
+			if err != nil {
+				return IngestResponse{}, nil, rpc.BadRequest(fmt.Errorf("statesync: ingest batch: %w", err))
+			}
+			for _, rec := range recs {
 				ag.Store.Put(rec)
 			}
 			state := StateLive
 			if rd != nil {
-				rd.AddIngest(len(batch.Records))
+				rd.AddIngest(len(recs))
 				state = rd.State()
 			}
-			return IngestResponse{Accepted: len(batch.Records), State: state.String()}, nil, nil
+			return IngestResponse{Accepted: len(recs), State: state.String()}, nil, nil
 		})
 }
 
 // Feed posts records to a host ingest endpoint in batches of batchSize
-// (≤ 0 selects 256). It returns how many batches were sent. Records are
-// shipped as-is; callers keeping the records afterwards should pass clones.
+// (≤ 0 selects 256). It returns how many batches were sent.
 func Feed(ctx context.Context, client *http.Client, ingestURL string, recs []*flowrec.Record, batchSize int) (batches int, err error) {
 	c := rpc.NewHTTPClient(client)
 	if batchSize <= 0 {
 		batchSize = 256
 	}
+	var seg []byte // one buffer: Call has encoded a batch when it returns
 	for len(recs) > 0 {
 		n := min(batchSize, len(recs))
-		if err := c.Call(ctx, ingestURL, IngestBatch{Records: recs[:n]}, nil, rpc.LimitRequest); err != nil {
+		if seg, err = flowrec.AppendSegment(seg[:0], recs[:n]); err != nil {
+			return batches, fmt.Errorf("statesync: feed: %w", err)
+		}
+		if err := c.Call(ctx, ingestURL, IngestBatch{Segment: seg}, nil, rpc.LimitRequest); err != nil {
 			return batches, fmt.Errorf("statesync: feed: %w", err)
 		}
 		batches++
