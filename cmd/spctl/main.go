@@ -19,7 +19,7 @@
 // derive the query (trigger alert, suspect switch, epoch window), then
 // submits it over the wire as a cluster.QueryEnvelope and prints the
 // returned wire-form report — the whole diagnosis executes on the remote
-// cluster:
+// cluster, and the report prints line for line as the local run's does:
 //
 //	spctl -problem redlights -remote http://127.0.0.1:7643
 //
@@ -107,43 +107,20 @@ func main() {
 	q, err := s.Query()
 	check(err)
 
-	switch *problem {
-	case "priority", "microburst", "redlights", "cascade":
+	if s.SwitchName != "" {
+		fmt.Printf("suspect switch: %s\n", s.SwitchName)
+	} else {
 		alert, err := s.Alert()
 		check(err)
 		fmt.Printf("trigger: %s on %v at %v (%.2f → %.2f Gbps)\n",
 			alert.Kind, alert.Flow, alert.DetectedAt, alert.PrevGbps, alert.CurGbps)
-		rep := run(ctx, s.Testbed.Analyzer, q)
-		printReport(rep)
-		if len(rep.Cascade) > 1 {
-			fmt.Println("cascade chain:")
-			for i, f := range rep.Cascade {
-				fmt.Printf("  %d. %v\n", i, f)
-			}
-		}
-	case "loadimbalance":
-		rep := run(ctx, s.Testbed.Analyzer, q)
-		fmt.Printf("suspect switch: %s\n", s.SwitchName)
-		for _, l := range rep.Links {
-			fmt.Printf("  link %d: %d flows, sizes %d..%d B\n", l.Link, l.Flows, l.Min(), l.Max())
-		}
-		fmt.Printf("conclusion: %s\n", rep.Conclusion)
-		fmt.Printf("hosts contacted: %d, diagnosis time: %v\n", rep.HostsContacted, rep.Total())
-	case "topk":
-		sp := run(ctx, s.Testbed.Analyzer, q)
-		pdq := q.(analyzer.TopKQuery)
-		pdq.Mode = analyzer.ModePathDump
-		pd := run(ctx, s.Testbed.Analyzer, pdq)
-		fmt.Printf("top-100 at %s: %d flows found\n", s.SwitchName, len(sp.Flows))
-		for i, fb := range sp.Flows {
-			if i >= 5 {
-				fmt.Printf("  ... %d more\n", len(sp.Flows)-5)
-				break
-			}
-			fmt.Printf("  %2d. %v — %d B\n", i+1, fb.Flow, fb.Bytes)
-		}
-		fmt.Printf("SwitchPointer: %d hosts, %v\n", sp.HostsContacted, sp.Total())
-		fmt.Printf("PathDump:      %d hosts, %v\n", pd.HostsContacted, pd.Total())
+	}
+	rep := run(ctx, s.Testbed.Analyzer, q)
+	printWireReport(cluster.WireFromReport(rep))
+	if tk, ok := q.(analyzer.TopKQuery); ok {
+		tk.Mode = analyzer.ModePathDump
+		pd := run(ctx, s.Testbed.Analyzer, tk)
+		fmt.Printf("PathDump: %d hosts, %v\n", pd.HostsContacted, pd.Total())
 	}
 }
 
@@ -299,8 +276,8 @@ func runRemote(ctx context.Context, url, problem string, m, n int) {
 	printWireReport(rep)
 }
 
-// printWireReport renders a remote (wire-form) report the way printReport
-// renders a local one, plus the kind-specific payloads.
+// printWireReport renders a report in its wire form, the one form both the
+// local and the remote mode print, so a diagnosis reads the same either way.
 func printWireReport(d *cluster.WireReport) {
 	fmt.Printf("diagnosis: %s\n", d.Kind)
 	fmt.Printf("conclusion: %s\n", d.Conclusion)
@@ -339,22 +316,6 @@ func run(ctx context.Context, a *analyzer.Analyzer, q analyzer.Query) *analyzer.
 		fmt.Fprintf(os.Stderr, "spctl: query %s aborted: %v (partial report follows)\n", q.Name(), err)
 	}
 	return rep
-}
-
-func printReport(d *analyzer.Report) {
-	fmt.Printf("diagnosis: %s\n", d.Kind)
-	fmt.Printf("conclusion: %s\n", d.Conclusion)
-	fmt.Printf("search radius: %d pointer hosts, %d pruned, %d contacted\n",
-		d.PointerHosts, d.PrunedHosts, d.HostsContacted)
-	for _, c := range d.Culprits {
-		fmt.Printf("  culprit: %v prio=%d bytes=%d at switch %d (telemetry from %v)\n",
-			c.Flow, c.Priority, c.Bytes, c.Switch, c.Host)
-	}
-	fmt.Println("timing breakdown:")
-	for _, p := range d.Clock.Phases() {
-		fmt.Printf("  %-18s %v\n", p.Name, p.Duration)
-	}
-	fmt.Printf("  %-18s %v\n", "TOTAL", d.Total())
 }
 
 func check(err error) {

@@ -60,10 +60,8 @@ func main() {
 	fmt.Printf("diagnosis:  %s\n", rep.Kind)
 	fmt.Printf("conclusion: %s\n", rep.Conclusion)
 	fmt.Println("per-switch culprits (the spatial correlation):")
-	for swID, culprits := range rep.PerSwitch {
-		for _, c := range culprits {
-			fmt.Printf("  switch %d: %v (priority %d)\n", swID, c.Flow, c.Priority)
-		}
+	for _, c := range rep.Culprits {
+		fmt.Printf("  switch %d: %v (priority %d)\n", c.Switch, c.Flow, c.Priority)
 	}
 	fmt.Printf("debugging time: %v (paper budget: ≈30 ms)\n", rep.Total())
 }

@@ -77,8 +77,12 @@ func TestDiagnosePriorityContention(t *testing.T) {
 		}
 	}
 	// Single contention point: the dumbbell's left switch only.
-	if len(d.PerSwitch) != 1 {
-		t.Fatalf("PerSwitch = %v (want contention at one switch)", d.PerSwitch)
+	switches := map[netsim.NodeID]bool{}
+	for _, c := range d.Culprits {
+		switches[c.Switch] = true
+	}
+	if len(switches) != 1 {
+		t.Fatalf("culprits %v name %d switches (want contention at one switch)", d.Culprits, len(switches))
 	}
 	// Timing: the paper debugs this in under 100 ms (Fig 7).
 	if d.Total() > 100*simtime.Millisecond {
@@ -127,23 +131,22 @@ func TestDiagnoseRedLights(t *testing.T) {
 	if d.Kind != analyzer.KindRedLights {
 		t.Fatalf("kind = %v (%s)", d.Kind, d.Conclusion)
 	}
-	// Both B→D (at S1) and C→E (at S2) must be identified.
-	found := map[netsim.FlowKey]bool{}
+	// B→D must be blamed at S1 and C→E at S2: the spatial correlation.
+	s1, s2 := tb.Switch("S1").NodeID(), tb.Switch("S2").NodeID()
+	type blame struct {
+		flow netsim.FlowKey
+		sw   netsim.NodeID
+	}
+	blamed := map[blame]bool{}
 	for _, c := range d.Culprits {
-		found[c.Flow] = true
+		blamed[blame{c.Flow, c.Switch}] = true
 	}
-	if !found[s.FlowBD] || !found[s.FlowCE] {
-		t.Fatalf("culprits %v missing B-D or C-E", d.Culprits)
-	}
-	s1, s2 := tb.Switch("S1"), tb.Switch("S2")
-	if len(d.PerSwitch[s1.NodeID()]) == 0 || len(d.PerSwitch[s2.NodeID()]) == 0 {
-		t.Fatalf("spatial correlation missing: %v", d.PerSwitch)
+	if !blamed[blame{s.FlowBD, s1}] || !blamed[blame{s.FlowCE, s2}] {
+		t.Fatalf("spatial correlation missing (want B-D at S1, C-E at S2): %v", d.Culprits)
 	}
 	// B-D must NOT be blamed at S2 (no shared egress there).
-	for _, c := range d.PerSwitch[s2.NodeID()] {
-		if c.Flow == s.FlowBD {
-			t.Fatalf("B-D wrongly blamed at S2")
-		}
+	if blamed[blame{s.FlowBD, s2}] {
+		t.Fatalf("B-D wrongly blamed at S2")
 	}
 	// The paper's budget: ~30 ms end to end.
 	if d.Total() > 60*simtime.Millisecond {

@@ -34,7 +34,6 @@ func (a *Analyzer) diagnoseCascade(ctx context.Context, alert hostagent.Alert) (
 	result := &Report{
 		Alert:              alert,
 		Clock:              clock,
-		PerSwitch:          make(map[netsim.NodeID][]Culprit, len(first.PerSwitch)),
 		PointerHosts:       first.PointerHosts,
 		PrunedHosts:        first.PrunedHosts,
 		HostsContacted:     first.HostsContacted,
@@ -45,8 +44,6 @@ func (a *Analyzer) diagnoseCascade(ctx context.Context, alert hostagent.Alert) (
 		Cascade:            chain,
 		Kind:               KindInconclusive,
 	}
-	// Refiling the first round's culprits in order rebuilds its PerSwitch
-	// too: each switch's list is the same stable sort of the same inserts.
 	culprits := &culpritIndex{}
 	for _, c := range first.Culprits {
 		culprits.add(result, c)
@@ -88,10 +85,8 @@ func (a *Analyzer) diagnoseCascade(ctx context.Context, alert hostagent.Alert) (
 		result.ColdSkippedByIndex += next.ColdSkippedByIndex
 		result.TieredSegments += next.TieredSegments
 		result.Consulted = dedupIPs(result.Consulted, next.Consulted)
-		for _, cs := range next.PerSwitch {
-			for _, c := range filterAbovePriority(cs, top.Priority) {
-				culprits.add(result, c)
-			}
+		for _, c := range next.Culprits {
+			culprits.add(result, c)
 		}
 		if err != nil {
 			result.Cascade = chain

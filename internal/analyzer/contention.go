@@ -14,8 +14,8 @@ import (
 )
 
 // diagnoseContention is the §5.1 "too much traffic" procedure, which also
-// covers §5.2 "too many red lights" (the same machinery, with culprits
-// grouped per switch).
+// covers §5.2 "too many red lights" (the same machinery; each culprit names
+// the switch where it contended with the victim).
 //
 // Steps, each charged to the virtual-time clock:
 //  1. the destination host detected the problem (detection);
@@ -38,7 +38,7 @@ func (a *Analyzer) diagnoseContention(ctx context.Context, alert hostagent.Alert
 // existing analyzer clock. diagnoseCascade chains several rounds on one
 // clock to follow causality backwards.
 func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert hostagent.Alert) (*Report, error) {
-	d := &Report{Alert: alert, Clock: clock, PerSwitch: make(map[netsim.NodeID][]Culprit), Kind: KindInconclusive}
+	d := &Report{Alert: alert, Clock: clock, Kind: KindInconclusive}
 	if len(alert.Tuples) == 0 {
 		d.Conclusion = "alert carried no telemetry tuples"
 		return d, nil
@@ -50,14 +50,12 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 	}
 
 	// Prune per switch, then merge the survivors into the contact set.
-	perSwitchKept := make(map[netsim.NodeID][]netsim.IPv4, len(cands))
 	var all [][]netsim.IPv4
 	pointerTotal := 0
 	prunedTotal := 0
 	for sw, ips := range cands {
 		pointerTotal += len(ips)
 		kept, pruned := a.pruneForVictim(sw, alert.Flow, ips)
-		perSwitchKept[sw] = kept
 		prunedTotal += len(pruned)
 		all = append(all, kept)
 	}
@@ -169,17 +167,9 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 	}
 
 	sortCulprits(d.Culprits)
-	for sw := range d.PerSwitch {
-		sortCulprits(d.PerSwitch[sw])
-	}
 
 	// Classify.
-	switchesWithCulprits := 0
-	for _, cs := range d.PerSwitch {
-		if len(cs) > 0 {
-			switchesWithCulprits++
-		}
-	}
+	switchesWithCulprits, lowest := culpritSwitches(d.Culprits)
 	switch {
 	case len(d.Culprits) == 0:
 		d.Kind = KindInconclusive
@@ -193,12 +183,12 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 		d.Kind = KindPriorityContention
 		d.Conclusion = fmt.Sprintf(
 			"%d higher-priority flow(s) contended with the victim at switch %v during its epochs",
-			len(d.Culprits), firstSwitch(d.PerSwitch))
+			len(d.Culprits), lowest)
 	case sawEqual:
 		d.Kind = KindMicroburst
 		d.Conclusion = fmt.Sprintf(
 			"%d equal-priority flow(s) burst into the victim's queue at switch %v (microburst)",
-			len(d.Culprits), firstSwitch(d.PerSwitch))
+			len(d.Culprits), lowest)
 	default:
 		d.Kind = KindInconclusive
 		d.Conclusion = "contending flows found, but none at or above the victim's priority"
@@ -226,17 +216,14 @@ func intersect(a, b simtime.EpochRange) simtime.EpochRange {
 
 // culpritIndex dedups a report's culprits by (flow, switch). slots is an
 // open-addressing hash table, at most half full, of 1 + a culprit's position
-// in Report.Culprits (0 = empty); perSwitch holds, by that same position, the
-// culprit's position in Report.PerSwitch[its switch]. At the ~800 culprits of
-// a large diagnosis it allocates a third of what a Go map would.
+// in Report.Culprits (0 = empty). At the ~800 culprits of a large diagnosis
+// it allocates a third of what a Go map would.
 type culpritIndex struct {
-	slots     []int32
-	perSwitch []int32
+	slots []int32
 }
 
-// add appends c to d.Culprits and d.PerSwitch[c.Switch] unless the flow is
-// already a culprit at that switch; then the entry with more bytes stays in
-// both.
+// add appends c to d.Culprits unless the flow is already a culprit at that
+// switch; then the entry with more bytes stays.
 func (ix *culpritIndex) add(d *Report, c Culprit) {
 	if 2*(len(d.Culprits)+1) > len(ix.slots) {
 		ix.rehash(d.Culprits)
@@ -245,14 +232,11 @@ func (ix *culpritIndex) add(d *Report, c Culprit) {
 	if p >= 0 {
 		if c.Bytes > d.Culprits[p].Bytes {
 			d.Culprits[p] = c
-			d.PerSwitch[c.Switch][ix.perSwitch[p]] = c
 		}
 		return
 	}
 	ix.slots[slot] = int32(len(d.Culprits)) + 1
-	ix.perSwitch = append(ix.perSwitch, int32(len(d.PerSwitch[c.Switch])))
 	d.Culprits = append(d.Culprits, c)
-	d.PerSwitch[c.Switch] = append(d.PerSwitch[c.Switch], c)
 }
 
 // find returns the slot holding (flow, sw) and its position in cs, or the
@@ -294,15 +278,17 @@ func sortCulprits(cs []Culprit) {
 	})
 }
 
-func firstSwitch(m map[netsim.NodeID][]Culprit) netsim.NodeID {
-	best := netsim.NodeID(-1)
-	for sw, cs := range m {
-		if len(cs) == 0 {
-			continue
-		}
-		if best == -1 || sw < best {
-			best = sw
+// culpritSwitches returns how many distinct switches the culprits name and
+// the lowest of them (−1 when there are none).
+func culpritSwitches(cs []Culprit) (n int, lowest netsim.NodeID) {
+	var seen []netsim.NodeID
+	for _, c := range cs {
+		if !slices.Contains(seen, c.Switch) {
+			seen = append(seen, c.Switch)
 		}
 	}
-	return best
+	if len(seen) == 0 {
+		return 0, -1
+	}
+	return len(seen), slices.Min(seen)
 }

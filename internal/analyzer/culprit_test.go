@@ -24,15 +24,14 @@ func appendCulprit(list []Culprit, c Culprit) []Culprit {
 }
 
 // TestCulpritIndexMatchesLinearDedup: random culprits with many repeats of
-// (flow, switch), and ties in bytes, give the same Culprits and PerSwitch
-// through the index as through the linear scan — also when, halfway, the
+// (flow, switch), and ties in bytes, give the same Culprits through the index as through the linear scan — also when, halfway, the
 // culprits are sorted and refiled through a fresh index, which is how a
 // cascade continues its first round.
 func TestCulpritIndexMatchesLinearDedup(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 200; round++ {
-		want := &Report{PerSwitch: make(map[netsim.NodeID][]Culprit)}
-		got := &Report{PerSwitch: make(map[netsim.NodeID][]Culprit)}
+		want := &Report{}
+		got := &Report{}
 		ix := &culpritIndex{}
 		n := rng.Intn(600)
 		flows := 1 + rng.Intn(300)
@@ -44,17 +43,13 @@ func TestCulpritIndexMatchesLinearDedup(t *testing.T) {
 				Bytes:  uint64(rng.Intn(6)),
 				Host:   netsim.IPv4(i),
 			}
-			want.PerSwitch[c.Switch] = appendCulprit(want.PerSwitch[c.Switch], c)
 			want.Culprits = appendCulprit(want.Culprits, c)
 			ix.add(got, c)
 			if i == n/2 { // as a cascade continues its sorted first round
 				sortCulprits(want.Culprits)
-				for _, cs := range want.PerSwitch {
-					sortCulprits(cs)
-				}
 				sortCulprits(got.Culprits)
 				first := got.Culprits
-				got, ix = &Report{PerSwitch: make(map[netsim.NodeID][]Culprit)}, &culpritIndex{}
+				got, ix = &Report{}, &culpritIndex{}
 				for _, c := range first {
 					ix.add(got, c)
 				}

@@ -212,15 +212,16 @@ func (d *MemoryDirectory) pull(sw netsim.NodeID, ag *switchagent.Agent, epochs s
 }
 
 // fanOutSlots runs pull(i) for n request slots over the shared bounded
-// worker pool and returns one error per slot. Dispatch is sequential in
-// slot order (rpc.FanOut), so ctx-cancellation points are as deterministic
-// as a sequential loop; slots the cancellation prevented from dispatching
-// fail with the context's error. Shared by both directory backends'
-// HostsBatch and by RemoteDirectory.Distribute so the cancellation-tail
-// semantics cannot diverge between them.
-func fanOutSlots(ctx context.Context, workers, n int, pull func(ctx context.Context, i int) error) []error {
+// worker pool (rpc.DefaultFanOutWorkers wide) and returns one error per
+// slot. Dispatch is sequential in slot order (rpc.FanOut), so
+// ctx-cancellation points are as deterministic as a sequential loop; slots
+// the cancellation prevented from dispatching fail with the context's
+// error. Shared by both directory backends' HostsBatch and by
+// RemoteDirectory.Distribute so the cancellation-tail semantics cannot
+// diverge between them.
+func fanOutSlots(ctx context.Context, n int, pull func(ctx context.Context, i int) error) []error {
 	errs := make([]error, n)
-	dispatched, cerr := rpc.FanOut(ctx, workers, n, func(ctx context.Context, i int) {
+	dispatched, cerr := rpc.FanOut(ctx, 0, n, func(ctx context.Context, i int) {
 		errs[i] = pull(ctx, i)
 	})
 	for i := dispatched; i < n; i++ {
@@ -234,7 +235,7 @@ func fanOutSlots(ctx context.Context, workers, n int, pull func(ctx context.Cont
 // their own slots, so worker scheduling never influences the result.
 func (d *MemoryDirectory) HostsBatch(ctx context.Context, reqs []SwitchEpochs) ([][]netsim.IPv4, []error) {
 	hosts := make([][]netsim.IPv4, len(reqs))
-	errs := fanOutSlots(ctx, 0, len(reqs), func(ctx context.Context, i int) error {
+	errs := fanOutSlots(ctx, len(reqs), func(ctx context.Context, i int) error {
 		ag, ok := d.switches[reqs[i].Switch]
 		if !ok {
 			return fmt.Errorf("%w: %d", ErrUnknownSwitch, reqs[i].Switch)

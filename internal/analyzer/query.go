@@ -114,11 +114,10 @@ type Report struct {
 	// (load imbalance, top-k).
 	Switch netsim.NodeID
 
-	// Culprits across all switches, highest impact first.
+	// Culprits across all switches, highest impact first; each names the
+	// switch where it contended with the victim (the red-lights spatial
+	// correlation).
 	Culprits []Culprit
-	// PerSwitch groups culprits by the switch where they contended with the
-	// victim (the red-lights spatial correlation).
-	PerSwitch map[netsim.NodeID][]Culprit
 	// Cascade is the causality chain for traffic-cascade outcomes: element
 	// i+1 delayed element i; element 0 is the original victim.
 	Cascade []netsim.FlowKey

@@ -31,10 +31,6 @@ type RemoteDirectory struct {
 	hostIndex
 	urls   map[netsim.NodeID]string // switch → base URL
 	client *rpc.HTTPClient
-
-	// Workers bounds the per-batch pull fan-out; zero selects
-	// rpc.DefaultFanOutWorkers.
-	Workers int
 }
 
 var _ Directory = (*RemoteDirectory)(nil)
@@ -75,7 +71,7 @@ func (d *RemoteDirectory) Hosts(ctx context.Context, sw netsim.NodeID, epochs si
 // agent never aborts the other pulls.
 func (d *RemoteDirectory) HostsBatch(ctx context.Context, reqs []SwitchEpochs) ([][]netsim.IPv4, []error) {
 	hosts := make([][]netsim.IPv4, len(reqs))
-	errs := fanOutSlots(ctx, d.Workers, len(reqs), func(ctx context.Context, i int) error {
+	errs := fanOutSlots(ctx, len(reqs), func(ctx context.Context, i int) error {
 		url, ok := d.urls[reqs[i].Switch]
 		if !ok {
 			return fmt.Errorf("%w: %d", ErrUnknownSwitch, reqs[i].Switch)
@@ -99,7 +95,7 @@ func (d *RemoteDirectory) Distribute(ctx context.Context) error {
 		sws = append(sws, sw)
 	}
 	slices.Sort(sws)
-	errs := fanOutSlots(ctx, d.Workers, len(sws), func(ctx context.Context, i int) error {
+	errs := fanOutSlots(ctx, len(sws), func(ctx context.Context, i int) error {
 		if err := d.client.InstallMPH(ctx, d.urls[sws[i]], d.table); err != nil {
 			return fmt.Errorf("analyzer: distribute to %d: %w", sws[i], err)
 		}

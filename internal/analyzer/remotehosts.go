@@ -28,10 +28,6 @@ import (
 type RemoteHosts struct {
 	urls   map[netsim.IPv4]string // host → base URL
 	client *rpc.HTTPClient
-
-	// Workers bounds each round's fan-out; zero selects the caller's width
-	// (the analyzer passes its own Workers setting per round).
-	Workers int
 }
 
 var _ HostBackend = (*RemoteHosts)(nil)
@@ -59,18 +55,10 @@ func (r *RemoteHosts) urlsFor(hosts []netsim.IPv4) []string {
 	return urls
 }
 
-// workers resolves the per-round fan-out width.
-func (r *RemoteHosts) workers(callerWorkers int) int {
-	if callerWorkers > 0 {
-		return callerWorkers
-	}
-	return r.Workers
-}
-
 // round is one per-host query round over HTTP: hosts in parallel, one
 // answer per host in host order, a host without a URL answering nothing.
 func round[T any](ctx context.Context, r *RemoteHosts, workers int, hosts []netsim.IPv4, query func(ctx context.Context, url string) (T, error)) ([]T, int, error) {
-	results, err := rpc.QueryHosts(ctx, r.client, r.workers(workers), r.urlsFor(hosts),
+	results, err := rpc.QueryHosts(ctx, r.client, workers, r.urlsFor(hosts),
 		func(ctx context.Context, _ *rpc.HTTPClient, url string) (T, error) {
 			if url == "" {
 				var none T

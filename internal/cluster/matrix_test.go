@@ -170,7 +170,6 @@ func verdictJSON(t *testing.T, w *WireReport) string {
 	b, err := json.Marshal(map[string]any{
 		"kind":      w.Kind,
 		"culprits":  w.Culprits,
-		"perswitch": w.PerSwitch,
 		"cascade":   w.Cascade,
 		"flows":     w.Flows,
 		"links":     w.Links,

@@ -102,13 +102,12 @@ type WireReport struct {
 	Alert  *hostagent.Alert `json:"alert,omitempty"`
 	Switch netsim.NodeID    `json:"switch,omitempty"`
 
-	Culprits  []analyzer.Culprit                   `json:"culprits,omitempty"`
-	PerSwitch map[netsim.NodeID][]analyzer.Culprit `json:"per_switch,omitempty"`
-	Cascade   []netsim.FlowKey                     `json:"cascade,omitempty"`
-	Links     []analyzer.LinkDistribution          `json:"links,omitempty"`
-	Separated bool                                 `json:"separated,omitempty"`
-	Boundary  uint64                               `json:"boundary,omitempty"`
-	Flows     []hostagent.FlowBytes                `json:"flows,omitempty"`
+	Culprits  []analyzer.Culprit          `json:"culprits,omitempty"`
+	Cascade   []netsim.FlowKey            `json:"cascade,omitempty"`
+	Links     []analyzer.LinkDistribution `json:"links,omitempty"`
+	Separated bool                        `json:"separated,omitempty"`
+	Boundary  uint64                      `json:"boundary,omitempty"`
+	Flows     []hostagent.FlowBytes       `json:"flows,omitempty"`
 
 	PointerHosts   int           `json:"pointer_hosts"`
 	PrunedHosts    int           `json:"pruned_hosts"`
@@ -144,7 +143,6 @@ func WireFromReport(r *analyzer.Report) *WireReport {
 		Conclusion:         r.Conclusion,
 		Switch:             r.Switch,
 		Culprits:           r.Culprits,
-		PerSwitch:          r.PerSwitch,
 		Cascade:            r.Cascade,
 		Links:              r.Links,
 		Separated:          r.Separated,
@@ -161,9 +159,6 @@ func WireFromReport(r *analyzer.Report) *WireReport {
 	if r.Alert.Flow != (netsim.FlowKey{}) || r.Alert.Kind != 0 {
 		alert := r.Alert
 		w.Alert = &alert
-	}
-	if len(w.PerSwitch) == 0 {
-		w.PerSwitch = nil
 	}
 	if r.Clock != nil {
 		w.Phases = r.Clock.Phases()

@@ -91,6 +91,15 @@ case "$SMOKE_OUT" in
 *"diagnosis: too-many-red-lights"*"culprit:"*) echo "e2e smoke: OK" ;;
 *) echo "e2e smoke: FAILED (unexpected report above)"; exit 1 ;;
 esac
+# Local/remote parity: the same query run in-process prints the same report,
+# from its "diagnosis:" line on, as the remote session above.
+./bin/spctl -problem redlights | sed -n '/^diagnosis:/,$p' >"$SMOKE_DIR/local.txt"
+printf '%s\n' "$SMOKE_OUT" | sed -n '/^diagnosis:/,$p' >"$SMOKE_DIR/remote.txt"
+if [ ! -s "$SMOKE_DIR/local.txt" ] || ! diff -u "$SMOKE_DIR/local.txt" "$SMOKE_DIR/remote.txt"; then
+	echo "parity smoke: FAILED (local and remote spctl reports differ)"
+	exit 1
+fi
+echo "parity smoke: OK"
 
 # Version smoke: both binaries identify themselves.
 ./bin/spd -version | grep -q "^spd v" || { echo "version smoke: spd -version broken" >&2; exit 1; }
