@@ -13,9 +13,9 @@ import (
 // diagnosis's spans in one arena; a regression in either shows up here.
 func TestDiagnosisAllocBudget(t *testing.T) {
 	budget := map[string]float64{
-		"contention":     180, // 164 measured
+		"contention":     139, // 126 measured
 		"red-lights":     101, // 92
-		"cascade":        273, // 249
+		"cascade":        261, // 237
 		"load-imbalance": 50,  // 46
 		"top-k":          42,  // 39
 	}

@@ -3,9 +3,11 @@ package baseline
 import (
 	"testing"
 
+	"switchpointer/internal/flowrec"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
+	"switchpointer/internal/store"
 )
 
 // TestSamplerUndersamplesMicrobursts demonstrates §2.1: at a realistic
@@ -28,7 +30,7 @@ func TestSamplerUndersamplesMicrobursts(t *testing.T) {
 	burstFlowsTotal := 0
 	for ip, ag := range tb.HostAgents {
 		_ = ip
-		for _, rec := range ag.Store.All() {
+		for _, rec := range allRecords(t, ag.Store) {
 			if rec.Flow.Proto == netsim.ProtoUDP && rec.Flow.DstPort >= 7000 && rec.Flow.DstPort < 7100 {
 				burstFlowsTotal++
 				if sampler.Seen(rec.Flow) > 0 {
@@ -130,4 +132,16 @@ func TestSamplerBasics(t *testing.T) {
 		}
 	}()
 	NewPacketSampler(0)
+}
+
+// allRecords collects every record of st through SnapshotShards, in
+// flow-key order.
+func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
+	t.Helper()
+	var all []*flowrec.Record
+	if err := st.SnapshotShards(store.EveryEpoch, func(recs []*flowrec.Record) error { all = append(all, recs...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	flowrec.SortRecords(all)
+	return all
 }

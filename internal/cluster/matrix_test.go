@@ -290,7 +290,7 @@ func coldCell(t *testing.T, p *plane) *WireReport {
 	p.flows = map[netsim.IPv4][]netsim.FlowKey{}
 	p.logs = map[netsim.IPv4]*statesync.SegmentLog{}
 	for ip, ag := range tb.HostAgents {
-		for _, r := range ag.Store.All() {
+		for _, r := range allRecords(t, ag.Store) {
 			p.flows[ip] = append(p.flows[ip], r.Flow)
 		}
 		p.answers[ip] = hostAnswers(t, ag, p.s.SwitchIDs(), p.flows[ip])
@@ -421,7 +421,7 @@ func checkSegmentCodec(t *testing.T, tb *scenario.Testbed) {
 	t.Helper()
 	total := 0
 	for ip, ag := range tb.HostAgents {
-		recs := ag.Store.All()
+		recs := allRecords(t, ag.Store)
 		if len(recs) == 0 {
 			continue
 		}

@@ -10,11 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"switchpointer/internal/flowrec"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/statesync"
+	"switchpointer/internal/store"
 )
 
 // TestBootstrapMidSimulationAndIngestCatchUp bootstraps a second host
@@ -62,7 +64,7 @@ func TestBootstrapMidSimulationAndIngestCatchUp(t *testing.T) {
 		t.Helper()
 		for ip, srcAg := range src.HostAgents {
 			var flows []netsim.FlowKey
-			for _, r := range srcAg.Store.All() {
+			for _, r := range allRecords(t, srcAg.Store) {
 				flows = append(flows, r.Flow)
 			}
 			want := hostAnswers(t, srcAg, switches, flows)
@@ -194,4 +196,16 @@ func TestSwitchBootstrapConcurrentWithPulls(t *testing.T) {
 			t.Fatalf("switch %d: bitmaps diverged", id)
 		}
 	}
+}
+
+// allRecords collects every record of st through SnapshotShards, in
+// flow-key order.
+func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
+	t.Helper()
+	var all []*flowrec.Record
+	if err := st.SnapshotShards(store.EveryEpoch, func(recs []*flowrec.Record) error { all = append(all, recs...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	flowrec.SortRecords(all)
+	return all
 }

@@ -99,6 +99,32 @@ func TestAppendSegmentAllocs(t *testing.T) {
 	}
 }
 
+// TestSpliceAndScratchAllocs pins the host answer path: splicing 256
+// encodings into a buffer with room, validation included, allocates nothing,
+// and neither does a scratch decode once the scratch has decoded a record.
+func TestSpliceAndScratchAllocs(t *testing.T) {
+	recs := segment256()
+	encs := encodings(recs)
+	buf := make([]byte, 0, len(mustEncode(t, recs)))
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := SpliceSegment(buf, encs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a splice into a buffer with room costs %.0f allocations, want 0", allocs)
+	}
+	var sc Scratch
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := sc.Decode(encs[i%len(encs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Fatalf("a scratch decode costs %.0f allocations, want 0", allocs)
+	}
+}
+
 // TestFilteredDecodeAllocs pins what a predicate saves: a segment whose
 // records are all rejected costs the scratch record and nothing sized by the
 // segment, and each admitted record costs its map, on top of a few slabs.

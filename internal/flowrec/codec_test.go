@@ -248,3 +248,147 @@ func TestFilteredDecodeIsFilteredFullDecode(t *testing.T) {
 		}
 	}
 }
+
+// encodings returns AppendRecord's encoding of each record.
+func encodings(recs []*Record) [][]byte {
+	encs := make([][]byte, len(recs))
+	for i, r := range recs {
+		encs[i] = AppendRecord(nil, r)
+	}
+	return encs
+}
+
+// TestSpliceSegmentIsAppendSegment: splicing records' encodings gives the
+// bytes AppendSegment gives for the records, after whatever dst held, and
+// each encoding opens with its record's flow key.
+func TestSpliceSegmentIsAppendSegment(t *testing.T) {
+	for name, recs := range map[string][]*Record{"shapes": codecRecords(), "256": segment256(), "empty": nil} {
+		encs := encodings(recs)
+		for i, enc := range encs {
+			if FlowOf(enc) != recs[i].Flow {
+				t.Fatalf("%s: FlowOf(record %d) = %v, want %v", name, i, FlowOf(enc), recs[i].Flow)
+			}
+		}
+		got, err := SpliceSegment([]byte("prefix"), encs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mustEncodeInto(t, []byte("prefix"), recs); !bytes.Equal(got, want) {
+			t.Fatalf("%s: splice differs from AppendSegment:\n got %x\nwant %x", name, got, want)
+		}
+	}
+}
+
+// TestSpliceSegmentRejectsBadRanges: a range that is not exactly one record
+// — short, with a byte of the next record, or empty — fails the splice and
+// leaves dst as it was.
+func TestSpliceSegmentRejectsBadRanges(t *testing.T) {
+	encs := encodings(codecRecords())
+	for name, bad := range map[string][]byte{
+		"short": encs[0][:len(encs[0])-1],
+		"long":  append(bytes.Clone(encs[0]), encs[1][0]),
+		"empty": {},
+	} {
+		dst := []byte("prefix")
+		got, err := SpliceSegment(dst, [][]byte{encs[1], bad, encs[2]})
+		if err == nil || string(got) != "prefix" {
+			t.Fatalf("%s range: splice = %q, %v; want the prefix and an error", name, got, err)
+		}
+	}
+}
+
+// TestDecodeRecordAndScratch: DecodeRecord and Scratch.Decode give the
+// record AppendRecord encoded — a nil EpochBytes stays nil, an empty one
+// empty — and the scratch forgets the previous record's epochs.
+func TestDecodeRecordAndScratch(t *testing.T) {
+	var sc Scratch
+	for _, r := range codecRecords() {
+		enc := AppendRecord(nil, r)
+		got, err := DecodeRecord(enc)
+		if err != nil || !reflect.DeepEqual(got, r) {
+			t.Fatalf("DecodeRecord = %+v, %v; want %+v", got, err, r)
+		}
+		scr, err := sc.Decode(enc)
+		if err != nil || !bytes.Equal(AppendRecord(nil, scr), enc) || (scr.EpochBytes == nil) != (r.EpochBytes == nil) {
+			t.Fatalf("Scratch.Decode = %+v, %v; want %+v", scr, err, r)
+		}
+		if _, err := DecodeRecord(enc[:len(enc)-1]); err == nil {
+			t.Fatal("a truncated record decoded")
+		}
+	}
+}
+
+// TestScanSegmentHandsOutEncodings: ScanSegment gives every record keep
+// admits with its exact encoding, and on a corrupt segment calls fn never.
+func TestScanSegmentHandsOutEncodings(t *testing.T) {
+	recs := segment256()
+	seg := mustEncode(t, recs)
+	var got [][]byte
+	n, err := ScanSegment(seg, everyNth(3), func(r *Record, enc []byte) {
+		if r.Flow != FlowOf(enc) {
+			t.Fatalf("record %v handed with the encoding of %v", r.Flow, FlowOf(enc))
+		}
+		got = append(got, bytes.Clone(enc))
+	})
+	if err != nil || n != len(recs) {
+		t.Fatalf("ScanSegment = %d, %v", n, err)
+	}
+	var want [][]byte
+	for i, enc := range encodings(recs) {
+		if i%3 == 0 {
+			want = append(want, enc)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan handed %d encodings, want %d, or different bytes", len(got), len(want))
+	}
+	if _, err := ScanSegment(seg[:len(seg)-1], nil, func(*Record, []byte) { t.Fatal("fn called on a corrupt segment") }); err == nil {
+		t.Fatal("a truncated segment scanned")
+	}
+}
+
+// FuzzSpliceSegment: for the records of any segment that decodes, splicing
+// their encodings gives AppendSegment's bytes; a truncated encoding fails the
+// splice; and a corrupted one fails the splice or the spliced segment's
+// decode, or decodes to as many records — never a panic. Any input taken as
+// one range either fails, or splices into a segment of one record at most.
+func FuzzSpliceSegment(f *testing.F) {
+	for _, recs := range [][]*Record{codecRecords(), segment256()[:3], nil} {
+		f.Add(mustEncode(f, recs), uint16(0), uint16(1), byte(0x40))
+	}
+	f.Fuzz(func(t *testing.T, seg []byte, pick, at uint16, flip byte) {
+		if one, err := SpliceSegment(nil, [][]byte{seg}); err == nil {
+			if recs, _, err := DecodeSegment(one, nil); err == nil && len(recs) != 1 {
+				t.Fatalf("one spliced range decodes to %d records", len(recs))
+			}
+		}
+		recs, _, err := DecodeSegment(seg, nil)
+		if err != nil {
+			return
+		}
+		encs := encodings(recs)
+		got, err := SpliceSegment(nil, encs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mustEncode(t, recs); !bytes.Equal(got, want) {
+			t.Fatalf("splice differs from AppendSegment:\n got %x\nwant %x", got, want)
+		}
+		if len(encs) == 0 {
+			return
+		}
+		i := int(pick) % len(encs)
+		enc := encs[i]
+		encs[i] = enc[:int(at)%len(enc)]
+		if out, err := SpliceSegment(nil, encs); err == nil {
+			t.Fatalf("a range cut to %d of %d bytes spliced: %x", len(encs[i]), len(enc), out)
+		}
+		encs[i] = bytes.Clone(enc)
+		encs[i][int(at)%len(enc)] ^= flip
+		if out, err := SpliceSegment(nil, encs); err == nil {
+			if again, _, err := DecodeSegment(out, nil); err == nil && len(again) != len(recs) {
+				t.Fatalf("a spliced corrupted range decodes to %d of %d records", len(again), len(recs))
+			}
+		}
+	})
+}

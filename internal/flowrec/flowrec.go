@@ -11,7 +11,11 @@
 // Wherever records are persisted or streamed (Flush, eviction sinks, cold
 // segments, compaction, /snapshot frames, the host's /headers-batch and
 // /record answers, /ingest batches) they travel as segments (codec.go):
-// a 20-byte header, then the records back to back. Fixed-width integers are
+// a 20-byte header, then the records back to back. A record's own encoding
+// (AppendRecord) is also the host store's resident form for the records it
+// did not absorb itself, so a host answer is spliced from stored bytes
+// (SpliceSegment) and a cold segment's matches leave it as bytes
+// (ScanSegment), none of them decoded. Fixed-width integers are
 // little-endian; uvarint and varint (zigzag) are encoding/binary's.
 //
 //	header  0x89 'S' 'P'   magic — a pointer snapshot opens 0x8A 'P' 'T'
@@ -233,8 +237,14 @@ func SortRecords(recs []*Record) {
 	slices.SortFunc(recs, func(a, b *Record) int { return Compare(a.Flow, b.Flow) })
 }
 
-// Clone returns a deep copy (used when shipping records across the RPC
-// boundary so callers can't mutate host state).
+// SortEncoded puts record encodings (see AppendRecord) in the Compare order
+// of their flows.
+func SortEncoded(encs [][]byte) {
+	slices.SortFunc(encs, func(a, b []byte) int { return Compare(FlowOf(a), FlowOf(b)) })
+}
+
+// Clone returns a deep copy that shares no storage with r — how a caller
+// keeps a record a store callback hands it past the call.
 func (r *Record) Clone() *Record {
 	c := *r
 	c.steady = false

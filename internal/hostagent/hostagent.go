@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"switchpointer/internal/flowrec"
@@ -108,7 +109,8 @@ type Agent struct {
 	// OnAlert, when set, receives trigger events.
 	OnAlert func(a Alert)
 	// OnEvictError, when set, receives store-eviction flush failures from
-	// the EnableRetention sweep (a full disk on the sink, typically).
+	// the EnableRetention sweep (a full disk on the sink, typically), cold
+	// read-back failures, and an answer the agent could not build.
 	OnEvictError func(err error)
 
 	// DecodeErrors counts packets whose telemetry could not be decoded.
@@ -306,7 +308,9 @@ func (a *Agent) InjectTimeout(flow netsim.FlowKey, at simtime.Time) {
 }
 
 func (a *Agent) raise(al Alert) {
-	if rec, ok := a.Store.Lookup(al.Flow); ok {
+	// The tuples are built under the record's shard read lock: a concurrent
+	// Put may replace the record the moment the lock is released.
+	a.Store.View(al.Flow, func(rec *flowrec.Record) {
 		for i, sw := range rec.Path {
 			tup := AlertTuple{Switch: sw, Epochs: rec.Epochs[i]}
 			if i == rec.TagIdx || (rec.TagIdx == -1 && len(rec.Path) == 1) {
@@ -317,7 +321,7 @@ func (a *Agent) raise(al Alert) {
 			}
 			al.Tuples = append(al.Tuples, tup)
 		}
-	}
+	})
 	if a.OnAlert != nil {
 		a.OnAlert(al)
 	}
@@ -388,62 +392,158 @@ type HeadersAnswer struct {
 	TieredSegments     int
 }
 
-// QueryHeadersMulti returns, per query, (clones of) the records matching
-// it: the "filter headers for packets that match a (switchID, epochID)
-// pair" primitive that SwitchPointer's whole debugging flow builds on. It
-// answers several queries in one pass — the per-round primitive: a
-// contention alert carries one HeadersQuery per alert tuple, and answering
-// them together decodes each overlapping cold segment ONCE instead of once
-// per tuple. Every answer — records, order, and cold accounting (each
-// query is charged as if it had scanned the segments itself: the
-// virtual-time cost contract is per query even though the physical decode
-// is shared) — is byte-identical to asking each query alone.
+// AnswerHeaders answers each query with one flowrec segment of the records
+// matching it, in flow-key order — segs[i] answers qs[i], and answers[i]
+// carries its cold accounting with Records nil: the "filter headers for
+// packets that match a (switchID, epochID) pair" primitive that
+// SwitchPointer's whole debugging flow builds on, in the form the wire
+// carries. No record is materialised: an encoded record's stored bytes are
+// copied, a live one is encoded under its shard read lock, and cold matches
+// are copied out of their segments. It answers several queries in one pass —
+// the per-round primitive: a contention alert carries one HeadersQuery per
+// alert tuple, and answering them together reads each overlapping cold
+// segment ONCE instead of once per tuple. Every answer — records, order, and
+// cold accounting (each query is charged as if it had scanned the segments
+// itself: the virtual-time cost contract is per query even though the
+// physical read is shared) — is byte-identical to asking each query alone.
 //
 // When a ColdReader is installed (retention with an indexed flush path —
 // see EnableRetention), the queries transparently consult flushed segments
 // whose manifests overlap the requested epoch windows, so a diagnosis
 // reaching past the hot window still succeeds; segments whose manifests
-// don't overlap are skipped without decoding. The answers' cold counters
+// don't overlap are skipped without reading. The answers' cold counters
 // report what that cost, and the analyzer charges one extra virtual-time
 // round for it. With no cold reader — or a window answered entirely hot —
 // the answer is byte-identical to the pre-read-back behaviour.
+func (a *Agent) AnswerHeaders(ctx context.Context, qs []HeadersQuery) (answers []HeadersAnswer, segs [][]byte, err error) {
+	answers, segs = make([]HeadersAnswer, len(qs)), make([][]byte, len(qs))
+	_, err = a.answerHeaders(ctx, qs, answers, nil, func(qi int, seg []byte) error {
+		segs[qi] = seg
+		return nil
+	})
+	return answers, segs, err
+}
+
+// answerHeaders charges each query's cold accounting to out and splices its
+// segment onto buf, all back to back, handing each to fn as it is done; an
+// error from fn stops it. It returns buf.
+func (a *Agent) answerHeaders(ctx context.Context, qs []HeadersQuery, out []HeadersAnswer, buf []byte, fn func(qi int, seg []byte) error) ([]byte, error) {
+	sc := answerScratchPool.Get().(*answerScratch)
+	defer sc.release()
+	sc.encs = slices.Grow(sc.encs, len(qs))[:len(qs)]
+	if ctx.Err() == nil { // a cancelled query answers empty
+		for qi := range qs {
+			q, start := qs[qi], len(sc.hot)
+			// The store filters on (switch, window) and hands matches over
+			// shard by shard; the answer goes out in flow-key order.
+			sc.live = a.Store.QueryWindowEncoded(q.Switch, q.Epochs, sc.live, func(enc []byte) {
+				if q.wantsFlow(flowrec.FlowOf(enc)) {
+					sc.hot = append(sc.hot, enc)
+				}
+			})
+			sc.encs[qi] = sc.hot[start:len(sc.hot):len(sc.hot)]
+			flowrec.SortEncoded(sc.encs[qi])
+		}
+		a.readCold(qs, out, sc.encs)
+	}
+	size := 0
+	for _, e := range sc.encs {
+		size += flowrec.SegmentHeaderLen
+		for _, enc := range e {
+			size += len(enc)
+		}
+	}
+	buf = slices.Grow(buf, size)
+	for qi := range out {
+		start := len(buf)
+		var err error
+		if buf, err = flowrec.SpliceSegment(buf, sc.encs[qi]); err != nil {
+			return buf, fmt.Errorf("hostagent: headers answer %d: %w", qi, err)
+		}
+		if err := fn(qi, buf[start:len(buf):len(buf)]); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// answerScratch is what AnswerHeaders collects record encodings in. Nothing
+// of it outlives the splice into the answers' segments, so it is pooled.
+type answerScratch struct {
+	hot  [][]byte   // every query's hot matches, one run after another
+	encs [][][]byte // per query: its run, merged with its cold matches
+	live []byte     // the live matches' encodings
+}
+
+var answerScratchPool = sync.Pool{New: func() any { return new(answerScratch) }}
+
+// release drops the scratch's references to record bytes and pools it,
+// unless an outsized answer grew it.
+func (sc *answerScratch) release() {
+	if cap(sc.live) > 1<<20 || cap(sc.hot) > 1<<16 {
+		return
+	}
+	clear(sc.hot)
+	clear(sc.encs)
+	sc.hot, sc.encs, sc.live = sc.hot[:0], sc.encs[:0], sc.live[:0]
+	answerScratchPool.Put(sc)
+}
+
+// QueryHeadersMulti is AnswerHeaders with every segment decoded into its
+// answer's Records (nil when nothing matched): the form the in-memory plane
+// hands the analyzer, and one answer path with the wire's. The segments are
+// spliced into a pooled buffer: decoded records never alias it.
 func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []HeadersAnswer {
 	out := make([]HeadersAnswer, len(qs))
-	if ctx.Err() != nil || len(qs) == 0 {
-		return out
+	buf := segmentPool.Get().(*[]byte)
+	segs, err := a.answerHeaders(ctx, qs, out, (*buf)[:0], func(qi int, seg []byte) error {
+		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		if len(recs) > 0 {
+			out[qi].Records = recs
+		}
+		return err
+	})
+	if *buf = segs; cap(segs) <= 1<<20 {
+		segmentPool.Put(buf)
 	}
-	for qi := range qs {
-		q := qs[qi]
-		// The store filters on (switch, window) and hands matches over shard
-		// by shard; the answer goes out in flow-key order.
-		a.Store.QueryWindow(q.Switch, q.Epochs, func(rec *flowrec.Record) {
-			if q.wantsFlow(rec.Flow) {
-				out[qi].Records = append(out[qi].Records, rec.Clone())
-			}
-		})
-		flowrec.SortRecords(out[qi].Records)
+	if err != nil {
+		// Unreachable short of a 4 GiB answer: the store's bytes are
+		// AppendRecord's, and the cold ranges passed ScanSegment.
+		a.reportError(err)
+		return make([]HeadersAnswer, len(qs))
 	}
-	a.readCold(qs, out)
 	return out
 }
 
-// readCold merges the cold tier's matches for qs into their hot answers in
-// out and charges each answer's cold counters; with no cold reader it does
-// nothing. Every host query kind reads the cold tier through it.
-func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer) {
+var segmentPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// reportError hands err to OnEvictError, the agent's one error sink, if set.
+func (a *Agent) reportError(err error) {
+	if a.OnEvictError != nil {
+		a.OnEvictError(err)
+	}
+}
+
+// readCold merges the cold tier's matches for qs into their hot answers'
+// record encodings in encs, in flow-key order, and charges each answer's cold
+// counters in out; with no cold reader it does nothing. Every host query
+// kind reads the cold tier through it.
+func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer, encs [][][]byte) {
 	if a.cold == nil {
 		return
 	}
 
-	// Cold read-back over a point-in-time view of the segment log: decode
+	// Cold read-back over a point-in-time view of the segment log: read
 	// only segments whose manifest epoch range overlaps some query's window
 	// AND whose index (switch set, flow-key bounds, bloom) cannot rule the
 	// query out — index exclusions are counted per query as
-	// ColdSkippedByIndex. Tiered-out segments are never decoded (the data
+	// ColdSkippedByIndex. Tiered-out segments are never read (the data
 	// is gone); they are reported as TieredSegments so the answer's gap is
-	// honest. The decoder materialises only records some interested query
-	// matches; each query then keeps its own matches in segment order.
-	cold := make([][]*flowrec.Record, len(qs))
+	// honest. A record some interested query matches is copied out of its
+	// segment once, as bytes; each query then keeps its own matches in
+	// segment order.
+	cold := make([][][]byte, len(qs))
+	var copied []byte
 	var interested []int
 	keep := func(rec *flowrec.Record) bool {
 		for _, qi := range interested {
@@ -453,10 +553,16 @@ func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer) {
 		}
 		return false
 	}
-	collect := func(rec *flowrec.Record) {
+	collect := func(rec *flowrec.Record, enc []byte) {
+		var own []byte
 		for _, qi := range interested {
 			if qs[qi].matches(rec) {
-				cold[qi] = append(cold[qi], rec)
+				if own == nil {
+					start := len(copied)
+					copied = append(copied, enc...)
+					own = copied[start:len(copied):len(copied)]
+				}
+				cold[qi] = append(cold[qi], own)
 			}
 		}
 	}
@@ -486,9 +592,7 @@ func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer) {
 		}
 		n, err := view.ReadSegment(i, keep, collect)
 		if err != nil {
-			if a.OnEvictError != nil {
-				a.OnEvictError(fmt.Errorf("hostagent: cold read-back: %w", err))
-			}
+			a.reportError(fmt.Errorf("hostagent: cold read-back: %w", err))
 			continue
 		}
 		for _, qi := range interested {
@@ -497,7 +601,7 @@ func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer) {
 		}
 	}
 	for qi := range out {
-		out[qi].Records, out[qi].ColdReturned = mergeCold(out[qi].Records, cold[qi])
+		encs[qi], out[qi].ColdReturned = mergeCold(encs[qi], cold[qi])
 		a.coldSegments.Add(uint64(out[qi].ColdSegments))
 		a.coldRecords.Add(uint64(out[qi].ColdRecords))
 		a.coldReturned.Add(uint64(out[qi].ColdReturned))
@@ -509,25 +613,27 @@ func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer) {
 // mergeCold merges one query's cold matches, in segment order, into its hot
 // answer, in flow-key order, and says how many it took: a flow answered hot
 // stays hot, and the last segment's version of a flow evicted twice wins.
-func mergeCold(hot, cold []*flowrec.Record) ([]*flowrec.Record, int) {
+// Both are record encodings.
+func mergeCold(hot, cold [][]byte) ([][]byte, int) {
 	if len(cold) == 0 {
 		return hot, 0
 	}
-	slices.SortStableFunc(cold, func(a, b *flowrec.Record) int { return flowrec.Compare(a.Flow, b.Flow) })
-	merged := make([]*flowrec.Record, 0, len(hot)+len(cold))
+	slices.SortStableFunc(cold, func(a, b []byte) int { return flowrec.Compare(flowrec.FlowOf(a), flowrec.FlowOf(b)) })
+	merged := make([][]byte, 0, len(hot)+len(cold))
 	taken, h := 0, 0
-	for i, rec := range cold {
-		if i+1 < len(cold) && cold[i+1].Flow == rec.Flow {
+	for i, enc := range cold {
+		flow := flowrec.FlowOf(enc)
+		if i+1 < len(cold) && flowrec.FlowOf(cold[i+1]) == flow {
 			continue // a later version follows
 		}
-		for h < len(hot) && flowrec.Less(hot[h].Flow, rec.Flow) {
+		for h < len(hot) && flowrec.Less(flowrec.FlowOf(hot[h]), flow) {
 			merged = append(merged, hot[h])
 			h++
 		}
-		if h < len(hot) && hot[h].Flow == rec.Flow {
+		if h < len(hot) && flowrec.FlowOf(hot[h]) == flow {
 			continue
 		}
-		merged = append(merged, rec)
+		merged = append(merged, enc)
 		taken++
 	}
 	if taken == 0 {
@@ -603,20 +709,44 @@ func (a *Agent) QueryFlowSizes(ctx context.Context, sw netsim.NodeID) []FlowSize
 	return out
 }
 
-// LookupRecord returns a clone of one flow's full record, if the host holds
-// one — the cascade procedure's synthetic-alert source. The clone is taken
+// AnswerRecord answers LookupRecord as the wire carries it: one flowrec
+// segment of the flow's record, its bytes copied (or a live record encoded)
 // under the record's shard read lock, so it is safe concurrently with
 // absorption; the HTTP binding serves it at /record. A flow the hot store
 // misses is looked up in the cold tier.
-func (a *Agent) LookupRecord(ctx context.Context, flow netsim.FlowKey) (*flowrec.Record, bool) {
+func (a *Agent) AnswerRecord(ctx context.Context, flow netsim.FlowKey) ([]byte, bool, error) {
 	if ctx.Err() != nil {
-		return nil, false
+		return nil, false, nil
 	}
-	var rec *flowrec.Record
-	if a.Store.View(flow, func(r *flowrec.Record) { rec = r.Clone() }) {
-		return rec, true
+	var buf [256]byte // most records encode in fewer bytes
+	enc, ok := a.Store.AppendEncoded(buf[:0], flow)
+	if !ok {
+		if enc, ok = a.coldRecord(flow); !ok {
+			return nil, false, nil
+		}
 	}
-	return a.coldRecord(flow)
+	seg, err := flowrec.SpliceSegment(nil, [][]byte{enc})
+	if err != nil {
+		return nil, false, fmt.Errorf("hostagent: record answer: %w", err)
+	}
+	return seg, true, nil
+}
+
+// LookupRecord returns a copy of one flow's full record, if the host holds
+// one — the cascade procedure's synthetic-alert source: AnswerRecord,
+// decoded.
+func (a *Agent) LookupRecord(ctx context.Context, flow netsim.FlowKey) (*flowrec.Record, bool) {
+	seg, ok, err := a.AnswerRecord(ctx, flow)
+	if err == nil && ok {
+		var recs []*flowrec.Record
+		if recs, _, err = flowrec.DecodeSegment(seg, nil); err == nil {
+			return recs[0], true
+		}
+	}
+	if err != nil {
+		a.reportError(err)
+	}
+	return nil, false
 }
 
 // QueryPriority returns the recorded DSCP priority of a flow, if known —
@@ -629,22 +759,24 @@ func (a *Agent) QueryPriority(ctx context.Context, flow netsim.FlowKey) (uint8, 
 	if a.Store.View(flow, func(rec *flowrec.Record) { prio = rec.Priority }) {
 		return prio, true
 	}
-	if rec, ok := a.coldRecord(flow); ok {
-		return rec.Priority, true
+	if enc, ok := a.coldRecord(flow); ok {
+		if rec, err := flowrec.DecodeRecord(enc); err == nil {
+			return rec.Priority, true
+		}
 	}
 	return 0, false
 }
 
-// coldRecord returns the cold tier's last version of flow's record, if the
-// host has a cold reader and any segment holds one.
-func (a *Agent) coldRecord(flow netsim.FlowKey) (*flowrec.Record, bool) {
+// coldRecord returns the encoding of the cold tier's last version of flow's
+// record, if the host has a cold reader and any segment holds one.
+func (a *Agent) coldRecord(flow netsim.FlowKey) ([]byte, bool) {
 	if a.cold == nil {
 		return nil, false
 	}
-	out := make([]HeadersAnswer, 1)
-	a.readCold([]HeadersQuery{{Epochs: store.EveryEpoch, Flows: []netsim.FlowKey{flow}, anySwitch: true}}, out)
-	if len(out[0].Records) == 0 {
+	out, encs := make([]HeadersAnswer, 1), make([][][]byte, 1)
+	a.readCold([]HeadersQuery{{Epochs: store.EveryEpoch, Flows: []netsim.FlowKey{flow}, anySwitch: true}}, out, encs)
+	if len(encs[0]) == 0 {
 		return nil, false
 	}
-	return out[0].Records[0], true
+	return encs[0][0], true
 }

@@ -73,7 +73,11 @@ func modelQueryHeadersMulti(st *store.RecordStore, rd store.ColdReader, qs []hos
 			continue
 		}
 		var recs []*flowrec.Record
-		if _, err := view.ReadSegment(i, nil, func(rec *flowrec.Record) { recs = append(recs, rec) }); err != nil {
+		if _, err := view.ReadSegment(i, nil, func(_ *flowrec.Record, enc []byte) {
+			if rec, err := flowrec.DecodeRecord(enc); err == nil {
+				recs = append(recs, rec)
+			}
+		}); err != nil {
 			continue
 		}
 		for _, qi := range interested {

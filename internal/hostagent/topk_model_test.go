@@ -50,10 +50,20 @@ func forEachCold(t *testing.T, rd store.ColdReader, fn func(*flowrec.Record)) {
 	view := rd.View()
 	defer view.Close()
 	for i := 0; i < view.Len(); i++ {
-		if _, err := view.ReadSegment(i, nil, fn); err != nil {
+		if _, err := view.ReadSegment(i, nil, func(_ *flowrec.Record, enc []byte) { fn(decodeRecord(t, enc)) }); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// decodeRecord decodes one record encoding into a record the caller owns.
+func decodeRecord(t testing.TB, enc []byte) *flowrec.Record {
+	t.Helper()
+	r, err := flowrec.DecodeRecord(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // modelTopK is QueryTopK as it was when the store kept a merged per-switch

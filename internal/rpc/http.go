@@ -99,16 +99,12 @@ type HeadersBatchResponse struct {
 }
 
 // newHeadersBatchResponse is the host half of the answers' codec: each
-// answer's records become one segment.
-func newHeadersBatchResponse(answers []hostagent.HeadersAnswer) (HeadersBatchResponse, error) {
+// answer's segment, as hostagent.AnswerHeaders built it, ships as it is.
+func newHeadersBatchResponse(answers []hostagent.HeadersAnswer, segs [][]byte) HeadersBatchResponse {
 	resp := HeadersBatchResponse{Answers: make([]HeadersResponse, len(answers))}
 	for i, ans := range answers {
-		seg, err := flowrec.AppendSegment(nil, ans.Records)
-		if err != nil {
-			return HeadersBatchResponse{}, err
-		}
 		resp.Answers[i] = HeadersResponse{
-			Segment:            seg,
+			Segment:            segs[i],
 			ColdSegments:       ans.ColdSegments,
 			ColdRecords:        ans.ColdRecords,
 			ColdReturned:       ans.ColdReturned,
@@ -116,7 +112,7 @@ func newHeadersBatchResponse(answers []hostagent.HeadersAnswer) (HeadersBatchRes
 			TieredSegments:     ans.TieredSegments,
 		}
 	}
-	return resp, nil
+	return resp
 }
 
 // answers is the client half: it decodes every answer's segment, naming the
@@ -374,18 +370,18 @@ func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) 
 			for i, q := range req.Queries {
 				qs[i] = hostagent.HeadersQuery{Switch: q.Switch, Epochs: simtime.EpochRange{Lo: q.EpochLo, Hi: q.EpochHi}, Flows: q.Flows}
 			}
-			answers := a.QueryHeadersMulti(ctx, qs)
-			resp, err := newHeadersBatchResponse(answers)
+			answers, segs, err := a.AnswerHeaders(ctx, qs)
 			if err != nil {
 				return HeadersBatchResponse{}, nil, err
 			}
 			records, coldSegments, coldReturned := 0, 0, 0
-			for _, ans := range answers {
-				records += len(ans.Records)
+			for i, ans := range answers {
+				n, _ := flowrec.SegmentRecords(segs[i])
+				records += n
 				coldSegments += ans.ColdSegments
 				coldReturned += ans.ColdReturned
 			}
-			return resp, []trace.Attr{
+			return newHeadersBatchResponse(answers, segs), []trace.Attr{
 				{Key: "records", Value: strconv.Itoa(records)},
 				{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
 				{Key: "cold_returned", Value: strconv.Itoa(coldReturned)},
@@ -409,15 +405,11 @@ func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) 
 		}))
 	mux.Handle("/record", Endpoint(sp, "record", LimitRequest,
 		func(ctx context.Context, req *RecordRequest) (RecordResponse, []trace.Attr, error) {
-			rec, known := a.LookupRecord(ctx, req.Flow)
-			resp := RecordResponse{Known: known}
-			if known {
-				var err error
-				if resp.Segment, err = flowrec.AppendSegment(nil, []*flowrec.Record{rec}); err != nil {
-					return RecordResponse{}, nil, err
-				}
+			seg, known, err := a.AnswerRecord(ctx, req.Flow)
+			if err != nil {
+				return RecordResponse{}, nil, err
 			}
-			return resp, []trace.Attr{{Key: "known", Value: strconv.FormatBool(known)}}, nil
+			return RecordResponse{Known: known, Segment: seg}, []trace.Attr{{Key: "known", Value: strconv.FormatBool(known)}}, nil
 		}))
 	return mux
 }

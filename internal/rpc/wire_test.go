@@ -37,18 +37,11 @@ func (c *memCold) View() store.ColdView                  { return c }
 func (c *memCold) Len() int                              { return len(c.segs) }
 func (c *memCold) Manifest(i int) *store.SegmentManifest { return &c.manifests[i] }
 func (c *memCold) Close()                                {}
-func (c *memCold) ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record)) (int, error) {
+func (c *memCold) ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record, []byte)) (int, error) {
 	if c.manifests[i].Tiered {
 		return 0, store.ErrTiered
 	}
-	recs, n, err := flowrec.DecodeSegment(c.segs[i], keep)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range recs {
-		fn(r)
-	}
-	return n, nil
+	return flowrec.ScanSegment(c.segs[i], keep, fn)
 }
 
 // wireRecord is a flow through switches 1 → sw → 3, seen at epochs lo..lo+1.
@@ -180,14 +173,14 @@ func decodeHeadersBatch(body []byte) ([]hostagent.HeadersAnswer, error) {
 // host's encode and the client's decode again, deep-equal.
 func FuzzHeadersBatchAnswer(f *testing.F) {
 	ag := wireAgent(f)
-	resp, err := newHeadersBatchResponse(ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{
+	answers, segs, err := ag.AnswerHeaders(context.Background(), []hostagent.HeadersQuery{
 		{Switch: 2, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}},
 		{Switch: 9, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}},
-	}))
+	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	body, err := json.Marshal(resp)
+	body, err := json.Marshal(newHeadersBatchResponse(answers, segs))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -197,11 +190,14 @@ func FuzzHeadersBatchAnswer(f *testing.F) {
 		if err != nil {
 			return
 		}
-		resp, err := newHeadersBatchResponse(answers)
-		if err != nil {
-			t.Fatalf("re-encoding decoded answers: %v", err)
+		// The host ships each answer's records as one segment.
+		segs := make([][]byte, len(answers))
+		for i := range answers {
+			if segs[i], err = flowrec.AppendSegment(nil, answers[i].Records); err != nil {
+				t.Fatal(err)
+			}
 		}
-		again, err := json.Marshal(resp)
+		again, err := json.Marshal(newHeadersBatchResponse(answers, segs))
 		if err != nil {
 			t.Fatal(err)
 		}

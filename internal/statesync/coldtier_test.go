@@ -483,7 +483,7 @@ func TestViewSurvivesRewrites(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		n := 0
-		if recs, err := v.ReadSegment(i, nil, func(*flowrec.Record) { n++ }); err != nil || n != 1 || recs != 1 {
+		if recs, err := v.ReadSegment(i, nil, func(*flowrec.Record, []byte) { n++ }); err != nil || n != 1 || recs != 1 {
 			t.Fatalf("view segment %d: %d of %d records, err %v", i, n, recs, err)
 		}
 	}
@@ -604,7 +604,7 @@ func TestColdTierConcurrency(t *testing.T) {
 					if i%2 == 1 {
 						keep = func(r *flowrec.Record) bool { return r.Flow.SrcPort%2 == 0 }
 					}
-					recs, err := v.ReadSegment(s, keep, func(*flowrec.Record) {})
+					recs, err := v.ReadSegment(s, keep, func(*flowrec.Record, []byte) {})
 					if err != nil && !errors.Is(err, store.ErrTiered) {
 						fail <- fmt.Errorf("view read %d: %w", s, err)
 						v.Close()

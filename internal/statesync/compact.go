@@ -128,7 +128,7 @@ func (l *SegmentLog) Compact(ctx context.Context, p CompactPolicy) (CompactStats
 		for si := r.lo; si < r.hi; si++ {
 			seg := &prefix[si]
 			bytesIn += seg.Manifest.Bytes
-			_, err := l.readSegment(seg, si, nil, func(rec *flowrec.Record) {
+			err := l.decodeSegment(seg, si, func(rec *flowrec.Record) {
 				recsIn++
 				if prev, ok := merged[rec.Flow]; ok &&
 					(prev.LastSeen > rec.LastSeen ||

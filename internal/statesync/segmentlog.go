@@ -318,15 +318,20 @@ func (v *logView) Len() int { return len(v.segs) }
 // valid until Close.
 func (v *logView) Manifest(i int) *store.SegmentManifest { return &v.segs[i].Manifest }
 
-// ReadSegment decodes segment i of the view and hands each record keep
-// admits to fn, returning the segment's record count (see store.ColdView).
-// The records are fresh decodes owned by the caller. A tiered-out segment
-// returns an error wrapping store.ErrTiered.
-func (v *logView) ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record)) (int, error) {
+// ReadSegment reads segment i of the view and hands each record keep admits
+// to fn with its encoding, returning the segment's record count (see
+// store.ColdView). A tiered-out segment returns an error wrapping
+// store.ErrTiered.
+func (v *logView) ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record, []byte)) (int, error) {
 	if i < 0 || i >= len(v.segs) {
 		return 0, fmt.Errorf("statesync: segment %d out of range", i)
 	}
-	return v.l.readSegment(&v.segs[i], i, keep, fn)
+	var n int
+	err := v.l.readSegment(&v.segs[i], i, func(payload []byte) (err error) {
+		n, err = flowrec.ScanSegment(payload, keep, fn)
+		return err
+	})
+	return n, err
 }
 
 // Close releases the view back to the pool and, when it was the last open
@@ -372,13 +377,14 @@ func (l *SegmentLog) retire(files []string) {
 	l.reclaim()
 }
 
-func (l *SegmentLog) readSegment(seg *logSegment, i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record)) (int, error) {
+// readSegment hands segment i's payload to decode, which must not retain
+// it (its buffer is pooled), and counts the decode.
+func (l *SegmentLog) readSegment(seg *logSegment, i int, decode func(payload []byte) error) error {
 	if seg.Manifest.Tiered {
-		return 0, fmt.Errorf("statesync: segment %d: %w", i, store.ErrTiered)
+		return fmt.Errorf("statesync: segment %d: %w", i, store.ErrTiered)
 	}
 	payload := seg.payload
 	if payload == nil {
-		// Decoded records never alias the payload: its buffer is pooled.
 		buf := readBufs.Get().(*bytes.Buffer)
 		defer func() {
 			if buf.Cap() <= 1<<20 { // keep no compaction-sized buffer alive
@@ -392,19 +398,15 @@ func (l *SegmentLog) readSegment(seg *logSegment, i int, keep func(*flowrec.Reco
 			f.Close() // read-only: nothing to flush
 		}
 		if err != nil {
-			return 0, fmt.Errorf("statesync: read segment %d: %w", i, err)
+			return fmt.Errorf("statesync: read segment %d: %w", i, err)
 		}
 		payload = buf.Bytes()
 	}
-	recs, n, err := flowrec.DecodeSegment(payload, keep)
-	if err != nil {
-		return 0, fmt.Errorf("statesync: segment %d: %w", i, err)
+	if err := decode(payload); err != nil {
+		return fmt.Errorf("statesync: segment %d: %w", i, err)
 	}
 	l.segDecodes.Add(1)
-	for _, r := range recs {
-		fn(r)
-	}
-	return n, nil
+	return nil
 }
 
 // readBufs holds segment-file read buffers.
@@ -431,10 +433,24 @@ func (l *SegmentLog) Len() int {
 }
 
 // ReadSegment decodes segment i of the current log state and hands every
-// record to fn — the one-shot, unfiltered form of View().ReadSegment.
+// record to fn, owned by the caller.
 func (l *SegmentLog) ReadSegment(i int, fn func(*flowrec.Record)) error {
-	v := l.View()
+	v := l.View().(*logView)
 	defer v.Close()
-	_, err := v.ReadSegment(i, nil, fn)
-	return err
+	if i < 0 || i >= len(v.segs) {
+		return fmt.Errorf("statesync: segment %d out of range", i)
+	}
+	return l.decodeSegment(&v.segs[i], i, fn)
+}
+
+// decodeSegment decodes segment i and hands every record to fn, owned by the
+// caller.
+func (l *SegmentLog) decodeSegment(seg *logSegment, i int, fn func(*flowrec.Record)) error {
+	return l.readSegment(seg, i, func(payload []byte) error {
+		recs, _, err := flowrec.DecodeSegment(payload, nil)
+		for _, r := range recs {
+			fn(r)
+		}
+		return err
+	})
 }

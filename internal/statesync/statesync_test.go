@@ -30,10 +30,22 @@ func redLights(t *testing.T) *scenario.Testbed {
 	return s.Testbed
 }
 
+// allRecords collects every record of st through SnapshotShards, in
+// flow-key order.
+func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
+	t.Helper()
+	var all []*flowrec.Record
+	if err := st.SnapshotShards(store.EveryEpoch, func(recs []*flowrec.Record) error { all = append(all, recs...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	flowrec.SortRecords(all)
+	return all
+}
+
 // storeJSON canonicalizes a store's full record set for comparison.
 func storeJSON(t *testing.T, st *store.RecordStore) string {
 	t.Helper()
-	raw, err := json.Marshal(st.All())
+	raw, err := json.Marshal(allRecords(t, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +67,7 @@ func richestAgentIP(tb *scenario.Testbed) netsim.IPv4 {
 
 func TestSegmentLogModes(t *testing.T) {
 	tb := redLights(t)
-	recs := tb.HostAgents[richestAgentIP(tb)].Store.All()
+	recs := allRecords(t, tb.HostAgents[richestAgentIP(tb)].Store)
 	if len(recs) == 0 {
 		t.Fatal("scenario produced no records")
 	}

@@ -1,12 +1,13 @@
 //go:build !race
 
-// The store's count budgets: what a resident record costs the index, and
+// The store's count budgets: what a resident record costs, and
 // what the write and scan hot paths allocate. Not under the race detector,
 // which changes both (the convention TestReplayAllocBudget set).
 
 package store
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -16,21 +17,6 @@ import (
 	"switchpointer/internal/simtime"
 )
 
-const budgetRecords = 20_000
-
-// budgetRecord is record i of a diag-heavy-shaped resident set: five hops,
-// one of 24 routes, every route ending in switches 100 and 101.
-func budgetRecord(i int) *flowrec.Record {
-	r := flowrec.New(netsim.FlowKey{Src: netsim.IPv4(1 + i%24), Dst: 99,
-		SrcPort: uint16(i), DstPort: uint16(9000 + i>>16), Proto: netsim.ProtoUDP})
-	r.Path = []netsim.NodeID{netsim.NodeID(1 + i%6), netsim.NodeID(10 + i%4), netsim.NodeID(20 + i%24/6), 100, 101}
-	for range r.Path {
-		r.Epochs = append(r.Epochs, simtime.EpochRange{Lo: simtime.Epoch(1000 + i), Hi: simtime.Epoch(1001 + i)})
-	}
-	r.Pkts, r.Bytes, r.LastSeen = 1, 1500, simtime.Time(i)
-	return r
-}
-
 func heapAlloc() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -39,39 +25,38 @@ func heapAlloc() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestResidentBytesPerRecord pins the index's share of a resident record:
-// the records exist before the first reading, so neither reading counts
-// their own bytes. 80 B is the shard map entry (flow key + slot) at the
-// map's load factor; the three-index store took 316 B. Querying two
-// switches every record traverses adds their per-shard memos, 2 × (8 B
-// record pointer + 16 B inline range): 120 B against 349 B.
+// TestResidentBytesPerRecord pins what a record Put into the store costs
+// resident, the record included: the first reading is taken before the
+// records exist, and Put keeps none of them. 150 B is its encoding (≈ 57 B
+// for budgetRecord) in the shard arena, its slot and its index map entry at
+// the map's load factor; the same record kept as a *flowrec.Record cost
+// ≈ 400 B (334 B of record with an empty map, and 67 B of index). Querying
+// two switches every record traverses adds their per-shard memos,
+// 2 × (4 B slot number + 16 B inline range): at most 50 B more.
 func TestResidentBytesPerRecord(t *testing.T) {
-	recs := make([]*flowrec.Record, budgetRecords)
-	for i := range recs {
-		recs[i] = budgetRecord(i)
-	}
 	st := New()
 	before := heapAlloc()
-	for _, r := range recs {
-		st.Put(r)
+	for i := range budgetRecords {
+		st.Put(budgetRecord(i))
 	}
-	indexed := heapAlloc()
+	resident := heapAlloc()
+	visited := 0
 	for _, sw := range []netsim.NodeID{100, 101} {
-		if n := len(st.BySwitch(sw)); n != budgetRecords {
-			t.Fatalf("BySwitch(%d) = %d records", sw, n)
-		}
+		st.QueryWindow(sw, EveryEpoch, func(*flowrec.Record) { visited++ })
+	}
+	if visited != 2*budgetRecords {
+		t.Fatalf("two full-window scans visited %d records, want %d", visited, 2*budgetRecords)
 	}
 	queried := heapAlloc()
-	perIndex := float64(indexed-before) / budgetRecords
-	perQueried := float64(queried-before) / budgetRecords
-	t.Logf("resident bytes per record: %.1f indexed, %.1f with two switches queried", perIndex, perQueried)
-	if perIndex > 80 {
-		t.Errorf("index: %.1f B per record, want <= 80", perIndex)
+	perRecord := float64(resident-before) / budgetRecords
+	perMemos := float64(queried-resident) / budgetRecords
+	t.Logf("resident bytes per record: %.1f, and %.1f more with two switches queried", perRecord, perMemos)
+	if perRecord > 150 {
+		t.Errorf("resident: %.1f B per record, want <= 150", perRecord)
 	}
-	if perQueried > 120 {
-		t.Errorf("index + two queried switches: %.1f B per record, want <= 120", perQueried)
+	if perMemos > 50 {
+		t.Errorf("two queried switches: %.1f B per record, want <= 50", perMemos)
 	}
-	runtime.KeepAlive(recs)
 	runtime.KeepAlive(st)
 }
 
@@ -109,6 +94,61 @@ func TestAbsorbReleaseAllocs(t *testing.T) {
 	}
 	if st.Generations() != before {
 		t.Errorf("widening invalidated: generations %d -> %d", before, st.Generations())
+	}
+}
+
+// TestAcquireDecodesPutRecordOnce: a Put record is stored encoded. Its first
+// Acquire decodes it into a live record — the slot's bytes go dead and, half
+// the arena, are compacted away; the absorb path owns the record from then
+// on — and nothing a query reads
+// changes: every read form gives the same bytes before and after, and no
+// memo is invalidated. Later Acquires find the live record, and steady
+// Absorbs into it allocate nothing.
+func TestAcquireDecodesPutRecordOnce(t *testing.T) {
+	st := New()
+	rec := budgetRecord(7)
+	rec.AddEpochBytes(rec.Epochs[0].Lo, rec.Bytes)
+	st.Put(rec)
+	answers := func() []byte {
+		out, _ := st.AppendEncoded(nil, rec.Flow)
+		st.QueryWindowEncoded(100, EveryEpoch, nil, func(enc []byte) { out = append(out, enc...) })
+		st.QueryWindow(101, rec.Epochs[4], func(r *flowrec.Record) { out = flowrec.AppendRecord(out, r) })
+		st.View(rec.Flow, func(r *flowrec.Record) { out = flowrec.AppendRecord(out, r) })
+		for _, r := range st.BySwitch(10 + 7%4) {
+			out = flowrec.AppendRecord(out, r)
+		}
+		return out
+	}
+	before, generations := answers(), st.Generations()
+	t0 := st.shardOf(rec.Flow).tab.Load()
+	if t0.arena.dead != 0 || t0.slots[t0.find(rec.Flow)].rec != nil {
+		t.Fatal("a Put record is not stored encoded")
+	}
+
+	live := st.Acquire(rec.Flow)
+	st.Release(live)
+	if t0.arena.used != 0 || t0.slots[t0.find(rec.Flow)].rec != live {
+		t.Fatal("Acquire left the record encoded, or its dead bytes uncompacted")
+	}
+	if after := answers(); !bytes.Equal(after, before) {
+		t.Fatalf("answers changed when the record went live:\n%x\n%x", after, before)
+	}
+	if st.Generations() != generations {
+		t.Fatalf("going live invalidated %d memos", st.Generations()-generations)
+	}
+
+	dec := header.Decoded{Path: rec.Path, Epochs: rec.Epochs, TagIdx: 0}
+	pkt := &netsim.Packet{Flow: rec.Flow, Size: 1500}
+	absorb := func() {
+		r := st.Acquire(rec.Flow)
+		if r != live {
+			t.Fatal("Acquire decoded the record again")
+		}
+		r.Absorb(pkt, dec, rec.LastSeen)
+		st.Release(r)
+	}
+	if allocs := testing.AllocsPerRun(1000, absorb); allocs != 0 {
+		t.Errorf("steady Acquire/Absorb/Release of a woken record: %v allocs, want 0", allocs)
 	}
 }
 

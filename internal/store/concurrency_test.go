@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -177,5 +178,105 @@ func TestAcquireReleaseZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Acquire/Release steady state: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestConcurrentQueriesDuringPut is the -race gate for the encoded slot
+// state: a writer replaces records with Put — each round leaves half of a
+// shard's arena dead, so arenas compact under the readers — and wakes every
+// fifth flow with an Acquire, while readers take every read form. Every
+// record read must be a whole version (Bytes = 100 × Pkts), and encodings a
+// reader keeps past its call must not change.
+func TestConcurrentQueriesDuringPut(t *testing.T) {
+	const (
+		flows   = 64
+		rounds  = 60
+		readers = 3
+	)
+	path := []netsim.NodeID{10, 11}
+	version := func(f, round int) *flowrec.Record {
+		r := flowrec.New(netsim.FlowKey{Src: netsim.IPv4(f + 1), Dst: 99, SrcPort: uint16(f), DstPort: 2, Proto: netsim.ProtoUDP})
+		r.Path = path
+		r.Epochs = []simtime.EpochRange{{Lo: 1, Hi: 2}, {Lo: 1, Hi: 2}}
+		r.Pkts, r.Bytes, r.LastSeen = uint64(round+1), uint64(100*(round+1)), simtime.Time(round)
+		return r
+	}
+	st := New()
+	for f := range flows {
+		st.Put(version(f, 0))
+	}
+	whole := func(r *flowrec.Record) error {
+		if r.Bytes != 100*r.Pkts {
+			return fmt.Errorf("torn record: %v", r)
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for round := 1; round <= rounds; round++ {
+			for f := range flows {
+				if f%5 == 0 && round%10 == 0 {
+					st.Release(st.Acquire(version(f, 0).Flow))
+				}
+				st.Put(version(f, round))
+			}
+		}
+	}()
+	errs := make(chan error, readers)
+	for q := 0; q < readers; q++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held, copies [][]byte
+			var fail error
+			check := func(r *flowrec.Record) {
+				if err := whole(r); err != nil && fail == nil {
+					fail = err
+				}
+			}
+			for fail == nil {
+				select {
+				case <-stop:
+					for i := range held {
+						if !bytes.Equal(held[i], copies[i]) {
+							errs <- fmt.Errorf("a held encoding changed")
+							return
+						}
+					}
+					return
+				default:
+				}
+				st.QueryWindow(11, EveryEpoch, check)
+				st.QueryWindowEncoded(10, EveryEpoch, nil, func(enc []byte) {
+					r, err := flowrec.DecodeRecord(enc)
+					if err != nil {
+						fail = err
+						return
+					}
+					check(r)
+					if len(held) < 4096 {
+						held, copies = append(held, enc), append(copies, bytes.Clone(enc))
+					}
+				})
+				f := version(len(held)%flows, 0).Flow
+				st.View(f, check)
+				if r, ok := st.Lookup(f); ok {
+					check(r)
+				}
+			}
+			errs <- fail
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

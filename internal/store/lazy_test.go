@@ -9,16 +9,11 @@ import (
 	"switchpointer/internal/simtime"
 )
 
-// built counts the shards whose maps exist; -1: a shard's built flag
-// disagrees with its map.
+// built counts the shards whose table exists.
 func built(st *RecordStore) (shards int) {
 	for i := range st.shards {
-		sh := &st.shards[i]
-		if sh.recs != nil || sh.paths != nil || sh.memos != nil {
+		if st.shards[i].tab.Load() != nil {
 			shards++
-		}
-		if (sh.recs != nil) != sh.built.Load() {
-			return -1
 		}
 	}
 	return shards
@@ -48,8 +43,8 @@ func TestFirstWriteBuildsOneShard(t *testing.T) {
 	if got := st.BySwitch(11); len(got) != 1 || got[0].Flow != flow {
 		t.Fatalf("BySwitch(11) = %+v", got)
 	}
-	if st.Len() != 1 || len(st.All()) != 1 {
-		t.Fatalf("Len = %d, All = %d, want 1", st.Len(), len(st.All()))
+	if st.Len() != 1 || len(snapshot(t, st)) != 1 {
+		t.Fatalf("Len = %d, snapshot = %d, want 1", st.Len(), len(snapshot(t, st)))
 	}
 	if shards := built(st); shards != 1 {
 		t.Fatalf("reading built %d more shards", shards-1)
@@ -64,8 +59,8 @@ func TestNeverWrittenStoreAnswersEmpty(t *testing.T) {
 	st.SetRetention(Retention{Alpha: 10, HotEpochs: 2, MaxRecords: 4})
 	flow := netsim.FlowKey{Src: 1, Dst: 2, SrcPort: 1, DstPort: 2, Proto: netsim.ProtoTCP}
 
-	if st.Len() != 0 || len(st.All()) != 0 {
-		t.Fatalf("Len = %d, All = %d", st.Len(), len(st.All()))
+	if st.Len() != 0 || len(snapshot(t, st)) != 0 {
+		t.Fatalf("Len = %d, snapshot = %d", st.Len(), len(snapshot(t, st)))
 	}
 	if got := st.BySwitch(10); got != nil {
 		t.Fatalf("BySwitch = %+v", got)

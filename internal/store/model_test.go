@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -111,14 +112,16 @@ func modelScript(t *testing.T, st *RecordStore, seed int64, steps int, check fun
 // TestStoreMatchesModel is the oracle for the one-index store: after every
 // step of a random script, with memos left behind by the previous steps'
 // queries, the windowed scan equals the brute-force (EpochsAt + Overlaps)
-// filter over All(), and both the EveryEpoch scan and BySwitch equal the
-// brute-force membership (Record.Traverses), all in flow-key order.
+// filter over every record, and both the EveryEpoch scan and BySwitch equal
+// the brute-force membership (Record.Traverses), all in flow-key order. The
+// script leaves records both live and encoded, so records are compared by
+// value: their encodings.
 func TestStoreMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		st := New()
 		qrng := rand.New(rand.NewSource(seed + 1000))
 		modelScript(t, st, seed, 1500, func(step int) {
-			all := st.All()
+			all := snapshot(t, st)
 			for n := 0; n < 3; n++ {
 				sw := modelSwitches[qrng.Intn(len(modelSwitches))]
 				lo := simtime.Epoch(step/4 + qrng.Intn(12) - 3)
@@ -134,18 +137,18 @@ func TestStoreMatchesModel(t *testing.T) {
 					}
 				}
 				var got []*flowrec.Record
-				st.QueryWindow(sw, window, func(r *flowrec.Record) { got = append(got, r) })
+				st.QueryWindow(sw, window, func(r *flowrec.Record) { got = append(got, r.Clone()) })
 				flowrec.SortRecords(got)
-				if !slices.Equal(got, wantWindow) {
+				if !sameRecords(got, wantWindow) {
 					t.Fatalf("seed %d step %d: QueryWindow(%d, %v) = %v, want %v", seed, step, sw, window, got, wantWindow)
 				}
 				got = got[:0]
-				st.QueryWindow(sw, EveryEpoch, func(r *flowrec.Record) { got = append(got, r) })
+				st.QueryWindow(sw, EveryEpoch, func(r *flowrec.Record) { got = append(got, r.Clone()) })
 				flowrec.SortRecords(got)
-				if !slices.Equal(got, wantMembers) {
+				if !sameRecords(got, wantMembers) {
 					t.Fatalf("seed %d step %d: QueryWindow(%d, EveryEpoch) = %v, want %v", seed, step, sw, got, wantMembers)
 				}
-				if got := st.BySwitch(sw); !slices.Equal(got, wantMembers) {
+				if got := st.BySwitch(sw); !sameRecords(got, wantMembers) {
 					t.Fatalf("seed %d step %d: BySwitch(%d) = %v, want %v", seed, step, sw, got, wantMembers)
 				}
 			}
@@ -154,6 +157,14 @@ func TestStoreMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d: the script never evicted", seed)
 		}
 	}
+}
+
+// sameRecords reports whether a and b hold equal records in the same order:
+// equal encodings.
+func sameRecords(a, b []*flowrec.Record) bool {
+	return slices.EqualFunc(a, b, func(x, y *flowrec.Record) bool {
+		return bytes.Equal(flowrec.AppendRecord(nil, x), flowrec.AppendRecord(nil, y))
+	})
 }
 
 // TestInvalidationEventsPinned checks "same invalidation events" instead of

@@ -63,16 +63,18 @@ type ColdReader interface {
 
 // ColdView is one consistent snapshot of a cold store's segments. Indexes
 // are positions within THIS view (they survive concurrent rewrites of the
-// underlying log). Manifest returns a read-only pointer. ReadSegment decodes
-// segment i, calls fn for each record keep admits (nil: all; see package
-// flowrec), in order and owned by the caller, and returns the segment's full
-// record count, admitted or not; on an error, wrapping ErrTiered when the
-// payload was tiered out, fn is never called. Close releases the view — the
-// view and any manifest pointers obtained from it must not be used afterwards.
+// underlying log). Manifest returns a read-only pointer. ReadSegment
+// validates segment i, then calls fn, in order, for each record keep admits
+// (nil: all; see package flowrec) with the record — a scratch holding every
+// field but EpochBytes — and its encoding, both valid only during the call
+// (flowrec.ScanSegment). It returns the segment's full record count,
+// admitted or not; on an error, wrapping ErrTiered when the payload was
+// tiered out, fn is never called. Close releases the view — the view and any
+// manifest pointers obtained from it must not be used afterwards.
 type ColdView interface {
 	Len() int
 	Manifest(i int) *SegmentManifest
-	ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record)) (records int, err error)
+	ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(rec *flowrec.Record, enc []byte)) (records int, err error)
 	Close()
 }
 
@@ -123,19 +125,24 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 		cutoff := now - simtime.Time(cfg.HotEpochs)*cfg.Alpha
 		for i := range st.shards {
 			sh := &st.shards[i]
+			t := sh.tab.Load()
+			if t == nil {
+				continue
+			}
 			sh.mu.Lock()
-			var cold []*flowrec.Record
-			for _, s := range sh.recs {
-				if s.rec.LastSeen < cutoff {
-					cold = append(cold, s.rec)
+			var cold []int32
+			var sc scratch
+			for j, s := range t.slots {
+				if s.path != freeSlot && t.record(int32(j), &sc).LastSeen < cutoff {
+					cold = append(cold, int32(j))
 				}
 			}
-			// Remove after collection so the map is not mutated mid-range.
-			for _, r := range cold {
-				st.removeLocked(sh, r)
+			sc.release()
+			// Remove after collection: a removal may compact the arena.
+			for _, j := range cold {
+				victims = append(victims, st.removeLocked(t, j))
 			}
 			sh.mu.Unlock()
-			victims = append(victims, cold...)
 		}
 	}
 
@@ -149,11 +156,20 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 			var all []coldKey
 			for i := range st.shards {
 				sh := &st.shards[i]
+				t := sh.tab.Load()
+				if t == nil {
+					continue
+				}
+				var sc scratch
 				sh.mu.RLock()
-				for k, s := range sh.recs {
-					all = append(all, coldKey{flow: k, last: s.rec.LastSeen})
+				for j, s := range t.slots {
+					if s.path != freeSlot {
+						r := t.record(int32(j), &sc)
+						all = append(all, coldKey{flow: r.Flow, last: r.LastSeen})
+					}
 				}
 				sh.mu.RUnlock()
+				sc.release()
 			}
 			sort.Slice(all, func(i, j int) bool {
 				if all[i].last != all[j].last {
@@ -166,13 +182,18 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 			}
 			for _, c := range all[:surplus] {
 				sh := st.shardOf(c.flow)
+				t := sh.tab.Load()
 				sh.mu.Lock()
 				// Re-check LastSeen under the write lock: a record that
 				// absorbed traffic since the snapshot is no longer the
 				// coldest and must survive this sweep.
-				if s, live := sh.recs[c.flow]; live && s.rec.LastSeen == c.last {
-					st.removeLocked(sh, s.rec)
-					victims = append(victims, s.rec)
+				if j := t.find(c.flow); j >= 0 {
+					var sc scratch
+					last := t.record(j, &sc).LastSeen
+					sc.release()
+					if last == c.last {
+						victims = append(victims, st.removeLocked(t, j))
+					}
 				}
 				sh.mu.Unlock()
 			}
@@ -188,7 +209,7 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 		return len(victims), nil
 	}
 	// Write out in deterministic cold-first order. The victims are no longer
-	// reachable from the store, so encoding the live pointers is race-free.
+	// reachable from the store, so encoding the records is race-free.
 	// Each sweep writes one self-delimiting segment — the same bytes to
 	// either sink — so any segment decodes independently with DecodeSegment.
 	sort.Slice(victims, func(i, j int) bool {
@@ -216,11 +237,18 @@ func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 	return len(victims), nil
 }
 
-// removeLocked evicts one record from its (write-locked) shard: the record
-// map and the memoized answer of every switch on its indexed path.
-func (st *RecordStore) removeLocked(sh *shard, r *flowrec.Record) {
-	for _, sw := range sh.pathOf(sh.recs[r.Flow]) {
-		st.invalidate(sh, sw)
+// removeLocked evicts the record in slot i of its (write-locked) shard —
+// its slot and the memoized answer of every switch on its indexed path —
+// and returns it: the live record, or its encoding decoded afresh.
+func (st *RecordStore) removeLocked(t *table, i int32) *flowrec.Record {
+	s := t.slots[i]
+	r := s.rec
+	if r == nil {
+		r = decodeStored(t.arena.get(s.off))
 	}
-	delete(sh.recs, r.Flow)
+	for _, sw := range t.pathOf(s) {
+		st.invalidate(t, sw)
+	}
+	t.remove(i, r.Flow)
+	return r
 }

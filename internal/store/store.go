@@ -3,20 +3,31 @@
 // deployment flushes records to (§6).
 //
 // It keeps records in memory sharded by flow-key hash behind one index: a
-// shard's record map, whose entries name the record and the (interned) path
-// it was last filed under. Which records traverse a switch is not stored per
-// record; it is a memo built by walking the shard the first time somebody
-// asks, kept until a record joins or leaves that switch, and carrying each
-// record's epoch range there so a (switch, epoch window) query reads ranges
-// sequentially and touches only what it returns. What leaves memory
-// (evictions to cold segments, snapshot frames) is written as flowrec
-// segments (segment.go) for the "flushed to local storage" behaviour.
+// shard's slots, each naming a record and the (interned) path it was last
+// filed under, found through a map once the shard outgrows a few records. A
+// slot holds its record in one of two states. Live records are the
+// *flowrec.Record the packet path absorbs into. Encoded records — everything
+// Put installs, which the host did not absorb itself — are the bytes
+// flowrec.AppendRecord gives, kept in a per-shard arena (arena.go): the same
+// form a segment carries on disk and on the wire, at about a sixth of a live
+// record's memory. An encoded record turns live, once, when the packet path
+// Acquires it. Query callbacks read an encoded record through a scratch
+// decode valid only during the call, and answers that leave the host as
+// bytes copy an encoded record's bytes without decoding them.
 //
-// Shards are lazy: New is one allocation, and a shard's maps are created
-// under the lock that first writes them.
+// Which records traverse a switch is not stored per record; it is a memo
+// built by walking the shard the first time somebody asks, kept until a
+// record joins or leaves that switch, and carrying each record's epoch range
+// there so a (switch, epoch window) query reads ranges sequentially and
+// touches only what it returns. What leaves memory (evictions to cold
+// segments, snapshot frames) is written as flowrec segments (segment.go) for
+// the "flushed to local storage" behaviour.
+//
+// Shards are lazy: New is one allocation, and a shard's table is created
+// under the lock that first writes it.
 // Most of a testbed's stores never hold a record — only receivers absorb —
 // and a host with one flow touches one shard of sixteen; every read path
-// answers from nil maps without building anything.
+// answers from an unbuilt shard without building anything.
 package store
 
 import (
@@ -36,42 +47,74 @@ import (
 // per store.
 const numShards = 16
 
-// slot is a shard's whole per-record state: the record, and the path it was
-// last indexed under as 1 + its position in shard.paths (0: none, or empty).
+// smallShard is how many slots a shard scans before it keeps an index map:
+// most stores hold a record or two per shard, and a map costs them two
+// allocations and a few hundred bytes.
+const smallShard = 8
+
+// slot is a shard's whole per-record state: the record — live in rec, or
+// encoded at off in the shard's arena when rec is nil — and the path it was
+// last indexed under as 1 + its position in shard.paths (0: none, or empty;
+// freeSlot: the slot holds no record).
 type slot struct {
 	rec  *flowrec.Record
+	off  uint32
 	path int32
 }
 
-// memo is one shard's answer for one switch: the records whose indexed path
-// visits it, flow-key-sorted, and at[i] = recs[i]'s epoch range there. recs
-// never changes once built (a membership change drops the whole memo, so
-// refresh can binary-search it); at is rewritten in place under mu
-// write-locked (refresh). Both are read under mu.
+const freeSlot = -1
+
+// memo is one shard's answer for one switch: the slots whose indexed path
+// visits it, in their records' flow-key order, and at[i] = that record's
+// epoch range there. slots never changes once built (a membership change
+// drops the whole memo, so refresh can binary-search it); at is rewritten in
+// place under mu write-locked (refresh). Both are read under mu. A slot turning
+// from encoded to live keeps its number, so it touches no memo.
 type memo struct {
-	recs []*flowrec.Record
-	at   []simtime.EpochRange
+	slots []int32
+	at    []simtime.EpochRange
 }
 
-// shard owns one slice of the flow-key space. Its maps stay nil until the
-// first write (ensure, memo).
+// shard owns one slice of the flow-key space: a lock, and the table of its
+// records from the first write on. A testbed builds one store per host and
+// most hold a record or two, so everything else waits behind the pointer.
 type shard struct {
-	// mu guards recs, paths and every memo's at: write-locked by mutations
-	// (Acquire/Release, Put, eviction), read-locked by queries. paths
-	// interns the distinct indexed paths; it only grows, to the few dozen
-	// routes the topology has to this host.
-	mu    sync.RWMutex
-	recs  map[netsim.FlowKey]slot
+	// mu guards the table's contents but memoMu and memos: write-locked by
+	// mutations (Acquire/Release, Put, eviction), read-locked by queries.
+	mu sync.RWMutex
+	// tab is set once, by the first write, under mu write-locked; a scan
+	// loads it to pass over a never-written shard without locking it.
+	tab atomic.Pointer[table]
+}
+
+// table is a written shard's records. index maps a flow to its slot once the
+// table outgrows smallShard (a smaller one scans slots); free lists the
+// slots eviction emptied. paths interns the distinct indexed paths; it only
+// grows, to the few dozen routes the topology has to this host.
+type table struct {
+	index map[netsim.FlowKey]int32
+	slots []slot
+	free  []int32
 	paths [][]netsim.NodeID
-	// built is set once recs exists, so a scan can pass over a never-written
-	// shard without locking it.
-	built atomic.Bool
+	arena arena
 
 	// memoMu serializes the readers of one shard building memos into
-	// memos. It is a leaf lock, taken under mu; a writer, holding mu
-	// write-locked, excludes every reader and touches memos without it.
+	// memos. It is a leaf lock, taken under the shard's mu; a writer,
+	// holding mu write-locked, excludes every reader and touches memos
+	// without it.
 	memoMu sync.Mutex
 	memos  map[netsim.NodeID]memo
+}
+
+// table returns the shard's table, building it on the first write. sh.mu is
+// write-locked.
+func (sh *shard) table() *table {
+	t := sh.tab.Load()
+	if t == nil {
+		t = new(table)
+		sh.tab.Store(t)
+	}
+	return t
 }
 
 // RecordStore indexes flow records by flow key and answers by traversed
@@ -79,34 +122,42 @@ type shard struct {
 //
 // Records are sharded by flow-key hash with per-shard locks, so one store
 // serves many concurrent queries. Its one read primitive by switch is
-// QueryWindow, which scans the shards' memos and their inline epoch ranges
-// shard by shard.
+// QueryWindow (QueryWindowEncoded for an answer that leaves as bytes), which
+// scans the shards' memos and their inline epoch ranges shard by shard.
+//
+// # Two slot states
+//
+// A record is either live — a *flowrec.Record the packet path mutates — or
+// encoded: the bytes flowrec.AppendRecord gives, in its shard's arena, about
+// a sixth of a live record's memory. Put encodes and keeps nothing of the
+// record it is given. Acquire turns an encoded record live, once, and it
+// stays live. Neither change moves the record in any memo, so neither counts
+// as an invalidation.
 //
 // # Concurrency contract
 //
-// Queries (QueryWindow, View, Lookup, All, Len, SnapshotShards) are safe to
-// call concurrently with each other AND with mutations: each takes the
-// affected shards' read locks. The analyzer may fan any number of concurrent
-// queries at one store and the HTTP binding may serve requests while the
-// owning host is still absorbing packets.
+// Queries (QueryWindow, QueryWindowEncoded, View, AppendEncoded, Lookup, Len,
+// SnapshotShards) are safe to call concurrently with each other AND with
+// mutations: each takes the affected shards' read locks. The analyzer may
+// fan any number of concurrent queries at one store and the HTTP binding may
+// serve requests while the owning host is still absorbing packets.
 //
 // Mutators take one shard's write lock. The packet hot path uses the
 // Acquire/Release pair, which holds the flow's shard write-locked across
 // the record mutation so concurrent queries never observe a half-absorbed
 // record; Put installs a record absorbed elsewhere.
 //
-// Whoever changes a resident record's Path or Epochs owes the store a
-// Release or Put: that re-files the record and refreshes the epoch ranges
-// the memos carry. Release skips it only when Record.Absorb vouches that
-// nothing indexable changed. Lock order: shard mu, then the shard's memoMu
-// (a leaf).
+// Whoever changes a live record's Path or Epochs owes the store a Release:
+// that re-files the record and refreshes the epoch ranges the memos carry.
+// Release skips it only when Record.Absorb vouches that nothing indexable
+// changed. Lock order: shard mu, then the shard's memoMu (a leaf).
 //
-// Records handed out by query APIs are read-only: QueryWindow and View hold
-// the record's shard read-locked during the callback, which is the only
-// race-free way to read fields of a record that is still absorbing packets.
-// All returns the shared record pointers for sim-thread/serialization use;
-// callers reading them concurrently with absorption must go through the
-// callback APIs instead.
+// Records handed to QueryWindow and View callbacks are read-only and valid
+// only during the call: a live record is the store's own, read under its
+// shard's read lock (the only race-free way to read a record that is still
+// absorbing packets); an encoded one is decoded into a scratch record that
+// the next callback reuses. Copy what must outlive the call. Lookup, BySwitch
+// and SnapshotShards return fresh records the caller owns.
 type RecordStore struct {
 	shards [numShards]shard
 
@@ -131,15 +182,6 @@ func New() *RecordStore {
 	return &RecordStore{}
 }
 
-// ensure builds the shard's record map ahead of its first write. Called
-// with sh.mu write-locked.
-func (sh *shard) ensure() {
-	if sh.recs == nil {
-		sh.recs = make(map[netsim.FlowKey]slot)
-		sh.built.Store(true)
-	}
-}
-
 // shardOf hashes a flow key to its shard. The mix only spreads flows across
 // shards: every caller that needs an order sorts by flow key, so it never
 // influences an answer.
@@ -160,56 +202,238 @@ func (st *RecordStore) Len() int {
 	n := 0
 	for i := range st.shards {
 		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.recs)
-		sh.mu.RUnlock()
+		if t := sh.tab.Load(); t != nil {
+			sh.mu.RLock()
+			n += len(t.slots) - len(t.free)
+			sh.mu.RUnlock()
+		}
 	}
 	return n
 }
 
-// getLocked must stay small enough to inline: hashing a copy of flow freshly
-// spilled for a call stalls on store forwarding, ≈ 20 ns per packet.
-func getLocked(sh *shard, flow netsim.FlowKey) *flowrec.Record {
-	s, ok := sh.recs[flow]
-	if !ok {
-		sh.ensure()
-		s.rec = flowrec.New(flow)
-		sh.recs[flow] = s
+// flowOf returns the flow key of the record in slot i.
+func (t *table) flowOf(i int32) netsim.FlowKey {
+	if s := &t.slots[i]; s.rec != nil {
+		return s.rec.Flow
+	}
+	return flowrec.FlowOf(t.arena.get(t.slots[i].off))
+}
+
+// find returns flow's slot, or -1. Called with the shard's mu held.
+func (t *table) find(flow netsim.FlowKey) int32 {
+	if t.index != nil {
+		if i, ok := t.index[flow]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range t.slots {
+		if s := &t.slots[i]; s.rec != nil && s.rec.Flow == flow ||
+			s.rec == nil && s.path != freeSlot && flowrec.FlowOf(t.arena.get(s.off)) == flow {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// insert files s, the record of flow, in a free slot or a new one and
+// returns its number; a table outgrowing smallShard gets its index here.
+// The shard's mu is write-locked.
+func (t *table) insert(flow netsim.FlowKey, s slot) int32 {
+	var i int32
+	if n := len(t.free); n > 0 {
+		i, t.free = t.free[n-1], t.free[:n-1]
+		t.slots[i] = s
+	} else {
+		i = int32(len(t.slots))
+		t.slots = append(t.slots, s)
+	}
+	if t.index != nil {
+		t.index[flow] = i
+	} else if len(t.slots) > smallShard {
+		t.index = make(map[netsim.FlowKey]int32, len(t.slots))
+		for j := range t.slots {
+			if t.slots[j].path != freeSlot {
+				t.index[t.flowOf(int32(j))] = int32(j)
+			}
+		}
+	}
+	return i
+}
+
+// remove empties slot i, the record of flow. The shard's mu is
+// write-locked.
+func (t *table) remove(i int32, flow netsim.FlowKey) {
+	if s := &t.slots[i]; s.rec == nil {
+		t.arena.drop(s.off)
+	}
+	t.slots[i] = slot{path: freeSlot}
+	t.free = append(t.free, i)
+	if t.index != nil {
+		delete(t.index, flow)
+	}
+	t.compact()
+}
+
+// compact copies the table's encoded records into fresh storage once half
+// of it is dead. Offsets change; slot numbers, and so memos, do not. The
+// shard's mu is write-locked.
+func (t *table) compact() {
+	if !t.arena.halfDead() {
+		return
+	}
+	old := t.arena
+	t.arena = arena{}
+	for i := range t.slots {
+		if s := &t.slots[i]; s.rec == nil && s.path != freeSlot {
+			s.off = t.arena.add(old.get(s.off))
+		}
+	}
+}
+
+// record returns slot i's record: the live one, or its encoding decoded
+// into sc. Called with the shard's mu held.
+func (t *table) record(i int32, sc *scratch) *flowrec.Record {
+	if s := &t.slots[i]; s.rec != nil {
+		return s.rec
+	}
+	return sc.decode(t.arena.get(t.slots[i].off))
+}
+
+// appendEncoding appends slot i's encoding to dst: its stored bytes, or the
+// live record encoded. Called with the shard's mu held.
+func (t *table) appendEncoding(dst []byte, i int32) []byte {
+	if s := &t.slots[i]; s.rec != nil {
+		return flowrec.AppendRecord(dst, s.rec)
+	}
+	return append(dst, t.arena.get(t.slots[i].off)...)
+}
+
+// scratch lends a pooled flowrec.Scratch to one query, taken on the first
+// encoded record it reads.
+type scratch struct{ sc *flowrec.Scratch }
+
+var scratchPool = sync.Pool{New: func() any { return new(flowrec.Scratch) }}
+
+func (s *scratch) decode(enc []byte) *flowrec.Record {
+	if s.sc == nil {
+		s.sc = scratchPool.Get().(*flowrec.Scratch)
+	}
+	r, err := s.sc.Decode(enc)
+	if err != nil {
+		panic(corrupt(err))
+	}
+	return r
+}
+
+func (s *scratch) release() {
+	if s.sc != nil {
+		scratchPool.Put(s.sc)
+		s.sc = nil
+	}
+}
+
+// decodeStored decodes bytes the store wrote itself into a fresh record.
+func decodeStored(enc []byte) *flowrec.Record {
+	r, err := flowrec.DecodeRecord(enc)
+	if err != nil {
+		panic(corrupt(err))
+	}
+	return r
+}
+
+// corrupt is the panic value for stored bytes that do not decode: the arena
+// holds only what AppendRecord wrote, so it means memory corruption.
+func corrupt(err error) string { return "store: corrupt arena: " + err.Error() }
+
+// getLocked returns flow's live record from an indexed table, or nil:
+// liveRecord takes every other case. It must stay small enough to inline:
+// hashing a copy of flow freshly spilled for a call stalls on store
+// forwarding, ≈ 20 ns per packet.
+func getLocked(t *table, flow netsim.FlowKey) *flowrec.Record {
+	if t != nil {
+		if i, ok := t.index[flow]; ok {
+			return t.slots[i].rec
+		}
+	}
+	return nil
+}
+
+// liveRecord is getLocked's miss: flow's record in a shard without an
+// index, an encoded record turned live — its one decode, after which the
+// absorb path owns it — or a new record. The shard's mu is write-locked.
+func (t *table) liveRecord(flow netsim.FlowKey) *flowrec.Record {
+	i := t.find(flow)
+	if i < 0 {
+		i = t.insert(flow, slot{rec: flowrec.New(flow)})
+	}
+	s := &t.slots[i]
+	if s.rec == nil {
+		r := decodeStored(t.arena.get(s.off))
+		t.arena.drop(s.off)
+		s.rec, s.off = r, 0
+		t.compact()
 	}
 	return s.rec
 }
 
-// Lookup returns the record for a flow without creating it.
+// Lookup returns a copy of the record for a flow, taken under its shard's
+// read lock, without creating it.
 func (st *RecordStore) Lookup(flow netsim.FlowKey) (*flowrec.Record, bool) {
-	sh := st.shardOf(flow)
-	sh.mu.RLock()
-	s, ok := sh.recs[flow]
-	sh.mu.RUnlock()
-	return s.rec, ok
+	enc, ok := st.AppendEncoded(nil, flow)
+	if !ok {
+		return nil, false
+	}
+	return decodeStored(enc), true
 }
 
 // View runs fn on the record for flow (if present) with the record's shard
 // read-locked, so fn may read record fields concurrently with absorption
-// into the store. It reports whether the record existed. fn must not call
-// back into the store.
+// into the store. The record is valid only during the call (see
+// RecordStore). It reports whether the record existed. fn must not call back
+// into the store.
 func (st *RecordStore) View(flow netsim.FlowKey, fn func(*flowrec.Record)) bool {
 	sh := st.shardOf(flow)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s, ok := sh.recs[flow]
-	if !ok {
+	t := sh.tab.Load()
+	if t == nil {
 		return false
 	}
-	fn(s.rec)
+	var sc scratch
+	defer sc.release()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	i := t.find(flow)
+	if i < 0 {
+		return false
+	}
+	fn(t.record(i, &sc))
 	return true
 }
 
-// Acquire returns the record for a flow — created if absent — with its
-// shard write-locked for mutation. Every Acquire must be paired with a
-// Release of the same record, which reindexes it and unlocks the shard.
-// The pair is the packet-absorption hot path: it performs zero heap
-// allocations at steady state and makes the mutation atomic with respect
-// to concurrent queries.
+// AppendEncoded appends the encoding of flow's record (as
+// flowrec.AppendRecord writes it) to dst, copied or encoded under the
+// record's shard read lock, and reports whether the record existed.
+func (st *RecordStore) AppendEncoded(dst []byte, flow netsim.FlowKey) ([]byte, bool) {
+	sh := st.shardOf(flow)
+	t := sh.tab.Load()
+	if t == nil {
+		return dst, false
+	}
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	i := t.find(flow)
+	if i < 0 {
+		return dst, false
+	}
+	return t.appendEncoding(dst, i), true
+}
+
+// Acquire returns the record for a flow — created if absent, decoded once if
+// encoded — with its shard write-locked for mutation. Every Acquire must be
+// paired with a Release of the same record, which reindexes it and unlocks
+// the shard. The pair is the packet-absorption hot path: it performs zero
+// heap allocations at steady state and makes the mutation atomic with
+// respect to concurrent queries.
 func (st *RecordStore) Acquire(flow netsim.FlowKey) *flowrec.Record {
 	sh := st.shardOf(flow)
 	st.acquires.Add(1)
@@ -217,7 +441,10 @@ func (st *RecordStore) Acquire(flow netsim.FlowKey) *flowrec.Record {
 		st.contended.Add(1)
 		sh.mu.Lock()
 	}
-	r := getLocked(sh, flow)
+	r := getLocked(sh.tab.Load(), flow)
+	if r == nil {
+		r = sh.table().liveRecord(flow)
+	}
 	r.TakeSteady() // only an Absorb inside this Acquire/Release may vouch
 	return r
 }
@@ -238,11 +465,12 @@ func (st *RecordStore) Generations() uint64 {
 
 // Release unlocks the shard of a record obtained from Acquire, reindexing it
 // first unless its Absorb vouched that neither path nor epochs moved — the
-// per-packet steady state, which then costs no map lookup.
+// per-packet steady state, which then costs no lookup.
 func (st *RecordStore) Release(r *flowrec.Record) {
 	sh := st.shardOf(r.Flow)
 	if !r.TakeSteady() {
-		st.reindexLocked(sh, r)
+		t := sh.tab.Load()
+		st.reindexLocked(t, t.find(r.Flow), r)
 	}
 	sh.mu.Unlock()
 }
@@ -251,8 +479,7 @@ func (st *RecordStore) Release(r *flowrec.Record) {
 // lock and reindexes it — the state-sync ingestion primitive: snapshot
 // bootstrap and live ingest feeds install records that were absorbed
 // elsewhere, so there is no local record to Acquire and mutate. The store
-// takes ownership of rec; callers must pass a clone when they keep using
-// the record.
+// keeps rec's encoding, not rec: the caller keeps the record.
 //
 // Replacement is recency-guarded: a record strictly older than the
 // resident one (by LastSeen, then Pkts) is dropped, so the freshest
@@ -261,95 +488,105 @@ func (st *RecordStore) Release(r *flowrec.Record) {
 // clobbering the newer state. Equal-recency Puts replace, keeping
 // idempotent re-feeds honest. It reports whether rec was installed.
 func (st *RecordStore) Put(rec *flowrec.Record) bool {
+	var buf [256]byte // most records encode in fewer bytes
+	enc := flowrec.AppendRecord(buf[:0], rec)
 	sh := st.shardOf(rec.Flow)
 	sh.mu.Lock()
-	prev, replaced := sh.recs[rec.Flow]
-	if replaced && (prev.rec.LastSeen > rec.LastSeen ||
-		(prev.rec.LastSeen == rec.LastSeen && prev.rec.Pkts > rec.Pkts)) {
-		sh.mu.Unlock()
-		return false
-	}
+	defer sh.mu.Unlock()
+	t := sh.table()
+	i := t.find(rec.Flow)
+	replaced := i >= 0
 	if replaced {
-		// Wholesale replacement: the memoized per-switch answers hold the
-		// OLD record pointer, so every switch the flow touches — old path
-		// and new — must be invalidated even when the path is unchanged
-		// (reindexLocked invalidates nothing in that case and would leave
-		// stale memos serving the superseded record).
-		for _, sw := range sh.pathOf(prev) {
-			st.invalidate(sh, sw)
+		var sc scratch
+		prev := t.record(i, &sc)
+		stale := prev.LastSeen > rec.LastSeen || (prev.LastSeen == rec.LastSeen && prev.Pkts > rec.Pkts)
+		sc.release()
+		if stale {
+			return false
 		}
+		// Wholesale replacement: the record's bytes change, so every switch
+		// the flow touches — old path and new — must be invalidated even
+		// when the path is unchanged (reindexLocked invalidates nothing in
+		// that case and would leave stale epoch ranges in the memos).
+		s := &t.slots[i]
+		for _, sw := range t.pathOf(*s) {
+			st.invalidate(t, sw)
+		}
+		if s.rec == nil {
+			t.arena.drop(s.off)
+		}
+		s.rec, s.off = nil, t.arena.add(enc)
+	} else {
+		i = t.insert(rec.Flow, slot{off: t.arena.add(enc)})
 	}
-	sh.ensure()
-	rec.TakeSteady()
-	sh.recs[rec.Flow] = slot{rec: rec, path: prev.path}
-	st.reindexLocked(sh, rec)
+	st.reindexLocked(t, i, rec)
 	if replaced {
 		for _, sw := range rec.Path {
-			st.invalidate(sh, sw)
+			st.invalidate(t, sw)
 		}
 	}
-	sh.mu.Unlock()
+	t.compact()
 	return true
 }
 
 // pathOf returns the path s was last indexed under (nil before the first).
-func (sh *shard) pathOf(s slot) []netsim.NodeID {
-	if s.path == 0 {
+func (t *table) pathOf(s slot) []netsim.NodeID {
+	if s.path <= 0 {
 		return nil
 	}
-	return sh.paths[s.path-1]
+	return t.paths[s.path-1]
 }
 
 // intern returns path's slot value, adding it to the table when new.
-func (sh *shard) intern(path []netsim.NodeID) int32 {
+func (t *table) intern(path []netsim.NodeID) int32 {
 	if len(path) == 0 {
 		return 0
 	}
-	for i, p := range sh.paths {
+	for i, p := range t.paths {
 		if slices.Equal(p, path) {
 			return int32(i + 1)
 		}
 	}
-	sh.paths = append(sh.paths, slices.Clone(path))
-	return int32(len(sh.paths))
+	t.paths = append(t.paths, slices.Clone(path))
+	return int32(len(t.paths))
 }
 
-// reindexLocked re-files resident record r under its current path,
+// reindexLocked re-files the record in slot i, r, under its current path,
 // invalidating (shard, sw) for every switch that left or joined it (a
 // rerouted flow stops answering for its old path), and refreshes r's ranges
-// in the surviving memos. sh.mu is write-locked.
-func (st *RecordStore) reindexLocked(sh *shard, r *flowrec.Record) {
-	s := sh.recs[r.Flow]
-	if prev := sh.pathOf(s); !slices.Equal(prev, r.Path) {
+// in the surviving memos. The shard's mu is write-locked.
+func (st *RecordStore) reindexLocked(t *table, i int32, r *flowrec.Record) {
+	s := &t.slots[i]
+	if prev := t.pathOf(*s); !slices.Equal(prev, r.Path) {
 		for _, sw := range prev {
 			if !slices.Contains(r.Path, sw) {
-				st.invalidate(sh, sw)
+				st.invalidate(t, sw)
 			}
 		}
 		for i, sw := range r.Path {
 			if !slices.Contains(prev, sw) && !slices.Contains(r.Path[:i], sw) {
-				st.invalidate(sh, sw)
+				st.invalidate(t, sw)
 			}
 		}
-		s.path = sh.intern(r.Path)
-		sh.recs[r.Flow] = s
+		s.path = t.intern(r.Path)
 	}
-	sh.refresh(r)
+	t.refresh(r)
 }
 
 // refresh rewrites r's epoch range in every memo that lists it: widening is
-// not a membership change, so nothing is invalidated. sh.mu is write-locked.
-func (sh *shard) refresh(r *flowrec.Record) {
-	if len(sh.memos) == 0 {
+// not a membership change, so nothing is invalidated. The shard's mu is
+// write-locked.
+func (t *table) refresh(r *flowrec.Record) {
+	if len(t.memos) == 0 {
 		return
 	}
 	for _, sw := range r.Path {
-		m, ok := sh.memos[sw]
+		m, ok := t.memos[sw]
 		if !ok {
 			continue
 		}
-		i, found := slices.BinarySearchFunc(m.recs, r.Flow, func(e *flowrec.Record, k netsim.FlowKey) int {
-			return flowrec.Compare(e.Flow, k)
+		i, found := slices.BinarySearchFunc(m.slots, r.Flow, func(s int32, k netsim.FlowKey) int {
+			return flowrec.Compare(t.flowOf(s), k)
 		})
 		if found {
 			m.at[i] = epochsAt(r, sw)
@@ -366,62 +603,84 @@ func epochsAt(r *flowrec.Record, sw netsim.NodeID) simtime.EpochRange {
 }
 
 // invalidate drops the shard's memo for sw and counts the event (see
-// Generations). Called with sh.mu write-locked.
-func (st *RecordStore) invalidate(sh *shard, sw netsim.NodeID) {
-	delete(sh.memos, sw)
+// Generations). Called with the shard's mu write-locked.
+func (st *RecordStore) invalidate(t *table, sw netsim.NodeID) {
+	delete(t.memos, sw)
 	st.invalidations.Add(1)
 }
 
 // memo returns the shard's memo for sw, building it on first use from the
 // records whose indexed path visits sw (none: the zero memo, uncached).
-// Called with sh.mu read- or write-locked.
-func (sh *shard) memo(sw netsim.NodeID) memo {
-	sh.memoMu.Lock()
-	defer sh.memoMu.Unlock()
-	if m, ok := sh.memos[sw]; ok {
+// Called with the shard's mu read- or write-locked.
+func (t *table) memo(sw netsim.NodeID) memo {
+	t.memoMu.Lock()
+	defer t.memoMu.Unlock()
+	if m, ok := t.memos[sw]; ok {
 		return m
 	}
-	visits := make([]bool, len(sh.paths)+1) // by slot.path
-	for i, p := range sh.paths {
+	return t.buildMemo(sw)
+}
+
+// buildMemo is memo's miss, apart so that a lookup keeps a small frame.
+// memoMu is held.
+func (t *table) buildMemo(sw netsim.NodeID) memo {
+	visits := make([]bool, len(t.paths)+1) // by slot.path
+	for i, p := range t.paths {
 		visits[i+1] = slices.Contains(p, sw)
 	}
 	if !slices.Contains(visits, true) {
 		return memo{}
 	}
-	// Count first: growing from nil leaves discarded copies of the slice.
-	n := 0
-	for _, s := range sh.recs {
-		if visits[s.path] {
-			n++
+	type member struct {
+		flow netsim.FlowKey
+		slot int32
+	}
+	var members []member
+	for i, s := range t.slots {
+		if s.path > 0 && visits[s.path] {
+			members = append(members, member{t.flowOf(int32(i)), int32(i)})
 		}
 	}
-	m := memo{recs: make([]*flowrec.Record, 0, n), at: make([]simtime.EpochRange, n)}
-	for _, s := range sh.recs {
-		if visits[s.path] {
-			m.recs = append(m.recs, s.rec)
-		}
+	slices.SortFunc(members, func(a, b member) int { return flowrec.Compare(a.flow, b.flow) })
+	m := memo{slots: make([]int32, len(members)), at: make([]simtime.EpochRange, len(members))}
+	var sc scratch
+	defer sc.release()
+	for j, e := range members {
+		m.slots[j] = e.slot
+		m.at[j] = epochsAt(t.record(e.slot, &sc), sw)
 	}
-	flowrec.SortRecords(m.recs)
-	for i, r := range m.recs {
-		m.at[i] = epochsAt(r, sw)
+	if t.memos == nil {
+		t.memos = make(map[netsim.NodeID]memo)
 	}
-	if sh.memos == nil {
-		sh.memos = make(map[netsim.NodeID]memo)
-	}
-	sh.memos[sw] = m
+	t.memos[sw] = m
 	return m
 }
 
-// BySwitch returns every record with an epoch range at sw (Record.Traverses),
-// in flow-key order: QueryWindow over EveryEpoch, sorted, uncached. No
-// production path calls it; it stays for tests and for the benchmark's
-// per-layer rungs until those read QueryWindow. The records are shared:
-// callers must treat them as read-only.
+// BySwitch returns fresh copies of every record with an epoch range at sw
+// (Record.Traverses), in flow-key order: QueryWindowEncoded over EveryEpoch,
+// decoded, uncached. No production path calls it; it stays for tests and
+// for the benchmark's per-layer rungs until those read QueryWindow.
 func (st *RecordStore) BySwitch(sw netsim.NodeID) []*flowrec.Record {
-	var out []*flowrec.Record
-	st.QueryWindow(sw, EveryEpoch, func(r *flowrec.Record) { out = append(out, r) })
-	flowrec.SortRecords(out)
-	return out
+	var encs [][]byte
+	st.QueryWindowEncoded(sw, EveryEpoch, nil, func(enc []byte) { encs = append(encs, enc) })
+	return decodeSorted(encs, nil)
+}
+
+// decodeSorted decodes encs, in flow-key order, into fresh records, keeping
+// those keep admits (nil: all); none gives nil.
+func decodeSorted(encs [][]byte, keep func(*flowrec.Record) bool) []*flowrec.Record {
+	if len(encs) == 0 {
+		return nil
+	}
+	flowrec.SortEncoded(encs)
+	seg, err := flowrec.SpliceSegment(nil, encs)
+	if err == nil {
+		var recs []*flowrec.Record
+		if recs, _, err = flowrec.DecodeSegment(seg, keep); err == nil {
+			return recs
+		}
+	}
+	panic(corrupt(err))
 }
 
 // QueryBySwitch calls fn for every record of BySwitch(sw), in its order,
@@ -444,40 +703,55 @@ func (st *RecordStore) QueryBySwitch(sw netsim.NodeID, fn func(*flowrec.Record) 
 // epoch range at sw overlaps window — the "(switchID, epochID) pair" filter
 // every diagnosis starts from. Per written shard (a never-written one is not
 // even locked) it takes the read lock once, reads the memo's ranges
-// sequentially and touches only the records it hands to fn. Safe concurrently
-// with absorption; fn runs under the shard read lock and must not call back
-// into the store. Records arrive shard by shard, flow-key-sorted within one:
-// a caller that wants the global order sorts its (answer-sized) result.
+// sequentially and touches only the records it hands to fn, which are valid
+// only during the call (see RecordStore). Safe concurrently with absorption;
+// fn runs under the shard read lock and must not call back into the store.
+// Records arrive shard by shard, flow-key-sorted within one: a caller that
+// wants the global order sorts its (answer-sized) result.
 func (st *RecordStore) QueryWindow(sw netsim.NodeID, window simtime.EpochRange, fn func(*flowrec.Record)) {
+	var sc scratch
+	defer sc.release()
+	st.window(sw, window, func(t *table, i int32) { fn(t.record(i, &sc)) })
+}
+
+// QueryWindowEncoded is QueryWindow handing fn each record's encoding (as
+// flowrec.AppendRecord writes it) instead of the record: an encoded record's
+// stored bytes, or a live record encoded onto buf under its shard read lock.
+// Either stays valid and unchanged after the call — the store never
+// overwrites stored bytes, and buf is only appended to — so an answer can
+// collect encodings across shards and splice them once. It returns buf.
+func (st *RecordStore) QueryWindowEncoded(sw netsim.NodeID, window simtime.EpochRange, buf []byte, fn func(enc []byte)) []byte {
+	st.window(sw, window, func(t *table, i int32) {
+		if s := &t.slots[i]; s.rec == nil {
+			fn(t.arena.get(s.off))
+			return
+		}
+		start := len(buf)
+		buf = t.appendEncoding(buf, i)
+		fn(buf[start:len(buf):len(buf)])
+	})
+	return buf
+}
+
+// window is the scan behind QueryWindow and QueryWindowEncoded: visit runs
+// under the shard read lock for every slot of sw's memos whose range overlaps
+// window.
+func (st *RecordStore) window(sw netsim.NodeID, window simtime.EpochRange, visit func(t *table, i int32)) {
 	for i := range st.shards {
 		sh := &st.shards[i]
-		if !sh.built.Load() {
+		t := sh.tab.Load()
+		if t == nil {
 			continue
 		}
 		sh.mu.RLock()
-		m := sh.memo(sw)
+		m := t.memo(sw)
 		for j, at := range m.at {
 			if at.Overlaps(window) {
-				fn(m.recs[j])
+				visit(t, m.slots[j])
 			}
 		}
 		sh.mu.RUnlock()
 	}
-}
-
-// All returns every record in deterministic order.
-func (st *RecordStore) All() []*flowrec.Record {
-	var out []*flowrec.Record
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.recs {
-			out = append(out, s.rec)
-		}
-		sh.mu.RUnlock()
-	}
-	flowrec.SortRecords(out)
-	return out
 }
 
 // MatchesEpochs reports whether a record is addressed by the given epoch
@@ -499,30 +773,43 @@ func MatchesEpochs(rec *flowrec.Record, epochs simtime.EpochRange) bool {
 // snapshot pull without an explicit window uses.
 var EveryEpoch = simtime.EpochRange{Lo: simtime.Epoch(-1 << 62), Hi: simtime.Epoch(1 << 62)}
 
-// SnapshotShards calls fn once per non-empty shard with record clones
-// matching the epoch window, in shard order. The clones are taken with only
-// that shard's read lock held, and fn runs with no locks held at all — so a
-// caller streaming a large store over the network (the state-sync snapshot
-// path) never stalls packet absorption: at most one shard is briefly
-// read-locked while the other fifteen keep absorbing and answering queries.
-// The per-shard record slices are flow-key-sorted, so a concatenation of the
-// shard segments is deterministic up to shard hashing (which is fixed).
-// fn returning an error aborts the walk.
+// SnapshotShards calls fn once per non-empty shard with fresh records
+// matching the epoch window, in shard order. Their encodings are taken with
+// only that shard's read lock held, and they are decoded and fn runs with no
+// locks held at all — so a caller streaming a large store over the network
+// (the state-sync snapshot path) never stalls packet absorption: at most one
+// shard is briefly read-locked while the other fifteen keep absorbing and
+// answering queries. The per-shard record slices are flow-key-sorted, so a
+// concatenation of the shard segments is deterministic up to shard hashing
+// (which is fixed). fn returning an error aborts the walk.
 func (st *RecordStore) SnapshotShards(epochs simtime.EpochRange, fn func(recs []*flowrec.Record) error) error {
+	var keep func(*flowrec.Record) bool
+	if epochs != EveryEpoch {
+		keep = func(r *flowrec.Record) bool { return MatchesEpochs(r, epochs) }
+	}
+	var encs [][]byte
+	var buf []byte
 	for i := range st.shards {
 		sh := &st.shards[i]
-		var recs []*flowrec.Record
+		t := sh.tab.Load()
+		if t == nil {
+			continue
+		}
+		encs, buf = encs[:0], buf[:0]
 		sh.mu.RLock()
-		for _, s := range sh.recs {
-			if MatchesEpochs(s.rec, epochs) {
-				recs = append(recs, s.rec.Clone())
+		for j, s := range t.slots {
+			if s.path == freeSlot {
+				continue
 			}
+			start := len(buf)
+			buf = t.appendEncoding(buf, int32(j))
+			encs = append(encs, buf[start:len(buf):len(buf)])
 		}
 		sh.mu.RUnlock()
+		recs := decodeSorted(encs, keep)
 		if len(recs) == 0 {
 			continue
 		}
-		flowrec.SortRecords(recs)
 		if err := fn(recs); err != nil {
 			return err
 		}

@@ -23,6 +23,56 @@ func addRecord(st *RecordStore, src, dst netsim.IPv4, path []netsim.NodeID, byte
 	return rec
 }
 
+const budgetRecords = 20_000
+
+// budgetRecord is record i of a diag-heavy-shaped resident set: five hops,
+// one of 24 routes, every route ending in switches 100 and 101.
+func budgetRecord(i int) *flowrec.Record {
+	r := flowrec.New(netsim.FlowKey{Src: netsim.IPv4(1 + i%24), Dst: 99,
+		SrcPort: uint16(i), DstPort: uint16(9000 + i>>16), Proto: netsim.ProtoUDP})
+	r.Path = []netsim.NodeID{netsim.NodeID(1 + i%6), netsim.NodeID(10 + i%4), netsim.NodeID(20 + i%24/6), 100, 101}
+	for range r.Path {
+		r.Epochs = append(r.Epochs, simtime.EpochRange{Lo: simtime.Epoch(1000 + i), Hi: simtime.Epoch(1001 + i)})
+	}
+	r.Pkts, r.Bytes, r.LastSeen = 1, 1500, simtime.Time(i)
+	return r
+}
+
+// TestEncodingsOutliveCompaction: encodings QueryWindowEncoded handed out
+// stay valid and unchanged while Puts replace every record three times over
+// — each round leaves half the arena dead and compacts it — and the store
+// answers the newest versions.
+func TestEncodingsOutliveCompaction(t *testing.T) {
+	const n = 300
+	st := New()
+	for i := range n {
+		st.Put(budgetRecord(i))
+	}
+	var held, copies [][]byte
+	st.QueryWindowEncoded(100, EveryEpoch, nil, func(enc []byte) {
+		held, copies = append(held, enc), append(copies, bytes.Clone(enc))
+	})
+	for round := 1; round <= 3; round++ {
+		for i := range n {
+			r := budgetRecord(i)
+			r.Pkts += uint64(round)
+			st.Put(r)
+		}
+	}
+	if len(held) != n {
+		t.Fatalf("held %d encodings, want %d", len(held), n)
+	}
+	for i := range held {
+		if !bytes.Equal(held[i], copies[i]) {
+			t.Fatalf("encoding %d changed under the store's writes", i)
+		}
+	}
+	got := st.BySwitch(100)
+	if len(got) != n || got[0].Pkts != 4 || got[n-1].Pkts != 4 {
+		t.Fatalf("after three rounds of replacement: %d records, first with %d packets", len(got), got[0].Pkts)
+	}
+}
+
 // TestGetCreatesOnce: Acquire creates a flow's record once; a second
 // Acquire/Release of the same flow finds it.
 func TestGetCreatesOnce(t *testing.T) {
@@ -67,12 +117,23 @@ func TestBySwitchDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestAll(t *testing.T) {
+// snapshot collects every record through SnapshotShards, in flow-key order.
+func snapshot(t testing.TB, st *RecordStore) []*flowrec.Record {
+	t.Helper()
+	var all []*flowrec.Record
+	if err := st.SnapshotShards(EveryEpoch, func(recs []*flowrec.Record) error { all = append(all, recs...); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	flowrec.SortRecords(all)
+	return all
+}
+
+func TestSnapshotShardsHoldsEveryRecord(t *testing.T) {
 	st := New()
 	addRecord(st, 1, 2, []netsim.NodeID{1}, 10)
 	addRecord(st, 3, 4, []netsim.NodeID{2}, 20)
-	if len(st.All()) != 2 {
-		t.Fatalf("All = %d", len(st.All()))
+	if got := snapshot(t, st); len(got) != 2 || got[0].Bytes != 10 || got[1].Bytes != 20 {
+		t.Fatalf("snapshot = %v", got)
 	}
 }
 

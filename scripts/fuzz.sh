@@ -1,7 +1,8 @@
 #!/bin/sh
 # Fuzz leg: native fuzzing from the committed seed corpora (testdata/fuzz
 # beside each target): 10 s over the segment decoder, 5 s each over the
-# pointer snapshot and slot-list decoders and over the client's decode of a
+# splice that assembles a host answer from record encodings, the pointer
+# snapshot and slot-list decoders and the client's decode of a
 # /headers-batch answer (flowrec segments inside JSON). Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
 # input, a failed restore changes nothing — and whatever decodes must survive
@@ -11,6 +12,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 go test ./internal/store -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s
+go test ./internal/flowrec -run '^$' -fuzz FuzzSpliceSegment -fuzztime 5s
 go test ./internal/pointer -run '^$' -fuzz FuzzRestore -fuzztime 5s
 go test ./internal/pointer -run '^$' -fuzz FuzzDecodeSlots -fuzztime 5s
 go test ./internal/rpc -run '^$' -fuzz FuzzHeadersBatchAnswer -fuzztime 5s
