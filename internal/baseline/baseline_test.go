@@ -139,7 +139,11 @@ func TestSamplerBasics(t *testing.T) {
 func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
-	if err := st.SnapshotShards(store.EveryEpoch, func(recs []*flowrec.Record) error { all = append(all, recs...); return nil }); err != nil {
+	if err := st.SnapshotShards(store.EveryEpoch, func(seg []byte) error {
+		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		all = append(all, recs...)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	flowrec.SortRecords(all)

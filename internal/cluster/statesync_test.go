@@ -80,7 +80,7 @@ func TestBootstrapMidSimulationAndIngestCatchUp(t *testing.T) {
 	src.Run(30 * simtime.Millisecond)
 	for ip, srcAg := range src.HostAgents {
 		url := dstSrv.URL + "/hosts/" + ip.String() + "/ingest"
-		if _, err := statesync.FeedStore(context.Background(), nil, url, srcAg.Store, 4); err != nil {
+		if _, err := statesync.FeedStore(context.Background(), nil, url, srcAg.Store); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,11 @@ func TestSwitchBootstrapConcurrentWithPulls(t *testing.T) {
 func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
-	if err := st.SnapshotShards(store.EveryEpoch, func(recs []*flowrec.Record) error { all = append(all, recs...); return nil }); err != nil {
+	if err := st.SnapshotShards(store.EveryEpoch, func(seg []byte) error {
+		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		all = append(all, recs...)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	flowrec.SortRecords(all)

@@ -109,7 +109,7 @@ type Agent struct {
 	// OnAlert, when set, receives trigger events.
 	OnAlert func(a Alert)
 	// OnEvictError, when set, receives store-eviction flush failures from
-	// the EnableRetention sweep (a full disk on the sink, typically), cold
+	// the EnableRetention sweep (a full disk under ret.Cold, typically), cold
 	// read-back failures, and an answer the agent could not build.
 	OnEvictError func(err error)
 
@@ -266,7 +266,7 @@ func (a *Agent) checkTriggers() {
 // EnableRetention installs an eviction policy on the agent's store and
 // starts a periodic maintenance sweep (every `every` of virtual time; ≤ 0
 // selects 10 ms — one paper-default epoch). Cold records leave memory
-// through the store's flush path into ret.Sink and/or ret.Cold; see
+// through the store's flush path into ret.Cold; see
 // store.Retention. When ret.Cold also implements store.ColdReader (as
 // statesync.SegmentLog does), it is installed as the agent's read-back seam,
 // so epoch-windowed queries reaching past the hot window transparently

@@ -54,38 +54,21 @@ func IngestHandler(ag *hostagent.Agent, rd *Readiness) http.Handler {
 		})
 }
 
-// Feed posts records to a host ingest endpoint in batches of batchSize
-// (≤ 0 selects 256). It returns how many batches were sent.
-func Feed(ctx context.Context, client *http.Client, ingestURL string, recs []*flowrec.Record, batchSize int) (batches int, err error) {
-	c := rpc.NewHTTPClient(client)
-	if batchSize <= 0 {
-		batchSize = 256
-	}
-	var seg []byte // one buffer: Call has encoded a batch when it returns
-	for len(recs) > 0 {
-		n := min(batchSize, len(recs))
-		if seg, err = flowrec.AppendSegment(seg[:0], recs[:n]); err != nil {
-			return batches, fmt.Errorf("statesync: feed: %w", err)
-		}
-		if err := c.Call(ctx, ingestURL, IngestBatch{Segment: seg}, nil, rpc.LimitRequest); err != nil {
-			return batches, fmt.Errorf("statesync: feed: %w", err)
-		}
-		batches++
-		recs = recs[n:]
-	}
-	return batches, nil
-}
-
 // FeedStore streams a whole store to a peer's ingest endpoint — the
 // catch-up feed a source daemon (or the simulator side of a test) uses to
 // bring a bootstrapped replica up to date with records absorbed after the
-// snapshot was taken. Clones are taken shard by shard under read locks, so
-// the source keeps absorbing and serving while it feeds.
-func FeedStore(ctx context.Context, client *http.Client, ingestURL string, st *store.RecordStore, batchSize int) (batches int, err error) {
-	err = st.SnapshotShards(store.EveryEpoch, func(recs []*flowrec.Record) error {
-		n, err := Feed(ctx, client, ingestURL, recs, batchSize)
-		batches += n
-		return err
+// snapshot was taken. Each non-empty shard goes as one batch, its segment
+// spliced from stored bytes under only that shard's read lock, so the
+// source keeps absorbing and serving while it feeds. It returns how many
+// batches were sent.
+func FeedStore(ctx context.Context, client *http.Client, ingestURL string, st *store.RecordStore) (batches int, err error) {
+	c := rpc.NewHTTPClient(client)
+	err = st.SnapshotShards(store.EveryEpoch, func(seg []byte) error {
+		if err := c.Call(ctx, ingestURL, IngestBatch{Segment: seg}, nil, rpc.LimitRequest); err != nil {
+			return fmt.Errorf("statesync: feed: %w", err)
+		}
+		batches++
+		return nil
 	})
 	return batches, err
 }

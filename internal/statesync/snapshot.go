@@ -18,13 +18,13 @@ import (
 
 // SegmentsContentType marks a host snapshot body: a sequence of
 // length-prefixed frames (4-byte big-endian length, then that many bytes),
-// each holding one self-contained segment (store.EncodeSegment form), one
-// per non-empty store shard. The frame length lets a puller bound and read
-// a whole segment before decoding any of it.
+// each holding one self-contained flowrec segment, one per non-empty store
+// shard. The frame length lets a puller bound and read a whole segment
+// before decoding any of it.
 const SegmentsContentType = "application/x-switchpointer-segments"
 
 // maxFrameBytes is the largest frame ReadSegments accepts: the length is the
-// peer's word, and sizes a buffer before a byte of the frame is read.
+// peer's word.
 const maxFrameBytes = 64 << 20
 
 // HostSnapshotHandler serves GET /snapshot on a host agent: the agent's
@@ -33,11 +33,12 @@ const maxFrameBytes = 64 << 20
 // snapshot to records whose telemetry epochs overlap [lo,hi] (epoch-range
 // addressing); without them the full store is streamed.
 //
-// Each shard's segment is encoded from clones taken under only that shard's
-// read lock, and written to the wire with no locks held — so a peer pulling
-// a large snapshot never stalls the agent's packet absorption or its other
-// query traffic. The response is flushed after every segment, so the puller
-// can start loading while later shards are still being encoded.
+// Each shard's segment is spliced from its records' stored bytes under only
+// that shard's read lock, and written to the wire as it is with no locks
+// held — so a peer pulling a large snapshot never stalls the agent's packet
+// absorption or its other query traffic. The response is flushed after
+// every segment, so the puller can start loading while later shards are
+// still being read.
 func HostSnapshotHandler(ag *hostagent.Agent) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !rpc.AllowMethod(w, r, http.MethodGet) {
@@ -50,18 +51,15 @@ func HostSnapshotHandler(ag *hostagent.Agent) http.Handler {
 		}
 		w.Header().Set("Content-Type", SegmentsContentType)
 		flusher, _ := w.(http.Flusher)
-		var buf bytes.Buffer
-		werr := ag.Store.SnapshotShards(epochs, func(recs []*flowrec.Record) error {
-			buf.Reset()
-			if err := store.EncodeSegment(&buf, recs); err != nil {
-				return err
-			}
+		// A write error leaves the stream truncated; the puller sees that as
+		// a decode error, which is the honest failure mode.
+		_ = ag.Store.SnapshotShards(epochs, func(seg []byte) error {
 			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
+			binary.BigEndian.PutUint32(hdr[:], uint32(len(seg)))
 			if _, err := w.Write(hdr[:]); err != nil {
 				return err
 			}
-			if _, err := w.Write(buf.Bytes()); err != nil {
+			if _, err := w.Write(seg); err != nil {
 				return err
 			}
 			if flusher != nil {
@@ -69,11 +67,6 @@ func HostSnapshotHandler(ag *hostagent.Agent) http.Handler {
 			}
 			return nil
 		})
-		if werr != nil {
-			// Headers are already out; the truncated stream surfaces as a
-			// decode error on the puller, which is the honest failure mode.
-			return
-		}
 	})
 }
 
@@ -103,7 +96,10 @@ func epochWindow(r *http.Request) (simtime.EpochRange, error) {
 // body) until EOF, handing each segment's record slice to fn. It returns how
 // many segments and records were decoded. A stream truncated mid-frame, or a
 // frame longer than maxFrameBytes, is an error, never a silent short read.
+// A frame's buffer is sized on its declared length up to 64 KiB and grows
+// as its bytes arrive.
 func ReadSegments(r io.Reader, fn func(recs []*flowrec.Record) error) (segments, records int, err error) {
+	var payload bytes.Buffer
 	for {
 		var hdr [4]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -116,11 +112,12 @@ func ReadSegments(r io.Reader, fn func(recs []*flowrec.Record) error) (segments,
 		if size > maxFrameBytes {
 			return segments, records, fmt.Errorf("statesync: segment frame %d declares %d bytes, limit %d", segments, size, maxFrameBytes)
 		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		payload.Reset()
+		payload.Grow(min(int(size), 64<<10))
+		if _, err := io.CopyN(&payload, r, int64(size)); err != nil {
 			return segments, records, fmt.Errorf("statesync: truncated segment %d: %w", segments, err)
 		}
-		recs, _, err := flowrec.DecodeSegment(payload, nil)
+		recs, _, err := flowrec.DecodeSegment(payload.Bytes(), nil)
 		if err != nil {
 			return segments, records, fmt.Errorf("statesync: segment frame %d: %w", segments, err)
 		}

@@ -35,7 +35,11 @@ func redLights(t *testing.T) *scenario.Testbed {
 func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
-	if err := st.SnapshotShards(store.EveryEpoch, func(recs []*flowrec.Record) error { all = append(all, recs...); return nil }); err != nil {
+	if err := st.SnapshotShards(store.EveryEpoch, func(seg []byte) error {
+		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		all = append(all, recs...)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	flowrec.SortRecords(all)
@@ -266,7 +270,7 @@ func TestIngestFeed(t *testing.T) {
 	srv := httptest.NewServer(IngestHandler(dst, rd))
 	defer srv.Close()
 
-	batches, err := FeedStore(context.Background(), nil, srv.URL, src.Store, 2)
+	batches, err := FeedStore(context.Background(), nil, srv.URL, src.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +286,7 @@ func TestIngestFeed(t *testing.T) {
 	}
 
 	// Re-feeding is idempotent: later batches wholesale-replace records.
-	if _, err := FeedStore(context.Background(), nil, srv.URL, src.Store, 0); err != nil {
+	if _, err := FeedStore(context.Background(), nil, srv.URL, src.Store); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := storeJSON(t, dst.Store), storeJSON(t, src.Store); got != want {

@@ -174,6 +174,54 @@ func TestWindowScanEmptyAnswerAllocs(t *testing.T) {
 	}
 }
 
+// TestEgressAllocs: records leave the store as copies of their bytes. A
+// snapshot of 4 096 Put records splices each shard's stored encodings into a
+// reused segment, and a sweep that evicts every one of them writes one
+// segment of those encodings; neither decodes a record into a fresh one (the
+// decode-and-re-encode forms took ≈ 8 300 and ≈ 25 300 allocations).
+func TestEgressAllocs(t *testing.T) {
+	const n = 4096
+	st := New()
+	for i := range n {
+		st.Put(budgetRecord(i))
+	}
+	records := 0
+	snapshot := func() {
+		records = 0
+		err := st.SnapshotShards(EveryEpoch, func(seg []byte) error {
+			k, err := flowrec.SegmentRecords(seg)
+			records += k
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, snapshot)
+	t.Logf("SnapshotShards over %d Put records: %v allocs", n, allocs)
+	if allocs > 48 {
+		t.Errorf("SnapshotShards over %d Put records: %v allocs, want <= 48", n, allocs)
+	}
+	if records != n {
+		t.Fatalf("the snapshot holds %d of %d records", records, n)
+	}
+
+	// AllocsPerRun's warm-up call would evict everything: count one sweep.
+	cold := &sinkLog{}
+	st.SetRetention(Retention{HotEpochs: 1, Alpha: 1, Cold: cold})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	evicted, err := st.Maintain(n + 1)
+	runtime.ReadMemStats(&after)
+	if err != nil || evicted != n || len(cold.payloads) != 1 {
+		t.Fatalf("Maintain evicted %d of %d into %d segments: %v", evicted, n, len(cold.payloads), err)
+	}
+	t.Logf("Maintain evicting %d Put records: %d allocs", n, after.Mallocs-before.Mallocs)
+	if allocs := after.Mallocs - before.Mallocs; allocs > 1500 {
+		t.Errorf("Maintain evicting %d Put records: %d allocs, want <= 1500", n, allocs)
+	}
+}
+
 // BenchmarkAcquireAbsorbRelease is the packet write path as a host runs it:
 // 64 flows round-robin, every flow's epochs widening once per 1024 of its
 // packets, no memo built (sim-replay never queries while it replays).

@@ -72,7 +72,7 @@ func TestNeverWrittenStoreAnswersEmpty(t *testing.T) {
 	if _, ok := st.Lookup(flow); ok {
 		t.Fatal("Lookup reported a record")
 	}
-	if err := st.SnapshotShards(EveryEpoch, func([]*flowrec.Record) error { t.Fatal("SnapshotShards visited a shard"); return nil }); err != nil {
+	if err := st.SnapshotShards(EveryEpoch, func([]byte) error { t.Fatal("SnapshotShards visited a shard"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := st.Maintain(simtime.Time(1000)); n != 0 || err != nil {
@@ -107,7 +107,7 @@ func TestPutAndLoadIntoFreshStore(t *testing.T) {
 		t.Fatalf("fresh Put not indexed: %+v", got)
 	}
 	var seg bytes.Buffer
-	if err := src.SnapshotShards(EveryEpoch, func(recs []*flowrec.Record) error { return EncodeSegment(&seg, recs) }); err != nil {
+	if err := src.SnapshotShards(EveryEpoch, func(b []byte) error { seg.Write(b); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := DecodeSegment(&seg)

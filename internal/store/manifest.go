@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"switchpointer/internal/bitset"
@@ -104,49 +105,64 @@ func (m *SegmentManifest) MayContainAnyFlow(fs []netsim.FlowKey) bool {
 // stay addressable), the sorted switch set, the exact flow-key bounds, and
 // a bloom filter over the flow keys. The caller sets Bytes after encoding.
 func NewSegmentManifest(recs []*flowrec.Record) SegmentManifest {
-	m := SegmentManifest{Flows: len(recs), V: manifestVersion}
-	first := true
-	widen := func(er simtime.EpochRange) {
-		if first {
-			m.Epochs = er
-			first = false
-			return
-		}
-		m.Epochs = m.Epochs.Union(er)
+	var x manifestIndex
+	for _, r := range recs {
+		x.add(r)
 	}
-	swset := make(map[netsim.NodeID]struct{})
-	bloom := NewFlowBloom(len(recs))
-	for i, r := range recs {
-		for _, er := range r.Epochs {
-			widen(er)
-		}
-		for e := range r.EpochBytes {
-			widen(simtime.EpochRange{Lo: e, Hi: e})
-		}
-		for _, sw := range r.Path {
-			swset[sw] = struct{}{}
-		}
-		bloom.Add(r.Flow)
-		if i == 0 || flowrec.Less(r.Flow, *m.FlowLo) {
-			f := r.Flow
-			m.FlowLo = &f
-		}
-		if i == 0 || flowrec.Less(*m.FlowHi, r.Flow) {
-			f := r.Flow
-			m.FlowHi = &f
+	return x.manifest()
+}
+
+// manifestIndex builds a SegmentManifest one record at a time, copying what
+// it needs of each record it is shown: an eviction sweep feeds it the
+// records it reads under their shards' locks, scratch decodes included.
+type manifestIndex struct {
+	epochs   simtime.EpochRange
+	spanned  bool // epochs holds a range
+	switches []netsim.NodeID
+	flows    []netsim.FlowKey
+}
+
+// add indexes r.
+func (x *manifestIndex) add(r *flowrec.Record) {
+	for _, er := range r.Epochs {
+		x.widen(er)
+	}
+	for e := range r.EpochBytes {
+		x.widen(simtime.EpochRange{Lo: e, Hi: e})
+	}
+	for _, sw := range r.Path {
+		if i, found := slices.BinarySearch(x.switches, sw); !found {
+			x.switches = slices.Insert(x.switches, i, sw)
 		}
 	}
-	if len(recs) > 0 {
-		m.Bloom = bloom
+	x.flows = append(x.flows, r.Flow)
+}
+
+func (x *manifestIndex) widen(er simtime.EpochRange) {
+	if x.spanned {
+		er = x.epochs.Union(er)
 	}
-	m.Switches = make([]netsim.NodeID, 0, len(swset))
-	for sw := range swset {
-		m.Switches = append(m.Switches, sw)
+	x.epochs, x.spanned = er, true
+}
+
+// manifest returns the index of every record added so far.
+func (x *manifestIndex) manifest() SegmentManifest {
+	m := SegmentManifest{Epochs: x.epochs, Flows: len(x.flows), V: manifestVersion, Switches: x.switches}
+	if len(x.flows) == 0 {
+		return m
 	}
-	sort.Slice(m.Switches, func(i, j int) bool { return m.Switches[i] < m.Switches[j] })
-	if len(m.Switches) == 0 {
-		m.Switches = nil
+	m.Bloom = NewFlowBloom(len(x.flows))
+	lo, hi := x.flows[0], x.flows[0]
+	for _, f := range x.flows {
+		m.Bloom.Add(f)
+		if flowrec.Less(f, lo) {
+			lo = f
+		}
+		if flowrec.Less(hi, f) {
+			hi = f
+		}
 	}
+	m.FlowLo, m.FlowHi = &lo, &hi
 	return m
 }
 

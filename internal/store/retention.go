@@ -1,10 +1,9 @@
 package store
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"switchpointer/internal/flowrec"
@@ -21,10 +20,9 @@ import (
 //   - Size: when the store still exceeds MaxRecords, the coldest surplus
 //     (oldest LastSeen first) is evicted regardless of age.
 //
-// Evicted records leave as flowrec segments: they are appended to Sink as a
-// stream of self-delimiting segments (nil Sink drops them).
-// Zero triggers disable the respective bound; the zero
-// Retention disables eviction entirely.
+// Evicted records leave as flowrec segments written to Cold (nil Cold drops
+// them). Zero triggers disable the respective bound; the zero Retention
+// disables eviction entirely.
 type Retention struct {
 	// HotEpochs is the age bound in epochs (0 = no age-based eviction).
 	HotEpochs int
@@ -32,15 +30,11 @@ type Retention struct {
 	Alpha simtime.Time
 	// MaxRecords caps the resident set (0 = unbounded).
 	MaxRecords int
-	// Sink receives evicted records as segments (one per Maintain call that
-	// evicted anything, as EncodeSegment writes it; successive DecodeSegment
-	// calls walk the stream). Nil drops evictions.
-	Sink io.Writer
-	// Cold, when set, receives the same segments together with a
-	// SegmentManifest each — the indexed flush path that makes cold
-	// read-back possible (statesync.SegmentLog is the standard
-	// implementation). Sink and Cold may be set independently; evictions go
-	// to both.
+	// Cold receives evicted records: one flowrec segment per sweep that
+	// evicted anything, together with its
+	// SegmentManifest — the indexed flush path that makes cold read-back
+	// possible (statesync.SegmentLog is the standard implementation). Nil
+	// drops evictions.
 	Cold ColdStore
 }
 
@@ -79,9 +73,8 @@ type ColdView interface {
 }
 
 // retention is the store-side policy state; maintMu serializes Maintain
-// sweeps and sink encoding against each other (shard access inside the
-// sweep uses the normal shard locks, so sweeps run concurrently with
-// queries and absorption).
+// sweeps against each other (shard access inside the sweep uses the normal
+// shard locks, so sweeps run concurrently with queries and absorption).
 type retention struct {
 	maintMu sync.Mutex
 	cfg     Retention
@@ -105,150 +98,154 @@ func (st *RecordStore) Evicted() uint64 {
 
 // Maintain runs one eviction sweep at virtual time now, applying the
 // installed Retention: cold records (age bound) leave first, then the
-// coldest surplus beyond MaxRecords. Evicted records are flushed to the
-// sink in deterministic (LastSeen, flow-key) order. It returns how many
+// coldest surplus beyond MaxRecords. With a Cold store the victims are first
+// written as one segment, in deterministic (LastSeen, flow-key) order of
+// their stored bytes, and only a written record leaves memory: a failed
+// write evicts nothing, and the next sweep tries again. It returns how many
 // records were evicted this sweep.
 //
 // Maintain is safe to run concurrently with queries and packet absorption —
 // removal holds the affected shard's write lock and invalidates the
-// memoized per-switch answers, exactly like a path-change reindex. Sweeps
-// themselves are serialized against each other.
+// memoized per-switch answers, exactly like a path-change reindex. A record
+// whose recency moved since the sweep read it (it absorbed traffic, or a
+// fresher version replaced it) is no longer cold and stays; a copy of it in
+// the segment is harmless, since a resident record wins over a cold one.
+// Sweeps themselves are serialized against each other.
 func (st *RecordStore) Maintain(now simtime.Time) (int, error) {
 	st.ret.maintMu.Lock()
 	defer st.ret.maintMu.Unlock()
 	cfg := st.ret.cfg
-
-	var victims []*flowrec.Record
-
-	// Age pass: evict everything idle past the hot window.
-	if cfg.HotEpochs > 0 && cfg.Alpha > 0 {
-		cutoff := now - simtime.Time(cfg.HotEpochs)*cfg.Alpha
-		for i := range st.shards {
-			sh := &st.shards[i]
-			t := sh.tab.Load()
-			if t == nil {
-				continue
-			}
-			sh.mu.Lock()
-			var cold []int32
-			var sc scratch
-			for j, s := range t.slots {
-				if s.path != freeSlot && t.record(int32(j), &sc).LastSeen < cutoff {
-					cold = append(cold, int32(j))
-				}
-			}
-			sc.release()
-			// Remove after collection: a removal may compact the arena.
-			for _, j := range cold {
-				victims = append(victims, st.removeLocked(t, j))
-			}
-			sh.mu.Unlock()
+	victims := st.victims(cfg, now)
+	if len(victims) > 0 && cfg.Cold != nil {
+		var err error
+		if victims, err = st.flush(cfg.Cold, victims); err != nil {
+			return 0, err
 		}
 	}
-
-	// Size pass: evict the coldest surplus beyond the cap.
-	if cfg.MaxRecords > 0 {
-		if surplus := st.Len() - cfg.MaxRecords; surplus > 0 {
-			type coldKey struct {
-				flow netsim.FlowKey
-				last simtime.Time
-			}
-			var all []coldKey
-			for i := range st.shards {
-				sh := &st.shards[i]
-				t := sh.tab.Load()
-				if t == nil {
-					continue
-				}
-				var sc scratch
-				sh.mu.RLock()
-				for j, s := range t.slots {
-					if s.path != freeSlot {
-						r := t.record(int32(j), &sc)
-						all = append(all, coldKey{flow: r.Flow, last: r.LastSeen})
-					}
-				}
-				sh.mu.RUnlock()
-				sc.release()
-			}
-			sort.Slice(all, func(i, j int) bool {
-				if all[i].last != all[j].last {
-					return all[i].last < all[j].last
-				}
-				return flowrec.Less(all[i].flow, all[j].flow)
-			})
-			if surplus > len(all) {
-				surplus = len(all)
-			}
-			for _, c := range all[:surplus] {
-				sh := st.shardOf(c.flow)
-				t := sh.tab.Load()
-				sh.mu.Lock()
-				// Re-check LastSeen under the write lock: a record that
-				// absorbed traffic since the snapshot is no longer the
-				// coldest and must survive this sweep.
-				if j := t.find(c.flow); j >= 0 {
-					var sc scratch
-					last := t.record(j, &sc).LastSeen
-					sc.release()
-					if last == c.last {
-						victims = append(victims, st.removeLocked(t, j))
-					}
-				}
-				sh.mu.Unlock()
-			}
+	n := 0
+	for _, v := range victims {
+		if st.evict(v) {
+			n++
 		}
 	}
-
-	if len(victims) == 0 {
-		return 0, nil
-	}
-	st.ret.evicted += uint64(len(victims))
-
-	if cfg.Sink == nil && cfg.Cold == nil {
-		return len(victims), nil
-	}
-	// Write out in deterministic cold-first order. The victims are no longer
-	// reachable from the store, so encoding the records is race-free.
-	// Each sweep writes one self-delimiting segment — the same bytes to
-	// either sink — so any segment decodes independently with DecodeSegment.
-	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].LastSeen != victims[j].LastSeen {
-			return victims[i].LastSeen < victims[j].LastSeen
-		}
-		return flowrec.Less(victims[i].Flow, victims[j].Flow)
-	})
-	var buf bytes.Buffer
-	if err := EncodeSegment(&buf, victims); err != nil {
-		return len(victims), err
-	}
-	if cfg.Sink != nil {
-		if _, err := cfg.Sink.Write(buf.Bytes()); err != nil {
-			return len(victims), fmt.Errorf("store: eviction flush: %w", err)
-		}
-	}
-	if cfg.Cold != nil {
-		m := NewSegmentManifest(victims)
-		m.Bytes = buf.Len()
-		if err := cfg.Cold.WriteSegment(m, buf.Bytes()); err != nil {
-			return len(victims), fmt.Errorf("store: eviction segment: %w", err)
-		}
-	}
-	return len(victims), nil
+	st.ret.evicted += uint64(n)
+	return n, nil
 }
 
-// removeLocked evicts the record in slot i of its (write-locked) shard —
-// its slot and the memoized answer of every switch on its indexed path —
-// and returns it: the live record, or its encoding decoded afresh.
-func (st *RecordStore) removeLocked(t *table, i int32) *flowrec.Record {
-	s := t.slots[i]
-	r := s.rec
-	if r == nil {
-		r = decodeStored(t.arena.get(s.off))
+// victim names a record a sweep chose by the recency it read: LastSeen, then
+// Pkts, Put's guard. A record whose recency moved since is not the one
+// chosen.
+type victim struct {
+	flow netsim.FlowKey
+	last simtime.Time
+	pkts uint64
+}
+
+func (v victim) is(r *flowrec.Record) bool { return r.LastSeen == v.last && r.Pkts == v.pkts }
+
+// victims reads every resident record's recency and returns, coldest first
+// in (LastSeen, flow-key) order, those cfg evicts at now: everything idle
+// past the hot window, and at least the surplus beyond MaxRecords.
+func (st *RecordStore) victims(cfg Retention, now simtime.Time) []victim {
+	age := cfg.HotEpochs > 0 && cfg.Alpha > 0
+	if !age && cfg.MaxRecords <= 0 {
+		return nil
 	}
-	for _, sw := range t.pathOf(s) {
+	var all []victim
+	var sc scratch
+	defer sc.release()
+	for i := range st.shards {
+		sh := &st.shards[i]
+		t := sh.tab.Load()
+		if t == nil {
+			continue
+		}
+		sh.mu.RLock()
+		for j, s := range t.slots {
+			if s.path != freeSlot {
+				r := t.record(int32(j), &sc)
+				all = append(all, victim{r.Flow, r.LastSeen, r.Pkts})
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(all, func(a, b victim) int {
+		if c := cmp.Compare(a.last, b.last); c != 0 {
+			return c
+		}
+		return flowrec.Compare(a.flow, b.flow)
+	})
+	n := 0
+	if age {
+		cutoff := now - simtime.Time(cfg.HotEpochs)*cfg.Alpha
+		n, _ = slices.BinarySearchFunc(all, cutoff, func(v victim, c simtime.Time) int { return cmp.Compare(v.last, c) })
+	}
+	if cfg.MaxRecords > 0 {
+		n = max(n, len(all)-cfg.MaxRecords)
+	}
+	return all[:n]
+}
+
+// flush writes the victims whose records still hold the recency they were
+// chosen by to cold, as one segment of their stored (or, for a live record,
+// freshly encoded) bytes with its manifest, and returns those victims.
+func (st *RecordStore) flush(cold ColdStore, victims []victim) ([]victim, error) {
+	var idx manifestIndex
+	var encs [][]byte
+	var buf []byte
+	var sc scratch
+	defer sc.release()
+	kept := victims[:0]
+	for _, v := range victims {
+		sh := st.shardOf(v.flow)
+		t := sh.tab.Load()
+		sh.mu.RLock()
+		if j := t.find(v.flow); j >= 0 {
+			if r := t.record(j, &sc); v.is(r) {
+				idx.add(r)
+				var enc []byte
+				enc, buf = t.encoding(j, buf)
+				encs = append(encs, enc)
+				kept = append(kept, v)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	if len(kept) == 0 {
+		return nil, nil
+	}
+	seg, err := flowrec.SpliceSegment(nil, encs)
+	if err != nil {
+		panic(corrupt(err))
+	}
+	m := idx.manifest()
+	m.Bytes = len(seg)
+	if err := cold.WriteSegment(m, seg); err != nil {
+		return nil, fmt.Errorf("store: eviction segment: %w", err)
+	}
+	return kept, nil
+}
+
+// evict removes v's record — its slot, its stored bytes and the memoized
+// answer of every switch on its indexed path — unless the record's recency
+// moved since v was read, and reports whether it did.
+func (st *RecordStore) evict(v victim) bool {
+	sh := st.shardOf(v.flow)
+	t := sh.tab.Load()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	i := t.find(v.flow)
+	if i < 0 {
+		return false
+	}
+	var sc scratch
+	defer sc.release()
+	if !v.is(t.record(i, &sc)) {
+		return false
+	}
+	for _, sw := range t.pathOf(t.slots[i]) {
 		st.invalidate(t, sw)
 	}
-	t.remove(i, r.Flow)
-	return r
+	t.remove(i, v.flow)
+	return true
 }

@@ -25,12 +25,12 @@ func seedRecord(st *RecordStore, port uint16, last simtime.Time, path ...netsim.
 }
 
 // TestRetentionAgeEviction pins the age bound: records idle past the hot
-// window leave memory through the sink, recent ones stay, and evicted
+// window leave memory through the cold store, recent ones stay, and evicted
 // flows stop answering by-switch queries.
 func TestRetentionAgeEviction(t *testing.T) {
 	st := New()
-	var sink bytes.Buffer
-	st.SetRetention(Retention{HotEpochs: 10, Alpha: simtime.Millisecond, Sink: &sink})
+	cold := &sinkLog{}
+	st.SetRetention(Retention{HotEpochs: 10, Alpha: simtime.Millisecond, Cold: cold})
 
 	const sw = netsim.NodeID(3)
 	old1 := seedRecord(st, 1, 5*simtime.Millisecond, sw)
@@ -57,8 +57,11 @@ func TestRetentionAgeEviction(t *testing.T) {
 		t.Fatalf("BySwitch after eviction: %d records, want 1", got)
 	}
 
-	// The sink holds one segment of the evicted records, oldest first.
-	archived, err := DecodeSegment(&sink)
+	// The cold store holds one segment of the evicted records, oldest first.
+	if len(cold.payloads) != 1 {
+		t.Fatalf("cold store received %d segments, want 1", len(cold.payloads))
+	}
+	archived, err := DecodeSegment(bytes.NewReader(cold.payloads[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +113,12 @@ func TestRetentionDisabled(t *testing.T) {
 
 // TestRetentionFlushAbsorbRace exercises Maintain concurrently with
 // absorption and queries (meaningful under -race): the sweep must hold the
-// same locks as any other mutator.
+// same locks as any other mutator, and the bytes it writes must not change
+// under it.
 func TestRetentionFlushAbsorbRace(t *testing.T) {
 	st := New()
-	st.SetRetention(Retention{MaxRecords: 32})
+	cold := &sinkLog{}
+	st.SetRetention(Retention{MaxRecords: 32, Cold: cold})
 
 	done := make(chan struct{})
 	go func() {
@@ -134,5 +139,10 @@ func TestRetentionFlushAbsorbRace(t *testing.T) {
 	}
 	if st.Len() > 32 {
 		t.Fatalf("store unbounded under churn: %d records", st.Len())
+	}
+	for i, seg := range cold.payloads {
+		if _, err := DecodeSegment(bytes.NewReader(seg)); err != nil {
+			t.Fatalf("eviction segment %d: %v", i, err)
+		}
 	}
 }

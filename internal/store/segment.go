@@ -9,7 +9,7 @@ import (
 )
 
 // EncodeSegment writes one self-delimiting segment (package flowrec documents
-// the format) — what every eviction sink and snapshot frame carries.
+// the format) — the form of every eviction segment and snapshot frame.
 // Segments decode independently, and equal records give equal bytes.
 func EncodeSegment(w io.Writer, recs []*flowrec.Record) error {
 	buf, err := flowrec.AppendSegment(nil, recs)

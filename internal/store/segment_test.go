@@ -50,8 +50,8 @@ func encodeSegment(t testing.TB, recs []*flowrec.Record) []byte {
 	return buf.Bytes()
 }
 
-// TestDecodeSegmentIsSelfDelimiting: segments concatenated on one stream (an
-// eviction Sink) come off it one DecodeSegment at a time, whether or not the
+// TestDecodeSegmentIsSelfDelimiting: segments concatenated on one stream
+// come off it one DecodeSegment at a time, whether or not the
 // reader can hand out single bytes, and a cut anywhere is an error.
 func TestDecodeSegmentIsSelfDelimiting(t *testing.T) {
 	recs := fixtureRecords()
@@ -87,15 +87,14 @@ func (s *sinkLog) WriteSegment(_ SegmentManifest, payload []byte) error {
 	return nil
 }
 
-// TestEvictionHasOneByteForm: whichever sink receives an evicted segment, it
-// receives the same bytes, and evicting the same records again yields them
-// again.
+// TestEvictionHasOneByteForm: an evicted segment is the bytes EncodeSegment
+// gives for its own records, and evicting the same records again yields the
+// same bytes.
 func TestEvictionHasOneByteForm(t *testing.T) {
-	sweep := func() ([]byte, []byte) {
+	sweep := func() []byte {
 		st := New()
-		var sink bytes.Buffer
 		cold := &sinkLog{}
-		st.SetRetention(Retention{MaxRecords: 1, Sink: &sink, Cold: cold})
+		st.SetRetention(Retention{MaxRecords: 1, Cold: cold})
 		for i := 0; i < 6; i++ {
 			r := st.Acquire(netsim.FlowKey{Src: 1, Dst: 2, SrcPort: uint16(i), Proto: 6})
 			r.Path = []netsim.NodeID{1, 2}
@@ -112,13 +111,17 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 		if len(cold.payloads) != 1 {
 			t.Fatalf("cold store received %d segments", len(cold.payloads))
 		}
-		return sink.Bytes(), cold.payloads[0]
+		return cold.payloads[0]
 	}
-	sink, cold := sweep()
-	if _, err := flowrec.SegmentLen(sink); err != nil || !bytes.Equal(sink, cold) {
-		t.Fatal("Sink and Cold received different bytes for one eviction")
+	seg := sweep()
+	recs, _, err := flowrec.DecodeSegment(seg, nil)
+	if err != nil || len(recs) != 5 {
+		t.Fatalf("evicted segment decodes to %d records: %v", len(recs), err)
 	}
-	if again, _ := sweep(); !bytes.Equal(again, sink) {
+	if !bytes.Equal(seg, encodeSegment(t, recs)) {
+		t.Fatal("the evicted segment is not EncodeSegment of its records")
+	}
+	if again := sweep(); !bytes.Equal(again, seg) {
 		t.Fatal("evicting equal records twice gave different bytes")
 	}
 }

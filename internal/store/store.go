@@ -19,9 +19,11 @@
 // built by walking the shard the first time somebody asks, kept until a
 // record joins or leaves that switch, and carrying each record's epoch range
 // there so a (switch, epoch window) query reads ranges sequentially and
-// touches only what it returns. What leaves memory (evictions to cold
-// segments, snapshot frames) is written as flowrec segments (segment.go) for
-// the "flushed to local storage" behaviour.
+// touches only what it returns. Whatever leaves memory — an eviction to a
+// cold segment, a snapshot frame, a catch-up feed batch — leaves as a copy
+// of its records' stored bytes (a live record encoded) spliced into one
+// flowrec segment (segment.go): the "flushed to local storage" behaviour,
+// with no record decoded and re-encoded on the way out.
 //
 // Shards are lazy: New is one allocation, and a shard's table is created
 // under the lock that first writes it.
@@ -156,8 +158,9 @@ func (sh *shard) table() *table {
 // only during the call: a live record is the store's own, read under its
 // shard's read lock (the only race-free way to read a record that is still
 // absorbing packets); an encoded one is decoded into a scratch record that
-// the next callback reuses. Copy what must outlive the call. Lookup, BySwitch
-// and SnapshotShards return fresh records the caller owns.
+// the next callback reuses. Copy what must outlive the call. Lookup and
+// BySwitch return fresh records the caller owns; SnapshotShards hands out
+// segments of stored bytes, each valid only during its callback.
 type RecordStore struct {
 	shards [numShards]shard
 
@@ -307,6 +310,19 @@ func (t *table) appendEncoding(dst []byte, i int32) []byte {
 		return flowrec.AppendRecord(dst, s.rec)
 	}
 	return append(dst, t.arena.get(t.slots[i].off)...)
+}
+
+// encoding returns slot i's encoding, valid and unchanged after the lock is
+// released: its stored bytes, which the arena never overwrites, or the live
+// record encoded onto buf, which only grows; it returns buf. Called with the
+// shard's mu held.
+func (t *table) encoding(i int32, buf []byte) (enc, grown []byte) {
+	if s := &t.slots[i]; s.rec == nil {
+		return t.arena.get(s.off), buf
+	}
+	start := len(buf)
+	buf = t.appendEncoding(buf, i)
+	return buf[start:len(buf):len(buf)], buf
 }
 
 // scratch lends a pooled flowrec.Scratch to one query, taken on the first
@@ -657,30 +673,14 @@ func (t *table) buildMemo(sw netsim.NodeID) memo {
 }
 
 // BySwitch returns fresh copies of every record with an epoch range at sw
-// (Record.Traverses), in flow-key order: QueryWindowEncoded over EveryEpoch,
-// decoded, uncached. No production path calls it; it stays for tests and
-// for the benchmark's per-layer rungs until those read QueryWindow.
+// (Record.Traverses), in flow-key order: QueryWindow over EveryEpoch,
+// cloned, uncached. No production path calls it; it stays for tests and for
+// the benchmark's per-layer rungs until those read QueryWindow.
 func (st *RecordStore) BySwitch(sw netsim.NodeID) []*flowrec.Record {
-	var encs [][]byte
-	st.QueryWindowEncoded(sw, EveryEpoch, nil, func(enc []byte) { encs = append(encs, enc) })
-	return decodeSorted(encs, nil)
-}
-
-// decodeSorted decodes encs, in flow-key order, into fresh records, keeping
-// those keep admits (nil: all); none gives nil.
-func decodeSorted(encs [][]byte, keep func(*flowrec.Record) bool) []*flowrec.Record {
-	if len(encs) == 0 {
-		return nil
-	}
-	flowrec.SortEncoded(encs)
-	seg, err := flowrec.SpliceSegment(nil, encs)
-	if err == nil {
-		var recs []*flowrec.Record
-		if recs, _, err = flowrec.DecodeSegment(seg, keep); err == nil {
-			return recs
-		}
-	}
-	panic(corrupt(err))
+	var recs []*flowrec.Record
+	st.QueryWindow(sw, EveryEpoch, func(r *flowrec.Record) { recs = append(recs, r.Clone()) })
+	flowrec.SortRecords(recs)
+	return recs
 }
 
 // QueryBySwitch calls fn for every record of BySwitch(sw), in its order,
@@ -722,13 +722,9 @@ func (st *RecordStore) QueryWindow(sw netsim.NodeID, window simtime.EpochRange, 
 // collect encodings across shards and splice them once. It returns buf.
 func (st *RecordStore) QueryWindowEncoded(sw netsim.NodeID, window simtime.EpochRange, buf []byte, fn func(enc []byte)) []byte {
 	st.window(sw, window, func(t *table, i int32) {
-		if s := &t.slots[i]; s.rec == nil {
-			fn(t.arena.get(s.off))
-			return
-		}
-		start := len(buf)
-		buf = t.appendEncoding(buf, i)
-		fn(buf[start:len(buf):len(buf)])
+		var enc []byte
+		enc, buf = t.encoding(i, buf)
+		fn(enc)
 	})
 	return buf
 }
@@ -773,22 +769,21 @@ func MatchesEpochs(rec *flowrec.Record, epochs simtime.EpochRange) bool {
 // snapshot pull without an explicit window uses.
 var EveryEpoch = simtime.EpochRange{Lo: simtime.Epoch(-1 << 62), Hi: simtime.Epoch(1 << 62)}
 
-// SnapshotShards calls fn once per non-empty shard with fresh records
-// matching the epoch window, in shard order. Their encodings are taken with
-// only that shard's read lock held, and they are decoded and fn runs with no
-// locks held at all — so a caller streaming a large store over the network
-// (the state-sync snapshot path) never stalls packet absorption: at most one
-// shard is briefly read-locked while the other fifteen keep absorbing and
-// answering queries. The per-shard record slices are flow-key-sorted, so a
-// concatenation of the shard segments is deterministic up to shard hashing
-// (which is fixed). fn returning an error aborts the walk.
-func (st *RecordStore) SnapshotShards(epochs simtime.EpochRange, fn func(recs []*flowrec.Record) error) error {
-	var keep func(*flowrec.Record) bool
-	if epochs != EveryEpoch {
-		keep = func(r *flowrec.Record) bool { return MatchesEpochs(r, epochs) }
-	}
+// SnapshotShards calls fn once per shard holding records that match the
+// epoch window, in shard order, with one segment of them in flow-key order,
+// spliced from their encodings: encoded records' stored bytes and live
+// records encoded, taken under only that shard's read lock (stored bytes
+// stay valid after it). fn runs with no locks held at all — so a caller
+// streaming a large store over the network (the state-sync snapshot path)
+// never stalls packet absorption: at most one shard is briefly read-locked
+// while the other fifteen keep absorbing and answering queries. The segment
+// is valid only during the call. Shard hashing is fixed, so the sequence of
+// segments is deterministic. fn returning an error aborts the walk.
+func (st *RecordStore) SnapshotShards(epochs simtime.EpochRange, fn func(seg []byte) error) error {
 	var encs [][]byte
-	var buf []byte
+	var buf, seg []byte
+	var sc scratch
+	defer sc.release()
 	for i := range st.shards {
 		sh := &st.shards[i]
 		t := sh.tab.Load()
@@ -798,19 +793,23 @@ func (st *RecordStore) SnapshotShards(epochs simtime.EpochRange, fn func(recs []
 		encs, buf = encs[:0], buf[:0]
 		sh.mu.RLock()
 		for j, s := range t.slots {
-			if s.path == freeSlot {
+			if s.path == freeSlot || epochs != EveryEpoch && !MatchesEpochs(t.record(int32(j), &sc), epochs) {
 				continue
 			}
-			start := len(buf)
-			buf = t.appendEncoding(buf, int32(j))
-			encs = append(encs, buf[start:len(buf):len(buf)])
+			var enc []byte
+			enc, buf = t.encoding(int32(j), buf)
+			encs = append(encs, enc)
 		}
 		sh.mu.RUnlock()
-		recs := decodeSorted(encs, keep)
-		if len(recs) == 0 {
+		if len(encs) == 0 {
 			continue
 		}
-		if err := fn(recs); err != nil {
+		flowrec.SortEncoded(encs)
+		var err error
+		if seg, err = flowrec.SpliceSegment(seg[:0], encs); err != nil {
+			panic(corrupt(err))
+		}
+		if err := fn(seg); err != nil {
 			return err
 		}
 	}

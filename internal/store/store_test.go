@@ -121,7 +121,11 @@ func TestBySwitchDeterministicOrder(t *testing.T) {
 func snapshot(t testing.TB, st *RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
-	if err := st.SnapshotShards(EveryEpoch, func(recs []*flowrec.Record) error { all = append(all, recs...); return nil }); err != nil {
+	if err := st.SnapshotShards(EveryEpoch, func(seg []byte) error {
+		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		all = append(all, recs...)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	flowrec.SortRecords(all)
@@ -144,7 +148,7 @@ func TestFlushLoadRoundTrip(t *testing.T) {
 	addRecord(st, 1, 2, []netsim.NodeID{10, 11}, 100)
 	addRecord(st, 3, 4, []netsim.NodeID{11}, 200)
 	var buf bytes.Buffer
-	if err := st.SnapshotShards(EveryEpoch, func(recs []*flowrec.Record) error { return EncodeSegment(&buf, recs) }); err != nil {
+	if err := st.SnapshotShards(EveryEpoch, func(seg []byte) error { buf.Write(seg); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	st2 := New()

@@ -7,6 +7,15 @@ import (
 	"switchpointer/internal/store"
 )
 
+// bufferLog is a store.ColdStore that appends every evicted segment to one
+// buffer: the flush stream, a sequence of self-delimiting segments.
+type bufferLog struct{ *bytes.Buffer }
+
+func (b bufferLog) WriteSegment(_ store.SegmentManifest, payload []byte) error {
+	_, err := b.Write(payload)
+	return err
+}
+
 // runFlowChurn drives a long simulation whose flow population churns: many
 // short UDP flows arrive at one host over virtual time, each leaving a flow
 // record behind. Returns the receiving host's agent store size at the end.
@@ -20,7 +29,7 @@ func runFlowChurn(t *testing.T, retain *store.Retention, sink *bytes.Buffer) (*T
 	dst := tb.Host("R1")
 	if retain != nil {
 		r := *retain
-		r.Sink = sink
+		r.Cold = bufferLog{sink}
 		tb.HostAgents[dst.IP()].EnableRetention(r, 10*Millisecond)
 	}
 	const flows = 64
