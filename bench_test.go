@@ -87,7 +87,7 @@ func BenchmarkSegmentCodec(b *testing.B) {
 		if err := store.EncodeSegment(&buf, recs); err != nil {
 			b.Fatal(err)
 		}
-		got, _, err := flowrec.DecodeSegment(buf.Bytes(), nil)
+		got, err := flowrec.DecodeSegment(buf.Bytes())
 		if err != nil || len(got) != len(recs) {
 			b.Fatalf("decoded %d records, %v", len(got), err)
 		}

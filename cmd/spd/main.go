@@ -150,7 +150,7 @@ func serveCmd(role string, args []string) error {
 		bootstrap    = fs.String("bootstrap-from", "", "host/switch: base URL of a live peer daemon to bootstrap state from (skips scenario replay)")
 		hotEpochs    = fs.Int("hot-epochs", 0, "host: retention age bound in epochs (0 = no age eviction)")
 		maxRecords   = fs.Int("max-records", 0, "host: retention resident-record cap (0 = unbounded)")
-		coldDir      = fs.String("cold-dir", "", "host: directory for the evicted-segment logs (empty = in-memory logs when retention is on)")
+		coldDir      = fs.String("cold-dir", "", "host: directory for the evicted-segment logs, one per host agent (empty = a temporary directory removed at exit, when retention is on)")
 		compactRun   = fs.Int("compact-min-run", 0, "host: compact runs of at least this many small cold segments (0 = no compaction)")
 		compactBytes = fs.Int("compact-max-bytes", 0, "host: segments larger than this never join a compaction run (0 = default 1 MiB)")
 		tierMaxAge   = fs.Int("tier-max-age", 0, "host: tier out cold segments older than this many epochs (0 = no tiering)")
@@ -205,56 +205,55 @@ func serveCmd(role string, args []string) error {
 		// on the engine timer during the replay, so the daemon comes up with
 		// a bounded resident set and an indexed cold log per host — queries
 		// past the hot window transparently consult it (cold read-back).
-		// Compaction and tiering ride the same weak timer, so the cold log
-		// stays merged and age-bounded as evictions accumulate.
-		net := s.Testbed.Net
-		for ip, ag := range s.Testbed.HostAgents {
-			dir := ""
-			if *coldDir != "" {
-				dir = filepath.Join(*coldDir, ip.String())
-			}
-			seglog, err := statesync.NewSegmentLog(dir)
+		// Compaction and tiering share one weak timer per host, so the cold
+		// log stays merged and age-bounded as evictions accumulate. Without
+		// -cold-dir the logs live in a temporary directory removed when the
+		// daemon exits.
+		coldRoot := *coldDir
+		if coldRoot == "" {
+			tmp, err := os.MkdirTemp("", "spd-cold-")
 			if err != nil {
 				return err
 			}
+			defer os.RemoveAll(tmp)
+			coldRoot = tmp
+		}
+		net := s.Testbed.Net
+		compact := statesync.CompactPolicy{MinRun: *compactRun, MaxSegmentBytes: *compactBytes}
+		for ip, ag := range s.Testbed.HostAgents {
+			seglog, err := statesync.NewSegmentLog(filepath.Join(coldRoot, ip.String()))
+			if err != nil {
+				return err
+			}
+			// Failed eviction writes, cold read-backs and sweeps all land here.
+			logErr := func(err error) { fmt.Fprintf(os.Stderr, "spd host %s: cold tier: %v\n", ip, err) }
+			ag.OnEvictError = logErr
 			ag.EnableRetention(store.Retention{
 				HotEpochs:  *hotEpochs,
 				Alpha:      s.Testbed.Opt.Alpha,
 				MaxRecords: *maxRecords,
 				Cold:       seglog,
 			}, 0)
-			logErr := func(err error) { fmt.Fprintln(os.Stderr, "spd host: cold-tier sweep:", err) }
-			if *compactRun > 0 {
-				c := &statesync.Compactor{
-					Log:     seglog,
-					Policy:  statesync.CompactPolicy{MinRun: *compactRun, MaxSegmentBytes: *compactBytes},
-					OnError: logErr,
-				}
-				net.Engine.EveryWeak(10*simtime.Millisecond, func() {
-					_, _ = c.Run(context.Background())
-				})
+			if *compactRun <= 0 && *tierMaxAge <= 0 {
+				continue
 			}
-			if *tierMaxAge > 0 {
-				archive := ""
-				if *tierArchive != "" {
-					archive = filepath.Join(*tierArchive, ip.String())
-				}
-				t := &statesync.Tier{
-					Log: seglog,
-					Policy: statesync.TierPolicy{
-						MaxAgeEpochs: *tierMaxAge,
-						Alpha:        s.Testbed.Opt.Alpha,
-						ArchiveDir:   archive,
-					},
-					OnError: logErr,
-				}
-				net.Engine.EveryWeak(10*simtime.Millisecond, func() {
-					_, _ = t.Sweep(context.Background(), net.Now())
-				})
+			tier := statesync.TierPolicy{MaxAgeEpochs: *tierMaxAge, Alpha: s.Testbed.Opt.Alpha}
+			if *tierArchive != "" {
+				tier.ArchiveDir = filepath.Join(*tierArchive, ip.String())
 			}
+			net.Engine.EveryWeak(10*simtime.Millisecond, func() {
+				if *compactRun > 0 {
+					if _, err := seglog.Compact(context.Background(), compact); err != nil {
+						logErr(err)
+					}
+				}
+				if _, err := seglog.TierOut(context.Background(), net.Now(), tier); err != nil {
+					logErr(err)
+				}
+			})
 		}
 		fmt.Fprintf(os.Stderr, "spd host: retention armed (hot-epochs %d, max-records %d, cold-dir %q, compact-min-run %d, tier-max-age %d)\n",
-			*hotEpochs, *maxRecords, *coldDir, *compactRun, *tierMaxAge)
+			*hotEpochs, *maxRecords, coldRoot, *compactRun, *tierMaxAge)
 	}
 
 	// With -bootstrap-from the scenario is NOT replayed: the daemon serves

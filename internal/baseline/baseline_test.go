@@ -140,7 +140,7 @@ func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
 	if err := st.SnapshotShards(store.EveryEpoch, func(seg []byte) error {
-		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		recs, err := flowrec.DecodeSegment(seg)
 		all = append(all, recs...)
 		return err
 	}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -192,6 +193,7 @@ type plane struct {
 	answers map[netsim.IPv4]string // every host's answers before eviction
 	flows   map[netsim.IPv4][]netsim.FlowKey
 	logs    map[netsim.IPv4]*statesync.SegmentLog
+	coldDir string // the logs' directory, which outlives the cold cell's subtest
 	cold    *WireReport
 	merged  bool // compaction merged a run
 }
@@ -207,7 +209,7 @@ func newPlane(t *testing.T, sc planeScenario, b planeBackend) *plane {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &plane{sc: sc, b: b, s: s, q: q}
+	return &plane{sc: sc, b: b, s: s, q: q, coldDir: t.TempDir()}
 }
 
 func memoryCell(t *testing.T, p *plane) *WireReport {
@@ -294,7 +296,7 @@ func coldCell(t *testing.T, p *plane) *WireReport {
 			p.flows[ip] = append(p.flows[ip], r.Flow)
 		}
 		p.answers[ip] = hostAnswers(t, ag, p.s.SwitchIDs(), p.flows[ip])
-		seglog, err := statesync.NewSegmentLog("")
+		seglog, err := statesync.NewSegmentLog(filepath.Join(p.coldDir, ip.String()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
@@ -189,7 +190,7 @@ func TestSwitchBootstrapConcurrentWithPulls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if srcResp.HostsB64 != dstResp.HostsB64 || srcResp.Level != dstResp.Level || srcResp.Source != dstResp.Source {
+		if !bytes.Equal(srcResp.Hosts, dstResp.Hosts) || srcResp.Level != dstResp.Level || srcResp.Source != dstResp.Source {
 			t.Fatalf("switch %d: pull diverged: %+v vs %+v", id, srcResp, dstResp)
 		}
 		if fmt.Sprint(srcBits.Indices()) != fmt.Sprint(dstBits.Indices()) {
@@ -204,7 +205,7 @@ func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
 	if err := st.SnapshotShards(store.EveryEpoch, func(seg []byte) error {
-		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		recs, err := flowrec.DecodeSegment(seg)
 		all = append(all, recs...)
 		return err
 	}); err != nil {

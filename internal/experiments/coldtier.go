@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"switchpointer/internal/analyzer"
 	"switchpointer/internal/scenario"
@@ -31,11 +33,17 @@ func AblationColdTier() (*Result, error) {
 
 	// Staged eviction: repeated retention sweeps at increasing virtual
 	// times flush every host's records across many small epoch-overlapping
-	// segments — the fragmented state a long-running daemon accumulates.
+	// segments — the fragmented state a long-running daemon accumulates —
+	// into one segment log per host under a directory removed on return.
+	dir, err := os.MkdirTemp("", "ablation-coldtier-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
 	alpha := tb.Opt.Alpha
 	var logs []*statesync.SegmentLog
 	for ip, ag := range tb.HostAgents {
-		seglog, err := statesync.NewSegmentLog("")
+		seglog, err := statesync.NewSegmentLog(filepath.Join(dir, ip.String()))
 		if err != nil {
 			return nil, err
 		}

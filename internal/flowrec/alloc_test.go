@@ -51,7 +51,7 @@ func TestDecodeSegmentBoundsAllocation(t *testing.T) {
 		binary.LittleEndian.PutUint32(forged[off:], 1<<32-1)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := decodeAll(forged); err == nil {
+		if _, err := DecodeSegment(forged); err == nil {
 			t.Fatal("forged counts decoded")
 		}
 	})
@@ -66,7 +66,7 @@ func TestDecodeSegmentAllocs(t *testing.T) {
 	recs := segment256()
 	enc := mustEncode(t, recs)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := decodeAll(enc); err != nil {
+		if _, err := DecodeSegment(enc); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -125,53 +125,55 @@ func TestSpliceAndScratchAllocs(t *testing.T) {
 	}
 }
 
-// TestFilteredDecodeAllocs pins what a predicate saves: a segment whose
-// records are all rejected costs the scratch record and nothing sized by the
-// segment, and each admitted record costs its map, on top of a few slabs.
+// TestFilteredDecodeAllocs pins what a scan saves over a decode: a
+// 256-record ScanSegment costs its scratch record and nothing sized by the
+// segment, since every admitted record is handed out as its encoding. Past
+// 64 admitted records the list of where they lie grows once, off the stack.
 func TestFilteredDecodeAllocs(t *testing.T) {
 	enc := mustEncode(t, segment256())
 	const runs = 50
-	measure := func(n int) (allocs, bytes float64) {
+	for _, n := range []int{0, 256, 10, 4, 1} {
+		k := 0 // records admitted
+		if n > 0 {
+			k = (256 + n - 1) / n
+		}
+		wantAllocs, wantBytes := 1.0, 1024.0
+		if k > 64 {
+			wantAllocs, wantBytes = 2, 1024+16*float64(k)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		allocs = testing.AllocsPerRun(runs, func() {
-			if _, _, err := DecodeSegment(enc, everyNth(n)); err != nil {
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := ScanSegment(enc, everyNth(n), func(*Record, []byte) {}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		runtime.ReadMemStats(&after)
-		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-	}
-	if allocs, bytes := measure(0); allocs > 8 || bytes > 2048 {
-		t.Fatalf("a reject-all decode of 256 records costs %.0f allocations and %.0f B, want ≤ 8 and ≤ 2 KB", allocs, bytes)
-	}
-	for _, n := range []int{256, 10, 4, 1} {
-		k := (256 + n - 1) / n
-		if allocs, _ := measure(n); allocs > float64(8+2*k) {
-			t.Fatalf("admitting %d of 256 records costs %.0f allocations, want ≤ 8 + 2k = %d", k, allocs, 8+2*k)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		if allocs > wantAllocs || bytes > wantBytes {
+			t.Fatalf("a scan admitting %d of 256 records costs %.0f allocations and %.0f B, want ≤ %.0f and ≤ %.0f B", k, allocs, bytes, wantAllocs, wantBytes)
 		}
 	}
 }
 
-// BenchmarkDecodeSegment decodes one 256-record segment whole, and through a
-// predicate that admits one record in ten.
+// BenchmarkDecodeSegment decodes one 256-record segment whole, and scans it
+// through a predicate that admits one record in ten.
 func BenchmarkDecodeSegment(b *testing.B) {
 	enc := mustEncode(b, segment256())
-	for _, c := range []struct {
-		name string
-		n    int
-	}{{"full", 0}, {"one-in-ten", 10}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				var keep func(*Record) bool
-				if c.n > 0 {
-					keep = everyNth(c.n)
-				}
-				if _, _, err := DecodeSegment(enc, keep); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := DecodeSegment(enc); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("one-in-ten", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := ScanSegment(enc, everyNth(10), func(*Record, []byte) {}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -135,66 +135,29 @@ func AppendSegment(dst []byte, recs []*Record) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeSegment decodes exactly one segment into the records keep admits
-// (see the package comment) and returns them with the segment's record
-// count. The header's counts are checked against len(b) before anything is
-// sized from them, so a forged input cannot make it allocate out of
-// proportion to its length. Records, paths and epoch ranges come out of
-// three slabs; each Path and Epochs is capped to its own length, so an append
-// (Absorb on a rerouted flow) reallocates. With a keep, a first pass
-// validates the body and notes where admitted records lie.
-func DecodeSegment(b []byte, keep func(*Record) bool) ([]*Record, int, error) {
+// DecodeSegment decodes exactly one segment. The header's counts are
+// checked against len(b) before anything is sized from them, so a forged
+// input cannot make it allocate out of proportion to its length. Records,
+// paths and epoch ranges come out of three slabs; each Path and Epochs is
+// capped to its own length, so an append (Absorb on a rerouted flow)
+// reallocates.
+func DecodeSegment(b []byte) ([]*Record, error) {
 	body, nrec, npath, nepoch, err := segmentBody(b)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if keep != nil {
-		return decodeAdmitted(body, nrec, npath, nepoch, keep)
-	}
-	recs, err := decodeSlabs(body, nrec, npath, nepoch, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return recs, nrec, nil
-}
-
-// decodeAdmitted is DecodeSegment with a keep: a validating pass notes where
-// the admitted records lie, and only they are decoded.
-func decodeAdmitted(body []byte, nrec, npath, nepoch int, keep func(*Record) bool) ([]*Record, int, error) {
-	var spanBuf [64]span // on the stack: most answers admit fewer records
-	// One allocation: the scratch escapes through keep.
-	spans, npath, nepoch, err := admit(body, nrec, npath, nepoch, keep, new(Scratch), spanBuf[:0])
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(spans) == 0 {
-		return nil, nrec, nil
-	}
-	recs, _ := decodeSlabs(body, len(spans), npath, nepoch, spans)
-	return recs, nrec, nil
-}
-
-// decodeSlabs decodes n records of body, holding npath switches and nepoch
-// ranges between them, out of three slabs: the body's records, checked
-// against those counts, or the validated ones at spans.
-func decodeSlabs(body []byte, n, npath, nepoch int, spans []span) ([]*Record, error) {
 	d := decoder{b: body, npath: npath, nepoch: nepoch,
 		paths: make([]netsim.NodeID, npath), epochs: make([]simtime.EpochRange, nepoch)}
-	slab := make([]Record, n)
-	out := make([]*Record, n)
+	slab := make([]Record, nrec)
+	out := make([]*Record, nrec)
 	for i := range slab {
-		if spans != nil {
-			d.b = body[spans[i].lo:spans[i].hi]
-		}
 		out[i] = &slab[i]
 		if d.record(out[i], true); d.bad {
 			break
 		}
 	}
-	if spans == nil { // a filtered pass has validated the body already
-		if err := d.check(); err != nil {
-			return nil, err
-		}
+	if err := d.check(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -213,15 +176,32 @@ func ScanSegment(b []byte, keep func(*Record) bool, fn func(r *Record, enc []byt
 	if keep == nil {
 		keep = func(*Record) bool { return true }
 	}
-	var spanBuf [64]span
+	// A validating pass decodes every record into the scratch (EpochBytes
+	// aside), runs keep on it, and notes where each admitted record lies;
+	// fn runs only once the whole body has matched the header's counts.
+	var spanBuf [64]span // on the stack: most answers admit fewer records
+	spans := spanBuf[:0]
 	sc := new(Scratch) // one allocation: it escapes through keep and fn
-	spans, _, _, err := admit(body, nrec, npath, nepoch, keep, sc, spanBuf[:0])
-	if err != nil {
+	d := decoder{b: body, npath: npath, nepoch: nepoch}
+	for range nrec {
+		at := len(body) - len(d.b)
+		d.paths, d.epochs = sc.paths[:], sc.epochs[:]
+		if d.record(&sc.rec, false); d.bad {
+			break
+		}
+		if keep(&sc.rec) {
+			if len(spans) == cap(spans) {
+				spans = slices.Grow(spans, nrec-len(spans)) // at most once
+			}
+			spans = append(spans, span{at, len(body) - len(d.b)})
+		}
+	}
+	if err := d.check(); err != nil {
 		return 0, err
 	}
 	for _, s := range spans {
 		enc := body[s.lo:s.hi:s.hi]
-		d := decoder{b: enc, npath: len(enc), nepoch: len(enc), paths: sc.paths[:], epochs: sc.epochs[:]}
+		d = decoder{b: enc, npath: len(enc), nepoch: len(enc), paths: sc.paths[:], epochs: sc.epochs[:]}
 		d.record(&sc.rec, false)
 		fn(&sc.rec, enc)
 	}
@@ -382,35 +362,6 @@ func segmentBody(b []byte) (body []byte, nrec, npath, nepoch int, err error) {
 
 // span is where one record's encoding lies within a segment body.
 type span struct{ lo, hi int }
-
-// admit is the validating pass of a filtered read: it decodes every record of
-// body into sc (EpochBytes aside), runs keep on it, and appends to spans where each
-// admitted record lies. It returns those spans with the admitted records'
-// path and epoch totals, or an error when the body does not match the
-// header's counts.
-func admit(body []byte, nrec, npath, nepoch int, keep func(*Record) bool, sc *Scratch, spans []span) ([]span, int, int, error) {
-	d := decoder{b: body, npath: npath, nepoch: nepoch}
-	npath, nepoch = 0, 0
-	for range nrec {
-		at := len(body) - len(d.b)
-		d.paths, d.epochs = sc.paths[:], sc.epochs[:]
-		if d.record(&sc.rec, false); d.bad {
-			break
-		}
-		if keep(&sc.rec) {
-			if len(spans) == cap(spans) {
-				spans = slices.Grow(spans, nrec-len(spans)) // at most once
-			}
-			spans = append(spans, span{at, len(body) - len(d.b)})
-			npath += len(sc.rec.Path)
-			nepoch += len(sc.rec.Epochs)
-		}
-	}
-	if err := d.check(); err != nil {
-		return nil, 0, 0, err
-	}
-	return spans, npath, nepoch, nil
-}
 
 // decoder is a bounds-checked cursor with a sticky failure: after the first
 // short or out-of-range read every read returns zero; bad is checked once.

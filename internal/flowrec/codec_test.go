@@ -33,12 +33,6 @@ func codecRecords() []*Record {
 	return []*Record{a, b, c}
 }
 
-// decodeAll is DecodeSegment with no predicate.
-func decodeAll(b []byte) ([]*Record, error) {
-	recs, _, err := DecodeSegment(b, nil)
-	return recs, err
-}
-
 func mustEncode(t testing.TB, recs []*Record) []byte {
 	t.Helper()
 	return mustEncodeInto(t, nil, recs)
@@ -56,7 +50,7 @@ func mustEncodeInto(t testing.TB, dst []byte, recs []*Record) []byte {
 func TestSegmentRoundTrip(t *testing.T) {
 	recs := codecRecords()
 	enc := mustEncode(t, recs)
-	got, err := decodeAll(enc)
+	got, err := DecodeSegment(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,13 +73,13 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 
 	// An empty segment decodes to no records; an empty Path/Epochs to nil.
-	empty, err := decodeAll(mustEncode(t, nil))
+	empty, err := DecodeSegment(mustEncode(t, nil))
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty segment decoded to %v, %v", empty, err)
 	}
 	d := New(recs[0].Flow)
 	d.Path, d.Epochs = []netsim.NodeID{}, []simtime.EpochRange{}
-	got, err = decodeAll(mustEncode(t, []*Record{d}))
+	got, err = DecodeSegment(mustEncode(t, []*Record{d}))
 	if err != nil || got[0].Path != nil || got[0].Epochs != nil || got[0].EpochBytes == nil {
 		t.Fatalf("empty slices decoded to %+v, %v", got[0], err)
 	}
@@ -119,15 +113,16 @@ func TestSegmentDeterministic(t *testing.T) {
 
 func TestDecodeSegmentRejectsCorrupt(t *testing.T) {
 	enc := mustEncode(t, codecRecords())
-	// decodes reports whether b decodes, after checking that it does with
-	// and without a keep alike: a rejected record is still validated.
+	// decodes reports whether b decodes, after checking that ScanSegment
+	// accepts it exactly then, whatever its keep: a rejected record is still
+	// validated.
 	decodes := func(b []byte) bool {
 		t.Helper()
-		_, _, errAll := DecodeSegment(b, nil)
-		_, _, errNone := DecodeSegment(b, everyNth(0))
-		_, _, errSome := DecodeSegment(b, everyNth(2))
+		_, errAll := DecodeSegment(b)
+		_, errNone := ScanSegment(b, everyNth(0), func(*Record, []byte) {})
+		_, errSome := ScanSegment(b, everyNth(2), func(*Record, []byte) {})
 		if (errAll == nil) != (errNone == nil) || (errAll == nil) != (errSome == nil) {
-			t.Fatalf("keep changed whether a segment decodes: %v / %v / %v", errAll, errNone, errSome)
+			t.Fatalf("a scan disagrees with the decode: %v / %v / %v", errAll, errNone, errSome)
 		}
 		return errAll == nil
 	}
@@ -177,7 +172,7 @@ func TestDecodeSegmentRejectsCorrupt(t *testing.T) {
 // write into its neighbour's.
 func TestDecodedSlicesAreCapped(t *testing.T) {
 	recs := codecRecords()[:2]
-	got, err := decodeAll(mustEncode(t, recs))
+	got, err := DecodeSegment(mustEncode(t, recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +210,14 @@ func everyNth(n int) func(*Record) bool {
 	}
 }
 
-// TestFilteredDecodeIsFilteredFullDecode: with a keep, the decode returns
-// exactly the full decode's records that keep admits, in order, with the
-// same record count; keep sees each record's fields except EpochBytes.
+// TestFilteredDecodeIsFilteredFullDecode: ScanSegment with a keep hands
+// out exactly the full decode's records that keep admits, in order, as
+// encodings DecodeRecord turns back into those records, and returns the
+// segment's record count; keep sees each record's fields except EpochBytes.
 func TestFilteredDecodeIsFilteredFullDecode(t *testing.T) {
 	for name, recs := range map[string][]*Record{"shapes": codecRecords(), "256": segment256(), "empty": nil} {
 		enc := mustEncode(t, recs)
-		full, err := decodeAll(enc)
+		full, err := DecodeSegment(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,13 +230,20 @@ func TestFilteredDecodeIsFilteredFullDecode(t *testing.T) {
 			}
 			admit := everyNth(n)
 			seen := 0
-			got, count, err := DecodeSegment(enc, func(r *Record) bool {
+			var got []*Record
+			count, err := ScanSegment(enc, func(r *Record) bool {
 				if r.EpochBytes != nil || r.Flow != full[seen].Flow || !reflect.DeepEqual(r.Path, full[seen].Path) ||
 					!reflect.DeepEqual(r.Epochs, full[seen].Epochs) || r.Bytes != full[seen].Bytes || r.LastSeen != full[seen].LastSeen {
 					t.Fatalf("%s: keep saw %+v for record %d, want %+v without EpochBytes", name, r, seen, full[seen])
 				}
 				seen++
 				return admit(r)
+			}, func(_ *Record, enc []byte) {
+				r, err := DecodeRecord(enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, r)
 			})
 			if err != nil || count != len(recs) || seen != len(recs) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, every %dth: got %d of %d records (keep saw %d), %v; want %d", name, n, len(got), count, seen, err, len(want))
@@ -358,11 +361,11 @@ func FuzzSpliceSegment(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seg []byte, pick, at uint16, flip byte) {
 		if one, err := SpliceSegment(nil, [][]byte{seg}); err == nil {
-			if recs, _, err := DecodeSegment(one, nil); err == nil && len(recs) != 1 {
+			if recs, err := DecodeSegment(one); err == nil && len(recs) != 1 {
 				t.Fatalf("one spliced range decodes to %d records", len(recs))
 			}
 		}
-		recs, _, err := DecodeSegment(seg, nil)
+		recs, err := DecodeSegment(seg)
 		if err != nil {
 			return
 		}
@@ -386,7 +389,7 @@ func FuzzSpliceSegment(f *testing.F) {
 		encs[i] = bytes.Clone(enc)
 		encs[i][int(at)%len(enc)] ^= flip
 		if out, err := SpliceSegment(nil, encs); err == nil {
-			if again, _, err := DecodeSegment(out, nil); err == nil && len(again) != len(recs) {
+			if again, err := DecodeSegment(out); err == nil && len(again) != len(recs) {
 				t.Fatalf("a spliced corrupted range decodes to %d of %d records", len(again), len(recs))
 			}
 		}

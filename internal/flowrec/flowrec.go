@@ -9,7 +9,7 @@
 // # Segment format
 //
 // Wherever records are persisted or streamed (Flush, eviction sinks, cold
-// segments, compaction, /snapshot frames, the host's /headers-batch and
+// segments, compaction, /snapshot bodies, the host's /headers-batch and
 // /record answers, /ingest batches) they travel as segments (codec.go):
 // a 20-byte header, then the records back to back. A record's own encoding
 // (AppendRecord) is also the host store's resident form for the records it
@@ -38,12 +38,11 @@
 // EpochBytes stays nil (an empty one stays empty), so a record's JSON
 // survives the round trip.
 //
-// DecodeSegment materialises only the records its keep predicate admits (nil
-// admits all: loads, snapshots, bootstrap, compaction). keep runs once per
-// record, in order, on a scratch record holding every field but EpochBytes;
-// it must not retain it. A rejected record is still validated in full, so a
-// segment decodes with a keep exactly when it decodes without, to the full
-// decode filtered by keep.
+// ScanSegment hands out only the records its keep predicate admits (nil
+// admits all). keep runs once per record, in order, on a scratch record
+// holding every field but EpochBytes; it must not retain it. A rejected
+// record is still validated in full, so a segment scans exactly when
+// DecodeSegment decodes it.
 package flowrec
 
 import (
@@ -241,6 +240,14 @@ func SortRecords(recs []*Record) {
 // of their flows.
 func SortEncoded(encs [][]byte) {
 	slices.SortFunc(encs, func(a, b []byte) int { return Compare(FlowOf(a), FlowOf(b)) })
+}
+
+// Supersedes reports whether rec replaces prev, another version of the same
+// flow's record: the later LastSeen wins, then the larger Pkts, and an equal
+// version replaces. So the freshest version wins whatever order versions
+// arrive in, and feeding the same version again changes nothing.
+func Supersedes(rec, prev *Record) bool {
+	return rec.LastSeen > prev.LastSeen || (rec.LastSeen == prev.LastSeen && rec.Pkts >= prev.Pkts)
 }
 
 // Clone returns a deep copy that shares no storage with r — how a caller

@@ -497,7 +497,7 @@ func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []Head
 	out := make([]HeadersAnswer, len(qs))
 	buf := segmentPool.Get().(*[]byte)
 	segs, err := a.answerHeaders(ctx, qs, out, (*buf)[:0], func(qi int, seg []byte) error {
-		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		recs, err := flowrec.DecodeSegment(seg)
 		if len(recs) > 0 {
 			out[qi].Records = recs
 		}
@@ -739,7 +739,7 @@ func (a *Agent) LookupRecord(ctx context.Context, flow netsim.FlowKey) (*flowrec
 	seg, ok, err := a.AnswerRecord(ctx, flow)
 	if err == nil && ok {
 		var recs []*flowrec.Record
-		if recs, _, err = flowrec.DecodeSegment(seg, nil); err == nil {
+		if recs, err = flowrec.DecodeSegment(seg); err == nil {
 			return recs[0], true
 		}
 	}

@@ -138,7 +138,7 @@ func TestQueryHeadersMultiMatchesModel(t *testing.T) {
 		for _, i := range rng.Perm(len(flows))[:rng.Intn(20)] {
 			st.Put(record(flows[i]))
 		}
-		log, err := statesync.NewSegmentLog("")
+		log, err := statesync.NewSegmentLog(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -133,7 +133,7 @@ func TestTopKAndFlowSizesMatchModel(t *testing.T) {
 		ag := &hostagent.Agent{Store: st}
 		var rd store.ColdReader
 		if seed%2 == 0 {
-			log, err := statesync.NewSegmentLog("")
+			log, err := statesync.NewSegmentLog(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}

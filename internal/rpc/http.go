@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -121,7 +120,7 @@ func newHeadersBatchResponse(answers []hostagent.HeadersAnswer, segs [][]byte) H
 func (br *HeadersBatchResponse) answers() ([]hostagent.HeadersAnswer, error) {
 	out := make([]hostagent.HeadersAnswer, len(br.Answers))
 	for i, hr := range br.Answers {
-		recs, _, err := flowrec.DecodeSegment(hr.Segment, nil)
+		recs, err := flowrec.DecodeSegment(hr.Segment)
 		if err != nil {
 			return nil, fmt.Errorf("rpc: headers batch answer %d: %w", i, err)
 		}
@@ -184,7 +183,8 @@ type PointersRequest struct {
 // MPHRequest installs a freshly built minimal perfect hash on a switch —
 // the wire form of the analyzer's §4.3 distribution responsibility.
 type MPHRequest struct {
-	TableB64 string `json:"table_b64"`
+	// Table is the table's MarshalBinary bytes, standard base64 in JSON.
+	Table []byte `json:"table_b64"`
 }
 
 // SwitchSnapshotContentType marks a switch /snapshot body: the bytes of
@@ -193,11 +193,12 @@ const SwitchSnapshotContentType = "application/x-switchpointer-switch-snapshot"
 
 // PointersResponse carries the pointer bitmap and how it was satisfied.
 type PointersResponse struct {
-	HostsB64 string `json:"hosts_b64"`
-	Level    int    `json:"level"`
-	Slots    int    `json:"slots"`
-	Covered  bool   `json:"covered"`
-	Source   string `json:"source"`
+	// Hosts is the bitmap's MarshalBinary bytes, standard base64 in JSON.
+	Hosts   []byte `json:"hosts_b64"`
+	Level   int    `json:"level"`
+	Slots   int    `json:"slots"`
+	Covered bool   `json:"covered"`
+	Source  string `json:"source"`
 	// Approx marks a sketch-backed answer: the bitmap is a candidate
 	// superset of the touched hosts (never missing one). Omitted (false)
 	// for exact backends, keeping the wire form identical to older peers.
@@ -206,12 +207,8 @@ type PointersResponse struct {
 
 // Decode unpacks the bitmap.
 func (pr *PointersResponse) Decode() (*bitset.Set, error) {
-	raw, err := base64.StdEncoding.DecodeString(pr.HostsB64)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: pointer bitmap: %w", err)
-	}
 	var s bitset.Set
-	if err := s.UnmarshalBinary(raw); err != nil {
+	if err := s.UnmarshalBinary(pr.Hosts); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -437,12 +434,12 @@ func NewSwitchHandler(a *switchagent.Agent, label string, fr *trace.FlightRecord
 				return PointersResponse{}, nil, err
 			}
 			return PointersResponse{
-					HostsB64: base64.StdEncoding.EncodeToString(raw),
-					Level:    res.Info.Level,
-					Slots:    res.Info.Slots,
-					Covered:  res.Info.Covered,
-					Source:   res.Source,
-					Approx:   !res.Exact,
+					Hosts:   raw,
+					Level:   res.Info.Level,
+					Slots:   res.Info.Slots,
+					Covered: res.Info.Covered,
+					Source:  res.Source,
+					Approx:  !res.Exact,
 				}, []trace.Attr{
 					{Key: "level", Value: strconv.Itoa(res.Info.Level)},
 					{Key: "slots", Value: strconv.Itoa(res.Info.Slots)},
@@ -453,12 +450,8 @@ func NewSwitchHandler(a *switchagent.Agent, label string, fr *trace.FlightRecord
 		}))
 	mux.Handle("/mph", Endpoint(sp, "mph", LimitRequest,
 		func(_ context.Context, req *MPHRequest) (Empty, []trace.Attr, error) {
-			raw, err := base64.StdEncoding.DecodeString(req.TableB64)
-			if err != nil {
-				return Empty{}, nil, BadRequest(err)
-			}
 			var table mph.Table
-			if err := table.UnmarshalBinary(raw); err != nil {
+			if err := table.UnmarshalBinary(req.Table); err != nil {
 				return Empty{}, nil, BadRequest(err)
 			}
 			mu.Lock()
@@ -657,7 +650,7 @@ func (c *HTTPClient) QueryRecord(ctx context.Context, baseURL string, flow netsi
 	if err := c.Call(ctx, baseURL+"/record", RecordRequest{Flow: flow}, &out, LimitRecords); err != nil || !out.Known {
 		return nil, false, err
 	}
-	recs, _, err := flowrec.DecodeSegment(out.Segment, nil)
+	recs, err := flowrec.DecodeSegment(out.Segment)
 	if err == nil && len(recs) != 1 {
 		err = fmt.Errorf("%d records, want 1", len(recs))
 	}
@@ -674,7 +667,7 @@ func (c *HTTPClient) InstallMPH(ctx context.Context, baseURL string, t *mph.Tabl
 	if err != nil {
 		return fmt.Errorf("rpc: marshal mph: %w", err)
 	}
-	return c.Call(ctx, baseURL+"/mph", MPHRequest{TableB64: base64.StdEncoding.EncodeToString(raw)}, nil, LimitRequest)
+	return c.Call(ctx, baseURL+"/mph", MPHRequest{Table: raw}, nil, LimitRequest)
 }
 
 // PullPointers fetches a switch's pointer union for an epoch range.

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -233,11 +234,13 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 func TestPointersResponseDecodeErrors(t *testing.T) {
-	bad := PointersResponse{HostsB64: "!!!"}
-	if _, err := bad.Decode(); err == nil {
+	var bad PointersResponse
+	if err := json.Unmarshal([]byte(`{"hosts_b64":"!!!"}`), &bad); err == nil {
 		t.Fatalf("invalid base64 accepted")
 	}
-	bad = PointersResponse{HostsB64: "AAAA"}
+	if err := json.Unmarshal([]byte(`{"hosts_b64":"AAAA"}`), &bad); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := bad.Decode(); err == nil {
 		t.Fatalf("truncated bitmap accepted")
 	}

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -10,10 +11,16 @@ import (
 	"testing"
 
 	"switchpointer/internal/flowrec"
+	"switchpointer/internal/header"
 	"switchpointer/internal/hostagent"
+	"switchpointer/internal/mph"
 	"switchpointer/internal/netsim"
+	"switchpointer/internal/pointer"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/store"
+	"switchpointer/internal/switchagent"
+	"switchpointer/internal/topo"
+	"switchpointer/internal/transport"
 )
 
 // memCold is an in-memory cold tier: encoded segments and their manifests.
@@ -209,4 +216,62 @@ func FuzzHeadersBatchAnswer(f *testing.F) {
 			t.Fatalf("round trip changed the answers:\n got %+v\nwant %+v", back, answers)
 		}
 	})
+}
+
+// TestPointersAndMPHWireBytes pins the exact JSON of one /pointers answer
+// and one /mph request: both carry binary tables as standard base64 under
+// hosts_b64 and table_b64.
+func TestPointersAndMPHWireBytes(t *testing.T) {
+	net := netsim.New()
+	tp := topo.Chain(net, []int{1, 0, 1}, topo.Config{})
+	alpha := 10 * simtime.Millisecond
+	params := header.Params{Alpha: alpha, Eps: alpha, Delta: 2 * alpha}
+	hosts := tp.Hosts()
+	table, err := mph.Build([]uint32{uint32(hosts[0].IP()), uint32(hosts[1].IP())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := switchagent.New(net, tp, tp.Switches()[0], switchagent.Config{
+		Pointer: pointer.Config{Alpha: alpha, K: 2, NumHosts: len(hosts)},
+		Mode:    header.ModeCommodity,
+		Params:  params,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.InstallMPH(table)
+	transport.StartUDP(net, hosts[0], transport.UDPConfig{
+		Flow:     netsim.FlowKey{Src: hosts[0].IP(), Dst: hosts[1].IP(), SrcPort: 7, DstPort: 8, Proto: netsim.ProtoUDP},
+		Priority: 2, RateBps: 200_000_000, Duration: 25 * simtime.Millisecond})
+	net.RunUntil(40 * simtime.Millisecond)
+
+	srv := httptest.NewServer(NewSwitchHandler(sw, "", nil))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/pointers", "application/json", strings.NewReader(`{"epoch_lo":0,"epoch_hi":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantAnswer = `{"hosts_b64":"AgAAAAAAAAACAAAAAAAAAA==","level":1,"slots":3,"covered":true,"source":"live"}` + "\n"
+	if string(answer) != wantAnswer {
+		t.Fatalf("/pointers answer:\n got %s\nwant %s", answer, wantAnswer)
+	}
+
+	var request []byte
+	sink := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		request, _ = io.ReadAll(r.Body)
+		w.Write([]byte("{}\n"))
+	}))
+	defer sink.Close()
+	if err := NewHTTPClient(nil).InstallMPH(context.Background(), sink.URL, table); err != nil {
+		t.Fatal(err)
+	}
+	const wantRequest = `{"table_b64":"FXxKf7l5N54CAAAAAgAAAAIAAAABAAAAQAQoAAAAAAAAAA=="}`
+	if string(request) != wantRequest {
+		t.Fatalf("/mph request:\n got %s\nwant %s", request, wantRequest)
+	}
 }

@@ -7,26 +7,27 @@ package statesync
 
 import (
 	"bytes"
-	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"switchpointer/internal/flowrec"
+	"switchpointer/internal/store"
 )
 
-// TestReadSegmentsForgedLengthAllocs: a frame length is the peer's word. A
-// 4-byte body declaring a 64 MiB frame is refused as truncated after
-// allocating no more than the frame buffer's first 64 KiB.
+// TestReadSegmentsForgedLengthAllocs: a segment's length is the peer's
+// word. A bare header declaring a 64 MiB segment is refused as truncated
+// after allocating no more than the read buffer's first 64 KiB.
 func TestReadSegmentsForgedLengthAllocs(t *testing.T) {
-	forged := binary.BigEndian.AppendUint32(nil, maxFrameBytes)
+	forged := bareHeader(store.MaxSegmentBytes)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, _, err := ReadSegments(bytes.NewReader(forged), func([]*flowrec.Record) error { return nil })
 	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a body cut after its frame length read as a snapshot")
+	if err == nil || !strings.Contains(err.Error(), "segment 0") {
+		t.Fatalf("a bare header read as a snapshot: %v", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Fatalf("a forged 4-byte body allocated %d B, want < 1 MiB", grew)
+		t.Fatalf("a forged %d-byte body allocated %d B, want < 1 MiB", len(forged), grew)
 	}
 }

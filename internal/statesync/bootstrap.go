@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"switchpointer/internal/flowrec"
-	"switchpointer/internal/hostagent"
 	"switchpointer/internal/rpc"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/store"
@@ -70,12 +69,6 @@ func (b *Bootstrapper) BootstrapStore(ctx context.Context, peerBase string, epoc
 		}
 		return nil
 	})
-}
-
-// BootstrapHost pulls the peer's full snapshot into a local host agent's
-// store.
-func (b *Bootstrapper) BootstrapHost(ctx context.Context, peerBase string, ag *hostagent.Agent) (segments, records int, err error) {
-	return b.BootstrapStore(ctx, peerBase, store.EveryEpoch, ag.Store)
 }
 
 // BootstrapSwitch pulls the peer switch agent's snapshot (GET

@@ -55,91 +55,92 @@ func readAll(t *testing.T, l *SegmentLog, i int) map[netsim.FlowKey]*flowrec.Rec
 	return out
 }
 
-// TestCompactMergesRunsWithRecencyGuard pins the merge semantics in both
-// modes: a run of small overlapping segments collapses into one sorted
-// segment, and duplicate flow versions resolve exactly like store.Put —
-// newer LastSeen wins; on ties, more Pkts wins; on full ties, the later
+// TestCompactMergesRunsWithRecencyGuard pins the merge semantics: a run of
+// small overlapping segments collapses into one sorted segment, and
+// duplicate flow versions resolve by flowrec.Supersedes, as store.Put does
+// — newer LastSeen wins; on ties, more Pkts wins; on full ties, the later
 // segment's version replaces.
 func TestCompactMergesRunsWithRecencyGuard(t *testing.T) {
-	for _, dir := range []string{"", filepath.Join(t.TempDir(), "cold")} {
-		name := "dir"
-		if dir == "" {
-			name = "mem"
+	// The cold tier keeps its segments in an on-disk directory.
+	t.Run("dir", func(t *testing.T) {
+		l, err := NewSegmentLog(filepath.Join(t.TempDir(), "cold"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			l, err := NewSegmentLog(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stale := coldRecord(100, 50, 0, 2) // superseded: seg 2 carries LastSeen 90
-			fresh := coldRecord(101, 10, 1, 3) // survives: seg 3 re-adds it with older LastSeen
-			winner := coldRecord(100, 90, 4, 6)
-			loser := coldRecord(101, 5, 5, 7)
-			tiePrev := coldRecord(102, 30, 2, 4)
-			tiePrev.Pkts = 9 // tie on LastSeen below: more Pkts, must survive
-			tieNext := coldRecord(102, 30, 5, 7)
-			writeSeg(t, l, stale, fresh)
-			writeSeg(t, l, tiePrev)
-			writeSeg(t, l, winner)
-			writeSeg(t, l, loser, tieNext)
+		stale := coldRecord(100, 50, 0, 2) // superseded: seg 2 carries LastSeen 90
+		fresh := coldRecord(101, 10, 1, 3) // survives: seg 3 re-adds it with older LastSeen
+		winner := coldRecord(100, 90, 4, 6)
+		loser := coldRecord(101, 5, 5, 7)
+		tiePrev := coldRecord(102, 30, 2, 4)
+		tiePrev.Pkts = 9 // tie on LastSeen below: more Pkts, must survive
+		tieNext := coldRecord(102, 30, 5, 7)
+		evenPrev := coldRecord(103, 40, 2, 3) // a full tie: the later segment's version replaces
+		evenNext := coldRecord(103, 40, 5, 6)
+		evenPrev.Bytes, evenNext.Bytes = 1, 2
+		writeSeg(t, l, stale, fresh)
+		writeSeg(t, l, tiePrev, evenPrev)
+		writeSeg(t, l, winner)
+		writeSeg(t, l, loser, tieNext, evenNext)
 
-			st, err := l.Compact(context.Background(), CompactPolicy{MinRun: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Runs != 1 || st.SegmentsIn != 4 || st.SegmentsOut != 1 {
-				t.Fatalf("stats = %+v", st)
-			}
-			if st.RecordsIn != 6 || st.RecordsOut != 3 {
-				t.Fatalf("stats = %+v: want 6 records in, 3 surviving", st)
-			}
-			if l.Len() != 1 {
-				t.Fatalf("Len = %d after compaction", l.Len())
-			}
-			got := readAll(t, l, 0)
-			if len(got) != 3 {
-				t.Fatalf("merged segment holds %d flows, want 3", len(got))
-			}
-			if r := got[winner.Flow]; r == nil || r.LastSeen != 90 {
-				t.Fatalf("port-100 flow = %+v, want the LastSeen-90 version", r)
-			}
-			if r := got[fresh.Flow]; r == nil || r.LastSeen != 10 {
-				t.Fatalf("port-101 flow = %+v, want the LastSeen-10 version", r)
-			}
-			if r := got[tiePrev.Flow]; r == nil || r.Pkts != 9 {
-				t.Fatalf("port-102 flow = %+v, want the Pkts-9 version (LastSeen tie)", r)
-			}
+		st, err := l.Compact(context.Background(), CompactPolicy{MinRun: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Runs != 1 || st.SegmentsIn != 4 || st.SegmentsOut != 1 {
+			t.Fatalf("stats = %+v", st)
+		}
+		if st.RecordsIn != 8 || st.RecordsOut != 4 {
+			t.Fatalf("stats = %+v: want 8 records in, 4 surviving", st)
+		}
+		if l.Len() != 1 {
+			t.Fatalf("Len = %d after compaction", l.Len())
+		}
+		got := readAll(t, l, 0)
+		if len(got) != 4 {
+			t.Fatalf("merged segment holds %d flows, want 4", len(got))
+		}
+		if r := got[winner.Flow]; r == nil || r.LastSeen != 90 {
+			t.Fatalf("port-100 flow = %+v, want the LastSeen-90 version", r)
+		}
+		if r := got[fresh.Flow]; r == nil || r.LastSeen != 10 {
+			t.Fatalf("port-101 flow = %+v, want the LastSeen-10 version", r)
+		}
+		if r := got[tiePrev.Flow]; r == nil || r.Pkts != 9 {
+			t.Fatalf("port-102 flow = %+v, want the Pkts-9 version (LastSeen tie)", r)
+		}
+		if r := got[evenNext.Flow]; r == nil || r.Bytes != 2 {
+			t.Fatalf("port-103 flow = %+v, want the later segment's version (full tie)", r)
+		}
 
-			// The merged manifest is fully indexed and covers the run's union.
-			m := l.Manifests()[0]
-			if m.V == 0 || m.Bloom == nil {
-				t.Fatalf("merged manifest unindexed: %+v", m)
-			}
-			// The index covers the SURVIVING records only (superseded
-			// versions' epochs drop out): fresh [1,3] ∪ tiePrev [2,4] ∪
-			// winner [4,6].
-			if m.Epochs != (simtime.EpochRange{Lo: 1, Hi: 6}) {
-				t.Fatalf("merged epochs = %+v", m.Epochs)
-			}
+		// The merged manifest is fully indexed and covers the run's union.
+		m := l.Manifests()[0]
+		if m.V == 0 || m.Bloom == nil {
+			t.Fatalf("merged manifest unindexed: %+v", m)
+		}
+		// The index covers the SURVIVING records only (superseded
+		// versions' epochs drop out): fresh [1,3] ∪ tiePrev [2,4] ∪
+		// winner [4,6] ∪ evenNext [5,6].
+		if m.Epochs != (simtime.EpochRange{Lo: 1, Hi: 6}) {
+			t.Fatalf("merged epochs = %+v", m.Epochs)
+		}
 
-			// Sorted by flow key: decode order must be ascending.
-			var order []netsim.FlowKey
-			if err := l.ReadSegment(0, func(r *flowrec.Record) { order = append(order, r.Flow) }); err != nil {
-				t.Fatal(err)
+		// Sorted by flow key: decode order must be ascending.
+		var order []netsim.FlowKey
+		if err := l.ReadSegment(0, func(r *flowrec.Record) { order = append(order, r.Flow) }); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(order); i++ {
+			if !flowrec.Less(order[i-1], order[i]) {
+				t.Fatalf("merged records not sorted: %v", order)
 			}
-			for i := 1; i < len(order); i++ {
-				if !flowrec.Less(order[i-1], order[i]) {
-					t.Fatalf("merged records not sorted: %v", order)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestCompactLeavesShortRunsAndBigSegments pins the policy edge: runs
 // shorter than MinRun and segments above MaxSegmentBytes stay untouched.
 func TestCompactLeavesShortRunsAndBigSegments(t *testing.T) {
-	l, err := NewSegmentLog("")
+	l, err := NewSegmentLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,14 +385,14 @@ func TestManifestCompatAndUpgrade(t *testing.T) {
 		t.Fatalf("a manifest line without a file opened: %v", err)
 	}
 	// A payload that is not a codec segment (a gob one, say) fails its read.
-	mem, err := NewSegmentLog("")
+	foreign, err := NewSegmentLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.WriteSegment(store.SegmentManifest{}, []byte{0x0c, 0xff, 0x81}); err != nil {
+	if err := foreign.WriteSegment(store.SegmentManifest{}, []byte{0x0c, 0xff, 0x81}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.ReadSegment(0, func(*flowrec.Record) {}); err == nil || !strings.Contains(err.Error(), "segment 0") {
+	if err := foreign.ReadSegment(0, func(*flowrec.Record) {}); err == nil || !strings.Contains(err.Error(), "segment 0") {
 		t.Fatalf("a foreign payload read back: %v", err)
 	}
 }
@@ -411,9 +412,9 @@ func TestTierOutArchivesAndReportsHonestly(t *testing.T) {
 	writeSeg(t, l, coldRecord(3, 3, 100, 101))
 
 	const alpha = simtime.Millisecond
-	tier := &Tier{Log: l, Policy: TierPolicy{MaxAgeEpochs: 10, Alpha: alpha, ArchiveDir: archive}}
+	p := TierPolicy{MaxAgeEpochs: 10, Alpha: alpha, ArchiveDir: archive}
 	// now = epoch 50: cutoff 40, so the first two segments age out.
-	st, err := tier.Sweep(context.Background(), 50*alpha)
+	st, err := l.TierOut(context.Background(), 50*alpha, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +441,7 @@ func TestTierOutArchivesAndReportsHonestly(t *testing.T) {
 		t.Fatalf("tiered payloads survived in cold dir: %v", names)
 	}
 	// A second sweep is a no-op: tiered segments never re-tier.
-	st, err = tier.Sweep(context.Background(), 50*alpha)
+	st, err = l.TierOut(context.Background(), 50*alpha, p)
 	if err != nil || st.Tiered != 0 {
 		t.Fatalf("re-sweep = %+v, %v", st, err)
 	}
@@ -499,7 +500,7 @@ func TestViewSurvivesRewrites(t *testing.T) {
 // acquiring a view, touching every manifest, and releasing it must not
 // allocate at steady state (the old Manifests() copy allocated per round).
 func TestViewWalkAllocFree(t *testing.T) {
-	l, err := NewSegmentLog("")
+	l, err := NewSegmentLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,11 +663,11 @@ func TestColdIndexEffectiveness(t *testing.T) {
 	const segs = 80
 	const perSeg = 4
 	const k = 3 // segments the query's flows actually live in
-	indexed, err := NewSegmentLog("")
+	indexed, err := NewSegmentLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	unindexed, err := NewSegmentLog("")
+	unindexed, err := NewSegmentLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,24 +47,6 @@ type CompactStats struct {
 	BytesIn, BytesOut int
 }
 
-// Compactor runs a SegmentLog's compaction under a fixed policy — the
-// shape `spd host -compact-*` arms on the daemon's maintenance timer.
-type Compactor struct {
-	Log    *SegmentLog
-	Policy CompactPolicy
-	// OnError, when set, receives background sweep failures.
-	OnError func(error)
-}
-
-// Run performs one compaction pass.
-func (c *Compactor) Run(ctx context.Context) (CompactStats, error) {
-	st, err := c.Log.Compact(ctx, c.Policy)
-	if err != nil && c.OnError != nil {
-		c.OnError(err)
-	}
-	return st, err
-}
-
 // compactCrash, when non-nil, is invoked at the compactor's two
 // crash-windows — after temp payloads are written but before they are
 // renamed ("pre-rename"), and after the renames but before the manifest
@@ -79,18 +61,18 @@ var compactCrash func(stage string) error
 type compactRun struct {
 	lo, hi int
 	seg    logSegment
-	tmp    string // temp payload path (directory mode)
+	tmp    string // temp payload path
 }
 
 // Compact merges runs of small segments whose epoch ranges chain-overlap
-// into one sorted segment each, dropping superseded record versions via
-// the same recency guard as store.Put (LastSeen, then Pkts — the later
-// segment wins ties, matching Put's equal-recency-replaces rule). New
-// payloads are written to temp files and renamed, and the rewritten
-// manifest is committed atomically, so a crash anywhere leaves either the
-// old log or the new one. Concurrent appends land behind the compacted
-// prefix; concurrent readers keep their views. The merged manifests carry
-// the current index version, upgrading pre-index segments in passing.
+// into one sorted segment each, dropping superseded record versions by
+// flowrec.Supersedes, the recency rule store.Put applies (a later segment
+// wins ties). New payloads are written to temp files and renamed, and the
+// rewritten manifest is committed atomically, so a crash anywhere leaves
+// either the old log or the new one. Concurrent appends land behind the
+// compacted prefix; concurrent readers keep their views. The merged
+// manifests carry the current index version, upgrading pre-index segments in
+// passing.
 func (l *SegmentLog) Compact(ctx context.Context, p CompactPolicy) (CompactStats, error) {
 	p = p.withDefaults()
 	l.rewriteMu.Lock()
@@ -130,9 +112,7 @@ func (l *SegmentLog) Compact(ctx context.Context, p CompactPolicy) (CompactStats
 			bytesIn += seg.Manifest.Bytes
 			err := l.decodeSegment(seg, si, func(rec *flowrec.Record) {
 				recsIn++
-				if prev, ok := merged[rec.Flow]; ok &&
-					(prev.LastSeen > rec.LastSeen ||
-						(prev.LastSeen == rec.LastSeen && prev.Pkts > rec.Pkts)) {
+				if prev, ok := merged[rec.Flow]; ok && !flowrec.Supersedes(rec, prev) {
 					return
 				}
 				merged[rec.Flow] = rec
@@ -155,20 +135,15 @@ func (l *SegmentLog) Compact(ctx context.Context, p CompactPolicy) (CompactStats
 		}
 		m := store.NewSegmentManifest(recs)
 		m.Bytes = buf.Len()
-		r.seg = logSegment{Manifest: m}
-		if l.dir == "" {
-			r.seg.payload = buf.Bytes()
-		} else {
-			l.mu.Lock()
-			id := l.next
-			l.next++
-			l.mu.Unlock()
-			r.seg.file = segFileName(id)
-			r.tmp = filepath.Join(l.dir, r.seg.file+".tmp")
-			if err := os.WriteFile(r.tmp, buf.Bytes(), 0o644); err != nil {
-				abort()
-				return CompactStats{}, fmt.Errorf("statesync: compact: %w", err)
-			}
+		l.mu.Lock()
+		id := l.next
+		l.next++
+		l.mu.Unlock()
+		r.seg = logSegment{Manifest: m, file: segFileName(id)}
+		r.tmp = filepath.Join(l.dir, r.seg.file+".tmp")
+		if err := os.WriteFile(r.tmp, buf.Bytes(), 0o644); err != nil {
+			abort()
+			return CompactStats{}, fmt.Errorf("statesync: compact: %w", err)
 		}
 		st.Runs++
 		st.SegmentsIn += r.hi - r.lo
@@ -190,9 +165,6 @@ func (l *SegmentLog) Compact(ctx context.Context, p CompactPolicy) (CompactStats
 	// as orphans that reopen removes.
 	for ri := range runs {
 		r := &runs[ri]
-		if r.tmp == "" {
-			continue
-		}
 		if err := os.Rename(r.tmp, filepath.Join(l.dir, r.seg.file)); err != nil {
 			abort()
 			return CompactStats{}, fmt.Errorf("statesync: compact: %w", err)
@@ -217,9 +189,7 @@ func (l *SegmentLog) Compact(ctx context.Context, p CompactPolicy) (CompactStats
 		if ri < len(runs) && i == runs[ri].lo {
 			newSegs = append(newSegs, runs[ri].seg)
 			for si := runs[ri].lo; si < runs[ri].hi; si++ {
-				if cur[si].file != "" {
-					retired = append(retired, cur[si].file)
-				}
+				retired = append(retired, cur[si].file) // compactable: never tiered
 			}
 			i = runs[ri].hi - 1
 			ri++
@@ -227,12 +197,10 @@ func (l *SegmentLog) Compact(ctx context.Context, p CompactPolicy) (CompactStats
 		}
 		newSegs = append(newSegs, cur[i])
 	}
-	if l.dir != "" {
-		if err := l.rewriteManifestLocked(newSegs); err != nil {
-			// The merged payload files become orphans; reopen reconciles.
-			l.mu.Unlock()
-			return CompactStats{}, err
-		}
+	if err := l.rewriteManifestLocked(newSegs); err != nil {
+		// The merged payload files become orphans; reopen reconciles.
+		l.mu.Unlock()
+		return CompactStats{}, err
 	}
 	l.segs = newSegs
 	l.mu.Unlock()

@@ -38,7 +38,7 @@ type IngestResponse struct {
 func IngestHandler(ag *hostagent.Agent, rd *Readiness) http.Handler {
 	return rpc.Endpoint(nil, "ingest", rpc.LimitRecords,
 		func(_ context.Context, batch *IngestBatch) (IngestResponse, []trace.Attr, error) {
-			recs, _, err := flowrec.DecodeSegment(batch.Segment, nil)
+			recs, err := flowrec.DecodeSegment(batch.Segment)
 			if err != nil {
 				return IngestResponse{}, nil, rpc.BadRequest(fmt.Errorf("statesync: ingest batch: %w", err))
 			}

@@ -2,7 +2,7 @@
 // scenario-replay servers into live state machines. It has three legs:
 //
 //   - Snapshot/serve: host agents expose their sharded record stores as
-//     self-contained record segments over HTTP (GET .../snapshot, epoch-range
+//     flowrec segments back to back over HTTP (GET .../snapshot, epoch-range
 //     addressable, streamed shard by shard so absorption never stalls), and
 //     switch agents expose pointer + MPH snapshots.
 //   - Bootstrap/ingest: a fresh daemon pulls a peer's segments, loads them,
@@ -10,9 +10,11 @@
 //     records) while already serving queries, with a syncing → live
 //     readiness state machine surfaced at /healthz.
 //   - Cold read-back: SegmentLog is the indexed flush sink behind
-//     store.Retention — evicted segments persist with tiny manifests, and
-//     host agents transparently consult them for epoch windows that have
-//     aged out of the hot set (store.ColdReader).
+//     store.Retention — evicted segments persist as files in one directory
+//     with tiny manifests, and host agents transparently consult them for
+//     epoch windows that have aged out of the hot set (store.ColdReader).
+//     SegmentLog.Compact merges runs of small segments and SegmentLog.TierOut
+//     retires aged ones; the daemon calls both from its maintenance timer.
 package statesync
 
 import (

@@ -3,6 +3,7 @@ package statesync
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,17 +22,13 @@ import (
 // store.ColdReader (epoch-windowed queries read evicted telemetry back
 // through point-in-time views).
 //
-// Two modes:
-//
-//   - In-memory (dir == ""): segments live in process memory. The mode
-//     tests and short-lived daemons use.
-//   - Directory-backed: each segment persists as seg-NNNNNN.seg next to
-//     manifest.jsonl, one JSON line per segment in log order — the tiny
-//     index that lets read-back skip irrelevant segments without decoding
-//     them, and that survives a daemon restart (reopening the same
-//     directory resumes the log). Appends extend the manifest in place
-//     (O(1) index I/O per eviction sweep); only compaction and tiering
-//     rewrite it, atomically (temp file + rename).
+// The log lives in a directory: each segment persists as seg-NNNNNN.seg
+// next to manifest.jsonl, one JSON line per segment in log order — the tiny
+// index that lets read-back skip irrelevant segments without decoding them,
+// and that survives a daemon restart (reopening the same directory resumes
+// the log). Appends extend the manifest in place (O(1) index I/O per
+// eviction sweep); only compaction and tiering rewrite it, atomically (temp
+// file + rename).
 //
 // Manifest line format: every line of a segment that is not tiered out
 // carries an explicit "file" field naming its payload, so compaction can
@@ -105,8 +102,7 @@ func (l *SegmentLog) Counters() Counters {
 
 type logSegment struct {
 	Manifest store.SegmentManifest
-	file     string // payload file name within dir ("" = in-memory or tiered)
-	payload  []byte // in-memory mode only
+	file     string // payload file name within dir ("" = tiered)
 }
 
 // manifestLine is one persisted manifest.jsonl line: the manifest plus the
@@ -121,19 +117,19 @@ var (
 	_ store.ColdReader = (*SegmentLog)(nil)
 )
 
-// NewSegmentLog opens a segment log. An empty dir selects the in-memory
-// mode; otherwise dir is created if needed and an existing manifest.jsonl
-// resumes the persisted log. Reopening reconciles the directory against
-// the manifest: segment files never referenced by a manifest line (crash
-// orphans — a payload written before its manifest line landed, or a
-// compaction output whose commit never happened) and leftover temp files
-// are removed, so the log always serves exactly the committed view.
+// NewSegmentLog opens the segment log in dir, which is created if needed; an
+// existing manifest.jsonl resumes the persisted log. An empty dir is an
+// error: the log has no other storage. Reopening reconciles the directory
+// against the manifest: segment files never referenced by a manifest line
+// (crash orphans — a payload written before its manifest line landed, or a
+// compaction output whose commit never happened) and leftover temp files are
+// removed, so the log always serves exactly the committed view.
 func NewSegmentLog(dir string) (*SegmentLog, error) {
+	if dir == "" {
+		return nil, errors.New("statesync: segment log needs a directory")
+	}
 	l := &SegmentLog{dir: dir}
 	l.viewPool.New = func() any { return new(logView) }
-	if dir == "" {
-		return l, nil
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("statesync: segment log: %w", err)
 	}
@@ -205,7 +201,7 @@ func (l *SegmentLog) removeOrphans() error {
 	return nil
 }
 
-// Dir returns the backing directory ("" for the in-memory mode).
+// Dir returns the backing directory.
 func (l *SegmentLog) Dir() string { return l.dir }
 
 func (l *SegmentLog) manifestPath() string { return filepath.Join(l.dir, "manifest.jsonl") }
@@ -221,25 +217,20 @@ func segFileID(name string) (int, bool) {
 }
 
 // WriteSegment implements store.ColdStore: it appends one encoded segment
-// and persists its manifest. In directory mode the segment file lands
-// before its manifest line is appended, so a crash between the two leaves
-// a recoverable log (the orphan file is removed at reopen).
+// and persists its manifest. The segment file lands before its manifest line
+// is appended, so a crash between the two leaves a recoverable log (the
+// orphan file is removed at reopen).
 func (l *SegmentLog) WriteSegment(m store.SegmentManifest, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seg := logSegment{Manifest: m}
-	if l.dir == "" {
-		seg.payload = payload
-	} else {
-		seg.file = segFileName(l.next)
-		if err := os.WriteFile(filepath.Join(l.dir, seg.file), payload, 0o644); err != nil {
-			return fmt.Errorf("statesync: write segment %s: %w", seg.file, err)
-		}
-		if err := l.appendManifestLocked(manifestLine{SegmentManifest: m, File: seg.file}); err != nil {
-			return err
-		}
-		l.next++
+	seg := logSegment{Manifest: m, file: segFileName(l.next)}
+	if err := os.WriteFile(filepath.Join(l.dir, seg.file), payload, 0o644); err != nil {
+		return fmt.Errorf("statesync: write segment %s: %w", seg.file, err)
 	}
+	if err := l.appendManifestLocked(manifestLine{SegmentManifest: m, File: seg.file}); err != nil {
+		return err
+	}
+	l.next++
 	l.segs = append(l.segs, seg)
 	l.segWrites.Add(1)
 	return nil
@@ -368,7 +359,7 @@ func (l *SegmentLog) reclaim() {
 
 // retire queues files for deletion and reclaims immediately if possible.
 func (l *SegmentLog) retire(files []string) {
-	if l.dir == "" || len(files) == 0 {
+	if len(files) == 0 {
 		return
 	}
 	l.reclaimMu.Lock()
@@ -383,26 +374,22 @@ func (l *SegmentLog) readSegment(seg *logSegment, i int, decode func(payload []b
 	if seg.Manifest.Tiered {
 		return fmt.Errorf("statesync: segment %d: %w", i, store.ErrTiered)
 	}
-	payload := seg.payload
-	if payload == nil {
-		buf := readBufs.Get().(*bytes.Buffer)
-		defer func() {
-			if buf.Cap() <= 1<<20 { // keep no compaction-sized buffer alive
-				buf.Reset()
-				readBufs.Put(buf)
-			}
-		}()
-		f, err := os.Open(filepath.Join(l.dir, seg.file))
-		if err == nil {
-			_, err = buf.ReadFrom(f)
-			f.Close() // read-only: nothing to flush
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 1<<20 { // keep no compaction-sized buffer alive
+			buf.Reset()
+			readBufs.Put(buf)
 		}
-		if err != nil {
-			return fmt.Errorf("statesync: read segment %d: %w", i, err)
-		}
-		payload = buf.Bytes()
+	}()
+	f, err := os.Open(filepath.Join(l.dir, seg.file))
+	if err == nil {
+		_, err = buf.ReadFrom(f)
+		f.Close() // read-only: nothing to flush
 	}
-	if err := decode(payload); err != nil {
+	if err != nil {
+		return fmt.Errorf("statesync: read segment %d: %w", i, err)
+	}
+	if err := decode(buf.Bytes()); err != nil {
 		return fmt.Errorf("statesync: segment %d: %w", i, err)
 	}
 	l.segDecodes.Add(1)
@@ -447,7 +434,7 @@ func (l *SegmentLog) ReadSegment(i int, fn func(*flowrec.Record)) error {
 // caller.
 func (l *SegmentLog) decodeSegment(seg *logSegment, i int, fn func(*flowrec.Record)) error {
 	return l.readSegment(seg, i, func(payload []byte) error {
-		recs, _, err := flowrec.DecodeSegment(payload, nil)
+		recs, err := flowrec.DecodeSegment(payload)
 		for _, r := range recs {
 			fn(r)
 		}

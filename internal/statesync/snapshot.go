@@ -1,8 +1,6 @@
 package statesync
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,16 +14,11 @@ import (
 	"switchpointer/internal/store"
 )
 
-// SegmentsContentType marks a host snapshot body: a sequence of
-// length-prefixed frames (4-byte big-endian length, then that many bytes),
-// each holding one self-contained flowrec segment, one per non-empty store
-// shard. The frame length lets a puller bound and read a whole segment
-// before decoding any of it.
+// SegmentsContentType marks a host snapshot body: self-contained flowrec
+// segments back to back, one per non-empty store shard. Each segment's
+// header declares its length, so a puller bounds and reads a whole segment
+// before decoding any of it (store.DecodeSegment).
 const SegmentsContentType = "application/x-switchpointer-segments"
-
-// maxFrameBytes is the largest frame ReadSegments accepts: the length is the
-// peer's word.
-const maxFrameBytes = 64 << 20
 
 // HostSnapshotHandler serves GET /snapshot on a host agent: the agent's
 // resident record set as a stream of self-contained segments, one per
@@ -54,11 +47,6 @@ func HostSnapshotHandler(ag *hostagent.Agent) http.Handler {
 		// A write error leaves the stream truncated; the puller sees that as
 		// a decode error, which is the honest failure mode.
 		_ = ag.Store.SnapshotShards(epochs, func(seg []byte) error {
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], uint32(len(seg)))
-			if _, err := w.Write(hdr[:]); err != nil {
-				return err
-			}
 			if _, err := w.Write(seg); err != nil {
 				return err
 			}
@@ -92,34 +80,19 @@ func epochWindow(r *http.Request) (simtime.EpochRange, error) {
 	return simtime.EpochRange{Lo: simtime.Epoch(l), Hi: simtime.Epoch(h)}, nil
 }
 
-// ReadSegments decodes a stream of length-prefixed segments (a host snapshot
-// body) until EOF, handing each segment's record slice to fn. It returns how
-// many segments and records were decoded. A stream truncated mid-frame, or a
-// frame longer than maxFrameBytes, is an error, never a silent short read.
-// A frame's buffer is sized on its declared length up to 64 KiB and grows
-// as its bytes arrive.
+// ReadSegments decodes a host snapshot body, one store.DecodeSegment per
+// segment, until the stream ends, handing each segment's records to fn. It
+// returns how many segments and records were decoded. A stream cut inside a
+// segment, or a header declaring more than store.MaxSegmentBytes, is an
+// error naming the segment, never a silent short read.
 func ReadSegments(r io.Reader, fn func(recs []*flowrec.Record) error) (segments, records int, err error) {
-	var payload bytes.Buffer
 	for {
-		var hdr [4]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return segments, records, nil
-			}
-			return segments, records, fmt.Errorf("statesync: segment frame: %w", err)
+		recs, err := store.DecodeSegment(r)
+		if err == io.EOF {
+			return segments, records, nil
 		}
-		size := binary.BigEndian.Uint32(hdr[:])
-		if size > maxFrameBytes {
-			return segments, records, fmt.Errorf("statesync: segment frame %d declares %d bytes, limit %d", segments, size, maxFrameBytes)
-		}
-		payload.Reset()
-		payload.Grow(min(int(size), 64<<10))
-		if _, err := io.CopyN(&payload, r, int64(size)); err != nil {
-			return segments, records, fmt.Errorf("statesync: truncated segment %d: %w", segments, err)
-		}
-		recs, _, err := flowrec.DecodeSegment(payload.Bytes(), nil)
 		if err != nil {
-			return segments, records, fmt.Errorf("statesync: segment frame %d: %w", segments, err)
+			return segments, records, fmt.Errorf("statesync: segment %d: %w", segments, err)
 		}
 		segments++
 		records += len(recs)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -108,41 +109,79 @@ func TestWindowedSnapshot(t *testing.T) {
 	}
 }
 
-// frame appends one snapshot frame holding seg to body.
-func frame(body, seg []byte) []byte {
-	return append(binary.BigEndian.AppendUint32(body, uint32(len(seg))), seg...)
+// TestSnapshotBodyIsShardSegments: a host /snapshot body is the store's
+// SnapshotShards segments back to back, byte for byte, with no framing of
+// its own — for the full store and for an epoch window alike.
+func TestSnapshotBodyIsShardSegments(t *testing.T) {
+	tb := redLights(t)
+	ag := tb.HostAgents[richestAgentIP(tb)]
+	for port := uint16(1); port <= 64; port++ { // enough flows to fill several shards
+		ag.Store.Put(coldRecord(port, simtime.Time(port), simtime.Epoch(port%16), simtime.Epoch(port%16+1)))
+	}
+	srv := httptest.NewServer(HostSnapshotHandler(ag))
+	defer srv.Close()
+	for query, epochs := range map[string]simtime.EpochRange{"": store.EveryEpoch, "?lo=2&hi=9": {Lo: 2, Hi: 9}} {
+		var want []byte
+		segs := 0
+		if err := ag.Store.SnapshotShards(epochs, func(seg []byte) error {
+			want = append(want, seg...)
+			segs++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(srv.URL + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.Get("Content-Type") != SegmentsContentType || segs < 2 || !bytes.Equal(got, want) {
+			t.Fatalf("snapshot%s: %d bytes (%s), want the %d bytes of %d shard segments", query, len(got), resp.Header.Get("Content-Type"), len(want), segs)
+		}
+	}
 }
 
-// twoFrameBody is a valid snapshot body of two frames.
-func twoFrameBody(t testing.TB) []byte {
+// bareHeader is a segment header, with nothing behind it, that declares a
+// segment of total bytes.
+func bareHeader(total int) []byte {
+	hdr, _ := flowrec.AppendSegment(nil, nil)
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(total-flowrec.SegmentHeaderLen))
+	return hdr
+}
+
+// twoSegmentBody is a valid snapshot body of two segments.
+func twoSegmentBody(t testing.TB) []byte {
 	t.Helper()
 	a, b := coldRecord(1, 5, 1, 3), coldRecord(2, 9, 2, 4)
 	b.Path, b.Epochs = []netsim.NodeID{1, 2}, []simtime.EpochRange{{Lo: 2, Hi: 4}, {Lo: 3, Hi: 3}}
 	b.AddEpochBytes(3, 1500)
 	var body []byte
 	for _, recs := range [][]*flowrec.Record{{a}, {a, b}} {
-		seg, err := flowrec.AppendSegment(nil, recs)
-		if err != nil {
+		var err error
+		if body, err = flowrec.AppendSegment(body, recs); err != nil {
 			t.Fatal(err)
 		}
-		body = frame(body, seg)
 	}
 	return body
 }
 
-// reframe reads body with ReadSegments and frames each decoded segment again
-// as AppendSegment writes it, returning the frames, every record read, and
+// reencode reads body with ReadSegments and encodes each decoded segment
+// again, back to back, returning that body, every record read, and
 // ReadSegments' error.
-func reframe(t testing.TB, body []byte) ([]byte, []*flowrec.Record, error) {
+func reencode(t testing.TB, body []byte) ([]byte, []*flowrec.Record, error) {
 	t.Helper()
 	var out []byte
 	var all []*flowrec.Record
 	_, records, err := ReadSegments(bytes.NewReader(body), func(recs []*flowrec.Record) error {
-		seg, err := flowrec.AppendSegment(nil, recs)
-		if err != nil {
+		var err error
+		if out, err = flowrec.AppendSegment(out, recs); err != nil {
 			t.Fatalf("re-encoding a decoded segment: %v", err)
 		}
-		out, all = frame(out, seg), append(all, recs...)
+		all = append(all, recs...)
 		return nil
 	})
 	if records != len(all) {
@@ -153,40 +192,57 @@ func reframe(t testing.TB, body []byte) ([]byte, []*flowrec.Record, error) {
 
 // FuzzReadSegments feeds ReadSegments arbitrary snapshot bodies: it must
 // hand out records or return an error — never panic, never allocate out of
-// proportion to the input, whatever length a frame declares — and whatever
-// it decodes re-frames to the same bytes. (An accepted varint may arrive
-// longer than the encoder writes it, so the claim is made of the re-framed
-// body: it reads back to the same records and re-frames to itself.) The
-// committed corpus (testdata/fuzz) holds a valid two-frame body, cuts of it
-// and an oversized declared length; every truncation is seeded here.
+// proportion to the input, whatever length a segment header declares — and
+// whatever it decodes re-encodes to the same bytes. (An accepted varint may
+// arrive longer than the encoder writes it, so the claim is made of the
+// re-encoded body: it reads back to the same records and re-encodes to
+// itself.) The committed corpus (testdata/fuzz) holds a valid two-segment
+// body, cuts of it, a bare header declaring store.MaxSegmentBytes and one
+// declaring a byte more; every truncation, and the cases only a segment
+// header frames, are seeded here.
 func FuzzReadSegments(f *testing.F) {
-	valid := twoFrameBody(f)
+	valid := twoSegmentBody(f)
 	for n := 0; n <= len(valid); n++ {
 		f.Add(valid[:n])
 	}
-	f.Add(binary.BigEndian.AppendUint32(nil, maxFrameBytes))
-	f.Add(binary.BigEndian.AppendUint32(nil, maxFrameBytes+1))
+	f.Add(bareHeader(store.MaxSegmentBytes))
+	f.Add(bareHeader(store.MaxSegmentBytes + 1))
+	// What only a header frames: empty segments, a declared byte that never
+	// arrives, a 4 GiB declaration, a foreign or future second segment, a
+	// stray byte after the last one, and a 64 MiB declaration cut short.
+	empty := bareHeader(flowrec.SegmentHeaderLen)
+	first, _ := flowrec.SegmentLen(valid)
+	foreign, future := bytes.Clone(valid), bytes.Clone(valid)
+	foreign[first] = 0x22
+	future[first+3]++
+	for _, body := range [][]byte{
+		empty, append(bytes.Clone(empty), empty...), bareHeader(flowrec.SegmentHeaderLen + 1),
+		bareHeader(1<<32 - 1), foreign, future, append(bytes.Clone(valid), 0),
+		append(bareHeader(store.MaxSegmentBytes), valid...),
+	} {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		framed, recs, err := reframe(t, body)
+		encoded, recs, err := reencode(t, body)
 		runtime.ReadMemStats(&after)
 		// A record is ~130 B in memory for ≥ 23 B on the wire, and its map
-		// about as much again; the constant covers a frame buffer sized on the
-		// declared length up to 64 KiB, and the re-framing (the race detector
-		// doubles both).
+		// about as much again; the constant covers a read buffer sized on the
+		// declared length up to 64 KiB, and the re-encoding (the race
+		// detector doubles both).
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<18+64*uint64(len(body)) {
 			t.Fatalf("reading %d bytes allocated %d", len(body), grew)
 		}
-		if err == nil && bytes.Equal(body, valid) && !bytes.Equal(framed, body) {
-			t.Fatalf("a valid body re-framed to other bytes:\n got %x\nwant %x", framed, body)
+		if err == nil && bytes.Equal(body, valid) && !bytes.Equal(encoded, body) {
+			t.Fatalf("a valid body re-encoded to other bytes:\n got %x\nwant %x", encoded, body)
 		}
-		again, recsAgain, err := reframe(t, framed)
+		again, recsAgain, err := reencode(t, encoded)
 		if err != nil {
-			t.Fatalf("reading a re-framed body: %v", err)
+			t.Fatalf("reading a re-encoded body: %v", err)
 		}
-		if !bytes.Equal(again, framed) || !reflect.DeepEqual(recsAgain, recs) {
-			t.Fatalf("re-framing is not a fixpoint:\n got %x\nwant %x", again, framed)
+		if !bytes.Equal(again, encoded) || !reflect.DeepEqual(recsAgain, recs) {
+			t.Fatalf("re-encoding is not a fixpoint:\n got %x\nwant %x", again, encoded)
 		}
 	})
 }
@@ -236,7 +292,7 @@ func TestFailedEvictionKeepsRecords(t *testing.T) {
 		t.Fatal("a failed eviction changed the store's answers")
 	}
 
-	seglog, err := NewSegmentLog("")
+	seglog, err := NewSegmentLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

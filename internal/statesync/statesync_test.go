@@ -36,7 +36,7 @@ func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
 	if err := st.SnapshotShards(store.EveryEpoch, func(seg []byte) error {
-		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		recs, err := flowrec.DecodeSegment(seg)
 		all = append(all, recs...)
 		return err
 	}); err != nil {
@@ -69,7 +69,13 @@ func richestAgentIP(tb *scenario.Testbed) netsim.IPv4 {
 	return best
 }
 
+// TestSegmentLogModes: the log has one storage mode, a directory. An empty
+// dir is refused; a directory log reads back what it wrote, and reopening
+// the directory resumes it.
 func TestSegmentLogModes(t *testing.T) {
+	if l, err := NewSegmentLog(""); err == nil || l != nil {
+		t.Fatalf(`NewSegmentLog(t.TempDir()) = %v, %v; want an error`, l, err)
+	}
 	tb := redLights(t)
 	recs := allRecords(t, tb.HostAgents[richestAgentIP(tb)].Store)
 	if len(recs) == 0 {
@@ -82,55 +88,43 @@ func TestSegmentLogModes(t *testing.T) {
 	payload := []byte(buf.String())
 	manifest := store.SegmentManifest{Epochs: simtime.EpochRange{Lo: 0, Hi: 10}, Flows: len(recs), Bytes: len(payload)}
 
-	dir := t.TempDir()
-	memLog, err := NewSegmentLog("")
+	log, err := NewSegmentLog(filepath.Join(t.TempDir(), "cold"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirLog, err := NewSegmentLog(filepath.Join(dir, "cold"))
-	if err != nil {
+	if err := log.WriteSegment(manifest, payload); err != nil {
 		t.Fatal(err)
 	}
-	for _, log := range []*SegmentLog{memLog, dirLog} {
-		if err := log.WriteSegment(manifest, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := log.WriteSegment(manifest, payload); err != nil {
-			t.Fatal(err)
-		}
-		if log.Len() != 2 {
-			t.Fatalf("Len = %d, want 2", log.Len())
-		}
-		ms := log.Manifests()
-		if len(ms) != 2 || ms[0].Epochs != manifest.Epochs || ms[0].Flows != manifest.Flows || ms[0].Bytes != manifest.Bytes {
-			t.Fatalf("Manifests = %+v", ms)
-		}
-		got := 0
-		if err := log.ReadSegment(1, func(r *flowrec.Record) { got++ }); err != nil {
-			t.Fatal(err)
-		}
-		if got != len(recs) {
-			t.Fatalf("ReadSegment decoded %d records, want %d", got, len(recs))
-		}
-		if err := log.ReadSegment(7, func(*flowrec.Record) {}); err == nil {
-			t.Fatal("out-of-range ReadSegment succeeded")
-		}
+	if err := log.WriteSegment(manifest, payload); err != nil {
+		t.Fatal(err)
+	}
+	if log.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", log.Len())
+	}
+	ms := log.Manifests()
+	if len(ms) != 2 || ms[0].Epochs != manifest.Epochs || ms[0].Flows != manifest.Flows || ms[0].Bytes != manifest.Bytes {
+		t.Fatalf("Manifests = %+v", ms)
+	}
+	if err := log.ReadSegment(7, func(*flowrec.Record) {}); err == nil {
+		t.Fatal("out-of-range ReadSegment succeeded")
 	}
 
 	// Reopening the directory resumes the persisted log.
-	reopened, err := NewSegmentLog(dirLog.Dir())
+	reopened, err := NewSegmentLog(log.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reopened.Len() != 2 {
 		t.Fatalf("reopened Len = %d, want 2", reopened.Len())
 	}
-	got := 0
-	if err := reopened.ReadSegment(0, func(r *flowrec.Record) { got++ }); err != nil {
-		t.Fatal(err)
-	}
-	if got != len(recs) {
-		t.Fatalf("reopened ReadSegment decoded %d records, want %d", got, len(recs))
+	for i, l := range []*SegmentLog{log, reopened} {
+		got := 0
+		if err := l.ReadSegment(1, func(r *flowrec.Record) { got++ }); err != nil {
+			t.Fatal(err)
+		}
+		if got != len(recs) {
+			t.Fatalf("log %d: ReadSegment decoded %d records, want %d", i, got, len(recs))
+		}
 	}
 }
 
@@ -332,7 +326,7 @@ func TestColdReadBackHostQuery(t *testing.T) {
 	hotJSON, _ := json.Marshal(hot.Records)
 
 	// Evict everything into an indexed segment log.
-	seglog, err := NewSegmentLog("")
+	seglog, err := NewSegmentLog(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

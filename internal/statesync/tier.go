@@ -33,24 +33,6 @@ type TierStats struct {
 	Archived int
 }
 
-// Tier runs a SegmentLog's age tiering under a fixed policy — the shape
-// `spd host -tier-*` arms on the daemon's maintenance timer.
-type Tier struct {
-	Log    *SegmentLog
-	Policy TierPolicy
-	// OnError, when set, receives background sweep failures.
-	OnError func(error)
-}
-
-// Sweep performs one tiering pass at virtual time now.
-func (t *Tier) Sweep(ctx context.Context, now simtime.Time) (TierStats, error) {
-	st, err := t.Log.TierOut(ctx, now, t.Policy)
-	if err != nil && t.OnError != nil {
-		t.OnError(err)
-	}
-	return st, err
-}
-
 // TierOut archives-or-deletes every segment whose epoch range ended more
 // than p.MaxAgeEpochs epochs ago. The segment's manifest SURVIVES, marked
 // Tiered, and the rewritten manifest is committed atomically — so queries
@@ -92,7 +74,7 @@ func (l *SegmentLog) TierOut(ctx context.Context, now simtime.Time, p TierPolicy
 			return st, fmt.Errorf("statesync: tier: %w", err)
 		}
 		for _, i := range victims {
-			if err := l.archiveSegment(&prefix[i], i, p.ArchiveDir); err != nil {
+			if err := l.archiveSegment(&prefix[i], p.ArchiveDir); err != nil {
 				return st, err
 			}
 			st.Archived++
@@ -107,18 +89,13 @@ func (l *SegmentLog) TierOut(ctx context.Context, now simtime.Time, p TierPolicy
 	for _, i := range victims {
 		st.Tiered++
 		st.TieredBytes += newSegs[i].Manifest.Bytes
-		if newSegs[i].file != "" {
-			retired = append(retired, newSegs[i].file)
-		}
+		retired = append(retired, newSegs[i].file)
 		newSegs[i].Manifest.Tiered = true
 		newSegs[i].file = ""
-		newSegs[i].payload = nil
 	}
-	if l.dir != "" {
-		if err := l.rewriteManifestLocked(newSegs); err != nil {
-			l.mu.Unlock()
-			return TierStats{}, err
-		}
+	if err := l.rewriteManifestLocked(newSegs); err != nil {
+		l.mu.Unlock()
+		return TierStats{}, err
 	}
 	l.segs = newSegs
 	l.mu.Unlock()
@@ -127,22 +104,13 @@ func (l *SegmentLog) TierOut(ctx context.Context, now simtime.Time, p TierPolicy
 	return st, nil
 }
 
-// archiveSegment copies one segment's payload into dir under its file name
-// (in-memory segments are named by their current position).
-func (l *SegmentLog) archiveSegment(seg *logSegment, i int, dir string) error {
-	name := seg.file
-	payload := seg.payload
-	if name == "" {
-		name = segFileName(i)
+// archiveSegment copies one segment's payload file into dir under its name.
+func (l *SegmentLog) archiveSegment(seg *logSegment, dir string) error {
+	raw, err := os.ReadFile(filepath.Join(l.dir, seg.file))
+	if err == nil {
+		err = os.WriteFile(filepath.Join(dir, seg.file), raw, 0o644)
 	}
-	if payload == nil {
-		raw, err := os.ReadFile(filepath.Join(l.dir, seg.file))
-		if err != nil {
-			return fmt.Errorf("statesync: tier: %w", err)
-		}
-		payload = raw
-	}
-	if err := os.WriteFile(filepath.Join(dir, name), payload, 0o644); err != nil {
+	if err != nil {
 		return fmt.Errorf("statesync: tier: %w", err)
 	}
 	return nil

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
 	"runtime"
 	"slices"
@@ -51,8 +53,9 @@ func encodeSegment(t testing.TB, recs []*flowrec.Record) []byte {
 }
 
 // TestDecodeSegmentIsSelfDelimiting: segments concatenated on one stream
-// come off it one DecodeSegment at a time, whether or not the
-// reader can hand out single bytes, and a cut anywhere is an error.
+// come off it one DecodeSegment at a time, whether or not the reader can
+// hand out single bytes; the exhausted stream reads io.EOF, and a cut
+// anywhere inside a segment is an error that is not io.EOF.
 func TestDecodeSegmentIsSelfDelimiting(t *testing.T) {
 	recs := fixtureRecords()
 	one, two := encodeSegment(t, recs[:1]), encodeSegment(t, recs[1:])
@@ -68,13 +71,13 @@ func TestDecodeSegmentIsSelfDelimiting(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(second, recs[1:]) {
 			t.Fatalf("%s: second segment: %v, %v", name, second, err)
 		}
-		if _, err := DecodeSegment(r); err == nil {
-			t.Fatalf("%s: decoded a third segment from an exhausted stream", name)
+		if recs, err := DecodeSegment(r); err != io.EOF {
+			t.Fatalf("%s: an exhausted stream read %v, %v; want io.EOF", name, recs, err)
 		}
 	}
-	for n := 0; n < len(one); n++ {
-		if _, err := DecodeSegment(bytes.NewReader(one[:n])); err == nil {
-			t.Fatalf("a segment cut to %d of %d bytes decoded", n, len(one))
+	for n := 1; n < len(one); n++ {
+		if _, err := DecodeSegment(bytes.NewReader(one[:n])); err == nil || errors.Is(err, io.EOF) {
+			t.Fatalf("a segment cut to %d of %d bytes read %v", n, len(one), err)
 		}
 	}
 }
@@ -114,7 +117,7 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 		return cold.payloads[0]
 	}
 	seg := sweep()
-	recs, _, err := flowrec.DecodeSegment(seg, nil)
+	recs, err := flowrec.DecodeSegment(seg)
 	if err != nil || len(recs) != 5 {
 		t.Fatalf("evicted segment decodes to %d records: %v", len(recs), err)
 	}
@@ -129,8 +132,9 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 // FuzzDecodeSegment feeds DecodeSegment arbitrary bytes: it must return
 // records or an error — never panic, never allocate out of proportion to the
 // input — and whatever it accepts must survive an encode/decode round trip.
-// flowrec.DecodeSegment, with a keep drawn from the input, must agree with
-// the whole decode filtered.
+// flowrec.ScanSegment, with a keep drawn from the input, fails exactly when
+// flowrec.DecodeSegment does, and otherwise hands out the whole decode
+// filtered, as encodings flowrec.DecodeRecord turns back into its records.
 // The committed corpus (testdata/fuzz) holds a valid segment and forged
 // counts; every truncation of a segment, a future version and a foreign
 // magic are seeded here.
@@ -160,17 +164,23 @@ func FuzzDecodeSegment(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
 		}
 
-		// The predicate form: bit i of the input admits record i. It fails
-		// exactly when the whole decode fails, and otherwise returns the whole
-		// decode filtered, with the same record count.
+		// The predicate form: bit i of the input admits record i.
 		admits := func(i int) bool {
 			return len(data) > 0 && data[i%len(data)]>>(i/len(data)%8)&1 == 1
 		}
 		calls := 0
-		kept, n, keptErr := flowrec.DecodeSegment(data, func(*flowrec.Record) bool { calls++; return admits(calls - 1) })
-		full, fullN, fullErr := flowrec.DecodeSegment(data, nil)
+		var kept []*flowrec.Record
+		n, keptErr := flowrec.ScanSegment(data, func(*flowrec.Record) bool { calls++; return admits(calls - 1) },
+			func(_ *flowrec.Record, enc []byte) {
+				r, err := flowrec.DecodeRecord(enc)
+				if err != nil {
+					t.Fatalf("an admitted encoding does not decode: %v", err)
+				}
+				kept = append(kept, r)
+			})
+		full, fullErr := flowrec.DecodeSegment(data)
 		if (keptErr == nil) != (fullErr == nil) {
-			t.Fatalf("with a keep: %v; without: %v", keptErr, fullErr)
+			t.Fatalf("scan: %v; decode: %v", keptErr, fullErr)
 		}
 		if fullErr == nil {
 			var want []*flowrec.Record
@@ -180,8 +190,8 @@ func FuzzDecodeSegment(f *testing.F) {
 				}
 			}
 			same := slices.EqualFunc(kept, want, func(a, b *flowrec.Record) bool { return reflect.DeepEqual(a, b) })
-			if !same || n != len(full) || fullN != len(full) || calls != len(full) {
-				t.Fatalf("kept %d of %d records (keep called %d times), want %d of %d", len(kept), n, calls, len(want), fullN)
+			if !same || n != len(full) || calls != len(full) {
+				t.Fatalf("scan handed out %d records and counted %d (keep called %d times), want %d of %d", len(kept), n, calls, len(want), len(full))
 			}
 		}
 		if err != nil {
@@ -190,7 +200,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		if len(recs) > len(data) {
 			t.Fatalf("%d records out of %d bytes", len(recs), len(data))
 		}
-		again, _, err := flowrec.DecodeSegment(encodeSegment(t, recs), nil)
+		again, err := flowrec.DecodeSegment(encodeSegment(t, recs))
 		if err != nil {
 			t.Fatalf("re-decoding an accepted segment: %v", err)
 		}

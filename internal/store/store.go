@@ -20,7 +20,7 @@
 // record joins or leaves that switch, and carrying each record's epoch range
 // there so a (switch, epoch window) query reads ranges sequentially and
 // touches only what it returns. Whatever leaves memory — an eviction to a
-// cold segment, a snapshot frame, a catch-up feed batch — leaves as a copy
+// cold segment, a snapshot segment, a catch-up feed batch — leaves as a copy
 // of its records' stored bytes (a live record encoded) spliced into one
 // flowrec segment (segment.go): the "flushed to local storage" behaviour,
 // with no record decoded and re-encoded on the way out.
@@ -497,12 +497,10 @@ func (st *RecordStore) Release(r *flowrec.Record) {
 // elsewhere, so there is no local record to Acquire and mutate. The store
 // keeps rec's encoding, not rec: the caller keeps the record.
 //
-// Replacement is recency-guarded: a record strictly older than the
-// resident one (by LastSeen, then Pkts) is dropped, so the freshest
-// version wins regardless of arrival order — a snapshot segment cloned
-// before an ingest update can race the feed and land after it without
-// clobbering the newer state. Equal-recency Puts replace, keeping
-// idempotent re-feeds honest. It reports whether rec was installed.
+// Replacement is recency-guarded by flowrec.Supersedes: a record older than
+// the resident one is dropped, so a snapshot segment cloned before an
+// ingest update can race the feed and land after it without clobbering the
+// newer state. It reports whether rec was installed.
 func (st *RecordStore) Put(rec *flowrec.Record) bool {
 	var buf [256]byte // most records encode in fewer bytes
 	enc := flowrec.AppendRecord(buf[:0], rec)
@@ -515,9 +513,9 @@ func (st *RecordStore) Put(rec *flowrec.Record) bool {
 	if replaced {
 		var sc scratch
 		prev := t.record(i, &sc)
-		stale := prev.LastSeen > rec.LastSeen || (prev.LastSeen == rec.LastSeen && prev.Pkts > rec.Pkts)
+		newer := flowrec.Supersedes(rec, prev)
 		sc.release()
-		if stale {
+		if !newer {
 			return false
 		}
 		// Wholesale replacement: the record's bytes change, so every switch

@@ -122,7 +122,7 @@ func snapshot(t testing.TB, st *RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
 	if err := st.SnapshotShards(EveryEpoch, func(seg []byte) error {
-		recs, _, err := flowrec.DecodeSegment(seg, nil)
+		recs, err := flowrec.DecodeSegment(seg)
 		all = append(all, recs...)
 		return err
 	}); err != nil {
@@ -287,8 +287,9 @@ func TestPutReplacementInvalidatesMemos(t *testing.T) {
 }
 
 // TestPutRecencyGuard: a stale record (older LastSeen, or same LastSeen
-// with fewer packets) must not clobber the resident one — arrival order
-// does not decide, freshness does.
+// with fewer packets) must not clobber the resident one, while an equal
+// version or one with more packets replaces it — arrival order does not
+// decide, freshness does.
 func TestPutRecencyGuard(t *testing.T) {
 	st := New()
 	cur := addRecord(st, 1, 2, []netsim.NodeID{10}, 100)
@@ -310,6 +311,21 @@ func TestPutRecencyGuard(t *testing.T) {
 	fewer.Bytes = 2
 	if st.Put(fewer) {
 		t.Fatal("same LastSeen with fewer packets replaced the resident record")
+	}
+
+	same := cur.Clone() // the resident version again: an equal version replaces
+	same.Bytes = 3
+	if !st.Put(same) {
+		t.Fatal("an equal version was refused")
+	}
+	more := cur.Clone()
+	more.Pkts = 10
+	more.Bytes = 4
+	if !st.Put(more) {
+		t.Fatal("same LastSeen with more packets was refused")
+	}
+	if got := st.BySwitch(10); got[0].Bytes != 4 {
+		t.Fatalf("a tie-broken Put not visible: %+v", got[0])
 	}
 
 	newer := cur.Clone()

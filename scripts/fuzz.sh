@@ -4,7 +4,7 @@
 # splice that assembles a host answer from record encodings, the pointer
 # snapshot and slot-list decoders, the client's decode of a /headers-batch
 # answer (flowrec segments inside JSON) and the reader of a host /snapshot
-# body (length-prefixed segment frames). Arbitrary bytes must
+# body (flowrec segments back to back). Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
 # input, a failed restore changes nothing — and whatever decodes must survive
 # an encode/decode round trip. `make fuzz` and scripts/verify.sh both run
