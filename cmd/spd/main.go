@@ -59,9 +59,9 @@ import (
 	"syscall"
 	"time"
 
+	"switchpointer/internal/analyzer"
 	"switchpointer/internal/buildinfo"
 	"switchpointer/internal/cluster"
-	"switchpointer/internal/hostagent"
 	"switchpointer/internal/metrics"
 	"switchpointer/internal/pointer"
 	"switchpointer/internal/scenario"
@@ -115,9 +115,9 @@ func usage() {
 
 Every role serves GET /metrics (Prometheus text) and GET /traces alongside
 its query plane; the analyzer also serves GET /stats (admission counters,
-JSON). With -alert-pipeline, the analyzer enriches,
-deduplicates, and rate-limits the scenario's raised alerts before admitting
-the surviving diagnoses.
+JSON). With -alert-pipeline, the analyzer deduplicates and rate-limits the
+alerts its scenario replay raised before admitting the surviving
+diagnoses.
 
 With -bootstrap-from, the daemon does NOT replay the scenario: it serves
 immediately in the "syncing" readiness state, pulls the peer daemon's
@@ -143,7 +143,7 @@ func serveCmd(role string, args []string) error {
 		maxInflight  = fs.Int("max-inflight", 0, "analyzer: concurrent diagnosis bound (0 = default 4)")
 		maxQueue     = fs.Int("max-queue", 0, "analyzer: admission queue depth (0 = default 64)")
 		queueWait    = fs.Duration("queue-wait", 0, "analyzer: max queue wait before ErrExpired (0 = unbounded)")
-		alertPipe    = fs.Bool("alert-pipeline", false, "analyzer: run the alert enrichment/dedup pipeline over the scenario's raised alerts, forwarding survivors into admission")
+		alertPipe    = fs.Bool("alert-pipeline", false, "analyzer: run the alert dedup/rate-limit pipeline over the scenario's raised alerts, forwarding survivors' queries into admission")
 		alertDedup   = fs.Duration("alert-dedup", time.Second, "analyzer: pipeline dedup window on the alerts' virtual clock")
 		alertRate    = fs.Float64("alert-rate", 0, "analyzer: sustained pipeline forward rate per virtual second (0 = unlimited)")
 		alertBurst   = fs.Int("alert-burst", 0, "analyzer: pipeline token-bucket burst (default 1 when -alert-rate is set)")
@@ -256,21 +256,14 @@ func serveCmd(role string, args []string) error {
 			*hotEpochs, *maxRecords, coldRoot, *compactRun, *tierMaxAge)
 	}
 
+	if *alertPipe && role != "analyzer" {
+		return errors.New("-alert-pipeline applies to the analyzer role only")
+	}
+
 	// With -bootstrap-from the scenario is NOT replayed: the daemon serves
 	// immediately in the syncing state and absorbs the peer's snapshots in
 	// the background; without it, state comes from the deterministic replay
 	// and the daemon is live from the first request.
-	// The alert pipeline consumes the scenario's own raised alerts, so the
-	// subscription must exist before the replay plays them out. The buffer
-	// is sized to hold any scenario's full alert volume.
-	var alerts <-chan hostagent.Alert
-	if *alertPipe {
-		if role != "analyzer" {
-			return errors.New("-alert-pipeline applies to the analyzer role only")
-		}
-		alerts = s.Testbed.SubscribeBuffered(hostagent.AlertFilter{}, 4096)
-	}
-
 	var rd *statesync.Readiness
 	if *bootstrap != "" {
 		if role == "analyzer" {
@@ -312,21 +305,25 @@ func serveCmd(role string, args []string) error {
 		ad.Flight = trace.NewFlightRecorder(role, 0)
 		ad.Flight.SetPeers(map[string]string{"hosts": *hostsURL, "switches": *switchesURL})
 		svc = cluster.NewAnalyzerHandler(ad)
-		if alerts != nil {
-			pipe := cluster.NewAlertPipeline(s.Testbed.Topo, cluster.PipelineConfig{
+		if *alertPipe {
+			pipe := cluster.NewAlertPipeline(cluster.PipelineConfig{
 				DedupWindow: simtime.Time(*alertDedup),
 				Rate:        *alertRate,
 				Burst:       *alertBurst,
-			}, func(ea cluster.EnrichedAlert) {
+			}, func(q analyzer.Query) {
 				go func() {
-					if _, err := ad.Run(context.Background(), ea.Query); err != nil {
-						fmt.Fprintf(os.Stderr, "spd analyzer: pipeline diagnosis (%s): %v\n", ea.Query.Name(), err)
+					if _, err := ad.Run(context.Background(), q); err != nil {
+						fmt.Fprintf(os.Stderr, "spd analyzer: pipeline diagnosis (%s): %v\n", q.Name(), err)
 					}
 				}()
 			})
 			pipe.Flight = ad.Flight
 			pipe.Register(svc.Registry)
-			go pipe.Run(context.Background(), alerts)
+			// The replay has returned, so the alert log is complete and in
+			// raise order; every alert is offered before the daemon listens.
+			for _, a := range s.Testbed.Alerts {
+				pipe.Offer(a)
+			}
 			fmt.Fprintf(os.Stderr, "spd analyzer: alert pipeline armed (dedup %v, rate %g/s, burst %d)\n",
 				*alertDedup, *alertRate, *alertBurst)
 		}

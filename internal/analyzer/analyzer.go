@@ -3,7 +3,6 @@ package analyzer
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 
 	"switchpointer/internal/hostagent"
@@ -31,17 +30,14 @@ import (
 // queued/expired queries with typed errors. Fields must not be mutated
 // while Runs are in flight.
 type Analyzer struct {
-	Topo  *topo.Topology
-	Dir   Directory
-	Hosts map[netsim.IPv4]*hostagent.Agent
-	Cost  rpc.CostModel
+	Topo *topo.Topology
+	Dir  Directory
+	Cost rpc.CostModel
 
-	// HostBack, when set, routes every per-host interaction of the
-	// diagnosis procedures through the given backend instead of the
-	// in-process Hosts map — the host-side twin of the Directory seam. Nil
-	// selects MemoryHosts over Hosts (the default, byte-identical to the
-	// pre-seam direct agent calls); RemoteHosts runs the same rounds over
-	// the JSON/HTTP binding so a whole diagnosis travels the wire.
+	// HostBack routes every per-host interaction of the diagnosis
+	// procedures — the host-side twin of the Directory seam. New installs
+	// MemoryHosts over the given agents; RemoteHosts runs the same rounds
+	// over the JSON/HTTP binding so a whole diagnosis travels the wire.
 	HostBack HostBackend
 
 	// DisablePruning turns off the §4.3 search-radius reduction (ablation).
@@ -63,27 +59,13 @@ type Analyzer struct {
 	DisableTracing bool
 }
 
-// DefaultWorkers, when positive, sets the fan-out width for analyzers whose
-// Workers field is zero. It exists as a package-level seam so harnesses that
-// build testbeds indirectly (the experiment regenerators, determinism tests)
-// can pin the worker count without threading it through every constructor;
-// zero defers to rpc.DefaultFanOutWorkers.
-var DefaultWorkers int
-
-// workers resolves the effective fan-out width (0 = rpc default).
-func (a *Analyzer) workers() int {
-	if a.Workers > 0 {
-		return a.Workers
-	}
-	return DefaultWorkers
-}
-
-// New assembles an analyzer over the given directory backend and host agents.
+// New assembles an analyzer over the given directory backend, with
+// MemoryHosts over the given host agents as its host backend.
 func New(tp *topo.Topology, dir Directory, hosts map[netsim.IPv4]*hostagent.Agent, cost rpc.CostModel) *Analyzer {
 	return &Analyzer{
 		Topo:             tp,
 		Dir:              dir,
-		Hosts:            hosts,
+		HostBack:         MemoryHosts{Agents: hosts},
 		Cost:             cost,
 		DetectionLatency: simtime.Millisecond,
 	}
@@ -211,8 +193,4 @@ func dedupIPs(lists ...[]netsim.IPv4) []netsim.IPv4 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-func (a *Analyzer) String() string {
-	return fmt.Sprintf("analyzer(%d directory hosts, %d agents)", a.Dir.Len(), len(a.Hosts))
 }

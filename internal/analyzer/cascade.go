@@ -119,7 +119,7 @@ func (a *Analyzer) syntheticAlert(ctx context.Context, clock *rpc.Clock, flow ne
 	// The record probe parents under the one-host diagnosis round charged
 	// just below.
 	ctx = clock.RemoteCtx(ctx)
-	rec, ok := a.hostBackend().Record(ctx, flow.Dst, flow)
+	rec, ok := a.HostBack.Record(ctx, flow.Dst, flow)
 	if !ok {
 		return hostagent.Alert{}, false
 	}

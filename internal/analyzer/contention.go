@@ -81,7 +81,7 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 	for qi, tup := range alert.Tuples {
 		queries[qi] = hostagent.HeadersQuery{Switch: tup.Switch, Epochs: tup.Epochs}
 	}
-	answers, dispatched, cerr := a.hostBackend().HeadersRound(qctx, a.workers(), contact, queries)
+	answers, dispatched, cerr := a.HostBack.HeadersRound(qctx, a.Workers, contact, queries)
 	recCounts := make([]int, dispatched)
 	culprits := &culpritIndex{}
 	var coldHosts []netsim.IPv4
@@ -197,7 +197,7 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 }
 
 func victimPriority(ctx context.Context, a *Analyzer, alert hostagent.Alert) uint8 {
-	if prio, known := a.hostBackend().Priority(ctx, alert.Host, alert.Flow); known {
+	if prio, known := a.HostBack.Priority(ctx, alert.Host, alert.Flow); known {
 		return prio
 	}
 	return 0

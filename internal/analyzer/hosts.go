@@ -13,10 +13,11 @@ import (
 // interaction of the five diagnosis procedures — the fan-out query rounds
 // and the two single-host probes — goes through this interface, mirroring
 // what the Directory interface does for switch pointer state. The in-memory
-// implementation (MemoryHosts, the default) reaches hostagent.Agent
-// executors directly; the HTTP implementation (RemoteHosts) reaches the
-// same executors over their JSON/HTTP binding (rpc.NewHostHandler), so a
-// whole diagnosis can run over the wire.
+// implementation (MemoryHosts, which analyzer.New installs) reaches
+// hostagent.Agent executors directly; the HTTP implementation (RemoteHosts)
+// reaches the same executors over their JSON/HTTP binding
+// (rpc.NewHostHandler), so a whole diagnosis can run over the wire. Both
+// run every round through hostRound.
 //
 // # Round contract
 //
@@ -56,60 +57,57 @@ type HostBackend interface {
 	Record(ctx context.Context, ip netsim.IPv4, flow netsim.FlowKey) (*flowrec.Record, bool)
 }
 
-// hostBackend resolves the analyzer's host backend: the explicit HostBack
-// when set, else the in-memory default over the Hosts map.
-func (a *Analyzer) hostBackend() HostBackend {
-	if a.HostBack != nil {
-		return a.HostBack
-	}
-	return MemoryHosts{Agents: a.Hosts}
+// hostRound is the one per-host query round behind every *Round method:
+// ask(ctx, peer, args) for each host in parallel (rpc.FanOut), one answer per
+// host in host order, and a zero answer for a host missing from peers. args
+// reaches ask as a parameter so ask can be a literal that captures nothing.
+func hostRound[P, A, T any](ctx context.Context, workers int, hosts []netsim.IPv4, peers map[netsim.IPv4]P, args A, ask func(ctx context.Context, peer P, args A) T) ([]T, int, error) {
+	answers := make([]T, len(hosts))
+	dispatched, err := rpc.FanOut(ctx, workers, len(hosts), func(ctx context.Context, i int) {
+		if peer, ok := peers[hosts[i]]; ok {
+			answers[i] = ask(ctx, peer, args)
+		}
+	})
+	return answers, dispatched, err
 }
 
-// MemoryHosts is the default HostBackend: it reaches host agents in-process
-// (the analyzer colocated with the simulated testbed). Hosts without an
-// agent answer every query with nothing, matching a silent server.
+// topK is a TopKRound's arguments.
+type topK struct {
+	sw netsim.NodeID
+	k  int
+}
+
+// MemoryHosts is the HostBackend analyzer.New installs: it reaches host
+// agents in-process (the analyzer colocated with the simulated testbed).
+// Hosts without an agent answer every query with nothing, matching a silent
+// server.
 type MemoryHosts struct {
 	Agents map[netsim.IPv4]*hostagent.Agent
 }
 
 var _ HostBackend = MemoryHosts{}
 
-// HeadersRound implements HostBackend over in-process agents.
+// HeadersRound implements HostBackend over in-process agents: one
+// multi-query pass per host, so cold segments decode once per round, not
+// once per alert tuple.
 func (m MemoryHosts) HeadersRound(ctx context.Context, workers int, hosts []netsim.IPv4, queries []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, int, error) {
-	answers := make([][]hostagent.HeadersAnswer, len(hosts))
-	dispatched, err := rpc.FanOut(ctx, workers, len(hosts), func(ctx context.Context, i int) {
-		ag, ok := m.Agents[hosts[i]]
-		if !ok {
-			return
-		}
-		// One multi-query pass per host: cold segments decode once per
-		// round, not once per alert tuple.
-		per := ag.QueryHeadersMulti(ctx, queries)
-		answers[i] = per
+	return hostRound(ctx, workers, hosts, m.Agents, queries, func(ctx context.Context, ag *hostagent.Agent, qs []hostagent.HeadersQuery) []hostagent.HeadersAnswer {
+		return ag.QueryHeadersMulti(ctx, qs)
 	})
-	return answers, dispatched, err
 }
 
 // TopKRound implements HostBackend over in-process agents.
 func (m MemoryHosts) TopKRound(ctx context.Context, workers int, hosts []netsim.IPv4, sw netsim.NodeID, k int) ([][]hostagent.FlowBytes, int, error) {
-	answers := make([][]hostagent.FlowBytes, len(hosts))
-	dispatched, err := rpc.FanOut(ctx, workers, len(hosts), func(ctx context.Context, i int) {
-		if ag, ok := m.Agents[hosts[i]]; ok {
-			answers[i] = ag.QueryTopK(ctx, sw, k)
-		}
+	return hostRound(ctx, workers, hosts, m.Agents, topK{sw, k}, func(ctx context.Context, ag *hostagent.Agent, q topK) []hostagent.FlowBytes {
+		return ag.QueryTopK(ctx, q.sw, q.k)
 	})
-	return answers, dispatched, err
 }
 
 // FlowSizesRound implements HostBackend over in-process agents.
 func (m MemoryHosts) FlowSizesRound(ctx context.Context, workers int, hosts []netsim.IPv4, sw netsim.NodeID) ([][]hostagent.FlowSize, int, error) {
-	answers := make([][]hostagent.FlowSize, len(hosts))
-	dispatched, err := rpc.FanOut(ctx, workers, len(hosts), func(ctx context.Context, i int) {
-		if ag, ok := m.Agents[hosts[i]]; ok {
-			answers[i] = ag.QueryFlowSizes(ctx, sw)
-		}
+	return hostRound(ctx, workers, hosts, m.Agents, sw, func(ctx context.Context, ag *hostagent.Agent, sw netsim.NodeID) []hostagent.FlowSize {
+		return ag.QueryFlowSizes(ctx, sw)
 	})
-	return answers, dispatched, err
 }
 
 // Priority implements HostBackend over in-process agents.

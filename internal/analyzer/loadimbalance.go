@@ -63,7 +63,7 @@ func (a *Analyzer) diagnoseImbalance(ctx context.Context, q ImbalanceQuery) (*Re
 	// merge below runs in sorted host order (and the per-link series are
 	// sorted afterwards anyway), so the report is identical for every
 	// worker count and backend.
-	answers, dispatched, cerr := a.hostBackend().FlowSizesRound(clock.RemoteCtx(ctx), a.workers(), hosts, q.Switch)
+	answers, dispatched, cerr := a.HostBack.FlowSizesRound(clock.RemoteCtx(ctx), a.Workers, hosts, q.Switch)
 	byLink := make(map[topo.LinkID][]uint64)
 	recCounts := make([]int, dispatched)
 	for i := 0; i < dispatched; i++ {

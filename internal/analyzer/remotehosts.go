@@ -10,18 +10,19 @@ import (
 )
 
 // RemoteHosts is the HostBackend for a real deployment: every per-host
-// query round of the diagnosis procedures travels the JSON/HTTP binding,
-// fanned out through rpc.QueryHosts against rpc.NewHostHandler servers —
+// query round of the diagnosis procedures travels the JSON/HTTP binding to
+// rpc.NewHostHandler servers, through the same hostRound as MemoryHosts —
 // the host-side twin of RemoteDirectory. With both installed on an
 // Analyzer, a whole diagnosis (pointer pulls, MPH distribution, and all
 // per-host rounds) runs over the wire, and the Report is byte-identical to
 // the in-memory run: rounds dispatch in host order, answers merge in host
-// order, and the partial-cost contract under cancellation is carried
-// through rpc.QueryHosts unchanged.
+// order, and the partial-cost contract under cancellation is hostRound's.
 //
 // A host without a registered URL, or one whose server fails a request,
 // answers with nothing — the same silent-server semantics as an absent
-// in-memory agent, so one dead host never aborts a round.
+// in-memory agent, so one dead host never aborts a round: each round drops
+// the request error (the `_` in each method) because HostBackend's contract
+// gives an unreachable host a zero answer, not an error.
 //
 // Concurrency: all methods are safe for concurrent use (rpc.HTTPClient is
 // goroutine-safe), including overlapping whole diagnoses.
@@ -42,35 +43,10 @@ func NewRemoteHosts(hostURLs map[netsim.IPv4]string, client *rpc.HTTPClient) *Re
 	return &RemoteHosts{urls: hostURLs, client: client}
 }
 
-// Client returns the underlying HTTP client (shared with RemoteDirectory in
-// typical deployments so the connection pool spans both planes).
-func (r *RemoteHosts) Client() *rpc.HTTPClient { return r.client }
-
-// urlsFor aligns base URLs with the host list; unknown hosts get "".
-func (r *RemoteHosts) urlsFor(hosts []netsim.IPv4) []string {
-	urls := make([]string, len(hosts))
-	for i, ip := range hosts {
-		urls[i] = r.urls[ip]
-	}
-	return urls
-}
-
-// round is one per-host query round over HTTP: hosts in parallel, one
-// answer per host in host order, a host without a URL answering nothing.
-func round[T any](ctx context.Context, r *RemoteHosts, workers int, hosts []netsim.IPv4, query func(ctx context.Context, url string) (T, error)) ([]T, int, error) {
-	results, err := rpc.QueryHosts(ctx, r.client, workers, r.urlsFor(hosts),
-		func(ctx context.Context, _ *rpc.HTTPClient, url string) (T, error) {
-			if url == "" {
-				var none T
-				return none, nil
-			}
-			return query(ctx, url)
-		})
-	answers := make([]T, len(hosts))
-	for i := range results {
-		answers[i] = results[i].Val
-	}
-	return answers, len(results), err
+// call is a remote round's arguments: the client to send with and the query.
+type call[Q any] struct {
+	c *rpc.HTTPClient
+	q Q
 }
 
 // HeadersRound implements HostBackend over HTTP: one /headers-batch POST
@@ -79,22 +55,25 @@ func round[T any](ctx context.Context, r *RemoteHosts, workers int, hosts []nets
 // order. The hosts' cold read-back accounting rides the wire form, so a
 // remote diagnosis charges the extra round exactly like the in-memory one.
 func (r *RemoteHosts) HeadersRound(ctx context.Context, workers int, hosts []netsim.IPv4, queries []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, int, error) {
-	return round(ctx, r, workers, hosts, func(ctx context.Context, url string) ([]hostagent.HeadersAnswer, error) {
-		return r.client.QueryHeadersBatch(ctx, url, queries)
+	return hostRound(ctx, workers, hosts, r.urls, call[[]hostagent.HeadersQuery]{r.client, queries}, func(ctx context.Context, url string, a call[[]hostagent.HeadersQuery]) []hostagent.HeadersAnswer {
+		answers, _ := a.c.QueryHeadersBatch(ctx, url, a.q)
+		return answers
 	})
 }
 
 // TopKRound implements HostBackend over HTTP.
 func (r *RemoteHosts) TopKRound(ctx context.Context, workers int, hosts []netsim.IPv4, sw netsim.NodeID, k int) ([][]hostagent.FlowBytes, int, error) {
-	return round(ctx, r, workers, hosts, func(ctx context.Context, url string) ([]hostagent.FlowBytes, error) {
-		return r.client.QueryTopK(ctx, url, sw, k)
+	return hostRound(ctx, workers, hosts, r.urls, call[topK]{r.client, topK{sw, k}}, func(ctx context.Context, url string, a call[topK]) []hostagent.FlowBytes {
+		top, _ := a.c.QueryTopK(ctx, url, a.q.sw, a.q.k)
+		return top
 	})
 }
 
 // FlowSizesRound implements HostBackend over HTTP.
 func (r *RemoteHosts) FlowSizesRound(ctx context.Context, workers int, hosts []netsim.IPv4, sw netsim.NodeID) ([][]hostagent.FlowSize, int, error) {
-	return round(ctx, r, workers, hosts, func(ctx context.Context, url string) ([]hostagent.FlowSize, error) {
-		return r.client.QueryFlowSizes(ctx, url, sw)
+	return hostRound(ctx, workers, hosts, r.urls, call[netsim.NodeID]{r.client, sw}, func(ctx context.Context, url string, a call[netsim.NodeID]) []hostagent.FlowSize {
+		sizes, _ := a.c.QueryFlowSizes(ctx, url, a.q)
+		return sizes
 	})
 }
 

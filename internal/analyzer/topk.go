@@ -62,7 +62,7 @@ func (a *Analyzer) topK(ctx context.Context, q TopKQuery) (*Report, error) {
 	// the worker pool in both backends); each host fills its own answer slot
 	// and the merge below runs in sorted host order, so the result is
 	// identical for every worker count and backend.
-	answers, dispatched, cerr := a.hostBackend().TopKRound(clock.RemoteCtx(ctx), a.workers(), hosts, q.Switch, q.K)
+	answers, dispatched, cerr := a.HostBack.TopKRound(clock.RemoteCtx(ctx), a.Workers, hosts, q.Switch, q.K)
 	merged := make(map[netsim.FlowKey]uint64)
 	recCounts := make([]int, dispatched)
 	for i := 0; i < dispatched; i++ {

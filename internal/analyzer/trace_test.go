@@ -47,11 +47,9 @@ func TestCancelledDiagnosisTraceWellFormed(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tb.Analyzer.HostBack = cancelOnHeaders{
-		HostBackend: analyzer.MemoryHosts{Agents: tb.Analyzer.Hosts},
-		cancel:      cancel,
-	}
-	defer func() { tb.Analyzer.HostBack = nil }()
+	saved := tb.Analyzer.HostBack
+	tb.Analyzer.HostBack = cancelOnHeaders{HostBackend: saved, cancel: cancel}
+	defer func() { tb.Analyzer.HostBack = saved }()
 
 	rep, err := tb.Analyzer.Run(ctx, q)
 	if !errors.Is(err, context.Canceled) {

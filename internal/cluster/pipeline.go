@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-	"sort"
 	"sync"
 
 	"switchpointer/internal/analyzer"
@@ -10,11 +8,10 @@ import (
 	"switchpointer/internal/metrics"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
-	"switchpointer/internal/topo"
 	"switchpointer/internal/trace"
 )
 
-// PipelineConfig tunes the alert enrichment/dedup pipeline in front of
+// PipelineConfig tunes the alert dedup/rate-limit pipeline in front of
 // admission.
 type PipelineConfig struct {
 	// DedupWindow suppresses an alert whose (kind, flow) matches one
@@ -36,25 +33,6 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	return c
 }
 
-// EnrichedAlert is a raised alert annotated with directory context: the
-// switch set its telemetry tuples implicate, the victim flow's topology
-// path, and the diagnosis query the alert kind maps to — everything the
-// admission controller's priority classifier and the analyzer need, attached
-// before the alert crosses into the service plane.
-type EnrichedAlert struct {
-	Alert hostagent.Alert
-	// Switches is the sorted, deduplicated set of switches named by the
-	// alert's telemetry tuples.
-	Switches []netsim.NodeID
-	// Path is the victim flow's topology path (nil when the flow's
-	// endpoints are unknown to the directory).
-	Path []netsim.NodeID
-	// Query is the diagnosis this alert triggers: red-lights for timeouts
-	// (where is the transfer stuck), contention for throughput drops (who
-	// is stealing the bandwidth).
-	Query analyzer.Query
-}
-
 // PipelineStats is a snapshot of the pipeline's counters. Every received
 // alert lands in exactly one of Deduped, RateLimited, or Forwarded.
 type PipelineStats struct {
@@ -64,7 +42,7 @@ type PipelineStats struct {
 	Deduped uint64 `json:"deduped"`
 	// RateLimited counts alerts suppressed by the token bucket.
 	RateLimited uint64 `json:"rate_limited"`
-	// Forwarded counts alerts enriched and handed to the forward sink.
+	// Forwarded counts alerts whose query was handed to the forward sink.
 	Forwarded uint64 `json:"forwarded"`
 }
 
@@ -73,17 +51,17 @@ type dedupKey struct {
 	flow netsim.FlowKey
 }
 
-// AlertPipeline sits between a testbed's alert bus and the admission
+// AlertPipeline sits between a testbed's alert log and the admission
 // controller: it deduplicates alert storms (a congestion event makes every
 // affected transfer raise near-identical alerts), rate-limits the survivors
 // on the alerts' own virtual clock so suppression counts are deterministic
-// for a replayed scenario, and enriches what passes with directory context.
-// All methods are safe for concurrent use; the forward sink runs outside the
-// pipeline's lock, so it may call Admission.Run (or the network) directly.
+// for a replayed scenario, and forwards each survivor's diagnosis query
+// (queryFor). All methods are safe for concurrent use; the forward sink runs
+// outside the pipeline's lock, so it may call Admission.Run (or the network)
+// directly.
 type AlertPipeline struct {
-	tp      *topo.Topology
 	cfg     PipelineConfig
-	forward func(EnrichedAlert)
+	forward func(analyzer.Query)
 
 	// Flight, when set, receives one instant span per offered alert under
 	// the alert's derived diagnosis trace ID, so suppression decisions show
@@ -98,12 +76,10 @@ type AlertPipeline struct {
 	stats      PipelineStats
 }
 
-// NewAlertPipeline builds a pipeline over the directory tp whose surviving
-// alerts are delivered to forward (called synchronously, outside the
-// pipeline lock).
-func NewAlertPipeline(tp *topo.Topology, cfg PipelineConfig, forward func(EnrichedAlert)) *AlertPipeline {
+// NewAlertPipeline builds a pipeline whose surviving alerts' queries are
+// delivered to forward (called synchronously, outside the pipeline lock).
+func NewAlertPipeline(cfg PipelineConfig, forward func(analyzer.Query)) *AlertPipeline {
 	return &AlertPipeline{
-		tp:       tp,
 		cfg:      cfg.withDefaults(),
 		forward:  forward,
 		lastSent: make(map[dedupKey]simtime.Time),
@@ -117,9 +93,8 @@ func (p *AlertPipeline) Stats() PipelineStats {
 	return p.stats
 }
 
-// Offer runs one alert through dedup and rate limiting; survivors are
-// enriched and forwarded before Offer returns true. Suppressed alerts
-// return false.
+// Offer runs one alert through dedup and rate limiting; a survivor's query
+// is forwarded before Offer returns true. Suppressed alerts return false.
 func (p *AlertPipeline) Offer(a hostagent.Alert) bool {
 	now := a.DetectedAt
 	p.mu.Lock()
@@ -159,11 +134,20 @@ func (p *AlertPipeline) Offer(a hostagent.Alert) bool {
 	p.mu.Unlock()
 
 	p.recordVerdict(a, "forwarded")
-	ea := p.enrich(a)
 	if p.forward != nil {
-		p.forward(ea)
+		p.forward(queryFor(a))
 	}
 	return true
+}
+
+// queryFor maps an alert to the diagnosis it triggers: red-lights for
+// timeouts (where is the transfer stuck), contention for throughput drops
+// (who is stealing the bandwidth).
+func queryFor(a hostagent.Alert) analyzer.Query {
+	if a.Kind == hostagent.AlertTimeout {
+		return analyzer.RedLightsQuery{Alert: a}
+	}
+	return analyzer.ContentionQuery{Alert: a}
 }
 
 // recordVerdict drops one instant span into the flight recorder under the
@@ -173,13 +157,7 @@ func (p *AlertPipeline) recordVerdict(a hostagent.Alert, verdict string) {
 	if p.Flight == nil {
 		return
 	}
-	var q analyzer.Query
-	if a.Kind == hostagent.AlertTimeout {
-		q = analyzer.RedLightsQuery{Alert: a}
-	} else {
-		q = analyzer.ContentionQuery{Alert: a}
-	}
-	p.Flight.Record(analyzer.TraceID(q), trace.Span{
+	p.Flight.Record(analyzer.TraceID(queryFor(a)), trace.Span{
 		ID:     "pipe:" + verdict,
 		Parent: "0",
 		Name:   "alert-pipeline",
@@ -190,47 +168,6 @@ func (p *AlertPipeline) recordVerdict(a hostagent.Alert, verdict string) {
 	})
 }
 
-// enrich attaches directory context to a surviving alert.
-func (p *AlertPipeline) enrich(a hostagent.Alert) EnrichedAlert {
-	ea := EnrichedAlert{Alert: a}
-	seen := make(map[netsim.NodeID]bool, len(a.Tuples))
-	for _, t := range a.Tuples {
-		if !seen[t.Switch] {
-			seen[t.Switch] = true
-			ea.Switches = append(ea.Switches, t.Switch)
-		}
-	}
-	sort.Slice(ea.Switches, func(i, j int) bool { return ea.Switches[i] < ea.Switches[j] })
-	if p.tp != nil {
-		if path, err := p.tp.PathOf(a.Flow); err == nil {
-			ea.Path = path
-		}
-	}
-	if a.Kind == hostagent.AlertTimeout {
-		ea.Query = analyzer.RedLightsQuery{Alert: a}
-	} else {
-		ea.Query = analyzer.ContentionQuery{Alert: a}
-	}
-	return ea
-}
-
-// Run drains a subscription channel (hostagent.Bus.Subscribe) through the
-// pipeline until the channel closes or ctx ends — the goroutine body the
-// analyzer daemon starts when its alert pipeline is enabled.
-func (p *AlertPipeline) Run(ctx context.Context, ch <-chan hostagent.Alert) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case a, ok := <-ch:
-			if !ok {
-				return
-			}
-			p.Offer(a)
-		}
-	}
-}
-
 // Register adds the pipeline's counter families to a registry (scrape-time
 // reads of Stats, so the families stay deterministic for replayed
 // scenarios).
@@ -238,12 +175,12 @@ func (p *AlertPipeline) Register(reg *metrics.Registry) {
 	stat := func(pick func(PipelineStats) uint64) func(metrics.Emit) {
 		return func(emit metrics.Emit) { emit(float64(pick(p.Stats()))) }
 	}
-	reg.CounterFunc("spd_alerts_received_total", "Alerts offered to the enrichment pipeline.", nil,
+	reg.CounterFunc("spd_alerts_received_total", "Alerts offered to the alert pipeline.", nil,
 		stat(func(s PipelineStats) uint64 { return s.Received }))
 	reg.CounterFunc("spd_alerts_deduped_total", "Alerts suppressed as duplicates within the dedup window.", nil,
 		stat(func(s PipelineStats) uint64 { return s.Deduped }))
 	reg.CounterFunc("spd_alerts_ratelimited_total", "Alerts suppressed by the virtual-time token bucket.", nil,
 		stat(func(s PipelineStats) uint64 { return s.RateLimited }))
-	reg.CounterFunc("spd_alerts_forwarded_total", "Alerts enriched and forwarded toward admission.", nil,
+	reg.CounterFunc("spd_alerts_forwarded_total", "Alerts whose diagnosis query was forwarded toward admission.", nil,
 		stat(func(s PipelineStats) uint64 { return s.Forwarded }))
 }

@@ -27,9 +27,9 @@ func stormAlert(f int, t simtime.Time) hostagent.Alert {
 // less than a window ago is suppressed, the window is measured on the
 // alerts' virtual DetectedAt clock, and only actual forwards arm it.
 func TestPipelineDedup(t *testing.T) {
-	var got []EnrichedAlert
-	p := NewAlertPipeline(nil, PipelineConfig{DedupWindow: simtime.Second},
-		func(ea EnrichedAlert) { got = append(got, ea) })
+	var got []analyzer.Query
+	p := NewAlertPipeline(PipelineConfig{DedupWindow: simtime.Second},
+		func(q analyzer.Query) { got = append(got, q) })
 
 	if !p.Offer(stormAlert(1, 0)) {
 		t.Fatal("first alert suppressed")
@@ -63,7 +63,7 @@ func TestPipelineDedup(t *testing.T) {
 // TestPipelineRateLimit pins the token bucket: Burst forwards immediately,
 // then the virtual-clock refill gates the rest.
 func TestPipelineRateLimit(t *testing.T) {
-	p := NewAlertPipeline(nil, PipelineConfig{Rate: 1, Burst: 2}, nil)
+	p := NewAlertPipeline(PipelineConfig{Rate: 1, Burst: 2}, nil)
 
 	forwarded := 0
 	for f := 0; f < 5; f++ {
@@ -89,9 +89,8 @@ func TestPipelineRateLimit(t *testing.T) {
 	}
 }
 
-// TestPipelineEnrichment drives a real scenario alert through enrichment:
-// the tuple switch set comes out sorted and deduplicated, the victim flow's
-// topology path is attached, and the alert kind maps to the right query.
+// TestPipelineEnrichment drives a real scenario alert through the pipeline:
+// the alert kind maps to the right forwarded query.
 func TestPipelineEnrichment(t *testing.T) {
 	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
@@ -106,41 +105,29 @@ func TestPipelineEnrichment(t *testing.T) {
 		t.Fatal("scenario alert carries no tuples")
 	}
 
-	var got EnrichedAlert
-	p := NewAlertPipeline(s.Testbed.Topo, PipelineConfig{}, func(ea EnrichedAlert) { got = ea })
+	var got analyzer.Query
+	p := NewAlertPipeline(PipelineConfig{}, func(q analyzer.Query) { got = q })
 	if !p.Offer(alert) {
 		t.Fatal("alert suppressed by empty config")
 	}
-
-	if len(got.Switches) == 0 {
-		t.Fatal("no switches attached")
-	}
-	for i := 1; i < len(got.Switches); i++ {
-		if got.Switches[i-1] >= got.Switches[i] {
-			t.Fatalf("switches not sorted/unique: %v", got.Switches)
-		}
-	}
-	if len(got.Path) == 0 {
-		t.Fatal("no topology path attached")
-	}
 	// The scenario's trigger is a throughput-drop alert → contention query.
-	if _, ok := got.Query.(analyzer.ContentionQuery); !ok {
-		t.Fatalf("throughput-drop alert mapped to %T, want ContentionQuery", got.Query)
+	if _, ok := got.(analyzer.ContentionQuery); !ok {
+		t.Fatalf("throughput-drop alert mapped to %T, want ContentionQuery", got)
 	}
 
 	timeout := alert
 	timeout.Kind = hostagent.AlertTimeout
 	p.Offer(timeout)
-	if _, ok := got.Query.(analyzer.RedLightsQuery); !ok {
-		t.Fatalf("timeout alert mapped to %T, want RedLightsQuery", got.Query)
+	if _, ok := got.(analyzer.RedLightsQuery); !ok {
+		t.Fatalf("timeout alert mapped to %T, want RedLightsQuery", got)
 	}
 }
 
 // stormCounts replays the canonical deterministic alert storm — 10 waves ×
 // 20 flows, 100 ms apart, dedup window 1 s, rate 1/s with burst 8 — and
 // returns the pipeline stats.
-func stormCounts(forward func(EnrichedAlert)) PipelineStats {
-	p := NewAlertPipeline(nil, PipelineConfig{
+func stormCounts(forward func(analyzer.Query)) PipelineStats {
+	p := NewAlertPipeline(PipelineConfig{
 		DedupWindow: simtime.Second,
 		Rate:        1,
 		Burst:       8,
@@ -176,12 +163,12 @@ func TestAlertStormBoundsAdmission(t *testing.T) {
 	ad := NewAdmission(stub, AdmissionConfig{MaxInFlight: 2, MaxQueued: 3})
 
 	var wg sync.WaitGroup
-	forward := func(ea EnrichedAlert) {
+	forward := func(q analyzer.Query) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			//nolint:errcheck // overflow rejections are expected under storm
-			ad.Run(context.Background(), ea.Query)
+			ad.Run(context.Background(), q)
 		}()
 	}
 	st := stormCounts(forward)
@@ -218,34 +205,5 @@ func TestAlertStormBoundsAdmission(t *testing.T) {
 	}
 	if got := stub.peak.Load(); got > 2 {
 		t.Fatalf("runner concurrency peak %d, want ≤ 2", got)
-	}
-}
-
-// TestPipelineRun drains a channel like the analyzer daemon's subscription
-// goroutine does.
-func TestPipelineRun(t *testing.T) {
-	var mu sync.Mutex
-	var n int
-	p := NewAlertPipeline(nil, PipelineConfig{}, func(EnrichedAlert) {
-		mu.Lock()
-		n++
-		mu.Unlock()
-	})
-	ch := make(chan hostagent.Alert, 4)
-	for f := 0; f < 3; f++ {
-		ch <- stormAlert(f, simtime.Time(f)*simtime.Millisecond)
-	}
-	close(ch)
-	done := make(chan struct{})
-	go func() { p.Run(context.Background(), ch); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not return on channel close")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if n != 3 {
-		t.Fatalf("forwarded %d, want 3", n)
 	}
 }

@@ -65,7 +65,7 @@ func TestRedLightsTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe := NewAlertPipeline(s.Testbed.Topo, PipelineConfig{DedupWindow: simtime.Time(time.Second)}, nil)
+	pipe := NewAlertPipeline(PipelineConfig{DedupWindow: simtime.Time(time.Second)}, nil)
 	pipe.Flight = lb.AnalyzerFlight
 	if !pipe.Offer(alert) {
 		t.Fatal("pipeline suppressed the trigger alert")

@@ -54,19 +54,10 @@ type busSub struct {
 // NewBus returns an empty alert bus.
 func NewBus() *Bus { return &Bus{} }
 
-// Subscribe registers a subscriber for alerts matching the filter, with the
-// default buffer capacity.
+// Subscribe registers a subscriber for alerts matching the filter, with a
+// DefaultSubscriptionBuffer-slot channel.
 func (b *Bus) Subscribe(f AlertFilter) <-chan Alert {
-	return b.SubscribeBuffered(f, DefaultSubscriptionBuffer)
-}
-
-// SubscribeBuffered registers a subscriber with an explicit buffer capacity
-// (minimum 1).
-func (b *Bus) SubscribeBuffered(f AlertFilter, buf int) <-chan Alert {
-	if buf < 1 {
-		buf = 1
-	}
-	ch := make(chan Alert, buf)
+	ch := make(chan Alert, DefaultSubscriptionBuffer)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {

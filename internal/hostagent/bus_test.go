@@ -47,17 +47,21 @@ func TestBusFanOutAndFilters(t *testing.T) {
 
 func TestBusDropsOnFullBuffer(t *testing.T) {
 	b := NewBus()
-	ch := b.SubscribeBuffered(AlertFilter{}, 1)
+	ch := b.Subscribe(AlertFilter{})
 	flow := netsim.FlowKey{Src: netsim.IP(10, 0, 0, 1), Dst: netsim.IP(10, 0, 0, 2), SrcPort: 1, DstPort: 2, Proto: 6}
-	b.Publish(alertFor(flow, flow.Dst, AlertThroughputDrop))
+	for i := 0; i < DefaultSubscriptionBuffer; i++ {
+		if n := b.Publish(alertFor(flow, flow.Dst, AlertThroughputDrop)); n != 1 {
+			t.Fatalf("publish %d delivered to %d, want 1", i, n)
+		}
+	}
 	if n := b.Publish(alertFor(flow, flow.Dst, AlertThroughputDrop)); n != 0 {
 		t.Fatalf("overflow publish delivered to %d, want 0", n)
 	}
 	if b.Dropped() != 1 {
 		t.Fatalf("Dropped = %d, want 1", b.Dropped())
 	}
-	if len(ch) != 1 {
-		t.Fatalf("buffer holds %d, want the first alert only", len(ch))
+	if len(ch) != DefaultSubscriptionBuffer {
+		t.Fatalf("buffer holds %d, want the first %d alerts only", len(ch), DefaultSubscriptionBuffer)
 	}
 }
 

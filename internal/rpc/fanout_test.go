@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -151,56 +150,6 @@ func TestHostsQueriedParallelAccounting(t *testing.T) {
 	pp.HostsQueried("q", servers, recs)
 	if got := pp.Total() - wantPar; got != cost.RTT+maxExec {
 		t.Fatalf("pooled+parallel repeat round: %v, want %v", got, cost.RTT+maxExec)
-	}
-}
-
-// TestQueryHostsConcurrent drives the pooled HTTP client's fan-out path
-// against live test servers: every host answers, per-host failures stay
-// per-host, and results come back in URL order.
-func TestQueryHostsConcurrent(t *testing.T) {
-	const n = 8
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		i := i
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if i == 3 {
-				http.Error(w, "down", http.StatusInternalServerError)
-				return
-			}
-			fmt.Fprintf(w, "{\"host\":%d}", i)
-		}))
-		defer srv.Close()
-		urls[i] = srv.URL
-	}
-	client := NewPooledHTTPClient()
-	defer client.CloseIdleConnections()
-
-	type answer struct{ Host int }
-	results, err := QueryHosts(context.Background(), client, 4, urls,
-		func(ctx context.Context, c *HTTPClient, url string) (answer, error) {
-			var out answer
-			err := c.Call(ctx, url, struct{}{}, &out, LimitRequest)
-			return out, err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != n {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, r := range results {
-		if r.URL != urls[i] {
-			t.Fatalf("result %d out of order: %s", i, r.URL)
-		}
-		if i == 3 {
-			if r.Err == nil {
-				t.Fatal("down host should error")
-			}
-			continue
-		}
-		if r.Err != nil || r.Val.Host != i {
-			t.Fatalf("result %d = %+v err=%v", i, r.Val, r.Err)
-		}
 	}
 }
 

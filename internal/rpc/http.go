@@ -477,8 +477,8 @@ func NewSwitchHandler(a *switchagent.Agent, label string, fr *trace.FlightRecord
 //
 // Concurrency contract: an HTTPClient is goroutine-safe — all query methods
 // may be called concurrently (http.Client and http.Transport are themselves
-// concurrent-safe), which is what QueryHosts relies on to fan a round out
-// over many host agents at once. The flask deployment the paper measures
+// concurrent-safe), which is what the analyzer's RemoteHosts relies on to
+// fan a round out over many host agents at once. The flask deployment the paper measures
 // opens one connection per server per query (§6.2's sequential bottleneck);
 // NewPooledHTTPClient is the corresponding fix: a shared, keep-alive
 // http.Transport whose idle pool spans query rounds, so repeat rounds skip
@@ -678,27 +678,4 @@ func (c *HTTPClient) PullPointers(ctx context.Context, baseURL string, epochs si
 	}
 	bits, err := out.Decode()
 	return bits, out, err
-}
-
-// HostResult is one host's outcome in a concurrent query round.
-type HostResult[T any] struct {
-	URL string
-	Val T
-	Err error
-}
-
-// QueryHosts fans fn out over the given base URLs on the shared bounded
-// worker pool (FanOut), preserving the partial-result contract: results[i]
-// corresponds to urls[i], only the dispatched prefix is returned, and the
-// per-URL order never depends on worker scheduling. fn typically wraps one
-// of the Query* methods; per-host failures land in the result's Err so one
-// dead agent does not abort the round. On cancellation the dispatched
-// prefix and ctx's error are returned together.
-func QueryHosts[T any](ctx context.Context, c *HTTPClient, workers int, urls []string, fn func(ctx context.Context, c *HTTPClient, url string) (T, error)) ([]HostResult[T], error) {
-	results := make([]HostResult[T], len(urls))
-	dispatched, err := FanOut(ctx, workers, len(urls), func(ctx context.Context, i int) {
-		results[i].URL = urls[i]
-		results[i].Val, results[i].Err = fn(ctx, c, urls[i])
-	})
-	return results[:dispatched], err
 }

@@ -197,11 +197,6 @@ func (tb *Testbed) Subscribe(f hostagent.AlertFilter) <-chan hostagent.Alert {
 	return tb.bus.Subscribe(f)
 }
 
-// SubscribeBuffered is Subscribe with an explicit channel capacity.
-func (tb *Testbed) SubscribeBuffered(f hostagent.AlertFilter, buf int) <-chan hostagent.Alert {
-	return tb.bus.SubscribeBuffered(f, buf)
-}
-
 // AlertsDropped reports alert deliveries lost to full subscriber buffers.
 func (tb *Testbed) AlertsDropped() uint64 { return tb.bus.Dropped() }
 

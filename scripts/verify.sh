@@ -166,7 +166,16 @@ scrape_expect "http://$ANALYZER_ADDR" \
 	spd_diagnosis_total spd_admission_queue_depth \
 	spd_diagnosis_cold_rounds_total spd_process_uptime_seconds spd_build_info \
 	spd_alerts_received_total spd_alerts_forwarded_total spd_ready
-echo "metrics smoke: OK"
+# spd offers the replay's whole alert log to the pipeline before it listens,
+# so the received count is final: it must equal the alerts spsim's replay of
+# the same scenario (red-lights to 30 ms) raises.
+RAISED="$(./bin/spsim -scenario redlights | sed -n 's/^alerts raised: \([0-9][0-9]*\)$/\1/p')"
+RECEIVED="$(./bin/spctl -metrics "http://$ANALYZER_ADDR" | sed -n 's/^ *spd_alerts_received_total  *\([0-9][0-9]*\)$/\1/p')"
+if [ -z "$RAISED" ] || [ "$RAISED" != "$RECEIVED" ]; then
+	echo "metrics smoke: spd_alerts_received_total = '$RECEIVED', spsim raised '$RAISED'" >&2
+	exit 1
+fi
+echo "metrics smoke: OK (alerts received $RECEIVED = raised $RAISED)"
 
 # Bootstrap smoke: the state-sync failover path. Host B and switch B start
 # with -bootstrap-from host A and switch A — they never replay the scenario,
