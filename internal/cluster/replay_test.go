@@ -47,6 +47,30 @@ func TestReplayAllocBudget(t *testing.T) {
 	t.Logf("loadimbalance n=96 build+run: %v allocs (budget %d), %d events", allocs, budget, events)
 }
 
+// TestPriorityReplayAllocBudget is TestReplayAllocBudget's TCP twin:
+// building the priority-contention scenario and playing it to the horizon
+// stays within 2 400 allocations (≈ 1 900 measured). Every TCP segment re-arms
+// its sender's retransmission timer, so a callback bound per arm instead of
+// once per sender costs one allocation per segment: ≈ 14 900 here.
+func TestPriorityReplayAllocBudget(t *testing.T) {
+	const budget = 2_400
+	allocs := testing.AllocsPerRun(2, func() {
+		s, err := BuildScenarioOpt("priority", 0, 0, scenario.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		if s.Testbed.Net.Engine.Processed() == 0 {
+			t.Fatal("the replay ran no events")
+		}
+		s.Testbed.Close()
+	})
+	if allocs > budget {
+		t.Fatalf("priority build+run: %v allocs, want <= %d", allocs, budget)
+	}
+	t.Logf("priority build+run: %v allocs (budget %d)", allocs, budget)
+}
+
 // TestRoundTripAllocBudget is the in-tree gate on the service plane's
 // per-request cost: one traced /topk round trip — rpc.HTTPClient.Call on a
 // pooled client, net/http both ways, rpc.Endpoint, the child span — stays

@@ -7,13 +7,13 @@ import (
 )
 
 // TestStepZeroAlloc gates the engine's steady-state allocation contract:
-// with the free list warm and the heap at capacity, a schedule+Step cycle
-// performs zero heap allocations.
+// with the free list warm, a schedule+Step cycle performs zero heap
+// allocations.
 func TestStepZeroAlloc(t *testing.T) {
 	e := New()
 	n := 0
 	fn := func() { n++ }
-	// Warm the arena and the heap backing array.
+	// Warm the arena.
 	for i := 0; i < 64; i++ {
 		e.At(e.Now()+1, fn)
 	}
@@ -35,10 +35,11 @@ func TestStepZeroAlloc(t *testing.T) {
 // of getting to the steady state. A never-warmed engine that schedules and
 // drains 100 000 events at the standing population the largest replay in
 // the tree reaches (eventq.pending_peak = 300) allocates only for the
-// Engine itself and the doublings of its two arrays — the event arena and
-// the heap — however many events pass through.
+// Engine itself and the doublings of its event arena — the queue threads
+// its buckets through the arena and owns no array — however many events
+// pass through.
 func TestFreshEngineAllocBudget(t *testing.T) {
-	const standing, events, budget = 300, 100_000, 32
+	const standing, events, budget = 300, 100_000, 16
 	n := 0
 	fn := func() { n++ }
 	allocs := testing.AllocsPerRun(3, func() {

@@ -2,28 +2,28 @@
 // SwitchPointer testbed simulation.
 //
 // The engine is single-threaded and deterministic: events scheduled for the
-// same virtual time fire in the order they were scheduled (FIFO tie-break via
-// a monotonically increasing sequence number). All network, transport, agent
-// and analyzer activity in the simulated testbed is expressed as events on a
-// single Engine, so an entire experiment is a pure function of its inputs.
+// same virtual time fire in the order they were scheduled. All network,
+// transport, agent and analyzer activity in the simulated testbed is
+// expressed as events on a single Engine, so an entire experiment is a pure
+// function of its inputs.
 //
-// The engine is built for zero steady-state heap allocations and minimal GC
-// traffic: event bodies live in one engine-owned arena recycled through a
-// free list, the scheduling queue works on pointer-free entries (the
-// ordering keys inline plus an arena index, so the queue's arrays are
-// invisible to the garbage collector), and Timer handles are
-// generation-counted values so Stop on a handle whose event has already
-// fired and been recycled is a safe no-op. At steady state (free list warm,
-// queue at capacity) neither scheduling nor Step allocates.
+// Event bodies live in one engine-owned arena recycled through a free list,
+// and Timer handles are generation-counted values, so Stop on a handle whose
+// event has already fired and been recycled is a safe no-op.
 //
-// There is one scheduling queue, the 4-ary heap in heapq.go. A bucketed
-// calendar queue with a small-population heap regime sat in front of it
-// until PR 20: the largest replay in the tree never holds more than 300
-// pending events, and there paired sim-replay runs (CHANGES.md PR 20) found
-// even a calendar patched to reuse its bucket arrays not resolvably faster
-// than the heap, while the shipped one spent ≈ 45 K allocations / 11 MB per
-// replay re-growing buckets — so its 934 lines, the queue interface and
-// five option surfaces were deleted.
+// The scheduling queue is a radix heap over the events' virtual times
+// (radixq.go). It fits because the engine is monotone — At panics on
+// t < Now — and it is intrusive: its buckets are FIFO lists threaded through
+// the arena's next link, the link a free slot uses for the free list. Ties
+// need no sequence number: events due at the same time always share a
+// bucket, a push appends to its bucket's tail, and a redistribution moves
+// the lowest non-empty bucket, in order, into buckets that are all empty, so
+// every bucket stays in schedule order. A push re-buckets every pending
+// event only when it lands below the queue's lower bound, which happens
+// only after RunUntil has looked past its horizon and the caller schedules
+// between Now and what it saw. The queue performs no allocation, so once
+// the arena holds the standing population neither scheduling nor Step
+// allocates.
 package eventq
 
 import (
@@ -41,10 +41,11 @@ const noEvent = int32(-1)
 // that their event is gone.
 type event struct {
 	fn   Func
+	at   simtime.Time
 	gen  uint32
 	dead bool  // cancelled
 	weak bool  // does not keep Run() alive
-	next int32 // free-list link (arena index)
+	next int32 // free-list link while free, bucket link while queued
 }
 
 // Timer is a handle to a scheduled event that can be cancelled. The zero
@@ -75,30 +76,11 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// entry is one scheduling-queue element: the ordering keys inline plus the
-// arena index of the event. Entries contain no pointers, so the queue's
-// arrays are never scanned and entry moves incur no write barriers.
-type entry struct {
-	at  simtime.Time
-	seq uint64
-	idx int32
-}
-
-// before reports strict scheduling order: earlier time first, FIFO
-// tie-break.
-func (a entry) before(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // Engine is a deterministic discrete-event scheduler over virtual time.
 // The zero value is not usable; construct with New.
 type Engine struct {
 	now       simtime.Time
-	seq       uint64
-	q         heapQueue
+	q         radixQueue
 	events    []event // arena of event bodies
 	free      int32   // head of the recycled-slot list
 	processed uint64
@@ -119,7 +101,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events still scheduled (including cancelled
 // events not yet reaped).
-func (e *Engine) Pending() int { return e.q.length() }
+func (e *Engine) Pending() int { return e.q.n }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // (t < Now) panics: that is always a logic error in a discrete simulation.
@@ -165,9 +147,9 @@ func (e *Engine) schedule(t simtime.Time, fn Func, weak bool) Timer {
 	i := e.alloc()
 	ev := &e.events[i]
 	ev.fn = fn
+	ev.at = t
 	ev.weak = weak
-	e.q.push(entry{at: t, seq: e.seq, idx: i})
-	e.seq++
+	e.q.push(e.events, i)
 	if !weak {
 		e.strong++
 	}
@@ -214,19 +196,19 @@ func (e *Engine) every(period simtime.Time, fn Func, weak bool) *Timer {
 // popped event's arena slot returns to the free list before its body runs,
 // so the body can reschedule without growing anything.
 func (e *Engine) Step() bool {
-	for e.q.length() > 0 {
-		it := e.q.pop()
-		ev := &e.events[it.idx]
+	for e.q.n > 0 {
+		i := e.q.pop(e.events)
+		ev := &e.events[i]
 		if ev.dead {
-			e.release(it.idx)
+			e.release(i)
 			continue
 		}
 		if !ev.weak {
 			e.strong--
 		}
 		fn := ev.fn
-		e.release(it.idx)
-		e.now = it.at
+		e.now = ev.at
+		e.release(i)
 		e.processed++
 		fn()
 		return true
@@ -263,12 +245,11 @@ func (e *Engine) RunFor(d simtime.Time) { e.RunUntil(e.now + d) }
 // peek reports the scheduled time of the earliest live event, discarding
 // cancelled entries from the front of the queue as it goes.
 func (e *Engine) peek() (simtime.Time, bool) {
-	for e.q.length() > 0 {
-		top := e.q.peek()
-		if !e.events[top.idx].dead {
-			return top.at, true
+	for e.q.n > 0 {
+		if ev := &e.events[e.q.peek(e.events)]; !ev.dead {
+			return ev.at, true
 		}
-		e.release(e.q.pop().idx)
+		e.release(e.q.pop(e.events))
 	}
 	return 0, false
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // modelEvent is the model's record of one scheduled event. Its position in
-// the model's slice is its schedule order (the engine's seq).
+// the model's slice is its schedule order.
 type modelEvent struct {
 	at      simtime.Time
 	weak    bool
@@ -130,98 +130,152 @@ func (m *orderModel) checkOrder() {
 	}
 }
 
+// step applies one random operation to both sides: a fill or drain burst,
+// a stop, a re-arm, a RunUntil slice or idle jump, or a Run.
+func (m *orderModel) step() {
+	switch k := m.r.Intn(16); {
+	case m.live == 0 || k < 4:
+		// Fill burst; one event in six is weak.
+		for i := m.r.Intn(40) + 1; i > 0; i-- {
+			m.schedule(m.r.Intn(6) == 0)
+		}
+	case k < 8:
+		// Drain burst.
+		for i := m.r.Intn(40) + 1; i > 0; i-- {
+			if want := m.live > 0; m.e.Step() != want {
+				m.t.Fatalf("Step() = %v, want %v", !want, want)
+			}
+		}
+	case k < 10:
+		m.stop()
+	case k < 12:
+		// Re-arm, the way a retransmit timer is: stop it, and if it was
+		// still pending schedule its replacement.
+		if id, stopped := m.stop(); stopped {
+			m.schedule(m.events[id].weak)
+		}
+	case k < 14:
+		// RunUntil: mostly a short slice, sometimes an idle jump of seconds
+		// that leaves only stragglers behind; the fills that follow land
+		// ahead of them.
+		d := simtime.Time(m.r.Intn(3000))
+		if m.r.Intn(4) == 0 {
+			d = simtime.Time(m.r.Intn(5)+1) * simtime.Second
+		}
+		until := m.e.Now() + d
+		m.e.RunUntil(until)
+		m.checkHorizon(until)
+	default:
+		// Run ends on the last strong event: weak ones due before it have
+		// run, later ones stay pending.
+		before := len(m.fired)
+		m.e.Run()
+		if m.strong != 0 {
+			m.t.Fatalf("Run returned with %d strong events pending", m.strong)
+		}
+		if n := len(m.fired); n > before && m.events[m.fired[n-1]].weak {
+			m.t.Fatalf("Run kept going for weak event %d", m.fired[n-1])
+		}
+	}
+}
+
+// finish drains everything, weak events included, then compares the whole
+// trace.
+func (m *orderModel) finish() {
+	for m.e.Step() {
+	}
+	if m.live != 0 || m.e.Pending() != 0 {
+		m.t.Fatalf("drained engine: model holds %d live events, queue %d entries", m.live, m.e.Pending())
+	}
+	m.checkOrder()
+	if got := m.e.Processed(); got != uint64(len(m.fired)) {
+		m.t.Fatalf("Processed = %d, %d events ran", got, len(m.fired))
+	}
+}
+
+// gapShapes are the delay distributions the model draws from: the shapes
+// the simulator produces plus the two that historically broke queues here,
+// sparse jumps and far stragglers.
+var gapShapes = []struct {
+	name string
+	gap  func(r *rand.Rand) simtime.Time
+}{
+	{"near-monotonic", func(r *rand.Rand) simtime.Time { return simtime.Time(r.Intn(2000)) }},
+	{"heavy-ties", func(r *rand.Rand) simtime.Time { return simtime.Time(r.Intn(3)) * 100 }},
+	{"sparse-jumps", func(r *rand.Rand) simtime.Time {
+		if r.Intn(10) == 0 {
+			return simtime.Time(r.Intn(10)) * simtime.Second
+		}
+		return simtime.Time(r.Intn(50))
+	}},
+	{"far-stragglers", func(r *rand.Rand) simtime.Time {
+		if r.Intn(100) == 0 {
+			return simtime.Time(3600) * simtime.Second
+		}
+		return simtime.Time(r.Intn(500))
+	}},
+}
+
 // TestFireOrderMatchesModel pins the engine's ordering contract against a
 // model instead of against a second queue implementation: random schedules
 // with exact-time ties, stopped and re-armed timers, weak events, nested
 // scheduling, drain/refill bursts and idle RunUntil jumps (after which work
 // is scheduled ahead of a far-future straggler) must fire in exactly the
-// order of a stable sort by (at, seq). The gap distributions are the shapes
-// the simulator produces plus the two that historically broke queues here:
-// sparse jumps and far stragglers.
+// order of a stable sort by time of their schedule order.
 func TestFireOrderMatchesModel(t *testing.T) {
-	dists := []struct {
-		name string
-		gap  func(r *rand.Rand) simtime.Time
-	}{
-		{"near-monotonic", func(r *rand.Rand) simtime.Time { return simtime.Time(r.Intn(2000)) }},
-		{"heavy-ties", func(r *rand.Rand) simtime.Time { return simtime.Time(r.Intn(3)) * 100 }},
-		{"sparse-jumps", func(r *rand.Rand) simtime.Time {
-			if r.Intn(10) == 0 {
-				return simtime.Time(r.Intn(10)) * simtime.Second
-			}
-			return simtime.Time(r.Intn(50))
-		}},
-		{"far-stragglers", func(r *rand.Rand) simtime.Time {
-			if r.Intn(100) == 0 {
-				return simtime.Time(3600) * simtime.Second
-			}
-			return simtime.Time(r.Intn(500))
-		}},
-	}
-	for _, d := range dists {
+	for _, d := range gapShapes {
 		t.Run(d.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				m := &orderModel{t: t, r: rand.New(rand.NewSource(seed)), e: New(), gap: d.gap}
 				for op := 0; op < 3000; op++ {
-					switch k := m.r.Intn(16); {
-					case m.live == 0 || k < 4:
-						// Fill burst; one event in six is weak.
-						for i := m.r.Intn(40) + 1; i > 0; i-- {
-							m.schedule(m.r.Intn(6) == 0)
-						}
-					case k < 8:
-						// Drain burst.
-						for i := m.r.Intn(40) + 1; i > 0; i-- {
-							if want := m.live > 0; m.e.Step() != want {
-								t.Fatalf("Step() = %v, want %v", !want, want)
-							}
-						}
-					case k < 10:
-						m.stop()
-					case k < 12:
-						// Re-arm, the way a retransmit timer is: stop it, and
-						// if it was still pending schedule its replacement.
-						if id, stopped := m.stop(); stopped {
-							m.schedule(m.events[id].weak)
-						}
-					case k < 14:
-						// RunUntil: mostly a short slice, sometimes an idle
-						// jump of seconds that leaves only stragglers behind;
-						// the fills that follow land ahead of them.
-						d := simtime.Time(m.r.Intn(3000))
-						if m.r.Intn(4) == 0 {
-							d = simtime.Time(m.r.Intn(5)+1) * simtime.Second
-						}
-						until := m.e.Now() + d
-						m.e.RunUntil(until)
-						m.checkHorizon(until)
-					default:
-						// Run ends on the last strong event: weak ones due
-						// before it have run, later ones stay pending.
-						before := len(m.fired)
-						m.e.Run()
-						if m.strong != 0 {
-							t.Fatalf("Run returned with %d strong events pending", m.strong)
-						}
-						if n := len(m.fired); n > before && m.events[m.fired[n-1]].weak {
-							t.Fatalf("Run kept going for weak event %d", m.fired[n-1])
-						}
-					}
+					m.step()
 				}
-				// Drain everything, weak events included, then compare the
-				// whole trace.
-				for m.e.Step() {
-				}
-				if m.live != 0 || m.e.Pending() != 0 {
-					t.Fatalf("drained engine: model holds %d live events, queue %d entries", m.live, m.e.Pending())
-				}
-				m.checkOrder()
-				if got := m.e.Processed(); got != uint64(len(m.fired)) {
-					t.Fatalf("Processed = %d, %d events ran", got, len(m.fired))
-				}
+				m.finish()
 			}
 		})
 	}
+}
+
+// byteSource is a rand.Source that reads fuzz input: each draw consumes two
+// bytes, so rand.Intn(n) returns the next 16-bit value modulo n and every
+// operation, gap and stop target the model picks comes from the input.
+// Once the input runs out every draw is 1: an event then never schedules a
+// nested child (that takes Intn(8) == 0), so the final drain ends.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) Int63() int64 {
+	if len(s.b) == 0 {
+		return 1<<32 | 1
+	}
+	v := int64(s.b[0])
+	if len(s.b) > 1 {
+		v = v<<8 | int64(s.b[1])
+	}
+	s.b = s.b[min(2, len(s.b)):]
+	return v<<32 | v
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzFireOrder drives the same model from fuzz input: the first byte picks
+// the gap shape, the rest choose the operations until it runs out. Inputs
+// past 4 KB are cut: each RunUntil checks every event the model holds, so
+// the cost grows with the square of the input.
+func FuzzFireOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 9, 0, 4, 0, 12, 0, 7, 0, 15})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		data = data[:min(len(data), 4096)]
+		src := &byteSource{b: data[1:]}
+		shape := gapShapes[int(data[0])%len(gapShapes)]
+		m := &orderModel{t: t, r: rand.New(src), e: New(), gap: shape.gap}
+		for len(src.b) > 0 {
+			m.step()
+		}
+		m.finish()
+	})
 }
 
 // TestIdleJumpThenEarlierSchedules is the hand-written form of the case the
@@ -251,5 +305,26 @@ func TestIdleJumpThenEarlierSchedules(t *testing.T) {
 	}
 	if got[100] != 3600*simtime.Second {
 		t.Fatalf("straggler fired at %v", got[100])
+	}
+}
+
+// TestTiesSurviveRebase is the hand-written form of the one push that
+// re-buckets the queue: RunUntil stops short of two events due at T, having
+// looked ahead to T, and the caller then schedules one event before T and
+// one more at T. The earlier one runs first, and the three at T keep the
+// order they were scheduled in.
+func TestTiesSurviveRebase(t *testing.T) {
+	const T = simtime.Second
+	e := New()
+	var got string
+	rec := func(name string) Func { return func() { got += name } }
+	e.At(T, rec("A"))
+	e.At(T, rec("B"))
+	e.RunUntil(T - 10)
+	e.At(T-5, rec("C"))
+	e.At(T, rec("D"))
+	e.Run()
+	if got != "CABD" {
+		t.Fatalf("fired %q, want CABD", got)
 	}
 }

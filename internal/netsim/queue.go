@@ -18,7 +18,8 @@ type Queue interface {
 	Bytes() int
 }
 
-// pktRing is an amortized-O(1) FIFO of packets.
+// pktRing is an amortized-O(1) FIFO of packets. Its buffer length is zero
+// or a power of two (see grow), so indices wrap with a mask.
 type pktRing struct {
 	buf        []*Packet
 	head, tail int
@@ -31,7 +32,7 @@ func (r *pktRing) push(p *Packet) {
 		r.grow()
 	}
 	r.buf[r.tail] = p
-	r.tail = (r.tail + 1) % len(r.buf)
+	r.tail = (r.tail + 1) & (len(r.buf) - 1)
 	r.n++
 	r.bytes += p.Size
 }
@@ -42,12 +43,13 @@ func (r *pktRing) pop() *Packet {
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	r.bytes -= p.Size
 	return p
 }
 
+// grow doubles the buffer from 16, which keeps its length a power of two.
 func (r *pktRing) grow() {
 	size := len(r.buf) * 2
 	if size == 0 {
@@ -55,7 +57,7 @@ func (r *pktRing) grow() {
 	}
 	nb := make([]*Packet, size)
 	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)%len(r.buf)]
+		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
 	r.buf = nb
 	r.head = 0

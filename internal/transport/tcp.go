@@ -74,6 +74,7 @@ type TCPSender struct {
 	hasRTT       bool
 	rto          simtime.Time
 	rtoTimer     eventq.Timer            // generation-counted: safe to Stop after fire
+	rtoFn        eventq.Func             // s.onRTO, bound once: armRTO runs per segment
 	sentAt       map[uint32]simtime.Time // segment start → send time (for RTT; cleared on retransmit)
 
 	finished bool
@@ -133,6 +134,7 @@ func StartTCP(net *netsim.Network, src, dst *netsim.Host, cfg TCPConfig) (*TCPSe
 		rto:      cfg.RTOMin,
 		sentAt:   make(map[uint32]simtime.Time),
 	}
+	s.rtoFn = s.onRTO
 	r := &TCPReceiver{
 		net:  net,
 		host: dst,
@@ -239,7 +241,7 @@ func (s *TCPSender) emit(seq uint32, now simtime.Time, retrans bool) {
 
 func (s *TCPSender) armRTO(now simtime.Time) {
 	s.rtoTimer.Stop()
-	s.rtoTimer = s.net.Engine.At(now+s.rto, s.onRTO)
+	s.rtoTimer = s.net.Engine.At(now+s.rto, s.rtoFn)
 }
 
 func (s *TCPSender) disarmRTO() {

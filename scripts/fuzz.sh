@@ -7,7 +7,9 @@
 # body (flowrec segments back to back). Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
 # input, a failed restore changes nothing — and whatever decodes must survive
-# an encode/decode round trip. `make fuzz` and scripts/verify.sh both run
+# an encode/decode round trip. A last 5 s drives the event engine's
+# ordering model from fuzz bytes: whatever the schedule, stops and run
+# calls, events fire in time order, ties in schedule order. `make fuzz` and scripts/verify.sh both run
 # this script, so a new target is added here once.
 set -eu
 cd "$(dirname "$0")/.."
@@ -18,3 +20,4 @@ go test ./internal/pointer -run '^$' -fuzz FuzzRestore -fuzztime 5s
 go test ./internal/pointer -run '^$' -fuzz FuzzDecodeSlots -fuzztime 5s
 go test ./internal/rpc -run '^$' -fuzz FuzzHeadersBatchAnswer -fuzztime 5s
 go test ./internal/statesync -run '^$' -fuzz FuzzReadSegments -fuzztime 5s
+go test ./internal/eventq -run '^$' -fuzz FuzzFireOrder -fuzztime 5s
