@@ -63,7 +63,6 @@ import (
 	"switchpointer/internal/buildinfo"
 	"switchpointer/internal/cluster"
 	"switchpointer/internal/metrics"
-	"switchpointer/internal/pointer"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/statesync"
@@ -137,7 +136,6 @@ func serveCmd(role string, args []string) error {
 		listen       = fs.String("listen", "127.0.0.1:0", "listen address")
 		m            = fs.Int("m", 0, "burst flows (priority/microburst; 0 = default)")
 		n            = fs.Int("n", 0, "servers (loadimbalance/topk; 0 = default)")
-		ptrBackend   = fs.String("pointer-backend", "adaptive", "pointer slot backend: adaptive, dense, or bloom (must match across the cluster's daemons)")
 		hostsURL     = fs.String("hosts", "", "analyzer: base URL of the host daemon")
 		switchesURL  = fs.String("switches", "", "analyzer: base URL of the switch daemon")
 		maxInflight  = fs.Int("max-inflight", 0, "analyzer: concurrent diagnosis bound (0 = default 4)")
@@ -160,11 +158,7 @@ func serveCmd(role string, args []string) error {
 		return err
 	}
 
-	backend, err := pointer.ParseBackend(*ptrBackend)
-	if err != nil {
-		return err
-	}
-	s, err := cluster.BuildScenarioOpt(*scenarioName, *m, *n, scenario.Options{PointerBackend: backend})
+	s, err := cluster.BuildScenarioOpt(*scenarioName, *m, *n, scenario.Options{})
 	if err != nil {
 		return err
 	}

@@ -132,7 +132,7 @@ func (s *Sparse) UnmarshalBinary(data []byte) error {
 	n := int(binary.LittleEndian.Uint64(data))
 	c := int(binary.LittleEndian.Uint64(data[8:]))
 	if n < 0 || c < 0 || c != (len(data)-16)/4 || len(data)%4 != 0 {
-		return fmt.Errorf("bitset: sparse: size %d count %d needs %d payload bytes, have %d", n, c, c*4, len(data)-16)
+		return fmt.Errorf("bitset: sparse: size %d count %d does not fit %d payload bytes", n, c, len(data)-16)
 	}
 	idx := make([]uint32, c)
 	for i := range idx {

@@ -27,8 +27,8 @@ import (
 // pointer backend. Every cell's wire report is checked along both axes: its
 // path's relation to the same backend's reference cell, and its backend's
 // relation to the dense cell of the same path. Together they make every
-// exact-backend cell byte-identical to the in-memory dense cell, or related
-// to it by the declared cold and compacted relations.
+// cell byte-identical to the in-memory dense cell, or related to it by the
+// declared cold and compacted relations.
 
 // planeScenario is one row of the one scenario list.
 type planeScenario struct {
@@ -51,29 +51,20 @@ var planeScenarios = []planeScenario{
 // relation checks a cell's report against its reference cell's.
 type relation func(t *testing.T, ref, got *WireReport)
 
-// planeBackend is one column. The first is the dense reference.
+// planeBackend is one column. The first is the dense reference; a
+// bootstrap replica of either restores into adaptive, the backend every
+// deployed switch runs.
 type planeBackend struct {
 	name string
 	opt  scenario.Options
-	// replica is the backend a bootstrap replica restores into: adaptive for
-	// an exact backend (V2 payloads restore across exact backends), an
-	// identically configured filter for bloom (a sketch cannot be inverted).
-	replica scenario.Options
-	rel     relation // to the dense cell of the same path
+	rel  relation // to the dense cell of the same path
 }
 
-var (
-	denseOpt    = scenario.Options{PointerBackend: pointer.BackendDense}
-	adaptiveOpt = scenario.Options{PointerBackend: pointer.BackendAdaptive}
-	// A deliberately undersized filter: 64 bits collide at these testbed
-	// sizes, so false positives actually occur.
-	bloomOpt = scenario.Options{PointerBackend: pointer.BackendBloom, PointerBloomBits: 64, PointerBloomHashes: 2}
-)
+var denseOpt = scenario.Options{PointerBackend: pointer.BackendDense}
 
 var planeBackends = []planeBackend{
-	{"dense", denseOpt, adaptiveOpt, nil},
-	{"adaptive", adaptiveOpt, adaptiveOpt, identical},
-	{"bloom", bloomOpt, bloomOpt, bloomOf},
+	{"dense", denseOpt, nil},
+	{"adaptive", scenario.Options{PointerBackend: pointer.BackendAdaptive}, identical},
 }
 
 // planePath is one row of the evidence-path axis. The paths share one
@@ -99,22 +90,6 @@ func identical(t *testing.T, ref, got *WireReport) {
 	t.Helper()
 	if want, have := wireJSON(t, ref), wireJSON(t, got); want != have {
 		t.Fatalf("report diverged\n--- reference ---\n%s\n--- cell ---\n%s", want, have)
-	}
-}
-
-// bloomOf: a bloom backend errs in one direction only. The verdict is the
-// exact one, because a false-positive host answers an empty round; the
-// search radius can only grow, and its extra rounds are charged.
-func bloomOf(t *testing.T, exact, got *WireReport) {
-	t.Helper()
-	if want, have := verdictJSON(t, exact), verdictJSON(t, got); want != have {
-		t.Fatalf("bloom verdict diverged\n--- exact ---\n%s\n--- bloom ---\n%s", want, have)
-	}
-	if got.HostsContacted < exact.HostsContacted {
-		t.Fatalf("bloom candidates (%d hosts) below the exact superset floor (%d)", got.HostsContacted, exact.HostsContacted)
-	}
-	if got.Total() < exact.Total() {
-		t.Fatalf("bloom run cheaper than exact (%v < %v): false-positive rounds uncharged", got.Total(), exact.Total())
 	}
 }
 
@@ -160,27 +135,6 @@ func withoutCold(w *WireReport) (*WireReport, simtime.Time) {
 	hot.QueryRounds -= w.ColdRounds
 	hot.ColdSegments, hot.ColdSkippedByIndex, hot.TieredSegments, hot.ColdRounds = 0, 0, 0, 0
 	return &hot, cost
-}
-
-// verdictJSON canonicalizes the decision content of a report — outcome kind
-// plus every answer field — while excluding the search-radius accounting
-// (Consulted, HostsContacted, Conclusion, clock), which legitimately grows
-// under a sketch backend's false-positive fan-out.
-func verdictJSON(t *testing.T, w *WireReport) string {
-	t.Helper()
-	b, err := json.Marshal(map[string]any{
-		"kind":      w.Kind,
-		"culprits":  w.Culprits,
-		"cascade":   w.Cascade,
-		"flows":     w.Flows,
-		"links":     w.Links,
-		"separated": w.Separated,
-		"boundary":  w.Boundary,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // plane is one (scenario, backend) source testbed, played to its horizon,
@@ -257,7 +211,7 @@ func loopbackCell(t *testing.T, p *plane) *WireReport {
 // snapshots — and diagnoses against the replica only.
 func bootstrapCell(t *testing.T, p *plane) *WireReport {
 	hostURL, switchURL := serve(t, p.s.Testbed)
-	dst, err := BuildScenarioOpt(p.sc.name, p.sc.m, p.sc.n, p.b.replica)
+	dst, err := BuildScenarioOpt(p.sc.name, p.sc.m, p.sc.n, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,22 +409,17 @@ func checkSegmentCodec(t *testing.T, tb *scenario.Testbed) {
 	}
 }
 
-// planeTally sums, over the cells a test ran, what keeps the bloom and
-// compacted relations from holding vacuously.
+// planeTally sums, over the cells a test ran, what keeps the compacted
+// relation from holding vacuously.
 type planeTally struct {
-	bloomCells, compactedCells, merged, extraHosts int
-	extraClock                                     simtime.Time
+	compactedCells, merged int
 }
 
-// check fails t if all wantBloom bloom cells ran and showed no false-positive
-// fan-out (extra hosts and extra clock), or all wantCompacted compacted cells
-// ran and none merged a run. A -run selection of fewer cells is not judged.
-func (c *planeTally) check(t *testing.T, wantBloom, wantCompacted int) {
+// check fails t if all wantCompacted compacted cells ran and none merged a
+// run. A -run selection of fewer cells is not judged.
+func (c *planeTally) check(t *testing.T, wantCompacted int) {
 	t.Helper()
-	if wantBloom > 0 && c.bloomCells == wantBloom && (c.extraHosts == 0 || c.extraClock <= 0) {
-		t.Fatalf("the bloom cells show %d extra hosts and %v extra clock — 64-bit filters should collide; the relation is vacuous", c.extraHosts, c.extraClock)
-	}
-	if wantCompacted > 0 && c.compactedCells == wantCompacted && c.merged == 0 {
+	if c.compactedCells == wantCompacted && c.merged == 0 {
 		t.Fatal("compaction merged no run in any cell — the staged eviction produced none")
 	}
 }
@@ -515,11 +464,6 @@ func (m *planeMatrix) cell(t *testing.T, pi, bi int) *WireReport {
 	if dense != nil {
 		b.rel(t, dense, w)
 	}
-	if b.opt.PointerBackend == pointer.BackendBloom {
-		m.tally.bloomCells++
-		m.tally.extraHosts += w.HostsContacted - dense.HostsContacted
-		m.tally.extraClock += w.Total() - dense.Total()
-	}
 	if path.name == "compacted" {
 		m.tally.compactedCells++
 		if m.planes[bi].merged {
@@ -530,10 +474,9 @@ func (m *planeMatrix) cell(t *testing.T, pi, bi int) *WireReport {
 	return w
 }
 
-// TestPlaneMatrix runs every cell, named scenario/path/backend. Over the
-// whole bloom column the false-positive fan-out must be visible, and some
-// scenario's compaction must merge a run, so neither relation holds
-// vacuously.
+// TestPlaneMatrix runs every cell, named scenario/path/backend. Some
+// scenario's compaction must merge a run, so the compacted relation does
+// not hold vacuously.
 func TestPlaneMatrix(t *testing.T) {
 	var tally planeTally
 	for _, sc := range planeScenarios {
@@ -548,12 +491,12 @@ func TestPlaneMatrix(t *testing.T) {
 			}
 		})
 	}
-	tally.check(t, len(planeScenarios)*len(planePaths), len(planeScenarios)*len(planeBackends))
+	tally.check(t, len(planeScenarios)*len(planeBackends))
 }
 
 // planeSlice runs the path/backend cell of every scenario, each in a subtest
-// named after the scenario, and returns what those cells tallied.
-func planeSlice(t *testing.T, path, backend string) *planeTally {
+// named after the scenario.
+func planeSlice(t *testing.T, path, backend string) {
 	t.Helper()
 	pi := slices.IndexFunc(planePaths, func(p planePath) bool { return p.name == path })
 	bi := slices.IndexFunc(planeBackends, func(b planeBackend) bool { return b.name == backend })
@@ -564,7 +507,6 @@ func planeSlice(t *testing.T, path, backend string) *planeTally {
 	for _, sc := range planeScenarios {
 		t.Run(sc.name, func(t *testing.T) { newPlaneMatrix(t, sc, &tally).cell(t, pi, bi) })
 	}
-	return &tally
 }
 
 // The gates below are single slices of the matrix, one cell per scenario,
@@ -581,12 +523,6 @@ func TestBootstrapEquivalenceAllKinds(t *testing.T) { planeSlice(t, "bootstrap",
 // TestBootstrapCrossBackendEquivalence: a dense source bootstrapped into an
 // adaptive replica.
 func TestBootstrapCrossBackendEquivalence(t *testing.T) { planeSlice(t, "bootstrap", "dense") }
-
-// TestBloomDiagnosisCulpritEquivalence: the undersized bloom filter in
-// memory, whose false-positive fan-out must show over the six scenarios.
-func TestBloomDiagnosisCulpritEquivalence(t *testing.T) {
-	planeSlice(t, "in-memory", "bloom").check(t, len(planeScenarios), 0)
-}
 
 // TestSegmentCodecEquivalenceAllKinds runs checkSegmentCodec on what each
 // scenario leaves in its dense plane's host stores.

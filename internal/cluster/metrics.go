@@ -154,10 +154,10 @@ func hostRegistry(tb *scenario.Testbed, rd *statesync.Readiness) *metrics.Regist
 	return reg
 }
 
-// SwitchRegistry builds the switch daemon's metric registry: pointer pull
-// service counts (total and approximate), the pointer structure's resident
-// and full switch-memory footprint, sealed-slot push accounting, and the
-// pushed control-store depth.
+// SwitchRegistry builds the switch daemon's metric registry: the pointer
+// pull count, the pointer structure's resident and full switch-memory
+// footprint, sealed-slot push accounting, and the pushed control-store
+// depth.
 func SwitchRegistry(tb *scenario.Testbed, rd *statesync.Readiness) *metrics.Registry {
 	reg := metrics.NewRegistry()
 	labels, agents := sortedSwitchAgents(tb)
@@ -171,9 +171,7 @@ func SwitchRegistry(tb *scenario.Testbed, rd *statesync.Readiness) *metrics.Regi
 	}
 
 	reg.CounterFunc("spd_pointer_pulls_total", "Analyzer pointer pulls served.", perSwitch,
-		each(func(ag *switchagent.Agent) float64 { pulls, _ := ag.PullCounts(); return float64(pulls) }))
-	reg.CounterFunc("spd_pointer_approx_pulls_total", "Pulls answered approximately (sketch backend or approx control-store slot).", perSwitch,
-		each(func(ag *switchagent.Agent) float64 { _, approx := ag.PullCounts(); return float64(approx) }))
+		each(func(ag *switchagent.Agent) float64 { return float64(ag.PullCount()) }))
 	reg.GaugeFunc("spd_pointer_resident_bytes", "Pointer structure resident bytes (live slots).", perSwitch,
 		each(func(ag *switchagent.Agent) float64 { res, _ := ag.PointerFootprint(); return float64(res) }))
 	reg.GaugeFunc("spd_switch_memory_bytes", "Full switch-memory footprint: pointer sets plus installed MPH.", perSwitch,

@@ -142,7 +142,7 @@ func TestMetricsEndpoints(t *testing.T) {
 	switchFams, _ := scrapeMetrics(t, lb.SwitchURL)
 	switchIdx := famByName(switchFams)
 	requireFamilies(t, "switch", switchIdx,
-		"spd_pointer_pulls_total", "spd_pointer_approx_pulls_total",
+		"spd_pointer_pulls_total",
 		"spd_pointer_resident_bytes", "spd_switch_memory_bytes",
 		"spd_pointer_pushed_slots_total", "spd_control_store_slots", "spd_ready")
 	if got := sumFamily(switchIdx["spd_pointer_pulls_total"]); got <= 0 {

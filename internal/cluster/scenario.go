@@ -47,10 +47,8 @@ func ScenarioNames() []string {
 // loadimbalance/topk (≤0 selects 16). opt is threaded into the named
 // scenario's testbed (its own workload knobs still win); the zero value is
 // the default deployment. The same (name, m, n, opt) always yields the same
-// testbed state at the horizon. Exact pointer backends (adaptive, dense)
-// reproduce identical diagnosis reports; the bloom backend reproduces
-// identical culprit sets with the extra false-positive fan-out charged on
-// the clock.
+// testbed state at the horizon. Both pointer backends (adaptive, dense)
+// reproduce identical diagnosis reports.
 func BuildScenarioOpt(name string, m, n int, opt scenario.Options) (*Scenario, error) {
 	if m <= 0 {
 		m = 8

@@ -16,15 +16,14 @@ type pointerAblationResult struct {
 	modeled    int    // provisioned memory claim (MemoryBytes)
 	pushedB    uint64 // encoded bytes shipped by top-level pushes
 	candidates int    // total hosts named across the probe queries
-	falsePos   int    // candidates the dense oracle does not name
 }
 
 // runPointerAblation replays one deterministic sparse workload — activeHosts
 // distinct hosts of an n-host universe touched over 40 epochs, the regime a
-// datacenter switch's slots actually live in — against one backend, probing
-// accuracy against the supplied oracle sets (nil oracle = this IS the oracle
-// run, which must see zero false positives by definition).
-func runPointerAblation(cfg pointer.Config, oracle []*bitset.Set) (pointerAblationResult, []*bitset.Set, error) {
+// datacenter switch's slots actually live in — against one backend, and
+// checks every probe pull against the reference sets (nil reference = this
+// IS the reference run).
+func runPointerAblation(cfg pointer.Config, ref []*bitset.Set) (pointerAblationResult, []*bitset.Set, error) {
 	var res pointerAblationResult
 	s, err := pointer.New(cfg, nil)
 	if err != nil {
@@ -63,28 +62,12 @@ func runPointerAblation(cfg pointer.Config, oracle []*bitset.Set) (pointerAblati
 	outs := make([]*bitset.Set, len(probes))
 	for i, r := range probes {
 		bits, _ := s.Query(r)
+		if ref != nil && !bits.Equal(ref[i]) {
+			return res, nil, fmt.Errorf("experiments: %s backend diverged from dense on pull %v at n=%d (%d vs %d hosts)",
+				cfg.Backend, r, cfg.NumHosts, bits.Count(), ref[i].Count())
+		}
 		outs[i] = bits
 		res.candidates += bits.Count()
-		want := bits
-		if oracle != nil {
-			want = oracle[i]
-		}
-		fn := 0
-		want.ForEach(func(h int) bool {
-			if !bits.Get(h) {
-				fn++
-			}
-			return true
-		})
-		if fn > 0 {
-			return res, nil, fmt.Errorf("experiments: %s backend missed %d touched hosts on pull %v (one-sided-error contract broken)", cfg.Backend, fn, r)
-		}
-		bits.ForEach(func(h int) bool {
-			if !want.Get(h) {
-				res.falsePos++
-			}
-			return true
-		})
 	}
 
 	// Play out to two top-level seals (top slot spans α² = 256 epochs) so
@@ -98,42 +81,30 @@ func runPointerAblation(cfg pointer.Config, oracle []*bitset.Set) (pointerAblati
 }
 
 // AblationPointerMemory regenerates the Fig 10-style memory/bandwidth
-// tradeoff across the three pointer-slot backends at n = 100 K and 1 M — the
-// quantified claim behind the adaptive default: exact answers at a fraction
-// of the dense layout's resident memory, with the bloom sketch as the
-// constant-memory/approximate corner. The run itself enforces the gates: a
-// byte-exact adaptive/dense match, zero bloom false negatives, ≥10× resident
-// reduction at 1 M, and n-independent bloom memory.
+// tradeoff between the two pointer-slot backends at n = 100 K and 1 M — the
+// quantified claim behind the adaptive default: the dense layout's answers
+// at a fraction of its resident memory. The run itself enforces the gates:
+// adaptive answers every probe pull byte-identically to dense, with ≥10×
+// less resident memory at 1 M.
 func AblationPointerMemory() (*Result, error) {
 	r := &Result{ID: "ablation-pointer-memory", Title: "pointer slot backends: memory/bandwidth/accuracy (4096 active hosts, k=3, α=16)"}
 	tab := Table{
 		Title: "per-switch pointer structure after the sparse workload",
-		Cols:  []string{"n", "backend", "resident B", "modeled B", "pushed B", "candidates", "false pos"},
+		Cols:  []string{"n", "backend", "resident B", "modeled B", "pushed B", "candidates"},
 	}
-	bloomModeled := map[int]int{}
 	var ratio1M float64
 	for _, n := range []int{100_000, 1_000_000} {
-		base := pointer.Config{Alpha: 16 * simtime.Millisecond, K: 3, NumHosts: n}
-		var dense, adaptive, bloom pointerAblationResult
-		var oracle []*bitset.Set
-		for _, be := range []pointer.Backend{pointer.BackendDense, pointer.BackendAdaptive, pointer.BackendBloom} {
-			cfg := base
-			cfg.Backend = be
-			res, outs, err := runPointerAblation(cfg, oracle)
+		var dense, adaptive pointerAblationResult
+		var ref []*bitset.Set
+		for _, be := range []pointer.Backend{pointer.BackendDense, pointer.BackendAdaptive} {
+			res, outs, err := runPointerAblation(pointer.Config{Alpha: 16 * simtime.Millisecond, K: 3, NumHosts: n, Backend: be}, ref)
 			if err != nil {
 				return nil, err
 			}
-			switch be {
-			case pointer.BackendDense:
-				dense, oracle = res, outs
-			case pointer.BackendAdaptive:
+			if be == pointer.BackendDense {
+				dense, ref = res, outs
+			} else {
 				adaptive = res
-				if res.falsePos != 0 || res.candidates != dense.candidates {
-					return nil, fmt.Errorf("experiments: adaptive diverged from dense oracle at n=%d (%d false positives, %d vs %d candidates)",
-						n, res.falsePos, res.candidates, dense.candidates)
-				}
-			case pointer.BackendBloom:
-				bloom = res
 			}
 			tab.Rows = append(tab.Rows, []string{
 				fmt.Sprintf("%d", n), be.String(),
@@ -141,7 +112,6 @@ func AblationPointerMemory() (*Result, error) {
 				fmt.Sprintf("%d", res.modeled),
 				fmt.Sprintf("%d", res.pushedB),
 				fmt.Sprintf("%d", res.candidates),
-				fmt.Sprintf("%d", res.falsePos),
 			})
 		}
 		if n == 1_000_000 {
@@ -150,11 +120,6 @@ func AblationPointerMemory() (*Result, error) {
 				return nil, fmt.Errorf("experiments: adaptive resident reduction at n=1M is %.1f×, want ≥10×", ratio1M)
 			}
 		}
-		bloomModeled[n] = bloom.modeled
-	}
-	if bloomModeled[100_000] != bloomModeled[1_000_000] {
-		return nil, fmt.Errorf("experiments: bloom memory varies with n (%d B at 100K vs %d B at 1M), want constant",
-			bloomModeled[100_000], bloomModeled[1_000_000])
 	}
 	r.AddTable(tab)
 	r.AddTable(Table{
@@ -162,10 +127,9 @@ func AblationPointerMemory() (*Result, error) {
 		Cols:  []string{"gate", "value"},
 		Rows: [][]string{
 			{"adaptive/dense resident ratio at n=1M (dense÷adaptive)", f(ratio1M)},
-			{"bloom modeled bytes, n-independent", fmt.Sprintf("%d", bloomModeled[1_000_000])},
 		},
 	})
-	r.AddNote("adaptive answers every pull byte-identically to dense; bloom candidates are supersets (false positives only, zero false negatives — enforced above)")
-	r.AddNote("pushed B is the encoded top-slot wire size: full width for dense, occupancy-proportional for adaptive, constant filter for bloom")
+	r.AddNote("adaptive answers every pull byte-identically to dense (enforced above)")
+	r.AddNote("pushed B is the encoded top-slot wire size: full width for dense, occupancy-proportional for adaptive")
 	return r, nil
 }

@@ -58,8 +58,8 @@ func Fig10a() (*Result, error) {
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, g := range fig10Grid {
 			// The paper's Fig 10 curves are the dense layout's provisioned
-			// memory; pin the oracle backend so the frozen metrics track it
-			// (the adaptive/bloom tradeoff has its own ablation).
+			// memory; pin the dense backend so the frozen metrics track it
+			// (adaptive's memory has its own ablation).
 			s, err := pointer.New(pointer.Config{
 				Alpha:    simtime.Time(g.alpha) * simtime.Millisecond,
 				K:        k,

@@ -34,7 +34,7 @@ func Registry() []Entry {
 		{ID: "ablation-packetmix", Desc: "throughput under realistic packet mixes", Run: AblationPacketMix},
 		{ID: "ablation-rulefloor", Desc: "commodity epoch-rule floor", Run: AblationEpochRuleFloor},
 		{ID: "ablation-coldtier", Desc: "cold-tier read-back: index, compaction, tiering", Run: AblationColdTier},
-		{ID: "ablation-pointer-memory", Desc: "pointer slot backends: adaptive/dense/bloom memory-accuracy tradeoff", Run: AblationPointerMemory},
+		{ID: "ablation-pointer-memory", Desc: "pointer slot backends: adaptive vs dense memory/bandwidth", Run: AblationPointerMemory},
 		{ID: "diagnosis-throughput", Desc: "reports/sec under overlapping alerts at admission limits 1/4/16", Run: DiagnosisThroughput},
 	}
 }

@@ -17,7 +17,6 @@ const snapVersion = 1
 const (
 	flagSealed byte = 1 << iota
 	flagUsed
-	flagApprox
 )
 
 // snapMagic opens every snapshot and slot list (see the package comment).
@@ -99,7 +98,7 @@ func (r *snapReader) slot() (level int, epochs simtime.EpochRange, flags, kind b
 	level = int(r.u8())
 	epochs = simtime.EpochRange{Lo: simtime.Epoch(r.varint()), Hi: simtime.Epoch(r.varint())}
 	flags, kind = r.u8(), r.u8()
-	if n := r.uvarint(math.MaxInt32); n <= uint64(len(r.b)) && flags <= flagSealed|flagUsed|flagApprox {
+	if n := r.uvarint(math.MaxInt32); n <= uint64(len(r.b)) && flags <= flagSealed|flagUsed {
 		payload, r.b = r.b[:n:n], r.b[n:]
 	} else {
 		r.b, r.bad = nil, true
@@ -121,7 +120,7 @@ func (s *Structure) Snapshot() ([]byte, error) {
 	}
 	for h, ring := range s.levels {
 		for _, slot := range ring {
-			flags := bit(slot.sealed)*flagSealed | bit(slot.used)*flagUsed | bit(!slotExact(slot))*flagApprox
+			flags := bit(slot.sealed)*flagSealed | bit(slot.used)*flagUsed
 			kind, payload := slotKindDense, []byte(nil)
 			if slot.set != nil {
 				kind, payload = slot.set.encode()
@@ -134,12 +133,11 @@ func (s *Structure) Snapshot() ([]byte, error) {
 
 // Restore replaces the structure's live state with a Snapshot of a
 // structure of identical geometry (same Alpha, K, NumHosts). The BACKEND
-// need not match: exact slot payloads (dense or sparse) restore into any
-// backend by re-inserting their members, while a bloom payload restores only
-// into a bloom structure with identical filter parameters (a sketch cannot
-// be inverted). Every record decodes before any slot changes, so a failed
-// Restore leaves the structure as it was. Epochs continue from the restored
-// epoch.
+// need not match: slot payloads (dense or sparse) restore into either
+// backend by re-inserting their members; a slot with an unknown flag or
+// payload kind is refused. Every record decodes before any slot changes, so
+// a failed Restore leaves the structure as it was. Epochs continue from the
+// restored epoch.
 func (s *Structure) Restore(b []byte) error {
 	var r snapReader
 	alpha, k, n, err := r.open(b)
@@ -200,7 +198,7 @@ func EncodeSlots(slots []Slot) []byte {
 	b := binary.AppendUvarint(appendHeader(nil, 0, 0, n), uint64(len(slots)))
 	for _, sl := range slots {
 		payload, _ := sl.Bits.MarshalBinary() // never errors
-		b = appendSlot(b, sl.Level, sl.Epochs, bit(sl.Sealed)*flagSealed|bit(sl.Approx)*flagApprox, slotKindDense, payload)
+		b = appendSlot(b, sl.Level, sl.Epochs, bit(sl.Sealed)*flagSealed, slotKindDense, payload)
 	}
 	return b
 }
@@ -223,7 +221,7 @@ func DecodeSlots(b []byte) ([]Slot, error) {
 		if r.bad || kind != slotKindDense || bits.UnmarshalBinary(payload) != nil || bits.Len() != n {
 			return nil, fmt.Errorf("pointer: decode slots: slot %d: corrupt record", i)
 		}
-		slots[i] = Slot{Level: level, Epochs: epochs, Bits: &bits, Sealed: flags&flagSealed != 0, Approx: flags&flagApprox != 0}
+		slots[i] = Slot{Level: level, Epochs: epochs, Bits: &bits, Sealed: flags&flagSealed != 0}
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("pointer: decode slots: %d bytes past the last slot", len(r.b))

@@ -12,14 +12,10 @@ import (
 
 // fuzzStructure builds the one geometry FuzzRestore restores into, in
 // backend be, and plays a seeded mix of touches and epoch advances into it:
-// 1000 hosts, so adaptive slots hold both sparse and promoted sets, and a
-// bloom filter small enough for a seed to commit.
+// 1000 hosts, so adaptive slots hold both sparse and promoted sets.
 func fuzzStructure(tb testing.TB, be Backend, seed int64) *Structure {
 	tb.Helper()
 	cfg := Config{Alpha: 4 * simtime.Millisecond, K: 3, NumHosts: 1000, Backend: be}
-	if be == BackendBloom {
-		cfg.BloomBits, cfg.BloomHashes = 256, 3
-	}
 	s, err := New(cfg, nil)
 	if err != nil {
 		tb.Fatal(err)
@@ -56,14 +52,16 @@ func allocated(fn func()) uint64 {
 // Snapshot restores into a fresh twin as the same bytes.
 // The committed corpus (testdata/fuzz) holds a valid snapshot of each
 // backend, each also cut short and with one payload length overstated;
-// every truncation of the adaptive one is seeded here.
+// every truncation of the adaptive one is seeded here. Three more seeds
+// are snapshots of a retired sketch backend (payload kind 2, flag bit 4):
+// both backends must refuse them.
 func FuzzRestore(f *testing.F) {
 	valid, _ := fuzzStructure(f, BackendAdaptive, 1).Snapshot()
 	for n := 0; n < len(valid); n++ {
 		f.Add(valid[:n])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, be := range []Backend{BackendAdaptive, BackendDense, BackendBloom} {
+		for _, be := range []Backend{BackendAdaptive, BackendDense} {
 			s := fuzzStructure(t, be, 2)
 			before, _ := s.Snapshot()
 			var err error

@@ -16,10 +16,10 @@
 // S·10³/α^k bps — the tradeoff curves of Fig 10. A slot at level h is
 // recycled (α−1)·α^h ms after it seals (Fig 11).
 //
-// What a slot stores is a pluggable Backend: the exact-dense bitmap above
-// (the oracle), an exact-adaptive container whose cost follows occupancy, or
-// a constant-memory bloom sketch with one-sided error. Slots allocate
-// lazily — an idle switch holds ring bookkeeping, not bitmaps.
+// What a slot stores is a Backend: the dense bitmap above (the paper's
+// layout and the reference) or the adaptive container whose cost follows
+// occupancy. Both are exact. Slots allocate lazily — an idle switch holds
+// ring bookkeeping, not bitmaps.
 //
 // The data plane performs ONE minimal-perfect-hash operation per packet
 // (done by the caller) and then sets the same bit index in the current slot
@@ -43,14 +43,15 @@
 //	slot list  uvarint        count, then that many slots
 //	slot       u8             level
 //	           varint ×2      Epochs.Lo, Epochs.Hi
-//	           u8             flags: 1 sealed, 2 used, 4 approx
-//	           u8             payload kind: 0 dense, 1 sparse, 2 bloom
+//	           u8             flags: 1 sealed, 2 used
+//	           u8             payload kind: 0 dense, 1 sparse
 //	           uvarint        payload length (0 = an untouched slot), then
 //	                          the payload: slotSet.encode()'s in a structure,
 //	                          the dense bitmap in a slot list
 //
 // Decoders bound every count and length by the bytes left before sizing
-// anything and reject trailing bytes; Restore decodes before it changes.
+// anything and reject trailing bytes, any other flag bit and any other
+// payload kind; Restore decodes before it changes.
 package pointer
 
 import (
@@ -72,14 +73,8 @@ type Config struct {
 	NumHosts int
 
 	// Backend selects the slot-set implementation. The zero value is
-	// BackendAdaptive; BackendDense is the paper's layout and the exactness
-	// oracle; BackendBloom trades one-sided error for O(1) slot memory.
+	// BackendAdaptive; BackendDense is the paper's layout and the reference.
 	Backend Backend
-	// BloomBits and BloomHashes parameterize BackendBloom slots (zero
-	// selects 16384 bits / 4 hashes). Setting either with a non-bloom
-	// backend is rejected rather than silently ignored.
-	BloomBits   int
-	BloomHashes int
 }
 
 // Validate checks the configuration.
@@ -97,32 +92,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pointer: NumHosts must be ≥ 1, got %d", c.NumHosts)
 	}
 	switch c.Backend {
-	case BackendAdaptive, BackendDense, BackendBloom:
+	case BackendAdaptive, BackendDense:
 	default:
 		return fmt.Errorf("pointer: unknown backend %d", int(c.Backend))
 	}
-	if c.Backend != BackendBloom && (c.BloomBits != 0 || c.BloomHashes != 0) {
-		return fmt.Errorf("pointer: BloomBits/BloomHashes set with %s backend (they would be inert)", c.Backend)
-	}
-	if c.BloomBits < 0 || (c.BloomBits > 0 && c.BloomBits < 8) {
-		return fmt.Errorf("pointer: BloomBits must be ≥ 8, got %d", c.BloomBits)
-	}
-	if c.BloomHashes < 0 || c.BloomHashes > 16 {
-		return fmt.Errorf("pointer: BloomHashes must be in [1,16], got %d", c.BloomHashes)
-	}
 	return nil
-}
-
-// bloomParams resolves the bloom filter geometry, applying defaults.
-func (c Config) bloomParams() (m, k int) {
-	m, k = c.BloomBits, c.BloomHashes
-	if m == 0 {
-		m = defaultBloomBits
-	}
-	if k == 0 {
-		k = defaultBloomHashes
-	}
-	return m, k
 }
 
 // AlphaScalar returns α as the paper's dimensionless scalar: the number of
@@ -147,9 +121,6 @@ type Slot struct {
 	Epochs simtime.EpochRange // aligned window this slot covers
 	Bits   *bitset.Set
 	Sealed bool // true once its window has fully elapsed
-	// Approx marks a sketch-backed slot: Bits is a superset of the touched
-	// hosts (false positives possible, never false negatives).
-	Approx bool
 }
 
 // liveSlot is the in-structure slot: ring bookkeeping plus a lazily
@@ -235,8 +206,7 @@ func (s *Structure) Touches() uint64 { return s.touches }
 
 // Pushes returns how many top-level slots have been pushed, and the total
 // encoded bytes shipped to the control plane (backend-honest: occupancy-
-// proportional for adaptive slots, constant for bloom, full width for
-// dense).
+// proportional for adaptive slots, full width for dense).
 func (s *Structure) Pushes() (count, bytes uint64) { return s.pushes, s.pushedBytes }
 
 // slotWindow returns the aligned epoch window of the slot containing epoch e
@@ -298,9 +268,8 @@ func (s *Structure) Advance(e simtime.Epoch) {
 
 func (s *Structure) currentSlot(h int) *liveSlot { return s.levels[h-1][s.cur[h-1]] }
 
-// materialize expands a live slot into the exported bitmap form. For exact
-// backends this is the touched set; for sketches it is the candidate
-// superset.
+// materialize expands a live slot into the exported bitmap form: the
+// touched set.
 func (s *Structure) materialize(sl *liveSlot) *bitset.Set {
 	out := bitset.New(s.cfg.NumHosts)
 	if sl.set != nil {
@@ -309,22 +278,16 @@ func (s *Structure) materialize(sl *liveSlot) *bitset.Set {
 	return out
 }
 
-// slotExact reports whether a live slot's materialized form is exact.
-func slotExact(sl *liveSlot) bool { return sl.set == nil || sl.set.exact() }
-
 // slotEncodedBytes is the wire size of one slot: the push/pull unit of the
 // bandwidth accounting. An untouched slot still ships its backend's empty
-// encoding — full width for dense (the paper's fixed S-bit push), the
-// constant filter for bloom, a bare header for adaptive.
+// encoding — full width for dense (the paper's fixed S-bit push), a bare
+// header for adaptive.
 func (s *Structure) slotEncodedBytes(sl *liveSlot) int {
-	if sl.set != nil {
+	switch {
+	case sl.set != nil:
 		return sl.set.encodedBytes()
-	}
-	switch s.cfg.Backend {
-	case BackendDense:
+	case s.cfg.Backend == BackendDense:
 		return 8 + s.denseSlotBytes()
-	case BackendBloom:
-		return 16 + 8 + s.bloomSlotBytes()
 	default:
 		return 16 // empty sparse header
 	}
@@ -332,12 +295,6 @@ func (s *Structure) slotEncodedBytes(sl *liveSlot) int {
 
 // denseSlotBytes is the word-padded width of one dense pointer set.
 func (s *Structure) denseSlotBytes() int { return (s.cfg.NumHosts + 63) / 64 * 8 }
-
-// bloomSlotBytes is the word-padded width of one bloom filter.
-func (s *Structure) bloomSlotBytes() int {
-	m, _ := s.cfg.bloomParams()
-	return (m + 63) / 64 * 8
-}
 
 func (s *Structure) push(slot *liveSlot) {
 	s.pushes++
@@ -348,7 +305,6 @@ func (s *Structure) push(slot *liveSlot) {
 			Epochs: slot.epochs,
 			Bits:   s.materialize(slot),
 			Sealed: true,
-			Approx: !slotExact(slot),
 		})
 	}
 }
@@ -384,10 +340,6 @@ type QueryResult struct {
 	// SlotsCopiedBytes models the pull-bandwidth cost of the query: the
 	// encoded size of every consulted slot.
 	SlotsCopiedBytes int
-	// Exact is true when the returned set is exactly the touched hosts;
-	// false when any consulted slot is sketch-backed, making the set a
-	// superset (candidates, never missing a touched host).
-	Exact bool
 }
 
 // Query returns the union of end-host bits for all epochs in r, using the
@@ -396,13 +348,12 @@ type QueryResult struct {
 func (s *Structure) Query(r simtime.EpochRange) (*bitset.Set, QueryResult) {
 	out := bitset.New(s.cfg.NumHosts)
 	if r.Len() == 0 {
-		return out, QueryResult{Covered: true, Exact: true}
+		return out, QueryResult{Covered: true}
 	}
-	best := QueryResult{Exact: true}
+	var best QueryResult
 	for h := 1; h <= s.cfg.K; h++ {
 		hits := 0
 		bytes := 0
-		exact := true
 		coveredLo := simtime.Epoch(1 << 62)
 		coveredHi := simtime.Epoch(-(1 << 62))
 		tmp := bitset.New(s.cfg.NumHosts)
@@ -415,7 +366,6 @@ func (s *Structure) Query(r simtime.EpochRange) (*bitset.Set, QueryResult) {
 			if slot.set != nil {
 				slot.set.addTo(tmp)
 			}
-			exact = exact && slotExact(slot)
 			if slot.epochs.Lo < coveredLo {
 				coveredLo = slot.epochs.Lo
 			}
@@ -429,7 +379,7 @@ func (s *Structure) Query(r simtime.EpochRange) (*bitset.Set, QueryResult) {
 		// Live slots at one level are contiguous in time, so [lo,hi]
 		// coverage implies full coverage of the overlap.
 		covered := coveredLo <= r.Lo && coveredHi >= r.Hi
-		res := QueryResult{Level: h, Slots: hits, Covered: covered, SlotsCopiedBytes: bytes, Exact: exact}
+		res := QueryResult{Level: h, Slots: hits, Covered: covered, SlotsCopiedBytes: bytes}
 		if covered {
 			out.UnionWith(tmp)
 			return out, res
@@ -460,7 +410,6 @@ func (s *Structure) SlotsAt(h int, r simtime.EpochRange) []Slot {
 			Epochs: slot.epochs,
 			Bits:   s.materialize(slot),
 			Sealed: slot.sealed,
-			Approx: !slotExact(slot),
 		})
 	}
 	// Ring order is rotation order; sort by window.
@@ -478,24 +427,19 @@ func (s *Structure) SlotsAt(h int, r simtime.EpochRange) []Slot {
 //
 //   - dense: (α·(k−1)+1)·S/8 bytes — the paper's fixed layout, independent
 //     of lazy allocation, so the Fig 10 curves are stable.
-//   - bloom: (α·(k−1)+1)·m/8 bytes — constant in NumHosts.
 //   - adaptive: the resident footprint (its provisioning follows occupancy).
 //
-// Use ResidentBytes for the actually-allocated heap size of any backend.
+// Use ResidentBytes for the actually-allocated heap size of either backend.
 func (s *Structure) MemoryBytes() int {
-	switch s.cfg.Backend {
-	case BackendDense:
+	if s.cfg.Backend == BackendDense {
 		return s.totalSlots() * s.denseSlotBytes()
-	case BackendBloom:
-		return s.totalSlots() * s.bloomSlotBytes()
-	default:
-		return s.ResidentBytes()
 	}
+	return s.ResidentBytes()
 }
 
 // ResidentBytes returns the heap actually allocated by slot containers —
 // zero for a freshly built structure, occupancy-proportional for adaptive,
-// bounded by the modeled geometry for dense and bloom.
+// bounded by the modeled geometry for dense.
 func (s *Structure) ResidentBytes() int {
 	total := 0
 	for _, ring := range s.levels {
@@ -517,16 +461,11 @@ func (s *Structure) totalSlots() int {
 }
 
 // PushBandwidthBps returns the modeled steady-state data-plane→control-plane
-// bandwidth: one top slot every α^k ms. For the exact backends the slot is
-// provisioned at S word-padded bits (S·10³/α^k bps, Fig 10(b) — adaptive's
-// actual pushes are smaller, see Pushes); for bloom it is the constant
-// m-bit filter.
+// bandwidth: one top slot every α^k ms, provisioned at S word-padded bits
+// (S·10³/α^k bps, Fig 10(b) — adaptive's actual pushes are smaller, see
+// Pushes).
 func (s *Structure) PushBandwidthBps() float64 {
-	width := s.denseSlotBytes()
-	if s.cfg.Backend == BackendBloom {
-		width = s.bloomSlotBytes()
-	}
-	sBits := float64(width * 8)
+	sBits := float64(s.denseSlotBytes() * 8)
 	periodMs := float64(s.spanEpochs[s.cfg.K-1]) * s.cfg.Alpha.Milliseconds()
 	return sBits * 1000.0 / periodMs
 }
@@ -547,14 +486,4 @@ func (s *Structure) RecyclingPeriod(h int) simtime.Time {
 // cross-check the measured structure.
 func TheoreticalMemoryBits(alpha, k, sBits int) int64 {
 	return int64(alpha)*int64(k-1)*int64(sBits) + int64(sBits)
-}
-
-// TheoreticalBandwidthBps returns the paper's closed-form bandwidth formula
-// S·10³/α^k bps for S-bit pointer sets and α in milliseconds.
-func TheoreticalBandwidthBps(alpha, k, sBits int) float64 {
-	den := 1.0
-	for i := 0; i < k; i++ {
-		den *= float64(alpha)
-	}
-	return float64(sBits) * 1000.0 / den
 }

@@ -1,11 +1,14 @@
 package pointer
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"switchpointer/internal/bitset"
 	"switchpointer/internal/simtime"
 )
 
@@ -195,7 +198,7 @@ func driveLockstep(rng *rand.Rand, ops, hosts int, ss ...*Structure) simtime.Epo
 // TestPropertyAdaptiveMatchesDense is the tentpole's exactness gate: under
 // random touch/advance/seal/recycle schedules, the adaptive backend answers
 // every pull byte-identically to the dense oracle — same bits, same level,
-// same coverage — and both report Exact.
+// same coverage.
 func TestPropertyAdaptiveMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -220,16 +223,13 @@ func TestPropertyAdaptiveMatchesDense(t *testing.T) {
 			if rd.Level != ra.Level || rd.Covered != ra.Covered || rd.Slots != ra.Slots {
 				return false
 			}
-			if !rd.Exact || !ra.Exact {
-				return false
-			}
 			for h := 1; h <= 3; h++ {
 				sd, sa := d.SlotsAt(h, r), a.SlotsAt(h, r)
 				if len(sd) != len(sa) {
 					return false
 				}
 				for i := range sd {
-					if sd[i].Epochs != sa[i].Epochs || !sd[i].Bits.Equal(sa[i].Bits) || sa[i].Approx {
+					if sd[i].Epochs != sa[i].Epochs || !sd[i].Bits.Equal(sa[i].Bits) {
 						return false
 					}
 				}
@@ -242,103 +242,9 @@ func TestPropertyAdaptiveMatchesDense(t *testing.T) {
 	}
 }
 
-// TestPropertyBloomSupersetAtEveryPull checks the sketch backend's one-sided
-// error contract: at every pull, the bloom candidate set contains every host
-// the dense oracle reports (zero false negatives), and any pull whose oracle
-// answer is non-empty is flagged inexact.
-func TestPropertyBloomSupersetAtEveryPull(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const hosts = 256
-		cfgD := Config{Alpha: 10 * simtime.Millisecond, K: 3, NumHosts: hosts, Backend: BackendDense}
-		cfgB := cfgD
-		cfgB.Backend = BackendBloom
-		// Deliberately undersized filter so false positives actually occur.
-		cfgB.BloomBits = 128
-		cfgB.BloomHashes = 2
-		d, err1 := New(cfgD, nil)
-		b, err2 := New(cfgB, nil)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		epoch := driveLockstep(rng, 250, hosts, d, b)
-		for q := 0; q < 25; q++ {
-			lo := simtime.Epoch(rng.Intn(int(epoch) + 1))
-			r := simtime.EpochRange{Lo: lo, Hi: lo + simtime.Epoch(rng.Intn(6))}
-			bd, rd := d.Query(r)
-			bb, rb := b.Query(r)
-			// Identical geometry → identical level/coverage decisions.
-			if rd.Level != rb.Level || rd.Covered != rb.Covered {
-				return false
-			}
-			miss := false
-			bd.ForEach(func(i int) bool {
-				if !bb.Get(i) {
-					miss = true
-					return false
-				}
-				return true
-			})
-			if miss {
-				return false // false negative: contract broken
-			}
-			if bd.Any() && rb.Exact {
-				return false // sketch-backed result must be flagged
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBloomFalsePositivesAreVisible pins the other side of the contract with
-// a fixed seed: an undersized filter does produce false positives, and they
-// surface as Approx/!Exact rather than silently.
-func TestBloomFalsePositivesAreVisible(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const hosts = 4096
-	cfgD := Config{Alpha: 10 * simtime.Millisecond, K: 2, NumHosts: hosts, Backend: BackendDense}
-	cfgB := cfgD
-	cfgB.Backend = BackendBloom
-	cfgB.BloomBits = 128
-	cfgB.BloomHashes = 2
-	d := mustNew(t, cfgD, nil)
-	b := mustNew(t, cfgB, nil)
-	d.Advance(0)
-	b.Advance(0)
-	for i := 0; i < 100; i++ {
-		idx := rng.Intn(hosts)
-		d.Touch(idx)
-		b.Touch(idx)
-	}
-	r := simtime.EpochRange{Lo: 0, Hi: 0}
-	bd, _ := d.Query(r)
-	bb, rb := b.Query(r)
-	if rb.Exact {
-		t.Fatalf("bloom query claims exactness")
-	}
-	fp := 0
-	bb.ForEach(func(i int) bool {
-		if !bd.Get(i) {
-			fp++
-		}
-		return true
-	})
-	if fp == 0 {
-		t.Fatalf("128-bit filter with 100 members produced no false positives — test is vacuous")
-	}
-	slots := b.SlotsAt(1, r)
-	if len(slots) == 0 || !slots[0].Approx {
-		t.Fatalf("sketch-backed slot not marked Approx")
-	}
-}
-
-// TestSnapshotCrossBackendRestore: an exact snapshot restores into any
-// backend (slots carry kind-tagged payloads, and exact payloads re-insert
-// member-by-member), answering pulls identically afterward — into a bloom
-// backend as a superset that never misses a host.
+// TestSnapshotCrossBackendRestore: a snapshot restores into either backend
+// (slots carry kind-tagged payloads that re-insert member-by-member),
+// answering pulls identically afterward.
 func TestSnapshotCrossBackendRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const hosts = 200
@@ -347,7 +253,7 @@ func TestSnapshotCrossBackendRestore(t *testing.T) {
 		return mustNew(t, cfg, nil)
 	}
 	for _, src := range []Backend{BackendDense, BackendAdaptive} {
-		for _, dst := range []Backend{BackendDense, BackendAdaptive, BackendBloom} {
+		for _, dst := range []Backend{BackendDense, BackendAdaptive} {
 			s := mk(src)
 			s.Advance(0)
 			epoch := simtime.Epoch(0)
@@ -370,14 +276,7 @@ func TestSnapshotCrossBackendRestore(t *testing.T) {
 			r := simtime.EpochRange{Lo: 0, Hi: epoch}
 			b1, r1 := s.Query(r)
 			b2, r2 := twin.Query(r)
-			if dst == BackendBloom {
-				b1.ForEach(func(i int) bool {
-					if !b2.Get(i) {
-						t.Fatalf("%s→bloom restore dropped host %d", src, i)
-					}
-					return true
-				})
-			} else if !b1.Equal(b2) || r1 != r2 {
+			if !b1.Equal(b2) || r1 != r2 {
 				t.Fatalf("%s→%s restore diverged: %+v vs %+v", src, dst, r1, r2)
 			}
 			if twin.Touches() != s.Touches() || twin.CurrentEpoch() != s.CurrentEpoch() {
@@ -385,40 +284,12 @@ func TestSnapshotCrossBackendRestore(t *testing.T) {
 			}
 		}
 	}
-	// A bloom snapshot restores only into a bloom structure with identical
-	// filter parameters: the member list cannot be recovered from a sketch.
-	b := mk(BackendBloom)
-	b.Advance(0)
-	for i := 0; i < 50; i++ {
-		b.Touch(rng.Intn(hosts))
-	}
-	snap, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin := mk(BackendBloom)
-	if err := twin.Restore(snap); err != nil {
-		t.Fatalf("bloom→bloom restore: %v", err)
-	}
-	q1, _ := b.Query(simtime.EpochRange{Lo: 0, Hi: 0})
-	q2, _ := twin.Query(simtime.EpochRange{Lo: 0, Hi: 0})
-	if !q1.Equal(q2) {
-		t.Fatalf("bloom→bloom candidates diverged")
-	}
-	if err := mk(BackendAdaptive).Restore(snap); err == nil {
-		t.Fatalf("bloom snapshot restored into an exact backend")
-	}
-	mismatched := mustNew(t, Config{Alpha: 10 * simtime.Millisecond, K: 3, NumHosts: hosts,
-		Backend: BackendBloom, BloomBits: 512, BloomHashes: 3}, nil)
-	if err := mismatched.Restore(snap); err == nil {
-		t.Fatalf("bloom snapshot restored into mismatched filter geometry")
-	}
 }
 
 // TestLegacyDenseSnapshotRestoresIntoEveryBackend hand-builds the oldest
 // snapshot layout — every touched slot a full dense bitmap, whatever set the
 // writer held — from an adaptive structure (whose own snapshot would carry
-// sparse payloads) and restores it into each backend.
+// sparse payloads) and restores it into both backends.
 func TestLegacyDenseSnapshotRestoresIntoEveryBackend(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const hosts = 300
@@ -463,7 +334,7 @@ func TestLegacyDenseSnapshotRestoresIntoEveryBackend(t *testing.T) {
 
 	r := simtime.EpochRange{Lo: 0, Hi: epoch}
 	want, wantRes := src.Query(r)
-	for _, be := range []Backend{BackendDense, BackendAdaptive, BackendBloom} {
+	for _, be := range []Backend{BackendDense, BackendAdaptive} {
 		twin := mustNew(t, Config{Alpha: 10 * simtime.Millisecond, K: 3, NumHosts: hosts, Backend: be}, nil)
 		if err := twin.Restore(b); err != nil {
 			t.Fatalf("legacy snapshot into %s: %v", be, err)
@@ -472,19 +343,65 @@ func TestLegacyDenseSnapshotRestoresIntoEveryBackend(t *testing.T) {
 			t.Fatalf("legacy→%s counters diverged", be)
 		}
 		got, gotRes := twin.Query(r)
-		if be == BackendBloom {
-			// Sketch restore re-inserts members: superset, never a miss.
-			want.ForEach(func(i int) bool {
-				if !got.Get(i) {
-					t.Fatalf("legacy→bloom restore dropped host %d", i)
-				}
-				return true
-			})
-			continue
-		}
 		if !got.Equal(want) || gotRes != wantRes {
 			t.Fatalf("legacy→%s restore diverged: %+v vs %+v", be, gotRes, wantRes)
 		}
+	}
+}
+
+// TestRestoreRefusesRetiredSlotFormats hand-builds one-slot snapshots in the
+// formats of the retired sketch backend — a kind-2 payload, and a dense
+// payload under flag bit 4 — and restores each into a populated structure:
+// each is refused with an error naming the slot, and the structure's
+// Snapshot is unchanged. The same record with flags 1|2 and kind 0 restores,
+// so the refusal is the retired field's alone. DecodeSlots refuses flag bit
+// 4 the same way.
+func TestRestoreRefusesRetiredSlotFormats(t *testing.T) {
+	cfg := Config{Alpha: simtime.Millisecond, K: 1, NumHosts: 64}
+	members := bitset.New(cfg.NumHosts)
+	members.Set(9)
+	dense, _ := members.MarshalBinary()
+	// A sketch payload: 8 bytes m, 8 bytes k, then the m-bit filter.
+	filter := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 64), 2)
+	filter = append(filter, dense...)
+	snapshot := func(flags, kind byte, payload []byte) []byte {
+		b := appendHeader(nil, cfg.Alpha, cfg.K, cfg.NumHosts)
+		b = append(binary.AppendVarint(b, 0), 1) // epoch 0, started
+		b = append(b, 1, 0, 0, 0)                // 1 touch, no pushes, ring position 0
+		return appendSlot(b, 1, simtime.EpochRange{}, flags, kind, payload)
+	}
+	for _, tc := range []struct {
+		name        string
+		flags, kind byte
+		payload     []byte
+	}{
+		{"kind 2", flagSealed | flagUsed, 2, filter},
+		{"flag bit 4", flagSealed | flagUsed | 4, slotKindDense, dense},
+	} {
+		s := mustNew(t, cfg, nil)
+		s.Advance(0)
+		s.Touch(3)
+		before, _ := s.Snapshot()
+		err := s.Restore(snapshot(tc.flags, tc.kind, tc.payload))
+		if err == nil || !strings.Contains(err.Error(), "level 1 slot 0") {
+			t.Fatalf("%s: Restore = %v, want a refusal naming level 1 slot 0", tc.name, err)
+		}
+		if after, _ := s.Snapshot(); !bytes.Equal(after, before) {
+			t.Fatalf("%s: the refused restore changed the structure", tc.name)
+		}
+	}
+	s := mustNew(t, cfg, nil)
+	if err := s.Restore(snapshot(flagSealed|flagUsed, slotKindDense, dense)); err != nil {
+		t.Fatalf("the same record with current flags and kind: %v", err)
+	}
+	if got, _ := s.Query(simtime.EpochRange{}); !got.Equal(members) {
+		t.Fatalf("restored members = %v, want [9]", got.Indices())
+	}
+
+	list := binary.AppendUvarint(appendHeader(nil, 0, 0, cfg.NumHosts), 1)
+	list = appendSlot(list, 1, simtime.EpochRange{}, flagSealed|4, slotKindDense, dense)
+	if _, err := DecodeSlots(list); err == nil || !strings.Contains(err.Error(), "slot 0") {
+		t.Fatalf("DecodeSlots with flag bit 4 = %v, want a refusal naming slot 0", err)
 	}
 }
 

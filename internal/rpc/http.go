@@ -199,10 +199,6 @@ type PointersResponse struct {
 	Slots   int    `json:"slots"`
 	Covered bool   `json:"covered"`
 	Source  string `json:"source"`
-	// Approx marks a sketch-backed answer: the bitmap is a candidate
-	// superset of the touched hosts (never missing one). Omitted (false)
-	// for exact backends, keeping the wire form identical to older peers.
-	Approx bool `json:"approx,omitempty"`
 }
 
 // Decode unpacks the bitmap.
@@ -413,7 +409,7 @@ func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) 
 
 // NewSwitchHandler exposes a switch agent's pointer pulls over HTTP, traced
 // like NewHostHandler under the daemon's label (its switch ID): a pull's
-// child span carries level, slot count and the approx flag.
+// child span carries level, slot count, coverage and source.
 // net/http serves requests concurrently but switchagent.Agent is not
 // concurrency-safe (pulls rotate epochs and mutate accounting), so the
 // handler serializes agent access — the server-side twin of the per-switch
@@ -439,13 +435,11 @@ func NewSwitchHandler(a *switchagent.Agent, label string, fr *trace.FlightRecord
 					Slots:   res.Info.Slots,
 					Covered: res.Info.Covered,
 					Source:  res.Source,
-					Approx:  !res.Exact,
 				}, []trace.Attr{
 					{Key: "level", Value: strconv.Itoa(res.Info.Level)},
 					{Key: "slots", Value: strconv.Itoa(res.Info.Slots)},
 					{Key: "covered", Value: strconv.FormatBool(res.Info.Covered)},
 					{Key: "source", Value: res.Source},
-					{Key: "approx", Value: strconv.FormatBool(!res.Exact)},
 				}, nil
 		}))
 	mux.Handle("/mph", Endpoint(sp, "mph", LimitRequest,

@@ -41,12 +41,9 @@ type Options struct {
 	ClockSeed int64
 
 	// PointerBackend selects the per-slot pointer-set implementation on
-	// every switch (zero value: exact-adaptive). PointerBloomBits and
-	// PointerBloomHashes tune the bloom backend (zero: 16384 bits / 4
-	// hashes); pointer.Config.Validate rejects them for other backends.
-	PointerBackend     pointer.Backend
-	PointerBloomBits   int
-	PointerBloomHashes int
+	// every switch. The zero value, adaptive, is what deployments run;
+	// dense is the reference the tests check it against.
+	PointerBackend pointer.Backend
 }
 
 func (o Options) withDefaults() Options {
@@ -124,9 +121,7 @@ func NewTestbed(build BuildFunc, opt Options) (*Testbed, error) {
 		ag, err := switchagent.New(net, tp, sw, switchagent.Config{
 			Pointer: pointer.Config{
 				Alpha: opt.Alpha, K: opt.K, NumHosts: len(ips),
-				Backend:     opt.PointerBackend,
-				BloomBits:   opt.PointerBloomBits,
-				BloomHashes: opt.PointerBloomHashes,
+				Backend: opt.PointerBackend,
 			},
 			Mode:               opt.Mode,
 			Params:             params,

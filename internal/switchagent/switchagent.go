@@ -54,13 +54,9 @@ type Agent struct {
 	// exclusivity) when the agent may be serving.
 	ControlStore []pointer.Slot
 
-	// PointerPulls counts analyzer pull requests served.
-	PointerPulls uint64
-	// ApproxPulls counts pulls whose answer was approximate (a bloom
-	// backend or approx control-store slot contributed: candidate
-	// supersets, never a missed host). Guarded by ctlMu like PointerPulls;
-	// read both through PullCounts while the agent may be serving.
-	ApproxPulls uint64
+	// pulls counts analyzer pull requests served. Guarded by ctlMu; read
+	// it through PullCount.
+	pulls uint64
 }
 
 // New creates the agent, installs its pipeline stage on the switch, and
@@ -154,12 +150,7 @@ func (a *Agent) LocalEpochAt(t simtime.Time) simtime.Epoch {
 type PullResult struct {
 	Hosts  *bitset.Set
 	Info   pointer.QueryResult
-	Source string // "live" or "control-store"
-	// Exact is true when Hosts is exactly the touched set. With a sketch
-	// backend it is false and Hosts is a candidate superset: false-positive
-	// hosts may appear (they answer empty query rounds), but a touched host
-	// is never missing.
-	Exact bool
+	Source string // "live", "control-store" or "none"
 }
 
 // PullPointers serves the analyzer: the union of end-host bits for the
@@ -169,48 +160,40 @@ func (a *Agent) PullPointers(r simtime.EpochRange) PullResult {
 	a.ctlMu.Lock()
 	defer a.ctlMu.Unlock()
 	a.ensureEpoch(a.net.Now())
-	a.PointerPulls++
+	a.pulls++
 	bits, info := a.ptr.Query(r)
 	if info.Covered {
-		if !info.Exact {
-			a.ApproxPulls++
-		}
-		return PullResult{Hosts: bits, Info: info, Source: "live", Exact: info.Exact}
+		return PullResult{Hosts: bits, Info: info, Source: "live"}
 	}
 	// Offline path: merge pushed top-level history.
 	merged := bits
 	found := info.Slots > 0
-	exact := info.Exact
 	for _, s := range a.ControlStore {
 		if s.Epochs.Overlaps(r) {
 			merged.UnionWith(s.Bits)
 			found = true
-			exact = exact && !s.Approx
 		}
 	}
 	src := "control-store"
 	if !found {
 		src = "none"
 	}
-	if !exact {
-		a.ApproxPulls++
-	}
-	return PullResult{Hosts: merged, Info: info, Source: src, Exact: exact}
+	return PullResult{Hosts: merged, Info: info, Source: src}
 }
 
-// PullCounts returns the served-pull counters — total pulls and the subset
-// answered approximately — safe while the agent is serving.
-func (a *Agent) PullCounts() (pulls, approx uint64) {
+// PullCount returns the number of pulls served, safe while the agent is
+// serving.
+func (a *Agent) PullCount() uint64 {
 	a.ctlMu.Lock()
 	defer a.ctlMu.Unlock()
-	return a.PointerPulls, a.ApproxPulls
+	return a.pulls
 }
 
 // SlotsAt exposes the pull-model access to raw slots at a given level.
 func (a *Agent) SlotsAt(level int, r simtime.EpochRange) []pointer.Slot {
 	a.ctlMu.Lock()
 	defer a.ctlMu.Unlock()
-	a.PointerPulls++
+	a.pulls++
 	return a.ptr.SlotsAt(level, r)
 }
 

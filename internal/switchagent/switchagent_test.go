@@ -157,7 +157,7 @@ func TestRestoreIsAllOrNothing(t *testing.T) {
 	// Epochs 0–200 need the live levels and the control store.
 	all := simtime.EpochRange{Lo: 0, Hi: 200}
 	samePull := func(a, b PullResult) bool {
-		return a.Hosts.Equal(b.Hosts) && a.Info == b.Info && a.Source == b.Source && a.Exact == b.Exact
+		return a.Hosts.Equal(b.Hosts) && a.Info == b.Info && a.Source == b.Source
 	}
 	wantPull := dst.PullPointers(all)
 	if wantPull.Source != "control-store" || samePull(wantPull, src.PullPointers(all)) {
@@ -220,7 +220,7 @@ func TestSlotsAtPullModel(t *testing.T) {
 	if len(slots) != 5 {
 		t.Fatalf("level-1 slots = %d, want 5", len(slots))
 	}
-	if ag.PointerPulls == 0 {
+	if ag.PullCount() == 0 {
 		t.Fatalf("pull accounting missing")
 	}
 }

@@ -58,22 +58,6 @@ func WithRuleUpdateInterval(d Time) Option {
 	return func(o *Options) { o.RuleUpdateInterval = d }
 }
 
-// WithPointerBackend selects the per-slot pointer-set implementation on
-// every switch: PointerAdaptive (default), PointerDense, or PointerBloom.
-func WithPointerBackend(be PointerBackend) Option {
-	return func(o *Options) { o.PointerBackend = be }
-}
-
-// WithPointerBloom tunes the bloom backend's per-slot filter (bits and hash
-// count; zero selects 16384/4). Only valid with WithPointerBackend(
-// PointerBloom) — other backends reject the knobs as inert.
-func WithPointerBloom(bits, hashes int) Option {
-	return func(o *Options) {
-		o.PointerBloomBits = bits
-		o.PointerBloomHashes = hashes
-	}
-}
-
 // WithClockSeed drives deterministic switch clock-offset assignment.
 func WithClockSeed(seed int64) Option {
 	return func(o *Options) { o.ClockSeed = seed }

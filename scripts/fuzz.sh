@@ -2,7 +2,8 @@
 # Fuzz leg: native fuzzing from the committed seed corpora (testdata/fuzz
 # beside each target): 10 s over the segment decoder, 5 s each over the
 # splice that assembles a host answer from record encodings, the pointer
-# snapshot and slot-list decoders, the client's decode of a /headers-batch
+# snapshot and slot-list decoders, the bitmap decoders under both (dense and
+# sparse pointer sets), the client's decode of a /headers-batch
 # answer (flowrec segments inside JSON) and the reader of a host /snapshot
 # body (flowrec segments back to back). Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
@@ -18,6 +19,7 @@ go test ./internal/store -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s
 go test ./internal/flowrec -run '^$' -fuzz FuzzSpliceSegment -fuzztime 5s
 go test ./internal/pointer -run '^$' -fuzz FuzzRestore -fuzztime 5s
 go test ./internal/pointer -run '^$' -fuzz FuzzDecodeSlots -fuzztime 5s
+go test ./internal/bitset -run '^$' -fuzz FuzzUnmarshal -fuzztime 5s
 go test ./internal/rpc -run '^$' -fuzz FuzzHeadersBatchAnswer -fuzztime 5s
 go test ./internal/statesync -run '^$' -fuzz FuzzReadSegments -fuzztime 5s
 go test ./internal/eventq -run '^$' -fuzz FuzzFireOrder -fuzztime 5s

@@ -158,7 +158,7 @@ scrape_expect "http://$HOST_ADDR" \
 	spd_coldlog_segment_writes_total spd_statesync_bootstrap_segments_total \
 	spd_ready spd_process_uptime_seconds spd_build_info
 scrape_expect "http://$SWITCH_ADDR" \
-	spd_pointer_pulls_total spd_pointer_approx_pulls_total \
+	spd_pointer_pulls_total \
 	spd_pointer_resident_bytes spd_switch_memory_bytes \
 	spd_control_store_slots spd_ready spd_process_uptime_seconds spd_build_info
 scrape_expect "http://$ANALYZER_ADDR" \

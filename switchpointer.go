@@ -75,7 +75,6 @@ import (
 	"switchpointer/internal/header"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
-	"switchpointer/internal/pointer"
 	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
@@ -107,9 +106,6 @@ type (
 	Switch = netsim.Switch
 	// QueueKind selects a switch queue discipline.
 	QueueKind = netsim.QueueKind
-
-	// PointerBackend selects the per-slot pointer-set implementation.
-	PointerBackend = pointer.Backend
 
 	// Topology is the structural view used for routing/reconstruction.
 	Topology = topo.Topology
@@ -183,19 +179,6 @@ const (
 const (
 	QueueFIFO     = netsim.QueueFIFO
 	QueuePriority = netsim.QueuePriority
-)
-
-// Pointer-slot backends (see WithPointerBackend).
-const (
-	// PointerAdaptive (the default) stores slots sparsely and promotes to a
-	// dense bitmap past a density threshold; exact, occupancy-proportional.
-	PointerAdaptive = pointer.BackendAdaptive
-	// PointerDense is the paper's fixed dense-bitmap layout: exact, with
-	// memory independent of occupancy (the accuracy/memory oracle).
-	PointerDense = pointer.BackendDense
-	// PointerBloom stores slots as fixed-size bloom filters: constant
-	// memory, one-sided error (candidate supersets, never a missed host).
-	PointerBloom = pointer.BackendBloom
 )
 
 // Report outcome kinds.
