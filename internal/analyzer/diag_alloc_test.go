@@ -14,10 +14,10 @@ import (
 func TestDiagnosisAllocBudget(t *testing.T) {
 	budget := map[string]float64{
 		"contention":     139, // 126 measured
-		"red-lights":     101, // 92
+		"red-lights":     97,  // 88
 		"cascade":        261, // 237
 		"load-imbalance": 50,  // 46
-		"top-k":          42,  // 39
+		"top-k":          39,  // 35
 	}
 	for _, c := range fiveKinds(t) {
 		got := testing.AllocsPerRun(10, func() {

@@ -213,10 +213,10 @@ func (d *MemoryDirectory) pull(sw netsim.NodeID, ag *switchagent.Agent, epochs s
 
 // fanOutSlots runs pull(i) for n request slots over the shared bounded
 // worker pool (rpc.DefaultFanOutWorkers wide) and returns one error per
-// slot. Dispatch is sequential in slot order (rpc.FanOut), so
-// ctx-cancellation points are as deterministic as a sequential loop; slots
-// the cancellation prevented from dispatching fail with the context's
-// error. Shared by both directory backends' HostsBatch and by
+// slot. Slots are claimed one at a time in slot order under rpc.FanOut's
+// lock, each after one ctx check, so ctx-cancellation points are as
+// deterministic as a sequential loop; slots the cancellation prevented from
+// dispatching fail with the context's error. Shared by both directory backends' HostsBatch and by
 // RemoteDirectory.Distribute so the cancellation-tail semantics cannot
 // diverge between them.
 func fanOutSlots(ctx context.Context, n int, pull func(ctx context.Context, i int) error) []error {

@@ -26,8 +26,10 @@ import (
 // procedures' cost accounting depends on it:
 //
 //   - answers[i] is host hosts[i]'s reply; only indices < dispatched are
-//     meaningful, and dispatched is always a prefix of the host list
-//     (cancellation stops dispatch at a deterministic per-host checkpoint).
+//     meaningful, and dispatched is always a prefix of the host list: hosts
+//     are claimed one at a time in host order, each after one ctx check, so
+//     cancellation stops dispatch at a deterministic per-host checkpoint
+//     whichever goroutine makes the claim.
 //   - Every dispatched host's answer is complete when the round returns, so
 //     callers merge in host order and results never depend on worker
 //     scheduling; workers ≤ 0 selects rpc.DefaultFanOutWorkers.

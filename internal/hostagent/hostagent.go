@@ -239,6 +239,12 @@ func (a *Agent) checkTriggers() {
 	if completed < 1 {
 		return
 	}
+	// The meters are a map, so the tick's alerts are collected and raised in
+	// flow order. A tick raises at most one alert almost always; that one
+	// stays in first and the tick allocates nothing.
+	var first Alert
+	var rest []Alert
+	raised := 0
 	a.Meters.ForEach(func(flow netsim.FlowKey, m *transport.Meter) {
 		prev := m.GbpsAt(completed - 1)
 		cur := m.GbpsAt(completed)
@@ -252,15 +258,33 @@ func (a *Agent) checkTriggers() {
 			return
 		}
 		a.lastAlert[flow] = now
-		a.raise(Alert{
+		al := Alert{
 			Kind:       AlertThroughputDrop,
 			Flow:       flow,
 			Host:       a.host.IP(),
 			DetectedAt: now,
 			PrevGbps:   prev,
 			CurGbps:    cur,
-		})
+		}
+		if raised == 0 {
+			first = al
+		} else {
+			rest = append(rest, al)
+		}
+		raised++
 	})
+	switch raised {
+	case 0:
+		return
+	case 1:
+		a.raise(first)
+		return
+	}
+	rest = append(rest, first)
+	slices.SortFunc(rest, func(x, y Alert) int { return flowrec.Compare(x.Flow, y.Flow) })
+	for _, al := range rest {
+		a.raise(al)
+	}
 }
 
 // EnableRetention installs an eviction policy on the agent's store and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"switchpointer/internal/flowrec"
 	"switchpointer/internal/header"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
@@ -121,6 +122,41 @@ func TestThroughputDropTrigger(t *testing.T) {
 	}
 	if got.Tuples[0].EpochBytes == nil {
 		t.Fatalf("tagging-switch tuple missing per-epoch byte counts")
+	}
+}
+
+// TestSameTickAlertsRaisedInFlowOrder: two UDP flows into one host stop at
+// the same instant, so both drops land in one meter tick. The tick raises
+// them in flowrec.Less order of their flows, not in the meter map's random
+// iteration order, so every run sees the same alert sequence.
+func TestSameTickAlertsRaisedInFlowOrder(t *testing.T) {
+	var first []netsim.FlowKey
+	for run := 0; run < 40; run++ {
+		net, tp, agents := testbed(t)
+		dst, _ := tp.HostByName("h3-1")
+		var got []Alert
+		ag := agents[dst.IP()]
+		ag.OnAlert = func(a Alert) { got = append(got, a) }
+		ag.StartTriggers()
+		for i, name := range []string{"h1-1", "h1-2"} {
+			src, _ := tp.HostByName(name)
+			transport.StartUDP(net, src, transport.UDPConfig{
+				Flow:    netsim.FlowKey{Src: src.IP(), Dst: dst.IP(), SrcPort: uint16(10 + i), DstPort: 9, Proto: netsim.ProtoUDP},
+				RateBps: 200_000_000, Start: 0, Duration: 5 * simtime.Millisecond})
+		}
+		net.RunUntil(20 * simtime.Millisecond)
+		if len(got) != 2 || got[0].DetectedAt != got[1].DetectedAt {
+			t.Fatalf("run %d: want two alerts from one tick, got %d: %+v", run, len(got), got)
+		}
+		if !flowrec.Less(got[0].Flow, got[1].Flow) {
+			t.Fatalf("run %d: alerts raised as %v then %v, not in flow order", run, got[0].Flow, got[1].Flow)
+		}
+		flows := []netsim.FlowKey{got[0].Flow, got[1].Flow}
+		if first == nil {
+			first = flows
+		} else if flows[0] != first[0] || flows[1] != first[1] {
+			t.Fatalf("run %d: alert order %v differs from run 0's %v", run, flows, first)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@
 package rpc
 
 import (
+	"context"
 	"testing"
 
 	"switchpointer/internal/netsim"
@@ -24,5 +25,22 @@ func TestHostsQueriedAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("HostsQueried over 96 servers: %.0f allocations, want 0", allocs)
+	}
+}
+
+// TestFanOutAllocBudget pins one round with workers > 1 at its measured
+// count: the shared round struct, the derived context (2) and, per helper,
+// the goroutine's start closure and a fresh goroutine descriptor.
+// AllocsPerRun pins GOMAXPROCS to 1 and the caller claims every index before
+// yielding, so no helper has exited to leave a descriptor for reuse.
+func TestFanOutAllocBudget(t *testing.T) {
+	ctx := context.Background()
+	var sink [8]int
+	fn := func(_ context.Context, i int) { sink[i]++ }
+	allocs := testing.AllocsPerRun(200, func() {
+		FanOut(ctx, 4, len(sink), fn)
+	})
+	if allocs > 9 {
+		t.Fatalf("FanOut n=8 workers=4: %.2f allocations per round, want ≤ 9", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -53,15 +54,18 @@ func TestFanOutCancelledBeforeDispatch(t *testing.T) {
 }
 
 // countdownCtx cancels after a fixed number of Err checks, giving the tests
-// a deterministic mid-round cancellation point. Only the dispatching
-// goroutine consults it (workers poll a derived context), so no locking is
-// needed even for workers > 1.
+// a deterministic mid-round cancellation point, and counts the checks.
+// FanOut consults it only while claiming an index under the round's lock
+// (fn polls a derived context), so no locking is needed even for
+// workers > 1.
 type countdownCtx struct {
 	context.Context
 	remaining int
+	checks    int
 }
 
 func (c *countdownCtx) Err() error {
+	c.checks++
 	if c.remaining <= 0 {
 		return context.Canceled
 	}
@@ -87,6 +91,75 @@ func TestFanOutCancelledMidDispatch(t *testing.T) {
 		if ran != 5 {
 			t.Fatalf("workers=%d: ran=%d, want 5", workers, ran)
 		}
+	}
+}
+
+// TestFanOutCheckCadence: whatever the width, a full round consults ctx
+// exactly once per index, and a cancel at check k+1 leaves k checks passed,
+// k+1 made and the prefix [0, k) dispatched.
+func TestFanOutCheckCadence(t *testing.T) {
+	const n = 10
+	for _, workers := range []int{1, 2, 8} {
+		full := &countdownCtx{Context: context.Background(), remaining: n}
+		if dispatched, err := FanOut(full, workers, n, func(context.Context, int) {}); dispatched != n || err != nil {
+			t.Fatalf("workers=%d full round: dispatched=%d err=%v", workers, dispatched, err)
+		}
+		if full.checks != n {
+			t.Fatalf("workers=%d full round: %d Err checks, want %d", workers, full.checks, n)
+		}
+		for k := 0; k < n; k++ {
+			ctx := &countdownCtx{Context: context.Background(), remaining: k}
+			var ran [n]int32
+			dispatched, err := FanOut(ctx, workers, n, func(_ context.Context, i int) {
+				atomic.AddInt32(&ran[i], 1)
+			})
+			if dispatched != k || !errors.Is(err, context.Canceled) || ctx.checks != k+1 {
+				t.Fatalf("workers=%d cancel at check %d: dispatched=%d err=%v checks=%d", workers, k+1, dispatched, err, ctx.checks)
+			}
+			for i, r := range ran {
+				want := int32(0)
+				if i < k {
+					want = 1
+				}
+				if r != want {
+					t.Fatalf("workers=%d k=%d: index %d ran %d times, want %d", workers, k, i, r, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFanOutRunsClaimsConcurrently: with two workers, fn(0) waits for fn(1),
+// so the round completes only if two runners hold claims at once — the
+// caller does not run the round alone when an index blocks.
+func TestFanOutRunsClaimsConcurrently(t *testing.T) {
+	oneRan := make(chan struct{})
+	dispatched, err := FanOut(context.Background(), 2, 2, func(_ context.Context, i int) {
+		if i == 1 {
+			close(oneRan)
+			return
+		}
+		select {
+		case <-oneRan:
+		case <-time.After(10 * time.Second):
+			t.Error("fn(0) waited 10 s for fn(1): the round ran on one runner")
+		}
+	})
+	if dispatched != 2 || err != nil {
+		t.Fatalf("dispatched=%d err=%v", dispatched, err)
+	}
+}
+
+func BenchmarkFanOut(b *testing.B) {
+	ctx := context.Background()
+	fn := func(context.Context, int) {}
+	for _, n := range []int{2, 8, 96} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				FanOut(ctx, 2, n, fn)
+			}
+		})
 	}
 }
 

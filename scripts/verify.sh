@@ -31,6 +31,9 @@ go test ./...
 # root-package integration tests).
 # Scoped to these packages so the full gate stays fast.
 go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace ./internal/flowrec ./internal/topo .
+# rpc.FanOut's caller and helpers claim indices under one lock; three race
+# runs give its interleavings more than one chance to show (≈ 3 s).
+go test -race -count=3 ./internal/rpc
 
 # Fuzz leg: the targets and their times live only in scripts/fuzz.sh.
 sh scripts/fuzz.sh
