@@ -37,9 +37,8 @@
 // state "live" — the readiness gate scripts use.
 //
 // State sync: every daemon serves the statesync plane — hosts expose GET
-// /hosts/<ip>/snapshot (epoch-range-addressable record segments) and POST
-// /hosts/<ip>/ingest (live record feed), switches GET
-// /switches/<id>/snapshot (pointer + control store + MPH) — and a fresh
+// /hosts/<ip>/snapshot (epoch-range-addressable record segments), switches
+// GET /switches/<id>/snapshot (pointer + control store + MPH) — and a fresh
 // daemon started with -bootstrap-from <peer-url> absorbs a live peer's
 // state instead of replaying the scenario, serving queries the whole time
 // (readiness syncing → live at /healthz).
@@ -121,8 +120,7 @@ diagnoses.
 With -bootstrap-from, the daemon does NOT replay the scenario: it serves
 immediately in the "syncing" readiness state, pulls the peer daemon's
 state-sync snapshots in the background, and flips /healthz to "live" once
-the bootstrap lands (spd wait polls for exactly that). Host daemons also
-accept a live ingest feed at POST /hosts/<ip>/ingest throughout.
+the bootstrap lands (spd wait polls for exactly that).
 
 Scenarios: %v
 `, cluster.ScenarioNames())

@@ -50,7 +50,7 @@ func TestEndpointContract(t *testing.T) {
 	}
 	defer lb.Close()
 
-	ip, sw := s.HostIPs()[0], s.SwitchIDs()[0]
+	ip, sw := s.Testbed.Topo.Hosts()[0].IP(), switchIDs(s.Testbed)[0]
 	host, swURL := lb.HostURLs[ip], lb.SwitchURLs[sw]
 	table, err := s.Testbed.SwitchAgents[sw].MPH().MarshalBinary()
 	if err != nil {
@@ -58,13 +58,6 @@ func TestEndpointContract(t *testing.T) {
 	}
 	mphBody := func(raw []byte) string {
 		return `{"table_b64":"` + base64.StdEncoding.EncodeToString(raw) + `"}`
-	}
-	emptySegment, err := flowrec.AppendSegment(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestBody := func(seg []byte) string {
-		return `{"segment":"` + base64.StdEncoding.EncodeToString(seg) + `"}`
 	}
 
 	// Every route: its method, a well-formed body, and — for the agent
@@ -90,7 +83,6 @@ func TestEndpointContract(t *testing.T) {
 		route{http.MethodPost, swURL + "/mph", mphBody(table), lb.SwitchFlight, "switch:" + swLabel + ":mph"},
 		route{http.MethodGet, swURL + "/snapshot", "", lb.SwitchFlight, "switch:" + swLabel + ":snapshot"},
 		route{method: http.MethodGet, url: host + "/snapshot"},
-		route{method: http.MethodPost, url: host + "/ingest", body: ingestBody(emptySegment)},
 		route{method: http.MethodPost, url: lb.AnalyzerURL + "/diagnose"},
 	)
 	for _, root := range []string{lb.HostURL, lb.SwitchURL, lb.AnalyzerURL} {
@@ -123,10 +115,7 @@ func TestEndpointContract(t *testing.T) {
 		rows = append(rows, row{name: "wrong method " + path, method: wrong, url: r.url, body: r.body, want: http.StatusMethodNotAllowed})
 		if r.method == http.MethodPost {
 			rows = append(rows, row{name: "garbage body " + path, method: r.method, url: r.url, body: "{not json", want: http.StatusBadRequest})
-			// /ingest's limit is 64 MiB — the same code path, not worth the memory.
-			if !strings.HasSuffix(path, "/ingest") {
-				rows = append(rows, row{name: "oversized body " + path, method: r.method, url: r.url, body: oversized(`{}`), want: http.StatusBadRequest})
-			}
+			rows = append(rows, row{name: "oversized body " + path, method: r.method, url: r.url, body: oversized(`{}`), want: http.StatusBadRequest})
 		}
 		if r.span != "" {
 			rows = append(rows, row{name: "traced " + path, method: r.method, url: r.url, body: r.body, want: http.StatusOK, flight: r.flight, span: r.span})
@@ -137,8 +126,7 @@ func TestEndpointContract(t *testing.T) {
 		row{name: "unknown route", method: http.MethodPost, url: host + "/nope", body: `{}`, want: http.StatusNotFound},
 		row{name: "mph bad base64", method: http.MethodPost, url: swURL + "/mph", body: `{"table_b64":"!!!"}`, want: http.StatusBadRequest},
 		row{name: "mph truncated table", method: http.MethodPost, url: swURL + "/mph", body: mphBody(table[:len(table)/2]), want: http.StatusBadRequest},
-		row{name: "ingest empty segment", method: http.MethodPost, url: host + "/ingest", body: ingestBody(emptySegment), want: http.StatusOK},
-		row{name: "ingest corrupt segment", method: http.MethodPost, url: host + "/ingest", body: ingestBody(emptySegment[:flowrec.SegmentHeaderLen-1]), want: http.StatusBadRequest},
+		row{name: "retired ingest route", method: http.MethodPost, url: host + "/ingest", body: `{}`, want: http.StatusNotFound},
 		row{name: "diagnose unknown kind", method: http.MethodPost, url: lb.AnalyzerURL + "/diagnose", body: `{"kind":"nope"}`, want: http.StatusBadRequest},
 	)
 
@@ -288,7 +276,7 @@ func TestNoRecordObjectOnTheWire(t *testing.T) {
 		rpc.TopKRequest{}, []hostagent.FlowBytes{}, rpc.FlowSizesRequest{}, []hostagent.FlowSize{},
 		rpc.PriorityRequest{}, rpc.PriorityResponse{}, rpc.RecordRequest{}, rpc.RecordResponse{},
 		rpc.PointersRequest{}, rpc.PointersResponse{}, rpc.MPHRequest{},
-		statesync.IngestBatch{}, statesync.IngestResponse{}, statesync.Health{},
+		statesync.Health{},
 		QueryEnvelope{}, DiagnoseResponse{}, AdmissionStats{},
 	} {
 		typ := reflect.TypeOf(v)

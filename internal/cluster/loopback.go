@@ -16,10 +16,10 @@ import (
 
 // HostMux serves every host agent of a testbed on one handler, multiplexed
 // by IP: agent for host ip lives under /hosts/<ip>/ — the rpc.NewHostHandler
-// query routes plus the state-sync plane (GET /hosts/<ip>/snapshot, POST
-// /hosts/<ip>/ingest). /healthz answers the statesync.Health document
-// (state + resident-record/evicted-segment accounting) against rd; a nil rd
-// reports permanently live — the non-bootstrap daemon. This is what `spd
+// query routes plus the state-sync snapshot (GET /hosts/<ip>/snapshot).
+// /healthz answers the statesync.Health document (state +
+// resident-record/evicted-segment accounting) against rd; a nil rd reports
+// permanently live — the non-bootstrap daemon. This is what `spd
 // host` serves; HostURLs derives the matching per-host base URLs. The
 // daemon's self-observability rides along: GET /metrics (Prometheus text
 // over a hostRegistry, returned as Service.Registry) and GET /traces
@@ -32,7 +32,6 @@ func HostMux(tb *scenario.Testbed, rd *statesync.Readiness) *Service {
 		prefix := "/hosts/" + ip.String()
 		mux.Handle(prefix+"/", http.StripPrefix(prefix, rpc.NewHostHandler(ag, ip.String(), fr)))
 		mux.Handle(prefix+"/snapshot", statesync.HostSnapshotHandler(ag))
-		mux.Handle(prefix+"/ingest", statesync.IngestHandler(ag, rd))
 	}
 	mux.Handle("/healthz", statesync.HealthzHandler(rd, hostStats(tb)))
 	return newService(mux, hostRegistry(tb, rd), fr)

@@ -249,7 +249,7 @@ func coldCell(t *testing.T, p *plane) *WireReport {
 		for _, r := range allRecords(t, ag.Store) {
 			p.flows[ip] = append(p.flows[ip], r.Flow)
 		}
-		p.answers[ip] = hostAnswers(t, ag, p.s.SwitchIDs(), p.flows[ip])
+		p.answers[ip] = hostAnswers(t, ag, switchIDs(p.s.Testbed), p.flows[ip])
 		seglog, err := statesync.NewSegmentLog(filepath.Join(p.coldDir, ip.String()))
 		if err != nil {
 			t.Fatal(err)
@@ -313,7 +313,7 @@ func compactedCell(t *testing.T, p *plane) *WireReport {
 func checkHostAnswers(t *testing.T, p *plane) {
 	t.Helper()
 	for ip, ag := range p.s.Testbed.HostAgents {
-		if got := hostAnswers(t, ag, p.s.SwitchIDs(), p.flows[ip]); got != p.answers[ip] {
+		if got := hostAnswers(t, ag, switchIDs(p.s.Testbed), p.flows[ip]); got != p.answers[ip] {
 			t.Fatalf("host %v answers diverged from its pre-eviction ones\n--- before ---\n%s\n--- after ---\n%s", ip, p.answers[ip], got)
 		}
 	}
@@ -338,6 +338,16 @@ func serve(t *testing.T, tb *scenario.Testbed) (hostURL, switchURL string) {
 	switches := httptest.NewServer(SwitchMux(tb, nil))
 	t.Cleanup(switches.Close)
 	return hosts.URL, switches.URL
+}
+
+// switchIDs returns a testbed's switch IDs, sorted.
+func switchIDs(tb *scenario.Testbed) []netsim.NodeID {
+	ids := make([]netsim.NodeID, 0, len(tb.SwitchAgents))
+	for id := range tb.SwitchAgents {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // hostAnswers canonicalizes one agent's answers for all five host query

@@ -65,7 +65,7 @@ func registerReadiness(reg *metrics.Registry, rd *statesync.Readiness) {
 			emit(0)
 		}
 	})
-	progress := func(pick func(bs, br, ib, ir int64) int64) func(metrics.Emit) {
+	progress := func(pick func(bs, br int64) int64) func(metrics.Emit) {
 		return func(emit metrics.Emit) {
 			if rd == nil {
 				emit(0)
@@ -75,18 +75,14 @@ func registerReadiness(reg *metrics.Registry, rd *statesync.Readiness) {
 		}
 	}
 	reg.CounterFunc("spd_statesync_bootstrap_segments_total", "Peer snapshot segments absorbed during bootstrap.", nil,
-		progress(func(bs, _, _, _ int64) int64 { return bs }))
+		progress(func(bs, _ int64) int64 { return bs }))
 	reg.CounterFunc("spd_statesync_bootstrap_records_total", "Records absorbed from peer snapshot segments.", nil,
-		progress(func(_, br, _, _ int64) int64 { return br }))
-	reg.CounterFunc("spd_statesync_ingest_batches_total", "Live ingest batches applied.", nil,
-		progress(func(_, _, ib, _ int64) int64 { return ib }))
-	reg.CounterFunc("spd_statesync_ingest_records_total", "Records applied from the live ingest feed.", nil,
-		progress(func(_, _, _, ir int64) int64 { return ir }))
+		progress(func(_, br int64) int64 { return br }))
 }
 
 // hostRegistry builds the host daemon's metric registry: per-agent store
 // occupancy and shard-lock contention, telemetry absorption, cold read-back
-// work, the cold segment log's maintenance counters, and bootstrap/ingest
+// work, the cold segment log's maintenance counters, and bootstrap
 // progress. Everything is collected at scrape time from synchronized
 // accessors, so the registry is safe while the daemon serves.
 func hostRegistry(tb *scenario.Testbed, rd *statesync.Readiness) *metrics.Registry {

@@ -94,8 +94,8 @@ func TestMetricsEndpoints(t *testing.T) {
 	for _, f := range fams {
 		samples += len(f.Samples)
 	}
-	if len(fams) != 22 || samples != 107 || len(raw) != 8234 {
-		t.Errorf("replayed host registry: %d families, %d samples, %d bytes; want 22, 107, 8234",
+	if len(fams) != 20 || samples != 105 || len(raw) != 7904 {
+		t.Errorf("replayed host registry: %d families, %d samples, %d bytes; want 20, 105, 7904",
 			len(fams), samples, len(raw))
 	}
 

@@ -89,7 +89,7 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	}
 	s.Run()
 	defer s.Testbed.Close()
-	ip := s.HostIPs()[0]
+	ip := s.Testbed.Topo.Hosts()[0].IP()
 	fr := trace.NewFlightRecorder("host", 0)
 	srv := httptest.NewServer(rpc.NewHostHandler(s.Testbed.HostAgents[ip], ip.String(), fr))
 	defer srv.Close()

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"switchpointer/internal/analyzer"
 	"switchpointer/internal/hostagent"
@@ -153,26 +152,4 @@ func (s *Scenario) Query() (analyzer.Query, error) {
 	default:
 		return nil, fmt.Errorf("cluster: scenario %q has no query", s.Name)
 	}
-}
-
-// HostIPs returns the testbed's end-host IPs in topology order — the order
-// every directory backend must use so MPH bitmap indices agree across
-// processes.
-func (s *Scenario) HostIPs() []netsim.IPv4 {
-	hosts := s.Testbed.Topo.Hosts()
-	ips := make([]netsim.IPv4, 0, len(hosts))
-	for _, h := range hosts {
-		ips = append(ips, h.IP())
-	}
-	return ips
-}
-
-// SwitchIDs returns the testbed's switch IDs, sorted.
-func (s *Scenario) SwitchIDs() []netsim.NodeID {
-	ids := make([]netsim.NodeID, 0, len(s.Testbed.SwitchAgents))
-	for id := range s.Testbed.SwitchAgents {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

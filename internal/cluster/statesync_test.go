@@ -3,9 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -20,12 +21,11 @@ import (
 	"switchpointer/internal/store"
 )
 
-// TestBootstrapMidSimulationAndIngestCatchUp bootstraps a second host
-// daemon from a live one mid-simulation and asserts every host agent's
-// answers for all five query kinds are byte-identical to the source's; the
-// source then plays on to its horizon and the replica catches up over the
-// live ingest feed, staying byte-identical.
-func TestBootstrapMidSimulationAndIngestCatchUp(t *testing.T) {
+// TestBootstrapMidSimulation bootstraps a second host daemon from a live
+// one mid-simulation and asserts every host agent's answers for all five
+// query kinds are byte-identical to the source's, and that the replica's
+// /healthz reports the bootstrap it absorbed.
+func TestBootstrapMidSimulation(t *testing.T) {
 	s, err := scenario.NewRedLights(scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -48,49 +48,40 @@ func TestBootstrapMidSimulationAndIngestCatchUp(t *testing.T) {
 	defer dstSrv.Close()
 
 	b := &statesync.Bootstrapper{Readiness: rd}
-	if _, recs, err := BootstrapHosts(context.Background(), b, hostSrv.URL, dst); err != nil {
+	segs, recs, err := BootstrapHosts(context.Background(), b, hostSrv.URL, dst)
+	if err != nil {
 		t.Fatal(err)
 	} else if recs == 0 {
 		t.Fatal("mid-simulation bootstrap absorbed no records")
 	}
 	rd.SetLive()
 
-	var switches []netsim.NodeID
-	for id := range src.SwitchAgents {
-		switches = append(switches, id)
-	}
-	sort.Slice(switches, func(i, j int) bool { return switches[i] < switches[j] })
-
-	compare := func(stage string) {
-		t.Helper()
-		for ip, srcAg := range src.HostAgents {
-			var flows []netsim.FlowKey
-			for _, r := range allRecords(t, srcAg.Store) {
-				flows = append(flows, r.Flow)
-			}
-			want := hostAnswers(t, srcAg, switches, flows)
-			got := hostAnswers(t, dst.HostAgents[ip], switches, flows)
-			if got != want {
-				t.Fatalf("%s: host %v answers diverged\n--- source ---\n%s\n--- replica ---\n%s", stage, ip, want, got)
-			}
-		}
-	}
-	compare("mid-simulation bootstrap")
-
-	// The source plays on; the replica catches up over POST /ingest.
-	src.Run(30 * simtime.Millisecond)
+	switches := switchIDs(src)
 	for ip, srcAg := range src.HostAgents {
-		url := dstSrv.URL + "/hosts/" + ip.String() + "/ingest"
-		if _, err := statesync.FeedStore(context.Background(), nil, url, srcAg.Store); err != nil {
-			t.Fatal(err)
+		var flows []netsim.FlowKey
+		for _, r := range allRecords(t, srcAg.Store) {
+			flows = append(flows, r.Flow)
+		}
+		want := hostAnswers(t, srcAg, switches, flows)
+		got := hostAnswers(t, dst.HostAgents[ip], switches, flows)
+		if got != want {
+			t.Fatalf("host %v answers diverged\n--- source ---\n%s\n--- replica ---\n%s", ip, want, got)
 		}
 	}
-	compare("ingest catch-up")
 
-	// The replica's health reflects the journey: live, with bootstrap and
-	// ingest accounting and the full resident set.
-	if err := WaitReady(context.Background(), dstSrv.URL+"/healthz", time.Second); err != nil {
+	// The replica's health reflects the journey: live, with the bootstrap's
+	// accounting.
+	resp, err := http.Get(dstSrv.URL + "/healthz")
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h statesync.Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.State != "live" || h.BootstrapRecords != int64(recs) || h.BootstrapSegments != int64(segs) {
+		t.Fatalf("replica healthz = %+v, want live with %d segments / %d records bootstrapped", h, segs, recs)
 	}
 }
 
@@ -139,7 +130,7 @@ func TestSwitchBootstrapConcurrentWithPulls(t *testing.T) {
 	dstSrv := httptest.NewServer(SwitchMux(dst.Testbed, rd))
 	defer dstSrv.Close()
 
-	ids := dst.SwitchIDs()
+	ids := switchIDs(dst.Testbed)
 	window := simtime.EpochRange{Lo: 0, Hi: 5}
 	client := rpc.NewPooledHTTPClient()
 	defer client.CloseIdleConnections()

@@ -164,20 +164,12 @@ func (e *Engine) After(d simtime.Time, fn Func) Timer {
 	return e.At(e.now+d, fn)
 }
 
-// Every schedules fn to run repeatedly with the given period, starting at
-// Now+period. The returned Timer cancels the *next* occurrence when stopped;
-// stopping it permanently ends the series.
-func (e *Engine) Every(period simtime.Time, fn Func) *Timer {
-	return e.every(period, fn, false)
-}
-
-// EveryWeak is Every with weak events: the series runs whenever other work
+// EveryWeak schedules fn to run repeatedly with the given period, starting
+// at Now+period, as weak events: the series runs whenever other work
 // advances the clock past its ticks, but does not by itself keep Run alive.
+// The returned Timer cancels the *next* occurrence when stopped; stopping it
+// permanently ends the series.
 func (e *Engine) EveryWeak(period simtime.Time, fn Func) *Timer {
-	return e.every(period, fn, true)
-}
-
-func (e *Engine) every(period simtime.Time, fn Func, weak bool) *Timer {
 	if period <= 0 {
 		panic("eventq: non-positive period")
 	}
@@ -185,9 +177,9 @@ func (e *Engine) every(period simtime.Time, fn Func, weak bool) *Timer {
 	var tick Func
 	tick = func() {
 		fn()
-		*t = e.schedule(e.now+period, tick, weak)
+		*t = e.schedule(e.now+period, tick, true)
 	}
-	*t = e.schedule(e.now+period, tick, weak)
+	*t = e.schedule(e.now+period, tick, true)
 	return t
 }
 
@@ -238,9 +230,6 @@ func (e *Engine) RunUntil(t simtime.Time) {
 		e.now = t
 	}
 }
-
-// RunFor executes events for d nanoseconds of virtual time from Now.
-func (e *Engine) RunFor(d simtime.Time) { e.RunUntil(e.now + d) }
 
 // peek reports the scheduled time of the earliest live event, discarding
 // cancelled entries from the front of the queue as it goes.

@@ -101,9 +101,9 @@ func TestRunUntil(t *testing.T) {
 	if len(got) != 2 || e.Now() != 12 {
 		t.Fatalf("got=%v now=%v", got, e.Now())
 	}
-	e.RunFor(3) // to t=15
+	e.RunUntil(15)
 	if len(got) != 3 || e.Now() != 15 {
-		t.Fatalf("after RunFor: got=%v now=%v", got, e.Now())
+		t.Fatalf("after RunUntil(15): got=%v now=%v", got, e.Now())
 	}
 	e.Run()
 	if len(got) != 4 {
@@ -122,7 +122,7 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 func TestEvery(t *testing.T) {
 	e := New()
 	count := 0
-	tm := e.Every(10, func() { count++ })
+	tm := e.EveryWeak(10, func() { count++ })
 	e.RunUntil(55)
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
@@ -140,7 +140,7 @@ func TestEveryPanicsOnZeroPeriod(t *testing.T) {
 			t.Fatalf("expected panic")
 		}
 	}()
-	New().Every(0, func() {})
+	New().EveryWeak(0, func() {})
 }
 
 func TestPendingCount(t *testing.T) {

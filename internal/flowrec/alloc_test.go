@@ -76,7 +76,7 @@ func TestDecodeSegmentAllocs(t *testing.T) {
 }
 
 // TestAppendSegmentAllocs pins the encoder every record path shares (disk,
-// /snapshot, the host answers, /ingest): appending into a buffer with room
+// /snapshot, the host answers): appending into a buffer with room
 // allocates nothing, and appending to nil grows once, by the segment's
 // length — at most 1.15× the encoded bytes of 5-hop records, where a
 // per-record estimate reserved 88 B for ≈ 62.

@@ -10,8 +10,8 @@
 //
 // Wherever records are persisted or streamed (Flush, eviction sinks, cold
 // segments, compaction, /snapshot bodies, the host's /headers-batch and
-// /record answers, /ingest batches) they travel as segments (codec.go):
-// a 20-byte header, then the records back to back. A record's own encoding
+// /record answers) they travel as segments (codec.go): a 20-byte header,
+// then the records back to back. A record's own encoding
 // (AppendRecord) is also the host store's resident form for the records it
 // did not absorb itself, so a host answer is spliced from stored bytes
 // (SpliceSegment) and a cold segment's matches leave it as bytes

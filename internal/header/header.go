@@ -267,16 +267,11 @@ func (d *Decoder) decodeINT(p *netsim.Packet) (Decoded, error) {
 	return dec, nil
 }
 
-// InvalidatePaths drops the memoized path reconstructions. Scenarios that
-// mutate routing state mid-run (netsim.Switch.SetRoute, RouteOverride)
-// must call it so subsequent packets decode against the new routes; the
-// built-in topologies never reroute after construction.
-func (d *Decoder) InvalidatePaths() { d.paths = nil }
-
-// reconstructPath memoizes Topology.ReconstructPath: routing state is fixed
-// after topology construction (see InvalidatePaths for the escape hatch),
-// so the path for a (src, dst, link) key never changes. Errors are not
-// cached (they are cold paths by construction).
+// reconstructPath memoizes Topology.ReconstructPath. The memo relies on
+// routes being static once traffic flows: every route (netsim.Switch.SetRoute,
+// RouteOverride) is installed before the first packet and none changes
+// after, so the path for a (src, dst, link) key never changes. Errors are
+// not cached (they are cold paths by construction).
 func (d *Decoder) reconstructPath(src, dst netsim.IPv4, link topo.LinkID) ([]netsim.NodeID, int, error) {
 	k := pathKey{src: src, dst: dst, link: link}
 	if v, ok := d.paths[k]; ok {

@@ -120,7 +120,7 @@ type Agent struct {
 
 	lastAlert map[netsim.FlowKey]simtime.Time
 	armed     bool // StartTriggers called
-	trigTimer interface{ Stop() bool }
+	ticking   bool // the trigger scan is scheduled
 
 	// cold is the read-back seam over flushed segments (see SetColdReader).
 	cold store.ColdReader
@@ -187,7 +187,7 @@ func (a *Agent) Config() Config { return a.cfg }
 
 func (a *Agent) onPacket(p *netsim.Packet, now simtime.Time) {
 	a.Received++
-	if a.armed && a.trigTimer == nil {
+	if a.armed && !a.ticking {
 		a.startTrigTimer()
 	}
 	a.Meters.Record(p, now)
@@ -221,16 +221,8 @@ func (a *Agent) StartTriggers() {
 }
 
 func (a *Agent) startTrigTimer() {
-	a.trigTimer = a.net.Engine.EveryWeak(a.cfg.MeterInterval, a.checkTriggers)
-}
-
-// StopTriggers disarms the monitor.
-func (a *Agent) StopTriggers() {
-	a.armed = false
-	if a.trigTimer != nil {
-		a.trigTimer.Stop()
-		a.trigTimer = nil
-	}
+	a.ticking = true
+	a.net.Engine.EveryWeak(a.cfg.MeterInterval, a.checkTriggers)
 }
 
 func (a *Agent) checkTriggers() {
@@ -318,18 +310,6 @@ func (a *Agent) SetColdReader(rd store.ColdReader) { a.cold = rd }
 
 // ColdReader returns the installed read-back seam (nil when none).
 func (a *Agent) ColdReader() store.ColdReader { return a.cold }
-
-// InjectTimeout raises a TCP-timeout alert for a flow (the destination-side
-// stack noticing an RTO-scale silence; transports call this from scenario
-// wiring).
-func (a *Agent) InjectTimeout(flow netsim.FlowKey, at simtime.Time) {
-	a.raise(Alert{
-		Kind:       AlertTimeout,
-		Flow:       flow,
-		Host:       a.host.IP(),
-		DetectedAt: at,
-	})
-}
 
 func (a *Agent) raise(al Alert) {
 	// The tuples are built under the record's shard read lock: a concurrent

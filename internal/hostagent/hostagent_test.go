@@ -187,17 +187,6 @@ func TestTriggerCooldownSuppressesDuplicates(t *testing.T) {
 	}
 }
 
-func TestStopTriggers(t *testing.T) {
-	net, tp, agents := testbed(t)
-	dst, _ := tp.HostByName("h3-1")
-	ag := agents[dst.IP()]
-	ag.StartTriggers()
-	ag.StartTriggers() // idempotent
-	ag.StopTriggers()
-	ag.OnAlert = func(a Alert) { t.Errorf("alert after StopTriggers") }
-	net.RunUntil(20 * simtime.Millisecond)
-}
-
 func TestQueryHeaders(t *testing.T) {
 	net, tp, agents := testbed(t)
 	src, _ := tp.HostByName("h1-1")
@@ -326,7 +315,7 @@ func TestInjectTimeout(t *testing.T) {
 	ag := agents[dst.IP()]
 	var got Alert
 	ag.OnAlert = func(a Alert) { got = a }
-	ag.InjectTimeout(flow, 42*simtime.Millisecond)
+	ag.raise(Alert{Kind: AlertTimeout, Flow: flow, Host: dst.IP(), DetectedAt: 42 * simtime.Millisecond})
 	if got.Kind != AlertTimeout || got.Flow != flow || len(got.Tuples) != 3 {
 		t.Fatalf("timeout alert = %+v", got)
 	}

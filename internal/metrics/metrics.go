@@ -246,9 +246,6 @@ func (g *Gauge) Add(v float64) { addFloat(&g.ch.bits, v) }
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
 
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.ch.bits.Load()) }
 

@@ -143,7 +143,7 @@ func TestCounterGaugeSemantics(t *testing.T) {
 	}()
 	g := r.Gauge("sp_g", "g").With()
 	g.Set(10)
-	g.Dec()
+	g.Add(-1)
 	g.Add(-2.5)
 	if got := g.Value(); got != 6.5 {
 		t.Errorf("gauge = %v, want 6.5", got)

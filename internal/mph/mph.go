@@ -271,9 +271,6 @@ func (t *Table) SizeBytes() int {
 	return 8 + 4 + 4 + len(t.g) + len(t.chosen)*8 + len(t.rank)*4
 }
 
-// BitsPerKey reports the storage cost per key of the hash function.
-func (t *Table) BitsPerKey() float64 { return float64(t.SizeBytes()*8) / float64(t.m) }
-
 // MarshalBinary serializes the table so the analyzer can distribute it to
 // every switch (§4.3: the analyzer constructs the MPH whenever the end-host
 // population changes and pushes it to the switches).

@@ -55,7 +55,7 @@ func TestPropertyPacketConservation(t *testing.T) {
 			drops += pt.Drops
 		}
 		for _, h := range hosts {
-			drops += h.NIC().Drops
+			drops += h.nic.Drops
 		}
 		return received+int(drops) == sent
 	}

@@ -458,7 +458,7 @@ func TestPortCounters(t *testing.T) {
 	if in.RxBytes != 1000 || in.RxPkts != 1 {
 		t.Fatalf("ingress counters: %d bytes, %d pkts", in.RxBytes, in.RxPkts)
 	}
-	nic := h2.NIC()
+	nic := h2.nic
 	if nic.RxBytes != 1000 {
 		t.Fatalf("host NIC RxBytes = %d", nic.RxBytes)
 	}
@@ -517,11 +517,11 @@ func TestLookups(t *testing.T) {
 	if _, ok := n.NodeByID(999); ok {
 		t.Fatalf("bogus ID found")
 	}
-	if got, ok := n.HostByIP(IP(1, 2, 3, 4)); !ok || got != h {
-		t.Fatalf("HostByIP failed")
+	if got, ok := n.byIP[IP(1, 2, 3, 4)]; !ok || got != h {
+		t.Fatalf("host by IP lookup failed")
 	}
-	if s.LocalEpoch(7*simtime.Millisecond, 10*simtime.Millisecond) != 1 {
-		t.Fatalf("LocalEpoch with +5ms offset at t=7ms should be epoch 1")
+	if s.Clock.EpochAt(7*simtime.Millisecond, 10*simtime.Millisecond) != 1 {
+		t.Fatalf("switch epoch with +5ms offset at t=7ms should be epoch 1")
 	}
 }
 

@@ -102,12 +102,6 @@ func (n *Network) NodeByID(id NodeID) (Node, bool) {
 	return nd, ok
 }
 
-// HostByIP looks up a host by address.
-func (n *Network) HostByIP(ip IPv4) (*Host, bool) {
-	h, ok := n.byIP[ip]
-	return h, ok
-}
-
 // LinkConfig describes one full-duplex link.
 type LinkConfig struct {
 	RateBps int64        // per-direction bandwidth
@@ -161,6 +155,3 @@ func (n *Network) Run() { n.Engine.Run() }
 
 // RunUntil advances the simulation to absolute virtual time t.
 func (n *Network) RunUntil(t simtime.Time) { n.Engine.RunUntil(t) }
-
-// RunFor advances the simulation by d.
-func (n *Network) RunFor(d simtime.Time) { n.Engine.RunFor(d) }

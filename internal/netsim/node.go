@@ -71,11 +71,11 @@ func (s *Switch) Port(i int) *Port { return s.ports[i] }
 
 // SetRoute installs dst → out-port in the routing table.
 //
-// Routing state is expected to be static once traffic starts flowing:
-// host-side telemetry decoding memoizes path reconstruction per
-// (src, dst, link) on that assumption (header.Decoder). A scenario that
-// rewires routes mid-run must call InvalidatePaths on every decoder it
-// built, or stale trajectories will be silently attributed to new packets.
+// Routes are static once traffic flows: every route is installed before
+// the first packet is sent, and none changes after. Host-side telemetry
+// decoding memoizes path reconstruction per (src, dst, link) and relies on
+// that (header.Decoder); a route changed mid-run would have stale
+// trajectories silently attributed to new packets.
 func (s *Switch) SetRoute(dst IPv4, outPort int) {
 	if s.routes == nil {
 		s.routes = make(map[IPv4]int)
@@ -90,11 +90,6 @@ func (s *Switch) SetRoute(dst IPv4, outPort int) {
 func (s *Switch) RouteTo(dst IPv4) (int, bool) {
 	out, ok := s.routes[dst]
 	return out, ok
-}
-
-// LocalEpoch returns the switch's current local epoch for epoch size alpha.
-func (s *Switch) LocalEpoch(now simtime.Time, alpha simtime.Time) simtime.Epoch {
-	return s.Clock.EpochAt(now, alpha)
 }
 
 // deliver implements Node: route, run the pipeline, enqueue on egress.
@@ -169,9 +164,6 @@ func (h *Host) NodeName() string { return h.name }
 
 // IP returns the host's address.
 func (h *Host) IP() IPv4 { return h.ip }
-
-// NIC returns the host's network port (nil before the host is connected).
-func (h *Host) NIC() *Port { return h.nic }
 
 func (h *Host) attach(pt *Port) {
 	if h.nic != nil {

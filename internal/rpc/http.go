@@ -28,10 +28,9 @@ import (
 // their state behind these handlers directly.
 //
 // Every JSON exchange of the service plane — the agent routes below, and
-// cluster's /diagnose and /stats, statesync's /ingest and /healthz, the
-// /traces clients — goes through one of two shapes, so there is exactly one
-// place to change the codec, batch a round, type a failure or observe a
-// request:
+// cluster's /diagnose and /stats, statesync's /healthz, the /traces
+// clients — goes through one of two shapes, so there is exactly one place
+// to change the codec, batch a round, type a failure or observe a request:
 //
 //   - Endpoint[Req, Resp] is the server: method check, bounded body read,
 //     decode, the route's body, the traced child span, error → status,
@@ -47,8 +46,8 @@ import (
 // scrape, and /traces' server side (trace.FlightRecorder.Handler — rpc
 // imports trace, so it cannot call back). They share AllowMethod where they
 // check a method. Records cross both kinds in one codec: the snapshots'
-// frames, the /headers-batch and /record answers and statesync's /ingest
-// batches all carry flowrec segments — inside the JSON routes as a []byte
+// frames and the /headers-batch and /record answers all carry flowrec
+// segments — inside the JSON routes as a []byte
 // field, which encoding/json writes as base64 — never records as JSON
 // objects, so one fuzzed, bounded decoder (flowrec.DecodeSegment) reads every
 // record that arrives.
@@ -219,7 +218,7 @@ const (
 	// LimitReport bounds /diagnose and /traces answers.
 	LimitReport = 8 << 20
 	// LimitRecords bounds everything that carries flow records or agent
-	// state: host query answers, /ingest batches, switch /snapshot.
+	// state: host query answers, switch /snapshot.
 	LimitRecords = 64 << 20
 )
 

@@ -26,9 +26,6 @@ const (
 	Second           = 1000 * Millisecond
 )
 
-// FromDuration converts a time.Duration into a virtual Time offset.
-func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) }
-
 // Duration converts a virtual time span into a time.Duration.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
@@ -122,9 +119,6 @@ type Clock struct {
 
 // NewClock returns a clock with the given fixed offset from true time.
 func NewClock(offset Time) *Clock { return &Clock{offset: offset} }
-
-// Offset reports the clock's fixed offset from true virtual time.
-func (c *Clock) Offset() Time { return c.offset }
 
 // Local converts true virtual time into this device's local time.
 func (c *Clock) Local(now Time) Time { return now + c.offset }

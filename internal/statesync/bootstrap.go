@@ -15,7 +15,7 @@ import (
 
 // Bootstrapper pulls peer snapshots into local agents — the client half of
 // the snapshot/bootstrap leg. A fresh daemon uses it to absorb a live
-// peer's state before switching to the ingest feed.
+// peer's state while it already serves queries.
 type Bootstrapper struct {
 	// HTTP is the client to pull with (http.DefaultClient when nil).
 	HTTP *http.Client

@@ -113,7 +113,7 @@ func TestCompactMergesRunsWithRecencyGuard(t *testing.T) {
 		}
 
 		// The merged manifest is fully indexed and covers the run's union.
-		m := l.Manifests()[0]
+		m := manifests(l)[0]
 		if m.V == 0 || m.Bloom == nil {
 			t.Fatalf("merged manifest unindexed: %+v", m)
 		}
@@ -333,7 +333,7 @@ func TestManifestCompatAndUpgrade(t *testing.T) {
 	}
 	// Unindexed manifests are conservative: no switch or flow is excluded,
 	// so a legacy segment can never be wrongly skipped.
-	for _, m := range l.Manifests() {
+	for _, m := range manifests(l) {
 		if m.V != 0 {
 			t.Fatalf("legacy manifest parsed with V = %d", m.V)
 		}
@@ -450,7 +450,7 @@ func TestTierOutArchivesAndReportsHonestly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := re.Manifests()
+	ms := manifests(re)
 	if len(ms) != 3 || !ms[0].Tiered || !ms[1].Tiered || ms[2].Tiered {
 		t.Fatalf("reopened tier marks = %+v", ms)
 	}
@@ -498,7 +498,7 @@ func TestViewSurvivesRewrites(t *testing.T) {
 
 // TestViewWalkAllocFree is the perf gate for the per-round manifest walk:
 // acquiring a view, touching every manifest, and releasing it must not
-// allocate at steady state (the old Manifests() copy allocated per round).
+// allocate at steady state (a copy of every manifest would allocate per round).
 func TestViewWalkAllocFree(t *testing.T) {
 	l, err := NewSegmentLog(t.TempDir())
 	if err != nil {

@@ -5,10 +5,9 @@
 //     flowrec segments back to back over HTTP (GET .../snapshot, epoch-range
 //     addressable, streamed shard by shard so absorption never stalls), and
 //     switch agents expose pointer + MPH snapshots.
-//   - Bootstrap/ingest: a fresh daemon pulls a peer's segments, loads them,
-//     and switches to a live ingest feed (POST .../ingest, batched wire-form
-//     records) while already serving queries, with a syncing → live
-//     readiness state machine surfaced at /healthz.
+//   - Bootstrap: a fresh daemon pulls a peer's segments and loads them
+//     while already serving queries, with a syncing → live readiness state
+//     machine surfaced at /healthz.
 //   - Cold read-back: SegmentLog is the indexed flush sink behind
 //     store.Retention — evicted segments persist as files in one directory
 //     with tiny manifests, and host agents transparently consult them for
@@ -36,7 +35,7 @@ const (
 	// served against whatever state has landed so far.
 	StateSyncing State = iota
 	// StateLive: bootstrap finished (or was never needed) — the daemon's
-	// answers reflect complete state plus whatever the ingest feed delivers.
+	// answers reflect complete state.
 	StateLive
 )
 
@@ -48,15 +47,13 @@ func (s State) String() string {
 }
 
 // Readiness is the syncing → live state machine every spd role surfaces at
-// /healthz, plus the bootstrap/ingest counters it accumulates on the way.
+// /healthz, plus the bootstrap counters it accumulates on the way.
 // All methods are safe for concurrent use.
 type Readiness struct {
 	state atomic.Int32
 
-	bootSegments  atomic.Int64
-	bootRecords   atomic.Int64
-	ingestBatches atomic.Int64
-	ingestRecords atomic.Int64
+	bootSegments atomic.Int64
+	bootRecords  atomic.Int64
 }
 
 // NewReadiness returns a Readiness starting in StateSyncing, or directly in
@@ -84,16 +81,10 @@ func (r *Readiness) AddBootstrap(segments, records int) {
 	r.bootRecords.Add(int64(records))
 }
 
-// AddIngest accounts one live ingest batch.
-func (r *Readiness) AddIngest(records int) {
-	r.ingestBatches.Add(1)
-	r.ingestRecords.Add(int64(records))
-}
-
-// Progress returns the accumulated bootstrap/ingest counters — the
-// scrape-side accessor behind the statesync /metrics families.
-func (r *Readiness) Progress() (bootSegments, bootRecords, ingestBatches, ingestRecords int64) {
-	return r.bootSegments.Load(), r.bootRecords.Load(), r.ingestBatches.Load(), r.ingestRecords.Load()
+// Progress returns the accumulated bootstrap counters — the scrape-side
+// accessor behind the statesync /metrics families.
+func (r *Readiness) Progress() (bootSegments, bootRecords int64) {
+	return r.bootSegments.Load(), r.bootRecords.Load()
 }
 
 // Health is the /healthz body: the readiness state plus resident/evicted
@@ -106,8 +97,6 @@ type Health struct {
 
 	BootstrapSegments int64 `json:"bootstrap_segments,omitempty"`
 	BootstrapRecords  int64 `json:"bootstrap_records,omitempty"`
-	IngestBatches     int64 `json:"ingest_batches,omitempty"`
-	IngestRecords     int64 `json:"ingest_records,omitempty"`
 
 	// Build identifies the serving binary — version skew across a trio is
 	// the first thing to rule out when daemons disagree.
@@ -132,7 +121,7 @@ func HealthzHandler(rd *Readiness, stats func() (resident, evictedSegments int))
 		}
 		if rd != nil {
 			h.State = rd.State().String()
-			h.BootstrapSegments, h.BootstrapRecords, h.IngestBatches, h.IngestRecords = rd.Progress()
+			h.BootstrapSegments, h.BootstrapRecords = rd.Progress()
 		}
 		if stats != nil {
 			h.ResidentRecords, h.EvictedSegments = stats()

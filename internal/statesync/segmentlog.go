@@ -399,19 +399,6 @@ func (l *SegmentLog) readSegment(seg *logSegment, i int, decode func(payload []b
 // readBufs holds segment-file read buffers.
 var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// Manifests returns a copy of every segment's manifest in log order — a
-// convenience for tests and health accounting. Query paths should use View
-// instead: it is allocation-free and index-stable across rewrites.
-func (l *SegmentLog) Manifests() []store.SegmentManifest {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]store.SegmentManifest, len(l.segs))
-	for i, s := range l.segs {
-		out[i] = s.Manifest
-	}
-	return out
-}
-
 // Len returns the number of stored segments.
 func (l *SegmentLog) Len() int {
 	l.mu.RLock()

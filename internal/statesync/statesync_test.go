@@ -46,6 +46,18 @@ func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 	return all
 }
 
+// manifests copies every segment's manifest in log order, read through a
+// View as the query paths read them.
+func manifests(l *SegmentLog) []store.SegmentManifest {
+	v := l.View()
+	defer v.Close()
+	out := make([]store.SegmentManifest, v.Len())
+	for i := range out {
+		out[i] = *v.Manifest(i)
+	}
+	return out
+}
+
 // storeJSON canonicalizes a store's full record set for comparison.
 func storeJSON(t *testing.T, st *store.RecordStore) string {
 	t.Helper()
@@ -101,9 +113,9 @@ func TestSegmentLogModes(t *testing.T) {
 	if log.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", log.Len())
 	}
-	ms := log.Manifests()
+	ms := manifests(log)
 	if len(ms) != 2 || ms[0].Epochs != manifest.Epochs || ms[0].Flows != manifest.Flows || ms[0].Bytes != manifest.Bytes {
-		t.Fatalf("Manifests = %+v", ms)
+		t.Fatalf("manifests = %+v", ms)
 	}
 	if err := log.ReadSegment(7, func(*flowrec.Record) {}); err == nil {
 		t.Fatal("out-of-range ReadSegment succeeded")
@@ -134,7 +146,6 @@ func TestReadinessHealthz(t *testing.T) {
 		t.Fatalf("fresh readiness = %v", rd.State())
 	}
 	rd.AddBootstrap(3, 17)
-	rd.AddIngest(5)
 
 	srv := httptest.NewServer(HealthzHandler(rd, func() (int, int) { return 42, 2 }))
 	defer srv.Close()
@@ -155,7 +166,7 @@ func TestReadinessHealthz(t *testing.T) {
 
 	h := fetch()
 	want := Health{State: "syncing", ResidentRecords: 42, EvictedSegments: 2,
-		BootstrapSegments: 3, BootstrapRecords: 17, IngestBatches: 1, IngestRecords: 5,
+		BootstrapSegments: 3, BootstrapRecords: 17,
 		Build: BuildInfo{Version: buildinfo.Version, GoVersion: buildinfo.Go()}}
 	if h != want {
 		t.Fatalf("healthz = %+v, want %+v", h, want)
@@ -246,56 +257,6 @@ func members(st *store.RecordStore, sw netsim.NodeID) int {
 	n := 0
 	st.QueryWindow(sw, store.EveryEpoch, func(*flowrec.Record) { n++ })
 	return n
-}
-
-// TestIngestFeed round-trips records through POST /ingest: a live feed into
-// an empty agent-backed store, with readiness accounting.
-func TestIngestFeed(t *testing.T) {
-	tb := redLights(t)
-	src := tb.HostAgents[richestAgentIP(tb)]
-
-	// A second, un-played testbed supplies a fresh agent of the same shape.
-	s2, err := scenario.NewRedLights(scenario.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dst = s2.Testbed.HostAgents[richestAgentIP(tb)]
-	rd := NewReadiness(false)
-	srv := httptest.NewServer(IngestHandler(dst, rd))
-	defer srv.Close()
-
-	batches, err := FeedStore(context.Background(), nil, srv.URL, src.Store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batches == 0 {
-		t.Fatal("no batches fed")
-	}
-	if got, want := storeJSON(t, dst.Store), storeJSON(t, src.Store); got != want {
-		t.Fatalf("fed store diverged from source")
-	}
-	if rd.ingestBatches.Load() != int64(batches) || rd.ingestRecords.Load() != int64(src.Store.Len()) {
-		t.Fatalf("ingest accounting = %d batches / %d records, want %d / %d",
-			rd.ingestBatches.Load(), rd.ingestRecords.Load(), batches, src.Store.Len())
-	}
-
-	// Re-feeding is idempotent: later batches wholesale-replace records.
-	if _, err := FeedStore(context.Background(), nil, srv.URL, src.Store); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := storeJSON(t, dst.Store), storeJSON(t, src.Store); got != want {
-		t.Fatalf("re-fed store diverged from source")
-	}
-
-	// GET on ingest is rejected.
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /ingest answered %d, want 405", resp.StatusCode)
-	}
 }
 
 // TestColdReadBackHostQuery evicts a live store wholesale into a SegmentLog

@@ -492,14 +492,14 @@ func (st *RecordStore) Release(r *flowrec.Record) {
 }
 
 // Put installs (or wholesale replaces) a record under its shard's write
-// lock and reindexes it — the state-sync ingestion primitive: snapshot
-// bootstrap and live ingest feeds install records that were absorbed
+// lock and reindexes it — the state-sync install primitive: a snapshot
+// bootstrap (or a preloaded fixture) installs records that were absorbed
 // elsewhere, so there is no local record to Acquire and mutate. The store
 // keeps rec's encoding, not rec: the caller keeps the record.
 //
 // Replacement is recency-guarded by flowrec.Supersedes: a record older than
-// the resident one is dropped, so a snapshot segment cloned before an
-// ingest update can race the feed and land after it without clobbering the
+// the resident one is dropped, so a stale copy of a flow — a second
+// bootstrap from an older peer, a repeated segment — can never clobber the
 // newer state. It reports whether rec was installed.
 func (st *RecordStore) Put(rec *flowrec.Record) bool {
 	var buf [256]byte // most records encode in fewer bytes

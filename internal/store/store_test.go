@@ -238,11 +238,11 @@ func TestReindexUnchangedPathIsCheap(t *testing.T) {
 	}
 }
 
-// TestPutReplacementInvalidatesMemos is the ingest-semantics gate: Put of a
-// newer record for an already-indexed flow must invalidate the memoized
-// per-switch answers even when the path is unchanged — otherwise queries
-// keep serving the superseded record forever ("a later batch always wins"
-// would be silently broken).
+// TestPutReplacementInvalidatesMemos is the replacement-semantics gate: Put
+// of a newer record for an already-indexed flow must invalidate the
+// memoized per-switch answers even when the path is unchanged — otherwise
+// queries keep serving the superseded record forever ("the freshest copy
+// always wins" would be silently broken).
 func TestPutReplacementInvalidatesMemos(t *testing.T) {
 	st := New()
 	old := addRecord(st, 1, 2, []netsim.NodeID{10, 11}, 100)
@@ -250,7 +250,7 @@ func TestPutReplacementInvalidatesMemos(t *testing.T) {
 		t.Fatalf("pre-replacement BySwitch = %+v", got)
 	}
 
-	// Same path, updated counters (a catch-up ingest batch).
+	// Same path, updated counters (a fresher copy of the flow).
 	upd := old.Clone()
 	upd.Bytes = 250
 	st.Put(upd)

@@ -104,9 +104,6 @@ func (t *Topology) Hosts() []*netsim.Host { return t.hosts }
 // Switches returns all switches.
 func (t *Topology) Switches() []*netsim.Switch { return t.switches }
 
-// RoleOf returns the role of a switch.
-func (t *Topology) RoleOf(id netsim.NodeID) Role { return t.roles[id] }
-
 // ToROf returns the switch a host attaches to.
 func (t *Topology) ToROf(ip netsim.IPv4) (*netsim.Switch, bool) {
 	s, ok := t.attach[ip]
@@ -190,17 +187,6 @@ func (t *Topology) LinkIDForPort(sw netsim.NodeID, port int) (LinkID, bool) {
 	}
 	id := rules[port]
 	return id, id != 0
-}
-
-// NumLinkRules returns the number of flow rules switch sw needs for linkID
-// embedding: one per switch-facing egress port (the paper notes this grows
-// linearly with port count, §4.1.3).
-func (t *Topology) NumLinkRules(sw netsim.NodeID) int {
-	n := 0
-	for _, ports := range t.portTo[sw] {
-		n += len(ports)
-	}
-	return n
 }
 
 // IsKeyLinkEgress reports whether a packet for dst leaving switch sw on

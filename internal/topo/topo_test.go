@@ -163,8 +163,8 @@ func TestParallelLinksDistinctIDs(t *testing.T) {
 			t.Fatalf("parallel link %d not key", id)
 		}
 	}
-	if tp.NumLinkRules(sl.NodeID()) != 2 {
-		t.Fatalf("NumLinkRules = %d, want 2", tp.NumLinkRules(sl.NodeID()))
+	if got := linkRuleCount(tp, sl.NodeID()); got != 2 {
+		t.Fatalf("link rules = %d, want 2", got)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestLeafSpine(t *testing.T) {
 	if err != nil || len(path) != 3 {
 		t.Fatalf("path=%v err=%v", path, err)
 	}
-	if tp.RoleOf(path[1]) != RoleCore {
+	if tp.roles[path[1]] != RoleCore {
 		t.Fatalf("middle hop should be a spine")
 	}
 	// Reconstruction: the leaf→spine link pins the path.
@@ -256,7 +256,7 @@ func TestFatTreeStructure(t *testing.T) {
 	}
 	roles := map[Role]int{}
 	for _, s := range tp.Switches() {
-		roles[tp.RoleOf(s.NodeID())]++
+		roles[tp.roles[s.NodeID()]]++
 	}
 	if roles[RoleToR] != 8 || roles[RoleAgg] != 8 || roles[RoleCore] != 4 {
 		t.Fatalf("roles = %v", roles)
@@ -292,7 +292,7 @@ func TestFatTreePathsAllPairs(t *testing.T) {
 				if len(path) != 5 {
 					t.Fatalf("inter-pod path %v", path)
 				}
-				if tp.RoleOf(path[2]) != RoleCore {
+				if tp.roles[path[2]] != RoleCore {
 					t.Fatalf("inter-pod middle not core: %v", path)
 				}
 			}
@@ -417,17 +417,30 @@ func TestClockOffsetsBounded(t *testing.T) {
 	}
 }
 
+// linkRuleCount counts the linkID flow rules the datapath holds for switch
+// sw: one per switch-facing egress port, so it grows linearly with port
+// count (§4.1.3).
+func linkRuleCount(tp *Topology, sw netsim.NodeID) int {
+	n := 0
+	for _, id := range tp.linkRules[sw] {
+		if id != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestNumLinkRulesScalesWithPorts(t *testing.T) {
 	net := netsim.New()
 	tp := FatTree(net, 4, Config{})
 	// An edge switch has 2 up-ports (to aggs): 2 link rules.
 	edge, _ := tp.SwitchByName("edge0-0")
-	if got := tp.NumLinkRules(edge.NodeID()); got != 2 {
+	if got := linkRuleCount(tp, edge.NodeID()); got != 2 {
 		t.Fatalf("edge link rules = %d, want 2", got)
 	}
 	// An agg has 2 down (to edges) + 2 up (to cores) = 4.
 	agg, _ := tp.SwitchByName("agg0-0")
-	if got := tp.NumLinkRules(agg.NodeID()); got != 4 {
+	if got := linkRuleCount(tp, agg.NodeID()); got != 4 {
 		t.Fatalf("agg link rules = %d, want 4", got)
 	}
 }

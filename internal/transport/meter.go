@@ -103,16 +103,6 @@ func (m *Meter) MaxGapAt(i int) simtime.Time {
 	return m.maxGap[i]
 }
 
-// MaxGapSeries returns per-bucket maximum inter-arrival gaps in milliseconds
-// up to bucket n.
-func (m *Meter) MaxGapSeries(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = m.MaxGapAt(i).Milliseconds()
-	}
-	return out
-}
-
 // MaxGap returns the largest gap across the whole series.
 func (m *Meter) MaxGap() simtime.Time {
 	var g simtime.Time

@@ -409,6 +409,3 @@ func (r *TCPReceiver) onData(p *netsim.Packet, now simtime.Time) {
 	r.AcksSent++
 	r.host.Send(ack)
 }
-
-// CumAck returns the receiver's cumulative acknowledgment point.
-func (r *TCPReceiver) CumAck() uint32 { return r.cumAck }

@@ -1,6 +1,4 @@
-// Package workload provides empirical datacenter traffic models: packet-size
-// mixes and heavy-tailed flow sizes, plus a deterministic background-traffic
-// generator for testbeds.
+// Package workload provides empirical datacenter packet-size mixes.
 //
 // The paper's Fig 9 argument leans on measured datacenter packet sizes —
 // "an average packet size in data centers is in general larger than 256
@@ -76,16 +74,6 @@ func (d *SizeDist) Sample(rng *rand.Rand) int {
 	return d.points[len(d.points)-1].Size
 }
 
-// Quantile returns the smallest size s with CDF(s) ≥ q.
-func (d *SizeDist) Quantile(q float64) int {
-	for i, c := range d.cum {
-		if q <= c {
-			return d.points[i].Size
-		}
-	}
-	return d.points[len(d.points)-1].Size
-}
-
 // mustDist builds a preset (panics only on programmer error).
 func mustDist(name string, points []SizePoint) *SizeDist {
 	d, err := NewSizeDist(name, points)
@@ -132,26 +120,4 @@ func FullMTU() *SizeDist {
 // Mixes returns the standard evaluation set.
 func Mixes() []*SizeDist {
 	return []*SizeDist{MinimumEthernet(), HadoopDC(), EnterpriseDC(), FullMTU()}
-}
-
-// FlowSizes draws n heavy-tailed flow sizes (bytes) with the given median —
-// a crude Pareto-like model (80% mice below ~2× median, few elephants) for
-// background traffic generation.
-func FlowSizes(n int, median int64, seed int64) []int64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]int64, n)
-	for i := range out {
-		u := rng.Float64()
-		switch {
-		case u < 0.5:
-			out[i] = median/2 + rng.Int63n(median)
-		case u < 0.8:
-			out[i] = median + rng.Int63n(3*median)
-		case u < 0.95:
-			out[i] = 4*median + rng.Int63n(16*median)
-		default:
-			out[i] = 20*median + rng.Int63n(80*median)
-		}
-	}
-	return out
 }

@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// quantile returns the smallest size s with CDF(s) ≥ q.
+func quantile(d *SizeDist, q float64) int {
+	for i, c := range d.cum {
+		if q <= c {
+			return d.points[i].Size
+		}
+	}
+	return d.points[len(d.points)-1].Size
+}
+
 func TestPresetMeans(t *testing.T) {
 	// §6.1 anchors: enterprise mean > 256 B (≈850 B per Benson et al.);
 	// hadoop median ≈ 250 B (Roy et al.).
@@ -14,7 +24,7 @@ func TestPresetMeans(t *testing.T) {
 		t.Fatalf("enterprise mean = %.0f, want ≈850", ent.Mean())
 	}
 	had := HadoopDC()
-	if med := had.Quantile(0.5); med != 250 {
+	if med := quantile(had, 0.5); med != 250 {
 		t.Fatalf("hadoop median = %d, want 250", med)
 	}
 	if MinimumEthernet().Mean() != 64 || FullMTU().Mean() != 1500 {
@@ -59,7 +69,7 @@ func TestQuantileMonotone(t *testing.T) {
 	d := HadoopDC()
 	prev := 0
 	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0} {
-		s := d.Quantile(q)
+		s := quantile(d, q)
 		if s < prev {
 			t.Fatalf("quantiles not monotone at %v", q)
 		}
@@ -81,31 +91,5 @@ func TestPropertySamplesWithinSupport(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFlowSizesHeavyTail(t *testing.T) {
-	sizes := FlowSizes(10000, 1<<20, 7)
-	var small, elephant int
-	for _, s := range sizes {
-		if s <= 2<<20 {
-			small++
-		}
-		if s >= 20<<20 {
-			elephant++
-		}
-	}
-	if small < 4000 {
-		t.Fatalf("mice underrepresented: %d", small)
-	}
-	if elephant == 0 || elephant > 1000 {
-		t.Fatalf("elephants = %d, want a thin tail", elephant)
-	}
-	// Deterministic per seed.
-	again := FlowSizes(10000, 1<<20, 7)
-	for i := range sizes {
-		if sizes[i] != again[i] {
-			t.Fatalf("not deterministic")
-		}
 	}
 }

@@ -26,7 +26,7 @@ go test ./...
 # HTTP client, host-agent query executors, the sharded record store under
 # concurrent query+absorption, the event engine, the cluster service plane —
 # admission controller + loopback HTTP trio — and the state-sync plane:
-# snapshot streaming, bootstrap, ingest, segment log — plus the switch
+# snapshot streaming, bootstrap, segment log — plus the switch
 # agents, the packet simulator, the record codec, the routing table, and the
 # root-package integration tests).
 # Scoped to these packages so the full gate stays fast.
