@@ -139,7 +139,7 @@ func TestSamplerBasics(t *testing.T) {
 func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
-	if err := st.SnapshotShards(store.EveryEpoch, func(seg []byte) error {
+	if err := st.SnapshotShards(func(seg []byte) error {
 		recs, err := flowrec.DecodeSegment(seg)
 		all = append(all, recs...)
 		return err

@@ -49,11 +49,15 @@ func TestReplayAllocBudget(t *testing.T) {
 
 // TestPriorityReplayAllocBudget is TestReplayAllocBudget's TCP twin:
 // building the priority-contention scenario and playing it to the horizon
-// stays within 2 400 allocations (≈ 1 900 measured). Every TCP segment re-arms
-// its sender's retransmission timer, so a callback bound per arm instead of
-// once per sender costs one allocation per segment: ≈ 14 900 here.
+// stays within 2 400 allocations (≈ 1 880 measured), and leaves at most 64
+// events queued (13 measured). Every TCP segment and every new ACK re-arms
+// its sender's retransmission timer: a callback bound per arm instead of
+// once per sender costs one allocation per segment (≈ 14 900 here), and a
+// timer stopped and re-queued per arm instead of re-armed lazily leaves a
+// cancelled event queued per segment (≈ 13 000 at the horizon).
 func TestPriorityReplayAllocBudget(t *testing.T) {
-	const budget = 2_400
+	const budget, pendingCap = 2_400, 64
+	pending := 0
 	allocs := testing.AllocsPerRun(2, func() {
 		s, err := BuildScenarioOpt("priority", 0, 0, scenario.Options{})
 		if err != nil {
@@ -63,12 +67,16 @@ func TestPriorityReplayAllocBudget(t *testing.T) {
 		if s.Testbed.Net.Engine.Processed() == 0 {
 			t.Fatal("the replay ran no events")
 		}
+		pending = s.Testbed.Net.Engine.Pending()
 		s.Testbed.Close()
 	})
 	if allocs > budget {
 		t.Fatalf("priority build+run: %v allocs, want <= %d", allocs, budget)
 	}
-	t.Logf("priority build+run: %v allocs (budget %d)", allocs, budget)
+	if pending > pendingCap {
+		t.Fatalf("priority build+run: %d events pending at the horizon, want <= %d", pending, pendingCap)
+	}
+	t.Logf("priority build+run: %v allocs (budget %d), %d events pending (cap %d)", allocs, budget, pending, pendingCap)
 }
 
 // TestRoundTripAllocBudget is the in-tree gate on the service plane's

@@ -6,7 +6,6 @@ import (
 
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/statesync"
-	"switchpointer/internal/store"
 )
 
 // BootstrapHosts pulls every host agent's snapshot from a live peer host
@@ -17,7 +16,7 @@ import (
 func BootstrapHosts(ctx context.Context, b *statesync.Bootstrapper, peerRoot string, tb *scenario.Testbed) (segments, records int, err error) {
 	ips, agents := sortedHostAgents(tb)
 	for i, ag := range agents {
-		segs, recs, err := b.BootstrapStore(ctx, peerRoot+"/hosts/"+ips[i], store.EveryEpoch, ag.Store)
+		segs, recs, err := b.BootstrapStore(ctx, peerRoot+"/hosts/"+ips[i], ag.Store)
 		segments += segs
 		records += recs
 		if err != nil {

@@ -102,12 +102,15 @@ type WireReport struct {
 	Alert  *hostagent.Alert `json:"alert,omitempty"`
 	Switch netsim.NodeID    `json:"switch,omitempty"`
 
-	Culprits  []analyzer.Culprit          `json:"culprits,omitempty"`
+	// Culprits and Flows, the per-flow lists, are columns: one base64 string
+	// each (column.go). Cascade and Links hold a handful of entries and stay
+	// JSON objects.
+	Culprits  CulpritColumn               `json:"culprits,omitempty"`
 	Cascade   []netsim.FlowKey            `json:"cascade,omitempty"`
 	Links     []analyzer.LinkDistribution `json:"links,omitempty"`
 	Separated bool                        `json:"separated,omitempty"`
 	Boundary  uint64                      `json:"boundary,omitempty"`
-	Flows     []hostagent.FlowBytes       `json:"flows,omitempty"`
+	Flows     FlowColumn                  `json:"flows,omitempty"`
 
 	PointerHosts   int           `json:"pointer_hosts"`
 	PrunedHosts    int           `json:"pruned_hosts"`

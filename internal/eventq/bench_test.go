@@ -11,7 +11,8 @@ import (
 // BenchmarkEngineStanding times Step on an engine holding a standing
 // population of self-rescheduling events: 16, 170 (the mean pending count
 // of the loadimbalance n = 96 replay) and 13 000 (what a priority replay
-// holds, nearly all of it cancelled RTO timers). Each event reschedules
+// held when every TCP segment left a cancelled RTO timer queued; it holds
+// 13 since the timer re-arms lazily). Each event reschedules
 // itself after a delay drawn from the simulator's mix, as the sim-replay
 // benchmark's eventq rung draws it: mostly 1–50 µs serialization and
 // propagation delays, one in sixteen a 1–10 ms trigger or epoch timer.

@@ -8,7 +8,6 @@ import (
 
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/rpc"
-	"switchpointer/internal/simtime"
 	"switchpointer/internal/store"
 	"switchpointer/internal/switchagent"
 )
@@ -46,15 +45,12 @@ func (b *Bootstrapper) get(ctx context.Context, url string) (io.ReadCloser, erro
 }
 
 // BootstrapStore pulls the peer host agent's snapshot (GET
-// peerBase/snapshot, epoch-range addressed) and installs every record into
+// peerBase/snapshot) and installs every record into
 // st via Put — safe while st is concurrently serving queries, which is
 // exactly the syncing state: the daemon answers with whatever has landed so
 // far. It returns how many segments and records were absorbed.
-func (b *Bootstrapper) BootstrapStore(ctx context.Context, peerBase string, epochs simtime.EpochRange, st *store.RecordStore) (segments, records int, err error) {
+func (b *Bootstrapper) BootstrapStore(ctx context.Context, peerBase string, st *store.RecordStore) (segments, records int, err error) {
 	url := peerBase + "/snapshot"
-	if epochs != store.EveryEpoch {
-		url = fmt.Sprintf("%s?lo=%d&hi=%d", url, epochs.Lo, epochs.Hi)
-	}
 	body, err := b.get(ctx, url)
 	if err != nil {
 		return 0, 0, fmt.Errorf("statesync: bootstrap %s: %w", url, err)

@@ -1,16 +1,13 @@
 package statesync
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/rpc"
-	"switchpointer/internal/simtime"
 	"switchpointer/internal/store"
 )
 
@@ -22,9 +19,7 @@ const SegmentsContentType = "application/x-switchpointer-segments"
 
 // HostSnapshotHandler serves GET /snapshot on a host agent: the agent's
 // resident record set as a stream of self-contained segments, one per
-// non-empty store shard. Optional ?lo=E&hi=E query parameters restrict the
-// snapshot to records whose telemetry epochs overlap [lo,hi] (epoch-range
-// addressing); without them the full store is streamed.
+// non-empty store shard.
 //
 // Each shard's segment is spliced from its records' stored bytes under only
 // that shard's read lock, and written to the wire as it is with no locks
@@ -37,16 +32,11 @@ func HostSnapshotHandler(ag *hostagent.Agent) http.Handler {
 		if !rpc.AllowMethod(w, r, http.MethodGet) {
 			return
 		}
-		epochs, err := epochWindow(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
 		w.Header().Set("Content-Type", SegmentsContentType)
 		flusher, _ := w.(http.Flusher)
 		// A write error leaves the stream truncated; the puller sees that as
 		// a decode error, which is the honest failure mode.
-		_ = ag.Store.SnapshotShards(epochs, func(seg []byte) error {
+		_ = ag.Store.SnapshotShards(func(seg []byte) error {
 			if _, err := w.Write(seg); err != nil {
 				return err
 			}
@@ -56,28 +46,6 @@ func HostSnapshotHandler(ag *hostagent.Agent) http.Handler {
 			return nil
 		})
 	})
-}
-
-// epochWindow parses the optional ?lo=&hi= epoch-range address of a
-// snapshot request. Absent parameters select the full store.
-func epochWindow(r *http.Request) (simtime.EpochRange, error) {
-	q := r.URL.Query()
-	lo, hi := q.Get("lo"), q.Get("hi")
-	if lo == "" && hi == "" {
-		return store.EveryEpoch, nil
-	}
-	if lo == "" || hi == "" {
-		return simtime.EpochRange{}, errors.New("statesync: snapshot window needs both lo and hi")
-	}
-	l, err := strconv.ParseInt(lo, 10, 64)
-	if err != nil {
-		return simtime.EpochRange{}, fmt.Errorf("statesync: bad lo: %w", err)
-	}
-	h, err := strconv.ParseInt(hi, 10, 64)
-	if err != nil {
-		return simtime.EpochRange{}, fmt.Errorf("statesync: bad hi: %w", err)
-	}
-	return simtime.EpochRange{Lo: simtime.Epoch(l), Hi: simtime.Epoch(h)}, nil
 }
 
 // ReadSegments decodes a host snapshot body, one store.DecodeSegment per

@@ -4,114 +4,24 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
-	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/store"
 )
 
-// windowFlow keys the records of TestWindowedSnapshot by port.
-func windowFlow(port uint16) netsim.FlowKey {
-	return netsim.FlowKey{Src: netsim.IP(10, 0, 0, 7), Dst: netsim.IP(10, 1, 0, byte(port)), SrcPort: port, DstPort: 80, Proto: netsim.ProtoTCP}
-}
-
-// TestWindowedSnapshot pulls a partial epoch window from a store that mixes
-// live and Put records around its edges: the pull holds exactly the records
-// MatchesEpochs admits — one straddling Lo, one touching Lo from below, one
-// touching Hi, one with a second range inside — and each segment lists its
-// records in flow-key order.
-func TestWindowedSnapshot(t *testing.T) {
-	s, err := scenario.NewRedLights(scenario.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ag = s.Testbed.HostAgents[richestAgentIP(s.Testbed)]
-	if ag.Store.Len() != 0 {
-		t.Fatalf("an unplayed testbed's store holds %d records", ag.Store.Len())
-	}
-	window := simtime.EpochRange{Lo: 10, Hi: 20}
-	for port, c := range []struct {
-		epochs []simtime.EpochRange
-		live   bool
-	}{
-		{[]simtime.EpochRange{{Lo: 8, Hi: 12}, {Lo: 9, Hi: 9}}, true},  // straddles Lo
-		{[]simtime.EpochRange{{Lo: 5, Hi: 10}, {Lo: 4, Hi: 4}}, false}, // touches Lo
-		{[]simtime.EpochRange{{Lo: 20, Hi: 24}, {Lo: 21, Hi: 21}}, false},
-		{[]simtime.EpochRange{{Lo: 0, Hi: 1}, {Lo: 15, Hi: 15}}, true},
-		{[]simtime.EpochRange{{Lo: 21, Hi: 30}, {Lo: 25, Hi: 25}}, true}, // past Hi
-		{[]simtime.EpochRange{{Lo: 2, Hi: 9}, {Lo: 3, Hi: 3}}, false},    // before Lo
-		{[]simtime.EpochRange{{Lo: 21, Hi: 22}, {Lo: 0, Hi: 9}}, false},  // around it
-	} {
-		flow := windowFlow(uint16(port))
-		rec := flowrec.New(flow)
-		if c.live {
-			rec = ag.Store.Acquire(flow)
-		}
-		rec.Path = []netsim.NodeID{3, 4}
-		rec.Epochs = c.epochs
-		rec.Pkts, rec.Bytes, rec.LastSeen = 1, 100*uint64(port+1), simtime.Time(port)
-		if c.live {
-			ag.Store.Release(rec)
-		} else {
-			ag.Store.Put(rec)
-		}
-	}
-	srv := httptest.NewServer(HostSnapshotHandler(ag))
-	defer srv.Close()
-
-	resp, err := http.Get(fmt.Sprintf("%s?lo=%d&hi=%d", srv.URL, window.Lo, window.Hi))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var pulled []*flowrec.Record
-	if _, _, err := ReadSegments(resp.Body, func(recs []*flowrec.Record) error {
-		if !slices.IsSortedFunc(recs, func(a, b *flowrec.Record) int { return flowrec.Compare(a.Flow, b.Flow) }) {
-			t.Error("a snapshot segment is not in flow-key order")
-		}
-		pulled = append(pulled, recs...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	flowrec.SortRecords(pulled)
-
-	var admitted []*flowrec.Record
-	for _, r := range allRecords(t, ag.Store) {
-		if store.MatchesEpochs(r, window) {
-			admitted = append(admitted, r)
-		}
-	}
-	got, _ := json.Marshal(pulled)
-	want, _ := json.Marshal(admitted)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("windowed pull diverged from MatchesEpochs\n--- pulled ---\n%s\n--- admitted ---\n%s", got, want)
-	}
-	var flows []netsim.FlowKey
-	for _, r := range pulled {
-		flows = append(flows, r.Flow)
-	}
-	if wantFlows := []netsim.FlowKey{windowFlow(0), windowFlow(1), windowFlow(2), windowFlow(3)}; !slices.Equal(flows, wantFlows) {
-		t.Fatalf("window [%d,%d] pulled flows %v, want %v", window.Lo, window.Hi, flows, wantFlows)
-	}
-}
-
 // TestSnapshotBodyIsShardSegments: a host /snapshot body is the store's
 // SnapshotShards segments back to back, byte for byte, with no framing of
-// its own — for the full store and for an epoch window alike.
+// its own.
 func TestSnapshotBodyIsShardSegments(t *testing.T) {
 	tb := redLights(t)
 	ag := tb.HostAgents[richestAgentIP(tb)]
@@ -120,28 +30,26 @@ func TestSnapshotBodyIsShardSegments(t *testing.T) {
 	}
 	srv := httptest.NewServer(HostSnapshotHandler(ag))
 	defer srv.Close()
-	for query, epochs := range map[string]simtime.EpochRange{"": store.EveryEpoch, "?lo=2&hi=9": {Lo: 2, Hi: 9}} {
-		var want []byte
-		segs := 0
-		if err := ag.Store.SnapshotShards(epochs, func(seg []byte) error {
-			want = append(want, seg...)
-			segs++
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Get(srv.URL + query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Header.Get("Content-Type") != SegmentsContentType || segs < 2 || !bytes.Equal(got, want) {
-			t.Fatalf("snapshot%s: %d bytes (%s), want the %d bytes of %d shard segments", query, len(got), resp.Header.Get("Content-Type"), len(want), segs)
-		}
+	var want []byte
+	segs := 0
+	if err := ag.Store.SnapshotShards(func(seg []byte) error {
+		want = append(want, seg...)
+		segs++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.Get("Content-Type") != SegmentsContentType || segs < 2 || !bytes.Equal(got, want) {
+		t.Fatalf("snapshot: %d bytes (%s), want the %d bytes of %d shard segments", len(got), resp.Header.Get("Content-Type"), len(want), segs)
 	}
 }
 

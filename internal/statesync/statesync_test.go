@@ -35,7 +35,7 @@ func redLights(t *testing.T) *scenario.Testbed {
 func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
-	if err := st.SnapshotShards(store.EveryEpoch, func(seg []byte) error {
+	if err := st.SnapshotShards(func(seg []byte) error {
 		recs, err := flowrec.DecodeSegment(seg)
 		all = append(all, recs...)
 		return err
@@ -196,8 +196,7 @@ func TestReadinessHealthz(t *testing.T) {
 }
 
 // TestSnapshotBootstrapRoundTrip pulls a live agent's snapshot over HTTP
-// into a fresh store and asserts the record sets are byte-identical, plus
-// epoch-range addressing.
+// into a fresh store and asserts the record sets are byte-identical.
 func TestSnapshotBootstrapRoundTrip(t *testing.T) {
 	tb := redLights(t)
 	ag := tb.HostAgents[richestAgentIP(tb)]
@@ -207,7 +206,7 @@ func TestSnapshotBootstrapRoundTrip(t *testing.T) {
 	rd := NewReadiness(false)
 	b := &Bootstrapper{Readiness: rd}
 	dst := store.New()
-	segs, recs, err := b.BootstrapStore(context.Background(), srv.URL, store.EveryEpoch, dst)
+	segs, recs, err := b.BootstrapStore(context.Background(), srv.URL, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,26 +228,6 @@ func TestSnapshotBootstrapRoundTrip(t *testing.T) {
 		if got, want := members(dst, sw.NodeID()), members(ag.Store, sw.NodeID()); got != want {
 			t.Fatalf("switch %v: bootstrapped index holds %d records, source %d", sw.NodeID(), got, want)
 		}
-	}
-
-	// Epoch-range addressing: an impossible window yields an empty pull.
-	empty := store.New()
-	_, n, err := b.BootstrapStore(context.Background(), srv.URL, simtime.EpochRange{Lo: 100000, Hi: 100001}, empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 || empty.Len() != 0 {
-		t.Fatalf("future-window pull returned %d records", n)
-	}
-
-	// Malformed window → 400 surfaces as an error.
-	resp, err := http.Get(srv.URL + "?lo=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("half-open window answered %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -188,7 +188,7 @@ func TestEgressAllocs(t *testing.T) {
 	records := 0
 	snapshot := func() {
 		records = 0
-		err := st.SnapshotShards(EveryEpoch, func(seg []byte) error {
+		err := st.SnapshotShards(func(seg []byte) error {
 			k, err := flowrec.SegmentRecords(seg)
 			records += k
 			return err

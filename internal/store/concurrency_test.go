@@ -72,7 +72,7 @@ func TestConcurrentQueriesDuringAbsorption(t *testing.T) {
 				return
 			default:
 			}
-			if err := st.SnapshotShards(EveryEpoch, func([]byte) error { return nil }); err != nil {
+			if err := st.SnapshotShards(func([]byte) error { return nil }); err != nil {
 				t.Error(err)
 				return
 			}

@@ -748,27 +748,11 @@ func (st *RecordStore) window(sw netsim.NodeID, window simtime.EpochRange, visit
 	}
 }
 
-// MatchesEpochs reports whether a record is addressed by the given epoch
-// window: any of its per-switch epoch ranges overlaps it. The full range
-// (EverySegment) matches records with no telemetry epochs too.
-func MatchesEpochs(rec *flowrec.Record, epochs simtime.EpochRange) bool {
-	if epochs == EveryEpoch {
-		return true
-	}
-	for _, er := range rec.Epochs {
-		if er.Overlaps(epochs) {
-			return true
-		}
-	}
-	return false
-}
-
-// EveryEpoch is the epoch window that addresses all records — what a
-// snapshot pull without an explicit window uses.
+// EveryEpoch is the epoch window that addresses all records.
 var EveryEpoch = simtime.EpochRange{Lo: simtime.Epoch(-1 << 62), Hi: simtime.Epoch(1 << 62)}
 
-// SnapshotShards calls fn once per shard holding records that match the
-// epoch window, in shard order, with one segment of them in flow-key order,
+// SnapshotShards calls fn once per shard holding records, in shard order,
+// with one segment of them in flow-key order,
 // spliced from their encodings: encoded records' stored bytes and live
 // records encoded, taken under only that shard's read lock (stored bytes
 // stay valid after it). fn runs with no locks held at all — so a caller
@@ -777,11 +761,9 @@ var EveryEpoch = simtime.EpochRange{Lo: simtime.Epoch(-1 << 62), Hi: simtime.Epo
 // while the other fifteen keep absorbing and answering queries. The segment
 // is valid only during the call. Shard hashing is fixed, so the sequence of
 // segments is deterministic. fn returning an error aborts the walk.
-func (st *RecordStore) SnapshotShards(epochs simtime.EpochRange, fn func(seg []byte) error) error {
+func (st *RecordStore) SnapshotShards(fn func(seg []byte) error) error {
 	var encs [][]byte
 	var buf, seg []byte
-	var sc scratch
-	defer sc.release()
 	for i := range st.shards {
 		sh := &st.shards[i]
 		t := sh.tab.Load()
@@ -791,7 +773,7 @@ func (st *RecordStore) SnapshotShards(epochs simtime.EpochRange, fn func(seg []b
 		encs, buf = encs[:0], buf[:0]
 		sh.mu.RLock()
 		for j, s := range t.slots {
-			if s.path == freeSlot || epochs != EveryEpoch && !MatchesEpochs(t.record(int32(j), &sc), epochs) {
+			if s.path == freeSlot {
 				continue
 			}
 			var enc []byte

@@ -121,7 +121,7 @@ func TestBySwitchDeterministicOrder(t *testing.T) {
 func snapshot(t testing.TB, st *RecordStore) []*flowrec.Record {
 	t.Helper()
 	var all []*flowrec.Record
-	if err := st.SnapshotShards(EveryEpoch, func(seg []byte) error {
+	if err := st.SnapshotShards(func(seg []byte) error {
 		recs, err := flowrec.DecodeSegment(seg)
 		all = append(all, recs...)
 		return err
@@ -148,7 +148,7 @@ func TestFlushLoadRoundTrip(t *testing.T) {
 	addRecord(st, 1, 2, []netsim.NodeID{10, 11}, 100)
 	addRecord(st, 3, 4, []netsim.NodeID{11}, 200)
 	var buf bytes.Buffer
-	if err := st.SnapshotShards(EveryEpoch, func(seg []byte) error { buf.Write(seg); return nil }); err != nil {
+	if err := st.SnapshotShards(func(seg []byte) error { buf.Write(seg); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	st2 := New()

@@ -67,18 +67,19 @@ type TCPSender struct {
 
 	// Loss-recovery state (NewReno-flavoured).
 	state      recoveryState
+	hasRTT     bool
+	finished   bool
+	stopped    bool
 	recoverSeq uint32 // highest sequence outstanding when loss was detected
 	resendNext uint32 // go-back-N cursor after a timeout
 
 	srtt, rttvar simtime.Time
-	hasRTT       bool
 	rto          simtime.Time
-	rtoTimer     eventq.Timer            // generation-counted: safe to Stop after fire
+	rtoDue       simtime.Time            // when the retransmission timer expires; 0: disarmed
+	rtoTimer     eventq.Timer            // the one queued onRTO event, due no later than rtoDue
+	rtoQueued    simtime.Time            // rtoTimer's time; 0: none queued
 	rtoFn        eventq.Func             // s.onRTO, bound once: armRTO runs per segment
 	sentAt       map[uint32]simtime.Time // segment start → send time (for RTT; cleared on retransmit)
-
-	finished bool
-	stopped  bool
 
 	// Stats.
 	Timeouts        int
@@ -239,18 +240,40 @@ func (s *TCPSender) emit(seq uint32, now simtime.Time, retrans bool) {
 	s.armRTO(now)
 }
 
+// armRTO (re)starts the retransmission timer at now+rto. It runs on every
+// segment and every new ACK, so it re-arms lazily: it moves the due time and
+// queues an event only when none is queued at or before it. An event that
+// fires before the due time re-queues itself there (onRTO), so a sender keeps
+// at most one live event queued instead of one cancelled event per segment.
 func (s *TCPSender) armRTO(now simtime.Time) {
+	s.rtoDue = now + s.rto
+	if s.rtoQueued != 0 && s.rtoQueued <= s.rtoDue {
+		return
+	}
 	s.rtoTimer.Stop()
-	s.rtoTimer = s.net.Engine.At(now+s.rto, s.rtoFn)
+	s.queueRTO()
+}
+
+func (s *TCPSender) queueRTO() {
+	s.rtoTimer = s.net.Engine.At(s.rtoDue, s.rtoFn)
+	s.rtoQueued = s.rtoDue
 }
 
 func (s *TCPSender) disarmRTO() {
 	s.rtoTimer.Stop()
 	s.rtoTimer = eventq.Timer{}
+	s.rtoDue, s.rtoQueued = 0, 0
 }
 
 // onRTO fires when the retransmission timer expires: classic Reno timeout.
+// Fired before the due time (the timer was re-armed since it was queued), it
+// only re-queues itself for the due time.
 func (s *TCPSender) onRTO() {
+	s.rtoQueued = 0
+	if now := s.net.Now(); now < s.rtoDue {
+		s.queueRTO()
+		return
+	}
 	if s.finished || s.inflightBytes() == 0 {
 		return
 	}

@@ -4,8 +4,9 @@
 # splice that assembles a host answer from record encodings, the pointer
 # snapshot and slot-list decoders, the bitmap decoders under both (dense and
 # sparse pointer sets), the client's decode of a /headers-batch
-# answer (flowrec segments inside JSON) and the reader of a host /snapshot
-# body (flowrec segments back to back). Arbitrary bytes must
+# answer (flowrec segments inside JSON), the reader of a host /snapshot
+# body (flowrec segments back to back) and the decoders of a /diagnose
+# report's culprit and flow columns. Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
 # input, a failed restore changes nothing — and whatever decodes must survive
 # an encode/decode round trip. A last 5 s drives the event engine's
@@ -22,4 +23,5 @@ go test ./internal/pointer -run '^$' -fuzz FuzzDecodeSlots -fuzztime 5s
 go test ./internal/bitset -run '^$' -fuzz FuzzUnmarshal -fuzztime 5s
 go test ./internal/rpc -run '^$' -fuzz FuzzHeadersBatchAnswer -fuzztime 5s
 go test ./internal/statesync -run '^$' -fuzz FuzzReadSegments -fuzztime 5s
+go test ./internal/cluster -run '^$' -fuzz FuzzReportColumns -fuzztime 5s
 go test ./internal/eventq -run '^$' -fuzz FuzzFireOrder -fuzztime 5s
