@@ -22,8 +22,9 @@
 // (admission counters), GET /healthz. Every JSON route of every role is an
 // rpc.Endpoint: wrong method 405, malformed or oversized body 400.
 // Concurrent queries are bounded by the admission controller
-// (-max-inflight/-max-queue/-queue-wait); overflow queues FIFO with
-// per-alert-kind priority, and rejected/expired queries map to HTTP 429/503.
+// (-max-inflight/-max-queue/-queue-wait); overflow queues FIFO, alert-driven
+// queries ahead of switch investigations, and rejected/expired queries map
+// to HTTP 429/503.
 //
 // Each role is mounted by one constructor (cluster.HostMux, SwitchMux,
 // NewAnalyzerHandler) returning a *cluster.Service: the handler, the metric

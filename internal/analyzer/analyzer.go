@@ -26,9 +26,9 @@ import (
 // sharded, and the in-memory directory serializes per-switch pulls. The
 // analyzer itself imposes no concurrency bound — in a deployment, wrap it
 // in cluster.Admission (what `spd analyzer` serves), which bounds in-flight
-// Runs, queues overflow FIFO with per-alert-kind priority, and fails
-// queued/expired queries with typed errors. Fields must not be mutated
-// while Runs are in flight.
+// Runs, queues overflow FIFO (alert-driven queries ahead of switch
+// investigations), and fails queued/expired queries with typed errors.
+// Fields must not be mutated while Runs are in flight.
 type Analyzer struct {
 	Topo *topo.Topology
 	Dir  Directory

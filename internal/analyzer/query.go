@@ -22,7 +22,7 @@ type Query interface {
 	validate() error
 }
 
-// ContentionQuery debugs a throughput-drop or timeout alert: the §5.1
+// ContentionQuery debugs a throughput-drop alert: the §5.1
 // "too much traffic" procedure (priority contention and microbursts).
 type ContentionQuery struct {
 	Alert hostagent.Alert

@@ -46,14 +46,6 @@ func (s *Set) Set(i int) {
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Clear clears bit i. It panics if i is out of range.
-func (s *Set) Clear(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitset: Clear(%d) out of range [0,%d)", i, s.n))
-	}
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Get reports whether bit i is set. It panics if i is out of range.
 func (s *Set) Get(i int) bool {
 	if i < 0 || i >= s.n {
@@ -99,31 +91,11 @@ func (s *Set) UnionWith(o *Set) {
 	}
 }
 
-// IntersectWith ANDs o into s. Both sets must have the same length.
-func (s *Set) IntersectWith(o *Set) {
-	if s.n != o.n {
-		panic("bitset: IntersectWith size mismatch")
-	}
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
 // Clone returns a deep copy of s.
 func (s *Set) Clone() *Set {
 	c := &Set{n: s.n, words: make([]uint64, len(s.words))}
 	copy(c.words, s.words)
 	return c
-}
-
-// CopyFrom overwrites s with the contents of o. Both sets must have the same
-// length. This is the copy a switch agent takes when snapshotting a slot for
-// the control plane without blocking the data plane.
-func (s *Set) CopyFrom(o *Set) {
-	if s.n != o.n {
-		panic("bitset: CopyFrom size mismatch")
-	}
-	copy(s.words, o.words)
 }
 
 // ForEach calls fn for every set bit in ascending order. It stops early if fn

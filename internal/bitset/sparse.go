@@ -51,16 +51,6 @@ func (s *Sparse) Add(i int) {
 	s.idx[p] = v
 }
 
-// Has reports whether i is a member. It panics if i is out of range.
-func (s *Sparse) Has(i int) bool {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitset: Has(%d) out of range [0,%d)", i, s.n))
-	}
-	v := uint32(i)
-	p := sort.Search(len(s.idx), func(j int) bool { return s.idx[j] >= v })
-	return p < len(s.idx) && s.idx[p] == v
-}
-
 // Reset empties the set, keeping the index capacity for reuse — the
 // O(occupancy) slot-recycle operation (truncation; no per-universe work).
 func (s *Sparse) Reset() { s.idx = s.idx[:0] }

@@ -2,9 +2,9 @@
 // the analyzer + agents into a deployable distributed system. It provides
 //
 //   - Admission, a multi-query admission controller that bounds concurrent
-//     Analyzer.Run calls and queues overflow FIFO with per-alert-kind
-//     priority (the DCM-style coordination of many concurrent monitoring
-//     tasks over one vantage-point fleet);
+//     Analyzer.Run calls and queues overflow FIFO, alert-driven diagnoses
+//     ahead of switch investigations (the DCM-style coordination of many
+//     concurrent monitoring tasks over one vantage-point fleet);
 //   - the JSON wire forms of analyzer queries and reports (wire.go) and the
 //     analyzer service endpoint POST /diagnose that speaks them
 //     (service.go), plus the matching Client;
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"switchpointer/internal/analyzer"
-	"switchpointer/internal/hostagent"
 	"switchpointer/internal/trace"
 )
 
@@ -71,39 +70,22 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 
 // Queue priority classes: FIFO within a class, lower value served first.
 const (
-	prioUrgent     = iota // timeout alerts — a transfer is stuck right now
-	prioAlert             // throughput-drop alerts
+	prioAlert      = iota // alert-driven diagnoses (contention, red lights, cascade)
 	prioBackground        // switch-driven investigations (imbalance, top-k)
 	numPriorities
 )
 
-// priorityOf classifies a query for the overflow queue: hard-failure alerts
-// (TCP timeouts) ahead of throughput-drop alerts, alert-driven diagnoses
-// ahead of operator-initiated switch investigations.
+// priorityOf classifies a query for the overflow queue: alert-driven
+// diagnoses ahead of operator-initiated switch investigations.
 func priorityOf(q analyzer.Query) int {
-	switch q := q.(type) {
-	case analyzer.ContentionQuery:
-		return alertPriority(q.Alert)
-	case *analyzer.ContentionQuery:
-		return alertPriority(q.Alert)
-	case analyzer.RedLightsQuery:
-		return alertPriority(q.Alert)
-	case *analyzer.RedLightsQuery:
-		return alertPriority(q.Alert)
-	case analyzer.CascadeQuery:
-		return alertPriority(q.Alert)
-	case *analyzer.CascadeQuery:
-		return alertPriority(q.Alert)
+	switch q.(type) {
+	case analyzer.ContentionQuery, *analyzer.ContentionQuery,
+		analyzer.RedLightsQuery, *analyzer.RedLightsQuery,
+		analyzer.CascadeQuery, *analyzer.CascadeQuery:
+		return prioAlert
 	default:
 		return prioBackground
 	}
-}
-
-func alertPriority(a hostagent.Alert) int {
-	if a.Kind == hostagent.AlertTimeout {
-		return prioUrgent
-	}
-	return prioAlert
 }
 
 // AdmissionStats is a snapshot of the controller's counters.
@@ -130,10 +112,10 @@ type waiter struct {
 }
 
 // Admission bounds concurrent Runner.Run calls. Queries beyond MaxInFlight
-// queue FIFO within per-alert-kind priority classes; overflow beyond
-// MaxQueued is rejected with ErrRejected, waiters honour their ctx and the
-// configured QueueWait (ErrExpired). All methods are safe for concurrent
-// use.
+// queue FIFO within two priority classes (alert-driven diagnoses first,
+// switch investigations second); overflow beyond MaxQueued is rejected with
+// ErrRejected, waiters honour their ctx and the configured QueueWait
+// (ErrExpired). All methods are safe for concurrent use.
 type Admission struct {
 	run Runner
 	cfg AdmissionConfig

@@ -46,10 +46,6 @@ func (s *stubRunner) Run(ctx context.Context, q analyzer.Query) (*analyzer.Repor
 	return &analyzer.Report{Kind: analyzer.KindInconclusive}, nil
 }
 
-func timeoutQuery() analyzer.Query {
-	return analyzer.ContentionQuery{Alert: hostagent.Alert{Kind: hostagent.AlertTimeout}}
-}
-
 func dropQuery() analyzer.Query {
 	return analyzer.ContentionQuery{Alert: hostagent.Alert{Kind: hostagent.AlertThroughputDrop}}
 }
@@ -103,9 +99,9 @@ func TestAdmissionBoundsInFlight(t *testing.T) {
 	}
 }
 
-// TestAdmissionPriorityOrder pins the overflow queue's per-alert-kind
-// priority: with the slot busy, a queued timeout alert overtakes an earlier
-// queued throughput-drop alert, FIFO within each class.
+// TestAdmissionPriorityOrder pins the overflow queue's two classes: with the
+// slot busy, queued alert-driven queries overtake an earlier queued top-k,
+// FIFO within each class.
 func TestAdmissionPriorityOrder(t *testing.T) {
 	stub := &stubRunner{gate: make(chan struct{}), started: make(chan string, 8)}
 	ad := NewAdmission(stub, AdmissionConfig{MaxInFlight: 1, MaxQueued: 8})
@@ -116,19 +112,15 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 		t.Fatalf("first run %q", got)
 	}
 
-	// Queue a background top-k, then a drop alert, then a timeout alert —
-	// service order must be timeout, drop, top-k.
-	queued := []struct {
-		q    analyzer.Query
-		name string
-	}{
-		{analyzer.TopKQuery{K: 1}, "top-k"},
-		{dropQuery(), "contention"},
-		{timeoutQuery(), "contention"},
+	// Queue a background top-k, then a contention query, then a red-lights
+	// query — service order must be contention, red-lights, top-k.
+	queued := []analyzer.Query{
+		analyzer.TopKQuery{K: 1},
+		dropQuery(),
+		analyzer.RedLightsQuery{Alert: hostagent.Alert{Kind: hostagent.AlertThroughputDrop}},
 	}
-	for n, item := range queued {
-		item := item
-		go func() { _, err := ad.Run(context.Background(), item.q); errs <- err }()
+	for n, q := range queued {
+		go func() { _, err := ad.Run(context.Background(), q); errs <- err }()
 		// Wait until the waiter is actually queued before adding the next,
 		// so arrival order is deterministic.
 		deadline := time.Now().Add(time.Second)
@@ -140,17 +132,11 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 		}
 	}
 
-	stub.gate <- struct{}{} // finish the in-flight drop query
-	if got := <-stub.started; got != "contention" {
-		t.Fatalf("second served %q, want the timeout-alert contention query", got)
-	}
-	stub.gate <- struct{}{}
-	if got := <-stub.started; got != "contention" {
-		t.Fatalf("third served %q, want the drop-alert contention query", got)
-	}
-	stub.gate <- struct{}{}
-	if got := <-stub.started; got != "top-k" {
-		t.Fatalf("fourth served %q, want top-k", got)
+	for i, want := range []string{"contention", "red-lights", "top-k"} {
+		stub.gate <- struct{}{} // finish the query in flight
+		if got := <-stub.started; got != want {
+			t.Fatalf("queued query %d served %q, want %q", i, got, want)
+		}
 	}
 	stub.gate <- struct{}{}
 	for i := 0; i < 4; i++ {

@@ -227,14 +227,10 @@ func AnalyzerRegistry(ad *Admission) *metrics.Registry {
 
 // priorityName labels an admission priority class for metrics.
 func priorityName(p int) string {
-	switch p {
-	case prioUrgent:
-		return "urgent"
-	case prioAlert:
+	if p == prioAlert {
 		return "alert"
-	default:
-		return "background"
 	}
+	return "background"
 }
 
 // admissionObs holds the push-style instruments the admission controller

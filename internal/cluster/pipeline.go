@@ -14,9 +14,9 @@ import (
 // PipelineConfig tunes the alert dedup/rate-limit pipeline in front of
 // admission.
 type PipelineConfig struct {
-	// DedupWindow suppresses an alert whose (kind, flow) matches one
-	// forwarded less than a window ago, measured on the alerts' own
-	// virtual DetectedAt clock. Zero disables deduplication.
+	// DedupWindow suppresses an alert for a flow that had one forwarded
+	// less than a window ago, measured on the alerts' own virtual
+	// DetectedAt clock. Zero disables deduplication.
 	DedupWindow simtime.Time
 	// Rate is the sustained forward rate in alerts per virtual second; the
 	// token bucket refills on the DetectedAt clock. Zero disables rate
@@ -46,16 +46,11 @@ type PipelineStats struct {
 	Forwarded uint64 `json:"forwarded"`
 }
 
-type dedupKey struct {
-	kind hostagent.AlertKind
-	flow netsim.FlowKey
-}
-
 // AlertPipeline sits between a testbed's alert log and the admission
 // controller: it deduplicates alert storms (a congestion event makes every
 // affected transfer raise near-identical alerts), rate-limits the survivors
 // on the alerts' own virtual clock so suppression counts are deterministic
-// for a replayed scenario, and forwards each survivor's diagnosis query
+// for a replayed scenario, and forwards each survivor's contention query
 // (queryFor). All methods are safe for concurrent use; the forward sink runs
 // outside the pipeline's lock, so it may call Admission.Run (or the network)
 // directly.
@@ -69,7 +64,7 @@ type AlertPipeline struct {
 	Flight *trace.FlightRecorder
 
 	mu         sync.Mutex
-	lastSent   map[dedupKey]simtime.Time
+	lastSent   map[netsim.FlowKey]simtime.Time
 	tokens     float64
 	lastRefill simtime.Time
 	primed     bool
@@ -82,7 +77,7 @@ func NewAlertPipeline(cfg PipelineConfig, forward func(analyzer.Query)) *AlertPi
 	return &AlertPipeline{
 		cfg:      cfg.withDefaults(),
 		forward:  forward,
-		lastSent: make(map[dedupKey]simtime.Time),
+		lastSent: make(map[netsim.FlowKey]simtime.Time),
 	}
 }
 
@@ -99,9 +94,8 @@ func (p *AlertPipeline) Offer(a hostagent.Alert) bool {
 	now := a.DetectedAt
 	p.mu.Lock()
 	p.stats.Received++
-	key := dedupKey{kind: a.Kind, flow: a.Flow}
 	if p.cfg.DedupWindow > 0 {
-		if last, ok := p.lastSent[key]; ok && now >= last && now-last < p.cfg.DedupWindow {
+		if last, ok := p.lastSent[a.Flow]; ok && now >= last && now-last < p.cfg.DedupWindow {
 			p.stats.Deduped++
 			p.mu.Unlock()
 			p.recordVerdict(a, "deduped")
@@ -129,7 +123,7 @@ func (p *AlertPipeline) Offer(a hostagent.Alert) bool {
 		}
 		p.tokens--
 	}
-	p.lastSent[key] = now
+	p.lastSent[a.Flow] = now
 	p.stats.Forwarded++
 	p.mu.Unlock()
 
@@ -140,13 +134,9 @@ func (p *AlertPipeline) Offer(a hostagent.Alert) bool {
 	return true
 }
 
-// queryFor maps an alert to the diagnosis it triggers: red-lights for
-// timeouts (where is the transfer stuck), contention for throughput drops
-// (who is stealing the bandwidth).
+// queryFor maps an alert to the diagnosis it triggers: every alert is a
+// throughput drop, so every alert asks who is stealing the bandwidth.
 func queryFor(a hostagent.Alert) analyzer.Query {
-	if a.Kind == hostagent.AlertTimeout {
-		return analyzer.RedLightsQuery{Alert: a}
-	}
 	return analyzer.ContentionQuery{Alert: a}
 }
 

@@ -23,7 +23,7 @@ func stormAlert(f int, t simtime.Time) hostagent.Alert {
 	}
 }
 
-// TestPipelineDedup pins the dedup contract: a (kind, flow) pair forwarded
+// TestPipelineDedup pins the dedup contract: a flow forwarded
 // less than a window ago is suppressed, the window is measured on the
 // alerts' virtual DetectedAt clock, and only actual forwards arm it.
 func TestPipelineDedup(t *testing.T) {
@@ -43,20 +43,14 @@ func TestPipelineDedup(t *testing.T) {
 	if !p.Offer(stormAlert(1, 1500*simtime.Millisecond)) {
 		t.Fatal("alert beyond window suppressed")
 	}
-	// Same flow, different kind: a distinct dedup key.
-	timeout := stormAlert(1, 1600*simtime.Millisecond)
-	timeout.Kind = hostagent.AlertTimeout
-	if !p.Offer(timeout) {
-		t.Fatal("distinct kind suppressed")
-	}
 
 	st := p.Stats()
-	want := PipelineStats{Received: 5, Deduped: 1, Forwarded: 4}
+	want := PipelineStats{Received: 4, Deduped: 1, Forwarded: 3}
 	if st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
 	}
-	if len(got) != 4 {
-		t.Fatalf("forward sink saw %d alerts, want 4", len(got))
+	if len(got) != 3 {
+		t.Fatalf("forward sink saw %d alerts, want 3", len(got))
 	}
 }
 
@@ -90,7 +84,7 @@ func TestPipelineRateLimit(t *testing.T) {
 }
 
 // TestPipelineEnrichment drives a real scenario alert through the pipeline:
-// the alert kind maps to the right forwarded query.
+// it is forwarded as a contention query.
 func TestPipelineEnrichment(t *testing.T) {
 	s, err := BuildScenarioOpt("redlights", 0, 0, scenario.Options{})
 	if err != nil {
@@ -110,16 +104,8 @@ func TestPipelineEnrichment(t *testing.T) {
 	if !p.Offer(alert) {
 		t.Fatal("alert suppressed by empty config")
 	}
-	// The scenario's trigger is a throughput-drop alert → contention query.
 	if _, ok := got.(analyzer.ContentionQuery); !ok {
 		t.Fatalf("throughput-drop alert mapped to %T, want ContentionQuery", got)
-	}
-
-	timeout := alert
-	timeout.Kind = hostagent.AlertTimeout
-	p.Offer(timeout)
-	if _, ok := got.(analyzer.RedLightsQuery); !ok {
-		t.Fatalf("timeout alert mapped to %T, want RedLightsQuery", got)
 	}
 }
 

@@ -13,8 +13,6 @@ type AlertFilter struct {
 	Flow netsim.FlowKey
 	// Host restricts delivery to alerts raised by one host (zero = any).
 	Host netsim.IPv4
-	// Kind restricts delivery to one alert kind (zero = any).
-	Kind AlertKind
 }
 
 // Match reports whether the filter accepts the alert.
@@ -23,9 +21,6 @@ func (f AlertFilter) Match(a Alert) bool {
 		return false
 	}
 	if f.Host != 0 && a.Host != f.Host {
-		return false
-	}
-	if f.Kind != 0 && a.Kind != f.Kind {
 		return false
 	}
 	return true

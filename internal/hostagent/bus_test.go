@@ -6,8 +6,8 @@ import (
 	"switchpointer/internal/netsim"
 )
 
-func alertFor(flow netsim.FlowKey, host netsim.IPv4, kind AlertKind) Alert {
-	return Alert{Kind: kind, Flow: flow, Host: host}
+func alertFor(flow netsim.FlowKey, host netsim.IPv4) Alert {
+	return Alert{Kind: AlertThroughputDrop, Flow: flow, Host: host}
 }
 
 func TestBusFanOutAndFilters(t *testing.T) {
@@ -18,13 +18,13 @@ func TestBusFanOutAndFilters(t *testing.T) {
 	all1 := b.Subscribe(AlertFilter{})
 	all2 := b.Subscribe(AlertFilter{})
 	onlyA := b.Subscribe(AlertFilter{Flow: flowA})
-	onlyTimeouts := b.Subscribe(AlertFilter{Kind: AlertTimeout})
+	onlyB := b.Subscribe(AlertFilter{Flow: flowB})
 	onlyHost := b.Subscribe(AlertFilter{Host: flowB.Dst})
 
-	if n := b.Publish(alertFor(flowA, flowA.Dst, AlertThroughputDrop)); n != 3 {
+	if n := b.Publish(alertFor(flowA, flowA.Dst)); n != 3 {
 		t.Fatalf("first publish delivered to %d subscribers, want 3", n)
 	}
-	if n := b.Publish(alertFor(flowB, flowB.Dst, AlertTimeout)); n != 4 {
+	if n := b.Publish(alertFor(flowB, flowB.Dst)); n != 4 {
 		t.Fatalf("second publish delivered to %d subscribers, want 4", n)
 	}
 
@@ -37,8 +37,8 @@ func TestBusFanOutAndFilters(t *testing.T) {
 	if len(onlyA) != 1 || (<-onlyA).Flow != flowA {
 		t.Fatalf("flow filter leaked")
 	}
-	if len(onlyTimeouts) != 1 || (<-onlyTimeouts).Kind != AlertTimeout {
-		t.Fatalf("kind filter leaked")
+	if len(onlyB) != 1 || (<-onlyB).Flow != flowB {
+		t.Fatalf("second flow filter leaked")
 	}
 	if len(onlyHost) != 1 || (<-onlyHost).Host != flowB.Dst {
 		t.Fatalf("host filter leaked")
@@ -50,11 +50,11 @@ func TestBusDropsOnFullBuffer(t *testing.T) {
 	ch := b.Subscribe(AlertFilter{})
 	flow := netsim.FlowKey{Src: netsim.IP(10, 0, 0, 1), Dst: netsim.IP(10, 0, 0, 2), SrcPort: 1, DstPort: 2, Proto: 6}
 	for i := 0; i < DefaultSubscriptionBuffer; i++ {
-		if n := b.Publish(alertFor(flow, flow.Dst, AlertThroughputDrop)); n != 1 {
+		if n := b.Publish(alertFor(flow, flow.Dst)); n != 1 {
 			t.Fatalf("publish %d delivered to %d, want 1", i, n)
 		}
 	}
-	if n := b.Publish(alertFor(flow, flow.Dst, AlertThroughputDrop)); n != 0 {
+	if n := b.Publish(alertFor(flow, flow.Dst)); n != 0 {
 		t.Fatalf("overflow publish delivered to %d, want 0", n)
 	}
 	if b.Dropped() != 1 {
@@ -69,7 +69,7 @@ func TestBusClose(t *testing.T) {
 	b := NewBus()
 	flow := netsim.FlowKey{Src: netsim.IP(10, 0, 0, 1), Dst: netsim.IP(10, 0, 0, 2), SrcPort: 1, DstPort: 2, Proto: 6}
 	ch := b.Subscribe(AlertFilter{})
-	b.Publish(alertFor(flow, flow.Dst, AlertThroughputDrop))
+	b.Publish(alertFor(flow, flow.Dst))
 	b.Close()
 	b.Close() // idempotent
 
@@ -81,7 +81,7 @@ func TestBusClose(t *testing.T) {
 		t.Fatalf("channel not closed")
 	}
 	// Publishing after close is discarded, not a panic.
-	if n := b.Publish(alertFor(flow, flow.Dst, AlertThroughputDrop)); n != 0 {
+	if n := b.Publish(alertFor(flow, flow.Dst)); n != 0 {
 		t.Fatalf("publish after close delivered %d", n)
 	}
 	// Subscribing after close yields an already-closed channel.

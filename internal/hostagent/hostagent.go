@@ -56,18 +56,14 @@ func (c Config) withDefaults() Config {
 // AlertKind classifies what the trigger saw.
 type AlertKind uint8
 
-// Alert kinds.
-const (
-	AlertThroughputDrop AlertKind = iota + 1
-	AlertTimeout
-)
+// AlertThroughputDrop is the one alert kind: the trigger saw a flow's
+// throughput drop (§5.1). Its String form seeds alert-driven trace IDs.
+const AlertThroughputDrop AlertKind = 1
 
 func (k AlertKind) String() string {
 	switch k {
 	case AlertThroughputDrop:
 		return "throughput-drop"
-	case AlertTimeout:
-		return "tcp-timeout"
 	default:
 		return fmt.Sprintf("alert(%d)", uint8(k))
 	}

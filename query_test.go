@@ -274,7 +274,7 @@ func TestSubscribeMultiSubscriber(t *testing.T) {
 
 	sub1 := tb.Subscribe(AlertFilter{})
 	sub2 := tb.Subscribe(AlertFilter{})
-	noMatch := tb.Subscribe(AlertFilter{Kind: AlertTimeout})
+	noMatch := tb.Subscribe(AlertFilter{Host: tb.Host("L3").IP()}) // L3 sends and receives nothing
 	tb.Run(120 * Millisecond)
 	tb.Close()
 
@@ -302,7 +302,7 @@ func TestSubscribeMultiSubscriber(t *testing.T) {
 		}
 	}
 	if len(got3) != 0 {
-		t.Fatalf("kind filter leaked %d alerts", len(got3))
+		t.Fatalf("host filter leaked %d alerts", len(got3))
 	}
 	// Subscribe must deliver the same first-alert AlertFor reports.
 	polled, ok := tb.AlertFor(victim)

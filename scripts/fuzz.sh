@@ -11,17 +11,21 @@
 # input, a failed restore changes nothing — and whatever decodes must survive
 # an encode/decode round trip. A last 5 s drives the event engine's
 # ordering model from fuzz bytes: whatever the schedule, stops and run
-# calls, events fire in time order, ties in schedule order. `make fuzz` and scripts/verify.sh both run
+# calls, events fire in time order, ties in schedule order. Every leg caps
+# minimisation of a new interesting input at 100 runs
+# (-fuzzminimizetime=100x): at the default 60 s a short leg spends most of
+# its time minimising at 0 execs/s. A crasher still fails its leg; only its
+# minimisation is shorter. `make fuzz` and scripts/verify.sh both run
 # this script, so a new target is added here once.
 set -eu
 cd "$(dirname "$0")/.."
 
-go test ./internal/store -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s
-go test ./internal/flowrec -run '^$' -fuzz FuzzSpliceSegment -fuzztime 5s
-go test ./internal/pointer -run '^$' -fuzz FuzzRestore -fuzztime 5s
-go test ./internal/pointer -run '^$' -fuzz FuzzDecodeSlots -fuzztime 5s
-go test ./internal/bitset -run '^$' -fuzz FuzzUnmarshal -fuzztime 5s
-go test ./internal/rpc -run '^$' -fuzz FuzzHeadersBatchAnswer -fuzztime 5s
-go test ./internal/statesync -run '^$' -fuzz FuzzReadSegments -fuzztime 5s
-go test ./internal/cluster -run '^$' -fuzz FuzzReportColumns -fuzztime 5s
-go test ./internal/eventq -run '^$' -fuzz FuzzFireOrder -fuzztime 5s
+go test ./internal/store -run '^$' -fuzz FuzzDecodeSegment -fuzztime 10s -fuzzminimizetime=100x
+go test ./internal/flowrec -run '^$' -fuzz FuzzSpliceSegment -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/pointer -run '^$' -fuzz FuzzRestore -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/pointer -run '^$' -fuzz FuzzDecodeSlots -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/bitset -run '^$' -fuzz FuzzUnmarshal -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/rpc -run '^$' -fuzz FuzzHeadersBatchAnswer -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/statesync -run '^$' -fuzz FuzzReadSegments -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/cluster -run '^$' -fuzz FuzzReportColumns -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/eventq -run '^$' -fuzz FuzzFireOrder -fuzztime 5s -fuzzminimizetime=100x

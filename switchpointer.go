@@ -133,7 +133,7 @@ type (
 	Query = analyzer.Query
 	// Report is the unified answer envelope every query kind returns.
 	Report = analyzer.Report
-	// ContentionQuery debugs a throughput-drop or timeout alert (§5.1).
+	// ContentionQuery debugs a throughput-drop alert (§5.1).
 	ContentionQuery = analyzer.ContentionQuery
 	// RedLightsQuery debugs accumulated per-switch degradation (§5.2).
 	RedLightsQuery = analyzer.RedLightsQuery
@@ -192,11 +192,8 @@ const (
 	KindInconclusive       = analyzer.KindInconclusive
 )
 
-// Alert kinds.
-const (
-	AlertThroughputDrop = hostagent.AlertThroughputDrop
-	AlertTimeout        = hostagent.AlertTimeout
-)
+// AlertThroughputDrop is the one alert kind the host trigger raises (§5.1).
+const AlertThroughputDrop = hostagent.AlertThroughputDrop
 
 // Top-k query modes.
 const (
