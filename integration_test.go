@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"switchpointer/internal/analyzer"
+	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
@@ -158,8 +159,8 @@ func TestIntegrationHostChurn(t *testing.T) {
 	// R2's bit remains set for the old epochs — stale but harmless: the
 	// analyzer simply contacts a host that reports no matching records.
 	agR2 := tb.HostAgents[r2.IP()]
-	recs := agR2.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: sl.NodeID(), Epochs: simtime.EpochRange{Lo: 1000, Hi: 1001}}})[0].Records
-	if len(recs) != 0 {
+	ans := agR2.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: sl.NodeID(), Epochs: simtime.EpochRange{Lo: 1000, Hi: 1001}}})[0]
+	if n, err := flowrec.SegmentRecords(ans.Segment); err != nil || n != 0 {
 		t.Fatalf("silent host returned future records")
 	}
 

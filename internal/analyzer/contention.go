@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/rpc"
@@ -86,52 +87,61 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 	culprits := &culpritIndex{}
 	var coldHosts []netsim.IPv4
 	var coldRecs []int
+	var corrupt error // an answer whose segment did not read to the end
 	sawHigher := false
 	sawEqual := false
-	for i := 0; i < dispatched; i++ {
+	for i := 0; i < dispatched && corrupt == nil; i++ {
 		ip := contact[i]
 		scanned := 0
 		coldSegs := 0
 		coldReturned := 0
 		for qi, ans := range answers[i] {
 			tup := alert.Tuples[qi]
-			scanned += len(ans.Records)
+			// The answer's records are read in place, never decoded.
+			c := flowrec.NewCursor(ans.Segment)
+			scanned += c.Len()
 			coldSegs += ans.ColdSegments
 			coldReturned += ans.ColdReturned
 			d.ColdSegments += ans.ColdSegments
 			d.ColdSkippedByIndex += ans.ColdSkippedByIndex
 			d.TieredSegments += ans.TieredSegments
-			for _, rec := range ans.Records {
-				if rec.Flow == alert.Flow {
+			for c.Next() {
+				flow := c.Flow()
+				if flow == alert.Flow {
 					continue
 				}
-				er, _ := rec.EpochsAt(tup.Switch)
+				er, _ := c.EpochsAt(tup.Switch)
 				if !er.Overlaps(tup.Epochs) {
 					continue
 				}
 				// Contention requires sharing an output queue at this
 				// switch, not merely co-traversal.
-				if !a.sharesEgress(tup.Switch, alert.Flow.Dst, rec.Flow.Dst) {
+				if !a.sharesEgress(tup.Switch, alert.Flow.Dst, flow.Dst) {
 					continue
 				}
-				c := Culprit{
-					Flow:     rec.Flow,
-					Priority: rec.Priority,
-					Bytes:    rec.BytesIn(intersect(er, tup.Epochs)),
+				overlap := intersect(er, tup.Epochs)
+				cu := Culprit{
+					Flow:     flow,
+					Priority: c.Priority(),
+					Bytes:    c.BytesIn(overlap),
 					Switch:   tup.Switch,
 					Host:     ip,
-					Overlap:  intersect(er, tup.Epochs),
+					Overlap:  overlap,
 				}
-				if c.Bytes == 0 {
-					c.Bytes = rec.Bytes
+				if cu.Bytes == 0 {
+					cu.Bytes = c.Bytes()
 				}
-				culprits.add(d, c)
+				culprits.add(d, cu)
 				switch {
-				case c.Priority > victimPrio:
+				case cu.Priority > victimPrio:
 					sawHigher = true
-				case c.Priority == victimPrio:
+				case cu.Priority == victimPrio:
 					sawEqual = true
 				}
+			}
+			if err := c.Err(); err != nil {
+				corrupt = fmt.Errorf("host %v, answer %d: %w", ip, qi, err)
+				break
 			}
 		}
 		recCounts[i] = scanned
@@ -146,13 +156,16 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 			coldRecs = append(coldRecs, coldReturned)
 		}
 	}
-	if cerr != nil {
+	if cerr != nil || corrupt != nil {
 		chargePartial(d, "diagnosis", contact, recCounts)
 		// The dispatched prefix's cold scans happened too: charge them so a
 		// partial report never carries ColdSegments without the matching
 		// round (the Report.ColdSegments invariant holds even cancelled).
 		if len(coldHosts) > 0 {
 			clock.HostsQueried(rpc.PhaseColdReadBack, coldHosts, coldRecs)
+		}
+		if corrupt != nil {
+			return aborted(d, ctx, corrupt, "host queries")
 		}
 		return cancelled(d, ctx, "host queries")
 	}

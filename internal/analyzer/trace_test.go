@@ -1,12 +1,15 @@
 package analyzer_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 
 	"switchpointer/internal/analyzer"
+	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/scenario"
@@ -24,6 +27,62 @@ type cancelOnHeaders struct {
 func (c cancelOnHeaders) HeadersRound(ctx context.Context, workers int, hosts []netsim.IPv4, queries []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, int, error) {
 	c.cancel()
 	return c.HostBackend.HeadersRound(ctx, workers, hosts, queries)
+}
+
+// corruptHeaders wraps a HostBackend and spoils the last byte of the first
+// answer segment that holds a record, as a faulty host or link might, and
+// names the host it came from.
+type corruptHeaders struct {
+	analyzer.HostBackend
+	host *netsim.IPv4
+}
+
+func (c corruptHeaders) HeadersRound(ctx context.Context, workers int, hosts []netsim.IPv4, queries []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, int, error) {
+	answers, dispatched, err := c.HostBackend.HeadersRound(ctx, workers, hosts, queries)
+	for i := range dispatched {
+		for qi, ans := range answers[i] {
+			if n, _ := flowrec.SegmentRecords(ans.Segment); n > 0 {
+				seg := bytes.Clone(ans.Segment)
+				seg[len(seg)-1] = 0xff // the last varint now runs off the end
+				answers[i][qi].Segment = seg
+				*c.host = hosts[i]
+				return answers, dispatched, err
+			}
+		}
+	}
+	return answers, dispatched, err
+}
+
+// TestCorruptAnswerAbortsDiagnosis: an answer segment that does not read to
+// the end aborts the diagnosis with an error naming the host it came from —
+// never a panic, never a report built from part of an answer.
+func TestCorruptAnswerAbortsDiagnosis(t *testing.T) {
+	s, err := scenario.NewRedLights(scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := s.Testbed
+	defer tb.Close()
+	tb.Run(30 * simtime.Millisecond)
+	alert, ok := tb.AlertFor(s.Victim)
+	if !ok {
+		t.Fatal("victim never triggered")
+	}
+	var host netsim.IPv4
+	saved := tb.Analyzer.HostBack
+	tb.Analyzer.HostBack = corruptHeaders{HostBackend: saved, host: &host}
+	defer func() { tb.Analyzer.HostBack = saved }()
+
+	rep, err := tb.Analyzer.Run(context.Background(), analyzer.RedLightsQuery{Alert: alert})
+	if host == 0 {
+		t.Fatal("no answer held a record to spoil")
+	}
+	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), host.String()) {
+		t.Fatalf("err = %v, want a corrupt-answer error naming host %v", err, host)
+	}
+	if rep == nil || !strings.HasPrefix(rep.Conclusion, "host queries failed") || rep.Kind != analyzer.KindInconclusive {
+		t.Fatalf("report = %+v, want an inconclusive one that says the host queries failed", rep)
+	}
 }
 
 // TestCancelledDiagnosisTraceWellFormed: a diagnosis cut by context

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"switchpointer/internal/analyzer"
+	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/pointer"
@@ -350,6 +351,20 @@ func switchIDs(tb *scenario.Testbed) []netsim.NodeID {
 	return ids
 }
 
+// answerRecords decodes an answer's segment into the records it carries, nil
+// when none.
+func answerRecords(t testing.TB, ans hostagent.HeadersAnswer) []*flowrec.Record {
+	t.Helper()
+	recs, err := flowrec.DecodeSegment(ans.Segment)
+	if err != nil {
+		t.Fatalf("answer segment: %v", err)
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	return recs
+}
+
 // hostAnswers canonicalizes one agent's answers for all five host query
 // kinds — headers, top-k and flow sizes at every switch, record and
 // priority of every flow — leaving out the cold counters, which say what an
@@ -360,7 +375,7 @@ func hostAnswers(t *testing.T, ag *hostagent.Agent, switches []netsim.NodeID, fl
 	out := map[string]any{}
 	for _, sw := range switches {
 		key := fmt.Sprint(sw)
-		out["headers/"+key] = ag.QueryHeadersMulti(ctx, []hostagent.HeadersQuery{{Switch: sw, Epochs: store.EveryEpoch}})[0].Records
+		out["headers/"+key] = answerRecords(t, ag.QueryHeadersMulti(ctx, []hostagent.HeadersQuery{{Switch: sw, Epochs: store.EveryEpoch}})[0])
 		out["topk/"+key] = ag.QueryTopK(ctx, sw, 100)
 		out["flowsizes/"+key] = ag.QueryFlowSizes(ctx, sw)
 	}

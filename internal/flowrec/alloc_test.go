@@ -126,9 +126,10 @@ func TestSpliceAndScratchAllocs(t *testing.T) {
 }
 
 // TestFilteredDecodeAllocs pins what a scan saves over a decode: a
-// 256-record ScanSegment costs its scratch record and nothing sized by the
-// segment, since every admitted record is handed out as its encoding. Past
-// 64 admitted records the list of where they lie grows once, off the stack.
+// 256-record ScanSegment costs its cursor and nothing sized by the segment,
+// since no record is filled and every admitted one is handed out in place.
+// Past 64 admitted records the list of where they lie grows once, off the
+// stack. A ValidateSegment walk allocates nothing.
 func TestFilteredDecodeAllocs(t *testing.T) {
 	enc := mustEncode(t, segment256())
 	const runs = 50
@@ -144,7 +145,7 @@ func TestFilteredDecodeAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(runs, func() {
-			if _, err := ScanSegment(enc, everyNth(n), func(*Record, []byte) {}); err != nil {
+			if _, err := ScanSegment(enc, everyNth(n), func(*Cursor) {}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -154,10 +155,18 @@ func TestFilteredDecodeAllocs(t *testing.T) {
 			t.Fatalf("a scan admitting %d of 256 records costs %.0f allocations and %.0f B, want ≤ %.0f and ≤ %.0f B", k, allocs, bytes, wantAllocs, wantBytes)
 		}
 	}
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if n, err := ValidateSegment(enc); err != nil || n != 256 {
+			t.Fatal(n, err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a validating walk of 256 records costs %.0f allocations, want 0", allocs)
+	}
 }
 
-// BenchmarkDecodeSegment decodes one 256-record segment whole, and scans it
-// through a predicate that admits one record in ten.
+// BenchmarkDecodeSegment decodes one 256-record segment whole, scans it
+// through a predicate that admits one record in ten, and walks it with a
+// cursor.
 func BenchmarkDecodeSegment(b *testing.B) {
 	enc := mustEncode(b, segment256())
 	b.Run("full", func(b *testing.B) {
@@ -171,7 +180,15 @@ func BenchmarkDecodeSegment(b *testing.B) {
 	b.Run("one-in-ten", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := ScanSegment(enc, everyNth(10), func(*Record, []byte) {}); err != nil {
+			if _, err := ScanSegment(enc, everyNth(10), func(*Cursor) {}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("walk", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := ValidateSegment(enc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -146,13 +146,13 @@ func DecodeSegment(b []byte) ([]*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := decoder{b: body, npath: npath, nepoch: nepoch,
+	d := decoder{reader: reader{b: body}, npath: npath, nepoch: nepoch,
 		paths: make([]netsim.NodeID, npath), epochs: make([]simtime.EpochRange, nepoch)}
 	slab := make([]Record, nrec)
 	out := make([]*Record, nrec)
 	for i := range slab {
 		out[i] = &slab[i]
-		if d.record(out[i], true); d.bad {
+		if d.record(out[i]); d.bad {
 			break
 		}
 	}
@@ -162,50 +162,54 @@ func DecodeSegment(b []byte) ([]*Record, error) {
 	return out, nil
 }
 
-// ScanSegment validates segment b as DecodeSegment does, then calls fn, in
-// order, for every record keep admits (nil admits all) with the record — a
-// scratch holding every field but EpochBytes — and its encoding within b,
-// both valid only during the call. It returns the segment's record count; on
-// an error fn is never called. It is how a record leaves a segment as bytes:
-// the cold tier's matches join a host answer this way, undecoded.
-func ScanSegment(b []byte, keep func(*Record) bool, fn func(r *Record, enc []byte)) (int, error) {
-	body, nrec, npath, nepoch, err := segmentBody(b)
-	if err != nil {
-		return 0, err
+// ScanSegment walks segment b with a Cursor, calling keep (nil admits all) at
+// every record, in order, and once the whole segment has walked clean calls
+// fn, in order, with the cursor at each record keep admitted. The cursor is
+// valid only during a call, and neither may advance it. It returns the
+// segment's record count; on an error fn is never called. It is how a record
+// leaves a segment as bytes: the cold tier's matches join a host answer this
+// way, never decoded.
+func ScanSegment(b []byte, keep func(*Cursor) bool, fn func(*Cursor)) (int, error) {
+	c := new(Cursor) // one allocation: it escapes through keep and fn
+	if *c = NewCursor(b); c.err != nil {
+		return 0, c.err
 	}
-	if keep == nil {
-		keep = func(*Record) bool { return true }
-	}
-	// A validating pass decodes every record into the scratch (EpochBytes
-	// aside), runs keep on it, and notes where each admitted record lies;
-	// fn runs only once the whole body has matched the header's counts.
+	// The walk notes where each admitted record lies; fn runs only once the
+	// whole body has matched the header's counts.
+	body := b[SegmentHeaderLen:]
 	var spanBuf [64]span // on the stack: most answers admit fewer records
 	spans := spanBuf[:0]
-	sc := new(Scratch) // one allocation: it escapes through keep and fn
-	d := decoder{b: body, npath: npath, nepoch: nepoch}
-	for range nrec {
-		at := len(body) - len(d.b)
-		d.paths, d.epochs = sc.paths[:], sc.epochs[:]
-		if d.record(&sc.rec, false); d.bad {
-			break
-		}
-		if keep(&sc.rec) {
+	for c.Next() {
+		if keep == nil || keep(c) {
 			if len(spans) == cap(spans) {
-				spans = slices.Grow(spans, nrec-len(spans)) // at most once
+				spans = slices.Grow(spans, c.n-len(spans)) // at most once
 			}
-			spans = append(spans, span{at, len(body) - len(d.b)})
+			hi := len(body) - len(c.b)
+			spans = append(spans, span{hi - len(c.rec), hi})
 		}
 	}
-	if err := d.check(); err != nil {
+	if err := c.Err(); err != nil {
 		return 0, err
 	}
 	for _, s := range spans {
-		enc := body[s.lo:s.hi:s.hi]
-		d = decoder{b: enc, npath: len(enc), nepoch: len(enc), paths: sc.paths[:], epochs: sc.epochs[:]}
-		d.record(&sc.rec, false)
-		fn(&sc.rec, enc)
+		c.at(body[s.lo:s.hi:s.hi])
+		fn(c)
 	}
-	return nrec, nil
+	return c.n, nil
+}
+
+// ValidateSegment walks segment b with a Cursor and returns its record count.
+// It accepts exactly what DecodeSegment decodes, allocating nothing and
+// filling no record: the check a segment gets where it crosses a trust
+// boundary.
+func ValidateSegment(b []byte) (int, error) {
+	c := NewCursor(b)
+	for c.Next() {
+	}
+	if err := c.Err(); err != nil {
+		return 0, err
+	}
+	return c.Len(), nil
 }
 
 // SpliceSegment appends one segment whose records are encs, in order, each
@@ -308,12 +312,16 @@ func FlowOf(enc []byte) netsim.FlowKey {
 	}
 }
 
+// PriorityOf returns the priority byte that closes a record encoding's
+// fixed-width prefix, which enc must hold, as FlowOf's.
+func PriorityOf(enc []byte) uint8 { return enc[fixedRecordLen-1] }
+
 // DecodeRecord decodes enc, exactly one record as AppendRecord writes it,
 // into a fresh record the caller owns.
 func DecodeRecord(enc []byte) (*Record, error) {
 	r := new(Record)
-	d := decoder{b: enc, npath: len(enc), nepoch: len(enc)}
-	if d.record(r, true); d.bad || len(d.b) != 0 {
+	d := decoder{reader: reader{b: enc}, npath: len(enc), nepoch: len(enc)}
+	if d.record(r); d.bad || len(d.b) != 0 {
 		return nil, errors.New("flowrec: corrupt record encoding")
 	}
 	return r, nil
@@ -336,8 +344,8 @@ func (s *Scratch) Decode(enc []byte) (*Record, error) {
 	if s.bytes == nil {
 		s.bytes = make(map[simtime.Epoch]uint64)
 	}
-	d := decoder{b: enc, npath: len(enc), nepoch: len(enc), paths: s.paths[:], epochs: s.epochs[:], eb: s.bytes}
-	if d.record(&s.rec, true); d.bad || len(d.b) != 0 {
+	d := decoder{reader: reader{b: enc}, npath: len(enc), nepoch: len(enc), paths: s.paths[:], epochs: s.epochs[:], eb: s.bytes}
+	if d.record(&s.rec); d.bad || len(d.b) != 0 {
 		return nil, errors.New("flowrec: corrupt record encoding")
 	}
 	return &s.rec, nil
@@ -363,24 +371,20 @@ func segmentBody(b []byte) (body []byte, nrec, npath, nepoch int, err error) {
 // span is where one record's encoding lies within a segment body.
 type span struct{ lo, hi int }
 
-// decoder is a bounds-checked cursor with a sticky failure: after the first
-// short or out-of-range read every read returns zero; bad is checked once.
-// npath and nepoch count what the header still declares; records cut their
-// Path and Epochs from the fronts of paths and epochs, and a non-nil eb is
-// the map a kept EpochBytes reuses.
+// decoder fills records from a segment body. npath and nepoch count what the
+// header still declares; records cut their Path and Epochs from the fronts of
+// paths and epochs, and a non-nil eb is the map a kept EpochBytes reuses.
 type decoder struct {
-	b             []byte
-	bad           bool
+	reader
 	npath, nepoch int
 	paths         []netsim.NodeID
 	epochs        []simtime.EpochRange
 	eb            map[simtime.Epoch]uint64
 }
 
-// record decodes the record at the cursor into r. The EpochBytes pairs are
-// always validated, but kept only withBytes: in d.eb, cleared, or else in a
-// new map.
-func (d *decoder) record(r *Record, withBytes bool) {
+// record decodes the next record of the body into r, EpochBytes in d.eb,
+// cleared, or else in a new map.
+func (d *decoder) record(r *Record) {
 	if len(d.b) < fixedRecordLen {
 		d.bad = true
 		return
@@ -396,7 +400,7 @@ func (d *decoder) record(r *Record, withBytes bool) {
 	r.LastSeen = simtime.Time(zigzag(d.uvarint()))
 	r.Path, r.Epochs, r.EpochBytes = nil, nil, nil
 	// Counts are bounded by what the header still declares. A buffer short of
-	// one is a filtered pass's scratch, never a slab.
+	// one is a scratch's, or a lone record's, never a slab.
 	n := int(d.bounded(uint64(d.npath)))
 	if d.npath -= n; n > 0 {
 		if len(d.paths) < n {
@@ -420,20 +424,15 @@ func (d *decoder) record(r *Record, withBytes bool) {
 	}
 	// An entry takes two bytes or more, which bounds the map's size.
 	if n := d.bounded(uint64(len(d.b)/2) + 1); n > 0 {
-		if withBytes {
-			if r.EpochBytes = d.eb; r.EpochBytes != nil {
-				clear(r.EpochBytes)
-			} else {
-				r.EpochBytes = make(map[simtime.Epoch]uint64, n-1)
-			}
+		if r.EpochBytes = d.eb; r.EpochBytes != nil {
+			clear(r.EpochBytes)
+		} else {
+			r.EpochBytes = make(map[simtime.Epoch]uint64, n-1)
 		}
 		for j, prev := uint64(1), simtime.Epoch(0); j < n; j++ {
 			e := simtime.Epoch(zigzag(d.uvarint()))
 			d.bad = d.bad || (j > 1 && e <= prev) // the encoder's list is sorted
-			v := d.uvarint()
-			if withBytes {
-				r.EpochBytes[e] = v
-			}
+			r.EpochBytes[e] = d.uvarint()
 			prev = e
 		}
 	}
@@ -443,35 +442,45 @@ func (d *decoder) record(r *Record, withBytes bool) {
 // said it would.
 func (d *decoder) check() error {
 	if d.bad || len(d.b) != 0 || d.npath != 0 || d.nepoch != 0 {
-		return errors.New("flowrec: corrupt segment: body does not match the header's counts")
+		return errCorruptBody
 	}
 	return nil
 }
 
+var errCorruptBody = errors.New("flowrec: corrupt segment: body does not match the header's counts")
+
+// reader is a bounds-checked varint reader with a sticky failure: after the
+// first short or out-of-range read every read returns zero; bad is checked
+// once.
+type reader struct {
+	b   []byte
+	bad bool
+}
+
 // uvarint reads one uvarint, as binary.Uvarint does but small enough to
 // inline: a record is two dozen of them.
-func (d *decoder) uvarint() uint64 {
+func (r *reader) uvarint() uint64 {
 	var v uint64
-	for i, c := range d.b {
+	for i, c := range r.b {
 		if c < 0x80 {
 			if i > 9 || i == 9 && c > 1 { // past 64 bits
 				break
 			}
-			d.b = d.b[i+1:]
+			r.b = r.b[i+1:]
 			return v | uint64(c)<<(7*i)
 		}
 		v |= uint64(c&0x7f) << (7 * i)
 	}
-	d.b, d.bad = nil, true
+	r.b, r.bad = nil, true
 	return 0
 }
 
 // bounded reads one uvarint no greater than limit.
-func (d *decoder) bounded(limit uint64) uint64 {
-	if v := d.uvarint(); v <= limit {
+func (r *reader) bounded(limit uint64) uint64 {
+	if v := r.uvarint(); v <= limit {
 		return v
 	}
-	d.b, d.bad = nil, true
+	r.b, r.bad = nil, true
 	return 0
 }
 

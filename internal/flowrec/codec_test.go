@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -119,14 +121,18 @@ func TestDecodeSegmentRejectsCorrupt(t *testing.T) {
 	decodes := func(b []byte) bool {
 		t.Helper()
 		_, errAll := DecodeSegment(b)
-		_, errNone := ScanSegment(b, everyNth(0), func(*Record, []byte) {})
-		_, errSome := ScanSegment(b, everyNth(2), func(*Record, []byte) {})
-		if (errAll == nil) != (errNone == nil) || (errAll == nil) != (errSome == nil) {
-			t.Fatalf("a scan disagrees with the decode: %v / %v / %v", errAll, errNone, errSome)
+		_, errNone := ScanSegment(b, everyNth(0), func(*Cursor) {})
+		_, errSome := ScanSegment(b, everyNth(2), func(*Cursor) {})
+		_, errWalk := ValidateSegment(b)
+		if (errAll == nil) != (errNone == nil) || (errAll == nil) != (errSome == nil) || (errAll == nil) != (errWalk == nil) {
+			t.Fatalf("a scan or walk disagrees with the decode: %v / %v / %v / %v", errAll, errNone, errSome, errWalk)
 		}
 		return errAll == nil
 	}
 	// Every truncation, with and without a header patched to match it.
+	if !decodes(enc) {
+		t.Fatal("the intact segment does not decode")
+	}
 	for n := 0; n < len(enc); n++ {
 		if decodes(enc[:n]) {
 			t.Fatalf("truncation to %d bytes decoded", n)
@@ -202,9 +208,9 @@ func segment256() []*Record {
 
 // everyNth admits records whose segment index is a multiple of n (none when
 // n is 0), counting its own calls — keep is called once per record, in order.
-func everyNth(n int) func(*Record) bool {
+func everyNth(n int) func(*Cursor) bool {
 	i := -1
-	return func(*Record) bool {
+	return func(*Cursor) bool {
 		i++
 		return n > 0 && i%n == 0
 	}
@@ -213,7 +219,7 @@ func everyNth(n int) func(*Record) bool {
 // TestFilteredDecodeIsFilteredFullDecode: ScanSegment with a keep hands
 // out exactly the full decode's records that keep admits, in order, as
 // encodings DecodeRecord turns back into those records, and returns the
-// segment's record count; keep sees each record's fields except EpochBytes.
+// segment's record count; keep's cursor reads each record as decoded.
 func TestFilteredDecodeIsFilteredFullDecode(t *testing.T) {
 	for name, recs := range map[string][]*Record{"shapes": codecRecords(), "256": segment256(), "empty": nil} {
 		enc := mustEncode(t, recs)
@@ -231,17 +237,19 @@ func TestFilteredDecodeIsFilteredFullDecode(t *testing.T) {
 			admit := everyNth(n)
 			seen := 0
 			var got []*Record
-			count, err := ScanSegment(enc, func(r *Record) bool {
-				if r.EpochBytes != nil || r.Flow != full[seen].Flow || !reflect.DeepEqual(r.Path, full[seen].Path) ||
-					!reflect.DeepEqual(r.Epochs, full[seen].Epochs) || r.Bytes != full[seen].Bytes || r.LastSeen != full[seen].LastSeen {
-					t.Fatalf("%s: keep saw %+v for record %d, want %+v without EpochBytes", name, r, seen, full[seen])
+			count, err := ScanSegment(enc, func(c *Cursor) bool {
+				if diff := cursorMismatch(c, full[seen]); diff != "" {
+					t.Fatalf("%s: keep's cursor at record %d: %s", name, seen, diff)
 				}
 				seen++
-				return admit(r)
-			}, func(_ *Record, enc []byte) {
-				r, err := DecodeRecord(enc)
+				return admit(c)
+			}, func(c *Cursor) {
+				r, err := DecodeRecord(c.Encoding())
 				if err != nil {
 					t.Fatal(err)
+				}
+				if diff := cursorMismatch(c, r); diff != "" {
+					t.Fatalf("%s: fn's cursor: %s", name, diff)
 				}
 				got = append(got, r)
 			})
@@ -249,6 +257,77 @@ func TestFilteredDecodeIsFilteredFullDecode(t *testing.T) {
 				t.Fatalf("%s, every %dth: got %d of %d records (keep saw %d), %v; want %d", name, n, len(got), count, seen, err, len(want))
 			}
 		}
+	}
+}
+
+// cursorMismatch says how c's record differs from r, or returns "". It asks
+// EpochsAt at every switch on r's path and at two off it, and BytesIn over
+// every epoch r counts, its neighbours, everything and nothing.
+func cursorMismatch(c *Cursor, r *Record) string {
+	got, err := DecodeRecord(c.Encoding())
+	if err != nil || !reflect.DeepEqual(got, r) {
+		return fmt.Sprintf("encoding decodes to %+v, %v; want %+v", got, err, r)
+	}
+	if c.Flow() != r.Flow || c.Priority() != r.Priority || c.Bytes() != r.Bytes || c.TagLink() != r.TagLink {
+		return fmt.Sprintf("flow %v priority %d bytes %d link %d; want %v %d %d %d",
+			c.Flow(), c.Priority(), c.Bytes(), c.TagLink(), r.Flow, r.Priority, r.Bytes, r.TagLink)
+	}
+	for _, sw := range append([]netsim.NodeID{-1, 1 << 30}, r.Path...) {
+		er, ok := c.EpochsAt(sw)
+		if wantER, wantOK := r.EpochsAt(sw); er != wantER || ok != wantOK {
+			return fmt.Sprintf("EpochsAt(%d) = %v, %v; want %v, %v", sw, er, ok, wantER, wantOK)
+		}
+	}
+	windows := []simtime.EpochRange{{Lo: math.MinInt64, Hi: math.MaxInt64}, {Lo: 1, Hi: 0}}
+	for e := range r.EpochBytes {
+		windows = append(windows, simtime.EpochRange{Lo: e, Hi: e}, simtime.EpochRange{Lo: e - 1, Hi: e - 1},
+			simtime.EpochRange{Lo: e + 1, Hi: e + 1}, simtime.EpochRange{Lo: e, Hi: math.MaxInt64})
+	}
+	for _, w := range windows {
+		if got, want := c.BytesIn(w), r.BytesIn(w); got != want {
+			return fmt.Sprintf("BytesIn(%v) = %d; want %d", w, got, want)
+		}
+	}
+	return ""
+}
+
+// TestCursorReadsEveryRecord: a cursor over a segment reads each record as
+// its decode does, counts the header's records, and stops clean at the end.
+func TestCursorReadsEveryRecord(t *testing.T) {
+	for name, recs := range map[string][]*Record{"shapes": codecRecords(), "256": segment256(), "empty": nil} {
+		c := NewCursor(mustEncode(t, recs))
+		i := 0
+		for ; c.Next(); i++ {
+			if diff := cursorMismatch(&c, recs[i]); diff != "" {
+				t.Fatalf("%s, record %d: %s", name, i, diff)
+			}
+		}
+		if c.Err() != nil || i != len(recs) || c.Len() != len(recs) || c.Next() {
+			t.Fatalf("%s: walked %d of %d records (Len %d): %v", name, i, len(recs), c.Len(), c.Err())
+		}
+	}
+}
+
+// TestCursorErrorSticks: a corrupt record stops the walk where it lies,
+// after the records before it, and every later Next is false.
+func TestCursorErrorSticks(t *testing.T) {
+	recs := codecRecords()
+	seg := mustEncode(t, recs)
+	bad := bytes.Clone(seg)
+	bad[len(bad)-1] = 0xff // the last record's last varint runs off the end
+	c := NewCursor(bad)
+	i := 0
+	for c.Next() {
+		i++
+	}
+	if c.Err() == nil || i != len(recs)-1 || c.Next() || c.Encoding() != nil {
+		t.Fatalf("walked %d records of a segment corrupt in record %d, error %v", i, len(recs)-1, c.Err())
+	}
+	if c := NewCursor(seg[:SegmentHeaderLen-1]); c.Next() || c.Err() == nil || c.Len() != 0 {
+		t.Fatalf("a short header walked: Len %d, %v", c.Len(), c.Err())
+	}
+	if c := NewCursor(nil); c.Next() || c.Err() == nil {
+		t.Fatal("a nil segment walked")
 	}
 }
 
@@ -327,11 +406,8 @@ func TestScanSegmentHandsOutEncodings(t *testing.T) {
 	recs := segment256()
 	seg := mustEncode(t, recs)
 	var got [][]byte
-	n, err := ScanSegment(seg, everyNth(3), func(r *Record, enc []byte) {
-		if r.Flow != FlowOf(enc) {
-			t.Fatalf("record %v handed with the encoding of %v", r.Flow, FlowOf(enc))
-		}
-		got = append(got, bytes.Clone(enc))
+	n, err := ScanSegment(seg, everyNth(3), func(c *Cursor) {
+		got = append(got, bytes.Clone(c.Encoding()))
 	})
 	if err != nil || n != len(recs) {
 		t.Fatalf("ScanSegment = %d, %v", n, err)
@@ -345,7 +421,7 @@ func TestScanSegmentHandsOutEncodings(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scan handed %d encodings, want %d, or different bytes", len(got), len(want))
 	}
-	if _, err := ScanSegment(seg[:len(seg)-1], nil, func(*Record, []byte) { t.Fatal("fn called on a corrupt segment") }); err == nil {
+	if _, err := ScanSegment(seg[:len(seg)-1], nil, func(*Cursor) { t.Fatal("fn called on a corrupt segment") }); err == nil {
 		t.Fatal("a truncated segment scanned")
 	}
 }
@@ -355,15 +431,20 @@ func TestScanSegmentHandsOutEncodings(t *testing.T) {
 // splice; and a corrupted one fails the splice or the spliced segment's
 // decode, or decodes to as many records — never a panic. Any input taken as
 // one range either fails, or splices into a segment of one record at most.
+// A cursor over every segment that splices — ranges with a record's layout
+// but values out of range included — never panics, and walks clean exactly
+// when the segment decodes.
 func FuzzSpliceSegment(f *testing.F) {
 	for _, recs := range [][]*Record{codecRecords(), segment256()[:3], nil} {
 		f.Add(mustEncode(f, recs), uint16(0), uint16(1), byte(0x40))
 	}
 	f.Fuzz(func(t *testing.T, seg []byte, pick, at uint16, flip byte) {
 		if one, err := SpliceSegment(nil, [][]byte{seg}); err == nil {
-			if recs, err := DecodeSegment(one); err == nil && len(recs) != 1 {
+			recs, err := DecodeSegment(one)
+			if err == nil && len(recs) != 1 {
 				t.Fatalf("one spliced range decodes to %d records", len(recs))
 			}
+			walkCursor(t, one, recs, err)
 		}
 		recs, err := DecodeSegment(seg)
 		if err != nil {
@@ -389,9 +470,37 @@ func FuzzSpliceSegment(f *testing.F) {
 		encs[i] = bytes.Clone(enc)
 		encs[i][int(at)%len(enc)] ^= flip
 		if out, err := SpliceSegment(nil, encs); err == nil {
-			if again, err := DecodeSegment(out); err == nil && len(again) != len(recs) {
+			again, err := DecodeSegment(out)
+			if err == nil && len(again) != len(recs) {
 				t.Fatalf("a spliced corrupted range decodes to %d of %d records", len(again), len(recs))
 			}
+			walkCursor(t, out, again, err)
 		}
 	})
+}
+
+// walkCursor walks seg with a cursor, calling every accessor at every
+// record, and checks that the walk ends clean exactly when decodeErr is nil,
+// reading each of recs, seg's decode, as decoded.
+func walkCursor(t *testing.T, seg []byte, recs []*Record, decodeErr error) {
+	t.Helper()
+	c := NewCursor(seg)
+	i := 0
+	for ; c.Next(); i++ {
+		if decodeErr == nil {
+			if diff := cursorMismatch(&c, recs[i]); diff != "" {
+				t.Fatalf("record %d: %s", i, diff)
+			}
+			continue
+		}
+		c.Flow()
+		c.Priority()
+		c.Bytes()
+		c.TagLink()
+		c.EpochsAt(netsim.NodeID(i))
+		c.BytesIn(simtime.EpochRange{Lo: math.MinInt64, Hi: math.MaxInt64})
+	}
+	if (c.Err() == nil) != (decodeErr == nil) || (decodeErr == nil && i != len(recs)) {
+		t.Fatalf("the cursor walked %d records, %v; the decode: %d records, %v", i, c.Err(), len(recs), decodeErr)
+	}
 }

@@ -38,11 +38,25 @@
 // EpochBytes stays nil (an empty one stays empty), so a record's JSON
 // survives the round trip.
 //
+// # Reading in place
+//
+// A Cursor (cursor.go) walks a segment's records without decoding them: Next
+// checks each record as DecodeSegment would, and Flow, Priority, Bytes,
+// TagLink, EpochsAt and BytesIn answer from its bytes, beside the record's
+// Encoding — what a diagnosis reads of a host answer, with no allocation and
+// no Record filled. Its first fault sticks (Err), and a walk to the end
+// checks the body against the header's counts, so ValidateSegment — a walk
+// and nothing else — accepts exactly what DecodeSegment decodes. A segment is
+// walked clean once where it crosses a trust boundary (ScanSegment off disk,
+// ValidateSegment off the wire); bytes this process spliced from its own
+// encodings are read without that second pass. DecodeSegment and
+// DecodeRecord remain for where a whole record is the answer.
+//
 // ScanSegment hands out only the records its keep predicate admits (nil
-// admits all). keep runs once per record, in order, on a scratch record
-// holding every field but EpochBytes; it must not retain it. A rejected
-// record is still validated in full, so a segment scans exactly when
-// DecodeSegment decodes it.
+// admits all). keep runs once per record, in order, on the cursor at the
+// record; it must not retain or advance it. A rejected record is still
+// validated in full, so a segment scans exactly when DecodeSegment decodes
+// it.
 package flowrec
 
 import (

@@ -358,22 +358,24 @@ func (q HeadersQuery) wantsFlow(f netsim.FlowKey) bool {
 	return len(q.Flows) == 0 || slices.Contains(q.Flows, f)
 }
 
-// matches reports whether rec answers the query: the flow is wanted and was
-// seen at the query's switch during its window.
-func (q HeadersQuery) matches(rec *flowrec.Record) bool {
+// matches reports whether the record at c answers the query: the flow is
+// wanted and was seen at the query's switch during its window.
+func (q HeadersQuery) matches(c *flowrec.Cursor) bool {
 	if q.anySwitch {
-		return q.wantsFlow(rec.Flow)
+		return q.wantsFlow(c.Flow())
 	}
-	er, ok := rec.EpochsAt(q.Switch)
-	return ok && er.Overlaps(q.Epochs) && q.wantsFlow(rec.Flow)
+	er, ok := c.EpochsAt(q.Switch)
+	return ok && er.Overlaps(q.Epochs) && q.wantsFlow(c.Flow())
 }
 
-// HeadersAnswer is one host's reply to a HeadersQuery: the matching records
-// plus the cold read-back accounting the analyzer needs to charge honestly.
+// HeadersAnswer is one host's reply to a HeadersQuery: the matching records,
+// as one flowrec segment in flow-key order that a flowrec.Cursor reads in
+// place, plus the cold read-back accounting the analyzer needs to charge
+// honestly.
 // ColdSegments counts flushed segments this query had to decode (0 when the
 // whole window was answered from the hot resident set); ColdRecords counts
-// the records decoded from them (the host-local scan work, not just the
-// matches). ColdReturned counts the records in Records that were recovered
+// the records walked in them (the host-local scan work, not just the
+// matches). ColdReturned counts the records in Segment that were recovered
 // from cold segments rather than the hot store — the part of the answer
 // that actually crosses the wire in the extra round, and therefore what
 // the analyzer sizes that round by (the same returned-records basis the
@@ -384,7 +386,7 @@ func (q HeadersQuery) matches(rec *flowrec.Record) bool {
 // segments whose manifests matched but whose payloads were tiered out of
 // cold storage: data the answer honestly does NOT include.
 type HeadersAnswer struct {
-	Records            []*flowrec.Record
+	Segment            []byte
 	ColdSegments       int
 	ColdRecords        int
 	ColdReturned       int
@@ -393,17 +395,17 @@ type HeadersAnswer struct {
 }
 
 // AnswerHeaders answers each query with one flowrec segment of the records
-// matching it, in flow-key order — segs[i] answers qs[i], and answers[i]
-// carries its cold accounting with Records nil: the "filter headers for
-// packets that match a (switchID, epochID) pair" primitive that
-// SwitchPointer's whole debugging flow builds on, in the form the wire
-// carries. No record is materialised: an encoded record's stored bytes are
-// copied, a live one is encoded under its shard read lock, and cold matches
-// are copied out of their segments. It answers several queries in one pass —
-// the per-round primitive: a contention alert carries one HeadersQuery per
-// alert tuple, and answering them together reads each overlapping cold
-// segment ONCE instead of once per tuple. Every answer — records, order, and
-// cold accounting (each query is charged as if it had scanned the segments
+// matching it, in flow-key order, with its cold accounting — answers[i]
+// answers qs[i]: the "filter headers for packets that match a (switchID,
+// epochID) pair" primitive that SwitchPointer's whole debugging flow builds
+// on, in the form the wire carries. No record is materialised: an encoded
+// record's stored bytes are copied, a live one is encoded under its shard
+// read lock, and cold matches are copied out of their segments; the answers'
+// segments share one buffer. It answers several queries in one pass — the
+// per-round primitive: a contention alert carries one HeadersQuery per alert
+// tuple, and answering them together reads each overlapping cold segment
+// ONCE instead of once per tuple. Every answer — records, order, and cold
+// accounting (each query is charged as if it had scanned the segments
 // itself: the virtual-time cost contract is per query even though the
 // physical read is shared) — is byte-identical to asking each query alone.
 //
@@ -415,13 +417,13 @@ type HeadersAnswer struct {
 // report what that cost, and the analyzer charges one extra virtual-time
 // round for it. With no cold reader — or a window answered entirely hot —
 // the answer is byte-identical to the pre-read-back behaviour.
-func (a *Agent) AnswerHeaders(ctx context.Context, qs []HeadersQuery) (answers []HeadersAnswer, segs [][]byte, err error) {
-	answers, segs = make([]HeadersAnswer, len(qs)), make([][]byte, len(qs))
-	_, err = a.answerHeaders(ctx, qs, answers, nil, func(qi int, seg []byte) error {
-		segs[qi] = seg
+func (a *Agent) AnswerHeaders(ctx context.Context, qs []HeadersQuery) ([]HeadersAnswer, error) {
+	answers := make([]HeadersAnswer, len(qs))
+	_, err := a.answerHeaders(ctx, qs, answers, nil, func(qi int, seg []byte) error {
+		answers[qi].Segment = seg
 		return nil
 	})
-	return answers, segs, err
+	return answers, err
 }
 
 // answerHeaders charges each query's cold accounting to out and splices its
@@ -489,30 +491,20 @@ func (sc *answerScratch) release() {
 	answerScratchPool.Put(sc)
 }
 
-// QueryHeadersMulti is AnswerHeaders with every segment decoded into its
-// answer's Records (nil when nothing matched): the form the in-memory plane
-// hands the analyzer, and one answer path with the wire's. The segments are
-// spliced into a pooled buffer: decoded records never alias it.
+// QueryHeadersMulti is AnswerHeaders for the in-memory plane, one answer
+// path with the wire's. Its segments reach the analyzer as spliced, with no
+// second check: every range in them is the store's own AppendRecord bytes or
+// a cold range ScanSegment walked clean. A failure to answer is reported and
+// answers nothing, as a host that cannot be reached does.
 func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []HeadersAnswer {
-	out := make([]HeadersAnswer, len(qs))
-	buf := segmentPool.Get().(*[]byte)
-	segs, err := a.answerHeaders(ctx, qs, out, (*buf)[:0], func(qi int, seg []byte) error {
-		recs, err := flowrec.DecodeSegment(seg)
-		if len(recs) > 0 {
-			out[qi].Records = recs
-		}
-		return err
-	})
-	if *buf = segs; cap(segs) <= 1<<20 {
-		segmentPool.Put(buf)
-	}
+	answers, err := a.AnswerHeaders(ctx, qs)
 	if err != nil {
-		// Unreachable short of a 4 GiB answer: the store's bytes are
-		// AppendRecord's, and the cold ranges passed ScanSegment.
+		// Unreachable short of a 4 GiB answer, since SpliceSegment's layout
+		// check holds for all such ranges.
 		a.reportError(err)
-		return make([]HeadersAnswer, len(qs))
+		return nil
 	}
-	return out
+	return answers
 }
 
 var segmentPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -541,25 +533,25 @@ func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer, encs [][][]byte
 	// is gone); they are reported as TieredSegments so the answer's gap is
 	// honest. A record some interested query matches is copied out of its
 	// segment once, as bytes; each query then keeps its own matches in
-	// segment order.
+	// segment order. Records are read in place by a cursor, never decoded.
 	cold := make([][][]byte, len(qs))
 	var copied []byte
 	var interested []int
-	keep := func(rec *flowrec.Record) bool {
+	keep := func(c *flowrec.Cursor) bool {
 		for _, qi := range interested {
-			if qs[qi].matches(rec) {
+			if qs[qi].matches(c) {
 				return true
 			}
 		}
 		return false
 	}
-	collect := func(rec *flowrec.Record, enc []byte) {
+	collect := func(c *flowrec.Cursor) {
 		var own []byte
 		for _, qi := range interested {
-			if qs[qi].matches(rec) {
+			if qs[qi].matches(c) {
 				if own == nil {
 					start := len(copied)
-					copied = append(copied, enc...)
+					copied = append(copied, c.Encoding()...)
 					own = copied[start:len(copied):len(copied)]
 				}
 				cold[qi] = append(cold[qi], own)
@@ -642,17 +634,30 @@ func mergeCold(hot, cold [][]byte) ([][]byte, int) {
 	return append(merged, hot[h:]...), taken
 }
 
-// switchRecords calls fn for every record of a flow seen at switch sw: the
-// hot store's records or, with a cold reader installed, QueryHeadersMulti's
-// hot + cold answer over every epoch (a flow answered hot stays hot; for a
-// flow evicted twice the last segment wins).
-func (a *Agent) switchRecords(ctx context.Context, sw netsim.NodeID, fn func(*flowrec.Record)) {
+// switchRecords calls fn with the flow, byte count and tag link of every
+// record of a flow seen at switch sw: the hot store's records or, with a cold
+// reader installed, AnswerHeaders' hot + cold answer over every epoch, read
+// in place (a flow answered hot stays hot; for a flow evicted twice the last
+// segment wins).
+func (a *Agent) switchRecords(ctx context.Context, sw netsim.NodeID, fn func(flow netsim.FlowKey, bytes uint64, link topo.LinkID)) {
 	if a.cold == nil {
-		a.Store.QueryWindow(sw, store.EveryEpoch, fn)
+		a.Store.QueryWindow(sw, store.EveryEpoch, func(r *flowrec.Record) { fn(r.Flow, r.Bytes, r.TagLink) })
 		return
 	}
-	for _, r := range a.QueryHeadersMulti(ctx, []HeadersQuery{{Switch: sw, Epochs: store.EveryEpoch}})[0].Records {
-		fn(r)
+	var out [1]HeadersAnswer
+	buf := segmentPool.Get().(*[]byte)
+	seg, err := a.answerHeaders(ctx, []HeadersQuery{{Switch: sw, Epochs: store.EveryEpoch}}, out[:], (*buf)[:0], func(_ int, seg []byte) error {
+		c := flowrec.NewCursor(seg)
+		for c.Next() {
+			fn(c.Flow(), c.Bytes(), c.TagLink())
+		}
+		return c.Err()
+	})
+	if *buf = seg; cap(seg) <= 1<<20 {
+		segmentPool.Put(buf)
+	}
+	if err != nil {
+		a.reportError(err)
 	}
 }
 
@@ -672,8 +677,8 @@ func (a *Agent) QueryTopK(ctx context.Context, sw netsim.NodeID, k int) []FlowBy
 		return nil
 	}
 	out := []FlowBytes{} // an empty answer is [] on the wire, not null
-	a.switchRecords(ctx, sw, func(r *flowrec.Record) {
-		out = append(out, FlowBytes{Flow: r.Flow, Bytes: r.Bytes})
+	a.switchRecords(ctx, sw, func(flow netsim.FlowKey, bytes uint64, _ topo.LinkID) {
+		out = append(out, FlowBytes{Flow: flow, Bytes: bytes})
 	})
 	slices.SortFunc(out, func(x, y FlowBytes) int {
 		if c := cmp.Compare(y.Bytes, x.Bytes); c != 0 {
@@ -702,8 +707,8 @@ func (a *Agent) QueryFlowSizes(ctx context.Context, sw netsim.NodeID) []FlowSize
 		return nil
 	}
 	out := []FlowSize{} // an empty answer is [] on the wire, not null
-	a.switchRecords(ctx, sw, func(r *flowrec.Record) {
-		out = append(out, FlowSize{Flow: r.Flow, Bytes: r.Bytes, Link: r.TagLink})
+	a.switchRecords(ctx, sw, func(flow netsim.FlowKey, bytes uint64, link topo.LinkID) {
+		out = append(out, FlowSize{Flow: flow, Bytes: bytes, Link: link})
 	})
 	slices.SortFunc(out, func(x, y FlowSize) int { return flowrec.Compare(x.Flow, y.Flow) })
 	return out
@@ -760,9 +765,7 @@ func (a *Agent) QueryPriority(ctx context.Context, flow netsim.FlowKey) (uint8, 
 		return prio, true
 	}
 	if enc, ok := a.coldRecord(flow); ok {
-		if rec, err := flowrec.DecodeRecord(enc); err == nil {
-			return rec.Priority, true
-		}
+		return flowrec.PriorityOf(enc), true // read in place: the scan checked enc
 	}
 	return 0, false
 }

@@ -187,6 +187,21 @@ func TestTriggerCooldownSuppressesDuplicates(t *testing.T) {
 	}
 }
 
+// AnswerRecords decodes an answer's segment into the records it carries, nil
+// when none: the decoded record is the oracle the in-place readers are
+// checked against.
+func AnswerRecords(t testing.TB, ans HeadersAnswer) []*flowrec.Record {
+	t.Helper()
+	recs, err := flowrec.DecodeSegment(ans.Segment)
+	if err != nil {
+		t.Fatalf("answer segment: %v", err)
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	return recs
+}
+
 func TestQueryHeaders(t *testing.T) {
 	net, tp, agents := testbed(t)
 	src, _ := tp.HostByName("h1-1")
@@ -198,16 +213,16 @@ func TestQueryHeaders(t *testing.T) {
 	ag := agents[dst.IP()]
 	s2, _ := tp.SwitchByName("S2")
 
-	recs := ag.QueryHeadersMulti(context.Background(), []HeadersQuery{{Switch: s2.NodeID(), Epochs: simtime.EpochRange{Lo: 0, Hi: 5}}})[0].Records
+	recs := AnswerRecords(t, ag.QueryHeadersMulti(context.Background(), []HeadersQuery{{Switch: s2.NodeID(), Epochs: simtime.EpochRange{Lo: 0, Hi: 5}}})[0])
 	if len(recs) != 1 || recs[0].Flow != flow {
 		t.Fatalf("QueryHeadersMulti = %v", recs)
 	}
 	// Epoch window far in the future matches nothing.
-	if recs := ag.QueryHeadersMulti(context.Background(), []HeadersQuery{{Switch: s2.NodeID(), Epochs: simtime.EpochRange{Lo: 1000, Hi: 2000}}})[0].Records; len(recs) != 0 {
+	if recs := AnswerRecords(t, ag.QueryHeadersMulti(context.Background(), []HeadersQuery{{Switch: s2.NodeID(), Epochs: simtime.EpochRange{Lo: 1000, Hi: 2000}}})[0]); len(recs) != 0 {
 		t.Fatalf("future epochs should match nothing")
 	}
 	// Unknown switch matches nothing.
-	if recs := ag.QueryHeadersMulti(context.Background(), []HeadersQuery{{Switch: 999, Epochs: simtime.EpochRange{Lo: 0, Hi: 5}}})[0].Records; len(recs) != 0 {
+	if recs := AnswerRecords(t, ag.QueryHeadersMulti(context.Background(), []HeadersQuery{{Switch: 999, Epochs: simtime.EpochRange{Lo: 0, Hi: 5}}})[0]); len(recs) != 0 {
 		t.Fatalf("unknown switch should match nothing")
 	}
 }
@@ -234,11 +249,11 @@ func TestQueryHeadersOrderAndFreshness(t *testing.T) {
 
 	net.RunUntil(30 * simtime.Millisecond)
 	late := simtime.EpochRange{Lo: 7, Hi: 8} // no packet has seen these epochs yet
-	if recs := ag.QueryHeadersMulti(ctx, []HeadersQuery{{Switch: s2.NodeID(), Epochs: late}})[0].Records; len(recs) != 0 {
+	if recs := AnswerRecords(t, ag.QueryHeadersMulti(ctx, []HeadersQuery{{Switch: s2.NodeID(), Epochs: late}})[0]); len(recs) != 0 {
 		t.Fatalf("epochs 7-8 answered %d records at t=30ms", len(recs))
 	}
 	net.Run()
-	recs := ag.QueryHeadersMulti(ctx, []HeadersQuery{{Switch: s2.NodeID(), Epochs: late}})[0].Records
+	recs := AnswerRecords(t, ag.QueryHeadersMulti(ctx, []HeadersQuery{{Switch: s2.NodeID(), Epochs: late}})[0])
 	if len(recs) != flows {
 		t.Fatalf("after the flows ran through epochs 7-8 the query answers %d of %d", len(recs), flows)
 	}
@@ -248,7 +263,7 @@ func TestQueryHeadersOrderAndFreshness(t *testing.T) {
 		}
 	}
 	only := []netsim.FlowKey{keys[31], keys[2]}
-	recs = ag.QueryHeadersMulti(ctx, []HeadersQuery{{Switch: s2.NodeID(), Epochs: late, Flows: only}})[0].Records
+	recs = AnswerRecords(t, ag.QueryHeadersMulti(ctx, []HeadersQuery{{Switch: s2.NodeID(), Epochs: late, Flows: only}})[0])
 	if len(recs) != 2 || recs[0].Flow != keys[2] || recs[1].Flow != keys[31] {
 		t.Fatalf("restricted answer = %v", recs)
 	}

@@ -16,11 +16,24 @@ import (
 	"switchpointer/internal/store"
 )
 
+// modelAnswer is a HeadersAnswer with its segment decoded.
+type modelAnswer struct {
+	Records []*flowrec.Record
+	hostagent.HeadersAnswer
+}
+
+// decoded is ans as a modelAnswer: its segment decoded, then dropped.
+func decoded(t testing.TB, ans hostagent.HeadersAnswer) modelAnswer {
+	m := modelAnswer{Records: hostagent.AnswerRecords(t, ans), HeadersAnswer: ans}
+	m.Segment = nil
+	return m
+}
+
 // modelQueryHeadersMulti is QueryHeadersMulti as it was before cold
-// segments were decoded through a predicate: every segment decoded whole,
-// per-query maps of hot flows and recovered records, one sort at the end.
-// It is the reference the sorted merge must reproduce exactly.
-func modelQueryHeadersMulti(st *store.RecordStore, rd store.ColdReader, qs []hostagent.HeadersQuery) []hostagent.HeadersAnswer {
+// segments were read in place: every segment decoded whole, per-query maps
+// of hot flows and recovered records, one sort at the end. It is the
+// reference the sorted merge must reproduce exactly, as decoded records.
+func modelQueryHeadersMulti(st *store.RecordStore, rd store.ColdReader, qs []hostagent.HeadersQuery) []modelAnswer {
 	wants := func(q hostagent.HeadersQuery, f netsim.FlowKey) bool {
 		if len(q.Flows) == 0 {
 			return true
@@ -32,7 +45,7 @@ func modelQueryHeadersMulti(st *store.RecordStore, rd store.ColdReader, qs []hos
 		}
 		return false
 	}
-	out := make([]hostagent.HeadersAnswer, len(qs))
+	out := make([]modelAnswer, len(qs))
 	for qi, q := range qs {
 		st.QueryWindow(q.Switch, q.Epochs, func(rec *flowrec.Record) {
 			if wants(q, rec.Flow) {
@@ -73,8 +86,8 @@ func modelQueryHeadersMulti(st *store.RecordStore, rd store.ColdReader, qs []hos
 			continue
 		}
 		var recs []*flowrec.Record
-		if _, err := view.ReadSegment(i, nil, func(_ *flowrec.Record, enc []byte) {
-			if rec, err := flowrec.DecodeRecord(enc); err == nil {
+		if _, err := view.ReadSegment(i, nil, func(c *flowrec.Cursor) {
+			if rec, err := flowrec.DecodeRecord(c.Encoding()); err == nil {
 				recs = append(recs, rec)
 			}
 		}); err != nil {
@@ -110,8 +123,8 @@ func modelQueryHeadersMulti(st *store.RecordStore, rd store.ColdReader, qs []hos
 // TestQueryHeadersMultiMatchesModel: random hot stores over random segment
 // logs — flows evicted twice or more, flows both hot and cold, a flow twice
 // in one segment, unindexed and tiered segments — queried with
-// random windows, switches and flow restrictions. Every answer, records and
-// all five counters, must deep-equal the model's.
+// random windows, switches and flow restrictions. Every answer, its segment's
+// decoded records and all five counters, must deep-equal the model's.
 func TestQueryHeadersMultiMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -186,7 +199,11 @@ func TestQueryHeadersMultiMatchesModel(t *testing.T) {
 					}
 				}
 			}
-			got := ag.QueryHeadersMulti(context.Background(), qs)
+			answers := ag.QueryHeadersMulti(context.Background(), qs)
+			got := make([]modelAnswer, len(answers))
+			for qi, ans := range answers {
+				got[qi] = decoded(t, ans)
+			}
 			want := modelQueryHeadersMulti(st, log, qs)
 			if !reflect.DeepEqual(got, want) {
 				for qi := range qs {
@@ -199,7 +216,7 @@ func TestQueryHeadersMultiMatchesModel(t *testing.T) {
 	}
 }
 
-func summary(a hostagent.HeadersAnswer) string {
+func summary(a modelAnswer) string {
 	s := fmt.Sprintf("segments %d records %d returned %d skipped %d tiered %d; nil=%v",
 		a.ColdSegments, a.ColdRecords, a.ColdReturned, a.ColdSkippedByIndex, a.TieredSegments, a.Records == nil)
 	for _, r := range a.Records {

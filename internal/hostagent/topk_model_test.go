@@ -50,7 +50,7 @@ func forEachCold(t *testing.T, rd store.ColdReader, fn func(*flowrec.Record)) {
 	view := rd.View()
 	defer view.Close()
 	for i := 0; i < view.Len(); i++ {
-		if _, err := view.ReadSegment(i, nil, func(_ *flowrec.Record, enc []byte) { fn(decodeRecord(t, enc)) }); err != nil {
+		if _, err := view.ReadSegment(i, nil, func(c *flowrec.Cursor) { fn(decodeRecord(t, c.Encoding())) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -47,10 +47,13 @@ import (
 // imports trace, so it cannot call back). They share AllowMethod where they
 // check a method. Records cross both kinds in one codec: the snapshots'
 // frames and the /headers-batch and /record answers all carry flowrec
-// segments — inside the JSON routes as a []byte
-// field, which encoding/json writes as base64 — never records as JSON
-// objects, so one fuzzed, bounded decoder (flowrec.DecodeSegment) reads every
-// record that arrives.
+// segments — inside the JSON routes as a []byte field, which encoding/json
+// writes as base64 — never records as JSON objects. Every arriving segment
+// is checked once, by one of the codec's fuzzed, bounded readers: a
+// /headers-batch answer by the validating walk (flowrec.ValidateSegment),
+// after which the analyzer reads it in place (flowrec.Cursor); a /record
+// answer or a snapshot frame, where a whole record is the point, by the
+// decode that makes its records.
 
 // HeadersRequest asks a host for records matching (switch, epoch range).
 // Flows, when non-empty, restricts the answer to those flow keys and lets
@@ -70,8 +73,8 @@ type HeadersRequest struct {
 // segments the manifest index excluded without decoding; TieredSegments
 // counts matching segments whose payloads were tiered out of cold storage
 // (data the answer honestly does not include). It is hostagent.HeadersAnswer
-// with Records carried as Segment: one flowrec segment of the records in
-// answer order (base64 in the JSON), the codec disk and /snapshot use.
+// on the wire: Segment is one flowrec segment of the records in answer order
+// (base64 in the JSON), the codec disk and /snapshot use.
 type HeadersResponse struct {
 	Segment            []byte `json:"segment"`
 	ColdSegments       int    `json:"cold_segments,omitempty"`
@@ -84,7 +87,7 @@ type HeadersResponse struct {
 // HeadersBatchRequest asks a host to answer several header queries in one
 // request — the per-round form: a contention alert carries one query per
 // alert tuple, and batching them means one HTTP round trip per host per
-// round and one cold-segment decode pass (hostagent.QueryHeadersMulti)
+// round and one pass over the host's cold segments (hostagent.AnswerHeaders)
 // instead of one per tuple.
 type HeadersBatchRequest struct {
 	Queries []HeadersRequest `json:"queries"`
@@ -98,11 +101,11 @@ type HeadersBatchResponse struct {
 
 // newHeadersBatchResponse is the host half of the answers' codec: each
 // answer's segment, as hostagent.AnswerHeaders built it, ships as it is.
-func newHeadersBatchResponse(answers []hostagent.HeadersAnswer, segs [][]byte) HeadersBatchResponse {
+func newHeadersBatchResponse(answers []hostagent.HeadersAnswer) HeadersBatchResponse {
 	resp := HeadersBatchResponse{Answers: make([]HeadersResponse, len(answers))}
 	for i, ans := range answers {
 		resp.Answers[i] = HeadersResponse{
-			Segment:            segs[i],
+			Segment:            ans.Segment,
 			ColdSegments:       ans.ColdSegments,
 			ColdRecords:        ans.ColdRecords,
 			ColdReturned:       ans.ColdReturned,
@@ -113,21 +116,17 @@ func newHeadersBatchResponse(answers []hostagent.HeadersAnswer, segs [][]byte) H
 	return resp
 }
 
-// answers is the client half: it decodes every answer's segment, naming the
-// first that does not decode. An answer without records comes back nil, as
-// the agent gives it.
+// answers is the client half: it walks every answer's segment once
+// (flowrec.ValidateSegment), naming the first that is not sound, and hands
+// the segments on as they arrived, for the analyzer to read in place.
 func (br *HeadersBatchResponse) answers() ([]hostagent.HeadersAnswer, error) {
 	out := make([]hostagent.HeadersAnswer, len(br.Answers))
 	for i, hr := range br.Answers {
-		recs, err := flowrec.DecodeSegment(hr.Segment)
-		if err != nil {
+		if _, err := flowrec.ValidateSegment(hr.Segment); err != nil {
 			return nil, fmt.Errorf("rpc: headers batch answer %d: %w", i, err)
 		}
-		if len(recs) == 0 {
-			recs = nil
-		}
 		out[i] = hostagent.HeadersAnswer{
-			Records:            recs,
+			Segment:            hr.Segment,
 			ColdSegments:       hr.ColdSegments,
 			ColdRecords:        hr.ColdRecords,
 			ColdReturned:       hr.ColdReturned,
@@ -362,18 +361,18 @@ func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) 
 			for i, q := range req.Queries {
 				qs[i] = hostagent.HeadersQuery{Switch: q.Switch, Epochs: simtime.EpochRange{Lo: q.EpochLo, Hi: q.EpochHi}, Flows: q.Flows}
 			}
-			answers, segs, err := a.AnswerHeaders(ctx, qs)
+			answers, err := a.AnswerHeaders(ctx, qs)
 			if err != nil {
 				return HeadersBatchResponse{}, nil, err
 			}
 			records, coldSegments, coldReturned := 0, 0, 0
-			for i, ans := range answers {
-				n, _ := flowrec.SegmentRecords(segs[i])
+			for _, ans := range answers {
+				n, _ := flowrec.SegmentRecords(ans.Segment)
 				records += n
 				coldSegments += ans.ColdSegments
 				coldReturned += ans.ColdReturned
 			}
-			return newHeadersBatchResponse(answers, segs), []trace.Attr{
+			return newHeadersBatchResponse(answers), []trace.Attr{
 				{Key: "records", Value: strconv.Itoa(records)},
 				{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
 				{Key: "cold_returned", Value: strconv.Itoa(coldReturned)},

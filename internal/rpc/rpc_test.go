@@ -174,7 +174,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := answers[0].Records
+	recs := answerRecords(t, answers[0])
 	if len(recs) != 1 || recs[0].Flow != flow || recs[0].Priority != 2 {
 		t.Fatalf("headers = %+v", recs)
 	}

@@ -44,7 +44,7 @@ func (c *memCold) View() store.ColdView                  { return c }
 func (c *memCold) Len() int                              { return len(c.segs) }
 func (c *memCold) Manifest(i int) *store.SegmentManifest { return &c.manifests[i] }
 func (c *memCold) Close()                                {}
-func (c *memCold) ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record, []byte)) (int, error) {
+func (c *memCold) ReadSegment(i int, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (int, error) {
 	if c.manifests[i].Tiered {
 		return 0, store.ErrTiered
 	}
@@ -86,9 +86,25 @@ func wireAgent(t testing.TB) *hostagent.Agent {
 	return ag
 }
 
+// answerRecords decodes an answer's segment into the records it carries, nil
+// when none: the decoded record is the oracle the in-place readers are
+// checked against.
+func answerRecords(t testing.TB, ans hostagent.HeadersAnswer) []*flowrec.Record {
+	t.Helper()
+	recs, err := flowrec.DecodeSegment(ans.Segment)
+	if err != nil {
+		t.Fatalf("answer segment: %v", err)
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	return recs
+}
+
 // TestHeadersBatchOverTheWire: every /headers-batch answer and every
-// /record answer equals the agent's direct one — records, order, nil-versus-
-// empty and the cold counters — over a real socket.
+// /record answer equals the agent's direct one — segment bytes, so records,
+// order and nil-versus-empty EpochBytes, and the cold counters — over a real
+// socket.
 func TestHeadersBatchOverTheWire(t *testing.T) {
 	ag := wireAgent(t)
 	srv := httptest.NewServer(NewHostHandler(ag, "", nil))
@@ -111,11 +127,11 @@ func TestHeadersBatchOverTheWire(t *testing.T) {
 		t.Fatalf("wire answers differ from the agent's:\n got %+v\nwant %+v", got, want)
 	}
 	nilBytes := false
-	for _, r := range want[0].Records {
+	for _, r := range answerRecords(t, want[0]) {
 		nilBytes = nilBytes || r.EpochBytes == nil
 	}
 	if !nilBytes || want[0].ColdSegments == 0 || want[0].TieredSegments == 0 || want[1].ColdReturned == 0 ||
-		want[2].Records != nil || len(want[3].Records) != 1 {
+		answerRecords(t, want[2]) != nil || len(answerRecords(t, want[3])) != 1 {
 		t.Fatalf("the fixture no longer covers what this test is about: %+v", want)
 	}
 
@@ -176,18 +192,19 @@ func decodeHeadersBatch(body []byte) ([]hostagent.HeadersAnswer, error) {
 }
 
 // FuzzHeadersBatchAnswer: arbitrary bytes as a /headers-batch body decode to
-// answers or an error, never a panic, and whatever decodes survives the
-// host's encode and the client's decode again, deep-equal.
+// answers or an error, never a panic; every answer the client accepts holds
+// a segment that decodes, and the decoded records survive the host's encode
+// and the client's decode again, deep-equal.
 func FuzzHeadersBatchAnswer(f *testing.F) {
 	ag := wireAgent(f)
-	answers, segs, err := ag.AnswerHeaders(context.Background(), []hostagent.HeadersQuery{
+	answers, err := ag.AnswerHeaders(context.Background(), []hostagent.HeadersQuery{
 		{Switch: 2, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}},
 		{Switch: 9, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}},
 	})
 	if err != nil {
 		f.Fatal(err)
 	}
-	body, err := json.Marshal(newHeadersBatchResponse(answers, segs))
+	body, err := json.Marshal(newHeadersBatchResponse(answers))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -198,19 +215,25 @@ func FuzzHeadersBatchAnswer(f *testing.F) {
 			return
 		}
 		// The host ships each answer's records as one segment.
-		segs := make([][]byte, len(answers))
+		recs := make([][]*flowrec.Record, len(answers))
 		for i := range answers {
-			if segs[i], err = flowrec.AppendSegment(nil, answers[i].Records); err != nil {
+			recs[i] = answerRecords(t, answers[i])
+			if answers[i].Segment, err = flowrec.AppendSegment(nil, recs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		again, err := json.Marshal(newHeadersBatchResponse(answers, segs))
+		again, err := json.Marshal(newHeadersBatchResponse(answers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		back, err := decodeHeadersBatch(again)
 		if err != nil {
 			t.Fatalf("the host's encode of decoded answers does not decode: %v", err)
+		}
+		for i := range back {
+			if got := answerRecords(t, back[i]); !reflect.DeepEqual(got, recs[i]) {
+				t.Fatalf("round trip changed answer %d's records:\n got %+v\nwant %+v", i, got, recs[i])
+			}
 		}
 		if !reflect.DeepEqual(back, answers) {
 			t.Fatalf("round trip changed the answers:\n got %+v\nwant %+v", back, answers)

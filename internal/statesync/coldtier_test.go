@@ -484,7 +484,7 @@ func TestViewSurvivesRewrites(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		n := 0
-		if recs, err := v.ReadSegment(i, nil, func(*flowrec.Record, []byte) { n++ }); err != nil || n != 1 || recs != 1 {
+		if recs, err := v.ReadSegment(i, nil, func(*flowrec.Cursor) { n++ }); err != nil || n != 1 || recs != 1 {
 			t.Fatalf("view segment %d: %d of %d records, err %v", i, n, recs, err)
 		}
 	}
@@ -601,11 +601,11 @@ func TestColdTierConcurrency(t *testing.T) {
 					}
 					// Alternate whole and filtered reads through the pooled
 					// read buffers.
-					var keep func(*flowrec.Record) bool
+					var keep func(*flowrec.Cursor) bool
 					if i%2 == 1 {
-						keep = func(r *flowrec.Record) bool { return r.Flow.SrcPort%2 == 0 }
+						keep = func(c *flowrec.Cursor) bool { return c.Flow().SrcPort%2 == 0 }
 					}
-					recs, err := v.ReadSegment(s, keep, func(*flowrec.Record, []byte) {})
+					recs, err := v.ReadSegment(s, keep, func(*flowrec.Cursor) {})
 					if err != nil && !errors.Is(err, store.ErrTiered) {
 						fail <- fmt.Errorf("view read %d: %w", s, err)
 						v.Close()
@@ -698,8 +698,8 @@ func TestColdIndexEffectiveness(t *testing.T) {
 
 	ag.SetColdReader(indexed)
 	fast := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{q})[0]
-	if len(fast.Records) != k {
-		t.Fatalf("indexed query returned %d records, want %d", len(fast.Records), k)
+	if n := len(answerRecords(t, fast)); n != k {
+		t.Fatalf("indexed query returned %d records, want %d", n, k)
 	}
 	// The gate: segments decoded ≤ k plus a little bloom false-positive
 	// slack, with every skip accounted.
@@ -724,8 +724,8 @@ func TestColdIndexEffectiveness(t *testing.T) {
 		t.Fatalf("unindexed scan decoded %d, skipped %d; want %d, 0",
 			slow.ColdSegments, slow.ColdSkippedByIndex, segs)
 	}
-	fastJSON, _ := json.Marshal(fast.Records)
-	slowJSON, _ := json.Marshal(slow.Records)
+	fastJSON, _ := json.Marshal(answerRecords(t, fast))
+	slowJSON, _ := json.Marshal(answerRecords(t, slow))
 	if string(fastJSON) != string(slowJSON) {
 		t.Fatalf("indexed answer diverged from exhaustive scan\n--- indexed ---\n%s\n--- exhaustive ---\n%s", fastJSON, slowJSON)
 	}
@@ -734,8 +734,8 @@ func TestColdIndexEffectiveness(t *testing.T) {
 	// nothing under the index and everything without it.
 	ag.SetColdReader(indexed)
 	foreign := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: 999, Epochs: simtime.EpochRange{Lo: 0, Hi: 10}}})[0]
-	if foreign.ColdSegments != 0 || foreign.ColdSkippedByIndex != segs || len(foreign.Records) != 0 {
+	if n := len(answerRecords(t, foreign)); foreign.ColdSegments != 0 || foreign.ColdSkippedByIndex != segs || n != 0 {
 		t.Fatalf("foreign-switch query: decoded %d, skipped %d, %d records",
-			foreign.ColdSegments, foreign.ColdSkippedByIndex, len(foreign.Records))
+			foreign.ColdSegments, foreign.ColdSkippedByIndex, n)
 	}
 }

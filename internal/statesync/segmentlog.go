@@ -309,11 +309,11 @@ func (v *logView) Len() int { return len(v.segs) }
 // valid until Close.
 func (v *logView) Manifest(i int) *store.SegmentManifest { return &v.segs[i].Manifest }
 
-// ReadSegment reads segment i of the view and hands each record keep admits
-// to fn with its encoding, returning the segment's record count (see
+// ReadSegment reads segment i of the view and hands fn the cursor at each
+// record keep admits, returning the segment's record count (see
 // store.ColdView). A tiered-out segment returns an error wrapping
 // store.ErrTiered.
-func (v *logView) ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(*flowrec.Record, []byte)) (int, error) {
+func (v *logView) ReadSegment(i int, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (int, error) {
 	if i < 0 || i >= len(v.segs) {
 		return 0, fmt.Errorf("statesync: segment %d out of range", i)
 	}

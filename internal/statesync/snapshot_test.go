@@ -181,11 +181,15 @@ func TestFailedEvictionKeepsRecords(t *testing.T) {
 		qs = append(qs, hostagent.HeadersQuery{Switch: sw.NodeID(), Epochs: simtime.EpochRange{Lo: 0, Hi: 1000}})
 	}
 	answers := func() []byte {
-		_, segs, err := ag.AnswerHeaders(context.Background(), qs)
+		answers, err := ag.AnswerHeaders(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bytes.Join(segs, nil)
+		var segs []byte
+		for _, ans := range answers {
+			segs = append(segs, ans.Segment...)
+		}
+		return segs
 	}
 	before := answers()
 

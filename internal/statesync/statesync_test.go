@@ -48,6 +48,20 @@ func allRecords(t testing.TB, st *store.RecordStore) []*flowrec.Record {
 
 // manifests copies every segment's manifest in log order, read through a
 // View as the query paths read them.
+// answerRecords decodes an answer's segment into the records it carries, nil
+// when none.
+func answerRecords(t testing.TB, ans hostagent.HeadersAnswer) []*flowrec.Record {
+	t.Helper()
+	recs, err := flowrec.DecodeSegment(ans.Segment)
+	if err != nil {
+		t.Fatalf("answer segment: %v", err)
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	return recs
+}
+
 func manifests(l *SegmentLog) []store.SegmentManifest {
 	v := l.View()
 	defer v.Close()
@@ -257,13 +271,13 @@ func TestColdReadBackHostQuery(t *testing.T) {
 	window := simtime.EpochRange{Lo: 0, Hi: 1000}
 
 	hot := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: subject, Epochs: window}})[0]
-	if len(hot.Records) == 0 {
+	if len(answerRecords(t, hot)) == 0 {
 		t.Fatal("no hot records to evict")
 	}
 	if hot.ColdSegments != 0 || hot.ColdRecords != 0 {
 		t.Fatalf("hot answer carries cold accounting: %+v", hot)
 	}
-	hotJSON, _ := json.Marshal(hot.Records)
+	hotJSON, _ := json.Marshal(answerRecords(t, hot))
 
 	// Evict everything into an indexed segment log.
 	seglog, err := NewSegmentLog(t.TempDir())
@@ -281,7 +295,7 @@ func TestColdReadBackHostQuery(t *testing.T) {
 	ag.SetColdReader(seglog)
 
 	cold := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: subject, Epochs: window}})[0]
-	coldJSON, _ := json.Marshal(cold.Records)
+	coldJSON, _ := json.Marshal(answerRecords(t, cold))
 	if string(coldJSON) != string(hotJSON) {
 		t.Fatalf("cold read-back diverged\n--- hot ---\n%s\n--- cold ---\n%s", hotJSON, coldJSON)
 	}
@@ -291,7 +305,7 @@ func TestColdReadBackHostQuery(t *testing.T) {
 
 	// A window no manifest overlaps is answered without decoding anything.
 	miss := ag.QueryHeadersMulti(context.Background(), []hostagent.HeadersQuery{{Switch: subject, Epochs: simtime.EpochRange{Lo: 500000, Hi: 500001}}})[0]
-	if len(miss.Records) != 0 || miss.ColdSegments != 0 {
+	if len(answerRecords(t, miss)) != 0 || miss.ColdSegments != 0 {
 		t.Fatalf("manifest skip failed: %+v", miss)
 	}
 }

@@ -57,18 +57,18 @@ type ColdReader interface {
 
 // ColdView is one consistent snapshot of a cold store's segments. Indexes
 // are positions within THIS view (they survive concurrent rewrites of the
-// underlying log). Manifest returns a read-only pointer. ReadSegment
-// validates segment i, then calls fn, in order, for each record keep admits
-// (nil: all; see package flowrec) with the record — a scratch holding every
-// field but EpochBytes — and its encoding, both valid only during the call
-// (flowrec.ScanSegment). It returns the segment's full record count,
-// admitted or not; on an error, wrapping ErrTiered when the payload was
-// tiered out, fn is never called. Close releases the view — the view and any
-// manifest pointers obtained from it must not be used afterwards.
+// underlying log). Manifest returns a read-only pointer. ReadSegment walks
+// segment i with a cursor, then calls fn, in order, with the cursor at each
+// record keep admits (nil: all), valid only during the call
+// (flowrec.ScanSegment): no record is decoded. It returns the segment's full
+// record count, admitted or not; on an error, wrapping ErrTiered when the
+// payload was tiered out, fn is never called. Close releases the view — the
+// view and any manifest pointers obtained from it must not be used
+// afterwards.
 type ColdView interface {
 	Len() int
 	Manifest(i int) *SegmentManifest
-	ReadSegment(i int, keep func(*flowrec.Record) bool, fn func(rec *flowrec.Record, enc []byte)) (records int, err error)
+	ReadSegment(i int, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (records int, err error)
 	Close()
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -135,6 +137,9 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 // flowrec.ScanSegment, with a keep drawn from the input, fails exactly when
 // flowrec.DecodeSegment does, and otherwise hands out the whole decode
 // filtered, as encodings flowrec.DecodeRecord turns back into its records.
+// The validating walk, flowrec.ValidateSegment, accepts exactly what
+// flowrec.DecodeSegment accepts, and at every record of a segment that
+// decodes each cursor accessor equals the decoded record's field or method.
 // The committed corpus (testdata/fuzz) holds a valid segment and forged
 // counts; every truncation of a segment, a future version and a foreign
 // magic are seeded here.
@@ -170,19 +175,32 @@ func FuzzDecodeSegment(f *testing.F) {
 		}
 		calls := 0
 		var kept []*flowrec.Record
-		n, keptErr := flowrec.ScanSegment(data, func(*flowrec.Record) bool { calls++; return admits(calls - 1) },
-			func(_ *flowrec.Record, enc []byte) {
-				r, err := flowrec.DecodeRecord(enc)
+		n, keptErr := flowrec.ScanSegment(data, func(*flowrec.Cursor) bool { calls++; return admits(calls - 1) },
+			func(c *flowrec.Cursor) {
+				r, err := flowrec.DecodeRecord(c.Encoding())
 				if err != nil {
 					t.Fatalf("an admitted encoding does not decode: %v", err)
 				}
 				kept = append(kept, r)
 			})
 		full, fullErr := flowrec.DecodeSegment(data)
-		if (keptErr == nil) != (fullErr == nil) {
-			t.Fatalf("scan: %v; decode: %v", keptErr, fullErr)
+		walked, walkErr := flowrec.ValidateSegment(data)
+		if (keptErr == nil) != (fullErr == nil) || (walkErr == nil) != (fullErr == nil) {
+			t.Fatalf("scan: %v; walk: %v; decode: %v", keptErr, walkErr, fullErr)
 		}
 		if fullErr == nil {
+			if walked != len(full) {
+				t.Fatalf("the walk counted %d records, the decode %d", walked, len(full))
+			}
+			c := flowrec.NewCursor(data)
+			for i := 0; c.Next(); i++ {
+				if diff := cursorMismatch(&c, full[i]); diff != "" {
+					t.Fatalf("cursor at record %d: %s", i, diff)
+				}
+			}
+			if c.Err() != nil {
+				t.Fatalf("the cursor stopped where the walk did not: %v", c.Err())
+			}
 			var want []*flowrec.Record
 			for i, r := range full {
 				if admits(i) {
@@ -208,4 +226,33 @@ func FuzzDecodeSegment(f *testing.F) {
 			t.Fatalf("decode(encode(x)) != x:\n got %v\nwant %v", again, recs)
 		}
 	})
+}
+
+// cursorMismatch says how the record at c differs from r, its decode, or
+// returns "": the fields, EpochsAt at every switch on r's path and one off
+// it, and BytesIn over each epoch r counts, everything and nothing.
+func cursorMismatch(c *flowrec.Cursor, r *flowrec.Record) string {
+	if c.Flow() != r.Flow || c.Priority() != r.Priority || c.Bytes() != r.Bytes || c.TagLink() != r.TagLink {
+		return fmt.Sprintf("flow %v priority %d bytes %d link %d; want %v %d %d %d",
+			c.Flow(), c.Priority(), c.Bytes(), c.TagLink(), r.Flow, r.Priority, r.Bytes, r.TagLink)
+	}
+	if got, err := flowrec.DecodeRecord(c.Encoding()); err != nil || !reflect.DeepEqual(got, r) {
+		return fmt.Sprintf("encoding decodes to %+v, %v", got, err)
+	}
+	for _, sw := range append([]netsim.NodeID{-1}, r.Path...) {
+		er, ok := c.EpochsAt(sw)
+		if wantER, wantOK := r.EpochsAt(sw); er != wantER || ok != wantOK {
+			return fmt.Sprintf("EpochsAt(%d) = %v, %v; want %v, %v", sw, er, ok, wantER, wantOK)
+		}
+	}
+	windows := []simtime.EpochRange{{Lo: math.MinInt64, Hi: math.MaxInt64}, {Lo: 1, Hi: 0}}
+	for e := range r.EpochBytes {
+		windows = append(windows, simtime.EpochRange{Lo: e, Hi: e})
+	}
+	for _, w := range windows {
+		if got, want := c.BytesIn(w), r.BytesIn(w); got != want {
+			return fmt.Sprintf("BytesIn(%v) = %d; want %d", w, got, want)
+		}
+	}
+	return ""
 }

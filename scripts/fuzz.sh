@@ -1,9 +1,12 @@
 #!/bin/sh
 # Fuzz leg: native fuzzing from the committed seed corpora (testdata/fuzz
-# beside each target): 10 s over the segment decoder, 5 s each over the
-# splice that assembles a host answer from record encodings, the pointer
+# beside each target): 10 s over the segment decoder — which also checks
+# that the validating walk accepts exactly what the decoder accepts and that
+# every cursor accessor reads each record as decoded — 5 s each over the
+# splice that assembles a host answer from record encodings (a cursor over
+# any spliced segment must not panic), the pointer
 # snapshot and slot-list decoders, the bitmap decoders under both (dense and
-# sparse pointer sets), the client's decode of a /headers-batch
+# sparse pointer sets), the client's check of a /headers-batch
 # answer (flowrec segments inside JSON), the reader of a host /snapshot
 # body (flowrec segments back to back) and the decoders of a /diagnose
 # report's culprit and flow columns. Arbitrary bytes must
