@@ -21,13 +21,15 @@ import (
 // debt: building the paper's Fig 8 point (load imbalance, n = 96) and
 // playing it to the horizon — what the benchmark's sim-replay workload,
 // every spd start-up and every figure regeneration does — stays within
-// 12 000 allocations. PR 20 brought it from ≈ 66 300 to ≈ 9 500 (one event
-// queue that grows by doubling, store shards built on first write); an
-// allocation per packet, per event or per idle host shows up here long
-// before it shows up as time. Not built under -race: sync.Pool then drops a
-// quarter of its Puts, so netsim's pooled packets are re-allocated at random.
+// 7 450 allocations, 2 % over the ≈ 7 305 measured. One event queue that
+// grows by doubling and store shards built on first write took it from
+// ≈ 66 300 to ≈ 9 500; a per-agent flow table in place of a meter map and an
+// alert map per host took it from ≈ 7 980 to ≈ 7 305. An allocation per
+// packet, per event or per idle host shows up here long before it shows up
+// as time. Not built under -race: sync.Pool then drops a quarter of its
+// Puts, so netsim's pooled packets are re-allocated at random.
 func TestReplayAllocBudget(t *testing.T) {
-	const budget = 12_000
+	const budget = 7_450
 	events := uint64(0)
 	allocs := testing.AllocsPerRun(2, func() {
 		s, err := BuildScenarioOpt("loadimbalance", 0, 96, scenario.Options{ClockSeed: 1})
@@ -49,14 +51,15 @@ func TestReplayAllocBudget(t *testing.T) {
 
 // TestPriorityReplayAllocBudget is TestReplayAllocBudget's TCP twin:
 // building the priority-contention scenario and playing it to the horizon
-// stays within 2 400 allocations (≈ 1 880 measured), and leaves at most 64
-// events queued (13 measured). Every TCP segment and every new ACK re-arms
+// stays within 1 876 allocations (≈ 1 838 measured; 1 876 with a meter map
+// per host, which a host's flow table must not cost more than), and leaves
+// at most 64 events queued (13 measured). Every TCP segment and every new ACK re-arms
 // its sender's retransmission timer: a callback bound per arm instead of
 // once per sender costs one allocation per segment (≈ 14 900 here), and a
 // timer stopped and re-queued per arm instead of re-armed lazily leaves a
 // cancelled event queued per segment (≈ 13 000 at the horizon).
 func TestPriorityReplayAllocBudget(t *testing.T) {
-	const budget, pendingCap = 2_400, 64
+	const budget, pendingCap = 1_876, 64
 	pending := 0
 	allocs := testing.AllocsPerRun(2, func() {
 		s, err := BuildScenarioOpt("priority", 0, 0, scenario.Options{})

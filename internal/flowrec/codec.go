@@ -174,25 +174,27 @@ func ScanSegment(b []byte, keep func(*Cursor) bool, fn func(*Cursor)) (int, erro
 	if *c = NewCursor(b); c.err != nil {
 		return 0, c.err
 	}
-	// The walk notes where each admitted record lies; fn runs only once the
-	// whole body has matched the header's counts.
+	// The walk notes where each admitted record lies, and where its lists'
+	// counts do; fn runs only once the whole body has matched the header's
+	// counts, with the cursor put back on each record from its mark.
 	body := b[SegmentHeaderLen:]
-	var spanBuf [64]span // on the stack: most answers admit fewer records
-	spans := spanBuf[:0]
+	var markBuf [64]mark // on the stack: most answers admit fewer records
+	marks := markBuf[:0]
 	for c.Next() {
 		if keep == nil || keep(c) {
-			if len(spans) == cap(spans) {
-				spans = slices.Grow(spans, c.n-len(spans)) // at most once
+			if len(marks) == cap(marks) {
+				marks = slices.Grow(marks, c.n-len(marks)) // at most once
 			}
 			hi := len(body) - len(c.b)
-			spans = append(spans, span{hi - len(c.rec), hi})
+			// A body is shorter than 4 GiB: the header says how long in 32 bits.
+			marks = append(marks, mark{uint32(hi - len(c.rec)), uint32(hi), uint32(c.epochs.cnt), uint32(c.pairs.cnt)})
 		}
 	}
 	if err := c.Err(); err != nil {
 		return 0, err
 	}
-	for _, s := range spans {
-		c.at(body[s.lo:s.hi:s.hi])
+	for _, m := range marks {
+		c.restore(body, m)
 		fn(c)
 	}
 	return c.n, nil
@@ -368,8 +370,10 @@ func segmentBody(b []byte) (body []byte, nrec, npath, nepoch int, err error) {
 	return body, nrec, npath, nepoch, nil
 }
 
-// span is where one record's encoding lies within a segment body.
-type span struct{ lo, hi int }
+// mark is where ScanSegment found an admitted record within a segment body,
+// [lo, hi), and where, within the record, its epoch-range and epoch-byte
+// counts lie: what Cursor.restore needs to put a cursor back on it.
+type mark struct{ lo, hi, epochs, pairs uint32 }
 
 // decoder fills records from a segment body. npath and nepoch count what the
 // header still declares; records cut their Path and Epochs from the fronts of

@@ -34,9 +34,9 @@ type Cursor struct {
 	path, epochs, pairs list
 }
 
-// list is where one of a record's lists starts within its encoding, past its
-// count, and how many entries it holds.
-type list struct{ at, n int }
+// list is where one of a record's lists lies within its encoding: its count
+// at cnt, its first entry at at, and how many entries it holds.
+type list struct{ cnt, at, n int }
 
 // NewCursor returns a cursor before the first record of segment seg. A
 // header that cannot be seg's is the cursor's error at once.
@@ -77,21 +77,24 @@ func (c *Cursor) Next() bool {
 	r.uvarint() // Pkts
 	r.uvarint() // FirstSeen
 	r.uvarint() // LastSeen
+	cnt := len(start) - len(r.b)
 	n := int(r.bounded(uint64(c.npath)))
 	c.npath -= n
-	c.path = list{len(start) - len(r.b), n}
+	c.path = list{cnt, len(start) - len(r.b), n}
 	for range n {
 		r.bounded(math.MaxUint32)
 	}
+	cnt = len(start) - len(r.b)
 	n = int(r.bounded(uint64(c.nepoch)))
 	c.nepoch -= n
-	c.epochs = list{len(start) - len(r.b), n}
+	c.epochs = list{cnt, len(start) - len(r.b), n}
 	for range 2 * n {
 		r.uvarint()
 	}
 	// 0 = nil EpochBytes, else entries+1; an entry takes two bytes or more.
+	cnt = len(start) - len(r.b)
 	n = int(r.bounded(uint64(len(r.b)/2) + 1))
-	c.pairs = list{len(start) - len(r.b), max(n-1, 0)}
+	c.pairs = list{cnt, len(start) - len(r.b), max(n-1, 0)}
 	for j, prev := 1, simtime.Epoch(0); j < n; j++ {
 		e := simtime.Epoch(zigzag(r.uvarint()))
 		r.bad = r.bad || (j > 1 && e <= prev) // the encoder's list is sorted
@@ -107,11 +110,29 @@ func (c *Cursor) Next() bool {
 	return true
 }
 
-// at puts the cursor on enc, one record's encoding that has walked clean
-// before, keeping Len.
-func (c *Cursor) at(enc []byte) {
-	*c = Cursor{reader: reader{b: enc}, left: 1, n: c.n, npath: len(enc), nepoch: len(enc)}
-	c.Next()
+// restore puts the cursor back on the record m marks within body, one that
+// walked clean before, keeping Len. It reads the record's leading fields and
+// its lists' counts where m says they lie, not the lists themselves.
+func (c *Cursor) restore(body []byte, m mark) {
+	c.rec = body[m.lo:m.hi:m.hi]
+	r := reader{b: c.rec[fixedRecordLen:]}
+	r.uvarint() // TagIdx
+	c.link = topo.LinkID(r.uvarint())
+	c.bytes = r.uvarint()
+	r.uvarint() // Pkts
+	r.uvarint() // FirstSeen
+	r.uvarint() // LastSeen
+	c.path = c.listAt(len(c.rec) - len(r.b))
+	c.epochs = c.listAt(int(m.epochs))
+	c.pairs = c.listAt(int(m.pairs))
+	c.pairs.n = max(c.pairs.n-1, 0) // 0 = nil EpochBytes, else entries+1
+}
+
+// listAt reads the list whose count lies at cnt in the current record.
+func (c *Cursor) listAt(cnt int) list {
+	r := reader{b: c.rec[cnt:]}
+	n := int(r.uvarint())
+	return list{cnt, len(c.rec) - len(r.b), n}
 }
 
 // Encoding returns the record's encoding, as AppendRecord writes it, within

@@ -219,6 +219,12 @@ func (e *Embedder) EpochRuleUpdatesPerSecond() float64 {
 // the next Decode call; consumers must copy what they keep (the host
 // agent's record absorption already does).
 //
+// Ahead of that shared memo a caller may keep a PathMemo per flow
+// (DecodeMemo): one (src, dst, link) entry, checked before the shared map,
+// so a flow's steady-state packets hash nothing. It is valid under the
+// same static-route condition as the shared memo (netsim.Switch.SetRoute),
+// and decodes exactly as the shared memo alone does.
+//
 // A Decoder is NOT goroutine-safe: it is driven by the single-threaded
 // simulation loop. The analyzer's parallel query fan-out never touches it.
 type Decoder struct {
@@ -241,14 +247,30 @@ type pathVal struct {
 	tagIdx int
 }
 
+// PathMemo is a caller-owned, one-entry path memo for DecodeMemo: the last
+// (src, dst, link) key it resolved and that key's path. The zero value is
+// empty. Its path aliases the decoder's shared memo, which never changes an
+// entry, so it stays valid for the decoder's life.
+type PathMemo struct {
+	key pathKey
+	val pathVal
+	ok  bool
+}
+
 // Decode extracts the path and per-switch epoch ranges from a packet
 // arriving at true time now at a host with the given clock. The result
 // aliases decoder-owned buffers and is valid until the next Decode call.
 func (d *Decoder) Decode(p *netsim.Packet, now simtime.Time, hostClock *simtime.Clock) (Decoded, error) {
+	return d.DecodeMemo(p, now, hostClock, nil)
+}
+
+// DecodeMemo is Decode consulting memo (nil: none) ahead of the decoder's
+// shared path memo, and refilling it on a miss. The answer is Decode's.
+func (d *Decoder) DecodeMemo(p *netsim.Packet, now simtime.Time, hostClock *simtime.Clock, memo *PathMemo) (Decoded, error) {
 	if d.Mode == ModeINT {
 		return d.decodeINT(p)
 	}
-	return d.decodeCommodity(p, now, hostClock)
+	return d.decodeCommodity(p, now, hostClock, memo)
 }
 
 func (d *Decoder) decodeINT(p *netsim.Packet) (Decoded, error) {
@@ -267,35 +289,42 @@ func (d *Decoder) decodeINT(p *netsim.Packet) (Decoded, error) {
 	return dec, nil
 }
 
-// reconstructPath memoizes Topology.ReconstructPath. The memo relies on
-// routes being static once traffic flows: every route (netsim.Switch.SetRoute,
+// reconstructPath memoizes Topology.ReconstructPath, in memo (when not nil)
+// and then in the decoder's shared map. The memos rely on routes being
+// static once traffic flows: every route (netsim.Switch.SetRoute,
 // RouteOverride) is installed before the first packet and none changes
 // after, so the path for a (src, dst, link) key never changes. Errors are
 // not cached (they are cold paths by construction).
-func (d *Decoder) reconstructPath(src, dst netsim.IPv4, link topo.LinkID) ([]netsim.NodeID, int, error) {
-	k := pathKey{src: src, dst: dst, link: link}
-	if v, ok := d.paths[k]; ok {
-		return v.path, v.tagIdx, nil
+func (d *Decoder) reconstructPath(k pathKey, memo *PathMemo) ([]netsim.NodeID, int, error) {
+	if memo != nil && memo.ok && memo.key == k {
+		return memo.val.path, memo.val.tagIdx, nil
 	}
-	path, tagIdx, err := d.Topo.ReconstructPath(src, dst, link)
-	if err != nil {
-		return nil, 0, err
+	v, ok := d.paths[k]
+	if !ok {
+		path, tagIdx, err := d.Topo.ReconstructPath(k.src, k.dst, k.link)
+		if err != nil {
+			return nil, 0, err
+		}
+		if d.paths == nil {
+			d.paths = make(map[pathKey]pathVal)
+		}
+		v = pathVal{path: path, tagIdx: tagIdx}
+		d.paths[k] = v
 	}
-	if d.paths == nil {
-		d.paths = make(map[pathKey]pathVal)
+	if memo != nil {
+		*memo = PathMemo{key: k, val: v, ok: true}
 	}
-	d.paths[k] = pathVal{path: path, tagIdx: tagIdx}
-	return path, tagIdx, nil
+	return v.path, v.tagIdx, nil
 }
 
-func (d *Decoder) decodeCommodity(p *netsim.Packet, now simtime.Time, hostClock *simtime.Clock) (Decoded, error) {
+func (d *Decoder) decodeCommodity(p *netsim.Packet, now simtime.Time, hostClock *simtime.Clock, memo *PathMemo) (Decoded, error) {
 	linkTag, hasLink := p.TagOf(netsim.TagLink)
 	epochTag, hasEpoch := p.TagOf(netsim.TagEpoch)
 	var link topo.LinkID
 	if hasLink {
 		link = topo.LinkID(linkTag.Value)
 	}
-	path, tagIdx, err := d.reconstructPath(p.Flow.Src, p.Flow.Dst, link)
+	path, tagIdx, err := d.reconstructPath(pathKey{src: p.Flow.Src, dst: p.Flow.Dst, link: link}, memo)
 	if err != nil {
 		return Decoded{}, err
 	}

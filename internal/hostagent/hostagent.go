@@ -19,7 +19,6 @@ import (
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/store"
 	"switchpointer/internal/topo"
-	"switchpointer/internal/transport"
 )
 
 // Config tunes the agent's trigger engine.
@@ -99,8 +98,6 @@ type Agent struct {
 
 	// Store holds the flow records (the MongoDB substitute).
 	Store *store.RecordStore
-	// Meters tracks per-flow arrival throughput at MeterInterval.
-	Meters *transport.FlowMeters
 
 	// OnAlert, when set, receives trigger events.
 	OnAlert func(a Alert)
@@ -114,9 +111,12 @@ type Agent struct {
 	// Received counts packets processed.
 	Received uint64
 
-	lastAlert map[netsim.FlowKey]simtime.Time
-	armed     bool // StartTriggers called
-	ticking   bool // the trigger scan is scheduled
+	// flows is the packet path's per-flow state: each flow's meter (its
+	// arrival throughput at MeterInterval), path memo, record handle and
+	// last alert.
+	flows   flowTable
+	armed   bool // StartTriggers called
+	ticking bool // the trigger scan is scheduled
 
 	// cold is the read-back seam over flushed segments (see SetColdReader).
 	cold store.ColdReader
@@ -163,13 +163,11 @@ func (a *Agent) ColdStats() ColdStats {
 func New(net *netsim.Network, host *netsim.Host, dec *header.Decoder, cfg Config) *Agent {
 	cfg = cfg.withDefaults()
 	a := &Agent{
-		host:      host,
-		net:       net,
-		dec:       dec,
-		cfg:       cfg,
-		Store:     store.New(),
-		Meters:    transport.NewFlowMeters(cfg.MeterInterval),
-		lastAlert: make(map[netsim.FlowKey]simtime.Time),
+		host:  host,
+		net:   net,
+		dec:   dec,
+		cfg:   cfg,
+		Store: store.New(),
 	}
 	host.OnReceive(a.onPacket)
 	return a
@@ -186,8 +184,9 @@ func (a *Agent) onPacket(p *netsim.Packet, now simtime.Time) {
 	if a.armed && !a.ticking {
 		a.startTrigTimer()
 	}
-	a.Meters.Record(p, now)
-	dec, err := a.dec.Decode(p, now, a.host.Clock)
+	fs := a.flows.get(p.Flow, a.cfg.MeterInterval)
+	fs.meter.Record(p.Size, now)
+	dec, err := a.dec.DecodeMemo(p, now, a.host.Clock, &fs.path)
 	if err != nil {
 		a.DecodeErrors++
 		return
@@ -195,9 +194,9 @@ func (a *Agent) onPacket(p *netsim.Packet, now simtime.Time) {
 	// Acquire/Release holds the flow's shard write-locked across the
 	// mutation, so concurrent query executors never see a half-absorbed
 	// record. The pair is allocation-free at steady state.
-	rec := a.Store.Acquire(p.Flow)
+	rec := a.Store.AcquireHandle(p.Flow, &fs.rec)
 	rec.Absorb(p, dec, now)
-	a.Store.Release(rec)
+	a.Store.ReleaseHandle(fs.rec, rec)
 }
 
 // StartTriggers arms the millisecond monitor (the paper's "trigger measures
@@ -227,28 +226,28 @@ func (a *Agent) checkTriggers() {
 	if completed < 1 {
 		return
 	}
-	// The meters are a map, so the tick's alerts are collected and raised in
-	// flow order. A tick raises at most one alert almost always; that one
-	// stays in first and the tick allocates nothing.
+	// The table is in arrival order, so the tick's alerts are collected and
+	// raised in flow order. A tick raises at most one alert almost always;
+	// that one stays in first and the tick allocates nothing.
 	var first Alert
 	var rest []Alert
 	raised := 0
-	a.Meters.ForEach(func(flow netsim.FlowKey, m *transport.Meter) {
-		prev := m.GbpsAt(completed - 1)
-		cur := m.GbpsAt(completed)
+	for _, fs := range a.flows.flows {
+		prev := fs.meter.GbpsAt(completed - 1)
+		cur := fs.meter.GbpsAt(completed)
 		if prev < a.cfg.MinActiveGbps {
-			return
+			continue
 		}
 		if cur >= prev*(1-a.cfg.DropFraction) {
-			return
+			continue
 		}
-		if last, ok := a.lastAlert[flow]; ok && now-last < a.cfg.Cooldown {
-			return
+		if fs.alerted && now-fs.lastAlert < a.cfg.Cooldown {
+			continue
 		}
-		a.lastAlert[flow] = now
+		fs.lastAlert, fs.alerted = now, true
 		al := Alert{
 			Kind:       AlertThroughputDrop,
-			Flow:       flow,
+			Flow:       fs.flow,
 			Host:       a.host.IP(),
 			DetectedAt: now,
 			PrevGbps:   prev,
@@ -260,7 +259,7 @@ func (a *Agent) checkTriggers() {
 			rest = append(rest, al)
 		}
 		raised++
-	})
+	}
 	switch raised {
 	case 0:
 		return

@@ -74,7 +74,8 @@ func (s *Switch) Port(i int) *Port { return s.ports[i] }
 // Routes are static once traffic flows: every route is installed before
 // the first packet is sent, and none changes after. Host-side telemetry
 // decoding memoizes path reconstruction per (src, dst, link) and relies on
-// that (header.Decoder); a route changed mid-run would have stale
+// that (header.Decoder, and the per-flow PathMemo each host agent keeps in
+// its flow table); a route changed mid-run would have stale
 // trajectories silently attributed to new packets.
 func (s *Switch) SetRoute(dst IPv4, outPort int) {
 	if s.routes == nil {

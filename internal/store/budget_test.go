@@ -120,7 +120,7 @@ func TestAcquireDecodesPutRecordOnce(t *testing.T) {
 		return out
 	}
 	before, generations := answers(), st.Generations()
-	t0 := st.shardOf(rec.Flow).tab.Load()
+	t0 := st.shardOf(&rec.Flow).tab.Load()
 	if t0.arena.dead != 0 || t0.slots[t0.find(rec.Flow)].rec != nil {
 		t.Fatal("a Put record is not stored encoded")
 	}

@@ -197,7 +197,7 @@ func (st *RecordStore) flush(cold ColdStore, victims []victim) ([]victim, error)
 	defer sc.release()
 	kept := victims[:0]
 	for _, v := range victims {
-		sh := st.shardOf(v.flow)
+		sh := st.shardOf(&v.flow)
 		t := sh.tab.Load()
 		sh.mu.RLock()
 		if j := t.find(v.flow); j >= 0 {
@@ -230,7 +230,7 @@ func (st *RecordStore) flush(cold ColdStore, victims []victim) ([]victim, error)
 // answer of every switch on its indexed path — unless the record's recency
 // moved since v was read, and reports whether it did.
 func (st *RecordStore) evict(v victim) bool {
-	sh := st.shardOf(v.flow)
+	sh := st.shardOf(&v.flow)
 	t := sh.tab.Load()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

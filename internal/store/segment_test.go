@@ -136,8 +136,9 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 // input — and whatever it accepts must survive an encode/decode round trip.
 // flowrec.ScanSegment, with a keep drawn from the input, fails exactly when
 // flowrec.DecodeSegment does, and otherwise hands out the whole decode
-// filtered, as encodings flowrec.DecodeRecord turns back into its records.
-// The validating walk, flowrec.ValidateSegment, accepts exactly what
+// filtered, as encodings flowrec.DecodeRecord turns back into its records,
+// with every cursor accessor in fn answering as that record does. The
+// validating walk, flowrec.ValidateSegment, accepts exactly what
 // flowrec.DecodeSegment accepts, and at every record of a segment that
 // decodes each cursor accessor equals the decoded record's field or method.
 // The committed corpus (testdata/fuzz) holds a valid segment and forged
@@ -180,6 +181,9 @@ func FuzzDecodeSegment(f *testing.F) {
 				r, err := flowrec.DecodeRecord(c.Encoding())
 				if err != nil {
 					t.Fatalf("an admitted encoding does not decode: %v", err)
+				}
+				if diff := cursorMismatch(c, r); diff != "" {
+					t.Fatalf("the cursor handed to fn at admitted record %d: %s", len(kept), diff)
 				}
 				kept = append(kept, r)
 			})

@@ -11,7 +11,9 @@
 // flowrec.AppendRecord gives, kept in a per-shard arena (arena.go): the same
 // form a segment carries on disk and on the wire, at about a sixth of a live
 // record's memory. An encoded record turns live, once, when the packet path
-// Acquires it. Query callbacks read an encoded record through a scratch
+// acquires it. The packet path reaches a flow's record through a Handle,
+// the record's shard and slot, which it keeps per flow: while the slot's live
+// record carries the flow, no hash or find runs. Query callbacks read an encoded record through a scratch
 // decode valid only during the call, and answers that leave the host as
 // bytes copy an encoded record's bytes without decoding them.
 //
@@ -147,7 +149,11 @@ func (sh *shard) table() *table {
 // Mutators take one shard's write lock. The packet hot path uses the
 // Acquire/Release pair, which holds the flow's shard write-locked across
 // the record mutation so concurrent queries never observe a half-absorbed
-// record; Put installs a record absorbed elsewhere.
+// record; Put installs a record absorbed elsewhere. The host agent calls
+// the pair's handle form, AcquireHandle/ReleaseHandle, with a Handle it
+// keeps per flow; a Handle belongs to the one goroutine absorbing packets
+// (it is not locked), and any mutation of the store may leave it stale,
+// which AcquireHandle detects under the shard lock.
 //
 // Whoever changes a live record's Path or Epochs owes the store a Release:
 // that re-files the record and refreshes the epoch ranges the memos carry.
@@ -187,8 +193,10 @@ func New() *RecordStore {
 
 // shardOf hashes a flow key to its shard. The mix only spreads flows across
 // shards: every caller that needs an order sorts by flow key, so it never
-// influences an answer.
-func (st *RecordStore) shardOf(flow netsim.FlowKey) *shard {
+// influences an answer. It takes the key by pointer: an inlined copy of a
+// key just stored field by field is read back as one 16-byte load, which
+// stalls on store forwarding (≈ 8 % of an Acquire/Absorb/Release).
+func (st *RecordStore) shardOf(flow *netsim.FlowKey) *shard {
 	h := uint64(flow.Src)<<32 | uint64(flow.Dst)
 	h ^= uint64(flow.SrcPort)<<24 ^ uint64(flow.DstPort)<<8 ^ uint64(flow.Proto)
 	// splitmix64-style avalanche so adjacent IPs land on different shards.
@@ -362,23 +370,10 @@ func decodeStored(enc []byte) *flowrec.Record {
 // holds only what AppendRecord wrote, so it means memory corruption.
 func corrupt(err error) string { return "store: corrupt arena: " + err.Error() }
 
-// getLocked returns flow's live record from an indexed table, or nil:
-// liveRecord takes every other case. It must stay small enough to inline:
-// hashing a copy of flow freshly spilled for a call stalls on store
-// forwarding, ≈ 20 ns per packet.
-func getLocked(t *table, flow netsim.FlowKey) *flowrec.Record {
-	if t != nil {
-		if i, ok := t.index[flow]; ok {
-			return t.slots[i].rec
-		}
-	}
-	return nil
-}
-
-// liveRecord is getLocked's miss: flow's record in a shard without an
-// index, an encoded record turned live — its one decode, after which the
-// absorb path owns it — or a new record. The shard's mu is write-locked.
-func (t *table) liveRecord(flow netsim.FlowKey) *flowrec.Record {
+// liveSlot returns flow's slot, holding a live record: flow's record, an
+// encoded record turned live — its one decode, after which the absorb path
+// owns it — or a new record. The shard's mu is write-locked.
+func (t *table) liveSlot(flow netsim.FlowKey) (int32, *flowrec.Record) {
 	i := t.find(flow)
 	if i < 0 {
 		i = t.insert(flow, slot{rec: flowrec.New(flow)})
@@ -390,7 +385,7 @@ func (t *table) liveRecord(flow netsim.FlowKey) *flowrec.Record {
 		s.rec, s.off = r, 0
 		t.compact()
 	}
-	return s.rec
+	return i, s.rec
 }
 
 // Lookup returns a copy of the record for a flow, taken under its shard's
@@ -409,7 +404,7 @@ func (st *RecordStore) Lookup(flow netsim.FlowKey) (*flowrec.Record, bool) {
 // RecordStore). It reports whether the record existed. fn must not call back
 // into the store.
 func (st *RecordStore) View(flow netsim.FlowKey, fn func(*flowrec.Record)) bool {
-	sh := st.shardOf(flow)
+	sh := st.shardOf(&flow)
 	t := sh.tab.Load()
 	if t == nil {
 		return false
@@ -430,7 +425,7 @@ func (st *RecordStore) View(flow netsim.FlowKey, fn func(*flowrec.Record)) bool 
 // flowrec.AppendRecord writes it) to dst, copied or encoded under the
 // record's shard read lock, and reports whether the record existed.
 func (st *RecordStore) AppendEncoded(dst []byte, flow netsim.FlowKey) ([]byte, bool) {
-	sh := st.shardOf(flow)
+	sh := st.shardOf(&flow)
 	t := sh.tab.Load()
 	if t == nil {
 		return dst, false
@@ -444,25 +439,72 @@ func (st *RecordStore) AppendEncoded(dst []byte, flow netsim.FlowKey) ([]byte, b
 	return t.appendEncoding(dst, i), true
 }
 
+// Handle is where the packet path last found a flow's live record: the
+// record's shard and slot. A caller keeps one per flow and passes it to
+// AcquireHandle and ReleaseHandle, which then skip the shard hash and the
+// slot find. The zero Handle is empty. A handle is valid while its slot's
+// live record carries its flow; otherwise — the record evicted, Put
+// replacing it with an encoded one, another flow reusing the freed slot —
+// AcquireHandle finds the flow afresh. The check needs no generation
+// counter: a table holds at most one slot per flow; eviction, Put
+// replacement and an encoded slot all leave the slot without a live record;
+// and compaction moves arena offsets but never slot numbers.
+type Handle struct {
+	sh   *shard
+	slot int32 // -1: not found yet
+}
+
 // Acquire returns the record for a flow — created if absent, decoded once if
 // encoded — with its shard write-locked for mutation. Every Acquire must be
 // paired with a Release of the same record, which reindexes it and unlocks
-// the shard. The pair is the packet-absorption hot path: it performs zero
-// heap allocations at steady state and makes the mutation atomic with
-// respect to concurrent queries.
+// the shard. The pair makes the mutation atomic with respect to concurrent
+// queries and performs zero heap allocations at steady state. The packet
+// path uses its handle form, AcquireHandle and ReleaseHandle.
 func (st *RecordStore) Acquire(flow netsim.FlowKey) *flowrec.Record {
-	sh := st.shardOf(flow)
+	return st.AcquireHandle(flow, &Handle{})
+}
+
+// AcquireHandle is Acquire through h, flow's handle: while h is valid it
+// reaches the record without a lookup; otherwise it finds (or creates) the
+// record and points h at it. Pair it with ReleaseHandle(*h, record).
+func (st *RecordStore) AcquireHandle(flow netsim.FlowKey, h *Handle) *flowrec.Record {
+	sh, i := h.sh, h.slot
+	if sh == nil {
+		sh, i = st.shardOf(&flow), -1
+	}
 	st.acquires.Add(1)
 	if !sh.mu.TryLock() {
 		st.contended.Add(1)
 		sh.mu.Lock()
 	}
-	r := getLocked(sh.tab.Load(), flow)
-	if r == nil {
-		r = sh.table().liveRecord(flow)
+	t := sh.tab.Load()
+	var r *flowrec.Record
+	if t != nil && i >= 0 {
+		r = t.slots[i].rec
 	}
+	if r == nil || r.Flow != flow {
+		if i = indexedLive(t, flow); i >= 0 {
+			r = t.slots[i].rec
+		} else {
+			i, r = sh.table().liveSlot(flow)
+		}
+	}
+	*h = Handle{sh: sh, slot: i}
 	r.TakeSteady() // only an Absorb inside this Acquire/Release may vouch
 	return r
+}
+
+// indexedLive returns the slot of flow's live record in an indexed table, or
+// -1: liveSlot takes every other case. It must stay small enough to inline:
+// hashing a copy of flow freshly spilled for a call stalls on store
+// forwarding, ≈ 20 ns per packet.
+func indexedLive(t *table, flow netsim.FlowKey) int32 {
+	if t != nil {
+		if i, ok := t.index[flow]; ok && t.slots[i].rec != nil {
+			return i
+		}
+	}
+	return -1
 }
 
 // LockStats returns how many Acquire calls have run and how many of them
@@ -483,12 +525,25 @@ func (st *RecordStore) Generations() uint64 {
 // first unless its Absorb vouched that neither path nor epochs moved — the
 // per-packet steady state, which then costs no lookup.
 func (st *RecordStore) Release(r *flowrec.Record) {
-	sh := st.shardOf(r.Flow)
+	st.ReleaseHandle(Handle{sh: st.shardOf(&r.Flow), slot: -1}, r)
+}
+
+// ReleaseHandle is Release of r, obtained from AcquireHandle(r.Flow, &h).
+func (st *RecordStore) ReleaseHandle(h Handle, r *flowrec.Record) {
 	if !r.TakeSteady() {
-		t := sh.tab.Load()
-		st.reindexLocked(t, t.find(r.Flow), r)
+		st.refile(h, r)
 	}
-	sh.mu.Unlock()
+	h.sh.mu.Unlock()
+}
+
+// refile is ReleaseHandle's reindex of r, whose Absorb did not vouch for it.
+func (st *RecordStore) refile(h Handle, r *flowrec.Record) {
+	t := h.sh.tab.Load()
+	i := h.slot
+	if i < 0 {
+		i = t.find(r.Flow)
+	}
+	st.reindexLocked(t, i, r)
 }
 
 // Put installs (or wholesale replaces) a record under its shard's write
@@ -504,7 +559,7 @@ func (st *RecordStore) Release(r *flowrec.Record) {
 func (st *RecordStore) Put(rec *flowrec.Record) bool {
 	var buf [256]byte // most records encode in fewer bytes
 	enc := flowrec.AppendRecord(buf[:0], rec)
-	sh := st.shardOf(rec.Flow)
+	sh := st.shardOf(&rec.Flow)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	t := sh.table()
@@ -687,7 +742,7 @@ func (st *RecordStore) BySwitch(sw netsim.NodeID) []*flowrec.Record {
 // benchmark's rungs. fn must not call back into the store.
 func (st *RecordStore) QueryBySwitch(sw netsim.NodeID, fn func(*flowrec.Record) bool) {
 	for _, r := range st.BySwitch(sw) {
-		sh := st.shardOf(r.Flow)
+		sh := st.shardOf(&r.Flow)
 		sh.mu.RLock()
 		cont := fn(r)
 		sh.mu.RUnlock()

@@ -5,9 +5,6 @@
 package transport
 
 import (
-	"sort"
-
-	"switchpointer/internal/flowrec"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
 )
@@ -114,8 +111,8 @@ func (m *Meter) MaxGap() simtime.Time {
 	return g
 }
 
-// FlowMeters tracks one meter per flow. It can be attached to a host receive
-// path or to a switch port transmit hook.
+// FlowMeters tracks one meter per flow at a switch port's transmit hook
+// (AttachToPort).
 type FlowMeters struct {
 	interval simtime.Time
 	meters   map[netsim.FlowKey]*Meter
@@ -138,30 +135,6 @@ func (f *FlowMeters) Record(p *netsim.Packet, now simtime.Time) {
 
 // Meter returns the meter for a flow, or nil.
 func (f *FlowMeters) Meter(flow netsim.FlowKey) *Meter { return f.meters[flow] }
-
-// Flows returns the tracked flow keys in deterministic (flow-key-sorted)
-// order, so callers can iterate meters without smuggling map order into
-// their output (sortlint's invariant).
-func (f *FlowMeters) Flows() []netsim.FlowKey {
-	out := make([]netsim.FlowKey, 0, len(f.meters))
-	for k := range f.meters {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return flowrec.Less(out[i], out[j]) })
-	return out
-}
-
-// ForEach visits every tracked (flow, meter) pair without allocating.
-// Iteration order is unspecified; callers needing determinism must not
-// depend on it (the host agent's trigger scan treats flows independently).
-func (f *FlowMeters) ForEach(fn func(flow netsim.FlowKey, m *Meter)) {
-	if len(f.meters) == 0 {
-		return // skip map-iterator setup on the per-tick trigger scan
-	}
-	for k, m := range f.meters {
-		fn(k, m)
-	}
-}
 
 // AttachToPort installs the meter set as the port's transmit observer. This
 // is how "throughput of flow A-F at S1" (Fig 3) is measured.

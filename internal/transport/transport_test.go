@@ -283,8 +283,8 @@ func TestFlowMetersPerFlowSeparation(t *testing.T) {
 	if fm.Meter(fa).TotalBytes() != 400 || fm.Meter(fb).TotalBytes() != 200 {
 		t.Fatalf("per-flow accounting wrong")
 	}
-	if len(fm.Flows()) != 2 {
-		t.Fatalf("Flows() = %v", fm.Flows())
+	if ma, mb := fm.Meter(fa), fm.Meter(fb); ma.BytesAt(0) != 100 || ma.BytesAt(1) != 300 || mb.BytesAt(0) != 200 || mb.Buckets() != 1 {
+		t.Fatalf("per-flow buckets wrong: %d/%d and %d over %d buckets", ma.BytesAt(0), ma.BytesAt(1), mb.BytesAt(0), mb.Buckets())
 	}
 	if fm.Meter(netsim.FlowKey{Src: 9}) != nil {
 		t.Fatalf("unknown flow should be nil")

@@ -9,7 +9,9 @@
 # sparse pointer sets), the client's check of a /headers-batch
 # answer (flowrec segments inside JSON), the reader of a host /snapshot
 # body (flowrec segments back to back) and the decoders of a /diagnose
-# report's culprit and flow columns. Arbitrary bytes must
+# report's culprit and flow columns, and the host-side telemetry decoder
+# over any commodity or INT packet, which must also decode the same through
+# a warmed per-flow path memo as without one. Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
 # input, a failed restore changes nothing — and whatever decodes must survive
 # an encode/decode round trip. A last 5 s drives the event engine's
@@ -32,3 +34,4 @@ go test ./internal/rpc -run '^$' -fuzz FuzzHeadersBatchAnswer -fuzztime 5s -fuzz
 go test ./internal/statesync -run '^$' -fuzz FuzzReadSegments -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/cluster -run '^$' -fuzz FuzzReportColumns -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/eventq -run '^$' -fuzz FuzzFireOrder -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/header -run '^$' -fuzz FuzzDecode -fuzztime 5s -fuzzminimizetime=100x
