@@ -226,9 +226,9 @@ func (a *Agent) checkTriggers() {
 	if completed < 1 {
 		return
 	}
-	// The table is in arrival order, so the tick's alerts are collected and
-	// raised in flow order. A tick raises at most one alert almost always;
-	// that one stays in first and the tick allocates nothing.
+	// The table ranges in arrival order, not flow order. A tick that raises
+	// two or more alerts sorts them by flow below, so they are raised in
+	// flow order; a tick raising one keeps it in first and allocates nothing.
 	var first Alert
 	var rest []Alert
 	raised := 0
