@@ -125,6 +125,22 @@ func TestSpliceAndScratchAllocs(t *testing.T) {
 	}
 }
 
+// TestSpliceKeepsRangesOnTheStack: checking a range does not make it escape,
+// so a host that encodes one record into a stack buffer and splices it (the
+// /record answer) allocates only the segment.
+func TestSpliceKeepsRangesOnTheStack(t *testing.T) {
+	r := segment256()[0]
+	seg := make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(20, func() {
+		var buf [128]byte
+		if _, err := SpliceSegment(seg, [][]byte{AppendRecord(buf[:0], r)}); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("splicing a range held on the stack costs %.0f allocations, want 0", allocs)
+	}
+}
+
 // TestFilteredDecodeAllocs pins what a scan saves over a decode: a
 // 256-record ScanSegment costs its cursor and nothing sized by the segment,
 // since no record is filled and every admitted one is handed out in place.
@@ -165,10 +181,13 @@ func TestFilteredDecodeAllocs(t *testing.T) {
 }
 
 // BenchmarkDecodeSegment decodes one 256-record segment whole, scans it
-// through a predicate that admits one record in ten, and walks it with a
-// cursor.
+// through a predicate that admits one record in ten, walks it with a cursor,
+// splices its 256 record encodings into a buffer with room, and decodes each
+// of those encodings through one Scratch.
 func BenchmarkDecodeSegment(b *testing.B) {
-	enc := mustEncode(b, segment256())
+	recs := segment256()
+	enc := mustEncode(b, recs)
+	encs := encodings(recs)
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
@@ -190,6 +209,26 @@ func BenchmarkDecodeSegment(b *testing.B) {
 		for b.Loop() {
 			if _, err := ValidateSegment(enc); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("splice", func(b *testing.B) {
+		buf := make([]byte, 0, len(enc))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := SpliceSegment(buf, encs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("scratch", func(b *testing.B) {
+		var sc Scratch
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, e := range encs {
+				if _, err := sc.Decode(e); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

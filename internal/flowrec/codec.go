@@ -10,7 +10,6 @@ import (
 
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
-	"switchpointer/internal/topo"
 )
 
 const (
@@ -135,28 +134,23 @@ func AppendSegment(dst []byte, recs []*Record) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeSegment decodes exactly one segment. The header's counts are
+// DecodeSegment decodes exactly one segment: a Cursor walks it, and each
+// record Next accepts is filled from the cursor. The header's counts are
 // checked against len(b) before anything is sized from them, so a forged
 // input cannot make it allocate out of proportion to its length. Records,
 // paths and epoch ranges come out of three slabs; each Path and Epochs is
 // capped to its own length, so an append (Absorb on a rerouted flow)
 // reallocates.
 func DecodeSegment(b []byte) ([]*Record, error) {
-	body, nrec, npath, nepoch, err := segmentBody(b)
-	if err != nil {
-		return nil, err
-	}
-	d := decoder{reader: reader{b: body}, npath: npath, nepoch: nepoch,
-		paths: make([]netsim.NodeID, npath), epochs: make([]simtime.EpochRange, nepoch)}
-	slab := make([]Record, nrec)
-	out := make([]*Record, nrec)
-	for i := range slab {
+	c := NewCursor(b) // a header NewCursor refuses declares nothing
+	paths, epochs := make([]netsim.NodeID, c.npath), make([]simtime.EpochRange, c.nepoch)
+	slab := make([]Record, c.n)
+	out := make([]*Record, c.n)
+	for i := 0; c.Next(); i++ {
 		out[i] = &slab[i]
-		if d.record(out[i]); d.bad {
-			break
-		}
+		paths, epochs = c.fill(out[i], paths, epochs, nil)
 	}
-	if err := d.check(); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -218,10 +212,10 @@ func ValidateSegment(b []byte) (int, error) {
 // exactly one record as AppendRecord writes it: over the encodings of recs,
 // the bytes AppendSegment(dst, recs) appends. This is how a host answer is
 // assembled from stored and cold record bytes without decoding them. Each
-// range's layout — its varints and counts, not their values — is walked on
-// its own: a range that is not exactly one record's layout fails the splice
-// and dst comes back unchanged, and a value out of range fails the
-// segment's decode. dst grows at most once.
+// range is checked on its own by a one-record Cursor, as DecodeRecord checks
+// it, which also gives its path and epoch counts: a range that is not
+// exactly one valid record fails the splice and dst comes back unchanged, so
+// every segment it returns decodes. dst grows at most once.
 func SpliceSegment(dst []byte, encs [][]byte) ([]byte, error) {
 	size := SegmentHeaderLen
 	for _, enc := range encs {
@@ -233,11 +227,11 @@ func SpliceSegment(dst []byte, encs [][]byte) ([]byte, error) {
 	dst = append(dst, make([]byte, SegmentHeaderLen-4)...) // counts, patched below
 	paths, epochs := 0, 0
 	for i, enc := range encs {
-		p, e, ok := recordShape(enc)
-		if !ok {
+		c := recordCursor(enc)
+		if !c.whole() {
 			return dst[:start], fmt.Errorf("flowrec: splice segment: range %d is not one record", i)
 		}
-		paths, epochs = paths+p, epochs+e
+		paths, epochs = paths+c.path.n, epochs+c.epochs.n
 		dst = append(dst, enc...)
 	}
 	body := len(dst) - start - SegmentHeaderLen
@@ -249,56 +243,6 @@ func SpliceSegment(dst []byte, encs [][]byte) ([]byte, error) {
 	binary.LittleEndian.PutUint32(dst[start+12:], uint32(epochs))
 	binary.LittleEndian.PutUint32(dst[start+16:], uint32(body))
 	return dst, nil
-}
-
-// recordShape walks the layout of the one record enc should hold and
-// returns its path and epoch counts, or ok false when enc is not exactly one
-// record's layout.
-func recordShape(enc []byte) (paths, epochs int, ok bool) {
-	if len(enc) < fixedRecordLen {
-		return 0, 0, false
-	}
-	b, ok := skipVarints(enc[fixedRecordLen:], 6) // TagIdx … LastSeen
-	if paths, b, ok = count(b, ok, 1); ok {
-		b, ok = skipVarints(b, paths)
-	}
-	if epochs, b, ok = count(b, ok, 2); ok {
-		b, ok = skipVarints(b, 2*epochs)
-	}
-	entries, b, ok := count(b, ok, 2) // 0 = nil EpochBytes, else entries+1
-	if ok && entries > 0 {
-		b, ok = skipVarints(b, 2*(entries-1))
-	}
-	return paths, epochs, ok && len(b) == 0
-}
-
-// count reads, when ok, a uvarint count of things that take at least per
-// bytes each of b.
-func count(b []byte, ok bool, per int) (int, []byte, bool) {
-	if !ok {
-		return 0, nil, false
-	}
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(len(b)/per+1) {
-		return 0, nil, false
-	}
-	return int(n), b[k:], true
-}
-
-// skipVarints returns b past its first k varints, without reading their
-// values, or false when b ends first.
-func skipVarints(b []byte, k int) ([]byte, bool) {
-	for ; k > 0; k-- {
-		i := 0
-		for i < len(b) && b[i] >= 0x80 {
-			i++
-		}
-		if i >= len(b) || i >= binary.MaxVarintLen64 {
-			return nil, false
-		}
-		b = b[i+1:]
-	}
-	return b, true
 }
 
 // FlowOf returns the flow key a record encoding opens with. enc must hold at
@@ -319,20 +263,25 @@ func FlowOf(enc []byte) netsim.FlowKey {
 func PriorityOf(enc []byte) uint8 { return enc[fixedRecordLen-1] }
 
 // DecodeRecord decodes enc, exactly one record as AppendRecord writes it,
-// into a fresh record the caller owns.
+// into a fresh record the caller owns. A one-record Cursor checks enc, and
+// the record is filled from it.
 func DecodeRecord(enc []byte) (*Record, error) {
-	r := new(Record)
-	d := decoder{reader: reader{b: enc}, npath: len(enc), nepoch: len(enc)}
-	if d.record(r); d.bad || len(d.b) != 0 {
-		return nil, errors.New("flowrec: corrupt record encoding")
+	c := recordCursor(enc)
+	if !c.whole() {
+		return nil, errCorruptRecord
 	}
+	r := new(Record)
+	c.fill(r, nil, nil, nil)
 	return r, nil
 }
 
+var errCorruptRecord = errors.New("flowrec: corrupt record encoding")
+
 // Scratch decodes records one at a time into storage it reuses: each Decode
 // overwrites the record the previous one returned, so nothing decoded may be
-// kept past the next call. The zero Scratch is ready; after its first use a
-// decode of up to 16 hops allocates nothing.
+// kept past the next call. It checks and fills a record as DecodeRecord
+// does. The zero Scratch is ready; after its first use a decode of up to 16
+// hops allocates nothing.
 type Scratch struct {
 	rec    Record
 	paths  [16]netsim.NodeID
@@ -343,113 +292,21 @@ type Scratch struct {
 // Decode decodes enc, exactly one record as AppendRecord writes it, into the
 // scratch record, EpochBytes included.
 func (s *Scratch) Decode(enc []byte) (*Record, error) {
+	c := recordCursor(enc)
+	if !c.whole() {
+		return nil, errCorruptRecord
+	}
 	if s.bytes == nil {
 		s.bytes = make(map[simtime.Epoch]uint64)
 	}
-	d := decoder{reader: reader{b: enc}, npath: len(enc), nepoch: len(enc), paths: s.paths[:], epochs: s.epochs[:], eb: s.bytes}
-	if d.record(&s.rec); d.bad || len(d.b) != 0 {
-		return nil, errors.New("flowrec: corrupt record encoding")
-	}
+	c.fill(&s.rec, s.paths[:], s.epochs[:], s.bytes)
 	return &s.rec, nil
-}
-
-// segmentBody checks segment b's header against its length and returns the
-// body with the header's three counts.
-func segmentBody(b []byte) (body []byte, nrec, npath, nepoch int, err error) {
-	total, err := SegmentLen(b)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	nrec = int(binary.LittleEndian.Uint32(b[4:]))
-	npath = int(binary.LittleEndian.Uint32(b[8:]))
-	nepoch = int(binary.LittleEndian.Uint32(b[12:]))
-	body = b[SegmentHeaderLen:]
-	if total != len(b) || uint64(nrec)*minRecordLen+uint64(npath)+2*uint64(nepoch) > uint64(len(body)) {
-		return nil, 0, 0, 0, fmt.Errorf("flowrec: corrupt segment: %d bytes cannot hold what the header declares", len(b))
-	}
-	return body, nrec, npath, nepoch, nil
 }
 
 // mark is where ScanSegment found an admitted record within a segment body,
 // [lo, hi), and where, within the record, its epoch-range and epoch-byte
 // counts lie: what Cursor.restore needs to put a cursor back on it.
 type mark struct{ lo, hi, epochs, pairs uint32 }
-
-// decoder fills records from a segment body. npath and nepoch count what the
-// header still declares; records cut their Path and Epochs from the fronts of
-// paths and epochs, and a non-nil eb is the map a kept EpochBytes reuses.
-type decoder struct {
-	reader
-	npath, nepoch int
-	paths         []netsim.NodeID
-	epochs        []simtime.EpochRange
-	eb            map[simtime.Epoch]uint64
-}
-
-// record decodes the next record of the body into r, EpochBytes in d.eb,
-// cleared, or else in a new map.
-func (d *decoder) record(r *Record) {
-	if len(d.b) < fixedRecordLen {
-		d.bad = true
-		return
-	}
-	r.Flow = FlowOf(d.b)
-	r.Priority = d.b[13]
-	d.b = d.b[fixedRecordLen:]
-	r.TagIdx = int(zigzag(d.uvarint()))
-	r.TagLink = topo.LinkID(d.bounded(math.MaxUint32))
-	r.Bytes = d.uvarint()
-	r.Pkts = d.uvarint()
-	r.FirstSeen = simtime.Time(zigzag(d.uvarint()))
-	r.LastSeen = simtime.Time(zigzag(d.uvarint()))
-	r.Path, r.Epochs, r.EpochBytes = nil, nil, nil
-	// Counts are bounded by what the header still declares. A buffer short of
-	// one is a scratch's, or a lone record's, never a slab.
-	n := int(d.bounded(uint64(d.npath)))
-	if d.npath -= n; n > 0 {
-		if len(d.paths) < n {
-			d.paths = make([]netsim.NodeID, n)
-		}
-		r.Path, d.paths = d.paths[:n:n], d.paths[n:]
-		for j := range r.Path {
-			r.Path[j] = netsim.NodeID(uint32(d.bounded(math.MaxUint32)))
-		}
-	}
-	n = int(d.bounded(uint64(d.nepoch)))
-	if d.nepoch -= n; n > 0 {
-		if len(d.epochs) < n {
-			d.epochs = make([]simtime.EpochRange, n)
-		}
-		r.Epochs, d.epochs = d.epochs[:n:n], d.epochs[n:]
-		for j := range r.Epochs {
-			r.Epochs[j].Lo = simtime.Epoch(zigzag(d.uvarint()))
-			r.Epochs[j].Hi = simtime.Epoch(zigzag(d.uvarint()))
-		}
-	}
-	// An entry takes two bytes or more, which bounds the map's size.
-	if n := d.bounded(uint64(len(d.b)/2) + 1); n > 0 {
-		if r.EpochBytes = d.eb; r.EpochBytes != nil {
-			clear(r.EpochBytes)
-		} else {
-			r.EpochBytes = make(map[simtime.Epoch]uint64, n-1)
-		}
-		for j, prev := uint64(1), simtime.Epoch(0); j < n; j++ {
-			e := simtime.Epoch(zigzag(d.uvarint()))
-			d.bad = d.bad || (j > 1 && e <= prev) // the encoder's list is sorted
-			r.EpochBytes[e] = d.uvarint()
-			prev = e
-		}
-	}
-}
-
-// check reports whether the body ended exactly where the header's counts
-// said it would.
-func (d *decoder) check() error {
-	if d.bad || len(d.b) != 0 || d.npath != 0 || d.nepoch != 0 {
-		return errCorruptBody
-	}
-	return nil
-}
 
 var errCorruptBody = errors.New("flowrec: corrupt segment: body does not match the header's counts")
 
@@ -466,14 +323,15 @@ type reader struct {
 func (r *reader) uvarint() uint64 {
 	var v uint64
 	for i, c := range r.b {
+		s := uint(7*i) & 63 // the mask spares each shift a range check
 		if c < 0x80 {
 			if i > 9 || i == 9 && c > 1 { // past 64 bits
 				break
 			}
 			r.b = r.b[i+1:]
-			return v | uint64(c)<<(7*i)
+			return v | uint64(c)<<s
 		}
-		v |= uint64(c&0x7f) << (7 * i)
+		v |= uint64(c&0x7f) << s
 	}
 	r.b, r.bad = nil, true
 	return 0

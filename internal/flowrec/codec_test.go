@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
+	"switchpointer/internal/topo"
 )
 
 // codecRecords covers the shapes the codec must keep apart: a tagged
@@ -114,63 +117,173 @@ func TestSegmentDeterministic(t *testing.T) {
 }
 
 func TestDecodeSegmentRejectsCorrupt(t *testing.T) {
-	enc := mustEncode(t, codecRecords())
-	// decodes reports whether b decodes, after checking that ScanSegment
-	// accepts it exactly then, whatever its keep: a rejected record is still
+	recs := codecRecords()
+	encs := encodings(recs)
+	enc := mustEncode(t, recs)
+	// starts[i] is where record i opens within enc, and starts[3] its end.
+	starts := []int{SegmentHeaderLen}
+	for _, e := range encs {
+		starts = append(starts, starts[len(starts)-1]+len(e))
+	}
+	// decodes reports whether b, the segment what names, decodes, after
+	// checking that the reference decoder, ValidateSegment and ScanSegment,
+	// whatever its keep, accept it exactly then: a rejected record is still
 	// validated.
-	decodes := func(b []byte) bool {
+	decodes := func(what string, b []byte) bool {
 		t.Helper()
 		_, errAll := DecodeSegment(b)
+		_, errRef := refDecodeSegment(b)
 		_, errNone := ScanSegment(b, everyNth(0), func(*Cursor) {})
 		_, errSome := ScanSegment(b, everyNth(2), func(*Cursor) {})
 		_, errWalk := ValidateSegment(b)
-		if (errAll == nil) != (errNone == nil) || (errAll == nil) != (errSome == nil) || (errAll == nil) != (errWalk == nil) {
-			t.Fatalf("a scan or walk disagrees with the decode: %v / %v / %v / %v", errAll, errNone, errSome, errWalk)
+		ok := errAll == nil
+		if (errRef == nil) != ok || (errNone == nil) != ok || (errSome == nil) != ok || (errWalk == nil) != ok {
+			t.Fatalf("%s: an entry point disagrees with the decode: %v / reference: %v / %v / %v / %v", what, errAll, errRef, errNone, errSome, errWalk)
 		}
-		return errAll == nil
+		return ok
 	}
-	// Every truncation, with and without a header patched to match it.
-	if !decodes(enc) {
+	// Every truncation, with and without a header patched to match it; the
+	// record the cut falls in, cut short, is not one record either.
+	if !decodes("the intact segment", enc) {
 		t.Fatal("the intact segment does not decode")
 	}
 	for n := 0; n < len(enc); n++ {
-		if decodes(enc[:n]) {
+		if decodes("a truncation", enc[:n]) {
 			t.Fatalf("truncation to %d bytes decoded", n)
 		}
 		if n >= SegmentHeaderLen {
 			cut := bytes.Clone(enc[:n])
 			binary.LittleEndian.PutUint32(cut[16:], uint32(n-SegmentHeaderLen))
-			if decodes(cut) {
+			if decodes("a truncation with a consistent header", cut) {
 				t.Fatalf("truncation to %d bytes with a consistent header decoded", n)
+			}
+			i := 0
+			for starts[i+1] <= n {
+				i++
+			}
+			if acceptsRecord(t, cut[starts[i]:]) {
+				t.Fatalf("record %d cut to %d of %d bytes was accepted as one record", i, n-starts[i], len(encs[i]))
 			}
 		}
 	}
-	mutate := func(name string, f func(b []byte) []byte) {
-		t.Helper()
-		if decodes(f(bytes.Clone(enc))) {
-			t.Fatalf("%s decoded", name)
+	// Each row corrupts one copy of enc; a row that corrupts record rec's
+	// body (rec ≥ 0) also runs that record's range through every one-record
+	// entry point.
+	for _, row := range []struct {
+		name string
+		rec  int
+		f    func(b []byte) []byte
+	}{
+		{"trailing byte", 2, func(b []byte) []byte { return append(b, 0) }},
+		{"unknown version", -1, func(b []byte) []byte { b[3] = SegmentVersion + 1; return b }},
+		{"foreign magic", -1, func(b []byte) []byte { b[0] = 0x22; return b }},
+		{"oversized record count", -1, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:], 1<<31); return b }},
+		{"oversized path count", -1, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 1<<31); return b }},
+		{"oversized epoch count", -1, func(b []byte) []byte { binary.LittleEndian.PutUint32(b[12:], 1<<31); return b }},
+		{"record count one short", -1, func(b []byte) []byte { b[4]--; return b }},
+		{"path count one short", -1, func(b []byte) []byte { b[8]--; return b }},
+		{"epoch count one short", -1, func(b []byte) []byte { b[12]--; return b }},
+		{"last varint runs off the end", 2, func(b []byte) []byte { b[len(b)-1] = 0xff; return b }},
+	} {
+		b := row.f(bytes.Clone(enc))
+		if decodes(row.name, b) {
+			t.Fatalf("%s decoded", row.name)
+		}
+		if row.rec >= 0 && acceptsRecord(t, b[starts[row.rec]:starts[row.rec+1]+len(b)-len(enc)]) {
+			t.Fatalf("%s: record %d's range was accepted as one record", row.name, row.rec)
 		}
 	}
-	mutate("trailing byte", func(b []byte) []byte { return append(b, 0) })
-	mutate("unknown version", func(b []byte) []byte { b[3] = SegmentVersion + 1; return b })
-	mutate("foreign magic", func(b []byte) []byte { b[0] = 0x22; return b })
-	for _, off := range []int{4, 8, 12} {
-		mutate("oversized count", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[off:], 1<<31); return b })
-		mutate("count one short", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[off:], binary.LittleEndian.Uint32(b[off:])-1)
-			return b
-		})
-	}
 
-	// The encoder's pair list is epoch-sorted; a decoder accepts nothing else.
-	r := New(netsim.FlowKey{Src: 1, Dst: 2})
-	r.EpochBytes[1], r.EpochBytes[2] = 10, 20
-	one := mustEncode(t, []*Record{r})
-	pairs := one[len(one)-4:] // (varint 1, 10), (varint 2, 20)
-	pairs[0], pairs[2] = pairs[2], pairs[0]
-	if decodes(one) {
-		t.Fatal("unsorted EpochBytes pairs decoded")
+	// Each record rule, broken once in the middle record of a segment whose
+	// header matches it, fails every entry point; the intact row passes them.
+	for _, row := range ruleRows() {
+		seg := rawSegment([][]byte{encs[0], row.enc, encs[2]}, len(recs[0].Path)+1, len(recs[0].Epochs)+1)
+		if got := decodes(row.name, seg); got != row.valid {
+			t.Fatalf("%s: the segment decodes %v, want %v", row.name, got, row.valid)
+		}
+		if got := acceptsRecord(t, row.enc); got != row.valid {
+			t.Fatalf("%s: accepted as one record %v, want %v", row.name, got, row.valid)
+		}
 	}
+}
+
+// ruleRow is one record encoding and whether it keeps every record rule.
+type ruleRow struct {
+	name  string
+	enc   []byte
+	valid bool
+}
+
+// ruleRows returns one record, field by field, that keeps every record rule,
+// and a copy of it for each rule, broken. Each has a path of one switch and
+// one epoch range.
+func ruleRows() []ruleRow {
+	// TagIdx 0, TagLink 7, Bytes 30, Pkts 2, FirstSeen 0, LastSeen 0, Path
+	// [4], Epochs [{1 1}], EpochBytes {2: 10, 3: 20} (zigzag: 2n).
+	intact := []uint64{0, 7, 30, 2, 0, 0, 1, 4, 1, 2, 2, 3, 4, 10, 6, 20}
+	with := func(at int, v uint64, more ...uint64) []byte {
+		fields := slices.Clone(intact)
+		fields[at] = v
+		for i, m := range more {
+			fields[at+1+i] = m
+		}
+		return rawRecord(fields...)
+	}
+	overlong := append(rawRecord(intact[:2]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02)
+	return []ruleRow{
+		{"intact", rawRecord(intact...), true},
+		{"TagLink past 32 bits", with(1, 1<<32), false},
+		{"path entry past 32 bits", with(7, 1<<32), false},
+		{"pair epochs descending", with(12, 6, 10, 4), false},
+		{"pair epoch repeated", with(14, 4), false},
+		{"pair count past its bytes", with(11, 9), false},
+		{"varint past 64 bits", append(overlong, rawRecord(intact[3:]...)[fixedRecordLen:]...), false},
+	}
+}
+
+// rawRecord encodes a record from its varint fields, unchecked, after the
+// fixed prefix of flow 10.0.0.1→10.0.0.2.
+func rawRecord(fields ...uint64) []byte {
+	b := AppendRecord(nil, &Record{Flow: netsim.FlowKey{Src: 0x0a000001, Dst: 0x0a000002}})[:fixedRecordLen]
+	for _, f := range fields {
+		b = binary.AppendUvarint(b, f)
+	}
+	return b
+}
+
+// rawSegment frames ranges as one segment whose header declares npath paths
+// and nepoch epoch ranges, whatever the ranges hold.
+func rawSegment(ranges [][]byte, npath, nepoch int) []byte {
+	b := []byte{segMagic[0], segMagic[1], segMagic[2], SegmentVersion}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ranges)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(npath))
+	b = binary.LittleEndian.AppendUint32(b, uint32(nepoch))
+	b = binary.LittleEndian.AppendUint32(b, 0) // body length, patched below
+	for _, r := range ranges {
+		b = append(b, r...)
+	}
+	binary.LittleEndian.PutUint32(b[16:], uint32(len(b)-SegmentHeaderLen))
+	return b
+}
+
+// acceptsRecord reports whether enc is exactly one valid record, after
+// checking that DecodeRecord, Scratch.Decode, a one-range SpliceSegment and
+// the reference decoder all accept it or all refuse it, and that each
+// decode gives the reference's record.
+func acceptsRecord(t testing.TB, enc []byte) bool {
+	t.Helper()
+	want, ok := refDecodeRecord(enc)
+	got, err := DecodeRecord(enc)
+	var sc Scratch
+	scr, scrErr := sc.Decode(enc)
+	_, spliceErr := SpliceSegment(nil, [][]byte{enc})
+	if (err == nil) != ok || (scrErr == nil) != ok || (spliceErr == nil) != ok {
+		t.Fatalf("reference accepts %x: %v; DecodeRecord: %v; Scratch.Decode: %v; SpliceSegment: %v", enc, ok, err, scrErr, spliceErr)
+	}
+	if ok && (!reflect.DeepEqual(got, want) || !reflect.DeepEqual(scr, want)) {
+		t.Fatalf("%x decodes to %+v and %+v; the reference gives %+v", enc, got, scr, want)
+	}
+	return ok
 }
 
 // TestDecodedSlicesAreCapped: records share slabs, so an append to one
@@ -426,27 +539,45 @@ func TestScanSegmentHandsOutEncodings(t *testing.T) {
 	}
 }
 
-// FuzzSpliceSegment: for the records of any segment that decodes, splicing
-// their encodings gives AppendSegment's bytes; a truncated encoding fails the
-// splice; and a corrupted one fails the splice or the spliced segment's
-// decode, or decodes to as many records — never a panic. Any input taken as
-// one range either fails, or splices into a segment of one record at most.
-// A cursor over every segment that splices — ranges with a record's layout
-// but values out of range included — never panics, and walks clean exactly
-// when the segment decodes.
+// FuzzSpliceSegment: any input, taken as a segment, decodes exactly when the
+// reference decoder does, to the same records, and ValidateSegment accepts
+// it exactly then. Taken as one range, it splices exactly when DecodeRecord,
+// Scratch.Decode and the reference accept it as one record, into a segment
+// that decodes to that record. For the records of a segment that decodes,
+// splicing their encodings gives AppendSegment's bytes; a truncated encoding
+// fails the splice; a corrupted one splices exactly when it is still one
+// valid record, and then the spliced segment decodes to as many records. A
+// cursor over every segment that splices reads each record as decoded.
 func FuzzSpliceSegment(f *testing.F) {
 	for _, recs := range [][]*Record{codecRecords(), segment256()[:3], nil} {
 		f.Add(mustEncode(f, recs), uint16(0), uint16(1), byte(0x40))
 	}
+	for _, row := range ruleRows() {
+		f.Add(rawSegment([][]byte{row.enc}, 1, 1), uint16(0), uint16(1), byte(0x40))
+		f.Add(row.enc, uint16(0), uint16(1), byte(0x40))
+	}
 	f.Fuzz(func(t *testing.T, seg []byte, pick, at uint16, flip byte) {
-		if one, err := SpliceSegment(nil, [][]byte{seg}); err == nil {
-			recs, err := DecodeSegment(one)
-			if err == nil && len(recs) != 1 {
-				t.Fatalf("one spliced range decodes to %d records", len(recs))
-			}
-			walkCursor(t, one, recs, err)
-		}
 		recs, err := DecodeSegment(seg)
+		want, wantErr := refDecodeSegment(seg)
+		_, walkErr := ValidateSegment(seg)
+		if (err == nil) != (wantErr == nil) || (walkErr == nil) != (wantErr == nil) {
+			t.Fatalf("decode: %v; walk: %v; the reference decode: %v", err, walkErr, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(recs, want) {
+			t.Fatalf("decoded %+v; the reference decodes %+v", recs, want)
+		}
+		one, spliceErr := SpliceSegment(nil, [][]byte{seg})
+		if ok := acceptsRecord(t, seg); ok != (spliceErr == nil) {
+			t.Fatalf("one range: accepted as a record %v, splice %v", ok, spliceErr)
+		}
+		if spliceErr == nil {
+			got, err := DecodeSegment(one)
+			r, _ := DecodeRecord(seg)
+			if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], r) {
+				t.Fatalf("one spliced range decodes to %+v, %v; want %+v", got, err, r)
+			}
+			walkCursor(t, one, got)
+		}
 		if err != nil {
 			return
 		}
@@ -469,38 +600,143 @@ func FuzzSpliceSegment(f *testing.F) {
 		}
 		encs[i] = bytes.Clone(enc)
 		encs[i][int(at)%len(enc)] ^= flip
-		if out, err := SpliceSegment(nil, encs); err == nil {
+		out, err := SpliceSegment(nil, encs)
+		if ok := acceptsRecord(t, encs[i]); ok != (err == nil) {
+			t.Fatalf("a corrupted range: accepted as a record %v, splice %v", ok, err)
+		}
+		if err == nil {
 			again, err := DecodeSegment(out)
-			if err == nil && len(again) != len(recs) {
-				t.Fatalf("a spliced corrupted range decodes to %d of %d records", len(again), len(recs))
+			if err != nil || len(again) != len(recs) {
+				t.Fatalf("a spliced corrupted range decodes to %d of %d records: %v", len(again), len(recs), err)
 			}
-			walkCursor(t, out, again, err)
+			walkCursor(t, out, again)
 		}
 	})
 }
 
-// walkCursor walks seg with a cursor, calling every accessor at every
-// record, and checks that the walk ends clean exactly when decodeErr is nil,
-// reading each of recs, seg's decode, as decoded.
-func walkCursor(t *testing.T, seg []byte, recs []*Record, decodeErr error) {
+// walkCursor walks seg, a segment that decodes to recs, with a cursor and
+// checks that it reads each record as decoded and ends clean.
+func walkCursor(t *testing.T, seg []byte, recs []*Record) {
 	t.Helper()
 	c := NewCursor(seg)
 	i := 0
 	for ; c.Next(); i++ {
-		if decodeErr == nil {
-			if diff := cursorMismatch(&c, recs[i]); diff != "" {
-				t.Fatalf("record %d: %s", i, diff)
-			}
-			continue
+		if diff := cursorMismatch(&c, recs[i]); diff != "" {
+			t.Fatalf("record %d: %s", i, diff)
 		}
-		c.Flow()
-		c.Priority()
-		c.Bytes()
-		c.TagLink()
-		c.EpochsAt(netsim.NodeID(i))
-		c.BytesIn(simtime.EpochRange{Lo: math.MinInt64, Hi: math.MaxInt64})
 	}
-	if (c.Err() == nil) != (decodeErr == nil) || (decodeErr == nil && i != len(recs)) {
-		t.Fatalf("the cursor walked %d records, %v; the decode: %d records, %v", i, c.Err(), len(recs), decodeErr)
+	if c.Err() != nil || i != len(recs) {
+		t.Fatalf("the cursor walked %d records, %v; the decode: %d records", i, c.Err(), len(recs))
 	}
+}
+
+// refDecoder is the record decoder Cursor.Next replaced, kept as an oracle:
+// it states the record rules again, over encoding/binary's varint readers,
+// so a rule dropped from Next shows as a disagreement. npath and nepoch
+// count what the header still declares; the first fault sticks in bad.
+type refDecoder struct {
+	b             []byte
+	bad           bool
+	npath, nepoch int
+}
+
+// refDecodeSegment decodes segment b the reference way.
+func refDecodeSegment(b []byte) ([]*Record, error) {
+	h := NewCursor(b) // the header's checks and counts; the records are read here
+	if h.err != nil {
+		return nil, h.err
+	}
+	d := refDecoder{b: h.b, npath: h.npath, nepoch: h.nepoch}
+	out := make([]*Record, 0, h.n)
+	for range h.n {
+		r := new(Record)
+		if d.record(r); d.bad {
+			break
+		}
+		out = append(out, r)
+	}
+	if d.bad || len(d.b) != 0 || d.npath != 0 || d.nepoch != 0 {
+		return nil, errors.New("corrupt segment body")
+	}
+	return out, nil
+}
+
+// refDecodeRecord decodes enc, exactly one record, the reference way.
+func refDecodeRecord(enc []byte) (*Record, bool) {
+	d := refDecoder{b: enc, npath: len(enc), nepoch: len(enc)}
+	r := new(Record)
+	d.record(r)
+	return r, !d.bad && len(d.b) == 0
+}
+
+// record decodes the next record of the body into r.
+func (d *refDecoder) record(r *Record) {
+	if len(d.b) < fixedRecordLen {
+		d.bad = true
+		return
+	}
+	r.Flow = FlowOf(d.b)
+	r.Priority = d.b[13]
+	d.b = d.b[fixedRecordLen:]
+	r.TagIdx = int(d.varint())
+	r.TagLink = topo.LinkID(d.bounded(math.MaxUint32))
+	r.Bytes = d.uvarint()
+	r.Pkts = d.uvarint()
+	r.FirstSeen = simtime.Time(d.varint())
+	r.LastSeen = simtime.Time(d.varint())
+	// Counts are bounded by what the header still declares.
+	if n := int(d.bounded(uint64(d.npath))); n > 0 {
+		d.npath -= n
+		r.Path = make([]netsim.NodeID, n)
+		for j := range r.Path {
+			r.Path[j] = netsim.NodeID(uint32(d.bounded(math.MaxUint32)))
+		}
+	}
+	if n := int(d.bounded(uint64(d.nepoch))); n > 0 {
+		d.nepoch -= n
+		r.Epochs = make([]simtime.EpochRange, n)
+		for j := range r.Epochs {
+			r.Epochs[j].Lo = simtime.Epoch(d.varint())
+			r.Epochs[j].Hi = simtime.Epoch(d.varint())
+		}
+	}
+	// 0 = nil EpochBytes, else entries+1; an entry takes two bytes or more.
+	if n := d.bounded(uint64(len(d.b)/2) + 1); n > 0 {
+		r.EpochBytes = make(map[simtime.Epoch]uint64, n-1)
+		for j, prev := uint64(1), simtime.Epoch(0); j < n; j++ {
+			e := simtime.Epoch(d.varint())
+			d.bad = d.bad || (j > 1 && e <= prev) // the encoder's list is sorted
+			r.EpochBytes[e] = d.uvarint()
+			prev = e
+		}
+	}
+}
+
+func (d *refDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.b, d.bad = nil, true
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *refDecoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.b, d.bad = nil, true
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// bounded reads one uvarint no greater than limit, or 0 and a fault.
+func (d *refDecoder) bounded(limit uint64) uint64 {
+	if v := d.uvarint(); v <= limit {
+		return v
+	}
+	d.b, d.bad = nil, true
+	return 0
 }

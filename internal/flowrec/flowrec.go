@@ -40,13 +40,19 @@
 //
 // # Reading in place
 //
-// A Cursor (cursor.go) walks a segment's records without decoding them: Next
-// checks each record as DecodeSegment would, and Flow, Priority, Bytes,
-// TagLink, EpochsAt and BytesIn answer from its bytes, beside the record's
-// Encoding — what a diagnosis reads of a host answer, with no allocation and
-// no Record filled. Its first fault sticks (Err), and a walk to the end
-// checks the body against the header's counts, so ValidateSegment — a walk
-// and nothing else — accepts exactly what DecodeSegment decodes. A segment is
+// A Cursor (cursor.go) walks a segment's records without decoding them, and
+// Cursor.Next is the one statement of the record rules: it checks each
+// record's layout, bounds and order, and keeps its scalar fields. Flow,
+// Priority, Bytes, TagLink, EpochsAt and BytesIn answer from the record's
+// bytes, beside its Encoding — what a diagnosis reads of a host answer, with
+// no allocation and no Record filled. Its first fault sticks (Err), and a
+// walk to the end checks the body against the header's counts, so
+// ValidateSegment — a walk and nothing else — accepts exactly what
+// DecodeSegment decodes. Every other reader goes through Next too:
+// DecodeSegment fills each record Next accepted, copying the scalars Next
+// kept and reading only the path, epoch and pair lists again, from where
+// Next found them; DecodeRecord, Scratch.Decode and SpliceSegment run a
+// one-record cursor over each encoding, bounded by its length. A segment is
 // walked clean once where it crosses a trust boundary (ScanSegment off disk,
 // ValidateSegment off the wire); bytes this process spliced from its own
 // encodings are read without that second pass. DecodeSegment and

@@ -1,6 +1,7 @@
 package header
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -52,14 +53,42 @@ func sameDecode(a Decoded, aErr error, b Decoded, bErr error) bool {
 	return a.Mode == b.Mode && a.TagIdx == b.TagIdx && slices.Equal(a.Path, b.Path) && slices.Equal(a.Epochs, b.Epochs)
 }
 
-// FuzzDecode drives the host-side decoder with commodity packets — link and
-// epoch tags present, absent or half-present, in either order, with any link
-// ID between any hosts — and INT packets with any stack. Decoding never
-// panics, and decoding through a per-flow PathMemo warmed by another packet
-// of the flow (tagged with link warm) gives exactly what the memo-less
-// Decode gives, on a miss and on the hit that follows.
+// walkFault says how a commodity decode's path for src→dst is not a walk a
+// packet can take over tp — from the source's ToR to the destination's,
+// between adjacent switches, no switch twice — or returns "".
+func walkFault(tp *topo.Topology, src, dst netsim.IPv4, path []netsim.NodeID) string {
+	srcTor, _ := tp.ToROf(src)
+	dstTor, _ := tp.ToROf(dst)
+	if len(path) == 0 || path[0] != srcTor.NodeID() || path[len(path)-1] != dstTor.NodeID() {
+		return "it does not run from the source's ToR to the destination's"
+	}
+	for i, sw := range path {
+		if slices.Index(path, sw) != i {
+			return fmt.Sprintf("switch %d repeats", sw)
+		}
+		if i == 0 {
+			continue
+		}
+		if _, ok := tp.LinkBetween(path[i-1], sw); !ok {
+			return fmt.Sprintf("no link joins %d to %d", path[i-1], sw)
+		}
+	}
+	return ""
+}
+
+// FuzzDecode drives the host-side decoder, over a k = 4 fat-tree and a
+// 4-leaf leaf-spine, with commodity packets — link and epoch tags present,
+// absent or half-present, in either order, with any link ID between any
+// hosts — and INT packets with any stack. Decoding never panics; a
+// commodity decode that succeeds gives a path a packet can take between its
+// hosts' ToRs; and decoding through a per-flow PathMemo warmed by another
+// packet of the flow (tagged with link warm) gives exactly what the
+// memo-less Decode gives, on a miss and on the hit that follows.
 func FuzzDecode(f *testing.F) {
-	tp := topo.FatTree(netsim.New(), 4, topo.Config{})
+	topos := []*topo.Topology{
+		topo.FatTree(netsim.New(), 4, topo.Config{}),
+		topo.LeafSpine(netsim.New(), 4, 2, 2, topo.Config{}),
+	}
 	p := params10()
 	f.Fuzz(func(t *testing.T, intMode bool, src, dst, tags uint8, link, epoch, warm uint32, hops []byte, now int64) {
 		mode := ModeCommodity
@@ -68,21 +97,27 @@ func FuzzDecode(f *testing.F) {
 		}
 		clock := simtime.NewClock(0)
 		at := simtime.Time(now % int64(simtime.Second<<20))
-		pkt := fuzzPacket(tp, intMode, src, dst, tags, link, epoch, hops)
+		for _, tp := range topos {
+			pkt := fuzzPacket(tp, intMode, src, dst, tags, link, epoch, hops)
+			ref := &Decoder{Topo: tp, Mode: mode, Params: p}
+			want, wantErr := ref.Decode(pkt, at, clock)
+			if wantErr == nil {
+				want.Path, want.Epochs = slices.Clone(want.Path), slices.Clone(want.Epochs)
+			}
+			if wantErr == nil && !intMode { // an INT path is the packet's own stack
+				if msg := walkFault(tp, pkt.Flow.Src, pkt.Flow.Dst, want.Path); msg != "" {
+					t.Fatalf("%s: %s→%s over link %d decodes path %v: %s", tp.Name, pkt.Flow.Src, pkt.Flow.Dst, link, want.Path, msg)
+				}
+			}
 
-		ref := &Decoder{Topo: tp, Mode: mode, Params: p}
-		want, wantErr := ref.Decode(pkt, at, clock)
-		if wantErr == nil {
-			want.Path, want.Epochs = slices.Clone(want.Path), slices.Clone(want.Epochs)
-		}
-
-		dec := &Decoder{Topo: tp, Mode: mode, Params: p}
-		var memo PathMemo
-		dec.DecodeMemo(fuzzPacket(tp, intMode, src, dst, 3, warm, epoch, hops), at, clock, &memo)
-		for _, pass := range []string{"warmed", "refilled"} {
-			got, err := dec.DecodeMemo(pkt, at, clock, &memo)
-			if !sameDecode(got, err, want, wantErr) {
-				t.Fatalf("%s memo: decoded %+v, %v; memo-less Decode gives %+v, %v", pass, got, err, want, wantErr)
+			dec := &Decoder{Topo: tp, Mode: mode, Params: p}
+			var memo PathMemo
+			dec.DecodeMemo(fuzzPacket(tp, intMode, src, dst, 3, warm, epoch, hops), at, clock, &memo)
+			for _, pass := range []string{"warmed", "refilled"} {
+				got, err := dec.DecodeMemo(pkt, at, clock, &memo)
+				if !sameDecode(got, err, want, wantErr) {
+					t.Fatalf("%s: %s memo: decoded %+v, %v; memo-less Decode gives %+v, %v", tp.Name, pass, got, err, want, wantErr)
+				}
 			}
 		}
 	})

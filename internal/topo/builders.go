@@ -283,6 +283,9 @@ func LeafSpine(net *netsim.Network, nLeaf, nSpine, hostsPerLeaf int, cfg Config)
 		if from != srcTor.NodeID() {
 			return nil, 0, fmt.Errorf("topo: link %d does not start at source leaf", link)
 		}
+		if srcTor == dstTor {
+			return nil, 0, fmt.Errorf("topo: tagged packet within leaf %s", srcTor.NodeName())
+		}
 		return []netsim.NodeID{srcTor.NodeID(), to, dstTor.NodeID()}, 0, nil
 	}
 	t.ComputeRoutes()
@@ -384,15 +387,18 @@ func FatTree(net *netsim.Network, k int, cfg Config) *Topology {
 		if !ok {
 			return nil, 0, fmt.Errorf("topo: unknown link %d", link)
 		}
-		switch t.roles[from] {
-		case RoleToR: // edge→agg: intra-pod path
-			if from != srcTor.NodeID() {
-				return nil, 0, fmt.Errorf("topo: intra-pod link %d does not start at source edge", link)
+		srcPod, dstPod := t.pod[srcTor.NodeID()], t.pod[dstTor.NodeID()]
+		switch {
+		case from == srcTor.NodeID() && t.roles[to] == RoleAgg: // edge→agg: intra-pod path
+			if srcPod != dstPod || srcTor == dstTor {
+				return nil, 0, fmt.Errorf("topo: intra-pod link %d tags a packet that is not intra-pod and cross-edge", link)
 			}
 			return []netsim.NodeID{srcTor.NodeID(), to, dstTor.NodeID()}, 0, nil
-		case RoleAgg: // agg→core: inter-pod 5-switch path
+		case t.roles[from] == RoleAgg && t.pod[from] == srcPod && t.roles[to] == RoleCore: // agg→core: inter-pod 5-switch path
+			if srcPod == dstPod {
+				return nil, 0, fmt.Errorf("topo: inter-pod link %d tags a packet within pod %d", link, srcPod)
+			}
 			core := to
-			dstPod := podOf(dst)
 			var dstAgg netsim.NodeID = -1
 			for _, nb := range t.neighbors[core] {
 				if t.roles[nb] == RoleAgg && t.pod[nb] == dstPod {
@@ -405,7 +411,7 @@ func FatTree(net *netsim.Network, k int, cfg Config) *Topology {
 			}
 			return []netsim.NodeID{srcTor.NodeID(), from, core, dstAgg, dstTor.NodeID()}, 1, nil
 		default:
-			return nil, 0, fmt.Errorf("topo: link %d starts at unexpected role", link)
+			return nil, 0, fmt.Errorf("topo: link %d is neither from the source edge to an agg nor from an agg of the source pod to a core", link)
 		}
 	}
 	t.ComputeRoutes()

@@ -361,6 +361,72 @@ func TestFatTreeReconstruction(t *testing.T) {
 	}
 }
 
+// TestReconstructPathIsAWalk: whatever link ID a packet carries between
+// whichever two hosts, a path ReconstructPath accepts is one a packet can
+// take — it starts at the source's ToR, ends at the destination's, steps
+// only between adjacent switches and repeats no switch — and the tagged link
+// is its step at the tag index.
+func TestReconstructPathIsAWalk(t *testing.T) {
+	for _, tp := range []*Topology{
+		Star(netsim.New(), 3, Config{}),
+		Dumbbell(netsim.New(), 2, 2, Config{}),
+		ParallelLinks(netsim.New(), 2, 2, 3, Config{}),
+		Chain(netsim.New(), []int{1, 2, 1}, Config{}),
+		LeafSpine(netsim.New(), 4, 2, 2, Config{}),
+		FatTree(netsim.New(), 4, Config{}),
+	} {
+		accepted := 0
+		for _, src := range tp.Hosts() {
+			for _, dst := range tp.Hosts() {
+				for link := range tp.nextLink + 2 { // every link, 0 and two past the last
+					path, tagIdx, err := tp.ReconstructPath(src.IP(), dst.IP(), link)
+					if err != nil {
+						continue
+					}
+					accepted++
+					if msg := walkFault(tp, src.IP(), dst.IP(), link, path, tagIdx); msg != "" {
+						t.Fatalf("%s: %s→%s over link %d reconstructs %v, tag index %d: %s",
+							tp.Name, src.NodeName(), dst.NodeName(), link, path, tagIdx, msg)
+					}
+				}
+			}
+		}
+		if accepted == 0 {
+			t.Fatalf("%s: no path reconstructed", tp.Name)
+		}
+	}
+}
+
+// walkFault says how path, reconstructed for src→dst over link with tag
+// index tagIdx, is not a walk a packet can take, or returns "".
+func walkFault(tp *Topology, src, dst netsim.IPv4, link LinkID, path []netsim.NodeID, tagIdx int) string {
+	srcTor, _ := tp.ToROf(src)
+	dstTor, _ := tp.ToROf(dst)
+	if len(path) == 0 || path[0] != srcTor.NodeID() || path[len(path)-1] != dstTor.NodeID() {
+		return fmt.Sprintf("does not run from ToR %d to ToR %d", srcTor.NodeID(), dstTor.NodeID())
+	}
+	for i := range path {
+		if i > 0 {
+			if _, ok := tp.LinkBetween(path[i-1], path[i]); !ok {
+				return fmt.Sprintf("no link from %d to %d", path[i-1], path[i])
+			}
+		}
+		if slices.Index(path, path[i]) != i {
+			return fmt.Sprintf("switch %d repeats", path[i])
+		}
+	}
+	if link == 0 {
+		if len(path) != 1 {
+			return "an untagged path crosses a link"
+		}
+		return ""
+	}
+	if from, to, _ := tp.LinkEndpoints(link); tagIdx < 0 || tagIdx+1 >= len(path) || path[tagIdx] != from || path[tagIdx+1] != to {
+		return fmt.Sprintf("link %d (%d→%d) is not its step at the tag index", link, from, to)
+	}
+	return ""
+}
+
 func TestFatTreeLiveDelivery(t *testing.T) {
 	net := netsim.New()
 	tp := FatTree(net, 4, Config{})

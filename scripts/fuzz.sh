@@ -3,15 +3,17 @@
 # beside each target): 10 s over the segment decoder — which also checks
 # that the validating walk accepts exactly what the decoder accepts and that
 # every cursor accessor reads each record as decoded — 5 s each over the
-# splice that assembles a host answer from record encodings (a cursor over
-# any spliced segment must not panic), the pointer
+# splice that assembles a host answer from record encodings (segment decode
+# and walk agree with a test-side reference decoder, and a range splices
+# exactly when it is one valid record), the pointer
 # snapshot and slot-list decoders, the bitmap decoders under both (dense and
 # sparse pointer sets), the client's check of a /headers-batch
 # answer (flowrec segments inside JSON), the reader of a host /snapshot
 # body (flowrec segments back to back) and the decoders of a /diagnose
 # report's culprit and flow columns, and the host-side telemetry decoder
 # over any commodity or INT packet, which must also decode the same through
-# a warmed per-flow path memo as without one. Arbitrary bytes must
+# a warmed per-flow path memo as without one and, when commodity, give a
+# loop-free walk between the hosts' ToRs. Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
 # input, a failed restore changes nothing — and whatever decodes must survive
 # an encode/decode round trip. A last 5 s drives the event engine's
