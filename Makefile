@@ -12,13 +12,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-## lint: gofmt + go vet + the splint invariant suite (detlint, sortlint,
-## locklint, ctxlint — see README "Invariants & static analysis"); exits
-## non-zero on any unformatted file or splint finding
+## lint: gofmt + go vet + the invariant suite (locklint, ctxlint — see
+## README "Invariants & static analysis"), go test ./internal/lint; exits
+## non-zero on any unformatted file or lint finding
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
-	$(GO) run ./cmd/splint ./...
+	$(GO) test ./internal/lint
 
 ## test: full test suite, including the paper-figure goldens
 ## (internal/experiments/testdata; UPDATE_GOLDEN=1 rewrites them)
@@ -62,9 +62,9 @@ binaries:
 		$(GO) build -o /dev/null "./$$d"; \
 	done
 
-## verify: the tier-1 gate, scripts/verify.sh — build, lint (gofmt + vet +
-## splint), test, race, the fuzz leg, binary compile checks and the spd
-## trio / trace / metrics / bootstrap smokes
+## verify: the tier-1 gate, scripts/verify.sh — build, lint (gofmt + vet),
+## test (the invariant suite included), race, the fuzz leg, binary compile
+## checks and the spd trio / trace / metrics / bootstrap smokes
 verify:
 	sh scripts/verify.sh
 

@@ -59,14 +59,12 @@ func main() {
 }
 
 func runOne(w *os.File, e experiments.Entry) {
-	//splint:wallclock bench harness reports real regeneration time alongside the virtual-time tables
 	start := time.Now()
 	res, err := e.Run()
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", e.ID, err))
 	}
 	fmt.Fprint(w, res.Render())
-	//splint:wallclock bench harness reports real regeneration time alongside the virtual-time tables
 	fmt.Fprintf(w, "(regenerated in %v)\n\n", time.Since(start).Round(time.Millisecond))
 }
 

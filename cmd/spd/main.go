@@ -349,13 +349,11 @@ func runBootstrap(role, peer string, tb *scenario.Testbed, rd *statesync.Readine
 		return
 	}
 	b := &statesync.Bootstrapper{Readiness: rd}
-	//splint:wallclock daemon progress log: real elapsed bootstrap time, never a metric
 	start := time.Now()
 	// The bootstrap leaves a single-span trace in the flight recorder: pure
 	// wall-clock work (no virtual clock runs here), so the duration rides the
 	// exempt wall annotation and the span's virtual times stay zero.
 	recordBootstrap := func(segs, recs int64) {
-		//splint:wallclock daemon progress log: real elapsed bootstrap time, never a metric
 		wall := time.Since(start)
 		fr.Record(trace.NewID("bootstrap", role, peer), trace.Span{
 			ID: "0", Name: "bootstrap", Role: role, Wall: wall.Nanoseconds(),
@@ -374,7 +372,6 @@ func runBootstrap(role, peer string, tb *scenario.Testbed, rd *statesync.Readine
 		}
 		recordBootstrap(int64(segs), int64(recs))
 		fmt.Fprintf(os.Stderr, "spd host: bootstrap complete (%d segments, %d records, %v); live\n",
-			//splint:wallclock daemon progress log: real elapsed bootstrap time, never a metric
 			segs, recs, time.Since(start).Round(time.Millisecond))
 	case "switch":
 		if err := cluster.BootstrapSwitches(ctx, b, peer, tb); err != nil {
@@ -382,7 +379,6 @@ func runBootstrap(role, peer string, tb *scenario.Testbed, rd *statesync.Readine
 			return
 		}
 		recordBootstrap(0, 0)
-		//splint:wallclock daemon progress log: real elapsed bootstrap time, never a metric
 		fmt.Fprintf(os.Stderr, "spd switch: bootstrap complete (%v); live\n", time.Since(start).Round(time.Millisecond))
 	}
 	rd.SetLive()

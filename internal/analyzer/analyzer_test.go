@@ -9,6 +9,8 @@ import (
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
+	"switchpointer/internal/topo"
+	"switchpointer/internal/transport"
 )
 
 // run executes q through the one entry point and fails the test on error.
@@ -151,6 +153,52 @@ func TestDiagnoseRedLights(t *testing.T) {
 	// The paper's budget: ~30 ms end to end.
 	if d.Total() > 60*simtime.Millisecond {
 		t.Fatalf("red-lights diagnosis took %v", d.Total())
+	}
+}
+
+// TestTiedCulpritsKeepPathOrder pins the order of culprits that tie on
+// bytes and flow: one high-priority flow that shares the victim's egress at
+// S1 and S2 over the same epochs is blamed at both with equal bytes, and
+// sortCulprits, being stable, keeps them in the alert's path order. Sixteen
+// diagnoses of the one alert give any order that leaks into the sort's
+// input (map order, a shuffle) its chances to show.
+func TestTiedCulpritsKeepPathOrder(t *testing.T) {
+	tb, err := scenario.NewTestbed(func(net *netsim.Network, tc topo.Config) *topo.Topology {
+		return topo.Chain(net, []int{2, 2, 2}, tc)
+	}, scenario.Options{Queue: netsim.QueuePriority})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := tb.Host("h1-1"), tb.Host("h1-2")
+	e, f := tb.Host("h3-1"), tb.Host("h3-2")
+	victim := netsim.FlowKey{Src: a.IP(), Dst: f.IP(), SrcPort: 10000, DstPort: 5001, Proto: netsim.ProtoTCP}
+	burst := netsim.FlowKey{Src: b.IP(), Dst: e.IP(), SrcPort: 20001, DstPort: 7001, Proto: netsim.ProtoUDP}
+	transport.StartTCP(tb.Net, a, f, transport.TCPConfig{
+		Flow: victim, Priority: scenario.PrioLow, Duration: 10 * simtime.Millisecond})
+	transport.StartUDP(tb.Net, b, transport.UDPConfig{
+		Flow: burst, Priority: scenario.PrioHigh, RateBps: netsim.Rate1G,
+		Start: 5 * simtime.Millisecond, Duration: 400 * simtime.Microsecond})
+	tb.Run(30 * simtime.Millisecond)
+	alert, ok := tb.AlertFor(victim)
+	if !ok {
+		t.Fatalf("victim never triggered")
+	}
+	s1, s2 := tb.Switch("S1").NodeID(), tb.Switch("S2").NodeID()
+	for i := 0; i < 16; i++ {
+		d := run(t, tb.Analyzer, analyzer.ContentionQuery{Alert: alert})
+		var blamed []analyzer.Culprit
+		for _, c := range d.Culprits {
+			if c.Flow == burst {
+				blamed = append(blamed, c)
+			}
+		}
+		if len(blamed) != 2 || blamed[0].Bytes != blamed[1].Bytes {
+			t.Fatalf("want the burst blamed twice with tied bytes, got %v", d.Culprits)
+		}
+		if blamed[0].Switch != s1 || blamed[1].Switch != s2 {
+			t.Fatalf("diagnosis %d: the burst is blamed at %d then %d, want S1 (%d) then S2 (%d)",
+				i, blamed[0].Switch, blamed[1].Switch, s1, s2)
+		}
 	}
 }
 

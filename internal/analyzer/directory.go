@@ -67,14 +67,12 @@ type SwitchEpochs struct {
 //
 // # Static-analysis contract
 //
-// splint enforces the interface's cross-cutting rules mechanically:
-// ctxlint requires every exported caller to thread its ctx into
-// Hosts/HostsBatch/Distribute (no context.Background in the middle of a
-// diagnosis), locklint forbids invoking them while a mutex is held (remote
-// implementations perform HTTP rounds), and sortlint guards the expanded
-// host sets: any slice an implementation fills from map iteration must be
-// sorted before it is returned or encoded, or the byte-identical report
-// drift gates break.
+// The lint suite (internal/lint) enforces two of the interface's
+// cross-cutting rules mechanically: ctxlint requires every exported caller
+// to thread its ctx into Hosts/HostsBatch/Distribute (no
+// context.Background in the middle of a diagnosis), and locklint forbids
+// invoking them while a mutex is held (remote implementations perform HTTP
+// rounds).
 type Directory interface {
 	// Hosts returns the end hosts named by switch sw's pointers over the
 	// epoch range, honouring ctx cancellation. It returns ErrUnknownSwitch

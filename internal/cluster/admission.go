@@ -204,11 +204,9 @@ func (ad *Admission) Run(ctx context.Context, q analyzer.Query) (*analyzer.Repor
 	ad.queued++
 	ad.mu.Unlock()
 
-	//splint:wallclock queue-wait latency is a real-time service metric on live daemons
 	waitStart := time.Now()
 	var expire <-chan time.Time
 	if ad.cfg.QueueWait > 0 {
-		//splint:wallclock queue-wait expiry is a real-time service bound on live daemons
 		t := time.NewTimer(ad.cfg.QueueWait)
 		defer t.Stop()
 		expire = t.C
@@ -217,7 +215,6 @@ func (ad *Admission) Run(ctx context.Context, q analyzer.Query) (*analyzer.Repor
 	case <-w.grant:
 		// The releasing query transferred its slot (and counted the
 		// admission) under the mutex.
-		//splint:wallclock queue-wait latency is a real-time service metric on live daemons
 		wait := time.Since(waitStart)
 		ad.observeQueueWait(prio, wait)
 		return ad.exec(ctx, q, wait)
@@ -239,7 +236,6 @@ func (ad *Admission) Run(ctx context.Context, q analyzer.Query) (*analyzer.Repor
 			return nil, fmt.Errorf("%w (after %v)", ErrExpired, ad.cfg.QueueWait)
 		}
 		// Granted at the deadline boundary: the slot is ours, so run.
-		//splint:wallclock queue-wait latency is a real-time service metric on live daemons
 		wait := time.Since(waitStart)
 		ad.observeQueueWait(prio, wait)
 		return ad.exec(ctx, q, wait)
@@ -283,10 +279,8 @@ func (ad *Admission) exec(ctx context.Context, q analyzer.Query, wait time.Durat
 	if o == nil {
 		rep, err = ad.run.Run(ctx, q)
 	} else {
-		//splint:wallclock diagnosis wall latency is a real-time service metric on live daemons
 		start := time.Now()
 		rep, err = ad.run.Run(ctx, q)
-		//splint:wallclock diagnosis wall latency is a real-time service metric on live daemons
 		o.recordDiagnosis(q, rep, err, time.Since(start))
 	}
 	if ad.Flight != nil && rep != nil && rep.Trace != nil {

@@ -146,11 +146,9 @@ func (c *Client) Stats(ctx context.Context) (AdmissionStats, error) {
 // snapshot, and WaitReady keeps polling until the bootstrap lands. A 200
 // with a non-JSON body (a plain health endpoint) counts as live.
 func WaitReady(ctx context.Context, url string, timeout time.Duration) error {
-	//splint:wallclock readiness polling races a live daemon, not the simulation
 	deadline := time.Now().Add(timeout)
 	client := &http.Client{Timeout: time.Second}
 	var lastErr error
-	//splint:wallclock readiness polling races a live daemon, not the simulation
 	for time.Now().Before(deadline) {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -179,7 +177,6 @@ func WaitReady(ctx context.Context, url string, timeout time.Duration) error {
 		} else {
 			lastErr = err
 		}
-		//splint:wallclock readiness polling races a live daemon, not the simulation
 		time.Sleep(50 * time.Millisecond)
 	}
 	return fmt.Errorf("cluster: %s not ready after %v: %v", url, timeout, lastErr)

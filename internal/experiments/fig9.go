@@ -120,12 +120,10 @@ func (d *datapath) withStage(a int) func(i int) {
 
 // nsPerPacket times n packets through step.
 func nsPerPacket(step func(i int), n int) float64 {
-	//splint:wallclock fig 9 measures real per-packet datapath cost (wall-clock-exempt in the drift gate)
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		step(i)
 	}
-	//splint:wallclock fig 9 measures real per-packet datapath cost (wall-clock-exempt in the drift gate)
 	return float64(time.Since(start).Nanoseconds()) / float64(n)
 }
 

@@ -110,31 +110,26 @@ type delayHosts struct {
 }
 
 func (d delayHosts) HeadersRound(ctx context.Context, workers int, hosts []netsim.IPv4, queries []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, int, error) {
-	//splint:wallclock emulated backend RTT: deployment-real latency at the seam (1-CPU container)
 	time.Sleep(d.rtt)
 	return d.HostBackend.HeadersRound(ctx, workers, hosts, queries)
 }
 
 func (d delayHosts) TopKRound(ctx context.Context, workers int, hosts []netsim.IPv4, sw netsim.NodeID, k int) ([][]hostagent.FlowBytes, int, error) {
-	//splint:wallclock emulated backend RTT: deployment-real latency at the seam (1-CPU container)
 	time.Sleep(d.rtt)
 	return d.HostBackend.TopKRound(ctx, workers, hosts, sw, k)
 }
 
 func (d delayHosts) FlowSizesRound(ctx context.Context, workers int, hosts []netsim.IPv4, sw netsim.NodeID) ([][]hostagent.FlowSize, int, error) {
-	//splint:wallclock emulated backend RTT: deployment-real latency at the seam (1-CPU container)
 	time.Sleep(d.rtt)
 	return d.HostBackend.FlowSizesRound(ctx, workers, hosts, sw)
 }
 
 func (d delayHosts) Priority(ctx context.Context, ip netsim.IPv4, flow netsim.FlowKey) (uint8, bool) {
-	//splint:wallclock emulated backend RTT: deployment-real latency at the seam (1-CPU container)
 	time.Sleep(d.rtt)
 	return d.HostBackend.Priority(ctx, ip, flow)
 }
 
 func (d delayHosts) Record(ctx context.Context, ip netsim.IPv4, flow netsim.FlowKey) (*flowrec.Record, bool) {
-	//splint:wallclock emulated backend RTT: deployment-real latency at the seam (1-CPU container)
 	time.Sleep(d.rtt)
 	return d.HostBackend.Record(ctx, ip, flow)
 }
@@ -146,13 +141,11 @@ type delayDirectory struct {
 }
 
 func (d delayDirectory) Hosts(ctx context.Context, sw netsim.NodeID, epochs simtime.EpochRange) ([]netsim.IPv4, error) {
-	//splint:wallclock emulated backend RTT: deployment-real latency at the seam (1-CPU container)
 	time.Sleep(d.rtt)
 	return d.Directory.Hosts(ctx, sw, epochs)
 }
 
 func (d delayDirectory) HostsBatch(ctx context.Context, reqs []analyzer.SwitchEpochs) ([][]netsim.IPv4, []error) {
-	//splint:wallclock emulated backend RTT: deployment-real latency at the seam (1-CPU container)
 	time.Sleep(d.rtt)
 	return d.Directory.HostsBatch(ctx, reqs)
 }
@@ -167,7 +160,6 @@ func overlapBatch(ad *cluster.Admission, alert hostagent.Alert, queries, submitt
 	}
 	close(work)
 	errs := make(chan error, submitters)
-	//splint:wallclock diagnosis-throughput reports real reports/sec (wall-clock-exempt in the drift gate)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < submitters; w++ {
@@ -188,7 +180,6 @@ func overlapBatch(ad *cluster.Admission, alert hostagent.Alert, queries, submitt
 		}()
 	}
 	wg.Wait()
-	//splint:wallclock diagnosis-throughput reports real reports/sec (wall-clock-exempt in the drift gate)
 	elapsed := time.Since(start)
 	select {
 	case err := <-errs:

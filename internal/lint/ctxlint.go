@@ -20,10 +20,8 @@ import (
 // call (first parameter context.Context). Handlers are exempt through
 // their *http.Request parameter — r.Context() is the request's context.
 var Ctxlint = &Analyzer{
-	Name:      "ctxlint",
-	Doc:       "exported I/O functions in rpc/cluster/analyzer/statesync must take context.Context first and pass it downstream",
-	Directive: "noctx",
-	Run:       runCtxlint,
+	Name: "ctxlint",
+	Run:  runCtxlint,
 }
 
 // ctxPkgs are the packages under the context contract.
@@ -107,11 +105,11 @@ func checkCtxFunc(pass *Pass, fd *ast.FuncDecl) {
 	if !hasCtxParam && !hasRequestParam {
 		// The signature is the root cause; severed downstream calls
 		// inside are a symptom of the same finding, not reported twice.
-		pass.Reportf(fd.Name.Pos(), "exported %s%s performs I/O but does not take context.Context as its first parameter; thread ctx through (or annotate //splint:noctx <reason>)", recv, fn.Name())
+		pass.Reportf(fd.Name.Pos(), "exported %s%s performs I/O but does not take context.Context as its first parameter; thread ctx through", recv, fn.Name())
 		return
 	}
 	for _, call := range severed {
-		pass.Reportf(call.Pos(), "call severs the caller's context with context.Background/TODO; pass the function's ctx so cancellation and partial-cost accounting propagate (or annotate //splint:noctx <reason>)")
+		pass.Reportf(call.Pos(), "call severs the caller's context with context.Background/TODO; pass the function's ctx so cancellation and partial-cost accounting propagate")
 	}
 }
 

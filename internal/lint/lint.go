@@ -1,25 +1,18 @@
-// Package lint is splint's analysis framework: a self-contained,
-// stdlib-only analogue of golang.org/x/tools/go/analysis (which this
-// offline build cannot vendor). It defines the Analyzer/Pass/Diagnostic
-// vocabulary, the //splint:<verb> suppression directive, and the runner
-// that applies a suite of analyzers to type-checked packages.
+// Package lint is the repository's static-analysis framework: a
+// self-contained, stdlib-only analogue of golang.org/x/tools/go/analysis
+// (which this offline build cannot vendor). It defines the
+// Analyzer/Pass/Diagnostic vocabulary and the runner that applies a suite
+// of analyzers to type-checked packages.
 //
-// The four shipped analyzers encode invariants the codebase's correctness
-// claims already rest on (see README "Invariants & static analysis"):
+// The two analyzers check what no golden or equivalence test can see,
+// because neither changes a report (see README "Invariants & static
+// analysis"):
 //
-//   - detlint  — no wall clock / unseeded math/rand in deterministic code
-//   - sortlint — no map-iteration order leaking into reports or the wire
 //   - locklint — no network calls while a mutex is held
 //   - ctxlint  — exported I/O functions thread context.Context
 //
-// A diagnostic is suppressed by a directive comment of the form
-//
-//	//splint:<verb> <reason>
-//
-// placed on the flagged line or the line directly above it, where <verb>
-// is the analyzer's directive verb (e.g. wallclock for detlint). The
-// reason is mandatory: a bare directive is itself reported, so every
-// exemption in the tree carries its one-line justification.
+// TestSplintTreeClean runs both over the module inside go test ./...; the
+// suite has no exemptions, so a finding is fixed, not annotated.
 package lint
 
 import (
@@ -27,21 +20,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
 
 // An Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics (e.g. "detlint").
+	// Name identifies the analyzer in diagnostics (e.g. "locklint").
 	Name string
-	// Doc is a short description shown by cmd/splint.
-	Doc string
-	// Directive is the suppression verb: "//splint:<Directive> <reason>"
-	// on the flagged line (or the line above) suppresses this analyzer's
-	// diagnostic there.
-	Directive string
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass) error
 }
@@ -77,68 +63,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// directiveRE matches a splint suppression comment. The verb is captured;
-// everything after the first space is the justification.
-var directiveRE = regexp.MustCompile(`^//splint:([a-z]+)(.*)$`)
-
-// directive is one parsed //splint:<verb> comment.
-type directive struct {
-	verb   string
-	reason string
-	pos    token.Position
-}
-
-// collectDirectives extracts every splint directive in the files, keyed by
-// (filename, line). A directive suppresses diagnostics on its own line and
-// on the line below it (the usual "annotation above the statement" shape).
-func collectDirectives(fset *token.FileSet, files []*ast.File) map[string]map[int]directive {
-	out := make(map[string]map[int]directive)
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := directiveRE.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := fset.Position(c.Slash)
-				byLine := out[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]directive)
-					out[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = directive{
-					verb:   m[1],
-					reason: strings.TrimSpace(m[2]),
-					pos:    pos,
-				}
-			}
-		}
-	}
-	return out
-}
-
 // RunAnalyzers applies every analyzer to every package and returns the
-// surviving diagnostics in file/line order: analyzer findings minus
-// directive-suppressed ones, plus a diagnostic for each malformed
-// directive (unknown verb or missing reason) so stale or lazy annotations
-// cannot accumulate silently.
+// diagnostics in file/line order.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	// runVerbs are the directives whose analyzers actually execute this
-	// run; only those can be judged stale. knownVerbs spans the full
-	// suite so a partial run (splint -only detlint) never misreads
-	// another analyzer's directive as unknown.
-	runVerbs := make(map[string]bool)
-	for _, a := range analyzers {
-		runVerbs[a.Directive] = true
-	}
-	knownVerbs := make(map[string]bool)
-	for _, a := range All() {
-		knownVerbs[a.Directive] = true
-	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		dirs := collectDirectives(pkg.Fset, pkg.Files)
-		used := make(map[string]map[int]bool)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,
@@ -150,50 +79,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
 			}
-			for _, d := range pass.diags {
-				if dir, line, ok := suppressing(dirs, d, a.Directive); ok {
-					u := used[d.Pos.Filename]
-					if u == nil {
-						u = make(map[int]bool)
-						used[d.Pos.Filename] = u
-					}
-					u[line] = true
-					if dir.reason == "" {
-						// Reported at the flagged line (not the directive)
-						// so the finding stays attached to the code it
-						// excuses; the directive did fire, so it is not
-						// additionally stale.
-						out = append(out, Diagnostic{
-							Analyzer: a.Name,
-							Pos:      d.Pos,
-							Message:  fmt.Sprintf("//splint:%s directive requires a one-line reason", a.Directive),
-						})
-					}
-					continue
-				}
-				out = append(out, d)
-			}
-		}
-		// Directives that suppressed nothing are stale (or misspelled):
-		// surface them so annotations track the code they excuse.
-		for file, byLine := range dirs {
-			for line, dir := range byLine {
-				if !knownVerbs[dir.verb] {
-					out = append(out, Diagnostic{
-						Analyzer: "splint",
-						Pos:      dir.pos,
-						Message:  fmt.Sprintf("unknown splint directive %q", dir.verb),
-					})
-					continue
-				}
-				if runVerbs[dir.verb] && !used[file][line] {
-					out = append(out, Diagnostic{
-						Analyzer: "splint",
-						Pos:      dir.pos,
-						Message:  fmt.Sprintf("stale //splint:%s directive: nothing on this or the next line triggers it", dir.verb),
-					})
-				}
-			}
+			out = append(out, pass.diags...)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -212,24 +98,9 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	return out, nil
 }
 
-// suppressing reports whether a directive with the given verb covers d,
-// returning the directive and the line it sits on.
-func suppressing(dirs map[string]map[int]directive, d Diagnostic, verb string) (directive, int, bool) {
-	byLine := dirs[d.Pos.Filename]
-	if byLine == nil {
-		return directive{}, 0, false
-	}
-	for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
-		if dir, ok := byLine[line]; ok && dir.verb == verb {
-			return dir, line, true
-		}
-	}
-	return directive{}, 0, false
-}
-
-// All returns the full splint suite in reporting order.
+// All returns the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detlint, Sortlint, Locklint, Ctxlint}
+	return []*Analyzer{Locklint, Ctxlint}
 }
 
 // ---- shared type helpers used by the analyzers ----
@@ -276,7 +147,7 @@ func isContextType(t types.Type) bool {
 }
 
 // firstParamIsContext reports whether sig's first parameter is a
-// context.Context — the marker splint uses for "ctx-aware, may block".
+// context.Context — the marker the suite uses for "ctx-aware, may block".
 func firstParamIsContext(sig *types.Signature) bool {
 	return sig != nil && sig.Params().Len() > 0 && isContextType(sig.Params().At(0).Type())
 }
@@ -300,7 +171,7 @@ func recvTypeName(f *types.Func) string {
 
 // pkgPathHasSegment reports whether any "/"-separated segment of path
 // equals one of names — how analyzers scope themselves to package
-// families (internal/netsim, cmd/spd, fixture dirs) without hardcoding
+// families (internal/rpc, internal/cluster, fixture dirs) without hardcoding
 // the module prefix.
 func pkgPathHasSegment(path string, names map[string]bool) bool {
 	for _, seg := range strings.Split(path, "/") {

@@ -1,7 +1,7 @@
-// Package linttest is splint's analysistest analogue: it loads a fixture
-// package from a testdata tree, runs one analyzer over it (directive
-// suppression included), and asserts the produced diagnostics against
-// "want" comments in the fixture source.
+// Package linttest is the lint suite's analysistest analogue: it loads a
+// fixture package from a testdata tree, runs one analyzer over it, and
+// asserts the produced diagnostics against "want" comments in the fixture
+// source.
 //
 // Expectations use the analysistest comment convention:
 //
@@ -32,8 +32,8 @@ var quotedRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 // calling test's directory), applies the analyzer, and checks every
 // diagnostic against the fixture's want comments. The fixture's package
 // path is pkgRel itself, so analyzers that scope by path segment (e.g.
-// detlint's deterministic set, ctxlint's service-plane set) see fixture
-// trees the way they see the real one.
+// ctxlint's service-plane set) see fixture trees the way they see the real
+// one.
 func Run(t *testing.T, a *lint.Analyzer, pkgRel string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", filepath.FromSlash(pkgRel))

@@ -38,7 +38,7 @@ type listEntry struct {
 
 // goList runs `go list -export -deps -json` in dir over patterns and
 // decodes the JSON stream. -export makes the go tool compile every listed
-// package and record its export-data file, which is what lets splint
+// package and record its export-data file, which is what lets the suite
 // type-check targets from source while importing all dependencies
 // (stdlib included) from compiled export data — fully offline, no
 // golang.org/x/tools required.
@@ -75,7 +75,7 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
-			return nil, fmt.Errorf("splint: no export data for %q", path)
+			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 		return os.Open(file)
 	})
@@ -83,9 +83,9 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 
 // Load resolves patterns (e.g. "./...") relative to dir — a directory
 // inside a Go module — and returns the matched packages parsed and
-// type-checked from source. Test files are not loaded: splint checks the
-// shipped tree, and tests legitimately reach for wall clock, fixed seeds,
-// and synchronous shortcuts the analyzers would otherwise flag.
+// type-checked from source. Test files are not loaded: the suite checks
+// the shipped tree, and tests legitimately reach for synchronous shortcuts
+// the analyzers would otherwise flag.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	entries, err := goList(dir, patterns...)
 	if err != nil {
@@ -123,7 +123,7 @@ func LoadFixture(moduleDir, dir, importPath string) (*Package, error) {
 		return nil, err
 	}
 	if len(matches) == 0 {
-		return nil, fmt.Errorf("splint: fixture %s: no .go files", dir)
+		return nil, fmt.Errorf("lint: fixture %s: no .go files", dir)
 	}
 	sort.Strings(matches)
 	fset := token.NewFileSet()
@@ -192,7 +192,7 @@ func checkFiles(importPath string, fset *token.FileSet, files []*ast.File, expor
 	conf := types.Config{Importer: exportImporter(fset, exports)}
 	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("splint: type-check %s: %w", importPath, err)
+		return nil, fmt.Errorf("lint: type-check %s: %w", importPath, err)
 	}
 	return &Package{
 		ImportPath: importPath,

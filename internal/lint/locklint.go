@@ -23,10 +23,8 @@ import (
 //   - any same-package function that transitively does one of the above
 //     (computed to a fixpoint over the package's own call graph).
 var Locklint = &Analyzer{
-	Name:      "locklint",
-	Doc:       "flags calls that can block on the network while a sync mutex is held",
-	Directive: "netlock",
-	Run:       runLocklint,
+	Name: "locklint",
+	Run:  runLocklint,
 }
 
 // servicePlanePkgs are packages whose ctx-aware exported functions are
@@ -143,7 +141,7 @@ func runLocklint(pass *Pass) error {
 			return
 		}
 		if directlyBlocking(callee) || blocking[callee] {
-			pass.Reportf(call.Pos(), "%s can block on the network while %s is locked; move the call outside the critical section (clone under the lock, send outside it) or annotate //splint:netlock <reason>", describe(callee), heldExpr)
+			pass.Reportf(call.Pos(), "%s can block on the network while %s is locked; move the call outside the critical section (clone under the lock, send outside it)", describe(callee), heldExpr)
 		}
 	}
 	for _, fd := range decls {

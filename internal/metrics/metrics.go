@@ -16,8 +16,8 @@
 //
 // Rendering is deterministic by construction — families sort by name,
 // samples by label tuple — so repeated scrapes of unchanged state are
-// byte-identical regardless of map iteration order (the property the
-// golden-file tests and the sortlint contract both pin down).
+// byte-identical regardless of map iteration order (the property
+// TestGoldenRendering and TestRenderingDeterministic pin down).
 package metrics
 
 import (
@@ -173,10 +173,8 @@ func (r *Registry) GaugeFunc(name, help string, labelNames []string, collect fun
 // part of a drift-gated rendering (tests and benches build registries
 // without it).
 func (r *Registry) Uptime(name, help string) {
-	//splint:wallclock process uptime is real elapsed time by definition, never a frozen virtual-time metric
 	start := time.Now()
 	r.GaugeFunc(name, help, nil, func(emit Emit) {
-		//splint:wallclock process uptime is real elapsed time by definition, never a frozen virtual-time metric
 		emit(time.Since(start).Seconds())
 	})
 }

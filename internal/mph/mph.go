@@ -292,26 +292,43 @@ func (t *Table) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary restores a table serialized with MarshalBinary.
+// UnmarshalBinary restores a table serialized with MarshalBinary. It
+// accepts only tables Lookup can index: at least one vertex per part, the
+// g and chosen arrays Build sizes for that many vertices, and exactly m
+// chosen vertices. On error t is unchanged.
 func (t *Table) UnmarshalBinary(data []byte) error {
 	if len(data) < 24 {
 		return fmt.Errorf("mph: truncated header")
 	}
-	t.seed = binary.LittleEndian.Uint64(data[0:])
-	t.m = binary.LittleEndian.Uint32(data[8:])
-	t.partLen = binary.LittleEndian.Uint32(data[12:])
+	m := binary.LittleEndian.Uint32(data[8:])
+	partLen := binary.LittleEndian.Uint32(data[12:])
 	gLen := int(binary.LittleEndian.Uint32(data[16:]))
 	cLen := int(binary.LittleEndian.Uint32(data[20:]))
+	if partLen == 0 {
+		return fmt.Errorf("mph: zero part length")
+	}
+	nv := 3 * uint64(partLen)
+	if uint64(gLen) != (nv+3)/4 || uint64(cLen) != (nv+63)/64 {
+		return fmt.Errorf("mph: %d g bytes and %d chosen words, want %d and %d for part length %d",
+			gLen, cLen, (nv+3)/4, (nv+63)/64, partLen)
+	}
 	need := 24 + gLen + cLen*8
 	if len(data) != need {
 		return fmt.Errorf("mph: body size %d, want %d", len(data)-24, need-24)
 	}
+	chosen := make([]uint64, cLen)
+	ones := 0
+	for i := range chosen {
+		chosen[i] = binary.LittleEndian.Uint64(data[24+gLen+i*8:])
+		ones += bits.OnesCount64(chosen[i])
+	}
+	if ones != int(m) {
+		return fmt.Errorf("mph: %d chosen vertices, want one per key (%d)", ones, m)
+	}
+	t.seed = binary.LittleEndian.Uint64(data[0:])
+	t.m, t.partLen, t.chosen = m, partLen, chosen
 	t.g = make([]byte, gLen)
 	copy(t.g, data[24:24+gLen])
-	t.chosen = make([]uint64, cLen)
-	for i := range t.chosen {
-		t.chosen[i] = binary.LittleEndian.Uint64(data[24+gLen+i*8:])
-	}
 	t.buildRank()
 	return nil
 }

@@ -1,6 +1,7 @@
 package mph
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -148,6 +149,13 @@ func TestUnmarshalErrors(t *testing.T) {
 	data, _ := tbl.MarshalBinary()
 	if err := r.UnmarshalBinary(data[:len(data)-3]); err == nil {
 		t.Fatalf("truncated body accepted")
+	}
+	// A chosen bitmap whose popcount is not m ranks keys past Len(). The
+	// headers Lookup cannot index are FuzzUnmarshalBinary's seed corpus.
+	bad := bytes.Clone(data)
+	bad[len(bad)-1] ^= 0x80
+	if err := r.UnmarshalBinary(bad); err == nil {
+		t.Fatalf("chosen popcount off by one accepted")
 	}
 }
 

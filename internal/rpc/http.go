@@ -477,13 +477,13 @@ func NewSwitchHandler(a *switchagent.Agent, label string, fr *trace.FlightRecord
 // connection initiation entirely — the real-network twin of the cost model's
 // Pooled+Parallel accounting.
 //
-// Static-analysis contract: splint treats every HTTPClient method (except
-// Close/CloseIdleConnections) as a network round. locklint therefore flags
-// any call on one while a sync.Mutex/RWMutex is held — clone the state
-// under the lock and send outside it — and ctxlint requires exported
-// callers in the service-plane packages to thread a context.Context down
-// into these methods rather than severing the chain with
-// context.Background.
+// Static-analysis contract: the lint suite (internal/lint) treats every
+// HTTPClient method (except Close/CloseIdleConnections) as a network
+// round. locklint therefore flags any call on one while a
+// sync.Mutex/RWMutex is held — clone the state under the lock and send
+// outside it — and ctxlint requires exported callers in the service-plane
+// packages to thread a context.Context down into these methods rather than
+// severing the chain with context.Background.
 type HTTPClient struct {
 	HTTP *http.Client
 

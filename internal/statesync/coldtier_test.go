@@ -1,6 +1,7 @@
 package statesync
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,45 +60,62 @@ func readAll(t *testing.T, l *SegmentLog, i int) map[netsim.FlowKey]*flowrec.Rec
 // small overlapping segments collapses into one sorted segment, and
 // duplicate flow versions resolve by flowrec.Supersedes, as store.Put does
 // — newer LastSeen wins; on ties, more Pkts wins; on full ties, the later
-// segment's version replaces.
+// segment's version replaces. Beside the four contested flows, 24 filler
+// flows are spread over the run out of key order, so a merge that leaks
+// its map order shows as unsorted records and as two compactions of the
+// same input disagreeing byte for byte.
 func TestCompactMergesRunsWithRecencyGuard(t *testing.T) {
-	// The cold tier keeps its segments in an on-disk directory.
-	t.Run("dir", func(t *testing.T) {
+	const fillers = 24
+	stale := coldRecord(100, 50, 0, 2) // superseded: seg 2 carries LastSeen 90
+	fresh := coldRecord(101, 10, 1, 3) // survives: seg 3 re-adds it with older LastSeen
+	winner := coldRecord(100, 90, 4, 6)
+	loser := coldRecord(101, 5, 5, 7)
+	tiePrev := coldRecord(102, 30, 2, 4)
+	tiePrev.Pkts = 9 // tie on LastSeen below: more Pkts, must survive
+	tieNext := coldRecord(102, 30, 5, 7)
+	evenPrev := coldRecord(103, 40, 2, 3) // a full tie: the later segment's version replaces
+	evenNext := coldRecord(103, 40, 5, 6)
+	evenPrev.Bytes, evenNext.Bytes = 1, 2
+	segs := [][]*flowrec.Record{
+		{stale, fresh},
+		{tiePrev, evenPrev},
+		{winner},
+		{loser, tieNext, evenNext},
+	}
+	for i := 0; i < fillers; i++ {
+		port := uint16(200 + (i*7)%fillers)
+		segs[i%len(segs)] = append(segs[i%len(segs)], coldRecord(port, 20, 2, 5))
+	}
+	// compacted writes the run into a fresh log and compacts it.
+	compacted := func(t *testing.T) (*SegmentLog, CompactStats) {
 		l, err := NewSegmentLog(filepath.Join(t.TempDir(), "cold"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		stale := coldRecord(100, 50, 0, 2) // superseded: seg 2 carries LastSeen 90
-		fresh := coldRecord(101, 10, 1, 3) // survives: seg 3 re-adds it with older LastSeen
-		winner := coldRecord(100, 90, 4, 6)
-		loser := coldRecord(101, 5, 5, 7)
-		tiePrev := coldRecord(102, 30, 2, 4)
-		tiePrev.Pkts = 9 // tie on LastSeen below: more Pkts, must survive
-		tieNext := coldRecord(102, 30, 5, 7)
-		evenPrev := coldRecord(103, 40, 2, 3) // a full tie: the later segment's version replaces
-		evenNext := coldRecord(103, 40, 5, 6)
-		evenPrev.Bytes, evenNext.Bytes = 1, 2
-		writeSeg(t, l, stale, fresh)
-		writeSeg(t, l, tiePrev, evenPrev)
-		writeSeg(t, l, winner)
-		writeSeg(t, l, loser, tieNext, evenNext)
-
+		for _, recs := range segs {
+			writeSeg(t, l, recs...)
+		}
 		st, err := l.Compact(context.Background(), CompactPolicy{MinRun: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return l, st
+	}
+	// The cold tier keeps its segments in an on-disk directory.
+	t.Run("dir", func(t *testing.T) {
+		l, st := compacted(t)
 		if st.Runs != 1 || st.SegmentsIn != 4 || st.SegmentsOut != 1 {
 			t.Fatalf("stats = %+v", st)
 		}
-		if st.RecordsIn != 8 || st.RecordsOut != 4 {
-			t.Fatalf("stats = %+v: want 8 records in, 4 surviving", st)
+		if st.RecordsIn != 8+fillers || st.RecordsOut != 4+fillers {
+			t.Fatalf("stats = %+v: want %d records in, %d surviving", st, 8+fillers, 4+fillers)
 		}
 		if l.Len() != 1 {
 			t.Fatalf("Len = %d after compaction", l.Len())
 		}
 		got := readAll(t, l, 0)
-		if len(got) != 4 {
-			t.Fatalf("merged segment holds %d flows, want 4", len(got))
+		if len(got) != 4+fillers {
+			t.Fatalf("merged segment holds %d flows, want %d", len(got), 4+fillers)
 		}
 		if r := got[winner.Flow]; r == nil || r.LastSeen != 90 {
 			t.Fatalf("port-100 flow = %+v, want the LastSeen-90 version", r)
@@ -119,7 +137,7 @@ func TestCompactMergesRunsWithRecencyGuard(t *testing.T) {
 		}
 		// The index covers the SURVIVING records only (superseded
 		// versions' epochs drop out): fresh [1,3] ∪ tiePrev [2,4] ∪
-		// winner [4,6] ∪ evenNext [5,6].
+		// winner [4,6] ∪ evenNext [5,6] ∪ the fillers' [2,5].
 		if m.Epochs != (simtime.EpochRange{Lo: 1, Hi: 6}) {
 			t.Fatalf("merged epochs = %+v", m.Epochs)
 		}
@@ -134,7 +152,26 @@ func TestCompactMergesRunsWithRecencyGuard(t *testing.T) {
 				t.Fatalf("merged records not sorted: %v", order)
 			}
 		}
+
+		// The merged payload is a function of the input alone.
+		again, _ := compacted(t)
+		if a, b := segmentPayload(t, l, 0), segmentPayload(t, again, 0); !bytes.Equal(a, b) {
+			t.Fatalf("two compactions of the same input wrote different payloads (%d and %d bytes)", len(a), len(b))
+		}
 	})
+}
+
+// segmentPayload reads segment i's payload file as it lies on disk.
+func segmentPayload(t *testing.T, l *SegmentLog, i int) []byte {
+	t.Helper()
+	l.mu.RLock()
+	file := l.segs[i].file
+	l.mu.RUnlock()
+	b, err := os.ReadFile(filepath.Join(l.Dir(), file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestCompactLeavesShortRunsAndBigSegments pins the policy edge: runs

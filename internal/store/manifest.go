@@ -167,8 +167,8 @@ func (x *manifestIndex) manifest() SegmentManifest {
 }
 
 // Bloom geometry: ~10 bits per flow and 7 probes target a ~1% false
-// positive rate; fixed seeds keep the filter fully deterministic (detlint:
-// the same record set always yields the same bytes).
+// positive rate; fixed seeds keep the filter fully deterministic (the same
+// record set always yields the same bytes).
 const (
 	bloomBitsPerFlow = 10
 	bloomHashes      = 7

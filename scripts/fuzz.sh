@@ -13,7 +13,9 @@
 # report's culprit and flow columns, and the host-side telemetry decoder
 # over any commodity or INT packet, which must also decode the same through
 # a warmed per-flow path memo as without one and, when commodity, give a
-# loop-free walk between the hosts' ToRs. Arbitrary bytes must
+# loop-free walk between the hosts' ToRs, and the minimal perfect hash
+# table every /mph body and switch snapshot carries, whose accepted tables
+# must look up any key in range without panicking. Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
 # input, a failed restore changes nothing — and whatever decodes must survive
 # an encode/decode round trip. A last 5 s drives the event engine's
@@ -37,3 +39,4 @@ go test ./internal/statesync -run '^$' -fuzz FuzzReadSegments -fuzztime 5s -fuzz
 go test ./internal/cluster -run '^$' -fuzz FuzzReportColumns -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/eventq -run '^$' -fuzz FuzzFireOrder -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/header -run '^$' -fuzz FuzzDecode -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/mph -run '^$' -fuzz FuzzUnmarshalBinary -fuzztime 5s -fuzzminimizetime=100x
