@@ -11,16 +11,19 @@ import (
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
+	"switchpointer/internal/varint"
 )
 
 // A report's per-flow lists — its culprits and its top-k flows — cross the
 // wire as columns: each is one JSON string, the standard base64 of its
 // entries' fields as varints, instead of one JSON object per entry. The
 // layouts are on CulpritColumn and FlowColumn; uvarint and varint (zigzag)
-// are encoding/binary's. A decoder refuses a count the bytes present cannot
-// hold before sizing anything from it, a value that overflows its field,
-// trailing bytes, and anything but a string (a JSON array included); every
-// error names the column, and the entry and field where it has one. null
+// are written by encoding/binary's Append functions and read by
+// internal/varint's Reader, the one reader under every binary format here.
+// A decoder refuses a count the bytes present cannot hold before sizing
+// anything from it, a value that overflows its field, trailing bytes, and
+// anything but a string (a JSON array included); every error names the
+// column, and the entry and field where it has one. null
 // decodes as an empty column. Encode and decode go through pooled scratch, so
 // each allocates only what it returns.
 
@@ -96,27 +99,27 @@ func appendFlowBytes(dst []byte, f *hostagent.FlowBytes) []byte {
 	return binary.AppendUvarint(dst, f.Bytes)
 }
 
-func readFlowKey(r *columnReader, f *netsim.FlowKey) {
-	f.Src = netsim.IPv4(r.uvarint("flow.src", math.MaxUint32))
-	f.Dst = netsim.IPv4(r.uvarint("flow.dst", math.MaxUint32))
-	f.SrcPort = uint16(r.uvarint("flow.src_port", math.MaxUint16))
-	f.DstPort = uint16(r.uvarint("flow.dst_port", math.MaxUint16))
-	f.Proto = netsim.Protocol(r.uvarint("flow.proto", math.MaxUint8))
+func readFlowKey(r *varint.Reader, f *netsim.FlowKey) {
+	f.Src = netsim.IPv4(r.Bounded("flow.src", math.MaxUint32))
+	f.Dst = netsim.IPv4(r.Bounded("flow.dst", math.MaxUint32))
+	f.SrcPort = uint16(r.Bounded("flow.src_port", math.MaxUint16))
+	f.DstPort = uint16(r.Bounded("flow.dst_port", math.MaxUint16))
+	f.Proto = netsim.Protocol(r.Bounded("flow.proto", math.MaxUint8))
 }
 
-func readCulprit(r *columnReader, c *analyzer.Culprit) {
+func readCulprit(r *varint.Reader, c *analyzer.Culprit) {
 	readFlowKey(r, &c.Flow)
-	c.Priority = uint8(r.uvarint("priority", math.MaxUint8))
-	c.Bytes = r.uvarint("bytes", math.MaxUint64)
-	c.Switch = netsim.NodeID(r.varint("switch", math.MinInt32, math.MaxInt32))
-	c.Host = netsim.IPv4(r.uvarint("host", math.MaxUint32))
-	c.Overlap.Lo = simtime.Epoch(r.varint("overlap.lo", math.MinInt64, math.MaxInt64))
-	c.Overlap.Hi = simtime.Epoch(r.varint("overlap.hi", math.MinInt64, math.MaxInt64))
+	c.Priority = uint8(r.Bounded("priority", math.MaxUint8))
+	c.Bytes = r.Bounded("bytes", math.MaxUint64)
+	c.Switch = netsim.NodeID(r.Varint("switch", math.MaxUint32)) // the int32s
+	c.Host = netsim.IPv4(r.Bounded("host", math.MaxUint32))
+	c.Overlap.Lo = simtime.Epoch(r.Varint("overlap.lo", math.MaxUint64))
+	c.Overlap.Hi = simtime.Epoch(r.Varint("overlap.hi", math.MaxUint64))
 }
 
-func readFlowBytes(r *columnReader, f *hostagent.FlowBytes) {
+func readFlowBytes(r *varint.Reader, f *hostagent.FlowBytes) {
 	readFlowKey(r, &f.Flow)
-	f.Bytes = r.uvarint("bytes", math.MaxUint64)
+	f.Bytes = r.Bounded("bytes", math.MaxUint64)
 }
 
 // columnEncoding is the base64 of every column: standard and padded, as
@@ -155,7 +158,7 @@ func marshalColumn[T any](col []T, appendOne func([]byte, *T) []byte) ([]byte, e
 
 // unmarshalColumn is both columns' decoder: data is the JSON value where the
 // column belongs; each entry takes at least minLen bytes.
-func unmarshalColumn[T any](name string, data []byte, minLen int, readOne func(*columnReader, *T)) ([]T, error) {
+func unmarshalColumn[T any](name string, data []byte, minLen int, readOne func(*varint.Reader, *T)) ([]T, error) {
 	if string(data) == "null" {
 		return nil, nil
 	}
@@ -171,67 +174,25 @@ func unmarshalColumn[T any](name string, data []byte, minLen int, readOne func(*
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s: %w", name, err)
 	}
-	n, k := binary.Uvarint(raw)
-	if k <= 0 {
+	r := varint.NewReader(raw)
+	n := r.Uvarint()
+	if r.Bad() {
 		return nil, fmt.Errorf("cluster: %s: no entry count", name)
 	}
-	raw = raw[k:]
-	if n > uint64(len(raw)/minLen) {
-		return nil, fmt.Errorf("cluster: %s: %d entries declared, %d bytes cannot hold more than %d", name, n, len(raw), len(raw)/minLen)
+	if left := r.Len(); n > uint64(left/minLen) {
+		return nil, fmt.Errorf("cluster: %s: %d entries declared, %d bytes cannot hold more than %d", name, n, left, left/minLen)
 	}
 	var col []T // empty decodes as nil, as an omitted column leaves it
 	if n > 0 {
 		col = make([]T, n)
 	}
-	r := columnReader{b: raw}
 	for i := range col {
-		if readOne(&r, &col[i]); r.err != "" {
-			return nil, fmt.Errorf("cluster: %s[%d].%s", name, i, r.err)
+		if readOne(&r, &col[i]); r.Bad() {
+			return nil, fmt.Errorf("cluster: %s[%d].%w", name, i, r.Err())
 		}
 	}
-	if len(r.b) > 0 {
-		return nil, fmt.Errorf("cluster: %s: %d trailing bytes", name, len(r.b))
+	if r.Len() > 0 {
+		return nil, fmt.Errorf("cluster: %s: %d trailing bytes", name, r.Len())
 	}
 	return col, nil
-}
-
-// columnReader reads one entry's fields; the first failure sticks in err as
-// "field: what", and every later read returns zero.
-type columnReader struct {
-	b   []byte
-	err string
-}
-
-func (r *columnReader) uvarint(field string, max uint64) uint64 {
-	if r.err != "" {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	switch {
-	case n <= 0:
-		r.err = field + ": truncated or overlong uvarint"
-	case v > max:
-		r.err = fmt.Sprintf("%s: %d overflows", field, v)
-	default:
-		r.b = r.b[n:]
-		return v
-	}
-	return 0
-}
-
-func (r *columnReader) varint(field string, min, max int64) int64 {
-	if r.err != "" {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	switch {
-	case n <= 0:
-		r.err = field + ": truncated or overlong varint"
-	case v < min || v > max:
-		r.err = fmt.Sprintf("%s: %d overflows", field, v)
-	default:
-		r.b = r.b[n:]
-		return v
-	}
-	return 0
 }

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
+	"switchpointer/internal/varint"
 )
 
 const (
@@ -85,27 +85,23 @@ func AppendRecord(dst []byte, r *Record) []byte {
 
 // recordLen is len(AppendRecord(nil, r)).
 func recordLen(r *Record) int {
-	n := fixedRecordLen + varintLen(int64(r.TagIdx)) + uvarintLen(uint64(r.TagLink)) +
-		uvarintLen(r.Bytes) + uvarintLen(r.Pkts) + varintLen(int64(r.FirstSeen)) + varintLen(int64(r.LastSeen)) +
-		uvarintLen(uint64(len(r.Path))) + uvarintLen(uint64(len(r.Epochs))) + 1
+	n := fixedRecordLen + varint.VarintLen(int64(r.TagIdx)) + varint.UvarintLen(uint64(r.TagLink)) +
+		varint.UvarintLen(r.Bytes) + varint.UvarintLen(r.Pkts) + varint.VarintLen(int64(r.FirstSeen)) + varint.VarintLen(int64(r.LastSeen)) +
+		varint.UvarintLen(uint64(len(r.Path))) + varint.UvarintLen(uint64(len(r.Epochs))) + 1
 	for _, sw := range r.Path {
-		n += uvarintLen(uint64(uint32(sw)))
+		n += varint.UvarintLen(uint64(uint32(sw)))
 	}
 	for _, er := range r.Epochs {
-		n += varintLen(int64(er.Lo)) + varintLen(int64(er.Hi))
+		n += varint.VarintLen(int64(er.Lo)) + varint.VarintLen(int64(er.Hi))
 	}
 	if r.EpochBytes != nil {
-		n += uvarintLen(uint64(len(r.EpochBytes))+1) - 1
+		n += varint.UvarintLen(uint64(len(r.EpochBytes))+1) - 1
 		for e, v := range r.EpochBytes {
-			n += varintLen(int64(e)) + uvarintLen(v)
+			n += varint.VarintLen(int64(e)) + varint.UvarintLen(v)
 		}
 	}
 	return n
 }
-
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 // AppendSegment appends one self-delimiting segment holding recs to dst,
 // growing it at most once, by exactly the segment's length.
@@ -134,24 +130,26 @@ func AppendSegment(dst []byte, recs []*Record) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeSegment decodes exactly one segment: a Cursor walks it, and each
-// record Next accepts is filled from the cursor. The header's counts are
-// checked against len(b) before anything is sized from them, so a forged
-// input cannot make it allocate out of proportion to its length. Records,
-// paths and epoch ranges come out of three slabs; each Path and Epochs is
-// capped to its own length, so an append (Absorb on a rerouted flow)
-// reallocates.
+// DecodeSegment decodes exactly one segment: a Cursor walks it, filling each
+// record as Next reads it. The header's counts are checked against len(b)
+// before anything is sized from them, so a forged input cannot make it
+// allocate out of proportion to its length. Records, paths and epoch ranges
+// come out of three slabs; each Path and Epochs is capped to its own length,
+// so an append (Absorb on a rerouted flow) reallocates.
 func DecodeSegment(b []byte) ([]*Record, error) {
-	c := NewCursor(b) // a header NewCursor refuses declares nothing
-	paths, epochs := make([]netsim.NodeID, c.npath), make([]simtime.EpochRange, c.nepoch)
+	h := NewCursor(b)
+	if h.err != nil {
+		return nil, h.err
+	}
+	c := h // a copy, so that its decode cannot leave through h.err: no allocation
 	slab := make([]Record, c.n)
+	c.into = &decode{recs: slab, paths: make([]netsim.NodeID, c.npath), epochs: make([]simtime.EpochRange, c.nepoch)}
 	out := make([]*Record, c.n)
 	for i := 0; c.Next(); i++ {
 		out[i] = &slab[i]
-		paths, epochs = c.fill(out[i], paths, epochs, nil)
 	}
-	if err := c.Err(); err != nil {
-		return nil, err
+	if c.err != nil {
+		return nil, errCorruptBody // Next's one fault
 	}
 	return out, nil
 }
@@ -263,44 +261,45 @@ func FlowOf(enc []byte) netsim.FlowKey {
 func PriorityOf(enc []byte) uint8 { return enc[fixedRecordLen-1] }
 
 // DecodeRecord decodes enc, exactly one record as AppendRecord writes it,
-// into a fresh record the caller owns. A one-record Cursor checks enc, and
-// the record is filled from it.
+// into a fresh record the caller owns, filled by a one-record Cursor as it
+// checks enc.
 func DecodeRecord(enc []byte) (*Record, error) {
+	r := make([]Record, 1)
 	c := recordCursor(enc)
+	c.into = &decode{recs: r}
 	if !c.whole() {
 		return nil, errCorruptRecord
 	}
-	r := new(Record)
-	c.fill(r, nil, nil, nil)
-	return r, nil
+	return &r[0], nil
 }
 
 var errCorruptRecord = errors.New("flowrec: corrupt record encoding")
 
-// Scratch decodes records one at a time into storage it reuses: each Decode
-// overwrites the record the previous one returned, so nothing decoded may be
-// kept past the next call. It checks and fills a record as DecodeRecord
-// does. The zero Scratch is ready; after its first use a decode of up to 16
-// hops allocates nothing.
+// Scratch decodes records one at a time into storage it reuses: each Decode,
+// a failed one too, overwrites the record the previous one returned, so
+// nothing decoded may be kept past the next call. It checks and fills a
+// record as DecodeRecord does. The zero Scratch is ready; after its first use
+// a decode of up to 16 hops allocates nothing.
 type Scratch struct {
-	rec    Record
+	rec    [1]Record
 	paths  [16]netsim.NodeID
 	epochs [16]simtime.EpochRange
-	bytes  map[simtime.Epoch]uint64
+	d      decode
 }
 
 // Decode decodes enc, exactly one record as AppendRecord writes it, into the
 // scratch record, EpochBytes included.
 func (s *Scratch) Decode(enc []byte) (*Record, error) {
+	if s.d.kept == nil {
+		s.d.kept = make(map[simtime.Epoch]uint64)
+	}
+	s.d.recs, s.d.paths, s.d.epochs = s.rec[:], s.paths[:], s.epochs[:]
 	c := recordCursor(enc)
+	c.into = &s.d
 	if !c.whole() {
 		return nil, errCorruptRecord
 	}
-	if s.bytes == nil {
-		s.bytes = make(map[simtime.Epoch]uint64)
-	}
-	c.fill(&s.rec, s.paths[:], s.epochs[:], s.bytes)
-	return &s.rec, nil
+	return &s.rec[0], nil
 }
 
 // mark is where ScanSegment found an admitted record within a segment body,
@@ -309,42 +308,3 @@ func (s *Scratch) Decode(enc []byte) (*Record, error) {
 type mark struct{ lo, hi, epochs, pairs uint32 }
 
 var errCorruptBody = errors.New("flowrec: corrupt segment: body does not match the header's counts")
-
-// reader is a bounds-checked varint reader with a sticky failure: after the
-// first short or out-of-range read every read returns zero; bad is checked
-// once.
-type reader struct {
-	b   []byte
-	bad bool
-}
-
-// uvarint reads one uvarint, as binary.Uvarint does but small enough to
-// inline: a record is two dozen of them.
-func (r *reader) uvarint() uint64 {
-	var v uint64
-	for i, c := range r.b {
-		s := uint(7*i) & 63 // the mask spares each shift a range check
-		if c < 0x80 {
-			if i > 9 || i == 9 && c > 1 { // past 64 bits
-				break
-			}
-			r.b = r.b[i+1:]
-			return v | uint64(c)<<s
-		}
-		v |= uint64(c&0x7f) << s
-	}
-	r.b, r.bad = nil, true
-	return 0
-}
-
-// bounded reads one uvarint no greater than limit.
-func (r *reader) bounded(limit uint64) uint64 {
-	if v := r.uvarint(); v <= limit {
-		return v
-	}
-	r.b, r.bad = nil, true
-	return 0
-}
-
-// zigzag undoes a varint's zigzag mapping, as binary.Varint does.
-func zigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -13,7 +12,6 @@ import (
 
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
-	"switchpointer/internal/topo"
 )
 
 // codecRecords covers the shapes the codec must keep apart: a tagged
@@ -630,113 +628,17 @@ func walkCursor(t *testing.T, seg []byte, recs []*Record) {
 	}
 }
 
-// refDecoder is the record decoder Cursor.Next replaced, kept as an oracle:
-// it states the record rules again, over encoding/binary's varint readers,
-// so a rule dropped from Next shows as a disagreement. npath and nepoch
-// count what the header still declares; the first fault sticks in bad.
-type refDecoder struct {
-	b             []byte
-	bad           bool
-	npath, nepoch int
+// Reference is package flowrectest's reference decoder, which states the
+// record rules again apart from Next, so a rule dropped from Next shows as a
+// disagreement. flowrectest imports this package, so this package's own
+// tests cannot import it: ref_test.go, in package flowrec_test, hands it in.
+var Reference struct {
+	DecodeSegment func(b []byte) ([]*Record, error)
+	DecodeRecord  func(enc []byte) (*Record, bool)
 }
 
 // refDecodeSegment decodes segment b the reference way.
-func refDecodeSegment(b []byte) ([]*Record, error) {
-	h := NewCursor(b) // the header's checks and counts; the records are read here
-	if h.err != nil {
-		return nil, h.err
-	}
-	d := refDecoder{b: h.b, npath: h.npath, nepoch: h.nepoch}
-	out := make([]*Record, 0, h.n)
-	for range h.n {
-		r := new(Record)
-		if d.record(r); d.bad {
-			break
-		}
-		out = append(out, r)
-	}
-	if d.bad || len(d.b) != 0 || d.npath != 0 || d.nepoch != 0 {
-		return nil, errors.New("corrupt segment body")
-	}
-	return out, nil
-}
+func refDecodeSegment(b []byte) ([]*Record, error) { return Reference.DecodeSegment(b) }
 
 // refDecodeRecord decodes enc, exactly one record, the reference way.
-func refDecodeRecord(enc []byte) (*Record, bool) {
-	d := refDecoder{b: enc, npath: len(enc), nepoch: len(enc)}
-	r := new(Record)
-	d.record(r)
-	return r, !d.bad && len(d.b) == 0
-}
-
-// record decodes the next record of the body into r.
-func (d *refDecoder) record(r *Record) {
-	if len(d.b) < fixedRecordLen {
-		d.bad = true
-		return
-	}
-	r.Flow = FlowOf(d.b)
-	r.Priority = d.b[13]
-	d.b = d.b[fixedRecordLen:]
-	r.TagIdx = int(d.varint())
-	r.TagLink = topo.LinkID(d.bounded(math.MaxUint32))
-	r.Bytes = d.uvarint()
-	r.Pkts = d.uvarint()
-	r.FirstSeen = simtime.Time(d.varint())
-	r.LastSeen = simtime.Time(d.varint())
-	// Counts are bounded by what the header still declares.
-	if n := int(d.bounded(uint64(d.npath))); n > 0 {
-		d.npath -= n
-		r.Path = make([]netsim.NodeID, n)
-		for j := range r.Path {
-			r.Path[j] = netsim.NodeID(uint32(d.bounded(math.MaxUint32)))
-		}
-	}
-	if n := int(d.bounded(uint64(d.nepoch))); n > 0 {
-		d.nepoch -= n
-		r.Epochs = make([]simtime.EpochRange, n)
-		for j := range r.Epochs {
-			r.Epochs[j].Lo = simtime.Epoch(d.varint())
-			r.Epochs[j].Hi = simtime.Epoch(d.varint())
-		}
-	}
-	// 0 = nil EpochBytes, else entries+1; an entry takes two bytes or more.
-	if n := d.bounded(uint64(len(d.b)/2) + 1); n > 0 {
-		r.EpochBytes = make(map[simtime.Epoch]uint64, n-1)
-		for j, prev := uint64(1), simtime.Epoch(0); j < n; j++ {
-			e := simtime.Epoch(d.varint())
-			d.bad = d.bad || (j > 1 && e <= prev) // the encoder's list is sorted
-			r.EpochBytes[e] = d.uvarint()
-			prev = e
-		}
-	}
-}
-
-func (d *refDecoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.b, d.bad = nil, true
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *refDecoder) varint() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.b, d.bad = nil, true
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// bounded reads one uvarint no greater than limit, or 0 and a fault.
-func (d *refDecoder) bounded(limit uint64) uint64 {
-	if v := d.uvarint(); v <= limit {
-		return v
-	}
-	d.b, d.bad = nil, true
-	return 0
-}
+func refDecodeRecord(enc []byte) (*Record, bool) { return Reference.DecodeRecord(enc) }

@@ -16,7 +16,8 @@
 // did not absorb itself, so a host answer is spliced from stored bytes
 // (SpliceSegment) and a cold segment's matches leave it as bytes
 // (ScanSegment), none of them decoded. Fixed-width integers are
-// little-endian; uvarint and varint (zigzag) are encoding/binary's.
+// little-endian; uvarint and varint (zigzag) are written by encoding/binary
+// and read by internal/varint's Reader.
 //
 //	header  0x89 'S' 'P'   magic — a pointer snapshot opens 0x8A 'P' 'T'
 //	        u8             version (1)
@@ -49,14 +50,14 @@
 // walk to the end checks the body against the header's counts, so
 // ValidateSegment — a walk and nothing else — accepts exactly what
 // DecodeSegment decodes. Every other reader goes through Next too:
-// DecodeSegment fills each record Next accepted, copying the scalars Next
-// kept and reading only the path, epoch and pair lists again, from where
-// Next found them; DecodeRecord, Scratch.Decode and SpliceSegment run a
-// one-record cursor over each encoding, bounded by its length. A segment is
-// walked clean once where it crosses a trust boundary (ScanSegment off disk,
-// ValidateSegment off the wire); bytes this process spliced from its own
-// encodings are read without that second pass. DecodeSegment and
-// DecodeRecord remain for where a whole record is the answer.
+// DecodeSegment hands the cursor its slabs and Next fills each record as it
+// walks it, reading the record once; DecodeRecord, Scratch.Decode and
+// SpliceSegment run a one-record cursor over each encoding, bounded by its
+// length. A segment is walked clean once where it crosses a trust boundary
+// (ScanSegment off disk, ValidateSegment off the wire); bytes this process
+// spliced from its own encodings are read without that second pass.
+// DecodeSegment and DecodeRecord remain for where a whole record is the
+// answer.
 //
 // ScanSegment hands out only the records its keep predicate admits (nil
 // admits all). keep runs once per record, in order, on the cursor at the

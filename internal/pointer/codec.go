@@ -8,6 +8,7 @@ import (
 
 	"switchpointer/internal/bitset"
 	"switchpointer/internal/simtime"
+	"switchpointer/internal/varint"
 )
 
 // snapVersion is the snapshot format version this build writes and reads.
@@ -46,64 +47,38 @@ func appendSlot(b []byte, level int, epochs simtime.EpochRange, flags, kind byte
 	return append(b, payload...)
 }
 
-// snapReader is a bounds-checked cursor with a sticky failure, like
-// flowrec's decoder: after the first short or out-of-range read every read
-// returns zero, and bad is checked once per record.
-type snapReader struct {
-	b   []byte
-	bad bool
-}
-
-// open checks the magic and version and reads the geometry header.
-func (r *snapReader) open(b []byte) (alpha simtime.Time, k, n int, err error) {
+// openSnapshot checks the magic and version and reads the geometry header,
+// returning the reader past it. Every snapshot and slot list is read by
+// internal/varint's Reader, the one reader under every binary format here:
+// after the first short or out-of-range read every read returns zero, and
+// Bad is checked once per record.
+func openSnapshot(b []byte) (r varint.Reader, alpha simtime.Time, k, n int, err error) {
 	if len(b) < len(snapMagic)+1 || [3]byte(b) != snapMagic || b[3] != snapVersion {
-		return 0, 0, 0, fmt.Errorf("not a version %d snapshot: short or foreign header", snapVersion)
+		return r, 0, 0, 0, fmt.Errorf("not a version %d snapshot: short or foreign header", snapVersion)
 	}
-	r.b = b[4:]
-	alpha = simtime.Time(r.varint())
-	k, n = int(r.uvarint(math.MaxInt32)), int(r.uvarint(math.MaxInt32))
-	if r.bad {
-		return 0, 0, 0, errors.New("corrupt snapshot: truncated header")
+	r = varint.NewReader(b[4:])
+	alpha = simtime.Time(r.Varint("alpha", math.MaxUint64))
+	k, n = int(r.Bounded("levels", math.MaxInt32)), int(r.Bounded("hosts", math.MaxInt32))
+	if r.Bad() {
+		return r, 0, 0, 0, errors.New("corrupt snapshot: truncated header")
 	}
-	return alpha, k, n, nil
+	return r, alpha, k, n, nil
 }
 
-func (r *snapReader) u8() (v byte) {
-	if len(r.b) == 0 {
-		r.bad = true
-	} else {
-		v, r.b = r.b[0], r.b[1:]
+// readSlot reads one slot record, its payload bounded by the bytes left; the
+// payload aliases the input. ok is false when a read failed or a flag is
+// unknown.
+func readSlot(r *varint.Reader) (level int, epochs simtime.EpochRange, flags, kind byte, payload []byte, ok bool) {
+	level = int(r.Byte("level"))
+	epochs = simtime.EpochRange{Lo: simtime.Epoch(r.Varint("lo", math.MaxUint64)), Hi: simtime.Epoch(r.Varint("hi", math.MaxUint64))}
+	flags, kind = r.Byte("flags"), r.Byte("kind")
+	n := r.Bounded("payload length", math.MaxInt32)
+	if r.Bad() || n > uint64(r.Len()) || flags > flagSealed|flagUsed {
+		return level, epochs, flags, kind, nil, false
 	}
-	return v
-}
-
-func (r *snapReader) uvarint(limit uint64) uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || v > limit {
-		r.b, r.bad = nil, true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *snapReader) varint() int64 {
-	u := r.uvarint(math.MaxUint64)
-	return int64(u>>1) ^ -int64(u&1) // zigzag, as binary.Varint
-}
-
-// slot reads one slot record, its payload bounded by the bytes left; the
-// payload aliases the input.
-func (r *snapReader) slot() (level int, epochs simtime.EpochRange, flags, kind byte, payload []byte) {
-	level = int(r.u8())
-	epochs = simtime.EpochRange{Lo: simtime.Epoch(r.varint()), Hi: simtime.Epoch(r.varint())}
-	flags, kind = r.u8(), r.u8()
-	if n := r.uvarint(math.MaxInt32); n <= uint64(len(r.b)) && flags <= flagSealed|flagUsed {
-		payload, r.b = r.b[:n:n], r.b[n:]
-	} else {
-		r.b, r.bad = nil, true
-	}
-	return level, epochs, flags, kind, payload
+	rest := r.Rest()
+	*r = varint.NewReader(rest[n:])
+	return level, epochs, flags, kind, rest[:n:n], true
 }
 
 // Snapshot serializes the structure's complete live state: every slot of
@@ -139,8 +114,7 @@ func (s *Structure) Snapshot() ([]byte, error) {
 // a failed Restore leaves the structure as it was. Epochs continue from the
 // restored epoch.
 func (s *Structure) Restore(b []byte) error {
-	var r snapReader
-	alpha, k, n, err := r.open(b)
+	r, alpha, k, n, err := openSnapshot(b)
 	if err != nil {
 		return fmt.Errorf("pointer: restore: %w", err)
 	}
@@ -148,20 +122,20 @@ func (s *Structure) Restore(b []byte) error {
 		return fmt.Errorf("pointer: restore: geometry mismatch (snapshot α=%v k=%d n=%d, structure α=%v k=%d n=%d)",
 			alpha, k, n, s.cfg.Alpha, s.cfg.K, s.cfg.NumHosts)
 	}
-	epoch, started := simtime.Epoch(r.varint()), r.u8()
-	touches, pushes, pushedBytes := r.uvarint(math.MaxUint64), r.uvarint(math.MaxUint64), r.uvarint(math.MaxUint64)
+	epoch, started := simtime.Epoch(r.Varint("epoch", math.MaxUint64)), r.Byte("started")
+	touches, pushes, pushedBytes := r.Uvarint(), r.Uvarint(), r.Uvarint()
 	cur := make([]int, len(s.cur))
 	for h := range cur {
-		cur[h] = int(r.uvarint(uint64(len(s.levels[h]) - 1)))
+		cur[h] = int(r.Bounded("ring position", uint64(len(s.levels[h])-1)))
 	}
-	if r.bad || started > 1 {
+	if r.Bad() || started > 1 {
 		return errors.New("pointer: restore: corrupt snapshot state")
 	}
 	slots := make([]liveSlot, 0, s.totalSlots())
 	for h, ring := range s.levels {
 		for i := range ring {
-			level, epochs, flags, kind, payload := r.slot()
-			if r.bad || level != h+1 {
+			level, epochs, flags, kind, payload, ok := readSlot(&r)
+			if !ok || level != h+1 {
 				return fmt.Errorf("pointer: restore: level %d slot %d: corrupt record", h+1, i)
 			}
 			set, err := s.restorePayload(kind, payload)
@@ -172,8 +146,8 @@ func (s *Structure) Restore(b []byte) error {
 				sealed: flags&flagSealed != 0, used: flags&flagUsed != 0})
 		}
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("pointer: restore: %d bytes past the last slot", len(r.b))
+	if r.Len() != 0 {
+		return fmt.Errorf("pointer: restore: %d bytes past the last slot", r.Len())
 	}
 	for _, ring := range s.levels {
 		for _, slot := range ring {
@@ -205,10 +179,9 @@ func EncodeSlots(slots []Slot) []byte {
 
 // DecodeSlots restores a slot list written by EncodeSlots.
 func DecodeSlots(b []byte) ([]Slot, error) {
-	var r snapReader
-	alpha, k, n, err := r.open(b)
-	count := int(r.uvarint(uint64(len(r.b) / 6))) // a slot record is 6 bytes or more
-	if err == nil && (alpha != 0 || k != 0 || r.bad) {
+	r, alpha, k, n, err := openSnapshot(b)
+	count := int(r.Bounded("slots", uint64(r.Len()/6))) // a slot record is 6 bytes or more
+	if err == nil && (alpha != 0 || k != 0 || r.Bad()) {
 		err = errors.New("corrupt slot list header")
 	}
 	if err != nil {
@@ -216,15 +189,15 @@ func DecodeSlots(b []byte) ([]Slot, error) {
 	}
 	slots := make([]Slot, count)
 	for i := range slots {
-		level, epochs, flags, kind, payload := r.slot()
+		level, epochs, flags, kind, payload, ok := readSlot(&r)
 		var bits bitset.Set
-		if r.bad || kind != slotKindDense || bits.UnmarshalBinary(payload) != nil || bits.Len() != n {
+		if !ok || kind != slotKindDense || bits.UnmarshalBinary(payload) != nil || bits.Len() != n {
 			return nil, fmt.Errorf("pointer: decode slots: slot %d: corrupt record", i)
 		}
 		slots[i] = Slot{Level: level, Epochs: epochs, Bits: &bits, Sealed: flags&flagSealed != 0}
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("pointer: decode slots: %d bytes past the last slot", len(r.b))
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("pointer: decode slots: %d bytes past the last slot", r.Len())
 	}
 	return slots, nil
 }

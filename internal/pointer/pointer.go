@@ -29,7 +29,8 @@
 //
 // Structure.Snapshot and EncodeSlots (a switch's pushed control-store
 // history) write one binary format (codec.go): a header, then slot records.
-// uvarint and varint (zigzag) are encoding/binary's.
+// uvarint and varint (zigzag) are written by encoding/binary and read by
+// internal/varint's Reader.
 //
 //	header     0x8A 'P' 'T'   magic — a flowrec segment opens 0x89 'S' 'P'
 //	           u8             version (1)

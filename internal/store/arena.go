@@ -2,7 +2,8 @@ package store
 
 import (
 	"encoding/binary"
-	"math/bits"
+
+	"switchpointer/internal/varint"
 )
 
 // A shard's arena addresses a record by a uint32: the chunk index above
@@ -32,7 +33,7 @@ type arena struct {
 
 // add stores enc and returns its offset.
 func (a *arena) add(enc []byte) uint32 {
-	need := uvarintLen(len(enc)) + len(enc)
+	need := varint.UvarintLen(uint64(len(enc))) + len(enc)
 	n := len(a.chunks)
 	if n == 0 || len(a.chunks[n-1])+need > chunkSize {
 		if n == maxChunks {
@@ -58,15 +59,15 @@ func (a *arena) add(enc []byte) uint32 {
 
 // get returns the encoding stored at off, capped to its length.
 func (a *arena) get(off uint32) []byte {
-	c := a.chunks[off>>chunkBits][off&(chunkSize-1):]
-	n, k := binary.Uvarint(c)
-	return c[k : k+int(n) : k+int(n)]
+	r := varint.NewReader(a.chunks[off>>chunkBits][off&(chunkSize-1):])
+	n := r.Uvarint()
+	return r.Rest()[:n:n]
 }
 
 // drop marks the encoding at off dead.
 func (a *arena) drop(off uint32) {
 	n := len(a.get(off))
-	a.dead += uvarintLen(n) + n
+	a.dead += varint.UvarintLen(uint64(n)) + n
 }
 
 // halfDead reports whether dropped encodings hold half of the storage: the
@@ -74,5 +75,3 @@ func (a *arena) drop(off uint32) {
 func (a *arena) halfDead() bool {
 	return a.dead > 0 && 2*a.dead >= a.used
 }
-
-func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }

@@ -14,6 +14,7 @@ import (
 	"testing/iotest"
 
 	"switchpointer/internal/flowrec"
+	"switchpointer/internal/flowrec/flowrectest"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
 )
@@ -134,6 +135,9 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 // FuzzDecodeSegment feeds DecodeSegment arbitrary bytes: it must return
 // records or an error — never panic, never allocate out of proportion to the
 // input — and whatever it accepts must survive an encode/decode round trip.
+// flowrec.DecodeSegment accepts exactly what flowrectest's reference decoder
+// accepts, and decodes the same records; so does flowrec.DecodeRecord, on
+// every record encoding it is handed.
 // flowrec.ScanSegment, with a keep drawn from the input, fails exactly when
 // flowrec.DecodeSegment does, and otherwise hands out the whole decode
 // filtered, as encodings flowrec.DecodeRecord turns back into its records,
@@ -142,8 +146,9 @@ func TestEvictionHasOneByteForm(t *testing.T) {
 // flowrec.DecodeSegment accepts, and at every record of a segment that
 // decodes each cursor accessor equals the decoded record's field or method.
 // The committed corpus (testdata/fuzz) holds a valid segment and forged
-// counts; every truncation of a segment, a future version and a foreign
-// magic are seeded here.
+// counts; every truncation of a segment, a future version, a foreign magic,
+// a record more than the header counts and a segment for each record rule
+// Next checks, broken, are seeded here.
 func FuzzDecodeSegment(f *testing.F) {
 	valid := encodeSegment(f, fixtureRecords())
 	for n := 0; n <= len(valid); n++ {
@@ -158,6 +163,12 @@ func FuzzDecodeSegment(f *testing.F) {
 	future[3]++
 	f.Add(future)
 	f.Add(append([]byte{0x0c, 0xff}, valid[2:]...)) // a gob stream opens with a small length
+	uncounted := bytes.Clone(valid)
+	uncounted[4]-- // the last record, which has no path or epochs, past the count
+	f.Add(uncounted)
+	for _, seg := range brokenRuleSegments() {
+		f.Add(seg)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -179,8 +190,8 @@ func FuzzDecodeSegment(f *testing.F) {
 		n, keptErr := flowrec.ScanSegment(data, func(*flowrec.Cursor) bool { calls++; return admits(calls - 1) },
 			func(c *flowrec.Cursor) {
 				r, err := flowrec.DecodeRecord(c.Encoding())
-				if err != nil {
-					t.Fatalf("an admitted encoding does not decode: %v", err)
+				if want, ok := flowrectest.DecodeRecord(c.Encoding()); err != nil || !ok || !reflect.DeepEqual(r, want) {
+					t.Fatalf("an admitted encoding decodes to %+v, %v; the reference gives %+v, %v", r, err, want, ok)
 				}
 				if diff := cursorMismatch(c, r); diff != "" {
 					t.Fatalf("the cursor handed to fn at admitted record %d: %s", len(kept), diff)
@@ -189,8 +200,12 @@ func FuzzDecodeSegment(f *testing.F) {
 			})
 		full, fullErr := flowrec.DecodeSegment(data)
 		walked, walkErr := flowrec.ValidateSegment(data)
-		if (keptErr == nil) != (fullErr == nil) || (walkErr == nil) != (fullErr == nil) {
-			t.Fatalf("scan: %v; walk: %v; decode: %v", keptErr, walkErr, fullErr)
+		ref, refErr := flowrectest.DecodeSegment(data)
+		if (keptErr == nil) != (fullErr == nil) || (walkErr == nil) != (fullErr == nil) || (refErr == nil) != (fullErr == nil) {
+			t.Fatalf("scan: %v; walk: %v; decode: %v; the reference decode: %v", keptErr, walkErr, fullErr, refErr)
+		}
+		if fullErr == nil && !reflect.DeepEqual(full, ref) {
+			t.Fatalf("decoded %+v; the reference decodes %+v", full, ref)
 		}
 		if fullErr == nil {
 			if walked != len(full) {
@@ -230,6 +245,30 @@ func FuzzDecodeSegment(f *testing.F) {
 			t.Fatalf("decode(encode(x)) != x:\n got %v\nwant %v", again, recs)
 		}
 	})
+}
+
+// brokenRuleSegments returns one-record segments, each with a header that
+// matches it, whose record breaks one rule of flowrec.Cursor.Next: TagLink
+// past 32 bits, a path entry past 32 bits, pairs in descending epoch order.
+func brokenRuleSegments() [][]byte {
+	// bare's varints are one byte each: TagIdx −1, then zeros, ending with
+	// the path, epoch-range and pair counts.
+	bare := flowrec.AppendRecord(nil, &flowrec.Record{TagIdx: -1})
+	wide := binary.AppendUvarint(nil, 1<<32)
+	const tagLink = 15 // past the 14-byte flow key and priority, and TagIdx
+	segment := func(npath int, rec ...[]byte) []byte {
+		b, _ := flowrec.AppendSegment(nil, nil) // a header that counts nothing
+		b = append(b, slices.Concat(rec...)...)
+		binary.LittleEndian.PutUint32(b[4:], 1)
+		binary.LittleEndian.PutUint32(b[8:], uint32(npath))
+		binary.LittleEndian.PutUint32(b[16:], uint32(len(b)-flowrec.SegmentHeaderLen))
+		return b
+	}
+	return [][]byte{
+		segment(0, bare[:tagLink], wide, bare[tagLink+1:]),
+		segment(1, bare[:len(bare)-3], []byte{1}, wide, []byte{0, 0}),
+		segment(0, bare[:len(bare)-1], []byte{3, 4, 1, 2, 1}), // epochs 2 then 1
+	}
 }
 
 // cursorMismatch says how the record at c differs from r, its decode, or

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Fuzz leg: native fuzzing from the committed seed corpora (testdata/fuzz
 # beside each target): 10 s over the segment decoder — which also checks
-# that the validating walk accepts exactly what the decoder accepts and that
-# every cursor accessor reads each record as decoded — 5 s each over the
+# that it decodes as the reference decoder (internal/flowrec/flowrectest)
+# does, that the validating walk accepts exactly what the decoder accepts and
+# that every cursor accessor reads each record as decoded — 5 s each over the
 # splice that assembles a host answer from record encodings (segment decode
-# and walk agree with a test-side reference decoder, and a range splices
+# and walk agree with the same reference decoder, and a range splices
 # exactly when it is one valid record), the pointer
 # snapshot and slot-list decoders, the bitmap decoders under both (dense and
 # sparse pointer sets), the client's check of a /headers-batch
@@ -15,7 +16,10 @@
 # a warmed per-flow path memo as without one and, when commodity, give a
 # loop-free walk between the hosts' ToRs, and the minimal perfect hash
 # table every /mph body and switch snapshot carries, whose accepted tables
-# must look up any key in range without panicking. Arbitrary bytes must
+# must look up any key in range without panicking, and the one varint
+# reader every binary format above reads through (internal/varint), whose
+# Uvarint, Bounded and Varint must agree with encoding/binary's Uvarint and
+# Varint on the value, the verdict and the bytes consumed. Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
 # input, a failed restore changes nothing — and whatever decodes must survive
 # an encode/decode round trip. A last 5 s drives the event engine's
@@ -40,3 +44,4 @@ go test ./internal/cluster -run '^$' -fuzz FuzzReportColumns -fuzztime 5s -fuzzm
 go test ./internal/eventq -run '^$' -fuzz FuzzFireOrder -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/header -run '^$' -fuzz FuzzDecode -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/mph -run '^$' -fuzz FuzzUnmarshalBinary -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/varint -run '^$' -fuzz FuzzReader -fuzztime 5s -fuzzminimizetime=100x

@@ -19,6 +19,22 @@ fi
 go vet ./...
 sh -n scripts/bench-pairs.sh # syntax only: running it is a measurement, not a gate
 
+# Every binary format reads its varints through internal/varint's Reader, and
+# a flow record is two dozen of them: its Uvarint must stay inlined into
+# flowrec's record walker, where an out-of-line call per varint would cost
+# the decode and scan paths.
+NEXT_LINES="$(awk '/^func \(c \*Cursor\) Next\(\)/ { s = NR } s && /^}/ { print s, NR; exit }' internal/flowrec/cursor.go)"
+if ! go build -gcflags=-m ./internal/flowrec 2>&1 | awk -v lines="$NEXT_LINES" '
+	BEGIN { split(lines, r, " ") }
+	/inlining call to varint\.\(\*Reader\)\.Uvarint/ {
+		split($1, at, ":")
+		if (at[1] ~ /cursor\.go$/ && at[2] + 0 >= r[1] && at[2] + 0 <= r[2]) n++
+	}
+	END { exit n ? 0 : 1 }'; then
+	echo "verify: varint.(*Reader).Uvarint is no longer inlined into flowrec's (*Cursor).Next"
+	exit 1
+fi
+
 go test ./...
 
 # Race detector over the concurrent surface (analyzer fan-out, RPC fan-out +
