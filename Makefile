@@ -12,13 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-## lint: gofmt + go vet + the invariant suite (locklint, ctxlint — see
-## README "Invariants & static analysis"), go test ./internal/lint; exits
-## non-zero on any unformatted file or lint finding
+## lint: gofmt -l + go vet, the same as verify's lint leg; exits non-zero
+## on any unformatted file or vet finding (the lock and cancellation
+## contracts are tests: README "Invariants & contract tests")
 lint: vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed:"; echo "$$out"; exit 1; fi
-	$(GO) test ./internal/lint
 
 ## test: full test suite, including the paper-figure goldens
 ## (internal/experiments/testdata; UPDATE_GOLDEN=1 rewrites them)
@@ -63,7 +62,7 @@ binaries:
 	done
 
 ## verify: the tier-1 gate, scripts/verify.sh — build, lint (gofmt + vet),
-## test (the invariant suite included), race, the fuzz leg, binary compile
+## test, race (the contract tests three times), the fuzz leg, binary compile
 ## checks and the spd trio / trace / metrics / bootstrap smokes
 verify:
 	sh scripts/verify.sh

@@ -65,14 +65,14 @@ type SwitchEpochs struct {
 // per-shard read locks. The former single-owner-per-round restriction is
 // gone; fan-out width is purely a throughput knob.
 //
-// # Static-analysis contract
+// # Lock and cancellation contract
 //
-// The lint suite (internal/lint) enforces two of the interface's
-// cross-cutting rules mechanically: ctxlint requires every exported caller
-// to thread its ctx into Hosts/HostsBatch/Distribute (no
-// context.Background in the middle of a diagnosis), and locklint forbids
-// invoking them while a mutex is held (remote implementations perform HTTP
-// rounds).
+// Two of the interface's cross-cutting rules are behaviour tests in
+// internal/cluster: every exported caller threads its ctx into
+// Hosts/HostsBatch/Distribute, so cancelling a diagnosis ends the requests
+// a remote implementation has in flight (TestCancelReachesTheWire, one row
+// per method), and none is invoked while a mutex is held, since remote
+// implementations perform HTTP rounds (TestDistributeInstallsOverlap).
 type Directory interface {
 	// Hosts returns the end hosts named by switch sw's pointers over the
 	// epoch range, honouring ctx cancellation. It returns ErrUnknownSwitch
@@ -96,7 +96,7 @@ type Directory interface {
 	Decode(bits *bitset.Set) []netsim.IPv4
 	// Distribute (re)installs the directory's hash table on every switch.
 	// Remote implementations perform one HTTP round per switch, so ctx
-	// bounds the push and must thread into it (enforced by ctxlint).
+	// bounds the push and must thread into it (TestCancelReachesTheWire).
 	Distribute(ctx context.Context) error
 }
 

@@ -46,6 +46,30 @@ func (s *stubRunner) Run(ctx context.Context, q analyzer.Query) (*analyzer.Repor
 	return &analyzer.Report{Kind: analyzer.KindInconclusive}, nil
 }
 
+// stuckAfter bounds every wait of the admission tests, and lockHeld names
+// the contract a wait that runs out shows broken: a query run under the
+// admission lock blocks every other Run and Stats, and must fail the test,
+// not hang it.
+const (
+	stuckAfter = 5 * time.Second
+	lockHeld   = "admission holds its lock while a query runs"
+)
+
+// statsWithin is ad.Stats(), failing the test if the call blocks for
+// stuckAfter.
+func statsWithin(t *testing.T, ad *Admission) AdmissionStats {
+	t.Helper()
+	got := make(chan AdmissionStats, 1)
+	go func() { got <- ad.Stats() }()
+	select {
+	case s := <-got:
+		return s
+	case <-time.After(stuckAfter):
+		t.Fatalf("Stats blocked for %v: %s", stuckAfter, lockHeld)
+		return AdmissionStats{}
+	}
+}
+
 func dropQuery() analyzer.Query {
 	return analyzer.ContentionQuery{Alert: hostagent.Alert{Kind: hostagent.AlertThroughputDrop}}
 }
@@ -108,8 +132,13 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 
 	errs := make(chan error, 3)
 	go func() { _, err := ad.Run(context.Background(), dropQuery()); errs <- err }()
-	if got := <-stub.started; got != "contention" {
-		t.Fatalf("first run %q", got)
+	select {
+	case got := <-stub.started:
+		if got != "contention" {
+			t.Fatalf("first run %q", got)
+		}
+	case <-time.After(stuckAfter):
+		t.Fatalf("first query never started: %s", lockHeld)
 	}
 
 	// Queue a background top-k, then a contention query, then a red-lights
@@ -124,7 +153,7 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 		// Wait until the waiter is actually queued before adding the next,
 		// so arrival order is deterministic.
 		deadline := time.Now().Add(time.Second)
-		for ad.Stats().Queued != n+1 {
+		for statsWithin(t, ad).Queued != n+1 {
 			if time.Now().After(deadline) {
 				t.Fatalf("queue never reached %d: %+v", n+1, ad.Stats())
 			}
@@ -133,15 +162,33 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 	}
 
 	for i, want := range []string{"contention", "red-lights", "top-k"} {
-		stub.gate <- struct{}{} // finish the query in flight
-		if got := <-stub.started; got != want {
-			t.Fatalf("queued query %d served %q, want %q", i, got, want)
+		select {
+		case stub.gate <- struct{}{}: // finish the query in flight
+		case <-time.After(stuckAfter):
+			t.Fatalf("query in flight before queued query %d never took its gate: %s", i, lockHeld)
+		}
+		select {
+		case got := <-stub.started:
+			if got != want {
+				t.Fatalf("queued query %d served %q, want %q", i, got, want)
+			}
+		case <-time.After(stuckAfter):
+			t.Fatalf("queued query %d (%s) never started: %s", i, want, lockHeld)
 		}
 	}
-	stub.gate <- struct{}{}
+	select {
+	case stub.gate <- struct{}{}:
+	case <-time.After(stuckAfter):
+		t.Fatalf("last query never took its gate: %s", lockHeld)
+	}
 	for i := 0; i < 4; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("query %d: %v", i, err)
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+		case <-time.After(stuckAfter):
+			t.Fatalf("query %d never returned: %s", i, lockHeld)
 		}
 	}
 }
@@ -155,7 +202,7 @@ func TestAdmissionTypedErrors(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { _, err := ad.Run(context.Background(), dropQuery()); done <- err }()
 	deadline := time.Now().Add(time.Second)
-	for ad.Stats().InFlight != 1 {
+	for statsWithin(t, ad).InFlight != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("first query never started")
 		}
@@ -166,7 +213,7 @@ func TestAdmissionTypedErrors(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiting := make(chan error, 1)
 	go func() { _, err := ad.Run(ctx, dropQuery()); waiting <- err }()
-	for ad.Stats().Queued != 1 {
+	for statsWithin(t, ad).Queued != 1 {
 		time.Sleep(time.Millisecond)
 	}
 

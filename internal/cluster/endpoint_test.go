@@ -164,8 +164,14 @@ func TestEndpointContract(t *testing.T) {
 	diagnoseCode := func(t *testing.T, ad *Admission, env QueryEnvelope) int {
 		t.Helper()
 		srv := httptest.NewServer(NewAnalyzerHandler(ad))
-		defer srv.Close()
-		rep, err := (&Client{BaseURL: srv.URL}).Diagnose(context.Background(), env)
+		ctx, cancel := context.WithTimeout(context.Background(), stuckAfter)
+		defer cancel()
+		rep, err := (&Client{BaseURL: srv.URL}).Diagnose(ctx, env)
+		if ctx.Err() != nil {
+			// The handler is stuck in Run, and Close would wait for it.
+			t.Fatalf("Diagnose unanswered after %v: %s", stuckAfter, lockHeld)
+		}
+		srv.Close()
 		var se *rpc.StatusError
 		if rep != nil || !errors.As(err, &se) {
 			t.Fatalf("Diagnose = %v, %v; want no report and a *rpc.StatusError", rep, err)
@@ -191,7 +197,7 @@ func TestEndpointContract(t *testing.T) {
 		ad := NewAdmission(stub, AdmissionConfig{MaxInFlight: 1, MaxQueued: 1})
 		occupy(t, ad, stub)
 		go ad.Run(context.Background(), dropQuery()) //nolint:errcheck
-		for ad.Stats().Queued != 1 {
+		for statsWithin(t, ad).Queued != 1 {
 			time.Sleep(time.Millisecond)
 		}
 		if code := diagnoseCode(t, ad, env); code != http.StatusTooManyRequests {

@@ -166,7 +166,7 @@ func TestAlertStormBoundsAdmission(t *testing.T) {
 	// the runner is still stuck.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		s := ad.Stats()
+		s := statsWithin(t, ad)
 		if s.InFlight+s.Queued+int(s.Rejected) >= 5 || time.Now().After(deadline) {
 			break
 		}

@@ -235,7 +235,11 @@ func TestHostsQueriedParallelAccounting(t *testing.T) {
 func TestPerHostTimeout(t *testing.T) {
 	stall := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-stall
+		select {
+		case <-stall:
+		case <-time.After(5 * time.Second): // the answer then ends the call, so the test fails rather than hangs
+			t.Error("request still open 5 s in: Call's request does not carry its PerHostTimeout context")
+		}
 	}))
 	defer srv.Close()
 	defer close(stall)

@@ -477,13 +477,15 @@ func NewSwitchHandler(a *switchagent.Agent, label string, fr *trace.FlightRecord
 // connection initiation entirely — the real-network twin of the cost model's
 // Pooled+Parallel accounting.
 //
-// Static-analysis contract: the lint suite (internal/lint) treats every
-// HTTPClient method (except Close/CloseIdleConnections) as a network
-// round. locklint therefore flags any call on one while a
+// Lock and cancellation contract: every HTTPClient method (except
+// CloseIdleConnections) is a network round, so none is called while a
 // sync.Mutex/RWMutex is held — clone the state under the lock and send
-// outside it — and ctxlint requires exported callers in the service-plane
-// packages to thread a context.Context down into these methods rather than
-// severing the chain with context.Background.
+// outside it — and exported callers in the service-plane packages thread
+// their context.Context down into these methods rather than severing the
+// chain with context.Background. internal/cluster's contract tests check
+// both: TestCancelReachesTheWire cancels each method and each exported
+// caller mid-request, and TestDistributeInstallsOverlap fails when installs
+// wait behind a lock.
 type HTTPClient struct {
 	HTTP *http.Client
 

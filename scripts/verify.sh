@@ -7,9 +7,6 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 
-# Lint leg, run before the tests: gofmt and go vet. The invariant suite
-# (locklint, ctxlint — see README "Invariants & static analysis") runs once,
-# as TestSplintTreeClean inside go test ./... below, so it has no line here.
 FMT_OUT="$(gofmt -l .)"
 if [ -n "$FMT_OUT" ]; then
 	echo "gofmt needed:"
@@ -46,9 +43,12 @@ go test ./...
 # root-package integration tests).
 # Scoped to these packages so the full gate stays fast.
 go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace ./internal/flowrec ./internal/topo .
-# rpc.FanOut's caller and helpers claim indices under one lock; three race
-# runs give its interleavings more than one chance to show (≈ 3 s).
+# rpc.FanOut's caller and helpers claim indices under one lock, and the
+# service plane's lock and cancellation contract tests race requests against
+# locks and cancels; three race runs give their interleavings more than one
+# chance to show (≈ 3 s each).
 go test -race -count=3 ./internal/rpc
+go test -race -count=3 -run '^(TestCancelReachesTheWire|TestDistributeInstallsOverlap|TestSlowReaderStallsNoSwitchRoute|TestSlowSnapshotReaderStallsNoPut|TestBlockingSinkStallsNoOffer)$' ./internal/cluster
 
 # Fuzz leg: the targets and their times live only in scripts/fuzz.sh.
 sh scripts/fuzz.sh
