@@ -3,8 +3,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"switchpointer/internal/flowrec"
@@ -13,6 +17,7 @@ import (
 	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
+	"switchpointer/internal/statesync"
 	"switchpointer/internal/store"
 	"switchpointer/internal/trace"
 )
@@ -135,34 +140,13 @@ func TestRoundTripAllocBudget(t *testing.T) {
 func TestHeadersBatchAllocBudget(t *testing.T) {
 	const perRecord, hot = 0, 1024
 	st := store.New()
-	for i := range hot {
-		r := flowrec.New(netsim.FlowKey{Src: netsim.IPv4(0x0a000000 + i), Dst: 0x0a010001, SrcPort: uint16(1024 + i), DstPort: 80, Proto: netsim.ProtoTCP})
-		r.Path = []netsim.NodeID{3, 17, 40, 18, 5}
-		for j := range r.Path {
-			r.Epochs = append(r.Epochs, simtime.EpochRange{Lo: simtime.Epoch(10 + j), Hi: simtime.Epoch(11 + j)})
-		}
-		r.TagIdx, r.TagLink = 2, 7
-		r.Bytes, r.Pkts = uint64(1500*(i+1)), uint64(i+1)
-		r.AddEpochBytes(r.Epochs[2].Lo, r.Bytes)
-		r.FirstSeen, r.LastSeen = simtime.Time(i)*simtime.Millisecond, simtime.Time(i+1)*simtime.Millisecond
+	for _, r := range budgetRecords(hot) {
 		st.Put(r)
 	}
-	fr := trace.NewFlightRecorder("host", 0)
-	srv := httptest.NewServer(rpc.NewHostHandler(&hostagent.Agent{Store: st}, "h", fr))
-	defer srv.Close()
-	client := rpc.NewPooledHTTPClient()
-	defer client.CloseIdleConnections()
-
-	ctx := trace.ContextWithRemote(context.Background(), trace.RemoteContext{TraceID: "t", Parent: "0.1", At: 5})
-	roundTrip := func(sw netsim.NodeID, want int) float64 {
-		qs := []hostagent.HeadersQuery{{Switch: sw, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}}}
-		return testing.AllocsPerRun(20, func() {
-			if answers, err := client.QueryHeadersBatch(ctx, srv.URL, qs); err != nil || len(answers) != 1 || segmentLen(answers[0].Segment) != want {
-				t.Fatalf("headers-batch at switch %d = %v, %v; want %d records", sw, answers, err, want)
-			}
-		})
-	}
-	empty, full := roundTrip(1<<20, 0), roundTrip(17, hot)
+	srv, fr := serveTracedHost(t, &hostagent.Agent{Store: st})
+	all := simtime.EpochRange{Lo: 0, Hi: 100}
+	empty := headersRoundTripAllocs(t, srv.URL, hostagent.HeadersQuery{Switch: 1 << 20, Epochs: all}, 0)
+	full := headersRoundTripAllocs(t, srv.URL, hostagent.HeadersQuery{Switch: 17, Epochs: all}, hot)
 	if tr, ok := fr.Get("t"); !ok || len(tr.Spans) != 1 || tr.Spans[0].ID != "0.1.host:h:headers-batch" {
 		t.Fatalf("traced round trip left %+v, want the one headers-batch child span", tr.Spans)
 	}
@@ -172,6 +156,139 @@ func TestHeadersBatchAllocBudget(t *testing.T) {
 	}
 	t.Logf("traced /headers-batch round trip: %.2f allocs a record (%v, %v empty; budget %d)", per, full, empty, perRecord)
 }
+
+// TestColdHeadersBatchAllocBudget is TestHeadersBatchAllocBudget's cold
+// row: the same 1 024 records, flushed to a segment log as one segment, are
+// read back through /headers-batch by a host whose store holds none of them.
+// A traced round trip costs no allocation a cold record kept: it costs as
+// many allocations as one from a host holding the first 512 records alone.
+// And the host's side of the call, served by its handler alone, allocates at
+// most hostBytes, 10 % over the 6 736 B measured. The host copies kept
+// records out of the segment into pooled scratch and splices its answer onto
+// a pooled buffer: a copy buffer grown afresh on every call fails both checks
+// (4 allocations more at 1 024 records than at 512; 217 KB a call), and so
+// does a fresh answer buffer (1 more; 64 KB a call).
+func TestColdHeadersBatchAllocBudget(t *testing.T) {
+	const perRecord, cold, hostBytes = 0, 1024, 7_400
+	recs := budgetRecords(cold)
+	all := hostagent.HeadersQuery{Switch: 17, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}}
+	ag := coldHost(t, recs)
+	srv, _ := serveTracedHost(t, ag)
+	half, _ := serveTracedHost(t, coldHost(t, recs[:cold/2]))
+	full := headersRoundTripAllocs(t, srv.URL, all, cold)
+	fewer := headersRoundTripAllocs(t, half.URL, all, cold/2)
+	per := (full - fewer) / (cold / 2)
+	if per > perRecord {
+		t.Fatalf("traced cold /headers-batch round trip: %.3f allocs a record kept (%v for %d, %v for %d), want <= %d", per, full, cold, fewer, cold/2, perRecord)
+	}
+
+	// The host's side alone: its handler answering a recorded request.
+	const runs = 50
+	h := rpc.NewHostHandler(ag, "h", nil)
+	body, err := json.Marshal(rpc.HeadersBatchRequest{Queries: []rpc.HeadersRequest{{Switch: all.Switch, EpochLo: all.Epochs.Lo, EpochHi: all.Epochs.Hi}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &discardWriter{header: http.Header{}}
+	serve := func() {
+		w.code = http.StatusOK
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/headers-batch", bytes.NewReader(body)))
+		if w.code != http.StatusOK {
+			t.Fatalf("cold /headers-batch answered %d", w.code)
+		}
+	}
+	// One P, as AllocsPerRun has, and no collection in the runs: a pooled
+	// buffer is missed on another P, and gone after two collections.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	serve() // warms the pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	host := (after.TotalAlloc - before.TotalAlloc) / runs
+	if host > hostBytes {
+		t.Fatalf("cold /headers-batch: the host allocates %d B a call, want <= %d", host, hostBytes)
+	}
+	t.Logf("traced cold /headers-batch round trip: %.3f allocs a record kept (%v for %d, %v for %d; budget %d); host %d B a call (budget %d)",
+		per, full, cold, fewer, cold/2, perRecord, host, hostBytes)
+}
+
+// coldHost is a host agent with an empty store whose cold tier is one
+// segment of recs in a segment log.
+func coldHost(t *testing.T, recs []*flowrec.Record) *hostagent.Agent {
+	log, err := statesync.NewSegmentLog(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg bytes.Buffer
+	if err := store.EncodeSegment(&seg, recs); err != nil {
+		t.Fatal(err)
+	}
+	m := store.NewSegmentManifest(recs)
+	m.Bytes = seg.Len()
+	if err := log.WriteSegment(m, seg.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	ag := &hostagent.Agent{Store: store.New()}
+	ag.SetColdReader(log)
+	return ag
+}
+
+// budgetRecords returns n 5-hop records of distinct flows, each seen at
+// switch 17, its second hop, during epochs 11..12.
+func budgetRecords(n int) []*flowrec.Record {
+	recs := make([]*flowrec.Record, n)
+	for i := range recs {
+		r := flowrec.New(netsim.FlowKey{Src: netsim.IPv4(0x0a000000 + i), Dst: 0x0a010001, SrcPort: uint16(1024 + i), DstPort: 80, Proto: netsim.ProtoTCP})
+		r.Path = []netsim.NodeID{3, 17, 40, 18, 5}
+		for j := range r.Path {
+			r.Epochs = append(r.Epochs, simtime.EpochRange{Lo: simtime.Epoch(10 + j), Hi: simtime.Epoch(11 + j)})
+		}
+		r.TagIdx, r.TagLink = 2, 7
+		r.Bytes, r.Pkts = uint64(1500*(i+1)), uint64(i+1)
+		r.AddEpochBytes(r.Epochs[2].Lo, r.Bytes)
+		r.FirstSeen, r.LastSeen = simtime.Time(i)*simtime.Millisecond, simtime.Time(i+1)*simtime.Millisecond
+		recs[i] = r
+	}
+	return recs
+}
+
+// serveTracedHost serves ag's host handler, labelled "h", recording spans in
+// the flight recorder it returns.
+func serveTracedHost(t *testing.T, ag *hostagent.Agent) (*httptest.Server, *trace.FlightRecorder) {
+	fr := trace.NewFlightRecorder("host", 0)
+	srv := httptest.NewServer(rpc.NewHostHandler(ag, "h", fr))
+	t.Cleanup(srv.Close)
+	return srv, fr
+}
+
+// headersRoundTripAllocs is what one traced /headers-batch round trip asking
+// q of the host at url allocates, on a pooled client; the answer must hold
+// want records.
+func headersRoundTripAllocs(t *testing.T, url string, q hostagent.HeadersQuery, want int) float64 {
+	client := rpc.NewPooledHTTPClient()
+	defer client.CloseIdleConnections()
+	ctx := trace.ContextWithRemote(context.Background(), trace.RemoteContext{TraceID: "t", Parent: "0.1", At: 5})
+	qs := []hostagent.HeadersQuery{q}
+	return testing.AllocsPerRun(20, func() {
+		if answers, err := client.QueryHeadersBatch(ctx, url, qs); err != nil || len(answers) != 1 || segmentLen(answers[0].Segment) != want {
+			t.Fatalf("headers-batch %+v = %v, %v; want %d records", q, answers, err, want)
+		}
+	})
+}
+
+// discardWriter is a ResponseWriter that keeps the status and drops the body.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 
 // segmentLen is how many records segment seg declares, −1 when its header is
 // corrupt.

@@ -384,6 +384,10 @@ func (q HeadersQuery) matches(c *flowrec.Cursor) bool {
 // the "cost proportional to the answer" savings. TieredSegments counts
 // segments whose manifests matched but whose payloads were tiered out of
 // cold storage: data the answer honestly does NOT include.
+//
+// Segment is a slice of the buffer AnswerHeaders spliced every answer of one
+// call onto, which the caller owns: it stays valid until the caller reuses
+// that buffer.
 type HeadersAnswer struct {
 	Segment            []byte
 	ColdSegments       int
@@ -399,14 +403,19 @@ type HeadersAnswer struct {
 // epochID) pair" primitive that SwitchPointer's whole debugging flow builds
 // on, in the form the wire carries. No record is materialised: an encoded
 // record's stored bytes are copied, a live one is encoded under its shard
-// read lock, and cold matches are copied out of their segments; the answers'
-// segments share one buffer. It answers several queries in one pass — the
-// per-round primitive: a contention alert carries one HeadersQuery per alert
-// tuple, and answering them together reads each overlapping cold segment
-// ONCE instead of once per tuple. Every answer — records, order, and cold
-// accounting (each query is charged as if it had scanned the segments
-// itself: the virtual-time cost contract is per query even though the
-// physical read is shared) — is byte-identical to asking each query alone.
+// read lock, and cold matches are copied out of their segments. The answers'
+// segments are spliced back to back onto buf, which AnswerHeaders returns,
+// grown if it had to grow: the caller owns it, and each answer's Segment is
+// valid for as long as the caller leaves the returned buffer alone — handing
+// it back to a pool ends the answers. Everything else the answer is built
+// in is pooled scratch, so a steady-state call allocates nothing per record.
+// It answers several queries in one pass — the per-round primitive: a
+// contention alert carries one HeadersQuery per alert tuple, and answering
+// them together reads each overlapping cold segment ONCE instead of once per
+// tuple. Every answer — records, order, and cold accounting (each query is
+// charged as if it had scanned the segments itself: the virtual-time cost
+// contract is per query even though the physical read is shared) — is
+// byte-identical to asking each query alone.
 //
 // When a ColdReader is installed (retention with an indexed flush path —
 // see EnableRetention), the queries transparently consult flushed segments
@@ -416,13 +425,13 @@ type HeadersAnswer struct {
 // report what that cost, and the analyzer charges one extra virtual-time
 // round for it. With no cold reader — or a window answered entirely hot —
 // the answer is byte-identical to the pre-read-back behaviour.
-func (a *Agent) AnswerHeaders(ctx context.Context, qs []HeadersQuery) ([]HeadersAnswer, error) {
+func (a *Agent) AnswerHeaders(ctx context.Context, qs []HeadersQuery, buf []byte) ([]HeadersAnswer, []byte, error) {
 	answers := make([]HeadersAnswer, len(qs))
-	_, err := a.answerHeaders(ctx, qs, answers, nil, func(qi int, seg []byte) error {
+	buf, err := a.answerHeaders(ctx, qs, answers, buf, func(qi int, seg []byte) error {
 		answers[qi].Segment = seg
 		return nil
 	})
-	return answers, err
+	return answers, buf, err
 }
 
 // answerHeaders charges each query's cold accounting to out and splices its
@@ -431,7 +440,7 @@ func (a *Agent) AnswerHeaders(ctx context.Context, qs []HeadersQuery) ([]Headers
 func (a *Agent) answerHeaders(ctx context.Context, qs []HeadersQuery, out []HeadersAnswer, buf []byte, fn func(qi int, seg []byte) error) ([]byte, error) {
 	sc := answerScratchPool.Get().(*answerScratch)
 	defer sc.release()
-	sc.encs = slices.Grow(sc.encs, len(qs))[:len(qs)]
+	sc.encs = slices.Grow(sc.encs[:0], len(qs))[:len(qs)]
 	if ctx.Err() == nil { // a cancelled query answers empty
 		for qi := range qs {
 			q, start := qs[qi], len(sc.hot)
@@ -445,7 +454,7 @@ func (a *Agent) answerHeaders(ctx context.Context, qs []HeadersQuery, out []Head
 			sc.encs[qi] = sc.hot[start:len(sc.hot):len(sc.hot)]
 			flowrec.SortEncoded(sc.encs[qi])
 		}
-		a.readCold(qs, out, sc.encs)
+		a.readCold(sc, qs, out)
 	}
 	size := 0
 	for _, e := range sc.encs {
@@ -468,35 +477,107 @@ func (a *Agent) answerHeaders(ctx context.Context, qs []HeadersQuery, out []Head
 	return buf, nil
 }
 
-// answerScratch is what AnswerHeaders collects record encodings in. Nothing
-// of it outlives the splice into the answers' segments, so it is pooled.
+// answerScratch is what AnswerHeaders collects record encodings in, and
+// what readCold copies cold records out and merges them with. Nothing of it
+// outlives the splice into the answers' segments, so it is pooled.
 type answerScratch struct {
 	hot  [][]byte   // every query's hot matches, one run after another
 	encs [][][]byte // per query: its run, merged with its cold matches
 	live []byte     // the live matches' encodings
+
+	// The cold read-back's: keep and collect are keepRecord and
+	// collectRecord, bound once per scratch.
+	qs         []HeadersQuery      // the queries being answered
+	interested []int               // the queries the segment being read may answer
+	hits       []int               // per kept record: the interested queries it matches, then −1
+	next       int                 // collectRecord's place in hits
+	copied     []byte              // the kept cold records' bytes
+	cold       [][][]byte          // per query: its cold matches, in segment order
+	merged     [][]byte            // the merged runs encs points into, one after another
+	scan       flowrec.ScanScratch // ReadSegment's cursor and marks
+	keep       func(*flowrec.Cursor) bool
+	collect    func(*flowrec.Cursor)
 }
 
-var answerScratchPool = sync.Pool{New: func() any { return new(answerScratch) }}
+var answerScratchPool = sync.Pool{New: func() any {
+	sc := new(answerScratch)
+	sc.keep, sc.collect = sc.keepRecord, sc.collectRecord
+	return sc
+}}
 
 // release drops the scratch's references to record bytes and pools it,
-// unless an outsized answer grew it.
+// unless an outsized answer grew it: past 1 MiB of live or copied record
+// bytes, or past 64 Ki entries in hot, merged, hits or a query's cold list.
+// (The scan scratch bounds its own room.)
 func (sc *answerScratch) release() {
-	if cap(sc.live) > 1<<20 || cap(sc.hot) > 1<<16 {
+	big := cap(sc.live) > 1<<20 || cap(sc.copied) > 1<<20 ||
+		cap(sc.hot) > 1<<16 || cap(sc.merged) > 1<<16 || cap(sc.hits) > 1<<16
+	for _, l := range sc.cold {
+		big = big || cap(l) > 1<<16
+		clear(l)
+	}
+	if big {
 		return
 	}
 	clear(sc.hot)
 	clear(sc.encs)
-	sc.hot, sc.encs, sc.live = sc.hot[:0], sc.encs[:0], sc.live[:0]
+	clear(sc.merged)
+	sc.hot, sc.encs, sc.live, sc.merged = sc.hot[:0], sc.encs[:0], sc.live[:0], sc.merged[:0]
+	sc.qs, sc.cold, sc.copied = nil, sc.cold[:0], sc.copied[:0]
 	answerScratchPool.Put(sc)
 }
 
+// coldLists sets cold to n empty per-query lists, reusing the room earlier
+// answers grew.
+func (sc *answerScratch) coldLists(n int) {
+	lists := sc.cold[:cap(sc.cold)]
+	for len(lists) < n {
+		lists = append(lists, nil)
+	}
+	sc.cold = lists[:n]
+	for qi := range sc.cold {
+		sc.cold[qi] = sc.cold[qi][:0]
+	}
+}
+
+// keepRecord reports whether the record at c answers any interested query,
+// noting on hits which ones it does, for collectRecord: each query is
+// matched against each record once.
+func (sc *answerScratch) keepRecord(c *flowrec.Cursor) bool {
+	n := len(sc.hits)
+	for _, qi := range sc.interested {
+		if sc.qs[qi].matches(c) {
+			sc.hits = append(sc.hits, qi)
+		}
+	}
+	if len(sc.hits) == n {
+		return false
+	}
+	sc.hits = append(sc.hits, -1)
+	return true
+}
+
+// collectRecord copies the record at c, the next one keepRecord kept, out
+// of its segment once, and adds it to the cold list of every query
+// keepRecord found it answers.
+func (sc *answerScratch) collectRecord(c *flowrec.Cursor) {
+	start := len(sc.copied)
+	sc.copied = append(sc.copied, c.Encoding()...)
+	own := sc.copied[start:len(sc.copied):len(sc.copied)]
+	for ; sc.hits[sc.next] >= 0; sc.next++ {
+		qi := sc.hits[sc.next]
+		sc.cold[qi] = append(sc.cold[qi], own)
+	}
+	sc.next++ // past the record's −1
+}
+
 // QueryHeadersMulti is AnswerHeaders for the in-memory plane, one answer
-// path with the wire's. Its segments reach the analyzer as spliced, with no
+// path with the wire's, onto a buffer the answers keep. Its segments reach the analyzer as spliced, with no
 // second check: every range in them is the store's own AppendRecord bytes or
 // a cold range ScanSegment walked clean. A failure to answer is reported and
 // answers nothing, as a host that cannot be reached does.
 func (a *Agent) QueryHeadersMulti(ctx context.Context, qs []HeadersQuery) []HeadersAnswer {
-	answers, err := a.AnswerHeaders(ctx, qs)
+	answers, _, err := a.AnswerHeaders(ctx, qs, nil)
 	if err != nil {
 		// Unreachable short of a 4 GiB answer, since SpliceSegment's layout
 		// check holds for all such ranges.
@@ -516,10 +597,10 @@ func (a *Agent) reportError(err error) {
 }
 
 // readCold merges the cold tier's matches for qs into their hot answers'
-// record encodings in encs, in flow-key order, and charges each answer's cold
-// counters in out; with no cold reader it does nothing. Every host query
-// kind reads the cold tier through it.
-func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer, encs [][][]byte) {
+// record encodings in sc.encs, in flow-key order, and charges each answer's
+// cold counters in out; with no cold reader it does nothing. Every host
+// query kind reads the cold tier through it. What it merges lies in sc.
+func (a *Agent) readCold(sc *answerScratch, qs []HeadersQuery, out []HeadersAnswer) {
 	if a.cold == nil {
 		return
 	}
@@ -533,37 +614,15 @@ func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer, encs [][][]byte
 	// honest. A record some interested query matches is copied out of its
 	// segment once, as bytes; each query then keeps its own matches in
 	// segment order. Records are read in place by a cursor, never decoded.
-	cold := make([][][]byte, len(qs))
-	var copied []byte
-	var interested []int
-	keep := func(c *flowrec.Cursor) bool {
-		for _, qi := range interested {
-			if qs[qi].matches(c) {
-				return true
-			}
-		}
-		return false
-	}
-	collect := func(c *flowrec.Cursor) {
-		var own []byte
-		for _, qi := range interested {
-			if qs[qi].matches(c) {
-				if own == nil {
-					start := len(copied)
-					copied = append(copied, c.Encoding()...)
-					own = copied[start:len(copied):len(copied)]
-				}
-				cold[qi] = append(cold[qi], own)
-			}
-		}
-	}
+	sc.qs = qs
+	sc.coldLists(len(qs))
 	view := a.cold.View()
 	defer view.Close()
 	for i := 0; i < view.Len(); i++ {
 		m := view.Manifest(i)
-		interested = interested[:0]
+		sc.interested = sc.interested[:0]
 		for qi := range qs {
-			q := qs[qi]
+			q := &qs[qi]
 			if !m.Epochs.Overlaps(q.Epochs) {
 				continue
 			}
@@ -576,23 +635,28 @@ func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer, encs [][][]byte
 				out[qi].TieredSegments++
 				continue
 			}
-			interested = append(interested, qi)
+			sc.interested = append(sc.interested, qi)
 		}
-		if len(interested) == 0 {
+		if len(sc.interested) == 0 {
 			continue
 		}
-		n, err := view.ReadSegment(i, keep, collect)
+		sc.hits, sc.next = sc.hits[:0], 0
+		n, err := view.ReadSegment(i, &sc.scan, sc.keep, sc.collect)
 		if err != nil {
 			a.reportError(fmt.Errorf("hostagent: cold read-back: %w", err))
 			continue
 		}
-		for _, qi := range interested {
+		for _, qi := range sc.interested {
 			out[qi].ColdSegments++
 			out[qi].ColdRecords += n
 		}
 	}
 	for qi := range out {
-		encs[qi], out[qi].ColdReturned = mergeCold(encs[qi], cold[qi])
+		if cold := sc.cold[qi]; len(cold) > 0 {
+			start := len(sc.merged)
+			sc.merged, out[qi].ColdReturned = mergeCold(sc.merged, sc.encs[qi], cold)
+			sc.encs[qi] = sc.merged[start:len(sc.merged):len(sc.merged)]
+		}
 		a.coldSegments.Add(uint64(out[qi].ColdSegments))
 		a.coldRecords.Add(uint64(out[qi].ColdRecords))
 		a.coldReturned.Add(uint64(out[qi].ColdReturned))
@@ -601,16 +665,13 @@ func (a *Agent) readCold(qs []HeadersQuery, out []HeadersAnswer, encs [][][]byte
 	}
 }
 
-// mergeCold merges one query's cold matches, in segment order, into its hot
-// answer, in flow-key order, and says how many it took: a flow answered hot
-// stays hot, and the last segment's version of a flow evicted twice wins.
-// Both are record encodings.
-func mergeCold(hot, cold [][]byte) ([][]byte, int) {
-	if len(cold) == 0 {
-		return hot, 0
-	}
+// mergeCold appends to dst one query's hot answer, in flow-key order, merged
+// with its cold matches, in segment order, and says how many of those it
+// took: a flow answered hot stays hot, and the last segment's version of a
+// flow evicted twice wins. All are record encodings; cold is sorted in place.
+func mergeCold(dst, hot, cold [][]byte) ([][]byte, int) {
 	slices.SortStableFunc(cold, func(a, b []byte) int { return flowrec.Compare(flowrec.FlowOf(a), flowrec.FlowOf(b)) })
-	merged := make([][]byte, 0, len(hot)+len(cold))
+	dst = slices.Grow(dst, len(hot)+len(cold))
 	taken, h := 0, 0
 	for i, enc := range cold {
 		flow := flowrec.FlowOf(enc)
@@ -618,19 +679,16 @@ func mergeCold(hot, cold [][]byte) ([][]byte, int) {
 			continue // a later version follows
 		}
 		for h < len(hot) && flowrec.Less(flowrec.FlowOf(hot[h]), flow) {
-			merged = append(merged, hot[h])
+			dst = append(dst, hot[h])
 			h++
 		}
 		if h < len(hot) && flowrec.FlowOf(hot[h]) == flow {
 			continue
 		}
-		merged = append(merged, enc)
+		dst = append(dst, enc)
 		taken++
 	}
-	if taken == 0 {
-		return hot, 0
-	}
-	return append(merged, hot[h:]...), taken
+	return append(dst, hot[h:]...), taken
 }
 
 // switchRecords calls fn with the flow, byte count and tag link of every
@@ -725,7 +783,7 @@ func (a *Agent) AnswerRecord(ctx context.Context, flow netsim.FlowKey) ([]byte, 
 	var buf [256]byte // most records encode in fewer bytes
 	enc, ok := a.Store.AppendEncoded(buf[:0], flow)
 	if !ok {
-		if enc, ok = a.coldRecord(flow); !ok {
+		if enc, ok = a.coldRecord(buf[:0], flow); !ok {
 			return nil, false, nil
 		}
 	}
@@ -763,22 +821,27 @@ func (a *Agent) QueryPriority(ctx context.Context, flow netsim.FlowKey) (uint8, 
 	if a.Store.View(flow, func(rec *flowrec.Record) { prio = rec.Priority }) {
 		return prio, true
 	}
-	if enc, ok := a.coldRecord(flow); ok {
-		return flowrec.PriorityOf(enc), true // read in place: the scan checked enc
+	var buf [256]byte
+	if enc, ok := a.coldRecord(buf[:0], flow); ok {
+		return flowrec.PriorityOf(enc), true // the scan checked enc
 	}
 	return 0, false
 }
 
-// coldRecord returns the encoding of the cold tier's last version of flow's
-// record, if the host has a cold reader and any segment holds one.
-func (a *Agent) coldRecord(flow netsim.FlowKey) ([]byte, bool) {
+// coldRecord appends to dst the encoding of the cold tier's last version of
+// flow's record, if the host has a cold reader and any segment holds one: a
+// copy, since the scratch it was read into goes back to the pool.
+func (a *Agent) coldRecord(dst []byte, flow netsim.FlowKey) ([]byte, bool) {
 	if a.cold == nil {
-		return nil, false
+		return dst, false
 	}
-	out, encs := make([]HeadersAnswer, 1), make([][][]byte, 1)
-	a.readCold([]HeadersQuery{{Epochs: store.EveryEpoch, Flows: []netsim.FlowKey{flow}, anySwitch: true}}, out, encs)
-	if len(encs[0]) == 0 {
-		return nil, false
+	sc := answerScratchPool.Get().(*answerScratch)
+	defer sc.release()
+	var out [1]HeadersAnswer
+	sc.encs = append(sc.encs[:0], nil)
+	a.readCold(sc, []HeadersQuery{{Epochs: store.EveryEpoch, Flows: []netsim.FlowKey{flow}, anySwitch: true}}, out[:])
+	if len(sc.encs[0]) == 0 {
+		return dst, false
 	}
-	return encs[0][0], true
+	return append(dst, sc.encs[0][0]...), true
 }

@@ -94,9 +94,26 @@ type HeadersBatchRequest struct {
 }
 
 // HeadersBatchResponse answers a HeadersBatchRequest, one answer per query
-// in order.
+// in order. On the host the answers' segments share one pooled buffer,
+// which Endpoint gives back once it has written the answer.
 type HeadersBatchResponse struct {
 	Answers []HeadersResponse `json:"answers"`
+
+	pooled *[]byte // the host's answer buffer; nil on the client
+}
+
+// release gives the buffer the answers' segments share back to its pool;
+// nothing of the response may be read after it.
+func (br HeadersBatchResponse) release() { putAnswerBuf(br.pooled) }
+
+// answerBufPool holds the buffers /headers-batch splices its answers onto.
+var answerBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// putAnswerBuf pools buf, unless an outsized answer grew it past 1 MiB.
+func putAnswerBuf(buf *[]byte) {
+	if buf != nil && cap(*buf) <= 1<<20 {
+		answerBufPool.Put(buf)
+	}
 }
 
 // newHeadersBatchResponse is the host half of the answers' codec: each
@@ -288,7 +305,9 @@ func (sp *Spans) record(r *http.Request, name string, attrs []trace.Attr) {
 // the attributes body returned, and encodes the answer. A body picks its
 // failure's status by returning a *StatusError bare (BadRequest); any other
 // error — a wrapped *StatusError from a downstream Call included — is this
-// server's failure, 500. Nothing is recorded for a failed request.
+// server's failure, 500. Nothing is recorded for a failed request. An answer
+// that holds pooled memory (HeadersBatchResponse) is released once its body
+// is written; a body that fails releases what it took itself.
 func Endpoint[Req, Resp any](sp *Spans, name string, limit int64, body func(ctx context.Context, req *Req) (Resp, []trace.Attr, error)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req Req
@@ -305,9 +324,16 @@ func Endpoint[Req, Resp any](sp *Spans, name string, limit int64, body func(ctx 
 			return
 		}
 		sp.record(r, name, attrs)
-		writeJSON(w, resp)
+		v := any(resp) // boxed once: writeJSON and the release share it
+		writeJSON(w, v)
+		if rel, ok := v.(releaser); ok {
+			rel.release()
+		}
 	})
 }
+
+// releaser is an answer that holds pooled memory until it has been written.
+type releaser interface{ release() }
 
 // AllowMethod answers 405 and reports false unless r uses method — the one
 // method check, shared with the binary routes that are not Endpoints.
@@ -361,8 +387,11 @@ func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) 
 			for i, q := range req.Queries {
 				qs[i] = hostagent.HeadersQuery{Switch: q.Switch, Epochs: simtime.EpochRange{Lo: q.EpochLo, Hi: q.EpochHi}, Flows: q.Flows}
 			}
-			answers, err := a.AnswerHeaders(ctx, qs)
+			buf := answerBufPool.Get().(*[]byte)
+			answers, seg, err := a.AnswerHeaders(ctx, qs, (*buf)[:0])
+			*buf = seg
 			if err != nil {
+				putAnswerBuf(buf)
 				return HeadersBatchResponse{}, nil, err
 			}
 			records, coldSegments, coldReturned := 0, 0, 0
@@ -372,7 +401,9 @@ func NewHostHandler(a *hostagent.Agent, label string, fr *trace.FlightRecorder) 
 				coldSegments += ans.ColdSegments
 				coldReturned += ans.ColdReturned
 			}
-			return newHeadersBatchResponse(answers), []trace.Attr{
+			resp := newHeadersBatchResponse(answers)
+			resp.pooled = buf // Endpoint releases it once the answer is written
+			return resp, []trace.Attr{
 				{Key: "records", Value: strconv.Itoa(records)},
 				{Key: "cold_segments", Value: strconv.Itoa(coldSegments)},
 				{Key: "cold_returned", Value: strconv.Itoa(coldReturned)},

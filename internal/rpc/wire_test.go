@@ -44,11 +44,11 @@ func (c *memCold) View() store.ColdView                  { return c }
 func (c *memCold) Len() int                              { return len(c.segs) }
 func (c *memCold) Manifest(i int) *store.SegmentManifest { return &c.manifests[i] }
 func (c *memCold) Close()                                {}
-func (c *memCold) ReadSegment(i int, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (int, error) {
+func (c *memCold) ReadSegment(i int, s *flowrec.ScanScratch, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (int, error) {
 	if c.manifests[i].Tiered {
 		return 0, store.ErrTiered
 	}
-	return flowrec.ScanSegment(c.segs[i], keep, fn)
+	return flowrec.ScanSegment(c.segs[i], s, keep, fn)
 }
 
 // wireRecord is a flow through switches 1 → sw → 3, seen at epochs lo..lo+1.
@@ -197,10 +197,10 @@ func decodeHeadersBatch(body []byte) ([]hostagent.HeadersAnswer, error) {
 // and the client's decode again, deep-equal.
 func FuzzHeadersBatchAnswer(f *testing.F) {
 	ag := wireAgent(f)
-	answers, err := ag.AnswerHeaders(context.Background(), []hostagent.HeadersQuery{
+	answers, _, err := ag.AnswerHeaders(context.Background(), []hostagent.HeadersQuery{
 		{Switch: 2, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}},
 		{Switch: 9, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}},
-	})
+	}, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

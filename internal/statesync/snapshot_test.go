@@ -181,7 +181,7 @@ func TestFailedEvictionKeepsRecords(t *testing.T) {
 		qs = append(qs, hostagent.HeadersQuery{Switch: sw.NodeID(), Epochs: simtime.EpochRange{Lo: 0, Hi: 1000}})
 	}
 	answers := func() []byte {
-		answers, err := ag.AnswerHeaders(context.Background(), qs)
+		answers, _, err := ag.AnswerHeaders(context.Background(), qs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,10 +43,12 @@ go test ./...
 # root-package integration tests).
 # Scoped to these packages so the full gate stays fast.
 go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace ./internal/flowrec ./internal/topo .
-# rpc.FanOut's caller and helpers claim indices under one lock, and the
-# service plane's lock and cancellation contract tests race requests against
-# locks and cancels; three race runs give their interleavings more than one
-# chance to show (≈ 3 s each).
+# rpc.FanOut's caller and helpers claim indices under one lock,
+# TestConcurrentHeadersBatchAnswers races /headers-batch requests over the
+# host's pooled answer buffers (the whole package runs, that test included),
+# and the service plane's lock and cancellation contract tests race requests
+# against locks and cancels; three race runs give their interleavings more
+# than one chance to show (≈ 3 s each).
 go test -race -count=3 ./internal/rpc
 go test -race -count=3 -run '^(TestCancelReachesTheWire|TestDistributeInstallsOverlap|TestSlowReaderStallsNoSwitchRoute|TestSlowSnapshotReaderStallsNoPut|TestBlockingSinkStallsNoOffer)$' ./internal/cluster
 
