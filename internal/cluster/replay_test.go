@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"switchpointer/internal/flowrec"
@@ -267,10 +268,13 @@ func serveTracedHost(t *testing.T, ag *hostagent.Agent) (*httptest.Server, *trac
 
 // headersRoundTripAllocs is what one traced /headers-batch round trip asking
 // q of the host at url allocates, on a pooled client; the answer must hold
-// want records.
+// want records. No collection runs meanwhile: one empties the pools the
+// answer is built in, and refilling them costs allocations that depend on
+// how many collections the runs happened to meet, not on the answer.
 func headersRoundTripAllocs(t *testing.T, url string, q hostagent.HeadersQuery, want int) float64 {
 	client := rpc.NewPooledHTTPClient()
 	defer client.CloseIdleConnections()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ctx := trace.ContextWithRemote(context.Background(), trace.RemoteContext{TraceID: "t", Parent: "0.1", At: 5})
 	qs := []hostagent.HeadersQuery{q}
 	return testing.AllocsPerRun(20, func() {

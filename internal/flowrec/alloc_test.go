@@ -142,11 +142,11 @@ func TestSpliceKeepsRangesOnTheStack(t *testing.T) {
 }
 
 // TestFilteredDecodeAllocs pins what a scan saves over a decode: a
-// 256-record ScanSegment costs its cursor and nothing sized by the segment,
-// since no record is filled and every admitted one is handed out in place.
-// Past 64 admitted records the list of where they lie grows once, off the
-// stack. Through a reused ScanScratch a scan allocates nothing, however many
-// records it admits. A ValidateSegment walk allocates nothing.
+// 256-record ScanSegment costs at most its cursor and the list of where the
+// admitted records lie, since no record is filled and every admitted one is
+// handed out in place. Both come from a pool, so a steady-state scan
+// allocates nothing, however many records it admits. A ValidateSegment walk
+// allocates nothing.
 func TestFilteredDecodeAllocs(t *testing.T) {
 	enc := mustEncode(t, segment256())
 	const runs = 50
@@ -162,7 +162,7 @@ func TestFilteredDecodeAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(runs, func() {
-			if _, err := ScanSegment(enc, nil, everyNth(n), func(*Cursor) {}); err != nil {
+			if _, err := ScanSegment(enc, everyNth(n), func(*Cursor) {}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -172,14 +172,13 @@ func TestFilteredDecodeAllocs(t *testing.T) {
 			t.Fatalf("a scan admitting %d of 256 records costs %.0f allocations and %.0f B, want ≤ %.0f and ≤ %.0f B", k, allocs, bytes, wantAllocs, wantBytes)
 		}
 	}
-	var sc ScanScratch
 	for _, n := range []int{256, 1, 10} {
 		if allocs := testing.AllocsPerRun(runs, func() {
-			if _, err := ScanSegment(enc, &sc, everyNth(n), func(*Cursor) {}); err != nil {
+			if _, err := ScanSegment(enc, everyNth(n), func(*Cursor) {}); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Fatalf("a scan through a reused scratch admitting every %dth record costs %.0f allocations, want 0", n, allocs)
+			t.Fatalf("a steady-state scan admitting every %dth record costs %.0f allocations, want 0", n, allocs)
 		}
 	}
 	if allocs := testing.AllocsPerRun(runs, func() {
@@ -210,7 +209,7 @@ func BenchmarkDecodeSegment(b *testing.B) {
 	b.Run("one-in-ten", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := ScanSegment(enc, nil, everyNth(10), func(*Cursor) {}); err != nil {
+			if _, err := ScanSegment(enc, everyNth(10), func(*Cursor) {}); err != nil {
 				b.Fatal(err)
 			}
 		}

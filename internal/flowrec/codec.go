@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
@@ -162,45 +163,20 @@ func DecodeSegment(b []byte) ([]*Record, error) {
 // leaves a segment as bytes: the cold tier's matches join a host answer this
 // way, never decoded.
 //
-// s is the scan's scratch: with one, a scan allocates nothing once s has
-// room for the segment's admitted records. A nil s costs one allocation, the
-// cursor, and one more past 64 admitted records.
-func ScanSegment(b []byte, s *ScanScratch, keep func(*Cursor) bool, fn func(*Cursor)) (int, error) {
-	if s == nil {
-		var markBuf [64]mark // on the stack: most answers admit fewer records
-		n, _, err := scan(b, new(Cursor), markBuf[:0], keep, fn)
-		return n, err
-	}
-	n, marks, err := scan(b, &s.c, s.marks[:0], keep, fn)
-	s.c = Cursor{} // holds no reference to b
-	if cap(marks) <= maxScratchMarks {
-		s.marks = marks
-	}
-	return n, err
-}
-
-// ScanScratch is what ScanSegment walks a segment with: its cursor and the
-// list of where the admitted records lie. Reused, it keeps the list's room
-// up to maxScratchMarks records. The zero ScanScratch is ready; one may serve
-// one scan at a time.
-type ScanScratch struct {
-	c     Cursor
-	marks []mark
-}
-
-// maxScratchMarks bounds the room a ScanScratch keeps between scans: 256 KiB.
-const maxScratchMarks = 1 << 14
-
-// scan is ScanSegment with cursor c, noting admitted records on marks, which
-// it returns.
-func scan(b []byte, c *Cursor, marks []mark, keep func(*Cursor) bool, fn func(*Cursor)) (int, []mark, error) {
+// Its cursor and the list of where admitted records lie come from a pool, so
+// a steady-state scan allocates nothing, however many records it admits.
+func ScanSegment(b []byte, keep func(*Cursor) bool, fn func(*Cursor)) (int, error) {
+	s := scanPool.Get().(*scanScratch)
+	defer s.release()
+	c := &s.c
 	if *c = NewCursor(b); c.err != nil {
-		return 0, marks, c.err
+		return 0, c.err
 	}
 	// The walk notes where each admitted record lies, and where its lists'
 	// counts do; fn runs only once the whole body has matched the header's
 	// counts, with the cursor put back on each record from its mark.
 	body := b[SegmentHeaderLen:]
+	marks := s.marks[:0]
 	for c.Next() {
 		if keep == nil || keep(c) {
 			if len(marks) == cap(marks) {
@@ -211,14 +187,33 @@ func scan(b []byte, c *Cursor, marks []mark, keep func(*Cursor) bool, fn func(*C
 			marks = append(marks, mark{uint32(hi - len(c.rec)), uint32(hi), uint32(c.epochs.cnt), uint32(c.pairs.cnt)})
 		}
 	}
+	s.marks = marks
 	if err := c.Err(); err != nil {
-		return 0, marks, err
+		return 0, err
 	}
 	for _, m := range marks {
 		c.restore(body, m)
 		fn(c)
 	}
-	return c.n, marks, nil
+	return c.n, nil
+}
+
+// scanScratch is what ScanSegment walks a segment with: its cursor and the
+// list of where the admitted records lie.
+type scanScratch struct {
+	c     Cursor
+	marks []mark
+}
+
+var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// release drops the cursor's references to the segment and pools s, unless
+// its list has room for more than 16 Ki records (256 KiB).
+func (s *scanScratch) release() {
+	s.c = Cursor{}
+	if cap(s.marks) <= 1<<14 {
+		scanPool.Put(s)
+	}
 }
 
 // ValidateSegment walks segment b with a Cursor and returns its record count.

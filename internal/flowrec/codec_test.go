@@ -131,8 +131,8 @@ func TestDecodeSegmentRejectsCorrupt(t *testing.T) {
 		t.Helper()
 		_, errAll := DecodeSegment(b)
 		_, errRef := refDecodeSegment(b)
-		_, errNone := ScanSegment(b, nil, everyNth(0), func(*Cursor) {})
-		_, errSome := ScanSegment(b, nil, everyNth(2), func(*Cursor) {})
+		_, errNone := ScanSegment(b, everyNth(0), func(*Cursor) {})
+		_, errSome := ScanSegment(b, everyNth(2), func(*Cursor) {})
 		_, errWalk := ValidateSegment(b)
 		ok := errAll == nil
 		if (errRef == nil) != ok || (errNone == nil) != ok || (errSome == nil) != ok || (errWalk == nil) != ok {
@@ -348,7 +348,7 @@ func TestFilteredDecodeIsFilteredFullDecode(t *testing.T) {
 			admit := everyNth(n)
 			seen := 0
 			var got []*Record
-			count, err := ScanSegment(enc, nil, func(c *Cursor) bool {
+			count, err := ScanSegment(enc, func(c *Cursor) bool {
 				if diff := cursorMismatch(c, full[seen]); diff != "" {
 					t.Fatalf("%s: keep's cursor at record %d: %s", name, seen, diff)
 				}
@@ -517,7 +517,7 @@ func TestScanSegmentHandsOutEncodings(t *testing.T) {
 	recs := segment256()
 	seg := mustEncode(t, recs)
 	var got [][]byte
-	n, err := ScanSegment(seg, nil, everyNth(3), func(c *Cursor) {
+	n, err := ScanSegment(seg, everyNth(3), func(c *Cursor) {
 		got = append(got, bytes.Clone(c.Encoding()))
 	})
 	if err != nil || n != len(recs) {
@@ -532,7 +532,7 @@ func TestScanSegmentHandsOutEncodings(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("scan handed %d encodings, want %d, or different bytes", len(got), len(want))
 	}
-	if _, err := ScanSegment(seg[:len(seg)-1], nil, nil, func(*Cursor) { t.Fatal("fn called on a corrupt segment") }); err == nil {
+	if _, err := ScanSegment(seg[:len(seg)-1], nil, func(*Cursor) { t.Fatal("fn called on a corrupt segment") }); err == nil {
 		t.Fatal("a truncated segment scanned")
 	}
 }

@@ -487,14 +487,13 @@ type answerScratch struct {
 
 	// The cold read-back's: keep and collect are keepRecord and
 	// collectRecord, bound once per scratch.
-	qs         []HeadersQuery      // the queries being answered
-	interested []int               // the queries the segment being read may answer
-	hits       []int               // per kept record: the interested queries it matches, then −1
-	next       int                 // collectRecord's place in hits
-	copied     []byte              // the kept cold records' bytes
-	cold       [][][]byte          // per query: its cold matches, in segment order
-	merged     [][]byte            // the merged runs encs points into, one after another
-	scan       flowrec.ScanScratch // ReadSegment's cursor and marks
+	qs         []HeadersQuery // the queries being answered
+	interested []int          // the queries the segment being read may answer
+	hits       []int          // per kept record: the interested queries it matches, then −1
+	next       int            // collectRecord's place in hits
+	copied     []byte         // the kept cold records' bytes
+	cold       [][][]byte     // per query: its cold matches, in segment order
+	merged     [][]byte       // the merged runs encs points into, one after another
 	keep       func(*flowrec.Cursor) bool
 	collect    func(*flowrec.Cursor)
 }
@@ -507,16 +506,20 @@ var answerScratchPool = sync.Pool{New: func() any {
 
 // release drops the scratch's references to record bytes and pools it,
 // unless an outsized answer grew it: past 1 MiB of live or copied record
-// bytes, or past 64 Ki entries in hot, merged, hits or a query's cold list.
-// (The scan scratch bounds its own room.)
+// bytes, past 64 Ki entries in hot, merged, hits, encs or interested, or past
+// 64 Ki entries in the cold lists together, counting one for each list.
 func (sc *answerScratch) release() {
 	big := cap(sc.live) > 1<<20 || cap(sc.copied) > 1<<20 ||
-		cap(sc.hot) > 1<<16 || cap(sc.merged) > 1<<16 || cap(sc.hits) > 1<<16
-	for _, l := range sc.cold {
-		big = big || cap(l) > 1<<16
+		cap(sc.hot) > 1<<16 || cap(sc.merged) > 1<<16 || cap(sc.hits) > 1<<16 ||
+		cap(sc.encs) > 1<<16 || cap(sc.interested) > 1<<16
+	lists := sc.cold[:cap(sc.cold)]
+	entries := len(lists)
+	for i, l := range lists {
+		entries += cap(l)
 		clear(l)
+		lists[i] = l[:0]
 	}
-	if big {
+	if big || entries > 1<<16 {
 		return
 	}
 	clear(sc.hot)
@@ -527,17 +530,14 @@ func (sc *answerScratch) release() {
 	answerScratchPool.Put(sc)
 }
 
-// coldLists sets cold to n empty per-query lists, reusing the room earlier
-// answers grew.
+// coldLists sets cold to n per-query lists, empty as release left them,
+// reusing the room earlier answers grew.
 func (sc *answerScratch) coldLists(n int) {
 	lists := sc.cold[:cap(sc.cold)]
 	for len(lists) < n {
 		lists = append(lists, nil)
 	}
 	sc.cold = lists[:n]
-	for qi := range sc.cold {
-		sc.cold[qi] = sc.cold[qi][:0]
-	}
 }
 
 // keepRecord reports whether the record at c answers any interested query,
@@ -641,7 +641,7 @@ func (a *Agent) readCold(sc *answerScratch, qs []HeadersQuery, out []HeadersAnsw
 			continue
 		}
 		sc.hits, sc.next = sc.hits[:0], 0
-		n, err := view.ReadSegment(i, &sc.scan, sc.keep, sc.collect)
+		n, err := view.ReadSegment(i, sc.keep, sc.collect)
 		if err != nil {
 			a.reportError(fmt.Errorf("hostagent: cold read-back: %w", err))
 			continue

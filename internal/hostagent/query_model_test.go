@@ -86,7 +86,7 @@ func modelQueryHeadersMulti(st *store.RecordStore, rd store.ColdReader, qs []hos
 			continue
 		}
 		var recs []*flowrec.Record
-		if _, err := view.ReadSegment(i, nil, nil, func(c *flowrec.Cursor) {
+		if _, err := view.ReadSegment(i, nil, func(c *flowrec.Cursor) {
 			if rec, err := flowrec.DecodeRecord(c.Encoding()); err == nil {
 				recs = append(recs, rec)
 			}

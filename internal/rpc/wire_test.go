@@ -44,11 +44,11 @@ func (c *memCold) View() store.ColdView                  { return c }
 func (c *memCold) Len() int                              { return len(c.segs) }
 func (c *memCold) Manifest(i int) *store.SegmentManifest { return &c.manifests[i] }
 func (c *memCold) Close()                                {}
-func (c *memCold) ReadSegment(i int, s *flowrec.ScanScratch, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (int, error) {
+func (c *memCold) ReadSegment(i int, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (int, error) {
 	if c.manifests[i].Tiered {
 		return 0, store.ErrTiered
 	}
-	return flowrec.ScanSegment(c.segs[i], s, keep, fn)
+	return flowrec.ScanSegment(c.segs[i], keep, fn)
 }
 
 // wireRecord is a flow through switches 1 → sw → 3, seen at epochs lo..lo+1.

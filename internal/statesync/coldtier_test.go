@@ -521,7 +521,7 @@ func TestViewSurvivesRewrites(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		n := 0
-		if recs, err := v.ReadSegment(i, nil, nil, func(*flowrec.Cursor) { n++ }); err != nil || n != 1 || recs != 1 {
+		if recs, err := v.ReadSegment(i, nil, func(*flowrec.Cursor) { n++ }); err != nil || n != 1 || recs != 1 {
 			t.Fatalf("view segment %d: %d of %d records, err %v", i, n, recs, err)
 		}
 	}
@@ -642,7 +642,7 @@ func TestColdTierConcurrency(t *testing.T) {
 					if i%2 == 1 {
 						keep = func(c *flowrec.Cursor) bool { return c.Flow().SrcPort%2 == 0 }
 					}
-					recs, err := v.ReadSegment(s, nil, keep, func(*flowrec.Cursor) {})
+					recs, err := v.ReadSegment(s, keep, func(*flowrec.Cursor) {})
 					if err != nil && !errors.Is(err, store.ErrTiered) {
 						fail <- fmt.Errorf("view read %d: %w", s, err)
 						v.Close()

@@ -313,13 +313,13 @@ func (v *logView) Manifest(i int) *store.SegmentManifest { return &v.segs[i].Man
 // record keep admits, returning the segment's record count (see
 // store.ColdView). A tiered-out segment returns an error wrapping
 // store.ErrTiered.
-func (v *logView) ReadSegment(i int, s *flowrec.ScanScratch, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (int, error) {
+func (v *logView) ReadSegment(i int, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (int, error) {
 	if i < 0 || i >= len(v.segs) {
 		return 0, fmt.Errorf("statesync: segment %d out of range", i)
 	}
 	var n int
 	err := v.l.readSegment(&v.segs[i], i, func(payload []byte) (err error) {
-		n, err = flowrec.ScanSegment(payload, s, keep, fn)
+		n, err = flowrec.ScanSegment(payload, keep, fn)
 		return err
 	})
 	return n, err

@@ -60,15 +60,15 @@ type ColdReader interface {
 // underlying log). Manifest returns a read-only pointer. ReadSegment walks
 // segment i with a cursor, then calls fn, in order, with the cursor at each
 // record keep admits (nil: all), valid only during the call
-// (flowrec.ScanSegment, through the caller's scratch s, which may be nil):
-// no record is decoded. It returns the segment's full record count, admitted
-// or not; on an error, wrapping ErrTiered when the payload was tiered out,
-// fn is never called. Close releases the view — the view and any manifest
-// pointers obtained from it must not be used afterwards.
+// (flowrec.ScanSegment): no record is decoded. It returns the segment's full
+// record count, admitted or not; on an error, wrapping ErrTiered when the
+// payload was tiered out, fn is never called. Close releases the view — the
+// view and any manifest pointers obtained from it must not be used
+// afterwards.
 type ColdView interface {
 	Len() int
 	Manifest(i int) *SegmentManifest
-	ReadSegment(i int, s *flowrec.ScanScratch, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (records int, err error)
+	ReadSegment(i int, keep func(*flowrec.Cursor) bool, fn func(*flowrec.Cursor)) (records int, err error)
 	Close()
 }
 

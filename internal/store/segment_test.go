@@ -187,7 +187,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		}
 		calls := 0
 		var kept []*flowrec.Record
-		n, keptErr := flowrec.ScanSegment(data, nil, func(*flowrec.Cursor) bool { calls++; return admits(calls - 1) },
+		n, keptErr := flowrec.ScanSegment(data, func(*flowrec.Cursor) bool { calls++; return admits(calls - 1) },
 			func(c *flowrec.Cursor) {
 				r, err := flowrec.DecodeRecord(c.Encoding())
 				if want, ok := flowrectest.DecodeRecord(c.Encoding()); err != nil || !ok || !reflect.DeepEqual(r, want) {
