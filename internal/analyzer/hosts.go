@@ -33,10 +33,13 @@ import (
 //   - Every dispatched host's answer is complete when the round returns, so
 //     callers merge in host order and results never depend on worker
 //     scheduling; workers ≤ 0 selects rpc.DefaultFanOutWorkers.
-//   - err is the ctx error observed at the checkpoint that stopped early,
-//     nil on a full round. A host the backend cannot reach (absent agent,
-//     dead server) yields a zero answer, not an error — one dead host never
-//     aborts a round.
+//   - err is the ctx error observed at the checkpoint that stopped early.
+//     A round that dispatched every host still returns ctx.Err() when ctx
+//     is done by the time it returns: a request cut short by the cancel
+//     left its answer empty, so the round is not whole. Otherwise err is
+//     nil. A host the backend cannot reach (absent agent, dead server)
+//     yields a zero answer, not an error — one dead host never aborts a
+//     round.
 //
 // Implementations must support any number of concurrent rounds (the
 // admission controller overlaps whole diagnoses).
@@ -63,6 +66,9 @@ type HostBackend interface {
 // ask(ctx, peer, args) for each host in parallel (rpc.FanOut), one answer per
 // host in host order, and a zero answer for a host missing from peers. args
 // reaches ask as a parameter so ask can be a literal that captures nothing.
+// rpc.FanOut consults ctx only before each claim, so a cancel that lands
+// while the last hosts' requests are in flight is read here, from Done, which
+// keeps the round at FanOut's one Err check per host.
 func hostRound[P, A, T any](ctx context.Context, workers int, hosts []netsim.IPv4, peers map[netsim.IPv4]P, args A, ask func(ctx context.Context, peer P, args A) T) ([]T, int, error) {
 	answers := make([]T, len(hosts))
 	dispatched, err := rpc.FanOut(ctx, workers, len(hosts), func(ctx context.Context, i int) {
@@ -70,6 +76,13 @@ func hostRound[P, A, T any](ctx context.Context, workers int, hosts []netsim.IPv
 			answers[i] = ask(ctx, peer, args)
 		}
 	})
+	if err == nil {
+		select {
+		case <-ctx.Done():
+			err = ctx.Err()
+		default:
+		}
+	}
 	return answers, dispatched, err
 }
 

@@ -144,6 +144,12 @@ func TestCancelReachesTheWire(t *testing.T) {
 	hosts := func(base string) (*analyzer.RemoteHosts, []netsim.IPv4) {
 		return analyzer.NewRemoteHosts(map[netsim.IPv4]string{ips[0]: base, ips[1]: base}, client), ips[:2]
 	}
+	// A round over one host with four workers: its request is the last
+	// dispatch, so no dispatch check is left to see the cancel, and the
+	// round must still report it rather than an empty answer.
+	lastHost := func(base string) (*analyzer.RemoteHosts, []netsim.IPv4) {
+		return analyzer.NewRemoteHosts(map[netsim.IPv4]string{ips[0]: base}, client), ips[:1]
+	}
 	rows := []cancelRow{
 		{name: "HTTPClient.Call", call: func(ctx context.Context, base string) error {
 			return client.Call(ctx, base+"/any", rpc.Empty{}, nil, rpc.LimitRequest)
@@ -210,6 +216,21 @@ func TestCancelReachesTheWire(t *testing.T) {
 		{name: "RemoteHosts.FlowSizesRound", call: func(ctx context.Context, base string) error {
 			r, hs := hosts(base)
 			_, _, err := r.FlowSizesRound(ctx, 1, hs, sw)
+			return err
+		}},
+		{name: "RemoteHosts.HeadersRound/after-last-dispatch", call: func(ctx context.Context, base string) error {
+			r, hs := lastHost(base)
+			_, _, err := r.HeadersRound(ctx, 4, hs, []hostagent.HeadersQuery{{Switch: sw, Epochs: epochs}})
+			return err
+		}},
+		{name: "RemoteHosts.TopKRound/after-last-dispatch", call: func(ctx context.Context, base string) error {
+			r, hs := lastHost(base)
+			_, _, err := r.TopKRound(ctx, 4, hs, sw, 3)
+			return err
+		}},
+		{name: "RemoteHosts.FlowSizesRound/after-last-dispatch", call: func(ctx context.Context, base string) error {
+			r, hs := lastHost(base)
+			_, _, err := r.FlowSizesRound(ctx, 4, hs, sw)
 			return err
 		}},
 		{name: "RemoteHosts.Priority", quiet: true, call: func(ctx context.Context, base string) error {

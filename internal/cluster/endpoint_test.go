@@ -129,6 +129,25 @@ func TestEndpointContract(t *testing.T) {
 		row{name: "retired ingest route", method: http.MethodPost, url: host + "/ingest", body: `{}`, want: http.StatusNotFound},
 		row{name: "diagnose unknown kind", method: http.MethodPost, url: lb.AnalyzerURL + "/diagnose", body: `{"kind":"nope"}`, want: http.StatusBadRequest},
 	)
+	// A pinned trace ID must travel in X-SP-Trace and /traces/<id> as it is.
+	topK := func(traceID string) string {
+		return `{"kind":"top-k","switch":` + swLabel + `,"k":3,"trace_id":"` + traceID + `"}`
+	}
+	for _, c := range []struct {
+		name, id string
+		want     int
+	}{
+		{"the whole set", "AZaz09._-", http.StatusOK},
+		{"the longest", strings.Repeat("a", trace.MaxIDLen), http.StatusOK},
+		{"one byte too long", strings.Repeat("a", trace.MaxIDLen+1), http.StatusBadRequest},
+		{"the header separator", "a;b", http.StatusBadRequest},
+		{"a control character", `a\u0001b`, http.StatusBadRequest},
+		{"a path separator", "a/b", http.StatusBadRequest},
+		{"a space", "a b", http.StatusBadRequest},
+		{"non-ASCII", "aé", http.StatusBadRequest},
+	} {
+		rows = append(rows, row{name: "diagnose trace_id with " + c.name, method: http.MethodPost, url: lb.AnalyzerURL + "/diagnose", body: topK(c.id), want: c.want})
+	}
 
 	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {

@@ -56,7 +56,8 @@ func newService(mux *http.ServeMux, reg *metrics.Registry, fr *trace.FlightRecor
 //
 //	POST /diagnose — QueryEnvelope in, DiagnoseResponse out. Admission
 //	                 failures map to status codes: queue full → 429,
-//	                 queue wait expired → 503, malformed query → 400.
+//	                 queue wait expired → 503, malformed query or a
+//	                 trace_id trace.ValidID refuses → 400.
 //	GET  /stats    — AdmissionStats counters.
 //	GET  /metrics  — Prometheus text over an AnalyzerRegistry (admission
 //	                 occupancy plus per-query-kind diagnosis families).
@@ -73,6 +74,9 @@ func NewAnalyzerHandler(ad *Admission) *Service {
 	mux.Handle("/diagnose", rpc.Endpoint(nil, "diagnose", rpc.LimitRequest,
 		func(ctx context.Context, env *QueryEnvelope) (DiagnoseResponse, []trace.Attr, error) {
 			q, err := env.Query()
+			if err == nil && env.TraceID != "" && !trace.ValidID(env.TraceID) {
+				err = fmt.Errorf("cluster: trace_id %q: want 1 to %d bytes of [A-Za-z0-9._-], not . or ..", env.TraceID, trace.MaxIDLen)
+			}
 			if err != nil {
 				return DiagnoseResponse{}, nil, rpc.BadRequest(err)
 			}

@@ -31,7 +31,9 @@ type QueryEnvelope struct {
 
 	// TraceID, when set, pins the diagnosis trace ID instead of letting the
 	// analyzer derive it from the query (they coincide for well-formed
-	// clients, since spctl derives it the same way).
+	// clients, since spctl derives it the same way). /diagnose refuses one
+	// that trace.ValidID does not accept: the X-SP-Trace header and the
+	// /traces/<id> path must carry it unescaped.
 	TraceID string `json:"trace_id,omitempty"`
 }
 

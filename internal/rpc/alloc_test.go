@@ -4,8 +4,11 @@ package rpc
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 
+	"switchpointer/internal/flowrec"
+	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
 )
 
@@ -42,5 +45,44 @@ func TestFanOutAllocBudget(t *testing.T) {
 	})
 	if allocs > 9 {
 		t.Fatalf("FanOut n=8 workers=4: %.2f allocations per round, want ≤ 9", allocs)
+	}
+}
+
+// TestHeadersBatchDecodeAllocs pins the client's read of a host's
+// /headers-batch body at 3 allocations, whatever the answers and records it
+// holds: decodeWire's answer slice and the one slab every segment decodes
+// into, and the answers handed on. Read through json.Unmarshal, the same
+// bodies cost 10 allocations for one answer and 20 for eight.
+func TestHeadersBatchDecodeAllocs(t *testing.T) {
+	const want = 3
+	for _, c := range []struct{ answers, records int }{{1, 0}, {1, 1}, {1, 1024}, {8, 128}} {
+		answers := make([]hostagent.HeadersAnswer, c.answers)
+		for i := range answers {
+			recs := make([]*flowrec.Record, c.records)
+			for j := range recs {
+				recs[j] = wireRecord(netsim.IPv4(1+j), 2, 10)
+			}
+			seg, err := flowrec.AppendSegment(nil, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[i] = hostagent.HeadersAnswer{Segment: seg, ColdSegments: 1 + i}
+		}
+		body, err := json.Marshal(newHeadersBatchResponse(answers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br HeadersBatchResponse
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := br.decodeWire(body); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := br.answers(); err != nil || len(got) != c.answers {
+				t.Fatalf("%d answers, %v; want %d", len(got), err, c.answers)
+			}
+		})
+		if allocs != want {
+			t.Errorf("reading %d answers of %d records: %v allocations, want %d", c.answers, c.records, allocs, want)
+		}
 	}
 }

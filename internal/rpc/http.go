@@ -48,12 +48,16 @@ import (
 // check a method. Records cross both kinds in one codec: the snapshots'
 // frames and the /headers-batch and /record answers all carry flowrec
 // segments — inside the JSON routes as a []byte field, which encoding/json
-// writes as base64 — never records as JSON objects. Every arriving segment
-// is checked once, by one of the codec's fuzzed, bounded readers: a
-// /headers-batch answer by the validating walk (flowrec.ValidateSegment),
-// after which the analyzer reads it in place (flowrec.Cursor); a /record
-// answer or a snapshot frame, where a whole record is the point, by the
-// decode that makes its records.
+// writes as base64 — never records as JSON objects. encoding/json writes
+// every answer and reads every one but /headers-batch's: the host's own
+// body for that route is read in one pass, straight to its segments
+// (HeadersBatchResponse.decodeWire), and any other body through
+// encoding/json, so the route accepts and decodes what encoding/json does.
+// Every arriving segment is checked once, by one of the codec's fuzzed,
+// bounded readers: a /headers-batch answer by the validating walk
+// (flowrec.ValidateSegment), after which the analyzer reads it in place
+// (flowrec.Cursor); a /record answer or a snapshot frame, where a whole
+// record is the point, by the decode that makes its records.
 
 // HeadersRequest asks a host for records matching (switch, epoch range).
 // Flows, when non-empty, restricts the answer to those flow keys and lets
@@ -95,7 +99,10 @@ type HeadersBatchRequest struct {
 
 // HeadersBatchResponse answers a HeadersBatchRequest, one answer per query
 // in order. On the host the answers' segments share one pooled buffer,
-// which Endpoint gives back once it has written the answer.
+// which Endpoint gives back once it has written the answer. On the client
+// Call reads the body the host's encoding/json wrote in one pass, every
+// segment decoded into one slab of the response's own (decodeWire); any
+// other body goes through json.Unmarshal.
 type HeadersBatchResponse struct {
 	Answers []HeadersResponse `json:"answers"`
 
@@ -559,7 +566,10 @@ func (c *HTTPClient) CloseIdleConnections() { c.HTTP.CloseIdleConnections() }
 // Call is the one client shape: it POSTs req as JSON (GETs when req is nil)
 // under the per-host timeout, forwards ctx's outbound trace context as
 // X-SP-Trace, turns every non-200 answer into a *StatusError, and decodes at
-// most limit answer bytes into resp (nil discards the answer).
+// most limit answer bytes into resp (nil discards the answer): through
+// json.Unmarshal, or for a *HeadersBatchResponse through its one-pass
+// reader (decodeWire), which accepts and decodes what json.Unmarshal does
+// and keeps none of the pooled answer buffer.
 func (c *HTTPClient) Call(ctx context.Context, url string, req, resp any, limit int64) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -619,7 +629,11 @@ func (c *HTTPClient) Call(ctx context.Context, url string, req, resp any, limit 
 	case int64(buf.Len()) > limit:
 		err = fmt.Errorf("answer over %d bytes", limit)
 	case err == nil:
-		err = json.Unmarshal(buf.Bytes(), resp)
+		if br, ok := resp.(*HeadersBatchResponse); ok {
+			err = br.decodeWire(buf.Bytes())
+		} else {
+			err = json.Unmarshal(buf.Bytes(), resp)
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("rpc: decode %s: %w", url, err)

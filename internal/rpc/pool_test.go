@@ -34,10 +34,13 @@ func poolRecord(src netsim.IPv4, lo simtime.Epoch) *flowrec.Record {
 // TestConcurrentHeadersBatchAnswers: goroutines ask one host, whose hot
 // store and segment log both answer, for /headers-batch answers over
 // different windows at once, and each answer equals the host's in-process
-// AnswerHeaders answer to its own queries. The host splices every answer
-// onto a pooled buffer and Endpoint gives the buffer back once the answer is
-// written: given back any earlier, a concurrent request splices over an
-// answer still being written.
+// AnswerHeaders answer to its own queries — when it arrives, and again once
+// every call has returned. Both ends pool their buffers. The host splices
+// every answer onto a pooled buffer and Endpoint gives the buffer back once
+// the answer is written: given back any earlier, a concurrent request
+// splices over an answer still being written. The client reads every answer
+// into a pooled buffer (Call's answerPool): a decoded segment that aliased it
+// would be overwritten by a later call's answer, which the last check sees.
 func TestConcurrentHeadersBatchAnswers(t *testing.T) {
 	const goroutines, rounds = 8, 20
 	st := store.New()
@@ -91,6 +94,7 @@ func TestConcurrentHeadersBatchAnswers(t *testing.T) {
 		wants[g] = want
 	}
 
+	kept := make([][][]hostagent.HeadersAnswer, goroutines) // by goroutine, then round
 	var wg sync.WaitGroup
 	for g := range goroutines {
 		wg.Add(1)
@@ -106,8 +110,16 @@ func TestConcurrentHeadersBatchAnswers(t *testing.T) {
 					t.Errorf("goroutine %d round %d: the wire answer differs from the in-process one", g, r)
 					return
 				}
+				kept[g] = append(kept[g], got)
 			}
 		}()
 	}
 	wg.Wait()
+	for g := range kept {
+		for r, got := range kept[g] {
+			if !reflect.DeepEqual(got, wants[g]) {
+				t.Fatalf("goroutine %d round %d: the answer changed after later calls returned", g, r)
+			}
+		}
+	}
 }

@@ -1,12 +1,18 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -185,7 +191,7 @@ func TestCorruptAnswerIsAnError(t *testing.T) {
 // decodeHeadersBatch is the client's decode of a /headers-batch body.
 func decodeHeadersBatch(body []byte) ([]hostagent.HeadersAnswer, error) {
 	var out HeadersBatchResponse
-	if err := json.Unmarshal(body, &out); err != nil {
+	if err := out.decodeWire(body); err != nil {
 		return nil, err
 	}
 	return out.answers()
@@ -239,6 +245,161 @@ func FuzzHeadersBatchAnswer(f *testing.F) {
 			t.Fatalf("round trip changed the answers:\n got %+v\nwant %+v", back, answers)
 		}
 	})
+}
+
+// FuzzHeadersBatchDecode: for every body, the client's decode of a
+// /headers-batch answer and json.Unmarshal agree on whether it fails and, when
+// it does not, on the decoded value; and no decoded segment aliases the body,
+// which Call reuses for the next answer. The committed seeds hold each body
+// the one-pass reader must leave to json.Unmarshal.
+func FuzzHeadersBatchDecode(f *testing.F) {
+	ag := wireAgent(f)
+	answers, _, err := ag.AnswerHeaders(context.Background(), []hostagent.HeadersQuery{
+		{Switch: 2, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}},
+		{Switch: 9, Epochs: simtime.EpochRange{Lo: 0, Hi: 100}},
+	}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	body, err := json.Marshal(newHeadersBatchResponse(answers))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want HeadersBatchResponse
+		wantErr := json.Unmarshal(body, &want)
+		var got HeadersBatchResponse
+		own := bytes.Clone(body)
+		gotErr := got.decodeWire(own)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decodeWire err %v, json.Unmarshal err %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		clear(own)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeWire, once its body is cleared, differs from json.Unmarshal:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// TestHostEncodesTakeTheFastPath: every body a host writes — random answers,
+// counts and records, marshalled bare or with json.Encoder's newline — is
+// read by the one-pass reader, not json.Unmarshal, and decodes to what
+// json.Unmarshal decodes it to.
+func TestHostEncodesTakeTheFastPath(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	count := func() int {
+		switch rng.IntN(4) {
+		case 0:
+			return 0 // omitted
+		case 1:
+			return math.MaxInt
+		default:
+			return 1 + rng.IntN(1_000_000)
+		}
+	}
+	for i := range 2000 {
+		answers := make([]hostagent.HeadersAnswer, rng.IntN(9))
+		for j := range answers {
+			recs := make([]*flowrec.Record, rng.IntN(6))
+			for k := range recs {
+				recs[k] = wireRecord(netsim.IPv4(1+rng.IntN(1<<20)), netsim.NodeID(rng.IntN(8)), simtime.Epoch(rng.IntN(1000)))
+			}
+			seg, err := flowrec.AppendSegment(nil, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers[j] = hostagent.HeadersAnswer{Segment: seg, ColdSegments: count(), ColdRecords: count(),
+				ColdReturned: count(), ColdSkippedByIndex: count(), TieredSegments: count()}
+		}
+		body, err := json.Marshal(newHeadersBatchResponse(answers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			body = append(body, '\n')
+		}
+		got, ok := decodeCanonical(body)
+		if !ok {
+			t.Fatalf("encode %d is not read in one pass: %s", i, body)
+		}
+		var want HeadersBatchResponse
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("encode %d: one pass read\n %+v\njson.Unmarshal\n %+v", i, got, want)
+		}
+	}
+}
+
+// BenchmarkHeadersBatchDecode reads one host body of 8 answers, each a
+// segment of 16 records, through the client's one-pass reader and through
+// json.Unmarshal.
+func BenchmarkHeadersBatchDecode(b *testing.B) {
+	answers := make([]hostagent.HeadersAnswer, 8)
+	for i := range answers {
+		recs := make([]*flowrec.Record, 16)
+		for j := range recs {
+			recs[j] = wireRecord(netsim.IPv4(1+16*i+j), 2, simtime.Epoch(i))
+		}
+		seg, err := flowrec.AppendSegment(nil, recs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		answers[i] = hostagent.HeadersAnswer{Segment: seg, ColdSegments: i}
+	}
+	body, err := json.Marshal(newHeadersBatchResponse(answers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		decode func(*HeadersBatchResponse) error
+	}{
+		{"one-pass", func(br *HeadersBatchResponse) error { return br.decodeWire(body) }},
+		{"json", func(br *HeadersBatchResponse) error { return json.Unmarshal(body, br) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for range b.N {
+				var br HeadersBatchResponse
+				if err := c.decode(&br); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestOnlyCanonicalSeedsTakeTheFastPath: of FuzzHeadersBatchDecode's
+// committed seeds, those named canonical are read in one pass and every
+// other one is left to json.Unmarshal.
+func TestOnlyCanonicalSeedsTakeTheFastPath(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzHeadersBatchDecode")
+	seeds, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range seeds {
+		raw, err := os.ReadFile(filepath.Join(dir, seed.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		body, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("seed %s: not one []byte value: %v", seed.Name(), err)
+		}
+		want := strings.HasPrefix(seed.Name(), "canonical")
+		if _, fast := decodeCanonical([]byte(body)); fast != want {
+			t.Errorf("seed %s: read in one pass %v, want %v", seed.Name(), fast, want)
+		}
+	}
 }
 
 // TestPointersAndMPHWireBytes pins the exact JSON of one /pointers answer

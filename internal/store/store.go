@@ -691,13 +691,19 @@ func (t *table) memo(sw netsim.NodeID) memo {
 }
 
 // buildMemo is memo's miss, apart so that a lookup keeps a small frame.
-// memoMu is held.
+// memoMu is held. A switch no indexed path visits costs no allocation: it is
+// asked again on every query, since its zero memo is not cached.
 func (t *table) buildMemo(sw netsim.NodeID) memo {
-	visits := make([]bool, len(t.paths)+1) // by slot.path
+	var visits []bool // by slot.path
 	for i, p := range t.paths {
-		visits[i+1] = slices.Contains(p, sw)
+		if slices.Contains(p, sw) {
+			if visits == nil {
+				visits = make([]bool, len(t.paths)+1)
+			}
+			visits[i+1] = true
+		}
 	}
-	if !slices.Contains(visits, true) {
+	if visits == nil {
 		return memo{}
 	}
 	type member struct {

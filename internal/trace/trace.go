@@ -147,6 +147,29 @@ func (r RemoteContext) Encode() string {
 	return r.TraceID + ";" + r.Parent + ";" + strconv.FormatInt(int64(r.At), 10)
 }
 
+// MaxIDLen bounds a trace ID a client may pin (ValidID).
+const MaxIDLen = 128
+
+// ValidID reports whether id can name a trace on every surface that carries
+// one unescaped: 1 to MaxIDLen bytes of [A-Za-z0-9._-], other than the path
+// segments "." and "..". Encode separates its fields with ';', net/http
+// refuses a header value holding a control character, and /traces/<id> is a
+// URL path, so an ID outside this set would lose its daemon spans, fail
+// every request that carries it or name no trace.
+func ValidID(id string) bool {
+	if id == "" || len(id) > MaxIDLen || id == "." || id == ".." {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // ParseRemote parses a header value produced by Encode.
 func ParseRemote(s string) (RemoteContext, bool) {
 	parts := strings.Split(s, ";")

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"switchpointer/internal/simtime"
@@ -219,6 +221,45 @@ func TestRemoteContextHeaderRoundTrip(t *testing.T) {
 	}
 	if _, ok := ParseRemote("sp-x;1;notanumber"); ok {
 		t.Fatal("bad timestamp parsed")
+	}
+}
+
+// FuzzParseRemote: ParseRemote never panics on a header value; whatever it
+// parses, Encode writes back as a value that parses the same; and every
+// context whose trace ID ValidID admits, and whose parent ordinal holds no
+// field separator, survives Encode and ParseRemote unchanged.
+func FuzzParseRemote(f *testing.F) {
+	f.Add("sp-0123456789abcdef;0.1;5", "sp-0123456789abcdef", "0.1", int64(5))
+	f.Add("a;b;c;1", "a;b", "", int64(-1))
+	f.Add(";;+12", "A-z_0.9", "0", int64(math.MinInt64))
+	f.Fuzz(func(t *testing.T, header, id, parent string, at int64) {
+		if rc, ok := ParseRemote(header); ok {
+			if again, ok := ParseRemote(rc.Encode()); !ok || again != rc {
+				t.Fatalf("header %q parsed to %+v, whose encoding parses to %+v, %v", header, rc, again, ok)
+			}
+		}
+		if !ValidID(id) || strings.Contains(parent, ";") {
+			return
+		}
+		rc := RemoteContext{TraceID: id, Parent: parent, At: simtime.Time(at)}
+		if got, ok := ParseRemote(rc.Encode()); !ok || got != rc {
+			t.Fatalf("%+v round-tripped to %+v, %v", rc, got, ok)
+		}
+	})
+}
+
+// TestValidID pins the trace IDs a client may pin: 1 to MaxIDLen bytes of
+// [A-Za-z0-9._-] but for "." and "..", which NewID's IDs are.
+func TestValidID(t *testing.T) {
+	for _, id := range []string{NewID("contention", "flow", "42"), "AZaz09._-", "...", strings.Repeat("x", MaxIDLen)} {
+		if !ValidID(id) {
+			t.Errorf("ValidID(%q) = false, want true", id)
+		}
+	}
+	for _, id := range []string{"", strings.Repeat("x", MaxIDLen+1), "a;b", "a\x01b", "a\nb", "a/b", "a b", "a%20b", "aé", ".", ".."} {
+		if ValidID(id) {
+			t.Errorf("ValidID(%q) = true, want false", id)
+		}
 	}
 }
 

@@ -9,7 +9,10 @@
 # exactly when it is one valid record), the pointer
 # snapshot and slot-list decoders, the bitmap decoders under both (dense and
 # sparse pointer sets), the client's check of a /headers-batch
-# answer (flowrec segments inside JSON), the reader of a host /snapshot
+# answer (flowrec segments inside JSON), the client's one-pass reader of
+# that answer, which must agree with encoding/json on every body — whether it
+# fails and, when not, the decoded value — and decode no segment into the
+# body it was handed, the reader of a host /snapshot
 # body (flowrec segments back to back) and the decoders of a /diagnose
 # report's culprit and flow columns, and the host-side telemetry decoder
 # over any commodity or INT packet, which must also decode the same through
@@ -19,7 +22,9 @@
 # must look up any key in range without panicking, and the one varint
 # reader every binary format above reads through (internal/varint), whose
 # Uvarint, Bounded and Varint must agree with encoding/binary's Uvarint and
-# Varint on the value, the verdict and the bytes consumed. Arbitrary bytes must
+# Varint on the value, the verdict and the bytes consumed, and the parser of
+# the X-SP-Trace header, which must round-trip every context whose trace ID
+# /diagnose admits (trace.ValidID). Arbitrary bytes must
 # give a value or an error — no panic, no allocation out of proportion to the
 # input, a failed restore changes nothing — and whatever decodes must survive
 # an encode/decode round trip. A last 5 s drives the event engine's
@@ -39,9 +44,11 @@ go test ./internal/pointer -run '^$' -fuzz FuzzRestore -fuzztime 5s -fuzzminimiz
 go test ./internal/pointer -run '^$' -fuzz FuzzDecodeSlots -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/bitset -run '^$' -fuzz FuzzUnmarshal -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/rpc -run '^$' -fuzz FuzzHeadersBatchAnswer -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/rpc -run '^$' -fuzz FuzzHeadersBatchDecode -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/statesync -run '^$' -fuzz FuzzReadSegments -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/cluster -run '^$' -fuzz FuzzReportColumns -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/eventq -run '^$' -fuzz FuzzFireOrder -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/header -run '^$' -fuzz FuzzDecode -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/mph -run '^$' -fuzz FuzzUnmarshalBinary -fuzztime 5s -fuzzminimizetime=100x
 go test ./internal/varint -run '^$' -fuzz FuzzReader -fuzztime 5s -fuzzminimizetime=100x
+go test ./internal/trace -run '^$' -fuzz FuzzParseRemote -fuzztime 5s -fuzzminimizetime=100x

@@ -45,7 +45,9 @@ go test ./...
 go test -race ./internal/analyzer ./internal/rpc ./internal/hostagent ./internal/store ./internal/eventq ./internal/cluster ./internal/statesync ./internal/switchagent ./internal/netsim ./internal/trace ./internal/flowrec ./internal/topo .
 # rpc.FanOut's caller and helpers claim indices under one lock,
 # TestConcurrentHeadersBatchAnswers races /headers-batch requests over the
-# host's pooled answer buffers (the whole package runs, that test included),
+# host's and the client's pooled answer buffers and checks every answer kept
+# still holds once later calls have reused them (the whole package runs,
+# that test included),
 # and the service plane's lock and cancellation contract tests race requests
 # against locks and cancels; three race runs give their interleavings more
 # than one chance to show (≈ 3 s each).
