@@ -156,7 +156,11 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 			coldRecs = append(coldRecs, coldReturned)
 		}
 	}
-	if cerr != nil || corrupt != nil {
+	failed := cerr // a cancel, or an answer that failed the client's check
+	if failed == nil {
+		failed = corrupt
+	}
+	if failed != nil {
 		chargePartial(d, "diagnosis", contact, recCounts)
 		// The dispatched prefix's cold scans happened too: charge them so a
 		// partial report never carries ColdSegments without the matching
@@ -164,10 +168,7 @@ func (a *Analyzer) contentionRound(ctx context.Context, clock *rpc.Clock, alert 
 		if len(coldHosts) > 0 {
 			clock.HostsQueried(rpc.PhaseColdReadBack, coldHosts, coldRecs)
 		}
-		if corrupt != nil {
-			return aborted(d, ctx, corrupt, "host queries")
-		}
-		return cancelled(d, ctx, "host queries")
+		return aborted(d, ctx, failed, "host queries")
 	}
 	clock.HostsQueried("diagnosis", contact, recCounts)
 	// Cold read-back: hosts whose epoch window had aged out of the hot set

@@ -37,9 +37,11 @@ import (
 //     A round that dispatched every host still returns ctx.Err() when ctx
 //     is done by the time it returns: a request cut short by the cancel
 //     left its answer empty, so the round is not whole. Otherwise err is
-//     nil. A host the backend cannot reach (absent agent, dead server)
-//     yields a zero answer, not an error — one dead host never aborts a
-//     round.
+//     nil, or, from RemoteHosts.HeadersRound, an error wrapping
+//     rpc.ErrBadAnswer that names the first host in host order whose answer
+//     arrived but failed the client's check. A host the backend cannot
+//     reach (absent agent, dead server) yields a zero answer, not an error
+//     — one dead host never aborts a round.
 //
 // Implementations must support any number of concurrent rounds (the
 // admission controller overlaps whole diagnoses).

@@ -2,6 +2,8 @@ package analyzer
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
@@ -21,8 +23,12 @@ import (
 // A host without a registered URL, or one whose server fails a request,
 // answers with nothing — the same silent-server semantics as an absent
 // in-memory agent, so one dead host never aborts a round: each round drops
-// the request error (the `_` in each method) because HostBackend's contract
-// gives an unreachable host a zero answer, not an error.
+// a transport or status error because HostBackend's contract gives an
+// unreachable host a zero answer, not an error. HeadersRound keeps one
+// kind: an answer that arrives but fails the client's check
+// (rpc.ErrBadAnswer) fails the round naming the host, as the same answer
+// in memory aborts the diagnosis. TopKRound and FlowSizesRound drop
+// every error.
 //
 // Concurrency: all methods are safe for concurrent use (rpc.HTTPClient is
 // goroutine-safe), including overlapping whole diagnoses.
@@ -54,11 +60,33 @@ type call[Q any] struct {
 // virtual-time charge), hosts in parallel, answers per host in query
 // order. The hosts' cold read-back accounting rides the wire form, so a
 // remote diagnosis charges the extra round exactly like the in-memory one.
+// A host whose answer fails the client's check fails the round with an
+// error wrapping rpc.ErrBadAnswer and naming the host.
 func (r *RemoteHosts) HeadersRound(ctx context.Context, workers int, hosts []netsim.IPv4, queries []hostagent.HeadersQuery) ([][]hostagent.HeadersAnswer, int, error) {
-	return hostRound(ctx, workers, hosts, r.urls, call[[]hostagent.HeadersQuery]{r.client, queries}, func(ctx context.Context, url string, a call[[]hostagent.HeadersQuery]) []hostagent.HeadersAnswer {
-		answers, _ := a.c.QueryHeadersBatch(ctx, url, a.q)
-		return answers
+	replies, dispatched, err := hostRound(ctx, workers, hosts, r.urls, call[[]hostagent.HeadersQuery]{r.client, queries}, func(ctx context.Context, url string, a call[[]hostagent.HeadersQuery]) headersReply {
+		answers, err := a.c.QueryHeadersBatch(ctx, url, a.q)
+		if errors.Is(err, rpc.ErrBadAnswer) {
+			return headersReply{err: err}
+		}
+		return headersReply{answers: answers}
 	})
+	answers := make([][]hostagent.HeadersAnswer, len(hosts))
+	for i, rep := range replies[:dispatched] {
+		answers[i] = rep.answers
+		if rep.err != nil && err == nil {
+			err = fmt.Errorf("host %v: %w", hosts[i], rep.err)
+		}
+	}
+	return answers, dispatched, err
+}
+
+// headersReply is one host's part of a remote HeadersRound: its answers, or
+// why they failed the client's check. The round scans the replies in host
+// order, so the error it returns names the first such host whatever the
+// worker count.
+type headersReply struct {
+	answers []hostagent.HeadersAnswer
+	err     error
 }
 
 // TopKRound implements HostBackend over HTTP.

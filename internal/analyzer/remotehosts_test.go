@@ -2,8 +2,11 @@ package analyzer_test
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/rpc"
+	"switchpointer/internal/simtime"
 )
 
 // TestRemoteHostsRoundConcurrent drives one RemoteHosts round over live test
@@ -79,5 +83,69 @@ func TestRemoteHostsRoundConcurrent(t *testing.T) {
 		if got := hits[i].Load(); got != want {
 			t.Errorf("host %d contacted %d times, want %d", i, got, want)
 		}
+	}
+}
+
+// TestBadHeadersAnswerFailsRound: a /headers-batch answer that arrives but
+// fails the client's check — a segment that does not validate, or the wrong
+// number of answers — fails RemoteHosts.HeadersRound with an error wrapping
+// rpc.ErrBadAnswer that names the first such host in host order, whatever
+// the worker count. A host that cannot be reached or answers 500 still
+// answers empty.
+func TestBadHeadersAnswerFailsRound(t *testing.T) {
+	const notASegment = `{"answers":[{"segment":"bm90IGEgc2VnbWVudA=="}]}`
+	bodies := []string{
+		"",               // unreachable
+		"",               // 500
+		notASegment,      // a segment that does not validate
+		`{"answers":[]}`, // 0 answers to 1 query
+		notASegment,      // a later bad host
+	}
+	hosts := make([]netsim.IPv4, len(bodies))
+	urls := make(map[netsim.IPv4]string, len(bodies))
+	for i, body := range bodies {
+		hosts[i] = netsim.IP(10, 0, 0, byte(i+1))
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if body == "" {
+				http.Error(w, "down", http.StatusInternalServerError)
+				return
+			}
+			io.WriteString(w, body) //nolint:errcheck
+		}))
+		urls[hosts[i]] = srv.URL
+		if i == 0 {
+			srv.Close()
+		} else {
+			defer srv.Close()
+		}
+	}
+	client := rpc.NewPooledHTTPClient()
+	defer client.CloseIdleConnections()
+	queries := []hostagent.HeadersQuery{{Switch: 7, Epochs: simtime.EpochRange{Lo: 0, Hi: 2}}}
+
+	for _, c := range []struct {
+		from int // the first host of the round
+		bad  int // the host the error must name
+	}{{0, 2}, {3, 3}} {
+		for _, workers := range []int{1, 4} {
+			r := analyzer.NewRemoteHosts(urls, client)
+			answers, dispatched, err := r.HeadersRound(t.Context(), workers, hosts[c.from:], queries)
+			if !errors.Is(err, rpc.ErrBadAnswer) || !strings.Contains(err.Error(), hosts[c.bad].String()) {
+				t.Fatalf("round from host %d, %d workers: err = %v, want a bad-answer error naming %v", c.from, workers, err, hosts[c.bad])
+			}
+			if dispatched != len(hosts)-c.from {
+				t.Fatalf("round from host %d: dispatched %d of %d", c.from, dispatched, len(hosts)-c.from)
+			}
+			for i, ans := range answers {
+				if ans != nil {
+					t.Errorf("round from host %d: host %d answered %+v, want nothing", c.from, c.from+i, ans)
+				}
+			}
+		}
+	}
+
+	answers, dispatched, err := analyzer.NewRemoteHosts(urls, client).HeadersRound(t.Context(), 2, hosts[:2], queries)
+	if err != nil || dispatched != 2 || answers[0] != nil || answers[1] != nil {
+		t.Fatalf("unreachable and failing hosts: answers %v, dispatched %d, err %v; want two empty answers and no error", answers, dispatched, err)
 	}
 }

@@ -3,7 +3,11 @@ package analyzer_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +16,7 @@ import (
 	"switchpointer/internal/flowrec"
 	"switchpointer/internal/hostagent"
 	"switchpointer/internal/netsim"
+	"switchpointer/internal/rpc"
 	"switchpointer/internal/scenario"
 	"switchpointer/internal/simtime"
 )
@@ -81,6 +86,58 @@ func TestCorruptAnswerAbortsDiagnosis(t *testing.T) {
 		t.Fatalf("err = %v, want a corrupt-answer error naming host %v", err, host)
 	}
 	if rep == nil || !strings.HasPrefix(rep.Conclusion, "host queries failed") || rep.Kind != analyzer.KindInconclusive {
+		t.Fatalf("report = %+v, want an inconclusive one that says the host queries failed", rep)
+	}
+}
+
+// TestBadRemoteAnswerAbortsDiagnosis is TestCorruptAnswerAbortsDiagnosis
+// over the wire: every host answers /headers-batch with a segment that does
+// not validate, and the remote diagnosis ends inconclusive, saying the host
+// queries failed and naming the first host it contacted — not a report
+// that reads the hosts as holding no records.
+func TestBadRemoteAnswerAbortsDiagnosis(t *testing.T) {
+	s, err := scenario.NewRedLights(scenario.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := s.Testbed
+	defer tb.Close()
+	tb.Run(30 * simtime.Millisecond)
+	alert, ok := tb.AlertFor(s.Victim)
+	if !ok {
+		t.Fatal("victim never triggered")
+	}
+	// One answer per query, so the count is right and the segment check
+	// is the one that fails.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req rpc.HeadersBatchRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		answers := strings.Repeat(`{"segment":"bm90IGEgc2VnbWVudA=="},`, len(req.Queries))
+		io.WriteString(w, `{"answers":[`+strings.TrimSuffix(answers, ",")+`]}`) //nolint:errcheck
+	}))
+	defer srv.Close()
+	urls := make(map[netsim.IPv4]string, len(tb.HostAgents))
+	for ip := range tb.HostAgents {
+		urls[ip] = srv.URL
+	}
+	client := rpc.NewPooledHTTPClient()
+	defer client.CloseIdleConnections()
+	saved := tb.Analyzer.HostBack
+	tb.Analyzer.HostBack = analyzer.NewRemoteHosts(urls, client)
+	defer func() { tb.Analyzer.HostBack = saved }()
+
+	rep, err := tb.Analyzer.Run(context.Background(), analyzer.RedLightsQuery{Alert: alert})
+	if rep == nil || len(rep.Consulted) == 0 {
+		t.Fatalf("report = %+v, want one that consulted hosts", rep)
+	}
+	first := rep.Consulted[0].String()
+	if !errors.Is(err, rpc.ErrBadAnswer) || !strings.Contains(err.Error(), first) {
+		t.Fatalf("err = %v, want a bad-answer error naming host %v", err, first)
+	}
+	if !strings.HasPrefix(rep.Conclusion, "host queries failed") || rep.Kind != analyzer.KindInconclusive {
 		t.Fatalf("report = %+v, want an inconclusive one that says the host queries failed", rep)
 	}
 }

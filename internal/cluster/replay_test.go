@@ -27,17 +27,25 @@ import (
 // debt: building the paper's Fig 8 point (load imbalance, n = 96) and
 // playing it to the horizon — what the benchmark's sim-replay workload,
 // every spd start-up and every figure regeneration does — stays within
-// 7 450 allocations, 2 % over the ≈ 7 305 measured. One event queue that
-// grows by doubling and store shards built on first write took it from
-// ≈ 66 300 to ≈ 9 500; a per-agent flow table in place of a meter map and an
-// alert map per host took it from ≈ 7 980 to ≈ 7 305. An allocation per
-// packet, per event or per idle host shows up here long before it shows up
-// as time. Not built under -race: sync.Pool then drops a quarter of its
-// Puts, so netsim's pooled packets are re-allocated at random.
+// 6 790 allocations and 800 000 bytes, 2 % and 10 % over the ≈ 6 656 and
+// ≈ 729 000 measured. One event queue that grows by doubling and store
+// shards built on first write took the count from ≈ 66 300 to ≈ 9 500; a
+// per-agent flow table in place of a meter map and an alert map per host
+// took it from ≈ 7 980 to ≈ 7 305. A per-flow throughput series of every
+// 1 ms bucket since time 0, regrown by doubling, in place of the trigger's
+// four-bucket window cost ≈ 7 299 allocations and ≈ 1 219 000 bytes: each
+// regrowth is one allocation per series but doubles the bytes, so the byte
+// budget is the one that sees per-flow state growing with the run. An
+// allocation per packet, per event or per idle host shows up here long
+// before it shows up as time. Not built under -race: sync.Pool then drops a
+// quarter of its Puts, so netsim's pooled packets are re-allocated at
+// random.
 func TestReplayAllocBudget(t *testing.T) {
-	const budget = 7_450
+	const budget, byteBudget, runs = 6_790, 800_000, 2
 	events := uint64(0)
-	allocs := testing.AllocsPerRun(2, func() {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
 		s, err := BuildScenarioOpt("loadimbalance", 0, 96, scenario.Options{ClockSeed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -46,13 +54,18 @@ func TestReplayAllocBudget(t *testing.T) {
 		events = s.Testbed.Net.Engine.Processed()
 		s.Testbed.Close()
 	})
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
 	if events == 0 {
 		t.Fatal("the replay ran no events")
 	}
 	if allocs > budget {
 		t.Fatalf("loadimbalance n=96 build+run: %v allocs, want <= %d", allocs, budget)
 	}
-	t.Logf("loadimbalance n=96 build+run: %v allocs (budget %d), %d events", allocs, budget, events)
+	if bytes > byteBudget {
+		t.Fatalf("loadimbalance n=96 build+run: %d B allocated, want <= %d", bytes, byteBudget)
+	}
+	t.Logf("loadimbalance n=96 build+run: %v allocs (budget %d), %d B (budget %d), %d events", allocs, budget, bytes, byteBudget, events)
 }
 
 // TestPriorityReplayAllocBudget is TestReplayAllocBudget's TCP twin:

@@ -5,12 +5,12 @@ import (
 	"switchpointer/internal/netsim"
 	"switchpointer/internal/simtime"
 	"switchpointer/internal/store"
-	"switchpointer/internal/transport"
 )
 
 // flowState is everything the packet path keeps for one received flow, so a
-// packet resolves its flow once: its throughput meter, its decoder path
-// memo, its store record handle and its trigger's last alert.
+// packet resolves its flow once: its last few buckets of arrival bytes (all
+// the throughput trigger reads, not the flow's whole history), its decoder
+// path memo, its store record handle and its trigger's last alert.
 //
 // The path memo holds the flow's last (src, dst, link) path. It is valid
 // only because routes are static once traffic flows — every route
@@ -18,7 +18,7 @@ import (
 // packet — the condition the decoder's shared memo already rests on.
 type flowState struct {
 	flow      netsim.FlowKey
-	meter     transport.Meter
+	rate      rateWindow
 	path      header.PathMemo
 	rec       store.Handle
 	lastAlert simtime.Time
@@ -38,21 +38,20 @@ type flowTable struct {
 	index map[netsim.FlowKey]*flowState
 }
 
-// get returns flow's state, created on its first packet with a meter of the
-// given bucket width. A flow's packets usually arrive back to back, and
-// then get looks nothing up.
-func (ft *flowTable) get(flow netsim.FlowKey, interval simtime.Time) *flowState {
+// get returns flow's state, created on its first packet. A flow's packets
+// usually arrive back to back, and then get looks nothing up.
+func (ft *flowTable) get(flow netsim.FlowKey) *flowState {
 	if fs := ft.last; fs != nil && fs.flow == flow {
 		return fs
 	}
-	return ft.lookup(flow, interval)
+	return ft.lookup(flow)
 }
 
 // lookup is get's miss: it finds or adds flow's state and makes it the last.
-func (ft *flowTable) lookup(flow netsim.FlowKey, interval simtime.Time) *flowState {
+func (ft *flowTable) lookup(flow netsim.FlowKey) *flowState {
 	fs := ft.find(flow)
 	if fs == nil {
-		fs = ft.add(flow, interval)
+		fs = ft.add(flow)
 	}
 	ft.last = fs
 	return fs
@@ -73,8 +72,8 @@ func (ft *flowTable) find(flow netsim.FlowKey) *flowState {
 
 // add appends a new state for flow; a table outgrowing smallTable gets its
 // index here.
-func (ft *flowTable) add(flow netsim.FlowKey, interval simtime.Time) *flowState {
-	fs := &flowState{flow: flow, meter: *transport.NewMeter(interval)}
+func (ft *flowTable) add(flow netsim.FlowKey) *flowState {
+	fs := &flowState{flow: flow}
 	ft.flows = append(ft.flows, fs)
 	if ft.index != nil {
 		ft.index[flow] = fs

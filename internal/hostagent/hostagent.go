@@ -111,9 +111,9 @@ type Agent struct {
 	// Received counts packets processed.
 	Received uint64
 
-	// flows is the packet path's per-flow state: each flow's meter (its
-	// arrival throughput at MeterInterval), path memo, record handle and
-	// last alert.
+	// flows is the packet path's per-flow state: each flow's rate window
+	// (its arrival bytes in its last MeterInterval buckets), path memo,
+	// record handle and last alert.
 	flows   flowTable
 	armed   bool // StartTriggers called
 	ticking bool // the trigger scan is scheduled
@@ -184,8 +184,8 @@ func (a *Agent) onPacket(p *netsim.Packet, now simtime.Time) {
 	if a.armed && !a.ticking {
 		a.startTrigTimer()
 	}
-	fs := a.flows.get(p.Flow, a.cfg.MeterInterval)
-	fs.meter.Record(p.Size, now)
+	fs := a.flows.get(p.Flow)
+	fs.rate.record(p.Size, int(now/a.cfg.MeterInterval))
 	dec, err := a.dec.DecodeMemo(p, now, a.host.Clock, &fs.path)
 	if err != nil {
 		a.DecodeErrors++
@@ -233,8 +233,8 @@ func (a *Agent) checkTriggers() {
 	var rest []Alert
 	raised := 0
 	for _, fs := range a.flows.flows {
-		prev := fs.meter.GbpsAt(completed - 1)
-		cur := fs.meter.GbpsAt(completed)
+		prev := fs.rate.gbps(completed-1, a.cfg.MeterInterval)
+		cur := fs.rate.gbps(completed, a.cfg.MeterInterval)
 		if prev < a.cfg.MinActiveGbps {
 			continue
 		}
@@ -310,6 +310,8 @@ func (a *Agent) raise(al Alert) {
 	// The tuples are built under the record's shard read lock: a concurrent
 	// Put may replace the record the moment the lock is released.
 	a.Store.View(al.Flow, func(rec *flowrec.Record) {
+		// Grown once to the path; a pathless record leaves Tuples nil.
+		al.Tuples = slices.Grow(al.Tuples, len(rec.Path))
 		for i, sw := range rec.Path {
 			tup := AlertTuple{Switch: sw, Epochs: rec.Epochs[i]}
 			if i == rec.TagIdx || (rec.TagIdx == -1 && len(rec.Path) == 1) {

@@ -6,6 +6,7 @@
 package hostagent
 
 import (
+	"runtime"
 	"testing"
 
 	"switchpointer/internal/netsim"
@@ -14,8 +15,8 @@ import (
 
 // TestOnPacketAllocFree: once a flow is known, one more of its packets,
 // sent across the chain and handed to the receiving agent by Host.deliver,
-// allocates nothing — the flow-table hit, meter, decode and record absorb
-// included. The trigger scan is armed and ticks in between.
+// allocates nothing — the flow-table hit, rate window, decode and record
+// absorb included. The trigger scan is armed and ticks in between.
 func TestOnPacketAllocFree(t *testing.T) {
 	net, tp, agents := testbed(t)
 	src, _ := tp.HostByName("h1-1")
@@ -36,8 +37,11 @@ func TestOnPacketAllocFree(t *testing.T) {
 		send()
 	}
 	before := ag.Received
-	// 1 011 packets 20 µs apart span three 10 ms epochs and stay in the
-	// meter's first 64 buckets.
+	// 1 011 packets 20 µs apart span three 10 ms epochs. AllocsPerRun
+	// divides the total by the run count in integers, so this pins the
+	// steady packet, not growth a handful of times in a thousand packets:
+	// TestRateWindowAllocFree pins the window over many buckets, and
+	// cluster's TestReplayAllocBudget the bytes of a whole replay.
 	allocs := testing.AllocsPerRun(1000, send)
 	if ag.Received-before < 1000 || ag.DecodeErrors != 0 {
 		t.Fatalf("received %d packets (%d decode errors), want >= 1000", ag.Received-before, ag.DecodeErrors)
@@ -47,5 +51,37 @@ func TestOnPacketAllocFree(t *testing.T) {
 	}
 	if rec, ok := ag.Store.Lookup(flow); !ok || rec.Pkts != ag.Received {
 		t.Fatalf("record = %v, %v; want every one of %d packets absorbed", rec, ok, ag.Received)
+	}
+}
+
+// TestRateWindowAllocFree: a known flow's state takes a packet in each of
+// 100 000 buckets, each followed by the trigger's two reads, and allocates
+// nothing in total. A per-flow series of every bucket since time 0 regrows
+// over such a run, which TestOnPacketAllocFree's per-packet average cannot
+// see; this counts every allocation.
+func TestRateWindowAllocFree(t *testing.T) {
+	const interval = simtime.Millisecond
+	flow := netsim.FlowKey{Src: 1, Dst: 2, SrcPort: 5, DstPort: 6, Proto: netsim.ProtoUDP}
+	var ft flowTable
+	ft.get(flow).rate.record(1500, 0)
+	ft.get(flow).rate.record(1500, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	want := 1500 * 8 / float64(interval)
+	wrong := 0
+	for i := 2; i < 100_002; i++ {
+		fs := ft.get(flow)
+		fs.rate.record(1500, i)
+		if fs.rate.gbps(i-2, interval) != want || fs.rate.gbps(i-1, interval) != want {
+			wrong++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("100 000 buckets of a known flow: %d allocations, want 0", n)
+	}
+	if wrong != 0 {
+		t.Fatalf("%d ticks read a bucket other than %v Gbit/s", wrong, want)
 	}
 }

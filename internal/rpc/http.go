@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -147,7 +148,7 @@ func (br *HeadersBatchResponse) answers() ([]hostagent.HeadersAnswer, error) {
 	out := make([]hostagent.HeadersAnswer, len(br.Answers))
 	for i, hr := range br.Answers {
 		if _, err := flowrec.ValidateSegment(hr.Segment); err != nil {
-			return nil, fmt.Errorf("rpc: headers batch answer %d: %w", i, err)
+			return nil, fmt.Errorf("%w: headers batch answer %d: %w", ErrBadAnswer, i, err)
 		}
 		out[i] = hostagent.HeadersAnswer{
 			Segment:            hr.Segment,
@@ -267,6 +268,13 @@ func (e *StatusError) Error() string {
 	}
 	return fmt.Sprintf("rpc: %s: status %d: %s", e.URL, e.Code, e.Body)
 }
+
+// ErrBadAnswer marks an answer that arrived whole but fails the client's
+// check: a /headers-batch answer with the wrong number of answers, or a
+// segment that does not validate. Unlike a transport failure or a
+// cancellation, it says the host is wrong, not unreachable; callers tell the
+// two apart with errors.Is.
+var ErrBadAnswer = errors.New("rpc: answer fails the client's check")
 
 // BadRequest marks err as the caller's fault: the Endpoint answers 400.
 func BadRequest(err error) error {
@@ -646,7 +654,9 @@ func (c *HTTPClient) Call(ctx context.Context, url string, req, resp any, limit 
 var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // QueryHeadersBatch answers several header queries against one host in a
-// single request (POST /headers-batch), one answer per query in order.
+// single request (POST /headers-batch), one answer per query in order. An
+// answer with the wrong count or a segment that does not validate returns
+// an error wrapping ErrBadAnswer.
 func (c *HTTPClient) QueryHeadersBatch(ctx context.Context, baseURL string, qs []hostagent.HeadersQuery) ([]hostagent.HeadersAnswer, error) {
 	req := HeadersBatchRequest{Queries: make([]HeadersRequest, len(qs))}
 	for i, q := range qs {
@@ -657,7 +667,7 @@ func (c *HTTPClient) QueryHeadersBatch(ctx context.Context, baseURL string, qs [
 		return nil, err
 	}
 	if len(out.Answers) != len(qs) {
-		return nil, fmt.Errorf("rpc: headers batch answered %d of %d queries", len(out.Answers), len(qs))
+		return nil, fmt.Errorf("%w: headers batch answered %d of %d queries", ErrBadAnswer, len(out.Answers), len(qs))
 	}
 	return out.answers()
 }

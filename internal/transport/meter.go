@@ -1,7 +1,9 @@
 // Package transport provides the workload engines that run on the simulated
 // testbed: constant-rate and bursty UDP sources, a Reno-style TCP with slow
 // start / AIMD / fast retransmit / RTO, and the throughput & inter-packet-gap
-// meters the paper's figures are drawn from.
+// meters the paper's figures are drawn from. The host agents' throughput
+// trigger keeps a four-bucket window of its own (hostagent) instead: it
+// reads two recent buckets, never a whole series.
 package transport
 
 import (
@@ -10,8 +12,11 @@ import (
 )
 
 // Meter accumulates bytes into fixed time buckets and records inter-arrival
-// gaps. It backs both the per-flow receiver meters (Fig 2 throughput and
-// inter-packet arrival plots) and the per-port switch meters (Fig 3).
+// gaps. It keeps every bucket since time 0, for the readers that need whole
+// series: the per-flow receiver meters (Fig 2 throughput and inter-packet
+// arrival plots, the scenarios' victim meters) and the per-port switch
+// meters (Fig 3, FlowMeters). Its memory grows with the run, so it is not
+// for per-flow state that lives as long as a host.
 type Meter struct {
 	interval simtime.Time
 	buckets  []uint64

@@ -12,6 +12,14 @@
 # quartiles, and the change's wins/losses. A gain counts when the change wins
 # at least nine pairs of ten and the medians differ by more than the parent's
 # own interquartile distance; the last column says which of the two held.
+#
+# Both sides run in this script's environment, so a runtime setting given to
+# it reaches both alike. The benchmark charges an op the GC work the runtime
+# paces off the live heap, so a change that shrinks heap_live_mb can read
+# worse on cpu_ms_per_op or the latencies with no op code touched; recheck
+# such a reading with the collector out of the way on both sides:
+#
+#   GOGC=off GOMEMLIMIT=128MiB scripts/bench-pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD
 set -eu
 
 if [ $# -lt 3 ]; then
